@@ -18,8 +18,8 @@ from .archsim import (
 )
 from .cost import CostReport, TechConfig, calibrate_power, compare_parallel, compare_storage, estimate
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import Ddag, build_ddag, ddag_infer, ddag_predict_float, ddag_predict_quant, ovo_vote_infer
-from .fxp import U4_4, FxpFormat, FxpValue, MacOverflow, mac_accumulate, truncate_to_format, width_for_range
+from .ddag import Ddag, build_ddag, ddag_infer, ddag_predict_float, ddag_predict_quant, ovo_vote_infer, walk_batch
+from .fxp import U4_4, FxpFormat, FxpValue, truncate_to_format, width_for_range
 from .hdlgen import HdlBundle, emit_golden_vectors, generate, parse_storage_constants
 from .quant import (
     QuantizedModel,

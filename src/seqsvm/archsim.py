@@ -6,6 +6,11 @@ Timing law: one word per cycle, bias first, so each evaluation takes m+1
 cycles and a full classification takes exactly (n-1)*(m+1) cycles. Storage
 kind never changes functional behavior; ROM access-slot overheads are charged
 by the cost model, not here.
+
+``simulate`` steps one classification cycle by cycle and writes traces; it is
+the scalar oracle of the batch path. ``simulate_batch`` runs every sample
+through ``ddag.walk_batch``, the batched kernel, with the wrapping
+accumulator and the words decoded through ``StorageUnit.read``.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ddag import Ddag
-from .fxp import MacOverflow, fits, mac_accumulate, wrap
+from .ddag import UNFINISHED_WALK, Ddag, walk_batch
+from .fxp import fits, wrap
 from .quant import QuantizedModel
 
 
@@ -68,6 +73,13 @@ class StorageUnit:
         # dots hold ceil(word_bits/2)*2 bits; drop padding, then sign-extend
         value &= (1 << self.word_bits) - 1
         return wrap(value, self.word_bits)
+
+    def table(self) -> np.ndarray:
+        """Every stored word as read back, rows x words_per_row."""
+        return np.array(
+            [[self.read(r, c) for c in range(self.words_per_row)] for r in range(self.rows)],
+            dtype=np.int64,
+        )
 
 
 def _pack_dots(value: int, word_bits: int) -> tuple:
@@ -133,19 +145,9 @@ def engine_step(
     """
     if st.ready:
         raise ValueError("engine already ready; reset before reuse")
-    overflowed = False
-    if st.counter == 0:
-        value = word
-        if not fits(value, acc_width):
-            value = wrap(value, acc_width)
-            overflowed = True
-    else:
-        try:
-            value = mac_accumulate(st.acc, word, input_code, acc_width)
-        except MacOverflow as exc:
-            value = wrap(exc.value, acc_width)
-            overflowed = True
-    st.acc = value
+    value = word if st.counter == 0 else st.acc + word * input_code
+    st.acc = wrap(value, acc_width)
+    overflowed = st.acc != value
     st.counter += 1
     st.ready = st.counter == n_features + 1
     st.y = 1 if st.acc >= 0 else 0
@@ -227,21 +229,19 @@ def simulate(
     is (n-1)*(m+1) regardless of data. Pass record=False to skip per-cycle
     records in bulk runs (totals are still exact).
     """
-    if qm.acc_width < 1:
-        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    acc_width = _profiled_width(qm)
     m = qm.n_features
     codes = [int(c) for c in codes]
     if len(codes) != m:
         raise ValueError(f"need {m} input codes, got {len(codes)}")
     shift = qm.bias_shift
-    acc_width = qm.acc_width
 
     fs = FsmState(dag.initial_state)
     records: list[CycleRecord] = []
     cycle = 0
     evaluations = 0
     overflows = 0
-    while not fs.done:
+    for _ in range(dag.n_classes - 1):
         row = dag.nodes[fs.state].row_index
         st = EngineState()
         for col in range(m + 1):
@@ -258,6 +258,10 @@ def simulate(
             cycle += 1
         evaluations += 1
         fs = fsm_step(fs, dag, st.y)
+        if fs.done:
+            break
+    else:
+        raise ValueError(UNFINISHED_WALK.format(dag.n_classes - 1))
     return fs.out_class, SimTrace(records, cycle, evaluations, overflows, fs.state, fs.out_class)
 
 
@@ -269,6 +273,14 @@ class BatchResult:
     predictions: np.ndarray
 
 
+def walk_storage(qm: QuantizedModel, dag: Ddag, storage: StorageUnit, codes_matrix):
+    """The wrapped batch kernel over the words the storage unit reads back.
+
+    Returns walk_batch's (classes, final_states, overflows) per sample.
+    """
+    return walk_batch(storage.table(), qm.bias_shift, dag, codes_matrix, _profiled_width(qm))
+
+
 def simulate_batch(
     qm: QuantizedModel,
     dag: Ddag,
@@ -276,25 +288,27 @@ def simulate_batch(
     codes_matrix,
     labels,
 ) -> BatchResult:
-    """Independent per-sample simulation; accuracy over the given labels."""
+    """Simulate every sample at once; accuracy over the given labels.
+
+    Bit-exact with simulate per sample; every walk takes (n-1)*(m+1) cycles.
+    """
     X = np.asarray(codes_matrix)
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty or malformed code matrix")
-    preds = np.empty(X.shape[0], dtype=np.int64)
-    overflows = 0
-    total_cycles = 0
-    for i, row in enumerate(X):
-        cls, trace = simulate(qm, dag, storage, row, record=False)
-        preds[i] = cls
-        overflows += trace.overflows
-        total_cycles += trace.cycles
+    preds, _, overflows = walk_storage(qm, dag, storage, X)
     return BatchResult(
         accuracy=float(np.mean(preds == labels)),
-        overflows=overflows,
-        mean_cycles=total_cycles / X.shape[0],
+        overflows=int(overflows.sum()),
+        mean_cycles=float((dag.n_classes - 1) * (qm.n_features + 1)),
         predictions=preds,
     )
+
+
+def _profiled_width(qm: QuantizedModel) -> int:
+    if qm.acc_width < 1:
+        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    return qm.acc_width
 
 
 def register_census(qm: QuantizedModel, dag: Ddag) -> dict:

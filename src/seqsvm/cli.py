@@ -60,8 +60,7 @@ def _input_fmt(config: dict) -> FxpFormat:
     return FxpFormat(total_bits=bits, frac_bits=bits, signed=False)
 
 
-def _train_phase(config: dict, out: Path) -> dict:
-    train, test = _ingest(config)
+def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
     hyper = random_search(train, budget=config["budget"], seed=config["seed"])
     model = train_ovo(train, hyper)
     doc = {
@@ -86,8 +85,7 @@ def _train_phase(config: dict, out: Path) -> dict:
     return doc
 
 
-def _quantize_phase(doc: dict, config: dict, out: Path) -> dict:
-    train, test = _ingest(config)
+def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Dataset) -> dict:
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     dag = build_ddag(fmodel.n_classes)
     qm, report = search_param_bits(
@@ -128,8 +126,7 @@ def _model_parts(doc: dict):
     return fmodel, qm, dag
 
 
-def _simulate_phase(doc: dict, config: dict, out: Path, trace_n: int, storage_kind: str) -> dict:
-    _, test = _ingest(config)
+def _simulate_phase(doc: dict, test: Dataset, out: Path, trace_n: int, storage_kind: str) -> dict:
     _, qm, dag = _model_parts(doc)
     storage = compile_storage(qm, ArchConfig(storage_kind))
     codes = quantize_inputs(test, qm.input_fmt)
@@ -155,8 +152,7 @@ def _simulate_phase(doc: dict, config: dict, out: Path, trace_n: int, storage_ki
     return sim_report
 
 
-def _hdl_phase(doc: dict, config: dict, out: Path, storage_kind: str, n_vectors: int) -> None:
-    _, test = _ingest(config)
+def _hdl_phase(doc: dict, test: Dataset, out: Path, storage_kind: str, n_vectors: int) -> None:
     _, qm, dag = _model_parts(doc)
     arch = ArchConfig(storage_kind)
     storage = compile_storage(qm, arch)
@@ -187,8 +183,7 @@ def _cost_phase(doc: dict, out: Path, storage_kind: str, tech: TechConfig) -> di
     return report
 
 
-def _summary(doc: dict, config: dict, sim_report: dict, cost_report: dict, out: Path) -> None:
-    train, test = _ingest(config)
+def _summary(doc: dict, config: dict, test: Dataset, sim_report: dict, cost_report: dict, out: Path) -> None:
     fmodel, qm, dag = _model_parts(doc)
     vote_acc = accuracy(fmodel, test)
     float_ddag_acc = float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))
@@ -234,10 +229,11 @@ def _tech(args) -> TechConfig:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
+    config = _pipeline_config(args)
     with _stage("ingest"):
-        _ingest(_pipeline_config(args))
+        train, _ = _ingest(config)
     with _stage("train"):
-        _train_phase(_pipeline_config(args), out)
+        _train_phase(config, out, train)
     return 0
 
 
@@ -246,7 +242,7 @@ def cmd_quantize(args) -> int:
     with _stage("quantize"):
         doc = modelio.load_model_doc(out / "float_model.json")
         config = _with_quant_keys(doc["config"], args)
-        _quantize_phase(doc, config, out)
+        _quantize_phase(doc, config, out, *_ingest(config))
     return 0
 
 
@@ -254,7 +250,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
         doc = modelio.load_model_doc(out / "model.json")
-        _simulate_phase(doc, doc["config"], out, args.trace, args.storage)
+        _simulate_phase(doc, _ingest(doc["config"])[1], out, args.trace, args.storage)
     return 0
 
 
@@ -262,7 +258,7 @@ def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
         doc = modelio.load_model_doc(out / "model.json")
-        _hdl_phase(doc, doc["config"], out, args.storage, args.vectors)
+        _hdl_phase(doc, _ingest(doc["config"])[1], out, args.storage, args.vectors)
     return 0
 
 
@@ -316,20 +312,20 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     config = _pipeline_config(args)
     with _stage("ingest"):
-        _ingest(config)
+        train, test = _ingest(config)
     with _stage("train"):
-        doc = _train_phase(config, out)
+        doc = _train_phase(config, out, train)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc = _quantize_phase(doc, config, out)
+        doc = _quantize_phase(doc, config, out, train, test)
     with _stage("simulate"):
-        sim_report = _simulate_phase(doc, config, out, args.trace, args.storage)
+        sim_report = _simulate_phase(doc, test, out, args.trace, args.storage)
     with _stage("gen-hdl"):
-        _hdl_phase(doc, config, out, args.storage, args.vectors)
+        _hdl_phase(doc, test, out, args.storage, args.vectors)
     with _stage("cost"):
         cost_report = _cost_phase(doc, out, args.storage, _tech(args))
     with _stage("summary"):
-        _summary(doc, config, sim_report, cost_report, out)
+        _summary(doc, config, test, sim_report, cost_report, out)
     return 0
 
 

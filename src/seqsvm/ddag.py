@@ -1,5 +1,12 @@
 """One-vs-one decision DAG: the control graph that picks a class with n-1
-pairwise evaluations, plus bit-exact reference inference over it.
+pairwise evaluations, plus bit-exact inference over it.
+
+``walk_batch`` is the one batched integer kernel: it walks every sample
+through the DAG in numpy, exactly or with the hardware's wrapping
+accumulator, and scores the reference predictions, the batch simulator and
+the golden vectors. ``prefix_sums`` runs the same column loop over all
+stored rows, for accumulator profiling and max-wins voting. ``ddag_infer``
+is the scalar oracle: the exact per-sample walk with its (row, y) log.
 
 Each state carries an interval (lo, hi) of still-alive extreme classes and
 evaluates the separator for pair (lo, hi). Engine output y=1 means the pair's
@@ -15,8 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fxp import MAX_INPUT_BITS, wrap
+
 # An edge is ("node", state_id) or ("leaf", class_id).
 Edge = tuple[str, int]
+
+UNFINISHED_WALK = "DAG walk has not reached a leaf after {} evaluations"
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,7 @@ def build_ddag(n_classes: int) -> Ddag:
 def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
     evaluations = []
     sid = dag.initial_state
-    while True:
+    for _ in range(dag.n_classes - 1):
         node = dag.nodes[sid]
         y = 1 if decide(node) else 0
         evaluations.append((node.row_index, y))
@@ -85,12 +96,14 @@ def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
         if kind == "leaf":
             return target, evaluations
         sid = target
+    raise ValueError(UNFINISHED_WALK.format(dag.n_classes - 1))
 
 
 def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     """Walk the DAG with exact integer arithmetic on quantized parameters.
 
-    Returns the leaf class and the (row, y) log; always exactly n-1 entries.
+    The scalar oracle of ddag_predict_quant. Returns the leaf class and the
+    (row, y) log; always exactly n-1 entries.
     """
     codes = [int(c) for c in codes]
     shift = qm.bias_shift
@@ -105,8 +118,102 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     return _walk(dag, decide)
 
 
+def _state_table(dag: Ddag, n_rows: int) -> np.ndarray:
+    """Per state id: its row, its y=0 and its y=1 successor (leaf class c as -1-c)."""
+
+    def code(kind: str, target: int) -> int:
+        if kind == "leaf" and 0 <= target < dag.n_classes:
+            return -1 - target
+        if kind == "node" and target in dag.nodes:
+            return target
+        raise ValueError(f"DAG edge {(kind, target)} leads nowhere")
+
+    table = np.zeros((max(dag.nodes) + 1, 3), dtype=np.int64)
+    for sid, node in dag.nodes.items():
+        if sid < 0 or not 0 <= node.row_index < n_rows:
+            raise ValueError(f"DAG state {sid} reads row {node.row_index} of {n_rows}")
+        table[sid] = node.row_index, code(*node.on_b_wins), code(*node.on_a_wins)
+    code("node", dag.initial_state)
+    return table
+
+
+def _checked_codes(codes, words: np.ndarray) -> np.ndarray:
+    X = np.asarray(codes, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != words.shape[1] - 1:
+        raise ValueError(f"need a samples x {words.shape[1] - 1} code matrix, got shape {X.shape}")
+    if X.size and (X.min() < 0 or X.max() >= 1 << MAX_INPUT_BITS):
+        raise ValueError(f"input codes must be unsigned {MAX_INPUT_BITS}-bit integers")
+    return X
+
+
+def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None):
+    """Walk the DAG for every sample at once: the batch kernel behind
+    ddag_predict_quant, simulate_batch and emit_golden_vectors.
+
+    ``words`` is the stored table, row r = [bias, w_1..w_m]. Each of the n-1
+    steps gathers the row that each sample's state points to and carries the
+    accumulator column by column: bias << shift, then one MAC per feature.
+    With ``acc_width`` it wraps after the bias load and after every MAC, and
+    each wrap counts as one overflow, as in engine_step; with None it is exact.
+
+    Returns int64 (classes, final_states, overflows) per sample; the final
+    state is the node whose verdict chose the leaf.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    X = _checked_codes(codes, words)
+    table = _state_table(dag, len(words))
+    # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
+    wraps = acc_width is not None and acc_width < 64
+    n_steps = dag.n_classes - 1
+    state = target = np.full(len(X), dag.initial_state, dtype=np.int64)
+    overflows = np.zeros(len(X), dtype=np.int64)
+    for step in range(n_steps):
+        row, on_b, on_a = table[state].T
+        w = words[row]
+        acc = w[:, 0] << shift
+        for col in range(w.shape[1]):
+            if col:
+                acc = acc + w[:, col] * X[:, col - 1]
+            if wraps:
+                wrapped = wrap(acc, acc_width)
+                overflows += wrapped != acc
+                acc = wrapped
+        target = np.where(acc >= 0, on_a, on_b)
+        if step < n_steps - 1:
+            if (target < 0).any():
+                raise ValueError(f"a DAG path reaches a leaf after {step + 1} of {n_steps} evaluations")
+            state = target
+    if (target >= 0).any():
+        raise ValueError(UNFINISHED_WALK.format(n_steps))
+    return -1 - target, state, overflows
+
+
 def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
-    return np.array([ddag_infer(qm, dag, row)[0] for row in codes_matrix], dtype=np.int64)
+    """Exact-arithmetic classes of every sample; the batch form of ddag_infer."""
+    return walk_batch(qm.word_table(), qm.bias_shift, dag, codes_matrix)[0]
+
+
+#: Samples x rows accumulator elements per block in prefix_sums, so loops
+#: over all stored rows take a few hundred kB whatever the model's size.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def prefix_sums(words, shift: int, codes):
+    """Exact accumulator of every stored row on every sample, column by column.
+
+    Yields (samples, rows) arrays block by block of samples: the shifted
+    biases, then the sum after each MAC, so m+1 arrays per block.
+    """
+    words = np.asarray(words, dtype=np.int64)
+    X = _checked_codes(codes, words)
+    block = max(1, _BLOCK_ELEMENTS // len(words))
+    for start in range(0, len(X), block):
+        x = X[start:start + block]
+        acc = np.broadcast_to(words[:, 0] << shift, (len(x), len(words)))
+        yield acc
+        for col in range(1, words.shape[1]):
+            acc = acc + x[:, col - 1, None] * words[:, col]
+            yield acc
 
 
 def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
@@ -127,16 +234,6 @@ def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
 
 def ovo_vote_infer(qm, codes) -> int:
     """Baseline semantics: evaluate every pair, max-wins vote, lowest id on ties."""
-    codes = [int(c) for c in codes]
-    shift = qm.bias_shift
-    wins = [0] * qm.n_classes
-    for vec in qm.vectors:
-        acc = vec.bias << shift
-        for w, x in zip(vec.weights, codes):
-            acc += w * x
-        wins[vec.class_a if acc >= 0 else vec.class_b] += 1
-    return max(range(qm.n_classes), key=lambda c: (wins[c], -c))
-
-
-def ovo_vote_predict_quant(qm, codes_matrix) -> np.ndarray:
-    return np.array([ovo_vote_infer(qm, row) for row in codes_matrix], dtype=np.int64)
+    *_, sums = prefix_sums(qm.word_table(), qm.bias_shift, [codes])
+    winners = [v.class_a if s >= 0 else v.class_b for v, s in zip(qm.vectors, sums[0])]
+    return int(np.argmax(np.bincount(winners, minlength=qm.n_classes)))

@@ -7,17 +7,10 @@ import math
 from dataclasses import dataclass
 
 
-class MacOverflow(Exception):
-    """A multiply-accumulate result left the accumulator's integer range.
-
-    Carries the exact (unwrapped) value so callers can either widen the
-    accumulator or wrap the value the way the hardware would.
-    """
-
-    def __init__(self, value: int, width: int):
-        super().__init__(f"{value} does not fit {width}-bit two's complement")
-        self.value = value
-        self.width = width
+#: Widest unsigned input code the integer kernels accept. With parameter
+#: words of at most 16 bits, every partial sum then stays below (m+1)*2**31
+#: in magnitude, so int64 arithmetic is exact.
+MAX_INPUT_BITS = 16
 
 
 def min_int(width: int) -> int:
@@ -32,12 +25,13 @@ def fits(value: int, width: int) -> bool:
     return min_int(width) <= value <= max_int(width)
 
 
-def wrap(value: int, width: int) -> int:
-    """Truncate an integer into width-bit two's complement (hardware wrap)."""
-    v = value & ((1 << width) - 1)
-    if v & (1 << (width - 1)):
-        v -= 1 << width
-    return v
+def wrap(value, width: int):
+    """Truncate an integer into width-bit two's complement (hardware wrap).
+
+    Also wraps int64 arrays elementwise, for widths up to 63 bits.
+    """
+    half = 1 << (width - 1)
+    return ((value + half) & ((1 << width) - 1)) - half
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,3 @@ def width_for_range(lo: int, hi: int) -> int:
     while not (fits(lo, width) and fits(hi, width)):
         width += 1
     return width
-
-
-def mac_accumulate(acc: int, weight_raw: int, input_raw: int, acc_width: int) -> int:
-    """acc + weight*input in exact arithmetic; MacOverflow if the sum leaves acc_width."""
-    value = acc + weight_raw * input_raw
-    if not fits(value, acc_width):
-        raise MacOverflow(value, acc_width)
-    return value

@@ -13,7 +13,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .archsim import ArchConfig, StorageUnit, counter_bits, simulate
+import numpy as np
+
+from .archsim import ArchConfig, StorageUnit, counter_bits, walk_storage
 from .ddag import Ddag
 from .fxp import fits
 from .quant import QuantizedModel
@@ -153,6 +155,9 @@ def _gen_top(qm: QuantizedModel, dag: Ddag, name: str) -> str:
     bus_bits = m * ib
     init = _ud(dag.initial_state, sb)
     zero_cnt = _ud(0, cnt_bits)
+    # the bias shares the products' binary point: word << bias_shift
+    shift = qm.bias_shift
+    aligned_bias = f"{{word, {shift}'d0}}" if shift else "word"
 
     fsm = _fsm_case(dag, sb, cb, " " * 16)
     return f"""// {name}_top.v -- generated sequential one-vs-one SVM classifier, do not edit
@@ -184,7 +189,7 @@ module {name}_top (
 
     // widths truncate to the accumulator, wrapping exactly like the reference model
     wire signed [{ab - 1}:0] product   = word * $signed({{1'b0, x_cur}});
-    wire signed [{ab - 1}:0] bias_init = $signed({{word, {ib}'d0}});
+    wire signed [{ab - 1}:0] bias_init = $signed({aligned_bias});
     wire signed [{ab - 1}:0] acc_next  = (counter == {zero_cnt}) ? bias_init : (acc + product);
     wire y = ~acc_next[{ab - 1}];  // 1 when the finished sum is >= 0
 
@@ -323,22 +328,22 @@ def emit_golden_vectors(
 ) -> tuple[str, str, list[GoldenVector]]:
     """Simulate the first `count` inputs and freeze stimulus/expectation text.
 
-    Every expectation comes from the cycle-accurate simulator; the budget
-    field is the exact cycle count (n-1)*(m+1).
+    Every expectation, class and final FSM state, comes from the batch
+    simulator (bit-exact with the cycle-accurate one); the budget field is
+    the exact cycle count (n-1)*(m+1).
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     budget = (qm.n_classes - 1) * (qm.n_features + 1)
+    X = np.asarray(test_codes, dtype=np.int64)[:count]
+    classes, states, _ = walk_storage(qm, dag, storage, X)
     stim_lines = [STIM_HEADER.format(last=qm.n_features - 1)]
     expect_lines = [EXPECT_HEADER]
     vectors = []
-    for row in list(test_codes)[:count]:
-        codes = [int(c) for c in row]
-        cls, trace = simulate(qm, dag, storage, codes, record=False)
-        assert trace.cycles == budget
-        vectors.append(GoldenVector(codes, cls, budget, trace.final_state))
+    for codes, cls, state in zip(X.tolist(), classes.tolist(), states.tolist()):
+        vectors.append(GoldenVector(codes, cls, budget, state))
         stim_lines.append(" ".join(str(c) for c in codes) + f" {budget}")
-        expect_lines.append(f"{cls} {trace.final_state}")
+        expect_lines.append(f"{cls} {state}")
     return "\n".join(stim_lines) + "\n", "\n".join(expect_lines) + "\n", vectors
 
 

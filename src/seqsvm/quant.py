@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import Ddag, build_ddag, ddag_predict_float, ddag_predict_quant
-from .fxp import U4_4, FxpFormat, truncate_to_format, width_for_range
+from .ddag import Ddag, build_ddag, ddag_predict_float, ddag_predict_quant, prefix_sums
+from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, width_for_range
 from .trainer import FloatSvmModel
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
@@ -24,6 +24,11 @@ class QuantVector:
     class_b: int
     weights: list[int]
     bias: int  # stored at param_bits; engine consumes bias << bias_shift
+
+
+def _check_input_fmt(fmt: FxpFormat) -> None:
+    if fmt.signed or fmt.total_bits > MAX_INPUT_BITS:
+        raise ValueError(f"input format must be unsigned with 1..{MAX_INPUT_BITS} bits, got {fmt}")
 
 
 @dataclass
@@ -47,6 +52,7 @@ class QuantizedModel:
     def __post_init__(self):
         if not 2 <= self.param_bits <= 16:
             raise ValueError("param_bits out of range")
+        _check_input_fmt(self.input_fmt)
         top = (1 << (self.param_bits - 1)) - 1
         for i, vec in enumerate(self.vectors):
             if len(vec.weights) != self.n_features:
@@ -58,6 +64,10 @@ class QuantizedModel:
     @property
     def bias_shift(self) -> int:
         return self.input_fmt.frac_bits
+
+    def word_table(self) -> np.ndarray:
+        """The stored words: row r = [bias, w_1..w_m] of vector r."""
+        return np.array([[v.bias, *v.weights] for v in self.vectors], dtype=np.int64)
 
     @property
     def n_vectors(self) -> int:
@@ -82,8 +92,7 @@ def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.size and X.min() < 0.0:
         raise ValueError("features must be normalized to [0, 1] before quantization")
-    if fmt.signed:
-        raise ValueError("input format must be unsigned")
+    _check_input_fmt(fmt)
     codes = np.floor(X * fmt.scale).astype(np.int64)
     return np.minimum(codes, fmt.raw_max)
 
@@ -130,14 +139,11 @@ def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[i
     X = np.asarray(train_codes, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != qm.n_features:
         raise ValueError("train codes shape mismatch")
-    lo, hi = None, None
-    for vec in qm.vectors:
-        b = vec.bias << qm.bias_shift
-        prefixes = b + np.cumsum(X * np.array(vec.weights, dtype=np.int64), axis=1)
-        vec_lo = min(b, int(prefixes.min()) if prefixes.size else b)
-        vec_hi = max(b, int(prefixes.max()) if prefixes.size else b)
-        lo = vec_lo if lo is None else min(lo, vec_lo)
-        hi = vec_hi if hi is None else max(hi, vec_hi)
+    words = qm.word_table()
+    biases = words[:, 0] << qm.bias_shift  # the bias load is a prefix even with no samples
+    lo, hi = int(biases.min()), int(biases.max())
+    for acc in prefix_sums(words, qm.bias_shift, X):
+        lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
     return lo, hi
 
 
@@ -163,25 +169,22 @@ def search_param_bits(
     """Try param_bits = 2..max_bits ascending; keep the first precision whose
     DDAG test accuracy sits within MAX_ACCURACY_DROP of the float DDAG test
     accuracy. Falls back to max_bits with the flag set."""
+    if max_bits < 2:
+        raise ValueError("max_bits must be >= 2")
     if dag is None:
         dag = build_ddag(fmodel.n_classes)
     float_acc = float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))
     test_codes = quantize_inputs(test, input_fmt)
     train_codes = quantize_inputs(train, input_fmt)
 
-    chosen = None
-    chosen_acc = 0.0
     flagged = False
     for bits in range(2, max_bits + 1):
-        qm = quantize_model(fmodel, bits, input_fmt)
-        q_acc = float(np.mean(ddag_predict_quant(qm, dag, test_codes) == test.labels))
-        if float_acc - q_acc <= MAX_ACCURACY_DROP + 1e-12:
-            chosen, chosen_acc = qm, q_acc
+        chosen = quantize_model(fmodel, bits, input_fmt)
+        chosen_acc = float(np.mean(ddag_predict_quant(chosen, dag, test_codes) == test.labels))
+        if float_acc - chosen_acc <= MAX_ACCURACY_DROP + 1e-12:
             break
     else:
-        chosen = quantize_model(fmodel, max_bits, input_fmt)
-        chosen_acc = float(np.mean(ddag_predict_quant(chosen, dag, test_codes) == test.labels))
-        flagged = True
+        flagged = True  # the last try, at max_bits, stays chosen
 
     profile_accumulator(chosen, train_codes)
     lo, hi = partial_sum_extremes(chosen, train_codes)

@@ -113,6 +113,21 @@ def test_missing_dataset_fails_in_ingest(tmp_path, capsys):
     assert "stage ingest failed" in capsys.readouterr().err
 
 
+def test_run_ingests_the_csv_once(synth_csv, tmp_path, monkeypatch):
+    import seqsvm.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "load_csv", lambda *a: calls.append(a) or load_csv(*a))
+    assert main(_run_args(synth_csv, tmp_path / "out")) == 0
+    assert len(calls) == 1
+
+
+def test_oversized_input_bits_fail_clearly(synth_csv, tmp_path, capsys):
+    assert main(_run_args(synth_csv, tmp_path / "out", ["--input-bits", "63"])) == 2
+    err = capsys.readouterr().err
+    assert "stage quantize failed" in err and "1..16 bits" in err
+
+
 def test_quantize_without_train_fails(tmp_path, capsys):
     assert main(["quantize", "--out", str(tmp_path)]) == 2
     assert "stage quantize failed" in capsys.readouterr().err

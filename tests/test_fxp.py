@@ -5,9 +5,7 @@ from seqsvm.fxp import (
     U4_4,
     FxpFormat,
     FxpValue,
-    MacOverflow,
     fits,
-    mac_accumulate,
     max_int,
     min_int,
     truncate_to_format,
@@ -102,32 +100,6 @@ class TestWidthForRange:
             assert fits(lo, w) and fits(hi, w)
             if w > 1:
                 assert not (fits(lo, w - 1) and fits(hi, w - 1))
-
-
-class TestMacAccumulate:
-    def test_zero_weight(self):
-        assert mac_accumulate(0, 0, 15, 8) == 0
-
-    def test_hand_arithmetic(self):
-        assert mac_accumulate(10, -3, 4, 8) == -2
-
-    def test_overflow_carries_value(self):
-        with pytest.raises(MacOverflow) as exc:
-            mac_accumulate(120, 7, 2, 8)
-        assert exc.value.value == 134
-
-    def test_matches_exact_arithmetic(self):
-        rng = np.random.default_rng(9)
-        for _ in range(500):
-            acc = int(rng.integers(-200, 200))
-            w = int(rng.integers(-127, 128))
-            x = int(rng.integers(0, 16))
-            exact = acc + w * x
-            if fits(exact, 12):
-                assert mac_accumulate(acc, w, x, 12) == exact
-            else:
-                with pytest.raises(MacOverflow):
-                    mac_accumulate(acc, w, x, 12)
 
 
 class TestWrap:

@@ -6,6 +6,7 @@ import pytest
 from helpers import random_quantized_model
 from seqsvm.archsim import ArchConfig, compile_storage, simulate
 from seqsvm.ddag import build_ddag
+from seqsvm.fxp import FxpFormat
 from seqsvm.hdlgen import (
     _sd,
     _ud,
@@ -73,6 +74,14 @@ class TestGenerate:
         qm.acc_width = 0
         with pytest.raises(ValueError, match="profile_accumulator"):
             generate(qm, build_ddag(2))
+
+    @pytest.mark.parametrize(
+        "fmt, aligned", [(FxpFormat(4, 2), "{word, 2'd0}"), (FxpFormat(4, 0), "word")]
+    )
+    def test_bias_aligned_by_bias_shift(self, fmt, aligned):
+        qm, _ = random_quantized_model(3, 2, 4, seed=0, input_fmt=fmt)
+        top = generate(qm, build_ddag(3)).top_module
+        assert f"bias_init = $signed({aligned});" in top
 
     @pytest.mark.parametrize("seed", range(5))
     def test_self_parse_roundtrip(self, seed):

@@ -1,0 +1,165 @@
+"""The batched DAG-walk kernel against the scalar oracles, on random models
+of every width the library accepts, plus the bounds on malformed DAGs."""
+
+import dataclasses
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_quantized_model
+from seqsvm.archsim import ArchConfig, compile_storage, simulate, simulate_batch, walk_storage
+from seqsvm.ddag import (
+    Ddag,
+    build_ddag,
+    ddag_infer,
+    ddag_infer_float,
+    ddag_predict_quant,
+    ovo_vote_infer,
+    walk_batch,
+)
+from seqsvm.fxp import FxpFormat
+from seqsvm.quant import QuantizedModel, QuantVector, partial_sum_extremes, profile_accumulator
+from seqsvm.trainer import FloatSvmModel, SupportVector
+
+
+@st.composite
+def cases(draw):
+    """A random profiled model, its DAG, storage and input codes; acc_width is
+    the profiled width minus 0..6 bits, or an oversized 64."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 8))
+    param_bits = draw(st.integers(2, 16))
+    input_bits = draw(st.integers(1, 16))
+    fmt = FxpFormat(input_bits, draw(st.integers(0, input_bits)))
+    top = (1 << (param_bits - 1)) - 1
+    coef = st.integers(-top - 1, top)
+    vectors = [
+        QuantVector(a, b, draw(st.lists(coef, min_size=m, max_size=m)), draw(coef))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    qm = QuantizedModel(n, m, fmt, param_bits, vectors, [1.0] * len(vectors))
+    code = st.integers(0, fmt.raw_max)
+    codes = draw(st.lists(st.lists(code, min_size=m, max_size=m), min_size=1, max_size=12))
+    profiled = profile_accumulator(qm, np.array(codes))
+    qm.acc_width = draw(st.one_of(st.integers(max(1, profiled - 6), profiled), st.just(64)))
+    storage = compile_storage(qm, ArchConfig(draw(st.sampled_from(["mux", "rom"]))))
+    return qm, build_ddag(n), storage, codes
+
+
+def _vote_oracle(qm, codes):
+    wins = [0] * qm.n_classes
+    for vec in qm.vectors:
+        acc = (vec.bias << qm.bias_shift) + sum(w * x for w, x in zip(vec.weights, codes))
+        wins[vec.class_a if acc >= 0 else vec.class_b] += 1
+    return max(range(qm.n_classes), key=lambda c: (wins[c], -c))
+
+
+def _extremes_oracle(qm, codes):
+    prefixes = []
+    for vec in qm.vectors:
+        prefixes.append(vec.bias << qm.bias_shift)
+        for row in codes:
+            acc = vec.bias << qm.bias_shift
+            for w, x in zip(vec.weights, row):
+                acc += w * x
+                prefixes.append(acc)
+    return min(prefixes), max(prefixes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_wrapped_kernel_equals_simulate(case):
+    qm, dag, storage, codes = case
+    classes, states, overflows = walk_storage(qm, dag, storage, codes)
+    for i, row in enumerate(codes):
+        cls, trace = simulate(qm, dag, storage, row, record=False)
+        assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
+    batch = simulate_batch(qm, dag, storage, codes, classes)
+    assert np.array_equal(batch.predictions, classes)
+    assert batch.overflows == int(overflows.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_exact_kernels_equal_python_oracles(case):
+    qm, dag, _, codes = case
+    assert ddag_predict_quant(qm, dag, codes).tolist() == [ddag_infer(qm, dag, row)[0] for row in codes]
+    assert [ovo_vote_infer(qm, row) for row in codes] == [_vote_oracle(qm, row) for row in codes]
+    assert partial_sum_extremes(qm, np.array(codes)) == _extremes_oracle(qm, codes)
+
+
+def test_codes_outside_sixteen_bits_rejected():
+    qm, codes = random_quantized_model(3, 2, 4, seed=0)
+    with pytest.raises(ValueError, match="unsigned 16-bit"):
+        ddag_predict_quant(qm, build_ddag(3), [[1 << 16, 0]])
+    with pytest.raises(ValueError, match="code matrix"):
+        ddag_predict_quant(qm, build_ddag(3), codes[:, :1])
+
+
+def _redirect(dag, edge):
+    """The same DAG with every edge replaced by `edge`."""
+    nodes = {
+        sid: dataclasses.replace(node, on_a_wins=edge, on_b_wins=edge) for sid, node in dag.nodes.items()
+    }
+    return Ddag(dag.n_classes, nodes, dag.initial_state, dag.state_bits)
+
+
+def _error_within(fn, timeout=10.0):
+    """Run fn in a daemon thread and return what it raised; fail if it hangs."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the walk did not stop on a cyclic DAG"
+    return raised[0] if raised else None
+
+
+def _cyclic_calls():
+    qm, codes = random_quantized_model(3, 2, 4, seed=0)
+    dag = build_ddag(3)
+    cyclic = _redirect(dag, ("node", dag.initial_state))
+    storage = compile_storage(qm)
+    fmodel = FloatSvmModel(
+        "ovo", 3, 2, [SupportVector(v.class_a, v.class_b, np.ones(2), 0.0) for v in qm.vectors]
+    )
+    return {
+        "ddag_infer": lambda: ddag_infer(qm, cyclic, codes[0]),
+        "ddag_infer_float": lambda: ddag_infer_float(fmodel, cyclic, [0.5, 0.5]),
+        "simulate": lambda: simulate(qm, cyclic, storage, codes[0]),
+        "ddag_predict_quant": lambda: ddag_predict_quant(qm, cyclic, codes),
+        "simulate_batch": lambda: simulate_batch(qm, cyclic, storage, codes, np.zeros(len(codes))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cyclic_calls()))
+def test_cyclic_dag_stops_after_n_minus_one_evaluations(name):
+    err = _error_within(_cyclic_calls()[name])
+    assert isinstance(err, ValueError)
+    assert "has not reached a leaf after 2 evaluations" in str(err)
+
+
+def test_kernel_rejects_a_path_shorter_than_n_minus_one():
+    qm, codes = random_quantized_model(4, 2, 4, seed=0)
+    shallow = _redirect(build_ddag(4), ("leaf", 1))
+    assert ddag_infer(qm, shallow, codes[0])[0] == 1  # the scalar walk stops at the leaf
+    with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
+        ddag_predict_quant(qm, shallow, codes)
+
+
+def test_kernel_rejects_edges_that_lead_nowhere():
+    qm, codes = random_quantized_model(3, 2, 4, seed=0)
+    words = qm.word_table()
+    for edge in (("node", 99), ("leaf", 3), ("leaf", -1)):
+        with pytest.raises(ValueError, match="leads nowhere"):
+            walk_batch(words, qm.bias_shift, _redirect(build_ddag(3), edge), codes)

@@ -4,7 +4,7 @@ import pytest
 from helpers import random_quantized_model
 from seqsvm.dataset import Dataset
 from seqsvm.ddag import build_ddag, ddag_predict_float, ddag_predict_quant, pair_index
-from seqsvm.fxp import U4_4, fits
+from seqsvm.fxp import U4_4, FxpFormat, fits
 from seqsvm.quant import (
     MAX_ACCURACY_DROP,
     QuantizedModel,
@@ -262,3 +262,21 @@ class TestQuantizedModelInvariants:
     def test_oversized_parameter_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [9], 0)], [1.0])
+
+
+class TestInputFormatBounds:
+    BAD = [FxpFormat(17, 17), FxpFormat(63, 63), FxpFormat(70, 70), FxpFormat(4, 3, signed=True)]
+
+    @pytest.mark.parametrize("fmt", BAD)
+    def test_quantize_inputs_rejects(self, fmt):
+        with pytest.raises(ValueError, match="1..16 bits"):
+            quantize_inputs(np.ones((2, 3)), fmt)
+
+    @pytest.mark.parametrize("fmt", BAD)
+    def test_model_rejects(self, fmt):
+        with pytest.raises(ValueError, match="1..16 bits"):
+            QuantizedModel(2, 1, fmt, 4, [QuantVector(0, 1, [1], 0)], [1.0])
+
+    def test_sixteen_bits_accepted(self):
+        codes = quantize_inputs(np.array([[1.0, 0.5, 0.0]]), FxpFormat(16, 16))
+        assert codes.tolist() == [[65535, 32768, 0]]
