@@ -231,9 +231,9 @@ def simulate(
     """
     acc_width = _profiled_width(qm)
     m = qm.n_features
-    codes = [int(c) for c in codes]
     if len(codes) != m:
         raise ValueError(f"need {m} input codes, got {len(codes)}")
+    codes = qm.input_codes([codes])[0].tolist()
     shift = qm.bias_shift
 
     fs = FsmState(dag.initial_state)
@@ -278,7 +278,8 @@ def walk_storage(qm: QuantizedModel, dag: Ddag, storage: StorageUnit, codes_matr
 
     Returns walk_batch's (classes, final_states, overflows) per sample.
     """
-    return walk_batch(storage.table(), qm.bias_shift, dag, codes_matrix, _profiled_width(qm))
+    codes = qm.input_codes(codes_matrix)
+    return walk_batch(storage.table(), qm.bias_shift, dag, codes, _profiled_width(qm))
 
 
 def simulate_batch(

@@ -85,7 +85,8 @@ def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
     return doc
 
 
-def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Dataset) -> dict:
+def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Dataset):
+    """Precision search; returns the model document and the QuantReport."""
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     dag = build_ddag(fmodel.n_classes)
     qm, report = search_param_bits(
@@ -116,7 +117,7 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
           f"(float {report.float_accuracy:.4f} -> quant {report.quantized_accuracy:.4f}, "
           f"acc_width={report.acc_width}"
           + (", max-precision flag" if report.max_precision_flag else "") + ")")
-    return doc
+    return doc, report
 
 
 def _model_parts(doc: dict):
@@ -183,10 +184,11 @@ def _cost_phase(doc: dict, out: Path, storage_kind: str, tech: TechConfig) -> di
     return report
 
 
-def _summary(doc: dict, config: dict, test: Dataset, sim_report: dict, cost_report: dict, out: Path) -> None:
-    fmodel, qm, dag = _model_parts(doc)
+def _summary(
+    doc: dict, config: dict, test: Dataset, float_ddag_acc: float, sim_report: dict, cost_report: dict, out: Path
+) -> None:
+    fmodel, qm, _ = _model_parts(doc)
     vote_acc = accuracy(fmodel, test)
-    float_ddag_acc = float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))
     lines = [
         f"dataset      : {config['dataset']} ({fmodel.n_classes} classes, {fmodel.n_features} features)",
         f"accuracy     : vote {vote_acc:.4f} | ddag {float_ddag_acc:.4f} | quantized {sim_report['accuracy']:.4f}",
@@ -317,7 +319,7 @@ def cmd_run(args) -> int:
         doc = _train_phase(config, out, train)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc = _quantize_phase(doc, config, out, train, test)
+        doc, quant_report = _quantize_phase(doc, config, out, train, test)
     with _stage("simulate"):
         sim_report = _simulate_phase(doc, test, out, args.trace, args.storage)
     with _stage("gen-hdl"):
@@ -325,7 +327,7 @@ def cmd_run(args) -> int:
     with _stage("cost"):
         cost_report = _cost_phase(doc, out, args.storage, _tech(args))
     with _stage("summary"):
-        _summary(doc, config, test, sim_report, cost_report, out)
+        _summary(doc, config, test, quant_report.float_accuracy, sim_report, cost_report, out)
     return 0
 
 

@@ -105,7 +105,7 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     The scalar oracle of ddag_predict_quant. Returns the leaf class and the
     (row, y) log; always exactly n-1 entries.
     """
-    codes = [int(c) for c in codes]
+    codes = qm.input_codes([codes])[0].tolist()
     shift = qm.bias_shift
 
     def decide(node):
@@ -137,10 +137,12 @@ def _state_table(dag: Ddag, n_rows: int) -> np.ndarray:
     return table
 
 
-def _checked_codes(codes, words: np.ndarray) -> np.ndarray:
+def check_codes(codes, n_features: int) -> np.ndarray:
+    """``codes`` as an int64 samples x n_features matrix of the unsigned
+    codes the integer kernels accept."""
     X = np.asarray(codes, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != words.shape[1] - 1:
-        raise ValueError(f"need a samples x {words.shape[1] - 1} code matrix, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"need a samples x {n_features} code matrix, got shape {X.shape}")
     if X.size and (X.min() < 0 or X.max() >= 1 << MAX_INPUT_BITS):
         raise ValueError(f"input codes must be unsigned {MAX_INPUT_BITS}-bit integers")
     return X
@@ -160,7 +162,7 @@ def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None
     state is the node whose verdict chose the leaf.
     """
     words = np.asarray(words, dtype=np.int64)
-    X = _checked_codes(codes, words)
+    X = check_codes(codes, words.shape[1] - 1)
     table = _state_table(dag, len(words))
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
@@ -190,7 +192,7 @@ def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None
 
 def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
     """Exact-arithmetic classes of every sample; the batch form of ddag_infer."""
-    return walk_batch(qm.word_table(), qm.bias_shift, dag, codes_matrix)[0]
+    return walk_batch(qm.word_table(), qm.bias_shift, dag, qm.input_codes(codes_matrix))[0]
 
 
 #: Samples x rows accumulator elements per block in prefix_sums, so loops
@@ -205,7 +207,7 @@ def prefix_sums(words, shift: int, codes):
     biases, then the sum after each MAC, so m+1 arrays per block.
     """
     words = np.asarray(words, dtype=np.int64)
-    X = _checked_codes(codes, words)
+    X = check_codes(codes, words.shape[1] - 1)
     block = max(1, _BLOCK_ELEMENTS // len(words))
     for start in range(0, len(X), block):
         x = X[start:start + block]
@@ -234,6 +236,6 @@ def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
 
 def ovo_vote_infer(qm, codes) -> int:
     """Baseline semantics: evaluate every pair, max-wins vote, lowest id on ties."""
-    *_, sums = prefix_sums(qm.word_table(), qm.bias_shift, [codes])
+    *_, sums = prefix_sums(qm.word_table(), qm.bias_shift, qm.input_codes([codes]))
     winners = [v.class_a if s >= 0 else v.class_b for v, s in zip(qm.vectors, sums[0])]
     return int(np.argmax(np.bincount(winners, minlength=qm.n_classes)))

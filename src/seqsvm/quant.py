@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import Ddag, build_ddag, ddag_predict_float, ddag_predict_quant, prefix_sums
+from .ddag import Ddag, build_ddag, check_codes, ddag_predict_float, ddag_predict_quant, prefix_sums
 from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, width_for_range
 from .trainer import FloatSvmModel
 
@@ -68,6 +68,18 @@ class QuantizedModel:
     def word_table(self) -> np.ndarray:
         """The stored words: row r = [bias, w_1..w_m] of vector r."""
         return np.array([[v.bias, *v.weights] for v in self.vectors], dtype=np.int64)
+
+    def input_codes(self, codes) -> np.ndarray:
+        """``codes`` as an int64 samples x n_features matrix, rejecting any
+        code outside the input format: the emitted Verilog keeps only the low
+        input bits of each code, so such a code would run differently there."""
+        X = check_codes(codes, self.n_features)
+        if X.size and X.max() > self.input_fmt.raw_max:
+            raise ValueError(
+                f"input code {int(X.max())} does not fit the model's "
+                f"{self.input_fmt.total_bits}-bit input format"
+            )
+        return X
 
     @property
     def n_vectors(self) -> int:
@@ -136,9 +148,7 @@ def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat 
 def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
     """Extremes over every accumulator prefix: the shifted bias, then the value
     after each MAC, for every vector on every sample."""
-    X = np.asarray(train_codes, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != qm.n_features:
-        raise ValueError("train codes shape mismatch")
+    X = qm.input_codes(train_codes)
     words = qm.word_table()
     biases = words[:, 0] << qm.bias_shift  # the bias load is a prefix even with no samples
     lo, hi = int(biases.min()), int(biases.max())
@@ -186,8 +196,8 @@ def search_param_bits(
     else:
         flagged = True  # the last try, at max_bits, stays chosen
 
-    profile_accumulator(chosen, train_codes)
     lo, hi = partial_sum_extremes(chosen, train_codes)
+    chosen.acc_width = width_for_range(lo, hi)  # as profile_accumulator does
     report = QuantReport(
         param_bits=chosen.param_bits,
         float_accuracy=float_acc,

@@ -1,6 +1,20 @@
 """Linear SVM training: one-vs-one and one-vs-all reductions over a
 deterministic hinge-loss subgradient solver, plus randomized hyperparameter
-search."""
+search.
+
+The solver is Pegasos (Shalev-Shwartz et al., ICML 2007) without the
+projection step, on x augmented with a constant 1 so the bias shares the
+regularizer. It starts at w = 0 and takes step 1/(lam*t), so after t steps
+w_t = u_t / (lam*t), where u_t sums y*x over the steps whose sample violated
+the margin. Only u is kept: step t tests y*(u.x) < lam*(t-1) (step 1 always
+counts as a violation) and adds y*x to u when it holds.
+
+A lane is one binary fit: a (candidate, class pair) of the search or the
+final OvO model, or one class against the rest. ``fit_lanes`` advances all
+lanes together, one numpy step over a (lanes, m+1) array of u per sample
+position. Each lane draws one permutation of its own rows per epoch from its
+own ``default_rng(key)``; lanes past their rows or epochs are masked out.
+"""
 
 from __future__ import annotations
 
@@ -72,24 +86,88 @@ class BinaryFit:
     train_accuracy: float
 
 
-def _hinge_sgd(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, rng) -> tuple[np.ndarray, float]:
-    """Subgradient descent on the L2-regularized hinge loss, step 1/(lam*t).
+@dataclass(frozen=True)
+class Lane:
+    """One binary fit: dataset rows ``rows``, where label ``positive`` is
+    trained as +1 and every other label as -1, and ``key`` seeds the lane's
+    permutation stream."""
 
-    The bias rides along as an augmented constant-one feature so it shares the
-    regularizer and the update stays a single shrink-and-step.
+    rows: np.ndarray
+    positive: int
+    lam: float
+    epochs: int
+    key: tuple[int, ...]
+
+
+#: Steps x lanes x (m+1) elements gathered per block of steps in fit_lanes,
+#: so a block takes a few hundred kB whatever the lane count.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
+    """Fit every lane's hinge-loss separator at once, in lockstep.
+
+    A lane whose rows all carry identical features is degenerate: it gets
+    zero weights and a bias whose sign picks the majority label. The others
+    run the solver of the module docstring. A lane's result does not depend
+    on the other lanes of the call, bit for bit.
     """
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    w = np.zeros(Xa.shape[1])
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(len(y)):
-            t += 1
-            shrink = 1.0 - 1.0 / t  # equals 1 - eta*lam
-            if y[i] * float(Xa[i] @ w) < 1.0:
-                w = shrink * w + (y[i] / (lam * t)) * Xa[i]
-            else:
-                w = shrink * w
-    return w[:-1], float(w[-1])
+    X = ds.features
+    Xa = np.hstack([X, np.ones((ds.n_samples, 1))])
+    fits: list[BinaryFit | None] = [None] * len(lanes)
+    for i, lane in enumerate(lanes):
+        Xl = X[lane.rows]
+        if bool(np.all(Xl == Xl[0])):
+            y = ds.labels[lane.rows] == lane.positive
+            bias = 1.0 if 2 * np.count_nonzero(y) >= len(y) else -1.0
+            fits[i] = BinaryFit(np.zeros(ds.n_features), bias, True, float(np.mean(y == (bias > 0))))
+    # longest-running lanes first, so the lanes alive in an epoch are a prefix
+    order = sorted((i for i, fit in enumerate(fits) if fit is None), key=lambda i: -lanes[i].epochs)
+    lam = np.array([lanes[i].lam for i in order])
+    epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
+    n = np.array([len(lanes[i].rows) for i in order], dtype=np.int64)
+    positive = np.array([lanes[i].positive for i in order], dtype=np.int64)
+    rngs = [np.random.default_rng(list(lanes[i].key)) for i in order]
+    U = np.zeros((len(order), Xa.shape[1]))
+    # column j: lane j's rows in this epoch's order, padded with row 0; int32
+    # halves the largest buffer of a search
+    stream = np.zeros((int(n.max(initial=0)), len(order)), dtype=np.int32)
+    for epoch in range(int(epochs.max(initial=0))):
+        alive = int(np.count_nonzero(epochs > epoch))
+        longest = int(n[:alive].max())
+        for j in range(alive):
+            stream[: n[j], j] = lanes[order[j]].rows[rngs[j].permutation(n[j])]
+        lam_a, n_a, pos_a = lam[:alive], n[:alive], positive[:alive]
+        # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
+        u_row, u_col = U[:alive, None, :], U[:alive, :, None]
+        block = max(1, _BLOCK_ELEMENTS // (alive * Xa.shape[1]))
+        for start in range(0, longest, block):
+            rows = stream[start:min(start + block, longest), :alive]
+            # step s of this epoch is step t = epoch*n + s + 1 of its lane
+            step = np.arange(start, start + len(rows))[:, None]
+            thresh = lam_a * (epoch * n_a + step)
+            thresh[step >= n_a] = -np.inf  # past the lane's samples: no update
+            if epoch == 0 and start == 0:
+                thresh[0] = np.inf  # t = 1 always updates
+            yx = Xa[rows]
+            yx *= np.where(ds.labels[rows] == pos_a, 1.0, -1.0)[:, :, None]
+            for x, th in zip(yx[:, :, None, :], thresh[:, :, None, None]):
+                violated = np.matmul(x, u_col) < th
+                np.add(u_row, x, out=u_row, where=violated)
+    W = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
+    for j, i in enumerate(order):
+        lane = lanes[i]
+        w, b = W[j, :-1], float(W[j, -1])
+        y = ds.labels[lane.rows] == lane.positive
+        fits[i] = BinaryFit(w, b, False, float(np.mean(y == (X[lane.rows] @ w + b >= 0.0))))
+    return fits
+
+
+def _pair_rows(ds: Dataset, class_a: int, class_b: int) -> np.ndarray:
+    rows = np.flatnonzero((ds.labels == class_a) | (ds.labels == class_b))
+    if len(np.unique(ds.labels[rows])) < 2:
+        raise ValueError(f"pair ({class_a},{class_b}): a class is missing from the training set")
+    return rows
 
 
 def train_binary(ds: Dataset, class_a: int, class_b: int, hyper: Hyper) -> BinaryFit:
@@ -101,58 +179,43 @@ def train_binary(ds: Dataset, class_a: int, class_b: int, hyper: Hyper) -> Binar
     """
     if class_a >= class_b:
         raise ValueError("expects class_a < class_b")
-    mask = (ds.labels == class_a) | (ds.labels == class_b)
-    X = ds.features[mask]
-    y = np.where(ds.labels[mask] == class_a, 1.0, -1.0)
-    if len(np.unique(y)) < 2:
-        raise ValueError(f"pair ({class_a},{class_b}): a class is missing from the training set")
-
-    if bool(np.all(X == X[0])):
-        bias = 1.0 if np.count_nonzero(y > 0) >= np.count_nonzero(y < 0) else -1.0
-        pred = np.where(bias >= 0.0, 1.0, -1.0)
-        return BinaryFit(np.zeros(ds.n_features), bias, True, float(np.mean(pred == y)))
-
-    rng = np.random.default_rng([hyper.seed, class_a, class_b])
-    w, b = _hinge_sgd(X, y, hyper.lam, hyper.epochs, rng)
-    pred = np.where(X @ w + b >= 0.0, 1.0, -1.0)
-    return BinaryFit(w, b, False, float(np.mean(pred == y)))
+    rows = _pair_rows(ds, class_a, class_b)
+    lane = Lane(rows, class_a, hyper.lam, hyper.epochs, (hyper.seed, class_a, class_b))
+    return fit_lanes(ds, [lane])[0]
 
 
-def _train_one_vs_rest(ds: Dataset, cls: int, hyper: Hyper) -> BinaryFit:
-    X = ds.features
-    y = np.where(ds.labels == cls, 1.0, -1.0)
-    if bool(np.all(X == X[0])):
-        bias = 1.0 if np.count_nonzero(y > 0) >= np.count_nonzero(y < 0) else -1.0
-        pred = np.where(bias >= 0.0, 1.0, -1.0)
-        return BinaryFit(np.zeros(ds.n_features), bias, True, float(np.mean(pred == y)))
-    rng = np.random.default_rng([hyper.seed, cls])
-    w, b = _hinge_sgd(X, y, hyper.lam, hyper.epochs, rng)
-    pred = np.where(X @ w + b >= 0.0, 1.0, -1.0)
-    return BinaryFit(w, b, False, float(np.mean(pred == y)))
+def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel]:
+    """One OvO model per hyperparameter set, every (candidate, pair) a lane of
+    one fit_lanes call; vectors in lexicographic pair order."""
+    n = ds.n_classes
+    pairs = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            try:
+                pairs.append((a, b, _pair_rows(ds, a, b)))
+            except ValueError as exc:
+                raise RuntimeError(f"pair ({a},{b}) failed: {exc}") from exc
+    lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
+    fits = fit_lanes(ds, lanes)
+    models = []
+    for k in range(len(hypers)):
+        own = fits[k * len(pairs):(k + 1) * len(pairs)]
+        vectors = [SupportVector(a, b, fit.weights, fit.bias) for (a, b, _), fit in zip(pairs, own)]
+        models.append(FloatSvmModel("ovo", n, ds.n_features, vectors))
+    return models
 
 
 def train_ovo(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
     """One binary fit per unordered class pair, assembled in lexicographic order."""
-    n = ds.n_classes
-    vectors = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            try:
-                fit = train_binary(ds, a, b, hyper)
-            except Exception as exc:
-                raise RuntimeError(f"pair ({a},{b}) failed: {exc}") from exc
-            vectors.append(SupportVector(a, b, fit.weights, fit.bias))
-    return FloatSvmModel("ovo", n, ds.n_features, vectors)
+    return train_ovo_candidates(ds, [hyper])[0]
 
 
 def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
     """One binary fit per class against the rest (comparison harness only)."""
-    n = ds.n_classes
-    vectors = []
-    for cls in range(n):
-        fit = _train_one_vs_rest(ds, cls, hyper)
-        vectors.append(SupportVector(cls, None, fit.weights, fit.bias))
-    return FloatSvmModel("ova", n, ds.n_features, vectors)
+    rows = np.arange(ds.n_samples)
+    lanes = [Lane(rows, cls, hyper.lam, hyper.epochs, (hyper.seed, cls)) for cls in range(ds.n_classes)]
+    vectors = [SupportVector(cls, None, fit.weights, fit.bias) for cls, fit in enumerate(fit_lanes(ds, lanes))]
+    return FloatSvmModel("ova", ds.n_classes, ds.n_features, vectors)
 
 
 def accuracy(model, ds: Dataset) -> float:
@@ -184,12 +247,11 @@ def random_search(
     epoch_counts = rng.integers(space.epochs_lo, space.epochs_hi + 1, budget)
 
     sub_train, holdout = split(train, SplitSpec(1.0 - holdout_fraction, seed))
+    hypers = [Hyper(lam=lam, epochs=int(epochs), seed=seed) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
     best: tuple | None = None
     best_hyper = None
-    for lam, epochs in zip(lams.tolist(), epoch_counts.tolist()):
-        hyper = Hyper(lam=lam, epochs=int(epochs), seed=seed)
-        model = train_ovo(sub_train, hyper)
-        key = (-accuracy(model, holdout), lam, epochs)
+    for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers)):
+        key = (-accuracy(model, holdout), hyper.lam, hyper.epochs)
         if best is None or key < best:
             best = key
             best_hyper = hyper

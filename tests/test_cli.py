@@ -122,6 +122,23 @@ def test_run_ingests_the_csv_once(synth_csv, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_walks_the_float_ddag_once(synth_csv, tmp_path, monkeypatch):
+    # the summary reuses the float DDAG accuracy of the precision search
+    import seqsvm.cli as cli
+    import seqsvm.quant as quant
+    from seqsvm.ddag import ddag_predict_float
+
+    calls = []
+    counted = lambda *a: calls.append(a) or ddag_predict_float(*a)  # noqa: E731
+    monkeypatch.setattr(quant, "ddag_predict_float", counted)
+    monkeypatch.setattr(cli, "ddag_predict_float", counted)
+    out = tmp_path / "out"
+    assert main(_run_args(synth_csv, out)) == 0
+    assert len(calls) == 1
+    report = json.loads((out / "quant_report.json").read_text())
+    assert f"ddag {report['float_accuracy']:.4f}" in (out / "summary.txt").read_text()
+
+
 def test_oversized_input_bits_fail_clearly(synth_csv, tmp_path, capsys):
     assert main(_run_args(synth_csv, tmp_path / "out", ["--input-bits", "63"])) == 2
     err = capsys.readouterr().err

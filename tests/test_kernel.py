@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_quantized_model
+from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.archsim import ArchConfig, compile_storage, simulate, simulate_batch, walk_storage
 from seqsvm.ddag import (
     Ddag,
@@ -98,6 +99,35 @@ def test_codes_outside_sixteen_bits_rejected():
         ddag_predict_quant(qm, build_ddag(3), [[1 << 16, 0]])
     with pytest.raises(ValueError, match="code matrix"):
         ddag_predict_quant(qm, build_ddag(3), codes[:, :1])
+
+
+def _format_calls(qm, codes):
+    """Every entry point that takes a QuantizedModel and input codes."""
+    dag = build_ddag(qm.n_classes)
+    storage = compile_storage(qm)
+    return {
+        "simulate": lambda: simulate(qm, dag, storage, codes[0]),
+        "ddag_infer": lambda: ddag_infer(qm, dag, codes[0]),
+        "simulate_batch": lambda: simulate_batch(qm, dag, storage, codes, np.zeros(len(codes))),
+        "ddag_predict_quant": lambda: ddag_predict_quant(qm, dag, codes),
+        "walk_storage": lambda: walk_storage(qm, dag, storage, codes),
+        "emit_golden_vectors": lambda: emit_golden_vectors(qm, dag, storage, codes, len(codes)),
+        "ovo_vote_infer": lambda: ovo_vote_infer(qm, codes[0]),
+        "partial_sum_extremes": lambda: partial_sum_extremes(qm, codes),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_format_calls(*random_quantized_model(3, 2, 4, seed=0))))
+@pytest.mark.parametrize("fmt", [FxpFormat(4, 4), FxpFormat(6, 3)])
+def test_codes_outside_the_input_format_rejected(name, fmt):
+    # the Verilog keeps only the low input bits of a code, so the
+    # simulator and the reference must not score a wider one
+    qm, codes = random_quantized_model(3, 2, 4, seed=0, input_fmt=fmt)
+    codes[0, 1] = fmt.raw_max
+    _format_calls(qm, codes)[name]()
+    codes[0, 1] = fmt.raw_max + 1
+    with pytest.raises(ValueError, match=f"does not fit the model's {fmt.total_bits}-bit input format"):
+        _format_calls(qm, codes)[name]()
 
 
 def _redirect(dag, edge):

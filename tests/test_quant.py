@@ -173,6 +173,19 @@ class TestSearchParamBits:
             assert report.accuracy_drop > MAX_ACCURACY_DROP
         assert report.param_bits == 2
 
+    def test_profiles_the_chosen_model_once(self, blobs3_split, blobs3_model, monkeypatch):
+        import seqsvm.quant as quant
+
+        train, test = blobs3_split
+        calls = []
+        counted = lambda qm, codes: calls.append(qm) or partial_sum_extremes(qm, codes)  # noqa: E731
+        monkeypatch.setattr(quant, "partial_sum_extremes", counted)
+        qm, report = search_param_bits(blobs3_model, train, test)
+        assert calls == [qm]
+        codes = quantize_inputs(train, qm.input_fmt)
+        assert (report.partial_min, report.partial_max) == partial_sum_extremes(qm, codes)
+        assert report.acc_width == qm.acc_width == profile_accumulator(qm, codes)
+
     def test_rejects_ova(self, blobs3_split):
         from seqsvm.trainer import Hyper, train_ova
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqsvm.trainer as trainer_mod
 from seqsvm.dataset import Dataset, SplitSpec, split
@@ -7,8 +9,10 @@ from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
     FloatSvmModel,
     Hyper,
+    Lane,
     SupportVector,
     accuracy,
+    fit_lanes,
     random_search,
     train_binary,
     train_ova,
@@ -175,14 +179,14 @@ class TestRandomSearch:
             def predict(self, X):
                 return np.full(len(X), -1, dtype=np.int64)  # accuracy 0
 
-        def fake_train(ds, hyper):
-            seen.append(hyper)
-            return _Fake(hyper.lam)
+        def fake_train(ds, hypers):
+            seen.extend(hypers)
+            return [_Fake(hyper.lam) for hyper in hypers]
 
         def fake_accuracy(model, ds):
             return 1.0 / (1.0 + model.lam) if isinstance(model, _Fake) else 0.0
 
-        monkeypatch.setattr(trainer_mod, "train_ovo", fake_train)
+        monkeypatch.setattr(trainer_mod, "train_ovo_candidates", fake_train)
         monkeypatch.setattr(trainer_mod, "accuracy", fake_accuracy)
         best = random_search(train, budget=10, seed=8)
         assert best.lam == min(h.lam for h in seen)
@@ -191,11 +195,133 @@ class TestRandomSearch:
         train, _ = blobs3_split
         seen = []
 
-        def fake_train(ds, hyper):
-            seen.append(hyper)
-            return object()
+        def fake_train(ds, hypers):
+            seen.extend(hypers)
+            return [object() for _ in hypers]
 
-        monkeypatch.setattr(trainer_mod, "train_ovo", fake_train)
+        monkeypatch.setattr(trainer_mod, "train_ovo_candidates", fake_train)
         monkeypatch.setattr(trainer_mod, "accuracy", lambda model, ds: 0.5)
         best = random_search(train, budget=10, seed=8)
         assert best.lam == min(h.lam for h in seen)
+
+
+def _shrink_and_step(X, y, lam, epochs, rng):
+    """Reference: the same solver stepped sample by sample. w starts at 0, and
+    step t shrinks w by 1 - 1/t and adds y*x/(lam*t) when the margin is < 1."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    w = np.zeros(Xa.shape[1])
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(y)):
+            t += 1
+            shrink = 1.0 - 1.0 / t
+            if y[i] * float(Xa[i] @ w) < 1.0:
+                w = shrink * w + (y[i] / (lam * t)) * Xa[i]
+            else:
+                w = shrink * w
+    return w
+
+
+def _assert_close_to_reference(vec, X, y, lam, epochs, key):
+    ref = _shrink_and_step(X, y, lam, epochs, np.random.default_rng(list(key)))
+    # the bias sum is a count of +-1 steps, so it can cancel to exactly 0
+    # where the reference keeps rounding noise: atol is relative to the vector
+    np.testing.assert_allclose(np.r_[vec.weights, vec.bias], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+class TestLaneSolver:
+    @staticmethod
+    def _random_dataset(seed, rows=90, m=5, classes=4):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, rows)
+        X = rng.normal(size=(rows, m)) + labels[:, None] * 0.7
+        return Dataset(X, labels, [str(c) for c in range(classes)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        specs=st.lists(
+            st.tuples(
+                st.integers(1, 90),                 # lane length
+                st.integers(0, 3),                  # positive label
+                st.floats(1e-4, 10.0),              # lam
+                st.integers(0, 5),                  # epochs
+                st.integers(0, 50),                 # stream seed
+            ),
+            min_size=2,
+            max_size=7,
+        ),
+    )
+    def test_lane_alone_equals_lane_in_batch(self, seed, specs):
+        ds = self._random_dataset(seed)
+        rng = np.random.default_rng(seed + 1)
+        lanes = [
+            Lane(np.sort(rng.choice(ds.n_samples, size, replace=False)), pos, lam, epochs, (key, pos))
+            for size, pos, lam, epochs, key in specs
+        ]
+        batch = fit_lanes(ds, lanes)
+        for lane, fit in zip(lanes, batch):
+            alone = fit_lanes(ds, [lane])[0]
+            assert np.array_equal(alone.weights, fit.weights)
+            assert alone.bias == fit.bias
+            assert alone.degenerate == fit.degenerate
+            assert alone.train_accuracy == fit.train_accuracy
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ovo_lanes_match_shrink_and_step(self, seed):
+        ds = self._random_dataset(seed)
+        hyper = Hyper(lam=[0.003, 0.05, 1.5][seed], epochs=4 + seed, seed=seed)
+        model = train_ovo(ds, hyper)
+        for vec in model.vectors:
+            mask = (ds.labels == vec.class_a) | (ds.labels == vec.class_b)
+            y = np.where(ds.labels[mask] == vec.class_a, 1.0, -1.0)
+            _assert_close_to_reference(vec, ds.features[mask], y, hyper.lam, hyper.epochs,
+                                       (seed, vec.class_a, vec.class_b))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ova_lanes_match_shrink_and_step(self, seed):
+        ds = self._random_dataset(seed)
+        hyper = Hyper(lam=0.02, epochs=3, seed=seed)
+        model = train_ova(ds, hyper)
+        for vec in model.vectors:
+            y = np.where(ds.labels == vec.class_a, 1.0, -1.0)
+            _assert_close_to_reference(vec, ds.features, y, hyper.lam, hyper.epochs, (seed, vec.class_a))
+
+    def test_degenerate_ovo_lanes_beside_normal_lanes(self):
+        # classes 0 and 1 share one feature row; class 2 varies
+        X = np.vstack([np.tile([0.3, 0.7], (7, 1)), np.random.default_rng(5).uniform(size=(6, 2))])
+        labels = np.array([0, 0, 0, 0, 1, 1, 1] + [2] * 6)
+        ds = Dataset(X, labels, ["a", "b", "c"])
+        hyper = Hyper(lam=0.05, epochs=6, seed=4)
+        model = train_ovo(ds, hyper)
+        v01, v02, v12 = model.vectors
+        assert np.all(v01.weights == 0.0) and v01.bias == 1.0  # 4 of 7 rows are class 0
+        for vec in (v02, v12):
+            mask = (labels == vec.class_a) | (labels == vec.class_b)
+            y = np.where(labels[mask] == vec.class_a, 1.0, -1.0)
+            _assert_close_to_reference(vec, X[mask], y, hyper.lam, hyper.epochs, (4, vec.class_a, vec.class_b))
+        assert train_binary(ds, 0, 1, hyper).degenerate
+        assert not train_binary(ds, 1, 2, hyper).degenerate
+
+    def test_degenerate_ova_lanes_beside_normal_lanes(self):
+        # one lane of a batch sees identical rows, the others do not
+        ds = self._random_dataset(3, rows=40)
+        ds.features[:10] = ds.features[0]
+        flat = Lane(np.arange(10), int(ds.labels[0]), 0.1, 4, (3, 0))
+        normal = [Lane(np.arange(40), cls, 0.1, 4, (3, cls)) for cls in range(4)]
+        fits = fit_lanes(ds, [normal[0], flat, *normal[1:]])
+        majority = 2 * np.count_nonzero(ds.labels[:10] == flat.positive) >= 10
+        assert fits[1].degenerate and np.all(fits[1].weights == 0.0)
+        assert fits[1].bias == (1.0 if majority else -1.0)
+        model = train_ova(ds, Hyper(lam=0.1, epochs=4, seed=3))
+        for cls, (fit, vec) in enumerate(zip([fits[0], *fits[2:]], model.vectors)):
+            assert np.array_equal(fit.weights, vec.weights) and fit.bias == vec.bias
+            assert not fit.degenerate
+            y = np.where(ds.labels == cls, 1.0, -1.0)
+            _assert_close_to_reference(fit, ds.features, y, 0.1, 4, (3, cls))
+
+    def test_all_degenerate_ova(self):
+        ds = Dataset(np.tile([0.5], (5, 1)), np.array([0, 1, 1, 2, 2]), ["a", "b", "c"])
+        model = train_ova(ds, Hyper(lam=0.1, epochs=3, seed=0))
+        assert [v.bias for v in model.vectors] == [-1.0, -1.0, -1.0]
+        assert all(np.all(v.weights == 0.0) for v in model.vectors)
