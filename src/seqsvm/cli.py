@@ -11,17 +11,16 @@ Exit codes: 0 success, 1 usage, 2 stage failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import modelio
 from .archsim import ArchConfig, compile_storage, simulate, simulate_batch, trace_to_text
 from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech, report_to_dict
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import build_ddag, ddag_predict_float, ddag_predict_quant
+from .ddag import build_ddag
 from .fxp import FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import quantize_inputs, search_param_bits
@@ -276,16 +275,17 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
         doc = modelio.load_model_doc(out / "model.json")
-        config = doc["config"]
-        train, test = _ingest(config)
+        # the DDAG accuracies were measured on this test split by the quantize stage
+        quant_report = json.loads((out / "quant_report.json").read_text())
+        if quant_report.get("config_hash") != doc["config_hash"]:
+            raise ValueError("quant_report.json does not belong to model.json (config_hash differs)")
+        train, test = _ingest(doc["config"])
         fmodel, qm, dag = _model_parts(doc)
-        hyper = Hyper(**doc["hyper"])
-        ova = train_ova(train, hyper)
-        codes = quantize_inputs(test, qm.input_fmt)
+        ova = train_ova(train, Hyper(**doc["hyper"]))
         acc_rows = [
             ("ovo-vote (float)", accuracy(fmodel, test)),
-            ("ovo-ddag (float)", float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))),
-            ("ovo-ddag (quant)", float(np.mean(ddag_predict_quant(qm, dag, codes) == test.labels))),
+            ("ovo-ddag (float)", quant_report["float_accuracy"]),
+            ("ovo-ddag (quant)", quant_report["quantized_accuracy"]),
             ("ova      (float)", accuracy(ova, test)),
         ]
         print(f"accuracy on {len(test.labels)} test samples "

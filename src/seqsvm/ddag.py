@@ -1,12 +1,16 @@
 """One-vs-one decision DAG: the control graph that picks a class with n-1
-pairwise evaluations, plus bit-exact inference over it.
+pairwise evaluations, plus inference over it.
 
-``walk_batch`` is the one batched integer kernel: it walks every sample
-through the DAG in numpy, exactly or with the hardware's wrapping
-accumulator, and scores the reference predictions, the batch simulator and
-the golden vectors. ``prefix_sums`` runs the same column loop over all
-stored rows, for accumulator profiling and max-wins voting. ``ddag_infer``
-is the scalar oracle: the exact per-sample walk with its (row, y) log.
+One step loop walks every sample through the DAG at once: at each of the
+n-1 steps it gathers the stored row that each sample's state points to and
+scores it column by column, bias first. ``walk_batch`` runs it on integer
+words, exactly or with the hardware's wrapping accumulator, for the
+reference predictions, the batch simulator and the golden vectors;
+``ddag_predict_float`` runs it on the float model. ``prefix_sums`` runs the
+same column loop over all stored rows, for accumulator profiling and
+max-wins voting. ``ddag_infer`` and ``ddag_infer_float`` are the scalar
+oracles: per-sample walks, summing in the same order, with their (row, y)
+logs.
 
 Each state carries an interval (lo, hi) of still-alive extreme classes and
 evaluates the separator for pair (lo, hi). Engine output y=1 means the pair's
@@ -148,31 +152,31 @@ def check_codes(codes, n_features: int) -> np.ndarray:
     return X
 
 
-def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None):
-    """Walk the DAG for every sample at once: the batch kernel behind
-    ddag_predict_quant, simulate_batch and emit_golden_vectors.
+def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):
+    """The DAG-walk step loop over every sample at once, on int64 words and
+    codes or on float64 coefficients and features.
 
-    ``words`` is the stored table, row r = [bias, w_1..w_m]. Each of the n-1
-    steps gathers the row that each sample's state points to and carries the
-    accumulator column by column: bias << shift, then one MAC per feature.
-    With ``acc_width`` it wraps after the bias load and after every MAC, and
-    each wrap counts as one overflow, as in engine_step; with None it is exact.
+    ``table`` row r = [bias, w_1..w_m], the bias already at the products'
+    binary point. Each of the n-1 steps gathers the row that each sample's
+    state points to and carries the accumulator column by column: the bias,
+    then one product per feature. With ``acc_width`` (integers only) it wraps
+    after the bias load and after every MAC, and each wrap counts as one
+    overflow, as in engine_step; with None the sums are exact integers or
+    plain float arithmetic.
 
     Returns int64 (classes, final_states, overflows) per sample; the final
     state is the node whose verdict chose the leaf.
     """
-    words = np.asarray(words, dtype=np.int64)
-    X = check_codes(codes, words.shape[1] - 1)
-    table = _state_table(dag, len(words))
+    states = _state_table(dag, len(table))
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
     n_steps = dag.n_classes - 1
     state = target = np.full(len(X), dag.initial_state, dtype=np.int64)
     overflows = np.zeros(len(X), dtype=np.int64)
     for step in range(n_steps):
-        row, on_b, on_a = table[state].T
-        w = words[row]
-        acc = w[:, 0] << shift
+        row, on_b, on_a = states[state].T
+        w = table[row]
+        acc = w[:, 0]
         for col in range(w.shape[1]):
             if col:
                 acc = acc + w[:, col] * X[:, col - 1]
@@ -188,6 +192,21 @@ def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None
     if (target >= 0).any():
         raise ValueError(UNFINISHED_WALK.format(n_steps))
     return -1 - target, state, overflows
+
+
+def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None):
+    """The integer walk of every sample at once: the kernel behind
+    ddag_predict_quant, simulate_batch and emit_golden_vectors.
+
+    ``words`` is the stored table, row r = [bias, w_1..w_m]; the bias enters
+    as bias << shift. ``acc_width`` is the wrapping accumulator's width, or
+    None for exact sums. Returns int64 (classes, final_states, overflows) per
+    sample, as _walk_table does.
+    """
+    table = np.array(words, dtype=np.int64)  # a copy: its bias column is aligned here
+    X = check_codes(codes, table.shape[1] - 1)
+    table[:, 0] <<= shift
+    return _walk_table(dag, table, X, acc_width)
 
 
 def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
@@ -219,19 +238,35 @@ def prefix_sums(words, shift: int, codes):
 
 
 def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
-    """Same walk on the float model (vectors in lexicographic pair order)."""
+    """The same walk on the float model (vectors in lexicographic pair order).
+
+    The scalar oracle of ddag_predict_float: each score is summed in Python
+    floats in the batch walk's order, bias first and then one product per
+    feature, so both give the same class bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (fmodel.n_features,):
+        raise ValueError(f"need {fmodel.n_features} features, got shape {x.shape}")
+    x = x.tolist()
 
     def decide(node):
         vec = fmodel.vectors[node.row_index]
-        return float(x @ vec.weights + vec.bias) >= 0.0
+        acc = float(vec.bias)
+        for w, xi in zip(vec.weights, x):
+            acc += float(w) * xi
+        return acc >= 0.0
 
     return _walk(dag, decide)
 
 
 def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
+    """Float DDAG class of every sample; the batch form of ddag_infer_float."""
     X = np.asarray(features, dtype=np.float64)
-    return np.array([ddag_infer_float(fmodel, dag, row)[0] for row in X], dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != fmodel.n_features:
+        raise ValueError(f"need a samples x {fmodel.n_features} feature matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    return _walk_table(dag, fmodel.coef_table(), X)[0]
 
 
 def ovo_vote_infer(qm, codes) -> int:

@@ -109,39 +109,45 @@ def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
     return np.minimum(codes, fmt.raw_max)
 
 
-def scale_vector(weights, bias: float, param_bits: int) -> tuple[list[int], int, float]:
-    """Min-max linear scaling of one support vector to signed param_bits codes.
+def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min-max linear scaling of every row of ``coefs`` (one support vector's
+    coefficients each) to signed param_bits codes, all rows at once.
 
-    The scale maps the largest-magnitude coefficient (weights and bias share
-    the range) onto 2**(param_bits-1) - 1; rounding is half-to-even. An
-    all-zero vector keeps scale 1 and is flagged with a warning.
+    A row's scale maps its largest-magnitude coefficient onto
+    2**(param_bits-1) - 1; rounding is half-to-even. An all-zero row keeps
+    scale 1 and is flagged with one warning. Returns the int64 codes and the
+    float64 scales.
     """
     if param_bits < 2:
         raise ValueError("param_bits must be >= 2")
-    w = np.asarray(weights, dtype=np.float64)
+    C = np.asarray(coefs, dtype=np.float64)
     top = float((1 << (param_bits - 1)) - 1)
-    peak = max(float(np.max(np.abs(w))) if w.size else 0.0, abs(float(bias)))
-    if peak == 0.0:
+    peak = np.abs(C).max(axis=1, initial=0.0)
+    zero = peak == 0.0
+    for _ in range(np.count_nonzero(zero)):
         warnings.warn("all-zero support vector; quantizing to zeros with scale 1")
-        return [0] * len(w), 0, 1.0
-    scale = top / peak
-    iw = np.clip(np.rint(w * scale), -top, top).astype(np.int64)
-    ib = int(np.clip(np.rint(bias * scale), -top, top))
-    return iw.tolist(), ib, scale
+    scales = top / np.where(zero, top, peak)
+    return np.clip(np.rint(C * scales[:, None]), -top, top).astype(np.int64), scales
+
+
+def scale_vector(weights, bias: float, param_bits: int) -> tuple[list[int], int, float]:
+    """Min-max scaling of one support vector (weights and bias share the
+    range); the one-row case of the scaling in quantize_model."""
+    codes, scales = _scale_rows([[bias, *np.ravel(weights)]], param_bits)
+    return codes[0, 1:].tolist(), int(codes[0, 0]), float(scales[0])
 
 
 def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4) -> QuantizedModel:
     """Quantize every OvO vector independently (per-vector scale preserves signs)."""
     if fmodel.kind != "ovo":
         raise ValueError("only OvO models map onto the sequential architecture")
-    vectors = []
-    scales = []
-    for vec in fmodel.vectors:
-        iw, ib, s = scale_vector(vec.weights, vec.bias, param_bits)
-        vectors.append(QuantVector(vec.class_a, vec.class_b, iw, ib))
-        scales.append(s)
+    codes, scales = _scale_rows(fmodel.coef_table(), param_bits)
+    vectors = [
+        QuantVector(vec.class_a, vec.class_b, row[1:], row[0])
+        for vec, row in zip(fmodel.vectors, codes.tolist())
+    ]
     return QuantizedModel(
-        fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, vectors, scales
+        fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, vectors, scales.tolist()
     )
 
 

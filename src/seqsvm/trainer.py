@@ -18,7 +18,8 @@ own ``default_rng(key)``; lanes past their rows or epochs are masked out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +32,13 @@ class Hyper:
     epochs: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        # the solver divides by lam, so lam <= 0 gives non-finite weights
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -38,6 +46,12 @@ class SearchSpace:
     lam_hi: float = 10.0
     epochs_lo: int = 5
     epochs_hi: int = 50
+
+    def __post_init__(self):
+        if not (0 < self.lam_lo <= self.lam_hi < math.inf):
+            raise ValueError(f"need 0 < lam_lo <= lam_hi < inf, got {self.lam_lo}, {self.lam_hi}")
+        if not 0 <= self.epochs_lo <= self.epochs_hi:
+            raise ValueError(f"need 0 <= epochs_lo <= epochs_hi, got {self.epochs_lo}, {self.epochs_hi}")
 
 
 @dataclass
@@ -60,6 +74,11 @@ class FloatSvmModel:
         expected = n * (n - 1) // 2 if self.kind == "ovo" else n
         if len(self.vectors) != expected:
             raise ValueError(f"{self.kind} model needs {expected} vectors, got {len(self.vectors)}")
+
+    def coef_table(self) -> np.ndarray:
+        """The coefficients as float64 rows: row r = [bias, w_1..w_m] of vector r."""
+        vecs = self.vectors
+        return np.column_stack(([v.bias for v in vecs], [v.weights for v in vecs])).astype(np.float64)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA.

@@ -1,4 +1,6 @@
 import json
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -122,21 +124,51 @@ def test_run_ingests_the_csv_once(synth_csv, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _count_calls(monkeypatch, *names):
+    """Log the calls to the seqsvm functions `names` through every module that binds them."""
+    calls = []
+    for mod_name, mod in list(sys.modules.items()):
+        for name in names:
+            fn = getattr(mod, name, None) if mod_name.startswith("seqsvm") else None
+            if fn is not None:
+                monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
+    return calls
+
+
 def test_run_walks_the_float_ddag_once(synth_csv, tmp_path, monkeypatch):
     # the summary reuses the float DDAG accuracy of the precision search
-    import seqsvm.cli as cli
-    import seqsvm.quant as quant
-    from seqsvm.ddag import ddag_predict_float
-
-    calls = []
-    counted = lambda *a: calls.append(a) or ddag_predict_float(*a)  # noqa: E731
-    monkeypatch.setattr(quant, "ddag_predict_float", counted)
-    monkeypatch.setattr(cli, "ddag_predict_float", counted)
+    calls = _count_calls(monkeypatch, "ddag_predict_float")
     out = tmp_path / "out"
     assert main(_run_args(synth_csv, out)) == 0
     assert len(calls) == 1
     report = json.loads((out / "quant_report.json").read_text())
     assert f"ddag {report['float_accuracy']:.4f}" in (out / "summary.txt").read_text()
+
+
+def test_compare_reuses_the_quantize_stage_accuracies(full_run, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    calls = _count_calls(monkeypatch, "ddag_predict_float", "ddag_predict_quant")
+    assert main(["compare", "--out", str(out)]) == 0
+    assert calls == []
+    report = json.loads((out / "compare_report.json").read_text())
+    quant = json.loads((out / "quant_report.json").read_text())
+    assert report["accuracy"]["ovo-ddag (float)"] == quant["float_accuracy"]
+    assert report["accuracy"]["ovo-ddag (quant)"] == quant["quantized_accuracy"]
+
+
+def test_compare_needs_the_matching_quant_report(full_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    report = json.loads((out / "quant_report.json").read_text())
+    report["config_hash"] = "0" * len(report["config_hash"])
+    (out / "quant_report.json").write_text(json.dumps(report))
+    assert main(["compare", "--out", str(out)]) == 2
+    assert "stage compare failed: quant_report.json does not belong to model.json" in capsys.readouterr().err
+    (out / "quant_report.json").unlink()
+    assert main(["compare", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage compare failed" in err and "quant_report.json" in err
 
 
 def test_oversized_input_bits_fail_clearly(synth_csv, tmp_path, capsys):

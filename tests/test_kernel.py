@@ -1,8 +1,10 @@
-"""The batched DAG-walk kernel against the scalar oracles, on random models
-of every width the library accepts, plus the bounds on malformed DAGs."""
+"""The batched DAG-walk kernel against the scalar oracles, on random integer
+models of every width the library accepts and on random float models, plus
+the bounds on malformed DAGs and the batched vector scaling."""
 
 import dataclasses
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +19,20 @@ from seqsvm.ddag import (
     build_ddag,
     ddag_infer,
     ddag_infer_float,
+    ddag_predict_float,
     ddag_predict_quant,
     ovo_vote_infer,
     walk_batch,
 )
 from seqsvm.fxp import FxpFormat
-from seqsvm.quant import QuantizedModel, QuantVector, partial_sum_extremes, profile_accumulator
+from seqsvm.quant import (
+    QuantizedModel,
+    QuantVector,
+    partial_sum_extremes,
+    profile_accumulator,
+    quantize_model,
+    scale_vector,
+)
 from seqsvm.trainer import FloatSvmModel, SupportVector
 
 
@@ -93,6 +103,77 @@ def test_exact_kernels_equal_python_oracles(case):
     assert partial_sum_extremes(qm, np.array(codes)) == _extremes_oracle(qm, codes)
 
 
+@st.composite
+def float_cases(draw):
+    """A random float OvO model with coefficients at one scale in 1e-3..1e3,
+    some all-zero vectors, and features in [0, 1] with some all-zero rows."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    coef = st.floats(-1, 1).map(lambda c: c * scale)
+    vectors = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if draw(st.booleans()) and draw(st.booleans()):
+                weights, bias = [0.0] * m, 0.0
+            else:
+                weights, bias = draw(st.lists(coef, min_size=m, max_size=m)), draw(coef)
+            vectors.append(SupportVector(a, b, np.array(weights), bias))
+    row = st.one_of(st.just([0.0] * m), st.lists(st.floats(0, 1), min_size=m, max_size=m))
+    X = draw(st.lists(row, min_size=1, max_size=12))
+    return FloatSvmModel("ovo", n, m, vectors), build_ddag(n), np.array(X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_cases())
+def test_float_kernel_equals_python_oracle(case):
+    fmodel, dag, X = case
+    assert ddag_predict_float(fmodel, dag, X).tolist() == [ddag_infer_float(fmodel, dag, row)[0] for row in X]
+
+
+def test_float_walks_sum_bias_first():
+    # -1 - 2**53 rounds to -2**53, so bias-first sums to 0 (class 0 wins)
+    # where products-first gives -1 (class 1 would win)
+    fmodel = FloatSvmModel("ovo", 2, 2, [SupportVector(0, 1, np.array([-2.0**53, 2.0**53]), -1.0)])
+    dag = build_ddag(2)
+    assert ddag_predict_float(fmodel, dag, [[1.0, 1.0]]).tolist() == [0]
+    assert ddag_infer_float(fmodel, dag, [1.0, 1.0])[0] == 0
+
+
+def test_float_kernel_rejects_malformed_features():
+    fmodel = _float_twin(random_quantized_model(3, 2, 4, seed=0)[0])
+    dag = build_ddag(3)
+    for bad in ([0.5, 0.5], [[[0.5, 0.5]]], [[0.5, 0.5, 0.5]], [[0.5]]):
+        with pytest.raises(ValueError, match="samples x 2 feature matrix"):
+            ddag_predict_float(fmodel, dag, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ddag_predict_float(fmodel, dag, [[0.5, 0.5], [value, 0.5]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quantize_model_equals_per_vector_scaling(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 5, 7
+    vectors = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            zero = rng.random() < 0.3
+            w = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+            vectors.append(SupportVector(a, b, w, 0.0 if zero else float(rng.normal())))
+    fmodel = FloatSvmModel("ovo", n, m, vectors)
+    for bits in range(2, 9):
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            qm = quantize_model(fmodel, bits)
+        with warnings.catch_warnings(record=True) as row_warnings:
+            warnings.simplefilter("always")
+            rows = [scale_vector(v.weights, v.bias, bits) for v in fmodel.vectors]
+        assert [(v.weights, v.bias) for v in qm.vectors] == [(w, b) for w, b, _ in rows]
+        assert qm.scales == [s for *_, s in rows]
+        assert len(batch_warnings) == len(row_warnings) == sum(not v.weights.any() for v in vectors)
+
+
 def test_codes_outside_sixteen_bits_rejected():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
     with pytest.raises(ValueError, match="unsigned 16-bit"):
@@ -155,19 +236,24 @@ def _error_within(fn, timeout=10.0):
     return raised[0] if raised else None
 
 
+def _float_twin(qm):
+    """A float model with qm's pairs and features, every vector all ones."""
+    vectors = [SupportVector(v.class_a, v.class_b, np.ones(qm.n_features), 0.0) for v in qm.vectors]
+    return FloatSvmModel("ovo", qm.n_classes, qm.n_features, vectors)
+
+
 def _cyclic_calls():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
     dag = build_ddag(3)
     cyclic = _redirect(dag, ("node", dag.initial_state))
     storage = compile_storage(qm)
-    fmodel = FloatSvmModel(
-        "ovo", 3, 2, [SupportVector(v.class_a, v.class_b, np.ones(2), 0.0) for v in qm.vectors]
-    )
+    fmodel = _float_twin(qm)
     return {
         "ddag_infer": lambda: ddag_infer(qm, cyclic, codes[0]),
         "ddag_infer_float": lambda: ddag_infer_float(fmodel, cyclic, [0.5, 0.5]),
         "simulate": lambda: simulate(qm, cyclic, storage, codes[0]),
         "ddag_predict_quant": lambda: ddag_predict_quant(qm, cyclic, codes),
+        "ddag_predict_float": lambda: ddag_predict_float(fmodel, cyclic, [[0.5, 0.5]]),
         "simulate_batch": lambda: simulate_batch(qm, cyclic, storage, codes, np.zeros(len(codes))),
     }
 
@@ -185,11 +271,18 @@ def test_kernel_rejects_a_path_shorter_than_n_minus_one():
     assert ddag_infer(qm, shallow, codes[0])[0] == 1  # the scalar walk stops at the leaf
     with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
         ddag_predict_quant(qm, shallow, codes)
+    fmodel = _float_twin(qm)
+    assert ddag_infer_float(fmodel, shallow, [0.5, 0.5])[0] == 1
+    with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
+        ddag_predict_float(fmodel, shallow, [[0.5, 0.5]])
 
 
 def test_kernel_rejects_edges_that_lead_nowhere():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
     words = qm.word_table()
+    fmodel = _float_twin(qm)
     for edge in (("node", 99), ("leaf", 3), ("leaf", -1)):
         with pytest.raises(ValueError, match="leads nowhere"):
             walk_batch(words, qm.bias_shift, _redirect(build_ddag(3), edge), codes)
+        with pytest.raises(ValueError, match="leads nowhere"):
+            ddag_predict_float(fmodel, _redirect(build_ddag(3), edge), [[0.5, 0.5]])

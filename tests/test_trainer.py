@@ -10,6 +10,7 @@ from seqsvm.trainer import (
     FloatSvmModel,
     Hyper,
     Lane,
+    SearchSpace,
     SupportVector,
     accuracy,
     fit_lanes,
@@ -59,6 +60,34 @@ def test_missing_class_rejected():
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 0]), ["a", "b"])
     with pytest.raises(ValueError, match="missing"):
         train_binary(ds, 0, 1, Hyper())
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.01, float("inf"), float("nan")])
+def test_lam_must_be_finite_and_positive(lam):
+    # the solver divides by lam: lam = 0 used to give non-finite weights silently
+    with pytest.raises(ValueError, match="lam must be finite and > 0"):
+        train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(lam=lam))
+
+
+def test_negative_epochs_rejected_zero_allowed():
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        Hyper(epochs=-1)
+    model = train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(epochs=0))
+    assert all(np.isfinite(v.weights).all() and np.isfinite(v.bias) for v in model.vectors)
+
+
+@pytest.mark.parametrize("space", [
+    dict(lam_lo=0.0),
+    dict(lam_lo=-1.0),
+    dict(lam_lo=1.0, lam_hi=0.5),
+    dict(lam_hi=float("inf")),
+    dict(epochs_lo=-1),
+    dict(epochs_lo=9, epochs_hi=8),
+])
+def test_search_space_rejects_bad_ranges(space):
+    ds = bundled_dataset("blobs3x21", seed=0)
+    with pytest.raises(ValueError, match="need"):
+        random_search(ds, SearchSpace(**space), budget=2)
 
 
 @pytest.mark.parametrize("name,n,expected", [
