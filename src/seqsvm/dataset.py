@@ -4,6 +4,8 @@ normalization derived from the training side only."""
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,62 +59,91 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
-def _label_sort_key(labels: set[str]):
+def _label_sort_key(labels):
+    """Numeric order (value, then spelling) when every label parses as a
+    number and none is NaN; string order otherwise."""
     try:
         values = {lab: float(lab) for lab in labels}
-        return lambda lab: values[lab]
     except ValueError:
-        return lambda lab: lab
+        return str
+    if any(math.isnan(v) for v in values.values()):
+        return str
+    return lambda lab: (values[lab], lab)
 
 
-def load_csv(path, label_column: str) -> Dataset:
-    """Load a headered CSV, re-indexing the label column densely to 0..n-1.
+def _is_number(cell: str) -> bool:
+    """Whether numpy's C reader parses ``cell``: what float() accepts, less
+    '_' separators and non-ASCII digits."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and cell.strip().isascii()
 
-    Rejects ragged rows, non-numeric feature cells, and single-class files.
-    Normalization constants are NOT computed here; split() derives them from
-    its training side.
-    """
+
+def _raise_first_bad_row(path, header: list[str], label_idx: int) -> None:
+    """Re-read a file the C reader rejected with the csv module, and raise
+    for its first ragged row or non-numeric feature cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
+        next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            raw_labels.append(row[label_idx].strip())
-            feats = []
             for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
+                if i != label_idx and not _is_number(cell):
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric feature value {cell!r} in column {header[i]!r}"
-                    ) from None
-            rows.append(feats)
+                    )
 
-    if not rows:
+
+def load_csv(path, label_column: str) -> Dataset:
+    """Load a headered CSV, re-indexing the label column densely to 0..n-1.
+
+    The header is read with the csv module, the data rows in one pass of
+    numpy's C reader. Rejects ragged rows, non-numeric feature cells, and
+    single-class files. Normalization constants are NOT computed here;
+    split() derives them from its training side.
+    """
+    first_seen: dict[str, int] = {}
+
+    def label_code(cell: str) -> int:
+        return first_seen.setdefault(cell.strip(), len(first_seen))
+
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise ValueError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # an explicit encoding makes every numpy version pass str to converters
+                table = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                    encoding=fh.encoding, converters={label_idx: label_code},
+                )
+            if len(table) and table.shape[1] != len(header):
+                raise ValueError(f"rows have {table.shape[1]} fields, the header {len(header)}")
+        except ValueError as exc:
+            _raise_first_bad_row(path, header, label_idx)
+            raise ValueError(f"{path}: {exc}") from exc
+
+    if not len(table):
         raise ValueError(f"{path}: no data rows")
-    uniq = set(raw_labels)
-    if len(uniq) < 2:
-        raise ValueError(f"{path}: need at least two classes, found {len(uniq)}")
-    label_names = sorted(uniq, key=_label_sort_key(uniq))
+    if len(first_seen) < 2:
+        raise ValueError(f"{path}: need at least two classes, found {len(first_seen)}")
+    label_names = sorted(first_seen, key=_label_sort_key(first_seen))
     index = {name: i for i, name in enumerate(label_names)}
-    labels = np.array([index[lab] for lab in raw_labels], dtype=np.int64)
-    return Dataset(np.array(rows), labels, label_names, feature_names)
+    remap = np.array([index[name] for name in first_seen], dtype=np.int64)
+    labels = remap[table[:, label_idx].astype(np.int64)]
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    return Dataset(np.delete(table, label_idx, axis=1), labels, label_names, feature_names)
 
 
 def _stratified_indices(labels: np.ndarray, fraction: float, seed: int):
@@ -171,14 +202,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     train = Dataset(x_train, ds.labels[train_idx], ds.label_names, ds.feature_names, norm)
     test = Dataset(x_test, ds.labels[test_idx], ds.label_names, ds.feature_names, norm)
     return train, test
-
-
-def apply_normalization(features: np.ndarray, norm: list[tuple[float, float]]) -> np.ndarray:
-    """Re-apply recorded (min, max) pairs to a raw feature matrix, clamped to [0, 1]."""
-    mins = np.array([lo for lo, _ in norm])
-    span = np.array([hi - lo for lo, hi in norm])
-    span[span == 0.0] = 1.0
-    return np.clip((np.asarray(features, dtype=np.float64) - mins) / span, 0.0, 1.0)
 
 
 def to_csv(ds: Dataset, path) -> None:

@@ -168,6 +168,10 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
     state is the node whose verdict chose the leaf.
     """
     states = _state_table(dag, len(table))
+    # Column-major copies, (m+1, rows) and (m, samples), so that each
+    # multiply-add of a step reads contiguous memory whatever the inputs' layout.
+    cols = np.ascontiguousarray(table.T)
+    Xt = np.ascontiguousarray(X.T)
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
     n_steps = dag.n_classes - 1
@@ -175,11 +179,11 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
     overflows = np.zeros(len(X), dtype=np.int64)
     for step in range(n_steps):
         row, on_b, on_a = states[state].T
-        w = table[row]
-        acc = w[:, 0]
-        for col in range(w.shape[1]):
+        w = cols[:, row]
+        acc = w[0]
+        for col in range(len(w)):
             if col:
-                acc = acc + w[:, col] * X[:, col - 1]
+                acc = acc + w[col] * Xt[col - 1]
             if wraps:
                 wrapped = wrap(acc, acc_width)
                 overflows += wrapped != acc

@@ -1,7 +1,17 @@
+import csv
+import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqsvm.dataset import Dataset, SplitSpec, load_csv, split, to_csv
+from seqsvm.dataset import Dataset, SplitSpec, _label_sort_key, load_csv, split, to_csv
 from seqsvm.synth import bundled_dataset, ring_sectors
 
 
@@ -59,6 +69,173 @@ def test_numeric_labels_sort_numerically(tmp_path):
     rows = [[0.1, "10"], [0.2, "2"], [0.3, "1"]]
     ds = load_csv(_write_csv(tmp_path / "t.csv", ["f0", "label"], rows), "label")
     assert ds.label_names == ["1", "2", "10"]
+
+
+def _per_cell_load_csv(path, label_column):
+    """The reference loader: the csv module and one float() per feature cell,
+    with load_csv's label order."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise ValueError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+
+        rows: list[list[float]] = []
+        raw_labels: list[str] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            raw_labels.append(row[label_idx].strip())
+            feats = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: non-numeric feature value {cell!r} in column {header[i]!r}"
+                    ) from None
+            rows.append(feats)
+
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    uniq = set(raw_labels)
+    if len(uniq) < 2:
+        raise ValueError(f"{path}: need at least two classes, found {len(uniq)}")
+    label_names = sorted(uniq, key=_label_sort_key(uniq))
+    index = {name: i for i, name in enumerate(label_names)}
+    labels = np.array([index[lab] for lab in raw_labels], dtype=np.int64)
+    return Dataset(np.array(rows), labels, label_names, feature_names)
+
+
+def _pad(cell: st.SearchStrategy) -> st.SearchStrategy:
+    """A cell as written, space-padded, quoted, or quoted and padded inside."""
+    return st.tuples(cell, st.sampled_from(["{}", " {}", "{} ", '"{}"', '" {} "', '"{}" '])).map(
+        lambda t: t[1].format(t[0])
+    )
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_NUMBER = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map("{:+.3e}".format),
+    _FINITE.map("{:E}".format),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([".5", "5.", "-0", "+0.0", "1e3", "1E-3", "007"]),
+)
+_ODD_NUMBER = st.sampled_from(["nan", "NaN", "-inf", "+INF", "Infinity", "1e999", "", "x", "1..2", "--1", "0x10"])
+_LABEL_SETS = [["1", "2", "10", "1.0", "-3", "0.5"], ["1", "2", "nan"], ["a", "b", "B", "a b", "a,b", 'q"t']]
+
+
+@st.composite
+def csv_texts(draw):
+    """A small headered CSV as text: the label column first, in the middle or
+    last; numeric or string labels; padded and quoted cells; LF or CRLF;
+    blank lines; sometimes a non-finite or non-numeric cell, or a row with a
+    field too many or too few."""
+    m = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, m))
+    header = [f"f{i}" for i in range(m)]
+    header.insert(label_idx, draw(st.sampled_from(["label", " label", '"label"'])))
+    labels = _pad(st.sampled_from(draw(st.sampled_from(_LABEL_SETS))).map(lambda s: s.replace('"', '""')))
+    faulty = draw(st.booleans())
+    number = st.one_of(_NUMBER, _NUMBER, _NUMBER, _ODD_NUMBER) if faulty else _NUMBER
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.lists(_pad(number), min_size=m, max_size=m))
+        row.insert(label_idx, draw(labels))
+        shape = draw(st.sampled_from(["ok"] * 12 + ["extra", "missing"])) if faulty else "ok"
+        if shape == "extra":
+            row.append(draw(_pad(number)))
+        elif shape == "missing":
+            row.pop()
+        lines.extend([""] * draw(st.sampled_from([0, 0, 0, 1, 2])))
+        lines.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(loader, path):
+    try:
+        ds = loader(path, "label")
+    except ValueError as exc:
+        return "error", str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tolist(), ds.label_names, ds.feature_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_load_csv_equals_per_cell_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_csv, path) == _outcome(_per_cell_load_csv, path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0.1,0.2,a\n0.3,0.4,b,9\n0.5,0.6,a\n", "t.csv:3: expected 3 fields, got 4"),
+        ("0.1,0.2,a\n\n0.3,b\n0.5,0.6,a\n", "t.csv:4: expected 3 fields, got 2"),
+        ("0.1,0.2,a,9\n0.3,0.4,b,9\n", "t.csv:2: expected 3 fields, got 4"),
+        ("0.1,a\n0.3,b\n", "t.csv:2: expected 3 fields, got 2"),
+        ("0.1,0.2,a\n0.3,x,b\n", "t.csv:3: non-numeric feature value 'x' in column 'f1'"),
+        ('0.1,0.2,a\r\n"0.3, 1",0.4,b\r\n', "t.csv:3: non-numeric feature value '0.3, 1' in column 'f0'"),
+        ("", "t.csv: no data rows"),
+        ("\n\r\n", "t.csv: no data rows"),
+    ],
+    ids=["extra", "missing", "all-extra", "all-missing", "non-numeric", "quoted-crlf", "no-rows", "blank-rows"],
+)
+@pytest.mark.filterwarnings("error")
+def test_bad_rows_are_named_by_line(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text("f0,f1,label\n" + body)
+    with pytest.raises(ValueError, match=f"/{re.escape(message)}$"):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", " ٢.5 "])
+def test_cells_float_reads_but_the_c_reader_does_not_are_non_numeric(tmp_path, cell):
+    # float() accepts '_' separators and non-ASCII digits; load_csv does not
+    assert float(cell) > 0
+    path = tmp_path / "t.csv"
+    path.write_text(f"f0,label\n0.5,a\n{cell},b\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"t.csv:3: non-numeric feature value {cell!r} in column 'f0'")):
+        load_csv(path, "label")
+
+
+def test_label_order_does_not_depend_on_the_hash_seed():
+    code = (
+        "from seqsvm.dataset import _label_sort_key\n"
+        "for labels in ({'1', '1.0', '2'}, {'nan', '1', '2', '3'}, {'10', '2', '1'}, {'b', 'a', 'C'}):\n"
+        "    print(sorted(labels, key=_label_sort_key(labels)))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "['1', '1.0', '2']\n['1', '2', '3', 'nan']\n['1', '2', '10']\n['C', 'a', 'b']\n"
+    }
+
+
+def test_label_order_does_not_depend_on_row_order(tmp_path):
+    for order in itertools.permutations(["1.0", "2", "1", "nan"]):
+        path = _write_csv(tmp_path / "t.csv", ["f0", "label"], [[0.5, lab] for lab in order])
+        assert load_csv(path, "label").label_names == ["1", "1.0", "2", "nan"]
 
 
 def test_split_sizes():

@@ -81,6 +81,15 @@ def _extremes_oracle(qm, codes):
     return min(prefixes), max(prefixes)
 
 
+def _layouts(rows, dtype):
+    """``rows`` as a C-ordered matrix, a Fortran-ordered one and a strided
+    column view: the kernels must not depend on the input's memory layout."""
+    a = np.array(rows, dtype=dtype)
+    padded = np.zeros((len(a), 2 * a.shape[1]), dtype=dtype)
+    padded[:, 1::2] = a
+    return [a, np.asfortranarray(a), padded[:, 1::2]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(cases())
 def test_wrapped_kernel_equals_simulate(case):
@@ -89,6 +98,9 @@ def test_wrapped_kernel_equals_simulate(case):
     for i, row in enumerate(codes):
         cls, trace = simulate(qm, dag, storage, row, record=False)
         assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
+    for view in _layouts(codes, np.int64):
+        again = walk_storage(qm, dag, storage, view)
+        assert all(np.array_equal(a, b) for a, b in zip(again, (classes, states, overflows)))
     batch = simulate_batch(qm, dag, storage, codes, classes)
     assert np.array_equal(batch.predictions, classes)
     assert batch.overflows == int(overflows.sum())
@@ -98,7 +110,9 @@ def test_wrapped_kernel_equals_simulate(case):
 @given(cases())
 def test_exact_kernels_equal_python_oracles(case):
     qm, dag, _, codes = case
-    assert ddag_predict_quant(qm, dag, codes).tolist() == [ddag_infer(qm, dag, row)[0] for row in codes]
+    expected = [ddag_infer(qm, dag, row)[0] for row in codes]
+    for view in _layouts(codes, np.int64):
+        assert ddag_predict_quant(qm, dag, view).tolist() == expected
     assert [ovo_vote_infer(qm, row) for row in codes] == [_vote_oracle(qm, row) for row in codes]
     assert partial_sum_extremes(qm, np.array(codes)) == _extremes_oracle(qm, codes)
 
@@ -128,7 +142,9 @@ def float_cases(draw):
 @given(float_cases())
 def test_float_kernel_equals_python_oracle(case):
     fmodel, dag, X = case
-    assert ddag_predict_float(fmodel, dag, X).tolist() == [ddag_infer_float(fmodel, dag, row)[0] for row in X]
+    expected = [ddag_infer_float(fmodel, dag, row)[0] for row in X]
+    for view in _layouts(X, np.float64):
+        assert ddag_predict_float(fmodel, dag, view).tolist() == expected
 
 
 def test_float_walks_sum_bias_first():
