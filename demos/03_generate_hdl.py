@@ -42,10 +42,9 @@ print("\nself-parse equals the quantized tables:", parsed == expected)
 out = Path("demo_hdl")
 write_bundle(bundle, out)
 codes = quantize_inputs(test, qm.input_fmt)
-stim, expect, vectors = emit_golden_vectors(qm, dag, storage, codes, count=10)
+stim, expect, classes = emit_golden_vectors(qm, dag, storage, codes, count=10)
 (out / "vectors.stim").write_text(stim)
 (out / "vectors.expect").write_text(expect)
-bundle.golden_vectors = vectors
-print(f"\nwrote {out}/demo_top.v, demo_params.v, demo_tb.v and {len(vectors)} golden vectors")
+print(f"\nwrote {out}/demo_top.v, demo_params.v, demo_tb.v and {len(classes)} golden vectors")
 print("stimulus line 1: ", stim.splitlines()[1])
 print("expectation    : ", expect.splitlines()[1], "(class, final FSM state)")

@@ -19,7 +19,7 @@ from .archsim import (
 from .cost import CostReport, TechConfig, calibrate_power, compare_parallel, compare_storage, estimate
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .ddag import Ddag, build_ddag, ddag_infer, ddag_predict_float, ddag_predict_quant, ovo_vote_infer, walk_batch
-from .fxp import U4_4, FxpFormat, FxpValue, truncate_to_format, width_for_range
+from .fxp import U4_4, FxpFormat, width_for_range
 from .hdlgen import HdlBundle, emit_golden_vectors, generate, parse_storage_constants
 from .quant import (
     QuantizedModel,
@@ -27,9 +27,8 @@ from .quant import (
     profile_accumulator,
     quantize_inputs,
     quantize_model,
-    scale_vector,
     search_param_bits,
 )
-from .trainer import FloatSvmModel, Hyper, accuracy, random_search, train_binary, train_ova, train_ovo
+from .trainer import FloatSvmModel, Hyper, accuracy, random_search, train_ova, train_ovo
 
 __version__ = "0.1.0"

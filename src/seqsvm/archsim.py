@@ -4,25 +4,24 @@ support vector engine, and the DDAG control FSM.
 
 Timing law: one word per cycle, bias first, so each evaluation takes m+1
 cycles and a full classification takes exactly (n-1)*(m+1) cycles. Storage
-kind never changes functional behavior; ROM access-slot overheads are charged
-by the cost model, not here.
+kind never changes functional behavior: both kinds hold the same word table,
+and the cost model charges the ROM's dot cells and access slots.
 
 ``simulate`` steps one classification cycle by cycle and writes traces; it is
 the scalar oracle of the batch path. ``simulate_batch`` runs every sample
 through ``ddag.walk_batch``, the batched kernel, with the wrapping
-accumulator and the words decoded through ``StorageUnit.read``.
+accumulator over the storage unit's word table.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ddag import UNFINISHED_WALK, Ddag, walk_batch
-from .fxp import fits, wrap
+from .fxp import max_int, min_int, wrap
 from .quant import QuantizedModel
 
 
@@ -46,79 +45,40 @@ class ArchConfig:
 @dataclass
 class StorageUnit:
     kind: str
-    rows: int
-    words_per_row: int
     word_bits: int
-    words: list            # rows x words_per_row signed integers (mux view)
-    dots: list | None      # rom only: per word, big-endian 2-bit dot tuple
-    adc_count: int = 4
+    words: np.ndarray  # int64, rows x (m+1): row r = [bias, w_1..w_m] of vector r
 
     @property
-    def cells_per_word(self) -> int:
-        return math.ceil(self.word_bits / 2)
+    def rows(self) -> int:
+        return self.words.shape[0]
 
-    def access_slots_per_word(self) -> int:
-        if self.kind == "mux":
-            return 1
-        return math.ceil(self.word_bits / (2 * self.adc_count))
+    @property
+    def words_per_row(self) -> int:
+        return self.words.shape[1]
 
     def read(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.words_per_row):
             raise IndexError(f"storage read ({row},{col}) out of range")
-        if self.kind == "mux":
-            return self.words[row][col]
-        value = 0
-        for dot in self.dots[row][col]:
-            value = (value << 2) | dot
-        # dots hold ceil(word_bits/2)*2 bits; drop padding, then sign-extend
-        value &= (1 << self.word_bits) - 1
-        return wrap(value, self.word_bits)
+        return int(self.words[row, col])
 
     def table(self) -> np.ndarray:
-        """Every stored word as read back, rows x words_per_row."""
-        return np.array(
-            [[self.read(r, c) for c in range(self.words_per_row)] for r in range(self.rows)],
-            dtype=np.int64,
-        )
-
-
-def _pack_dots(value: int, word_bits: int) -> tuple:
-    """Split a word's two's-complement bits into big-endian 2-bit dots.
-
-    Odd widths pad at the top, so the first dot carries one payload bit.
-    """
-    n_dots = math.ceil(word_bits / 2)
-    raw = value & ((1 << word_bits) - 1)
-    return tuple((raw >> (2 * (n_dots - 1 - k))) & 0b11 for k in range(n_dots))
+        """Every stored word, rows x words_per_row."""
+        return self.words
 
 
 def compile_storage(qm: QuantizedModel, config: ArchConfig = ArchConfig()) -> StorageUnit:
     """Lay the model out as rows of [bias, w_1..w_m] words.
 
-    MUX storage hardwires the integers; ROM packs each word into big-endian
-    2-bit dots. Any parameter outside word_bits is a compiler bug and raises.
+    Any parameter outside word_bits is a compiler bug and raises.
     """
     word_bits = qm.param_bits
-    words = []
-    for i, vec in enumerate(qm.vectors):
-        row = [vec.bias] + list(vec.weights)
-        for value in row:
-            if not fits(value, word_bits):
-                raise ValueError(f"row {i}: parameter {value} exceeds {word_bits}-bit words")
-        words.append(row)
-
-    dots = None
-    if config.storage == "rom":
-        dots = [[_pack_dots(value, word_bits) for value in row] for row in words]
-    return StorageUnit(
-        kind=config.storage,
-        rows=len(qm.vectors),
-        words_per_row=qm.n_features + 1,
-        word_bits=word_bits,
-        words=words,
-        dots=dots,
-        adc_count=config.adc_count,
-    )
+    words = qm.word_table()
+    words.setflags(write=False)
+    bad = (words < min_int(word_bits)) | (words > max_int(word_bits))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"row {row}: parameter {words[row, col]} exceeds {word_bits}-bit words")
+    return StorageUnit(config.storage, word_bits, words)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +189,7 @@ def simulate(
     is (n-1)*(m+1) regardless of data. Pass record=False to skip per-cycle
     records in bulk runs (totals are still exact).
     """
-    acc_width = _profiled_width(qm)
+    acc_width = qm.profiled_acc_width()
     m = qm.n_features
     if len(codes) != m:
         raise ValueError(f"need {m} input codes, got {len(codes)}")
@@ -279,7 +239,7 @@ def walk_storage(qm: QuantizedModel, dag: Ddag, storage: StorageUnit, codes_matr
     Returns walk_batch's (classes, final_states, overflows) per sample.
     """
     codes = qm.input_codes(codes_matrix)
-    return walk_batch(storage.table(), qm.bias_shift, dag, codes, _profiled_width(qm))
+    return walk_batch(storage.table(), qm.bias_shift, dag, codes, qm.profiled_acc_width())
 
 
 def simulate_batch(
@@ -306,12 +266,6 @@ def simulate_batch(
     )
 
 
-def _profiled_width(qm: QuantizedModel) -> int:
-    if qm.acc_width < 1:
-        raise ValueError("model has no accumulator width; run profile_accumulator first")
-    return qm.acc_width
-
-
 def register_census(qm: QuantizedModel, dag: Ddag) -> dict:
     """The architecture's three registers: accumulator, column counter, FSM state."""
     census = {
@@ -324,7 +278,7 @@ def register_census(qm: QuantizedModel, dag: Ddag) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Trace export (doubles as golden data for HDL simulation)
+# Trace export
 # ---------------------------------------------------------------------------
 
 
@@ -341,17 +295,3 @@ def trace_to_text(trace: SimTrace) -> str:
         f"overflows={trace.overflows} class={trace.out_class} final_state={trace.final_state}"
     )
     return "\n".join(lines) + "\n"
-
-
-def trace_to_json(trace: SimTrace) -> str:
-    doc = {
-        "records": [asdict(rec) for rec in trace.records],
-        "totals": {
-            "cycles": trace.cycles,
-            "evaluations": trace.evaluations,
-            "overflows": trace.overflows,
-            "class": trace.out_class,
-            "final_state": trace.final_state,
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

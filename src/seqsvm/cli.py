@@ -54,11 +54,6 @@ def _ingest(config: dict) -> tuple[Dataset, Dataset]:
     return split(ds, SplitSpec(config["train_fraction"], config["seed"]))
 
 
-def _input_fmt(config: dict) -> FxpFormat:
-    bits = config["input_bits"]
-    return FxpFormat(total_bits=bits, frac_bits=bits, signed=False)
-
-
 def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
     hyper = random_search(train, budget=config["budget"], seed=config["seed"])
     model = train_ovo(train, hyper)
@@ -89,7 +84,7 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     dag = build_ddag(fmodel.n_classes)
     qm, report = search_param_bits(
-        fmodel, train, test, _input_fmt(config), config["max_param_bits"], dag
+        fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"], dag
     )
     doc = dict(doc)
     doc["config"] = config
@@ -154,17 +149,15 @@ def _simulate_phase(doc: dict, test: Dataset, out: Path, trace_n: int, storage_k
 
 def _hdl_phase(doc: dict, test: Dataset, out: Path, storage_kind: str, n_vectors: int) -> None:
     _, qm, dag = _model_parts(doc)
-    arch = ArchConfig(storage_kind)
-    storage = compile_storage(qm, arch)
-    bundle = generate(qm, dag, arch)
+    storage = compile_storage(qm, ArchConfig(storage_kind))
+    bundle = generate(qm, dag)
     codes = quantize_inputs(test, qm.input_fmt)
-    stim, expect, vectors = emit_golden_vectors(qm, dag, storage, codes, n_vectors)
-    bundle.golden_vectors = vectors
+    stim, expect, classes = emit_golden_vectors(qm, dag, storage, codes, n_vectors)
     hdl_dir = out / "hdl"
     write_bundle(bundle, hdl_dir)
     (hdl_dir / "vectors.stim").write_text(stim)
     (hdl_dir / "vectors.expect").write_text(expect)
-    print(f"wrote HDL bundle and {len(vectors)} golden vectors to {hdl_dir}")
+    print(f"wrote HDL bundle and {len(classes)} golden vectors to {hdl_dir}")
 
 
 def _cost_phase(doc: dict, out: Path, storage_kind: str, tech: TechConfig) -> dict:

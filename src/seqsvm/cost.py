@@ -103,8 +103,7 @@ def estimate(
     tech: TechConfig = TechConfig(),
 ) -> CostReport:
     """Cost of the sequential design for one storage configuration."""
-    if qm.acc_width < 1:
-        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    qm.profiled_acc_width()
     census = register_census(qm, dag)
     ge = {
         "storage": _storage_ge(qm, arch, tech),
@@ -148,11 +147,10 @@ def compare_storage(
 def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> CostReport:
     """Fully parallel baseline: one multiplier per weight, adder tree per
     vector, and a max-wins voter; parameters hardwired, no registers."""
-    if qm.acc_width < 1:
-        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    acc_width = qm.profiled_acc_width()
     ib = qm.input_fmt.total_bits
     m = qm.n_features
-    per_vector = m * _mult_ge(qm.param_bits, ib) + m * _adder_ge(qm.acc_width)
+    per_vector = m * _mult_ge(qm.param_bits, ib) + m * _adder_ge(acc_width)
     vote_bits = max(1, (qm.n_classes - 1).bit_length())
     voter = FULL_ADDER_GE * vote_bits * (2 * qm.n_classes - 1) + qm.n_vectors
     ge = {

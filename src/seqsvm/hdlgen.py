@@ -10,23 +10,15 @@ assembly, so identical models produce byte-identical output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .archsim import ArchConfig, StorageUnit, counter_bits, walk_storage
+from .archsim import StorageUnit, counter_bits, walk_storage
 from .ddag import Ddag
 from .fxp import fits
 from .quant import QuantizedModel
-
-
-@dataclass
-class GoldenVector:
-    codes: list[int]
-    expected_class: int
-    cycle_budget: int
-    final_state: int
 
 
 @dataclass
@@ -35,7 +27,6 @@ class HdlBundle:
     top_module: str
     params_module: str
     testbench: str
-    golden_vectors: list[GoldenVector] = field(default_factory=list)
 
 
 def _sd(value: int, bits: int) -> str:
@@ -157,7 +148,6 @@ def _gen_top(qm: QuantizedModel, dag: Ddag, name: str) -> str:
     zero_cnt = _ud(0, cnt_bits)
     # the bias shares the products' binary point: word << bias_shift
     shift = qm.bias_shift
-    aligned_bias = f"{{word, {shift}'d0}}" if shift else "word"
 
     fsm = _fsm_case(dag, sb, cb, " " * 16)
     return f"""// {name}_top.v -- generated sequential one-vs-one SVM classifier, do not edit
@@ -189,7 +179,7 @@ module {name}_top (
 
     // widths truncate to the accumulator, wrapping exactly like the reference model
     wire signed [{ab - 1}:0] product   = word * $signed({{1'b0, x_cur}});
-    wire signed [{ab - 1}:0] bias_init = $signed({aligned_bias});
+    wire signed [{ab - 1}:0] bias_init = $signed({{word, {shift}'d0}});
     wire signed [{ab - 1}:0] acc_next  = (counter == {zero_cnt}) ? bias_init : (acc + product);
     wire y = ~acc_next[{ab - 1}];  // 1 when the finished sum is >= 0
 
@@ -294,15 +284,18 @@ endmodule
 """
 
 
-def generate(qm: QuantizedModel, dag: Ddag, arch: ArchConfig = ArchConfig(), name: str = "svm") -> HdlBundle:
+def generate(qm: QuantizedModel, dag: Ddag, name: str = "svm") -> HdlBundle:
     """Instantiate the templates for one trained model.
 
     The engine differs between models only in widths; the FSM case structure
     is unique per model. Both storage kinds read identically, so the emitted
-    lookup serves mux and rom configurations alike.
+    lookup serves mux and rom configurations alike. The Verilog reads storage
+    row ``state``, so a DAG whose states read other rows is rejected.
     """
-    if qm.acc_width < 1:
-        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    qm.profiled_acc_width()
+    for sid, node in sorted(dag.nodes.items()):
+        if node.row_index != sid:
+            raise ValueError(f"DAG state {sid} reads row {node.row_index}; the Verilog reads row = state")
     return HdlBundle(
         name=name,
         top_module=_gen_top(qm, dag, name),
@@ -325,12 +318,13 @@ def emit_golden_vectors(
     storage: StorageUnit,
     test_codes,
     count: int,
-) -> tuple[str, str, list[GoldenVector]]:
+) -> tuple[str, str, list[int]]:
     """Simulate the first `count` inputs and freeze stimulus/expectation text.
 
     Every expectation, class and final FSM state, comes from the batch
     simulator (bit-exact with the cycle-accurate one); the budget field is
-    the exact cycle count (n-1)*(m+1).
+    the exact cycle count (n-1)*(m+1). Returns the two texts and the
+    expected class of each vector.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -339,12 +333,10 @@ def emit_golden_vectors(
     classes, states, _ = walk_storage(qm, dag, storage, X)
     stim_lines = [STIM_HEADER.format(last=qm.n_features - 1)]
     expect_lines = [EXPECT_HEADER]
-    vectors = []
     for codes, cls, state in zip(X.tolist(), classes.tolist(), states.tolist()):
-        vectors.append(GoldenVector(codes, cls, budget, state))
         stim_lines.append(" ".join(str(c) for c in codes) + f" {budget}")
         expect_lines.append(f"{cls} {state}")
-    return "\n".join(stim_lines) + "\n", "\n".join(expect_lines) + "\n", vectors
+    return "\n".join(stim_lines) + "\n", "\n".join(expect_lines) + "\n", classes.tolist()
 
 
 def write_bundle(bundle: HdlBundle, outdir) -> list[Path]:

@@ -66,13 +66,14 @@ def float_model_from_dict(doc: dict) -> FloatSvmModel:
     return FloatSvmModel(doc["kind"], doc["n_classes"], doc["n_features"], vectors)
 
 
+def _input_fmt_doc(bits) -> dict:
+    """The serialized input format: unsigned and all fractional."""
+    return {"total_bits": bits, "frac_bits": bits, "signed": False}
+
+
 def quantized_to_dict(qm: QuantizedModel) -> dict:
     return {
-        "input_fmt": {
-            "total_bits": qm.input_fmt.total_bits,
-            "frac_bits": qm.input_fmt.frac_bits,
-            "signed": qm.input_fmt.signed,
-        },
+        "input_fmt": _input_fmt_doc(qm.input_fmt.total_bits),
         "param_bits": qm.param_bits,
         "acc_width": qm.acc_width,
         "bias_shift": qm.bias_shift,
@@ -90,7 +91,14 @@ def quantized_to_dict(qm: QuantizedModel) -> dict:
 
 
 def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> QuantizedModel:
-    fmt = FxpFormat(**doc["input_fmt"])
+    fmt_doc, shift = doc["input_fmt"], doc.get("bias_shift")
+    bits = fmt_doc.get("total_bits") if isinstance(fmt_doc, dict) else None
+    if type(bits) is not int or fmt_doc != _input_fmt_doc(bits) or shift != bits:
+        raise ValueError(
+            f"input format {fmt_doc} with bias_shift {shift} is not supported: "
+            "inputs must be unsigned and all fractional, and the bias shifts by the input bits"
+        )
+    fmt = FxpFormat(bits)
     vectors = [
         QuantVector(v["class_a"], v["class_b"], [int(w) for w in v["weights"]], int(v["bias"]))
         for v in doc["vectors"]

@@ -27,8 +27,8 @@ class QuantVector:
 
 
 def _check_input_fmt(fmt: FxpFormat) -> None:
-    if fmt.signed or fmt.total_bits > MAX_INPUT_BITS:
-        raise ValueError(f"input format must be unsigned with 1..{MAX_INPUT_BITS} bits, got {fmt}")
+    if fmt.total_bits > MAX_INPUT_BITS:
+        raise ValueError(f"input format must have 1..{MAX_INPUT_BITS} bits, got {fmt}")
 
 
 @dataclass
@@ -37,8 +37,8 @@ class QuantizedModel:
 
     Vectors are ordered lexicographically by (class_a, class_b), matching
     memory row order. The bias code is left-shifted by ``bias_shift`` (the
-    input's fractional bits) before accumulation so products and bias share
-    one binary point; the shift is free wiring in bespoke logic.
+    input's bits, all fractional) before accumulation so products and bias
+    share one binary point; the shift is free wiring in bespoke logic.
     """
 
     n_classes: int
@@ -63,7 +63,13 @@ class QuantizedModel:
 
     @property
     def bias_shift(self) -> int:
-        return self.input_fmt.frac_bits
+        return self.input_fmt.total_bits
+
+    def profiled_acc_width(self) -> int:
+        """``acc_width``, or an error if profile_accumulator has not sized it."""
+        if self.acc_width < 1:
+            raise ValueError("model has no accumulator width; run profile_accumulator first")
+        return self.acc_width
 
     def word_table(self) -> np.ndarray:
         """The stored words: row r = [bias, w_1..w_m] of vector r."""
@@ -130,13 +136,6 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(np.rint(C * scales[:, None]), -top, top).astype(np.int64), scales
 
 
-def scale_vector(weights, bias: float, param_bits: int) -> tuple[list[int], int, float]:
-    """Min-max scaling of one support vector (weights and bias share the
-    range); the one-row case of the scaling in quantize_model."""
-    codes, scales = _scale_rows([[bias, *np.ravel(weights)]], param_bits)
-    return codes[0, 1:].tolist(), int(codes[0, 0]), float(scales[0])
-
-
 def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4) -> QuantizedModel:
     """Quantize every OvO vector independently (per-vector scale preserves signs)."""
     if fmodel.kind != "ovo":
@@ -169,9 +168,16 @@ def profile_accumulator(qm: QuantizedModel, train_codes: np.ndarray) -> int:
     No guard bits: undersizing at test time is observable (the simulator wraps
     and flags), not silent.
     """
+    _size_accumulator(qm, train_codes)
+    return qm.acc_width
+
+
+def _size_accumulator(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
+    """Set ``qm.acc_width`` from the prefix-sum extremes on ``train_codes``;
+    returns the extremes."""
     lo, hi = partial_sum_extremes(qm, train_codes)
     qm.acc_width = width_for_range(lo, hi)
-    return qm.acc_width
+    return lo, hi
 
 
 def search_param_bits(
@@ -202,8 +208,7 @@ def search_param_bits(
     else:
         flagged = True  # the last try, at max_bits, stays chosen
 
-    lo, hi = partial_sum_extremes(chosen, train_codes)
-    chosen.acc_width = width_for_range(lo, hi)  # as profile_accumulator does
+    lo, hi = _size_accumulator(chosen, train_codes)
     report = QuantReport(
         param_bits=chosen.param_bits,
         float_accuracy=float_acc,

@@ -101,8 +101,6 @@ class FloatSvmModel:
 class BinaryFit:
     weights: np.ndarray
     bias: float
-    degenerate: bool
-    train_accuracy: float
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
         if bool(np.all(Xl == Xl[0])):
             y = ds.labels[lane.rows] == lane.positive
             bias = 1.0 if 2 * np.count_nonzero(y) >= len(y) else -1.0
-            fits[i] = BinaryFit(np.zeros(ds.n_features), bias, True, float(np.mean(y == (bias > 0))))
+            fits[i] = BinaryFit(np.zeros(ds.n_features), bias)
     # longest-running lanes first, so the lanes alive in an epoch are a prefix
     order = sorted((i for i, fit in enumerate(fits) if fit is None), key=lambda i: -lanes[i].epochs)
     lam = np.array([lanes[i].lam for i in order])
@@ -175,10 +173,7 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
                 np.add(u_row, x, out=u_row, where=violated)
     W = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
     for j, i in enumerate(order):
-        lane = lanes[i]
-        w, b = W[j, :-1], float(W[j, -1])
-        y = ds.labels[lane.rows] == lane.positive
-        fits[i] = BinaryFit(w, b, False, float(np.mean(y == (X[lane.rows] @ w + b >= 0.0))))
+        fits[i] = BinaryFit(W[j, :-1], float(W[j, -1]))
     return fits
 
 
@@ -187,20 +182,6 @@ def _pair_rows(ds: Dataset, class_a: int, class_b: int) -> np.ndarray:
     if len(np.unique(ds.labels[rows])) < 2:
         raise ValueError(f"pair ({class_a},{class_b}): a class is missing from the training set")
     return rows
-
-
-def train_binary(ds: Dataset, class_a: int, class_b: int, hyper: Hyper) -> BinaryFit:
-    """Fit the pairwise separator for class_a (+1) vs class_b (-1).
-
-    Deterministic for a given (seed, class pair). A degenerate pair (every
-    feature row identical) yields zero weights and a bias whose sign picks the
-    majority class.
-    """
-    if class_a >= class_b:
-        raise ValueError("expects class_a < class_b")
-    rows = _pair_rows(ds, class_a, class_b)
-    lane = Lane(rows, class_a, hyper.lam, hyper.epochs, (hyper.seed, class_a, class_b))
-    return fit_lanes(ds, [lane])[0]
 
 
 def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel]:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,9 +15,9 @@ from seqsvm.archsim import (
     register_census,
     simulate,
     simulate_batch,
-    trace_to_json,
     trace_to_text,
 )
+from seqsvm.cost import TechConfig, estimate
 from seqsvm.ddag import build_ddag, ddag_infer
 from seqsvm.fxp import U4_4, wrap
 from seqsvm.quant import QuantizedModel, QuantVector, quantize_inputs
@@ -52,17 +51,26 @@ class TestStorage:
             assert st.read(r, 0) == vec.bias
 
     def test_rom_dot_count(self):
+        # the cost model prices ceil(word_bits/2) two-bit dots per stored word
+        tech = TechConfig()
         for bits, dots in [(2, 1), (5, 3), (8, 4)]:
             qm, _ = random_quantized_model(2, 2, bits, seed=1)
-            st = compile_storage(qm, ArchConfig("rom"))
-            assert st.cells_per_word == dots
-            assert all(len(st.dots[0][c]) == dots for c in range(3))
+            storage_ge = estimate(qm, build_ddag(2), ArchConfig("rom"), tech).gate_equivalents["storage"]
+            assert storage_ge == 1 * 3 * dots * tech.rom_cell_cost + 4 * tech.adc_cost
 
     def test_access_slots(self):
         qm, _ = random_quantized_model(2, 2, 8, seed=1)
-        assert compile_storage(qm, ArchConfig("rom", adc_count=4)).access_slots_per_word() == 1
-        assert compile_storage(qm, ArchConfig("rom", adc_count=1)).access_slots_per_word() == 4
-        assert compile_storage(qm, ArchConfig("mux")).access_slots_per_word() == 1
+        dag = build_ddag(2)
+        assert estimate(qm, dag, ArchConfig("rom", adc_count=4)).access_slots == 1
+        assert estimate(qm, dag, ArchConfig("rom", adc_count=1)).access_slots == 4
+        assert estimate(qm, dag, ArchConfig("mux")).access_slots == 1
+
+    def test_word_table_is_read_only(self):
+        qm, _ = random_quantized_model(3, 4, 5, seed=2)
+        st = compile_storage(qm, ArchConfig("rom"))
+        assert np.array_equal(st.table(), qm.word_table())
+        with pytest.raises(ValueError):
+            st.table()[0, 0] = 1
 
     def test_out_of_range_read(self):
         qm, _ = random_quantized_model(2, 2, 4, seed=1)
@@ -250,20 +258,14 @@ class TestCensusAndTrace:
     def test_trace_text_format(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=11)
         dag = build_ddag(3)
-        _, trace = simulate(qm, dag, compile_storage(qm), codes[0])
+        cls, trace = simulate(qm, dag, compile_storage(qm), codes[0])
         text = trace_to_text(trace)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# cycle fsm_state counter")
         assert len(lines) == trace.cycles + 2  # header + records + totals
         first = lines[1].split()
         assert [int(x) for x in first[:5]] == [0, dag.initial_state, 1, dag.initial_state, 0]
-
-    def test_trace_json_totals(self):
-        qm, codes = random_quantized_model(3, 4, 4, seed=11)
-        dag = build_ddag(3)
-        cls, trace = simulate(qm, dag, compile_storage(qm), codes[0])
-        doc = json.loads(trace_to_json(trace))
-        assert doc["totals"]["cycles"] == trace.cycles
-        assert doc["totals"]["class"] == cls
-        assert len(doc["records"]) == trace.cycles
-        assert list(doc["records"][0]) == sorted(doc["records"][0])
+        assert lines[-1] == (
+            f"# totals cycles={trace.cycles} evaluations=2 overflows=0 "
+            f"class={cls} final_state={trace.final_state}"
+        )

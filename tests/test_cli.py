@@ -100,7 +100,7 @@ def test_quantize_stage_reproduces_search(synth_csv, full_run):
     fmodel = float_model_from_dict(doc["float_model"])
     bits = config["input_bits"]
     qm, report = search_param_bits(
-        fmodel, train, test, FxpFormat(bits, bits), config["max_param_bits"]
+        fmodel, train, test, FxpFormat(bits), config["max_param_bits"]
     )
     stored = json.loads((full_run / "quant_report.json").read_text())
     assert stored["param_bits"] == report.param_bits
@@ -226,3 +226,38 @@ def test_tech_file_flag(synth_csv, tmp_path):
     assert main(_run_args(synth_csv, out, ["--tech", str(tech_path)])) == 0
     cost = json.loads((out / "cost_report.json").read_text())
     assert cost["f_clk"] == 15.0
+
+
+def _edited_copy(full_run, tmp_path, edit):
+    """A copy of the run's artifacts whose model.json went through ``edit``."""
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    doc = json.loads((out / "model.json").read_text())
+    edit(doc)
+    (out / "model.json").write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "key, value", [("signed", True), ("frac_bits", 3), ("total_bits", 3), ("bias_shift", 3)]
+)
+def test_simulate_rejects_a_hand_edited_input_format(full_run, tmp_path, capsys, key, value):
+    def edit(doc):
+        quantized = doc["quantized"]
+        (quantized if key == "bias_shift" else quantized["input_fmt"])[key] = value
+
+    out = _edited_copy(full_run, tmp_path, edit)
+    assert main(["simulate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage simulate failed: input format" in err and "is not supported" in err
+
+
+def test_gen_hdl_rejects_a_hand_edited_row(full_run, tmp_path, capsys):
+    def edit(doc):
+        first, second = doc["ddag"]["nodes"][:2]
+        first["row"], second["row"] = second["row"], first["row"]
+
+    out = _edited_copy(full_run, tmp_path, edit)
+    assert main(["gen-hdl", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage gen-hdl failed: DAG state 0 reads row 1; the Verilog reads row = state" in err

@@ -4,14 +4,13 @@ import pytest
 from seqsvm.fxp import (
     U4_4,
     FxpFormat,
-    FxpValue,
     fits,
     max_int,
     min_int,
-    truncate_to_format,
     width_for_range,
     wrap,
 )
+from seqsvm.quant import QuantizedModel, QuantVector, quantize_inputs
 
 
 def _width_oracle(lo, hi):
@@ -27,52 +26,42 @@ def _wrap_oracle(value, width):
     return (value + half) % (1 << width) - half
 
 
+def _truncate(value, fmt):
+    """The code that input truncation gives one real in [0, 1]."""
+    return int(quantize_inputs(np.array([[value]]), fmt)[0, 0])
+
+
 class TestTruncate:
     def test_zero(self):
-        assert truncate_to_format(0.0, U4_4).raw == 0
+        assert _truncate(0.0, U4_4) == 0
 
     def test_one_clamps_to_top_code(self):
-        assert truncate_to_format(1.0, U4_4).raw == 15
+        assert _truncate(1.0, U4_4) == 15
 
     def test_point_three(self):
         # floor(0.3 * 16) = 4
-        assert truncate_to_format(0.3, U4_4).raw == 4
+        assert _truncate(0.3, U4_4) == 4
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            truncate_to_format(-0.01, U4_4)
+            _truncate(-0.01, U4_4)
 
-    def test_rejects_signed_format(self):
-        with pytest.raises(ValueError):
-            truncate_to_format(0.5, FxpFormat(4, 3, signed=True))
-
-    @pytest.mark.parametrize("fmt", [U4_4, FxpFormat(6, 3), FxpFormat(5, 5), FxpFormat(8, 8)])
+    @pytest.mark.parametrize("fmt", [U4_4, FxpFormat(6), FxpFormat(5), FxpFormat(8)])
     def test_roundtrip_every_code(self, fmt):
         for raw in range(fmt.raw_max + 1):
-            value = FxpValue(raw, fmt)
-            assert truncate_to_format(value.real, fmt).raw == raw
+            assert _truncate(raw / fmt.scale, fmt) == raw
 
 
 class TestFormats:
     def test_bad_total_bits(self):
         with pytest.raises(ValueError):
-            FxpFormat(0, 0)
-
-    def test_frac_exceeds_unsigned(self):
-        with pytest.raises(ValueError):
-            FxpFormat(4, 5)
-
-    def test_frac_exceeds_signed(self):
-        with pytest.raises(ValueError):
-            FxpFormat(4, 4, signed=True)
-
-    def test_signed_range(self):
-        fmt = FxpFormat(4, 0, signed=True)
-        assert (fmt.raw_min, fmt.raw_max) == (-8, 7)
+            FxpFormat(0)
 
     def test_value_outside_range_rejected(self):
-        with pytest.raises(ValueError):
-            FxpValue(16, U4_4)
+        qm = QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [1], 0)], [1.0])
+        assert qm.input_codes([[15]]).tolist() == [[15]]
+        with pytest.raises(ValueError, match="does not fit"):
+            qm.input_codes([[16]])
 
 
 class TestWidthForRange:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -75,13 +76,25 @@ class TestGenerate:
         with pytest.raises(ValueError, match="profile_accumulator"):
             generate(qm, build_ddag(2))
 
-    @pytest.mark.parametrize(
-        "fmt, aligned", [(FxpFormat(4, 2), "{word, 2'd0}"), (FxpFormat(4, 0), "word")]
-    )
+    @pytest.mark.parametrize("fmt, aligned", [(FxpFormat(2), "{word, 2'd0}")])
     def test_bias_aligned_by_bias_shift(self, fmt, aligned):
         qm, _ = random_quantized_model(3, 2, 4, seed=0, input_fmt=fmt)
         top = generate(qm, build_ddag(3)).top_module
         assert f"bias_init = $signed({aligned});" in top
+
+    def test_rows_permuted_away_from_states_rejected(self):
+        # the Verilog wires row = state, so a state reading another row
+        # would classify differently in hardware than in the simulator
+        qm, _ = random_quantized_model(4, 2, 4, seed=0)
+        dag = build_ddag(4)
+        rows = sorted(dag.nodes)
+        permuted = {
+            sid: dataclasses.replace(node, row_index=rows[(rows.index(sid) + 1) % len(rows)])
+            for sid, node in dag.nodes.items()
+        }
+        bad = dataclasses.replace(dag, nodes=permuted)
+        with pytest.raises(ValueError, match="DAG state 0 reads row 1; the Verilog reads row = state"):
+            generate(qm, bad)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_self_parse_roundtrip(self, seed):
@@ -109,33 +122,34 @@ class TestGoldenVectors:
     def test_count_zero_headers_only(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=3)
         dag = build_ddag(3)
-        stim, expect, vectors = emit_golden_vectors(qm, dag, compile_storage(qm), codes, 0)
+        stim, expect, classes = emit_golden_vectors(qm, dag, compile_storage(qm), codes, 0)
         assert stim.startswith("#") and stim.count("\n") == 1
         assert expect.startswith("#") and expect.count("\n") == 1
-        assert vectors == []
+        assert classes == []
 
     def test_expectations_come_from_simulator(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=4)
         dag = build_ddag(4)
         storage = compile_storage(qm)
-        stim, expect, vectors = emit_golden_vectors(qm, dag, storage, codes, 8)
-        assert len(vectors) == 8
+        stim, expect, classes = emit_golden_vectors(qm, dag, storage, codes, 8)
+        assert len(classes) == 8
         budget = (4 - 1) * (5 + 1)
-        for line, vec in zip(stim.splitlines()[1:], vectors):
+        stim_lines, expect_lines = stim.splitlines()[1:], expect.splitlines()[1:]
+        assert len(stim_lines) == len(expect_lines) == 8
+        for row, line, expected, want in zip(codes.tolist(), stim_lines, expect_lines, classes):
             fields = [int(x) for x in line.split()]
-            assert fields[:-1] == vec.codes
-            assert fields[-1] == budget == vec.cycle_budget
-        for line, vec in zip(expect.splitlines()[1:], vectors):
-            cls, state = (int(x) for x in line.split())
-            ref_cls, trace = simulate(qm, dag, storage, vec.codes, record=False)
-            assert cls == ref_cls == vec.expected_class
-            assert state == trace.final_state == vec.final_state
+            assert fields[:-1] == row
+            assert fields[-1] == budget
+            cls, state = (int(x) for x in expected.split())
+            ref_cls, trace = simulate(qm, dag, storage, row, record=False)
+            assert cls == ref_cls == want
+            assert state == trace.final_state
 
     def test_count_clamps_to_available(self):
         qm, codes = random_quantized_model(2, 2, 4, seed=6)
         dag = build_ddag(2)
-        _, _, vectors = emit_golden_vectors(qm, dag, compile_storage(qm), codes[:3], 99)
-        assert len(vectors) == 3
+        _, expect, classes = emit_golden_vectors(qm, dag, compile_storage(qm), codes[:3], 99)
+        assert len(classes) == 3 and expect.count("\n") == 4
 
     def test_negative_count_rejected(self):
         qm, codes = random_quantized_model(2, 2, 4, seed=6)

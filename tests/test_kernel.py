@@ -28,10 +28,10 @@ from seqsvm.fxp import FxpFormat
 from seqsvm.quant import (
     QuantizedModel,
     QuantVector,
+    _scale_rows,
     partial_sum_extremes,
     profile_accumulator,
     quantize_model,
-    scale_vector,
 )
 from seqsvm.trainer import FloatSvmModel, SupportVector
 
@@ -44,7 +44,7 @@ def cases(draw):
     m = draw(st.integers(1, 8))
     param_bits = draw(st.integers(2, 16))
     input_bits = draw(st.integers(1, 16))
-    fmt = FxpFormat(input_bits, draw(st.integers(0, input_bits)))
+    fmt = FxpFormat(input_bits)
     top = (1 << (param_bits - 1)) - 1
     coef = st.integers(-top - 1, top)
     vectors = [
@@ -184,9 +184,9 @@ def test_quantize_model_equals_per_vector_scaling(seed):
             qm = quantize_model(fmodel, bits)
         with warnings.catch_warnings(record=True) as row_warnings:
             warnings.simplefilter("always")
-            rows = [scale_vector(v.weights, v.bias, bits) for v in fmodel.vectors]
-        assert [(v.weights, v.bias) for v in qm.vectors] == [(w, b) for w, b, _ in rows]
-        assert qm.scales == [s for *_, s in rows]
+            rows = [_scale_rows([[v.bias, *v.weights]], bits) for v in fmodel.vectors]
+        assert [[v.bias, *v.weights] for v in qm.vectors] == [codes[0].tolist() for codes, _ in rows]
+        assert qm.scales == [float(scales[0]) for _, scales in rows]
         assert len(batch_warnings) == len(row_warnings) == sum(not v.weights.any() for v in vectors)
 
 
@@ -215,7 +215,7 @@ def _format_calls(qm, codes):
 
 
 @pytest.mark.parametrize("name", sorted(_format_calls(*random_quantized_model(3, 2, 4, seed=0))))
-@pytest.mark.parametrize("fmt", [FxpFormat(4, 4), FxpFormat(6, 3)])
+@pytest.mark.parametrize("fmt", [FxpFormat(4), FxpFormat(6)])
 def test_codes_outside_the_input_format_rejected(name, fmt):
     # the Verilog keeps only the low input bits of a code, so the
     # simulator and the reference must not score a wider one

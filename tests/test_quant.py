@@ -13,7 +13,6 @@ from seqsvm.quant import (
     profile_accumulator,
     quantize_inputs,
     quantize_model,
-    scale_vector,
     search_param_bits,
 )
 from seqsvm.trainer import FloatSvmModel, SupportVector
@@ -52,33 +51,40 @@ class TestQuantizeInputs:
         assert quantize_inputs(ds).tolist() == [[8, 15]]
 
 
+def _scale_one(weights, bias, param_bits):
+    """One support vector's (weights, bias, scale) as quantize_model scales it."""
+    vec = SupportVector(0, 1, np.asarray(weights, dtype=float), bias)
+    qm = quantize_model(FloatSvmModel("ovo", 2, len(vec.weights), [vec]), param_bits)
+    return qm.vectors[0].weights, qm.vectors[0].bias, qm.scales[0]
+
+
 class TestScaleVector:
     def test_unit_weight(self):
-        iw, ib, s = scale_vector([1.0], 0.0, 4)
+        iw, ib, s = _scale_one([1.0], 0.0, 4)
         assert (iw, ib, s) == ([7], 0, 7.0)
 
     def test_hand_example_half_even(self):
         # s = 7; 0.5*7 = 3.5 rounds to even 4; 0.25*7 = 1.75 rounds to 2
-        iw, ib, s = scale_vector([0.5, -1.0], 0.25, 4)
+        iw, ib, s = _scale_one([0.5, -1.0], 0.25, 4)
         assert iw == [4, -7]
         assert ib == 2
         assert s == 7.0
 
     def test_bias_can_set_the_peak(self):
-        iw, ib, _ = scale_vector([0.5], -2.0, 4)
+        iw, ib, _ = _scale_one([0.5], -2.0, 4)
         assert ib == -7
         assert iw == [2]  # 0.5 * 3.5 = 1.75 -> 2
 
     def test_zero_vector_flagged(self):
         with pytest.warns(UserWarning, match="all-zero"):
-            iw, ib, s = scale_vector([0.0, 0.0], 0.0, 4)
+            iw, ib, s = _scale_one([0.0, 0.0], 0.0, 4)
         assert (iw, ib, s) == ([0, 0], 0, 1.0)
 
     def test_codes_fit_param_bits(self):
         rng = np.random.default_rng(0)
         for bits in range(2, 9):
             w = rng.normal(size=8)
-            iw, ib, _ = scale_vector(w, float(rng.normal()), bits)
+            iw, ib, _ = _scale_one(w, float(rng.normal()), bits)
             top = (1 << (bits - 1)) - 1
             assert all(-top <= v <= top for v in iw + [ib])
 
@@ -87,8 +93,8 @@ class TestScaleVector:
         for _ in range(50):
             w = rng.normal(size=5)
             b = float(rng.normal())
-            base = scale_vector(w, b, 5)
-            scaled = scale_vector(w * 7.0, b * 7.0, 5)
+            base = _scale_one(w, b, 5)
+            scaled = _scale_one(w * 7.0, b * 7.0, 5)
             assert base[0] == scaled[0] and base[1] == scaled[1]
 
 
@@ -278,7 +284,7 @@ class TestQuantizedModelInvariants:
 
 
 class TestInputFormatBounds:
-    BAD = [FxpFormat(17, 17), FxpFormat(63, 63), FxpFormat(70, 70), FxpFormat(4, 3, signed=True)]
+    BAD = [FxpFormat(17), FxpFormat(63), FxpFormat(70), FxpFormat(32)]
 
     @pytest.mark.parametrize("fmt", BAD)
     def test_quantize_inputs_rejects(self, fmt):
@@ -291,5 +297,5 @@ class TestInputFormatBounds:
             QuantizedModel(2, 1, fmt, 4, [QuantVector(0, 1, [1], 0)], [1.0])
 
     def test_sixteen_bits_accepted(self):
-        codes = quantize_inputs(np.array([[1.0, 0.5, 0.0]]), FxpFormat(16, 16))
+        codes = quantize_inputs(np.array([[1.0, 0.5, 0.0]]), FxpFormat(16))
         assert codes.tolist() == [[65535, 32768, 0]]

@@ -15,7 +15,6 @@ from seqsvm.trainer import (
     accuracy,
     fit_lanes,
     random_search,
-    train_binary,
     train_ova,
     train_ovo,
 )
@@ -31,35 +30,42 @@ def _two_class_blobs(per_class=100, sigma=1.0, margin_sigmas=2.0, m=3, seed=0):
     return Dataset(X, labels, ["0", "1"])
 
 
+def _pair_fit(ds, hyper):
+    """The one separator of a two-class OvO model: class 0 (+1) vs class 1 (-1)."""
+    model = train_ovo(ds, hyper)
+    assert [(v.class_a, v.class_b) for v in model.vectors] == [(0, 1)]
+    return model.vectors[0]
+
+
 def test_separable_two_point_set():
     # x=0 belongs to class b (=1), x=1 to class a (=0)
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 0]), ["a", "b"])
-    fit = train_binary(ds, 0, 1, Hyper(lam=0.1, epochs=80, seed=0))
-    assert not fit.degenerate
+    fit = _pair_fit(ds, Hyper(lam=0.1, epochs=80, seed=0))
+    assert np.any(fit.weights != 0.0)  # not the degenerate constant
     assert float(np.dot([1.0], fit.weights) + fit.bias) >= 0.0   # class a side
     assert float(np.dot([0.0], fit.weights) + fit.bias) < 0.0    # class b side
-    assert fit.train_accuracy == 1.0
 
 
 def test_degenerate_identical_features():
     X = np.tile([0.3, 0.7], (6, 1))
     ds = Dataset(X, np.array([0, 0, 0, 0, 1, 1]), ["a", "b"])
-    fit = train_binary(ds, 0, 1, Hyper())
-    assert fit.degenerate
+    fit = _pair_fit(ds, Hyper())
     assert np.all(fit.weights == 0.0)
     assert fit.bias == 1.0  # majority is class a, mapped +1
+    ds.labels[:] = [0, 0, 1, 1, 1, 1]
+    assert _pair_fit(ds, Hyper()).bias == -1.0  # majority is class b, mapped -1
 
 
 def test_blob_margin_accuracy():
     ds = _two_class_blobs()
-    fit = train_binary(ds, 0, 1, Hyper(lam=0.01, epochs=20, seed=1))
-    assert fit.train_accuracy >= 0.95
+    model = train_ovo(ds, Hyper(lam=0.01, epochs=20, seed=1))
+    assert accuracy(model, ds) >= 0.95
 
 
 def test_missing_class_rejected():
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 0]), ["a", "b"])
-    with pytest.raises(ValueError, match="missing"):
-        train_binary(ds, 0, 1, Hyper())
+    with pytest.raises(RuntimeError, match=r"pair \(0,1\) failed: .*missing"):
+        train_ovo(ds, Hyper())
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.01, float("inf"), float("nan")])
@@ -293,8 +299,6 @@ class TestLaneSolver:
             alone = fit_lanes(ds, [lane])[0]
             assert np.array_equal(alone.weights, fit.weights)
             assert alone.bias == fit.bias
-            assert alone.degenerate == fit.degenerate
-            assert alone.train_accuracy == fit.train_accuracy
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ovo_lanes_match_shrink_and_step(self, seed):
@@ -329,8 +333,6 @@ class TestLaneSolver:
             mask = (labels == vec.class_a) | (labels == vec.class_b)
             y = np.where(labels[mask] == vec.class_a, 1.0, -1.0)
             _assert_close_to_reference(vec, X[mask], y, hyper.lam, hyper.epochs, (4, vec.class_a, vec.class_b))
-        assert train_binary(ds, 0, 1, hyper).degenerate
-        assert not train_binary(ds, 1, 2, hyper).degenerate
 
     def test_degenerate_ova_lanes_beside_normal_lanes(self):
         # one lane of a batch sees identical rows, the others do not
@@ -340,12 +342,11 @@ class TestLaneSolver:
         normal = [Lane(np.arange(40), cls, 0.1, 4, (3, cls)) for cls in range(4)]
         fits = fit_lanes(ds, [normal[0], flat, *normal[1:]])
         majority = 2 * np.count_nonzero(ds.labels[:10] == flat.positive) >= 10
-        assert fits[1].degenerate and np.all(fits[1].weights == 0.0)
+        assert np.all(fits[1].weights == 0.0)
         assert fits[1].bias == (1.0 if majority else -1.0)
         model = train_ova(ds, Hyper(lam=0.1, epochs=4, seed=3))
         for cls, (fit, vec) in enumerate(zip([fits[0], *fits[2:]], model.vectors)):
             assert np.array_equal(fit.weights, vec.weights) and fit.bias == vec.bias
-            assert not fit.degenerate
             y = np.where(ds.labels == cls, 1.0, -1.0)
             _assert_close_to_reference(fit, ds.features, y, 0.1, 4, (3, cls))
 
