@@ -80,7 +80,8 @@ def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
 
 
 def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Dataset):
-    """Precision search; returns the model document and the QuantReport."""
+    """Precision search; returns the model document, its (float model,
+    quantized model, DAG) and the QuantReport."""
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     dag = build_ddag(fmodel.n_classes)
     qm, report = search_param_bits(
@@ -111,18 +112,19 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
           f"(float {report.float_accuracy:.4f} -> quant {report.quantized_accuracy:.4f}, "
           f"acc_width={report.acc_width}"
           + (", max-precision flag" if report.max_precision_flag else "") + ")")
-    return doc, report
+    return doc, (fmodel, qm, dag), report
 
 
 def _model_parts(doc: dict):
+    """The (float model, quantized model, DAG) of a model document."""
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     qm = modelio.quantized_from_dict(doc["quantized"], fmodel.n_classes, fmodel.n_features)
     dag = modelio.ddag_from_dict(doc["ddag"])
     return fmodel, qm, dag
 
 
-def _simulate_phase(doc: dict, test: Dataset, out: Path, trace_n: int, storage_kind: str) -> dict:
-    _, qm, dag = _model_parts(doc)
+def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, storage_kind: str) -> dict:
+    _, qm, dag = parts
     storage = compile_storage(qm, ArchConfig(storage_kind))
     codes = quantize_inputs(test, qm.input_fmt)
     batch = simulate_batch(qm, dag, storage, codes, test.labels)
@@ -147,8 +149,8 @@ def _simulate_phase(doc: dict, test: Dataset, out: Path, trace_n: int, storage_k
     return sim_report
 
 
-def _hdl_phase(doc: dict, test: Dataset, out: Path, storage_kind: str, n_vectors: int) -> None:
-    _, qm, dag = _model_parts(doc)
+def _hdl_phase(parts, test: Dataset, out: Path, storage_kind: str, n_vectors: int) -> None:
+    _, qm, dag = parts
     storage = compile_storage(qm, ArchConfig(storage_kind))
     bundle = generate(qm, dag)
     codes = quantize_inputs(test, qm.input_fmt)
@@ -160,8 +162,8 @@ def _hdl_phase(doc: dict, test: Dataset, out: Path, storage_kind: str, n_vectors
     print(f"wrote HDL bundle and {len(classes)} golden vectors to {hdl_dir}")
 
 
-def _cost_phase(doc: dict, out: Path, storage_kind: str, tech: TechConfig) -> dict:
-    _, qm, dag = _model_parts(doc)
+def _cost_phase(doc: dict, parts, out: Path, storage_kind: str, tech: TechConfig) -> dict:
+    _, qm, dag = parts
     both = compare_storage(qm, dag, tech)
     parallel = compare_parallel(qm, tech)
     chosen = both[storage_kind]
@@ -177,9 +179,9 @@ def _cost_phase(doc: dict, out: Path, storage_kind: str, tech: TechConfig) -> di
 
 
 def _summary(
-    doc: dict, config: dict, test: Dataset, float_ddag_acc: float, sim_report: dict, cost_report: dict, out: Path
+    parts, config: dict, test: Dataset, float_ddag_acc: float, sim_report: dict, cost_report: dict, out: Path
 ) -> None:
-    fmodel, qm, _ = _model_parts(doc)
+    fmodel, qm, _ = parts
     vote_acc = accuracy(fmodel, test)
     lines = [
         f"dataset      : {config['dataset']} ({fmodel.n_classes} classes, {fmodel.n_features} features)",
@@ -244,7 +246,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
         doc = modelio.load_model_doc(out / "model.json")
-        _simulate_phase(doc, _ingest(doc["config"])[1], out, args.trace, args.storage)
+        _simulate_phase(doc, _model_parts(doc), _ingest(doc["config"])[1], out, args.trace, args.storage)
     return 0
 
 
@@ -252,7 +254,7 @@ def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
         doc = modelio.load_model_doc(out / "model.json")
-        _hdl_phase(doc, _ingest(doc["config"])[1], out, args.storage, args.vectors)
+        _hdl_phase(_model_parts(doc), _ingest(doc["config"])[1], out, args.storage, args.vectors)
     return 0
 
 
@@ -260,7 +262,7 @@ def cmd_cost(args) -> int:
     out = Path(args.out)
     with _stage("cost"):
         doc = modelio.load_model_doc(out / "model.json")
-        _cost_phase(doc, out, args.storage, _tech(args))
+        _cost_phase(doc, _model_parts(doc), out, args.storage, _tech(args))
     return 0
 
 
@@ -312,15 +314,15 @@ def cmd_run(args) -> int:
         doc = _train_phase(config, out, train)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc, quant_report = _quantize_phase(doc, config, out, train, test)
+        doc, parts, quant_report = _quantize_phase(doc, config, out, train, test)
     with _stage("simulate"):
-        sim_report = _simulate_phase(doc, test, out, args.trace, args.storage)
+        sim_report = _simulate_phase(doc, parts, test, out, args.trace, args.storage)
     with _stage("gen-hdl"):
-        _hdl_phase(doc, test, out, args.storage, args.vectors)
+        _hdl_phase(parts, test, out, args.storage, args.vectors)
     with _stage("cost"):
-        cost_report = _cost_phase(doc, out, args.storage, _tech(args))
+        cost_report = _cost_phase(doc, parts, out, args.storage, _tech(args))
     with _stage("summary"):
-        _summary(doc, config, test, quant_report.float_accuracy, sim_report, cost_report, out)
+        _summary(parts, config, test, quant_report.float_accuracy, sim_report, cost_report, out)
     return 0
 
 

@@ -33,6 +33,8 @@ class Dataset:
             raise ValueError("features must be a (samples, >=1 feature) matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels length must match the number of samples")
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < len(self.label_names):
+            raise ValueError(f"labels must be codes 0..{len(self.label_names) - 1} into label_names")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
 
@@ -146,11 +148,16 @@ def load_csv(path, label_column: str) -> Dataset:
     return Dataset(np.delete(table, label_idx, axis=1), labels, label_names, feature_names)
 
 
+def _class_count(labels: np.ndarray) -> int:
+    """How many classes have samples, counted from the dense label codes."""
+    return int(np.count_nonzero(np.bincount(labels)))
+
+
 def _stratified_indices(labels: np.ndarray, fraction: float, seed: int):
     # Per-class shuffle; every class keeps at least one training sample.
     rng = np.random.default_rng([seed, 1])
     train, test = [], []
-    for cls in np.unique(labels):
+    for cls in np.flatnonzero(np.bincount(labels)):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
         k = max(1, int(round(len(idx) * fraction)))
@@ -174,15 +181,15 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     n_train = min(max(n_train, 1), n - 1)
     train_idx, test_idx = np.sort(order[:n_train]), np.sort(order[n_train:])
 
-    present = np.unique(ds.labels)
-    if len(np.unique(ds.labels[train_idx])) < len(present):
+    present = _class_count(ds.labels)
+    if _class_count(ds.labels[train_idx]) < present:
         train_idx, test_idx = _stratified_indices(ds.labels, spec.train_fraction, spec.seed)
         if len(test_idx) == 0:
             raise ValueError(
                 "split leaves no test samples even after stratification; "
                 "increase the dataset size or lower train_fraction"
             )
-    if len(np.unique(ds.labels[train_idx])) < len(present):
+    if _class_count(ds.labels[train_idx]) < present:
         raise ValueError(
             "split leaves a class without training samples; "
             "stratification failed (class with zero samples?)"

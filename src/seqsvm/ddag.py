@@ -6,11 +6,9 @@ n-1 steps it gathers the stored row that each sample's state points to and
 scores it column by column, bias first. ``walk_batch`` runs it on integer
 words, exactly or with the hardware's wrapping accumulator, for the
 reference predictions, the batch simulator and the golden vectors;
-``ddag_predict_float`` runs it on the float model. ``prefix_sums`` runs the
-same column loop over all stored rows, for accumulator profiling and
-max-wins voting. ``ddag_infer`` and ``ddag_infer_float`` are the scalar
-oracles: per-sample walks, summing in the same order, with their (row, y)
-logs.
+``ddag_predict_float`` runs it on the float model. ``ddag_infer`` and
+``ddag_infer_float`` are the scalar oracles: per-sample walks, summing in
+the same order, with their (row, y) logs.
 
 Each state carries an interval (lo, hi) of still-alive extreme classes and
 evaluates the separator for pair (lo, hi). Engine output y=1 means the pair's
@@ -87,6 +85,15 @@ def build_ddag(n_classes: int) -> Ddag:
                 b_edge = ("node", pair_index(lo + 1, hi, n))
             nodes[sid] = DdagNode(sid, lo, hi, sid, a_edge, b_edge)
     return Ddag(n, nodes, pair_index(0, n - 1, n), state_bits_for(n))
+
+
+def check_rows_are_states(dag: Ddag) -> None:
+    """Reject a DAG in which a state reads a row other than its own id: the
+    emitted Verilog wires row = state, so such a DAG would classify
+    differently in hardware than in the simulators."""
+    for sid, node in sorted(dag.nodes.items()):
+        if node.row_index != sid:
+            raise ValueError(f"DAG state {sid} reads row {node.row_index}; the Verilog reads row = state")
 
 
 def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
@@ -218,29 +225,6 @@ def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
     return walk_batch(qm.word_table(), qm.bias_shift, dag, qm.input_codes(codes_matrix))[0]
 
 
-#: Samples x rows accumulator elements per block in prefix_sums, so loops
-#: over all stored rows take a few hundred kB whatever the model's size.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def prefix_sums(words, shift: int, codes):
-    """Exact accumulator of every stored row on every sample, column by column.
-
-    Yields (samples, rows) arrays block by block of samples: the shifted
-    biases, then the sum after each MAC, so m+1 arrays per block.
-    """
-    words = np.asarray(words, dtype=np.int64)
-    X = check_codes(codes, words.shape[1] - 1)
-    block = max(1, _BLOCK_ELEMENTS // len(words))
-    for start in range(0, len(X), block):
-        x = X[start:start + block]
-        acc = np.broadcast_to(words[:, 0] << shift, (len(x), len(words)))
-        yield acc
-        for col in range(1, words.shape[1]):
-            acc = acc + x[:, col - 1, None] * words[:, col]
-            yield acc
-
-
 def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
     """The same walk on the float model (vectors in lexicographic pair order).
 
@@ -275,6 +259,8 @@ def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
 
 def ovo_vote_infer(qm, codes) -> int:
     """Baseline semantics: evaluate every pair, max-wins vote, lowest id on ties."""
-    *_, sums = prefix_sums(qm.word_table(), qm.bias_shift, qm.input_codes([codes]))
-    winners = [v.class_a if s >= 0 else v.class_b for v, s in zip(qm.vectors, sums[0])]
+    x = qm.input_codes([codes])[0]
+    words = qm.word_table()
+    sums = (words[:, 0] << qm.bias_shift) + words[:, 1:] @ x  # exact in int64
+    winners = [v.class_a if s >= 0 else v.class_b for v, s in zip(qm.vectors, sums)]
     return int(np.argmax(np.bincount(winners, minlength=qm.n_classes)))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .archsim import StorageUnit, counter_bits, walk_storage
-from .ddag import Ddag
+from .ddag import Ddag, check_rows_are_states
 from .fxp import fits
 from .quant import QuantizedModel
 
@@ -293,9 +293,7 @@ def generate(qm: QuantizedModel, dag: Ddag, name: str = "svm") -> HdlBundle:
     row ``state``, so a DAG whose states read other rows is rejected.
     """
     qm.profiled_acc_width()
-    for sid, node in sorted(dag.nodes.items()):
-        if node.row_index != sid:
-            raise ValueError(f"DAG state {sid} reads row {node.row_index}; the Verilog reads row = state")
+    check_rows_are_states(dag)
     return HdlBundle(
         name=name,
         top_module=_gen_top(qm, dag, name),

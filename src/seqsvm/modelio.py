@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .ddag import Ddag, DdagNode
+from .ddag import Ddag, DdagNode, check_rows_are_states
 from .fxp import FxpFormat
 from .quant import QuantizedModel, QuantVector
 from .trainer import FloatSvmModel, SupportVector
@@ -129,6 +129,7 @@ def ddag_to_dict(dag: Ddag) -> dict:
 
 
 def ddag_from_dict(doc: dict) -> Ddag:
+    """The DAG of a model document; rejects a node whose row is not its id."""
     nodes = {
         n["id"]: DdagNode(
             n["id"], n["class_a"], n["class_b"], n["row"],
@@ -136,7 +137,9 @@ def ddag_from_dict(doc: dict) -> Ddag:
         )
         for n in doc["nodes"]
     }
-    return Ddag(doc["n_classes"], nodes, doc["initial_state"], doc["state_bits"], doc["ordering"])
+    dag = Ddag(doc["n_classes"], nodes, doc["initial_state"], doc["state_bits"], doc["ordering"])
+    check_rows_are_states(dag)
+    return dag
 
 
 def save_model_doc(path, doc: dict) -> None:

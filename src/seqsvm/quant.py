@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import Ddag, build_ddag, check_codes, ddag_predict_float, ddag_predict_quant, prefix_sums
+from .ddag import Ddag, build_ddag, check_codes, ddag_predict_float, ddag_predict_quant
 from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, width_for_range
 from .trainer import FloatSvmModel
 
@@ -53,13 +53,17 @@ class QuantizedModel:
         if not 2 <= self.param_bits <= 16:
             raise ValueError("param_bits out of range")
         _check_input_fmt(self.input_fmt)
+        # the first offender in vector order, then weights before the bias
+        ragged = [i for i, vec in enumerate(self.vectors) if len(vec.weights) != self.n_features]
+        params = [[*vec.weights, vec.bias] for vec in self.vectors[:ragged[0] if ragged else None]]
         top = (1 << (self.param_bits - 1)) - 1
-        for i, vec in enumerate(self.vectors):
-            if len(vec.weights) != self.n_features:
-                raise ValueError(f"vector {i}: wrong weight count")
-            for v in list(vec.weights) + [vec.bias]:
-                if not -top - 1 <= v <= top:
-                    raise ValueError(f"vector {i}: parameter {v} exceeds {self.param_bits} bits")
+        table = np.array(params, ndmin=2)
+        bad = np.argwhere(np.logical_not((table >= -top - 1) & (table <= top)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"vector {i}: parameter {params[i][j]} exceeds {self.param_bits} bits")
+        if ragged:
+            raise ValueError(f"vector {ragged[0]}: wrong weight count")
 
     @property
     def bias_shift(self) -> int:
@@ -150,15 +154,38 @@ def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat 
     )
 
 
+#: Samples x rows accumulator elements per block in partial_sum_extremes, so
+#: its buffers take a few hundred kB whatever the model's size.
+_BLOCK_ELEMENTS = 1 << 15
+
+
 def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
     """Extremes over every accumulator prefix: the shifted bias, then the value
-    after each MAC, for every vector on every sample."""
+    after each MAC, for every vector on every sample.
+
+    The prefixes are summed column by column into preallocated buffers, a
+    block of samples at a time, in int32 when no prefix can reach 2**31 (no
+    row's |bias| << shift plus raw_max * sum|w| does) and in int64 otherwise.
+    """
     X = qm.input_codes(train_codes)
     words = qm.word_table()
     biases = words[:, 0] << qm.bias_shift  # the bias load is a prefix even with no samples
     lo, hi = int(biases.min()), int(biases.max())
-    for acc in prefix_sums(words, qm.bias_shift, X):
-        lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
+    bound = int((np.abs(biases) + qm.input_fmt.raw_max * np.abs(words[:, 1:]).sum(axis=1)).max())
+    dtype = np.int32 if bound < 1 << 31 else np.int64
+    weights = np.ascontiguousarray(words[:, 1:].T, dtype)  # row j: every vector's weight j
+    Xt = np.ascontiguousarray(X.T, dtype)  # row j: every sample's code j
+    block = max(1, _BLOCK_ELEMENTS // len(words))
+    acc = np.empty((min(block, len(X)), len(words)), dtype)
+    product = np.empty_like(acc)
+    for start in range(0, len(X), block):
+        x = Xt[:, start:start + block, None]
+        a, p = acc[:x.shape[1]], product[:x.shape[1]]
+        a[:] = biases
+        for w, xj in zip(weights, x):
+            np.multiply(xj, w, out=p)
+            a += p
+            lo, hi = min(lo, int(a.min())), max(hi, int(a.max()))
     return lo, hi
 
 

@@ -13,7 +13,8 @@ A lane is one binary fit: a (candidate, class pair) of the search or the
 final OvO model, or one class against the rest. ``fit_lanes`` advances all
 lanes together, one numpy step over a (lanes, m+1) array of u per sample
 position. Each lane draws one permutation of its own rows per epoch from its
-own ``default_rng(key)``; lanes past their rows or epochs are masked out.
+own ``default_rng(key)`` (lanes of one key and row count share the draw);
+lanes past their rows or epochs are masked out.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .dataset import Dataset, SplitSpec, split
 
@@ -54,6 +56,12 @@ class SearchSpace:
             raise ValueError(f"need 0 <= epochs_lo <= epochs_hi, got {self.epochs_lo}, {self.epochs_hi}")
 
 
+#: Elements per block of the array loops here (steps x lanes x (m+1) in
+#: fit_lanes, vectors x samples in FloatSvmModel.predict), so a block's
+#: temporaries take a few hundred kB whatever the problem's size.
+_BLOCK_ELEMENTS = 1 << 15
+
+
 @dataclass
 class SupportVector:
     class_a: int
@@ -80,21 +88,41 @@ class FloatSvmModel:
         vecs = self.vectors
         return np.column_stack(([v.bias for v in vecs], [v.weights for v in vecs])).astype(np.float64)
 
+    def _score_blocks(self, X: np.ndarray):
+        """Yield (first vector, scores) block by block of vectors, where
+        scores[k, s] = X[s] @ w + b of vector first+k.
+
+        One stacked matmul scores a block: it takes one matrix-vector product
+        per vector, so the scores have the bits of X @ w + b, which a single
+        X @ W.T (a matrix-matrix product) does not keep.
+        """
+        coefs = self.coef_table()
+        block = max(1, _BLOCK_ELEMENTS // max(1, len(X)))
+        for start in range(0, len(coefs), block):
+            coef = coefs[start:start + block]
+            scores = np.matmul(X, coef[:, 1:, None])[:, :, 0]
+            scores += coef[:, :1]
+            yield start, scores
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA.
 
         Ties break toward the lowest class id.
         """
         X = np.asarray(features, dtype=np.float64)
-        if self.kind == "ovo":
-            votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-            for vec in self.vectors:
-                a_wins = X @ vec.weights + vec.bias >= 0.0
-                votes[a_wins, vec.class_a] += 1
-                votes[~a_wins, vec.class_b] += 1
-            return np.argmax(votes, axis=1)
-        scores = np.column_stack([X @ v.weights + v.bias for v in self.vectors])
-        return np.argmax(scores, axis=1)
+        if self.kind == "ova":
+            return np.argmax(np.concatenate([scores for _, scores in self._score_blocks(X)]), axis=0)
+        pairs = np.array([(v.class_a, v.class_b) for v in self.vectors], dtype=np.int64).reshape(-1, 2)
+        onehot = np.eye(self.n_classes)
+        # a vector votes for class_b, plus (e_a - e_b) when class_a wins; the
+        # counts are small integers, exact in float64
+        swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
+        votes = np.tile(onehot[pairs[:, 1]].sum(axis=0), (len(X), 1))
+        tally = np.empty_like(votes)
+        for start, scores in self._score_blocks(X):
+            a_wins = (scores >= 0.0).astype(np.float64)
+            votes += np.matmul(a_wins.T, swing[start:start + len(scores)], out=tally)
+        return np.argmax(votes, axis=1)
 
 
 @dataclass
@@ -114,11 +142,6 @@ class Lane:
     lam: float
     epochs: int
     key: tuple[int, ...]
-
-
-#: Steps x lanes x (m+1) elements gathered per block of steps in fit_lanes,
-#: so a block takes a few hundred kB whatever the lane count.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
@@ -144,7 +167,12 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
     epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
     n = np.array([len(lanes[i].rows) for i in order], dtype=np.int64)
     positive = np.array([lanes[i].positive for i in order], dtype=np.int64)
-    rngs = [np.random.default_rng(list(lanes[i].key)) for i in order]
+    # lanes of one key and length (the candidates of a search, for one pair)
+    # draw the same permutation each epoch: one stream per (key, length),
+    # drawn once per epoch while any of its lanes is alive
+    keys: dict = {}
+    stream_of = [keys.setdefault((lanes[i].key, len(lanes[i].rows)), len(keys)) for i in order]
+    rngs = [default_rng(list(key)) for key, _ in keys]
     U = np.zeros((len(order), Xa.shape[1]))
     # column j: lane j's rows in this epoch's order, padded with row 0; int32
     # halves the largest buffer of a search
@@ -152,8 +180,12 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
     for epoch in range(int(epochs.max(initial=0))):
         alive = int(np.count_nonzero(epochs > epoch))
         longest = int(n[:alive].max())
+        perms: dict = {}
         for j in range(alive):
-            stream[: n[j], j] = lanes[order[j]].rows[rngs[j].permutation(n[j])]
+            k = stream_of[j]
+            if k not in perms:
+                perms[k] = rngs[k].permutation(n[j])
+            stream[: n[j], j] = lanes[order[j]].rows[perms[k]]
         lam_a, n_a, pos_a = lam[:alive], n[:alive], positive[:alive]
         # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
         u_row, u_col = U[:alive, None, :], U[:alive, :, None]
@@ -177,24 +209,17 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
     return fits
 
 
-def _pair_rows(ds: Dataset, class_a: int, class_b: int) -> np.ndarray:
-    rows = np.flatnonzero((ds.labels == class_a) | (ds.labels == class_b))
-    if len(np.unique(ds.labels[rows])) < 2:
-        raise ValueError(f"pair ({class_a},{class_b}): a class is missing from the training set")
-    return rows
-
-
 def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel]:
     """One OvO model per hyperparameter set, every (candidate, pair) a lane of
     one fit_lanes call; vectors in lexicographic pair order."""
     n = ds.n_classes
+    present = np.bincount(ds.labels, minlength=n) > 0
     pairs = []
     for a in range(n):
         for b in range(a + 1, n):
-            try:
-                pairs.append((a, b, _pair_rows(ds, a, b)))
-            except ValueError as exc:
-                raise RuntimeError(f"pair ({a},{b}) failed: {exc}") from exc
+            if not (present[a] and present[b]):
+                raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
+            pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b))))
     lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
     fits = fit_lanes(ds, lanes)
     models = []
@@ -238,16 +263,21 @@ def random_search(
     """Sample (lam, epochs) pairs and keep the best holdout accuracy.
 
     Deterministic for a given seed; ties break toward smaller lam, then fewer
-    epochs. lam is sampled log-uniformly.
+    epochs. lam is sampled log-uniformly. A budget of 1 returns its one draw
+    without a holdout split or a fit.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng([seed, 99])
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ValueError("holdout_fraction must lie strictly between 0 and 1")
+    rng = default_rng([seed, 99])
     lams = 10.0 ** rng.uniform(np.log10(space.lam_lo), np.log10(space.lam_hi), budget)
     epoch_counts = rng.integers(space.epochs_lo, space.epochs_hi + 1, budget)
+    hypers = [Hyper(lam=lam, epochs=int(epochs), seed=seed) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
+    if budget == 1:
+        return hypers[0]
 
     sub_train, holdout = split(train, SplitSpec(1.0 - holdout_fraction, seed))
-    hypers = [Hyper(lam=lam, epochs=int(epochs), seed=seed) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
     best: tuple | None = None
     best_hyper = None
     for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers)):

@@ -53,3 +53,12 @@ def bias_only_model(n, biases):
     qm = QuantizedModel(n, 1, U4_4, 8, vectors, [1.0] * len(vectors))
     qm.acc_width = 16
     return qm
+
+
+def layouts(rows, dtype):
+    """``rows`` as a C-ordered matrix, a Fortran-ordered one and a strided
+    column view: the kernels must not depend on the input's memory layout."""
+    a = np.array(rows, dtype=dtype)
+    padded = np.zeros((len(a), 2 * a.shape[1]), dtype=dtype)
+    padded[:, 1::2] = a
+    return [a, np.asfortranarray(a), padded[:, 1::2]]

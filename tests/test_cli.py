@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,12 +255,42 @@ def test_simulate_rejects_a_hand_edited_input_format(full_run, tmp_path, capsys,
     assert "stage simulate failed: input format" in err and "is not supported" in err
 
 
-def test_gen_hdl_rejects_a_hand_edited_row(full_run, tmp_path, capsys):
-    def edit(doc):
-        first, second = doc["ddag"]["nodes"][:2]
-        first["row"], second["row"] = second["row"], first["row"]
+def _swap_first_two_rows(doc):
+    first, second = doc["ddag"]["nodes"][:2]
+    first["row"], second["row"] = second["row"], first["row"]
 
-    out = _edited_copy(full_run, tmp_path, edit)
+
+def test_gen_hdl_rejects_a_hand_edited_row(full_run, tmp_path, capsys):
+    out = _edited_copy(full_run, tmp_path, _swap_first_two_rows)
     assert main(["gen-hdl", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "stage gen-hdl failed: DAG state 0 reads row 1; the Verilog reads row = state" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "cost", "compare"])
+def test_every_stage_rejects_a_hand_edited_row(full_run, tmp_path, capsys, command):
+    # the model loader rejects it, so no stage reports on a DAG the Verilog would not run
+    out = _edited_copy(full_run, tmp_path, _swap_first_two_rows)
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {command} failed: DAG state 0 reads row 1; the Verilog reads row = state" in err
+
+
+def test_run_and_compare_never_import_numpy_ma(synth_csv, tmp_path):
+    # np.unique imports numpy.ma, about 20 ms per process; the pipeline
+    # finds the classes present from the dense label codes instead
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from seqsvm.cli import main\n"
+        f"assert main({_run_args(synth_csv, out)!r}) == 0\n"
+        f"assert main(['compare', '--out', {str(out)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -299,6 +299,14 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+def test_labels_must_index_label_names(labels):
+    # split and the trainer count classes from the codes, so a code outside
+    # label_names is rejected when the dataset is built
+    with pytest.raises(ValueError, match=r"labels must be codes 0\.\.1 into label_names"):
+        Dataset(np.zeros((2, 1)), labels, ["a", "b"])
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[np.nan, 1.0]]), np.array([0]), ["a"])

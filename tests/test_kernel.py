@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_quantized_model
+from helpers import layouts, random_quantized_model
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.archsim import ArchConfig, compile_storage, simulate, simulate_batch, walk_storage
 from seqsvm.ddag import (
@@ -81,15 +81,6 @@ def _extremes_oracle(qm, codes):
     return min(prefixes), max(prefixes)
 
 
-def _layouts(rows, dtype):
-    """``rows`` as a C-ordered matrix, a Fortran-ordered one and a strided
-    column view: the kernels must not depend on the input's memory layout."""
-    a = np.array(rows, dtype=dtype)
-    padded = np.zeros((len(a), 2 * a.shape[1]), dtype=dtype)
-    padded[:, 1::2] = a
-    return [a, np.asfortranarray(a), padded[:, 1::2]]
-
-
 @settings(max_examples=150, deadline=None)
 @given(cases())
 def test_wrapped_kernel_equals_simulate(case):
@@ -98,7 +89,7 @@ def test_wrapped_kernel_equals_simulate(case):
     for i, row in enumerate(codes):
         cls, trace = simulate(qm, dag, storage, row, record=False)
         assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
-    for view in _layouts(codes, np.int64):
+    for view in layouts(codes, np.int64):
         again = walk_storage(qm, dag, storage, view)
         assert all(np.array_equal(a, b) for a, b in zip(again, (classes, states, overflows)))
     batch = simulate_batch(qm, dag, storage, codes, classes)
@@ -111,7 +102,7 @@ def test_wrapped_kernel_equals_simulate(case):
 def test_exact_kernels_equal_python_oracles(case):
     qm, dag, _, codes = case
     expected = [ddag_infer(qm, dag, row)[0] for row in codes]
-    for view in _layouts(codes, np.int64):
+    for view in layouts(codes, np.int64):
         assert ddag_predict_quant(qm, dag, view).tolist() == expected
     assert [ovo_vote_infer(qm, row) for row in codes] == [_vote_oracle(qm, row) for row in codes]
     assert partial_sum_extremes(qm, np.array(codes)) == _extremes_oracle(qm, codes)
@@ -143,7 +134,7 @@ def float_cases(draw):
 def test_float_kernel_equals_python_oracle(case):
     fmodel, dag, X = case
     expected = [ddag_infer_float(fmodel, dag, row)[0] for row in X]
-    for view in _layouts(X, np.float64):
+    for view in layouts(X, np.float64):
         assert ddag_predict_float(fmodel, dag, view).tolist() == expected
 
 
@@ -188,6 +179,18 @@ def test_quantize_model_equals_per_vector_scaling(seed):
         assert [[v.bias, *v.weights] for v in qm.vectors] == [codes[0].tolist() for codes, _ in rows]
         assert qm.scales == [float(scales[0]) for _, scales in rows]
         assert len(batch_warnings) == len(row_warnings) == sum(not v.weights.any() for v in vectors)
+
+
+@pytest.mark.parametrize("bias, weight", [(32767, 1), (32767, 2), (-32767, -1), (-32767, -2), (-32768, 0)])
+def test_partial_sum_extremes_around_two_to_the_31(bias, weight):
+    # 16-bit inputs shift the bias by 16 bits: 32767 << 16 = 2**31 - 65536, and
+    # a weight w at code 65535 adds w * 65535, so the worst case ends just
+    # below 2**31 (|w| = 1, int32 buffers) or just above it (|w| = 2, int64)
+    qm = QuantizedModel(2, 2, FxpFormat(16), 16, [QuantVector(0, 1, [weight, 0], bias)], [1.0])
+    codes = [[65535, 7], [0, 65535], [1, 1]]
+    lo, hi = partial_sum_extremes(qm, np.array(codes))
+    assert (lo, hi) == _extremes_oracle(qm, codes)
+    assert max(-lo, hi) == abs(bias << 16) + abs(weight) * 65535
 
 
 def test_codes_outside_sixteen_bits_rejected():

@@ -282,6 +282,25 @@ class TestQuantizedModelInvariants:
         with pytest.raises(ValueError, match="exceeds"):
             QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [9], 0)], [1.0])
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # (weights, bias) of vectors (0,1), (0,2), (1,2) at 4 bits: -8..7
+            ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -9], 9), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 9), ([0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
+            ((([1, 7], -8), ([7], 99), ([-99, 0], 0)), "vector 1: wrong weight count"),
+            ((([1, 7], -8), ([7, 0, 0], 0), ([0, 0], 0)), "vector 1: wrong weight count"),
+            ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)), f"vector 2: parameter {2**70} exceeds 4 bits"),
+        ],
+    )
+    def test_first_offender_named(self, params, message):
+        # vector order first, then the weights in order, then the bias
+        vectors = [QuantVector(a, b, w, bias) for (a, b), (w, bias) in zip([(0, 1), (0, 2), (1, 2)], params)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantizedModel(3, 2, U4_4, 4, vectors, [1.0] * 3)
+
 
 class TestInputFormatBounds:
     BAD = [FxpFormat(17), FxpFormat(63), FxpFormat(70), FxpFormat(32)]

@@ -1,9 +1,13 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqsvm.trainer as trainer_mod
+from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
 from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
@@ -185,6 +189,77 @@ class TestAccuracy:
         assert model.predict(np.zeros((1, 1)))[0] == 0
 
 
+def _per_vector_predict(model, X):
+    """Reference: the per-vector loop that predict replaced, one X @ w + b per
+    vector and votes tallied vector by vector."""
+    X = np.asarray(X, dtype=np.float64)
+    if model.kind == "ovo":
+        votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
+        for vec in model.vectors:
+            a_wins = X @ vec.weights + vec.bias >= 0.0
+            votes[a_wins, vec.class_a] += 1
+            votes[~a_wins, vec.class_b] += 1
+        return np.argmax(votes, axis=1)
+    scores = np.column_stack([X @ v.weights + v.bias for v in model.vectors])
+    return np.argmax(scores, axis=1)
+
+
+@st.composite
+def float_models(draw):
+    """An OvO or OvA model with its samples. Small-integer coefficients and
+    features on a coarse grid make scores of exactly 0 and vote ties common;
+    normal draws make the products' rounding matter."""
+    kind = draw(st.sampled_from(["ovo", "ova"]))
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = n * (n - 1) // 2 if kind == "ovo" else n
+    if draw(st.booleans()):
+        coefs = rng.integers(-2, 3, (count, m + 1)).astype(np.float64)
+        X = rng.integers(0, 3, (draw(st.integers(0, 30)), m)) / 2.0
+    else:
+        coefs = rng.normal(size=(count, m + 1)) * 10.0 ** rng.integers(-3, 4, (count, 1))
+        X = rng.uniform(size=(draw(st.integers(0, 30)), m))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] if kind == "ovo" else [(c, None) for c in range(n)]
+    vectors = [SupportVector(a, b, c[1:], float(c[0])) for (a, b), c in zip(pairs, coefs)]
+    return FloatSvmModel(kind, n, m, vectors), X
+
+
+class TestPredict:
+    @settings(max_examples=200, deadline=None)
+    @given(case=float_models(), block=st.sampled_from([1, 3, 40, 1 << 15]))
+    def test_equals_the_per_vector_loop(self, case, block):
+        model, X = case
+        expected = _per_vector_predict(model, X)
+        with mock.patch.object(trainer_mod, "_BLOCK_ELEMENTS", block):
+            for view in layouts(X, np.float64):
+                assert np.array_equal(model.predict(view), expected)
+                # the scores themselves keep the bits of X @ w + b
+                scores = np.concatenate([s for _, s in model._score_blocks(view)])
+                assert np.array_equal(scores, np.array([view @ v.weights + v.bias for v in model.vectors]))
+
+    @pytest.mark.parametrize("kind", ["ovo", "ova"])
+    def test_equals_the_per_vector_loop_over_many_blocks(self, kind):
+        # 26 classes and 3000 samples: 10 vectors per block, 33 blocks for OvO
+        ds = ring_sectors(26, 16, 160, seed=2)
+        rng = np.random.default_rng(3)
+        pairs = [(a, b) for a in range(26) for b in range(a + 1, 26)] if kind == "ovo" else [(c, None) for c in range(26)]
+        vectors = [SupportVector(a, b, rng.normal(size=16), float(rng.normal())) for a, b in pairs]
+        model = FloatSvmModel(kind, 26, 16, vectors)
+        X = ds.features[:3000]
+        assert np.array_equal(model.predict(X), _per_vector_predict(model, X))
+
+    def test_zero_scores_go_to_class_a(self):
+        # every score is 0 or -0.0, so class_a wins each pair and 0 leads;
+        # with the (0, b) pairs biased below 0, 1 wins three pairs and leads
+        zero = [SupportVector(a, b, np.array([0.0, -0.0]), -0.0) for a in range(4) for b in range(a + 1, 4)]
+        model = FloatSvmModel("ovo", 4, 2, zero)
+        assert model.predict(np.array([[0.5, 0.25], [0.0, 0.0]])).tolist() == [0, 0]
+        for vec in zero[:3]:
+            vec.bias = -1.0
+        assert model.predict(np.array([[0.5, 0.25]])).tolist() == [1]
+
+
 class TestRandomSearch:
     def test_budget_one_is_deterministic(self, blobs3_split):
         train, _ = blobs3_split
@@ -201,6 +276,24 @@ class TestRandomSearch:
     def test_rejects_zero_budget(self, blobs3_split):
         with pytest.raises(ValueError):
             random_search(blobs3_split[0], budget=0, seed=0)
+
+    def test_budget_one_returns_its_draw_without_a_holdout_or_a_fit(self, blobs3_split, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a budget of 1 has nothing to choose")
+
+        monkeypatch.setattr(trainer_mod, "split", refuse)
+        monkeypatch.setattr(trainer_mod, "train_ovo_candidates", refuse)
+        space = SearchSpace(lam_lo=1e-3, lam_hi=1.0, epochs_lo=3, epochs_hi=30)
+        rng = np.random.default_rng([6, 99])  # the search's draws: lam first, then epochs
+        lam = float(10.0 ** rng.uniform(math.log10(1e-3), math.log10(1.0), 1)[0])
+        epochs = int(rng.integers(3, 31, 1)[0])
+        assert random_search(blobs3_split[0], space, budget=1, seed=6) == Hyper(lam, epochs, 6)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.25, 1.5, math.nan])
+    def test_bad_holdout_fraction_rejected_at_every_budget(self, blobs3_split, budget, fraction):
+        with pytest.raises(ValueError, match="holdout_fraction must lie strictly between 0 and 1"):
+            random_search(blobs3_split[0], budget=budget, seed=0, holdout_fraction=fraction)
 
     def test_picks_strictly_better_candidate(self, blobs3_split, monkeypatch):
         # score rises as lam falls; the smallest sampled lam must win
@@ -355,3 +448,28 @@ class TestLaneSolver:
         model = train_ova(ds, Hyper(lam=0.1, epochs=3, seed=0))
         assert [v.bias for v in model.vectors] == [-1.0, -1.0, -1.0]
         assert all(np.all(v.weights == 0.0) for v in model.vectors)
+
+    def test_lanes_of_one_key_and_length_draw_once_per_epoch(self, monkeypatch):
+        # the candidates of a search for one pair: one key and the same rows,
+        # other lams and epochs; plus a lane of other rows of the same count
+        ds = self._random_dataset(4)
+        rows = np.flatnonzero(ds.labels < 2)
+        other = np.sort(np.random.default_rng(9).choice(ds.n_samples, len(rows), replace=False))
+        lanes = [Lane(rows, 0, lam, epochs, (4, 0, 1)) for lam, epochs in [(0.01, 3), (0.5, 5), (2.0, 2), (0.1, 0)]]
+        lanes.append(Lane(other, 1, 0.05, 4, (4, 0, 1)))
+        alone = [fit_lanes(ds, [lane])[0] for lane in lanes]
+        draws = []
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def permutation(self, n):
+                draws.append(n)
+                return self.rng.permutation(n)
+
+        monkeypatch.setattr(trainer_mod, "default_rng", CountingRng)
+        fits = fit_lanes(ds, lanes)
+        assert draws == [len(rows)] * 5  # one draw in each of the longest lane's 5 epochs
+        for one, fit in zip(alone, fits):
+            assert np.array_equal(one.weights, fit.weights) and one.bias == fit.bias
