@@ -6,7 +6,7 @@
 
 import numpy as np
 
-from seqsvm.archsim import compile_storage, simulate, trace_to_text
+from seqsvm.archsim import latency_cycles, simulate, trace_to_text
 from seqsvm.dataset import SplitSpec, split
 from seqsvm.ddag import build_ddag, ddag_infer
 from seqsvm.quant import quantize_inputs, search_param_bits
@@ -18,15 +18,14 @@ train, test = split(ds, SplitSpec(0.8, seed=7))
 model = train_ovo(train, Hyper(lam=0.01, epochs=15, seed=7))
 qm, _ = search_param_bits(model, train, test)
 dag = build_ddag(qm.n_classes)
-storage = compile_storage(qm)
 
 codes = [int(c) for c in quantize_inputs(test, qm.input_fmt)[0]]
 print(f"input codes: {codes}")
 
-cls, trace = simulate(qm, dag, storage, codes)
+cls, trace = simulate(qm, dag, codes)
 n, m = qm.n_classes, qm.n_features
 print(f"class {cls} after {trace.cycles} cycles "
-      f"(= ({n}-1) x ({m}+1) = {(n - 1) * (m + 1)}), "
+      f"(= ({n}-1) x ({m}+1) = {latency_cycles(n, m)}), "
       f"{trace.evaluations} support vectors evaluated, {trace.overflows} overflows")
 
 # the cycle-exact record; engine output y only matters on the ready cycle

@@ -6,7 +6,6 @@
 
 from pathlib import Path
 
-from seqsvm.archsim import compile_storage
 from seqsvm.dataset import SplitSpec, split
 from seqsvm.ddag import build_ddag
 from seqsvm.hdlgen import emit_golden_vectors, generate, parse_storage_constants, write_bundle
@@ -19,7 +18,6 @@ train, test = split(ds, SplitSpec(0.8, seed=2))
 model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=2))
 qm, report = search_param_bits(model, train, test)
 dag = build_ddag(qm.n_classes)
-storage = compile_storage(qm)
 
 bundle = generate(qm, dag, name="demo")
 print("top module header:")
@@ -42,7 +40,7 @@ print("\nself-parse equals the quantized tables:", parsed == expected)
 out = Path("demo_hdl")
 write_bundle(bundle, out)
 codes = quantize_inputs(test, qm.input_fmt)
-stim, expect, classes = emit_golden_vectors(qm, dag, storage, codes, count=10)
+stim, expect, classes = emit_golden_vectors(qm, dag, codes, count=10)
 (out / "vectors.stim").write_text(stim)
 (out / "vectors.expect").write_text(expect)
 print(f"\nwrote {out}/demo_top.v, demo_params.v, demo_tb.v and {len(classes)} golden vectors")

@@ -1,16 +1,18 @@
 """Cycle-accurate model of the three-unit sequential classifier: parameter
-storage (bespoke MUX constants or 2-bit-dot crossbar ROM), the single-MAC
-support vector engine, and the DDAG control FSM.
+storage, the single-MAC support vector engine and the DDAG control FSM.
 
 Timing law: one word per cycle, bias first, so each evaluation takes m+1
-cycles and a full classification takes exactly (n-1)*(m+1) cycles. Storage
-kind never changes functional behavior: both kinds hold the same word table,
-and the cost model charges the ROM's dot cells and access slots.
+cycles and a full classification takes exactly (n-1)*(m+1) cycles
+(``latency_cycles``). The storage is the model's word table,
+``QuantizedModel.word_table()``, and the FSM state is the row it reads. The
+storage kind (bespoke MUX constants or a 2-bit-dot crossbar ROM) never
+changes what is read; only the cost model tells the kinds apart.
 
-``simulate`` steps one classification cycle by cycle and writes traces; it is
-the scalar oracle of the batch path. ``simulate_batch`` runs every sample
-through ``ddag.walk_batch``, the batched kernel, with the wrapping
-accumulator over the storage unit's word table.
+``simulate`` runs one classification cycle by cycle and writes traces: the
+engine's m+1 cycles per state run inside the scalar DAG walk of ``ddag``,
+which makes it the scalar oracle of the batch path. ``simulate_batch`` runs
+every sample through ``ddag.walk_batch``, the batched kernel, with the
+wrapping accumulator.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddag import UNFINISHED_WALK, Ddag, walk_batch
-from .fxp import max_int, min_int, wrap
+from .ddag import Ddag, _walk, walk_batch
+from .fxp import wrap
 from .quant import QuantizedModel
 
 
@@ -37,109 +39,14 @@ class ArchConfig:
             raise ValueError("adc_count must be in [1, 4]")
 
 
-# ---------------------------------------------------------------------------
-# Parameter storage
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StorageUnit:
-    kind: str
-    word_bits: int
-    words: np.ndarray  # int64, rows x (m+1): row r = [bias, w_1..w_m] of vector r
-
-    @property
-    def rows(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def words_per_row(self) -> int:
-        return self.words.shape[1]
-
-    def read(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.words_per_row):
-            raise IndexError(f"storage read ({row},{col}) out of range")
-        return int(self.words[row, col])
-
-    def table(self) -> np.ndarray:
-        """Every stored word, rows x words_per_row."""
-        return self.words
-
-
-def compile_storage(qm: QuantizedModel, config: ArchConfig = ArchConfig()) -> StorageUnit:
-    """Lay the model out as rows of [bias, w_1..w_m] words.
-
-    Any parameter outside word_bits is a compiler bug and raises.
-    """
-    word_bits = qm.param_bits
-    words = qm.word_table()
-    words.setflags(write=False)
-    bad = (words < min_int(word_bits)) | (words > max_int(word_bits))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(f"row {row}: parameter {words[row, col]} exceeds {word_bits}-bit words")
-    return StorageUnit(config.storage, word_bits, words)
-
-
-# ---------------------------------------------------------------------------
-# Support vector engine (single MAC)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EngineState:
-    acc: int = 0
-    counter: int = 0     # words consumed so far, in [0, m+1]
-    ready: bool = False  # counter reached m+1
-    y: int = 0           # 1 iff acc >= 0 (meaningful at ready)
-
-
-def engine_step(
-    st: EngineState, word: int, input_code: int, acc_width: int, n_features: int
-) -> tuple[EngineState, bool]:
-    """Advance the engine by one cycle; returns (state, overflowed).
-
-    Counter 0 loads the already alignment-shifted bias; later cycles multiply
-    and accumulate. Overflow wraps exactly as acc_width-bit hardware would and
-    is reported, never raised.
-    """
-    if st.ready:
-        raise ValueError("engine already ready; reset before reuse")
-    value = word if st.counter == 0 else st.acc + word * input_code
-    st.acc = wrap(value, acc_width)
-    overflowed = st.acc != value
-    st.counter += 1
-    st.ready = st.counter == n_features + 1
-    st.y = 1 if st.acc >= 0 else 0
-    return st, overflowed
+def latency_cycles(n_classes: int, n_features: int) -> int:
+    """Cycles of one classification: n-1 evaluations of m+1 words each."""
+    return (n_classes - 1) * (n_features + 1)
 
 
 def counter_bits(n_features: int) -> int:
     """Counter register width: the counter spans 0..m+1."""
     return max(1, math.ceil(math.log2(n_features + 2)))
-
-
-# ---------------------------------------------------------------------------
-# Control FSM
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FsmState:
-    state: int
-    done: bool = False
-    out_class: int | None = None
-
-
-def fsm_step(fs: FsmState, dag: Ddag, y: int) -> FsmState:
-    """Consume one engine verdict; leaves keep the deciding node as the state."""
-    if fs.done:
-        raise ValueError("FSM already done")
-    node = dag.nodes[fs.state]
-    kind, target = node.on_a_wins if y else node.on_b_wins
-    if kind == "leaf":
-        return FsmState(fs.state, True, target)
-    return FsmState(target, False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +83,15 @@ class SimTrace:
     out_class: int
 
 
-def simulate(
-    qm: QuantizedModel,
-    dag: Ddag,
-    storage: StorageUnit,
-    codes,
-    record: bool = True,
-) -> tuple[int, SimTrace]:
+def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple[int, SimTrace]:
     """Run one classification cycle by cycle.
 
-    Matches ddag_infer's class whenever no overflow occurred; the cycle total
-    is (n-1)*(m+1) regardless of data. Pass record=False to skip per-cycle
+    In each state the engine loads its row's bias, already shifted to the
+    products' binary point, then multiplies and accumulates one weight per
+    cycle. The accumulator wraps exactly as acc_width-bit hardware would;
+    each wrap counts as one overflow, reported, never raised. Matches
+    ddag_infer's class whenever no overflow occurred; the cycle total is
+    (n-1)*(m+1) regardless of data. Pass record=False to skip per-cycle
     records in bulk runs (totals are still exact).
     """
     acc_width = qm.profiled_acc_width()
@@ -194,35 +99,30 @@ def simulate(
     if len(codes) != m:
         raise ValueError(f"need {m} input codes, got {len(codes)}")
     codes = qm.input_codes([codes])[0].tolist()
+    words = qm.word_table().tolist()
     shift = qm.bias_shift
-
-    fs = FsmState(dag.initial_state)
     records: list[CycleRecord] = []
-    cycle = 0
-    evaluations = 0
-    overflows = 0
-    for _ in range(dag.n_classes - 1):
-        row = dag.nodes[fs.state].row_index
-        st = EngineState()
-        for col in range(m + 1):
-            word = storage.read(row, col)
-            if col == 0:
-                st, ovf = engine_step(st, word << shift, 0, acc_width, m)
-            else:
-                st, ovf = engine_step(st, word, codes[col - 1], acc_width, m)
-            overflows += ovf
+    cycles = overflows = 0
+
+    def mac_cycles(state: int) -> bool:
+        """The engine's m+1 cycles on row ``state``; its verdict y."""
+        nonlocal cycles, overflows
+        acc = 0
+        for col, word in enumerate(words[state]):
+            value = word << shift if col == 0 else acc + word * codes[col - 1]
+            acc = wrap(value, acc_width)
+            overflows += acc != value
             if record:
                 records.append(
-                    CycleRecord(cycle, fs.state, st.counter, row, col, word, st.acc, st.ready, st.y)
+                    CycleRecord(cycles, state, col + 1, state, col, word, acc, col == m, int(acc >= 0))
                 )
-            cycle += 1
-        evaluations += 1
-        fs = fsm_step(fs, dag, st.y)
-        if fs.done:
-            break
-    else:
-        raise ValueError(UNFINISHED_WALK.format(dag.n_classes - 1))
-    return fs.out_class, SimTrace(records, cycle, evaluations, overflows, fs.state, fs.out_class)
+            cycles += 1
+        return acc >= 0
+
+    out_class, evaluations = _walk(dag, mac_cycles, len(words))
+    # the FSM stays in the state whose verdict chose the leaf
+    final_state = evaluations[-1][0]
+    return out_class, SimTrace(records, cycles, len(evaluations), overflows, final_state, out_class)
 
 
 @dataclass
@@ -233,22 +133,7 @@ class BatchResult:
     predictions: np.ndarray
 
 
-def walk_storage(qm: QuantizedModel, dag: Ddag, storage: StorageUnit, codes_matrix):
-    """The wrapped batch kernel over the words the storage unit reads back.
-
-    Returns walk_batch's (classes, final_states, overflows) per sample.
-    """
-    codes = qm.input_codes(codes_matrix)
-    return walk_batch(storage.table(), qm.bias_shift, dag, codes, qm.profiled_acc_width())
-
-
-def simulate_batch(
-    qm: QuantizedModel,
-    dag: Ddag,
-    storage: StorageUnit,
-    codes_matrix,
-    labels,
-) -> BatchResult:
+def simulate_batch(qm: QuantizedModel, dag: Ddag, codes_matrix, labels) -> BatchResult:
     """Simulate every sample at once; accuracy over the given labels.
 
     Bit-exact with simulate per sample; every walk takes (n-1)*(m+1) cycles.
@@ -257,11 +142,11 @@ def simulate_batch(
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty or malformed code matrix")
-    preds, _, overflows = walk_storage(qm, dag, storage, X)
+    preds, _, overflows = walk_batch(qm, dag, X, qm.profiled_acc_width())
     return BatchResult(
         accuracy=float(np.mean(preds == labels)),
         overflows=int(overflows.sum()),
-        mean_cycles=float((dag.n_classes - 1) * (qm.n_features + 1)),
+        mean_cycles=float(latency_cycles(qm.n_classes, qm.n_features)),
         predictions=preds,
     )
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import modelio
-from .archsim import ArchConfig, compile_storage, simulate, simulate_batch, trace_to_text
+from .archsim import ArchConfig, simulate, simulate_batch, trace_to_text
 from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech, report_to_dict
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .ddag import build_ddag
@@ -125,9 +125,8 @@ def _model_parts(doc: dict):
 
 def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, storage_kind: str) -> dict:
     _, qm, dag = parts
-    storage = compile_storage(qm, ArchConfig(storage_kind))
     codes = quantize_inputs(test, qm.input_fmt)
-    batch = simulate_batch(qm, dag, storage, codes, test.labels)
+    batch = simulate_batch(qm, dag, codes, test.labels)
     sim_report = {
         "config_hash": doc["config_hash"],
         "seed": doc["seed"],
@@ -142,19 +141,18 @@ def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, st
         trace_dir = out / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
         for i, row in enumerate(codes[:trace_n]):
-            _, trace = simulate(qm, dag, storage, row, record=True)
+            _, trace = simulate(qm, dag, row, record=True)
             (trace_dir / f"trace_{i:03d}.txt").write_text(trace_to_text(trace))
     print(f"simulated {sim_report['n_test']} samples: accuracy {batch.accuracy:.4f}, "
           f"{batch.overflows} overflows, {batch.mean_cycles:.0f} cycles each")
     return sim_report
 
 
-def _hdl_phase(parts, test: Dataset, out: Path, storage_kind: str, n_vectors: int) -> None:
+def _hdl_phase(parts, test: Dataset, out: Path, n_vectors: int) -> None:
     _, qm, dag = parts
-    storage = compile_storage(qm, ArchConfig(storage_kind))
     bundle = generate(qm, dag)
     codes = quantize_inputs(test, qm.input_fmt)
-    stim, expect, classes = emit_golden_vectors(qm, dag, storage, codes, n_vectors)
+    stim, expect, classes = emit_golden_vectors(qm, dag, codes, n_vectors)
     hdl_dir = out / "hdl"
     write_bundle(bundle, hdl_dir)
     (hdl_dir / "vectors.stim").write_text(stim)
@@ -254,7 +252,7 @@ def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
         doc = modelio.load_model_doc(out / "model.json")
-        _hdl_phase(_model_parts(doc), _ingest(doc["config"])[1], out, args.storage, args.vectors)
+        _hdl_phase(_model_parts(doc), _ingest(doc["config"])[1], out, args.vectors)
     return 0
 
 
@@ -318,7 +316,7 @@ def cmd_run(args) -> int:
     with _stage("simulate"):
         sim_report = _simulate_phase(doc, parts, test, out, args.trace, args.storage)
     with _stage("gen-hdl"):
-        _hdl_phase(parts, test, out, args.storage, args.vectors)
+        _hdl_phase(parts, test, out, args.vectors)
     with _stage("cost"):
         cost_report = _cost_phase(doc, parts, out, args.storage, _tech(args))
     with _stage("summary"):
@@ -385,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-hdl", help="emit Verilog and golden vectors")
-    _add_storage_flag(p)
     p.add_argument("--vectors", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_hdl)

@@ -14,7 +14,7 @@ Gate-equivalent formulas:
   rom storage                     rows * words * ceil(word_bits/2) * rom_cell_cost
                                   + adc_count * adc_cost
   control FSM                     states * (2*state_bits + row_bits) * mux_per_input_cost
-                                  + states (decode)
+                                  + states (decode); row_bits = state_bits (row = state)
   registers                       register_bits * dff_nand_equiv
 """
 
@@ -24,8 +24,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .archsim import ArchConfig, counter_bits, register_census
-from .ddag import Ddag
+from .archsim import ArchConfig, latency_cycles, register_census
+from .ddag import Ddag, class_bits
 from .quant import QuantizedModel
 
 FULL_ADDER_GE = 5.0
@@ -90,9 +90,9 @@ def _engine_ge(qm: QuantizedModel, tech: TechConfig) -> float:
     return ge
 
 
-def _fsm_ge(qm: QuantizedModel, dag: Ddag, tech: TechConfig) -> float:
+def _fsm_ge(dag: Ddag, tech: TechConfig) -> float:
     states = len(dag.nodes)
-    row_bits = max(1, (qm.n_vectors - 1).bit_length())
+    row_bits = dag.state_bits  # each state drives its own id as the row
     return states * (2 * dag.state_bits + row_bits) * tech.mux_per_input_cost + states
 
 
@@ -108,13 +108,13 @@ def estimate(
     ge = {
         "storage": _storage_ge(qm, arch, tech),
         "engine": _engine_ge(qm, tech),
-        "fsm": _fsm_ge(qm, dag, tech),
+        "fsm": _fsm_ge(dag, tech),
         "registers": census["total"] * tech.dff_nand_equiv,
     }
     ge["total"] = sum(ge.values())
     area = ge["total"] * tech.nand_equiv_area
 
-    cycles = (qm.n_classes - 1) * (qm.n_features + 1)
+    cycles = latency_cycles(qm.n_classes, qm.n_features)
     slots = 1
     if arch.storage == "rom":
         slots = math.ceil(qm.param_bits / (2 * arch.adc_count))
@@ -151,7 +151,7 @@ def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> Cos
     ib = qm.input_fmt.total_bits
     m = qm.n_features
     per_vector = m * _mult_ge(qm.param_bits, ib) + m * _adder_ge(acc_width)
-    vote_bits = max(1, (qm.n_classes - 1).bit_length())
+    vote_bits = class_bits(qm.n_classes)
     voter = FULL_ADDER_GE * vote_bits * (2 * qm.n_classes - 1) + qm.n_vectors
     ge = {
         "storage": 0.0,

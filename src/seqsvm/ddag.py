@@ -13,8 +13,9 @@ the same order, with their (row, y) logs.
 Each state carries an interval (lo, hi) of still-alive extreme classes and
 evaluates the separator for pair (lo, hi). Engine output y=1 means the pair's
 lower class (trained as +1) won, eliminating hi; y=0 eliminates lo. A state's
-id doubles as the memory row index of its pair under lexicographic pair
-ordering.
+id is the memory row of its pair under lexicographic pair ordering, so the
+DAG stores no row of its own: the Verilog wires row = state, and every walk
+here reads row = state too.
 """
 
 from __future__ import annotations
@@ -30,25 +31,31 @@ from .fxp import MAX_INPUT_BITS, wrap
 Edge = tuple[str, int]
 
 UNFINISHED_WALK = "DAG walk has not reached a leaf after {} evaluations"
+SHORT_PATH = "a DAG path reaches a leaf after {} of {} evaluations"
+NO_ROW = "DAG state {} is not a row of the {}-row storage"
 
 
 @dataclass(frozen=True)
 class DdagNode:
-    state_id: int
+    state_id: int  # also the storage row this state reads
     class_a: int
     class_b: int
-    row_index: int
     on_a_wins: Edge
     on_b_wins: Edge
 
 
 @dataclass
 class Ddag:
+    """The DAG over the natural class order: the root compares class 0 with
+    class n-1."""
+
     n_classes: int
     nodes: dict[int, DdagNode]
     initial_state: int
-    state_bits: int
-    ordering: str = "natural"  # root compares class 0 vs class n-1
+
+    @property
+    def state_bits(self) -> int:
+        return state_bits_for(self.n_classes)
 
 
 def pair_count(n_classes: int) -> int:
@@ -63,7 +70,13 @@ def pair_index(a: int, b: int, n_classes: int) -> int:
 
 
 def state_bits_for(n_classes: int) -> int:
+    """Width of the state register, which is also the storage row address."""
     return max(1, math.ceil(math.log2(pair_count(n_classes))))
+
+
+def class_bits(n_classes: int) -> int:
+    """Width of a class id 0..n-1, and of a vote count 0..n-1."""
+    return max(1, (n_classes - 1).bit_length())
 
 
 def build_ddag(n_classes: int) -> Ddag:
@@ -83,31 +96,31 @@ def build_ddag(n_classes: int) -> Ddag:
                 b_edge: Edge = ("leaf", hi)
             else:
                 b_edge = ("node", pair_index(lo + 1, hi, n))
-            nodes[sid] = DdagNode(sid, lo, hi, sid, a_edge, b_edge)
-    return Ddag(n, nodes, pair_index(0, n - 1, n), state_bits_for(n))
+            nodes[sid] = DdagNode(sid, lo, hi, a_edge, b_edge)
+    return Ddag(n, nodes, pair_index(0, n - 1, n))
 
 
-def check_rows_are_states(dag: Ddag) -> None:
-    """Reject a DAG in which a state reads a row other than its own id: the
-    emitted Verilog wires row = state, so such a DAG would classify
-    differently in hardware than in the simulators."""
-    for sid, node in sorted(dag.nodes.items()):
-        if node.row_index != sid:
-            raise ValueError(f"DAG state {sid} reads row {node.row_index}; the Verilog reads row = state")
-
-
-def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
+def _walk(dag: Ddag, decide, n_rows: int) -> tuple[int, list[tuple[int, int]]]:
+    """The scalar walk: ``decide(state)`` scores the row of that state and
+    returns whether the pair's lower class won. Returns the leaf class and
+    the (row, y) log, which has exactly n-1 entries: a path that reaches a
+    leaf after fewer or more evaluations is an error, as in the batch kernel."""
+    n_steps = dag.n_classes - 1
     evaluations = []
     sid = dag.initial_state
-    for _ in range(dag.n_classes - 1):
+    for step in range(n_steps):
         node = dag.nodes[sid]
-        y = 1 if decide(node) else 0
-        evaluations.append((node.row_index, y))
+        if not 0 <= sid < n_rows:
+            raise ValueError(NO_ROW.format(sid, n_rows))
+        y = 1 if decide(sid) else 0
+        evaluations.append((sid, y))
         kind, target = node.on_a_wins if y else node.on_b_wins
         if kind == "leaf":
+            if step < n_steps - 1:
+                raise ValueError(SHORT_PATH.format(step + 1, n_steps))
             return target, evaluations
         sid = target
-    raise ValueError(UNFINISHED_WALK.format(dag.n_classes - 1))
+    raise ValueError(UNFINISHED_WALK.format(n_steps))
 
 
 def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
@@ -119,18 +132,18 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     codes = qm.input_codes([codes])[0].tolist()
     shift = qm.bias_shift
 
-    def decide(node):
-        vec = qm.vectors[node.row_index]
+    def decide(row):
+        vec = qm.vectors[row]
         acc = vec.bias << shift
         for w, x in zip(vec.weights, codes):
             acc += w * x
         return acc >= 0
 
-    return _walk(dag, decide)
+    return _walk(dag, decide, qm.n_vectors)
 
 
 def _state_table(dag: Ddag, n_rows: int) -> np.ndarray:
-    """Per state id: its row, its y=0 and its y=1 successor (leaf class c as -1-c)."""
+    """Per state id (= row): its y=0 and its y=1 successor (leaf class c as -1-c)."""
 
     def code(kind: str, target: int) -> int:
         if kind == "leaf" and 0 <= target < dag.n_classes:
@@ -139,11 +152,11 @@ def _state_table(dag: Ddag, n_rows: int) -> np.ndarray:
             return target
         raise ValueError(f"DAG edge {(kind, target)} leads nowhere")
 
-    table = np.zeros((max(dag.nodes) + 1, 3), dtype=np.int64)
+    table = np.zeros((n_rows, 2), dtype=np.int64)
     for sid, node in dag.nodes.items():
-        if sid < 0 or not 0 <= node.row_index < n_rows:
-            raise ValueError(f"DAG state {sid} reads row {node.row_index} of {n_rows}")
-        table[sid] = node.row_index, code(*node.on_b_wins), code(*node.on_a_wins)
+        if not 0 <= sid < n_rows:
+            raise ValueError(NO_ROW.format(sid, n_rows))
+        table[sid] = code(*node.on_b_wins), code(*node.on_a_wins)
     code("node", dag.initial_state)
     return table
 
@@ -164,12 +177,12 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
     codes or on float64 coefficients and features.
 
     ``table`` row r = [bias, w_1..w_m], the bias already at the products'
-    binary point. Each of the n-1 steps gathers the row that each sample's
-    state points to and carries the accumulator column by column: the bias,
-    then one product per feature. With ``acc_width`` (integers only) it wraps
-    after the bias load and after every MAC, and each wrap counts as one
-    overflow, as in engine_step; with None the sums are exact integers or
-    plain float arithmetic.
+    binary point. Each of the n-1 steps gathers the row of each sample's
+    state and carries the accumulator column by column: the bias, then one
+    product per feature. With ``acc_width`` (integers only) it wraps after
+    the bias load and after every MAC, and each wrap counts as one overflow,
+    as in archsim.simulate; with None the sums are exact integers or plain
+    float arithmetic.
 
     Returns int64 (classes, final_states, overflows) per sample; the final
     state is the node whose verdict chose the leaf.
@@ -185,8 +198,8 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
     state = target = np.full(len(X), dag.initial_state, dtype=np.int64)
     overflows = np.zeros(len(X), dtype=np.int64)
     for step in range(n_steps):
-        row, on_b, on_a = states[state].T
-        w = cols[:, row]
+        on_b, on_a = states[state].T
+        w = cols[:, state]
         acc = w[0]
         for col in range(len(w)):
             if col:
@@ -198,31 +211,31 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
         target = np.where(acc >= 0, on_a, on_b)
         if step < n_steps - 1:
             if (target < 0).any():
-                raise ValueError(f"a DAG path reaches a leaf after {step + 1} of {n_steps} evaluations")
+                raise ValueError(SHORT_PATH.format(step + 1, n_steps))
             state = target
     if (target >= 0).any():
         raise ValueError(UNFINISHED_WALK.format(n_steps))
     return -1 - target, state, overflows
 
 
-def walk_batch(words, shift: int, dag: Ddag, codes, acc_width: int | None = None):
+def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
     """The integer walk of every sample at once: the kernel behind
     ddag_predict_quant, simulate_batch and emit_golden_vectors.
 
-    ``words`` is the stored table, row r = [bias, w_1..w_m]; the bias enters
-    as bias << shift. ``acc_width`` is the wrapping accumulator's width, or
-    None for exact sums. Returns int64 (classes, final_states, overflows) per
-    sample, as _walk_table does.
+    Scores qm's stored words, the bias entering as bias << bias_shift, on
+    ``codes``, which must fit qm's input format. ``acc_width`` is the
+    wrapping accumulator's width, or None for exact sums. Returns int64
+    (classes, final_states, overflows) per sample, as _walk_table does.
     """
-    table = np.array(words, dtype=np.int64)  # a copy: its bias column is aligned here
-    X = check_codes(codes, table.shape[1] - 1)
-    table[:, 0] <<= shift
+    X = qm.input_codes(codes)
+    table = qm.word_table()  # a fresh array: its bias column is aligned here
+    table[:, 0] <<= qm.bias_shift
     return _walk_table(dag, table, X, acc_width)
 
 
 def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
     """Exact-arithmetic classes of every sample; the batch form of ddag_infer."""
-    return walk_batch(qm.word_table(), qm.bias_shift, dag, qm.input_codes(codes_matrix))[0]
+    return walk_batch(qm, dag, codes_matrix)[0]
 
 
 def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
@@ -237,14 +250,14 @@ def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
         raise ValueError(f"need {fmodel.n_features} features, got shape {x.shape}")
     x = x.tolist()
 
-    def decide(node):
-        vec = fmodel.vectors[node.row_index]
+    def decide(row):
+        vec = fmodel.vectors[row]
         acc = float(vec.bias)
         for w, xi in zip(vec.weights, x):
             acc += float(w) * xi
         return acc >= 0.0
 
-    return _walk(dag, decide)
+    return _walk(dag, decide, len(fmodel.vectors))
 
 
 def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .archsim import StorageUnit, counter_bits, walk_storage
-from .ddag import Ddag, check_rows_are_states
+from .archsim import counter_bits, latency_cycles
+from .ddag import Ddag, class_bits, walk_batch
 from .fxp import fits
 from .quant import QuantizedModel
 
@@ -42,20 +42,16 @@ def _ud(value: int, bits: int) -> str:
     return f"{bits}'d{value}"
 
 
-def _class_bits(n_classes: int) -> int:
-    return max(1, (n_classes - 1).bit_length())
-
-
 # ---------------------------------------------------------------------------
 # Parameter storage module
 # ---------------------------------------------------------------------------
 
 
-def _gen_params(qm: QuantizedModel, name: str) -> str:
+def _gen_params(qm: QuantizedModel, dag: Ddag, name: str) -> str:
     rows = qm.n_vectors
     cols = qm.n_features + 1
     wb = qm.param_bits
-    row_bits = max(1, (rows - 1).bit_length())
+    row_bits = dag.state_bits  # the row address is the FSM state
     col_bits = counter_bits(qm.n_features)
     key_bits = row_bits + col_bits
 
@@ -142,7 +138,7 @@ def _gen_top(qm: QuantizedModel, dag: Ddag, name: str) -> str:
     ab = qm.acc_width
     cnt_bits = counter_bits(m)
     sb = dag.state_bits
-    cb = _class_bits(qm.n_classes)
+    cb = class_bits(qm.n_classes)
     bus_bits = m * ib
     init = _ud(dag.initial_state, sb)
     zero_cnt = _ud(0, cnt_bits)
@@ -152,7 +148,7 @@ def _gen_top(qm: QuantizedModel, dag: Ddag, name: str) -> str:
     fsm = _fsm_case(dag, sb, cb, " " * 16)
     return f"""// {name}_top.v -- generated sequential one-vs-one SVM classifier, do not edit
 // classes={qm.n_classes} features={m} input_bits={ib} word_bits={wb} acc_bits={ab} state_bits={sb}
-// A classification takes ({qm.n_classes}-1)*({m}+1) = {(qm.n_classes - 1) * (m + 1)} cycles after start.
+// A classification takes ({qm.n_classes}-1)*({m}+1) = {latency_cycles(qm.n_classes, m)} cycles after start.
 module {name}_top (
     input  wire clk,
     input  wire rst,    // synchronous, active high
@@ -218,7 +214,7 @@ endmodule
 def _gen_testbench(qm: QuantizedModel, dag: Ddag, name: str) -> str:
     m = qm.n_features
     ib = qm.input_fmt.total_bits
-    cb = _class_bits(qm.n_classes)
+    cb = class_bits(qm.n_classes)
     bus_bits = m * ib
     return f"""// {name}_tb.v -- generated self-checking testbench, do not edit
 // Reads vectors.stim ({m} input codes + cycle budget per line) and
@@ -290,14 +286,13 @@ def generate(qm: QuantizedModel, dag: Ddag, name: str = "svm") -> HdlBundle:
     The engine differs between models only in widths; the FSM case structure
     is unique per model. Both storage kinds read identically, so the emitted
     lookup serves mux and rom configurations alike. The Verilog reads storage
-    row ``state``, so a DAG whose states read other rows is rejected.
+    row ``state``, as every walk in the simulators does.
     """
     qm.profiled_acc_width()
-    check_rows_are_states(dag)
     return HdlBundle(
         name=name,
         top_module=_gen_top(qm, dag, name),
-        params_module=_gen_params(qm, name),
+        params_module=_gen_params(qm, dag, name),
         testbench=_gen_testbench(qm, dag, name),
     )
 
@@ -310,13 +305,7 @@ STIM_HEADER = "# stimulus: x0..x{last} cycle_budget"
 EXPECT_HEADER = "# expectation: class final_fsm_state"
 
 
-def emit_golden_vectors(
-    qm: QuantizedModel,
-    dag: Ddag,
-    storage: StorageUnit,
-    test_codes,
-    count: int,
-) -> tuple[str, str, list[int]]:
+def emit_golden_vectors(qm: QuantizedModel, dag: Ddag, test_codes, count: int) -> tuple[str, str, list[int]]:
     """Simulate the first `count` inputs and freeze stimulus/expectation text.
 
     Every expectation, class and final FSM state, comes from the batch
@@ -326,9 +315,9 @@ def emit_golden_vectors(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    budget = (qm.n_classes - 1) * (qm.n_features + 1)
+    budget = latency_cycles(qm.n_classes, qm.n_features)
     X = np.asarray(test_codes, dtype=np.int64)[:count]
-    classes, states, _ = walk_storage(qm, dag, storage, X)
+    classes, states, _ = walk_batch(qm, dag, X, qm.profiled_acc_width())
     stim_lines = [STIM_HEADER.format(last=qm.n_features - 1)]
     expect_lines = [EXPECT_HEADER]
     for codes, cls, state in zip(X.tolist(), classes.tolist(), states.tolist()):

@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .ddag import Ddag, DdagNode, check_rows_are_states
+from .ddag import Ddag, DdagNode, state_bits_for
 from .fxp import FxpFormat
 from .quant import QuantizedModel, QuantVector
 from .trainer import FloatSvmModel, SupportVector
@@ -113,13 +113,13 @@ def ddag_to_dict(dag: Ddag) -> dict:
         "n_classes": dag.n_classes,
         "initial_state": dag.initial_state,
         "state_bits": dag.state_bits,
-        "ordering": dag.ordering,
+        "ordering": "natural",
         "nodes": [
             {
                 "id": node.state_id,
                 "class_a": node.class_a,
                 "class_b": node.class_b,
-                "row": node.row_index,
+                "row": node.state_id,
                 "on_a": list(node.on_a_wins),
                 "on_b": list(node.on_b_wins),
             }
@@ -129,17 +129,23 @@ def ddag_to_dict(dag: Ddag) -> dict:
 
 
 def ddag_from_dict(doc: dict) -> Ddag:
-    """The DAG of a model document; rejects a node whose row is not its id."""
-    nodes = {
-        n["id"]: DdagNode(
-            n["id"], n["class_a"], n["class_b"], n["row"],
-            (n["on_a"][0], n["on_a"][1]), (n["on_b"][0], n["on_b"][1]),
+    """The DAG of a model document. The Verilog reads row = state, sizes the
+    state register from the class count and compares class 0 with class n-1
+    first, so any other ``row``, ``state_bits`` or ``ordering`` is rejected."""
+    n_classes = doc["n_classes"]
+    want_bits = state_bits_for(n_classes)
+    if doc["state_bits"] != want_bits:
+        raise ValueError(f"DAG state_bits {doc['state_bits']!r} is not {want_bits}, the width for {n_classes} classes")
+    if doc["ordering"] != "natural":
+        raise ValueError(f"DAG ordering {doc['ordering']!r} is not supported; only \"natural\" is")
+    nodes = {}
+    for n in doc["nodes"]:
+        if n["row"] != n["id"]:
+            raise ValueError(f"DAG state {n['id']} reads row {n['row']}; the Verilog reads row = state")
+        nodes[n["id"]] = DdagNode(
+            n["id"], n["class_a"], n["class_b"], (n["on_a"][0], n["on_a"][1]), (n["on_b"][0], n["on_b"][1])
         )
-        for n in doc["nodes"]
-    }
-    dag = Ddag(doc["n_classes"], nodes, doc["initial_state"], doc["state_bits"], doc["ordering"])
-    check_rows_are_states(dag)
-    return dag
+    return Ddag(n_classes, nodes, doc["initial_state"])
 
 
 def save_model_doc(path, doc: dict) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .ddag import Ddag, build_ddag, check_codes, ddag_predict_float, ddag_predict_quant
-from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, width_for_range
+from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
 from .trainer import FloatSvmModel
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
@@ -31,14 +31,25 @@ def _check_input_fmt(fmt: FxpFormat) -> None:
         raise ValueError(f"input format must have 1..{MAX_INPUT_BITS} bits, got {fmt}")
 
 
+def _check_params(table: np.ndarray, param_bits: int) -> None:
+    """Reject the first entry of ``table`` (one row per vector, scanned row
+    by row) that does not fit a signed param_bits-bit word."""
+    fits = (table >= min_int(param_bits)) & (table <= max_int(param_bits))
+    bad = np.argwhere(np.logical_not(fits))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"vector {i}: parameter {table[i, j]} exceeds {param_bits} bits")
+
+
 @dataclass
 class QuantizedModel:
     """Integer OvO model plus every width the hardware needs.
 
-    Vectors are ordered lexicographically by (class_a, class_b), matching
-    memory row order. The bias code is left-shifted by ``bias_shift`` (the
-    input's bits, all fractional) before accumulation so products and bias
-    share one binary point; the shift is free wiring in bespoke logic.
+    There is one vector per class pair, ordered lexicographically by
+    (class_a, class_b): vector r is memory row r. The bias code is
+    left-shifted by ``bias_shift`` (the input's bits, all fractional) before
+    accumulation so products and bias share one binary point; the shift is
+    free wiring in bespoke logic.
     """
 
     n_classes: int
@@ -53,15 +64,17 @@ class QuantizedModel:
         if not 2 <= self.param_bits <= 16:
             raise ValueError("param_bits out of range")
         _check_input_fmt(self.input_fmt)
+        n = self.n_classes
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if len(self.vectors) != len(pairs):
+            raise ValueError(f"a {n}-class model needs {len(pairs)} vectors, got {len(self.vectors)}")
+        for r, (vec, (a, b)) in enumerate(zip(self.vectors, pairs)):
+            if (vec.class_a, vec.class_b) != (a, b):
+                raise ValueError(f"vector {r} carries pair ({vec.class_a},{vec.class_b}), not ({a},{b}) of row {r}")
         # the first offender in vector order, then weights before the bias
         ragged = [i for i, vec in enumerate(self.vectors) if len(vec.weights) != self.n_features]
         params = [[*vec.weights, vec.bias] for vec in self.vectors[:ragged[0] if ragged else None]]
-        top = (1 << (self.param_bits - 1)) - 1
-        table = np.array(params, ndmin=2)
-        bad = np.argwhere(np.logical_not((table >= -top - 1) & (table <= top)))
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(f"vector {i}: parameter {params[i][j]} exceeds {self.param_bits} bits")
+        _check_params(np.array(params, ndmin=2), self.param_bits)
         if ragged:
             raise ValueError(f"vector {ragged[0]}: wrong weight count")
 
@@ -76,8 +89,12 @@ class QuantizedModel:
         return self.acc_width
 
     def word_table(self) -> np.ndarray:
-        """The stored words: row r = [bias, w_1..w_m] of vector r."""
-        return np.array([[v.bias, *v.weights] for v in self.vectors], dtype=np.int64)
+        """The stored words, a fresh int64 array: row r = [bias, w_1..w_m] of
+        vector r. The vectors stay mutable after construction, so the range
+        check runs again here, for every consumer of the words."""
+        table = np.array([[v.bias, *v.weights] for v in self.vectors])
+        _check_params(table, self.param_bits)
+        return table.astype(np.int64, copy=False)
 
     def input_codes(self, codes) -> np.ndarray:
         """``codes`` as an int64 samples x n_features matrix, rejecting any

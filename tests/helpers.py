@@ -1,9 +1,10 @@
 """Shared builders for randomized and shape-pinned quantized models."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from seqsvm.ddag import build_ddag
-from seqsvm.fxp import U4_4
+from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.quant import QuantizedModel, QuantVector, profile_accumulator
 
 # (n_classes, n_features) of the five benchmark shapes used throughout.
@@ -62,3 +63,28 @@ def layouts(rows, dtype):
     padded = np.zeros((len(a), 2 * a.shape[1]), dtype=dtype)
     padded[:, 1::2] = a
     return [a, np.asfortranarray(a), padded[:, 1::2]]
+
+
+@st.composite
+def profiled_cases(draw):
+    """A random profiled model of any width the library accepts, its DAG and
+    input codes; acc_width is the profiled width minus 0..6 bits, or an
+    oversized 64."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 8))
+    param_bits = draw(st.integers(2, 16))
+    input_bits = draw(st.integers(1, 16))
+    fmt = FxpFormat(input_bits)
+    top = (1 << (param_bits - 1)) - 1
+    coef = st.integers(-top - 1, top)
+    vectors = [
+        QuantVector(a, b, draw(st.lists(coef, min_size=m, max_size=m)), draw(coef))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    qm = QuantizedModel(n, m, fmt, param_bits, vectors, [1.0] * len(vectors))
+    code = st.integers(0, fmt.raw_max)
+    codes = draw(st.lists(st.lists(code, min_size=m, max_size=m), min_size=1, max_size=12))
+    profiled = profile_accumulator(qm, np.array(codes))
+    qm.acc_width = draw(st.one_of(st.integers(max(1, profiled - 6), profiled), st.just(64)))
+    return qm, build_ddag(n), codes

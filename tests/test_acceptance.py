@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import TABLE_SHAPES, random_quantized_model, shaped_model
-from seqsvm.archsim import ArchConfig, compile_storage, register_census, simulate
+from seqsvm.archsim import register_census, simulate
 from seqsvm.cli import main
 from seqsvm.cost import TechConfig, compare_parallel, compare_storage, estimate
 from seqsvm.dataset import SplitSpec, split, to_csv
@@ -37,8 +37,7 @@ def _pass(msg):
 def test_criterion_01_cycle_law():
     for name, (n, m) in TABLE_SHAPES.items():
         qm, dag, codes = shaped_model(name)
-        storage = compile_storage(qm)
-        _, trace = simulate(qm, dag, storage, codes[0], record=False)
+        _, trace = simulate(qm, dag, codes[0], record=False)
         assert trace.cycles == EXPECTED_CYCLES[name] == (n - 1) * (m + 1)
     _pass("criterion 1: cycle law (n-1)*(m+1) exact on all five benchmark shapes")
 
@@ -53,9 +52,8 @@ def test_criterion_02_golden_model_equivalence():
         bits = int(rng.integers(2, 9))
         qm, codes = random_quantized_model(n, m, bits, seed=models, n_profile=1000)
         dag = build_ddag(n)
-        storage = compile_storage(qm, ArchConfig("rom" if models % 3 == 0 else "mux"))
         for row in codes:
-            cls, trace = simulate(qm, dag, storage, row, record=False)
+            cls, trace = simulate(qm, dag, row, record=False)
             if trace.overflows == 0:
                 assert cls == ddag_infer(qm, dag, row)[0]
                 checked += 1

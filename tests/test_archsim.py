@@ -1,54 +1,152 @@
+import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import TABLE_SHAPES, bias_only_model, random_quantized_model, shaped_model
+from helpers import TABLE_SHAPES, bias_only_model, profiled_cases, random_quantized_model, shaped_model
 from seqsvm.archsim import (
     ArchConfig,
-    EngineState,
-    FsmState,
-    compile_storage,
+    CycleRecord,
+    SimTrace,
     counter_bits,
-    engine_step,
-    fsm_step,
     register_census,
     simulate,
     simulate_batch,
     trace_to_text,
 )
 from seqsvm.cost import TechConfig, estimate
-from seqsvm.ddag import build_ddag, ddag_infer
+from seqsvm.ddag import UNFINISHED_WALK, Ddag, build_ddag, ddag_infer, pair_count
 from seqsvm.fxp import U4_4, wrap
 from seqsvm.quant import QuantizedModel, QuantVector, quantize_inputs
+
+# ---------------------------------------------------------------------------
+# Reference: the cycle simulator as separate engine and FSM step functions,
+# which simulate folded into one callback of the DAG walk. The property test
+# below holds simulate to it record for record.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EngineState:
+    acc: int = 0
+    counter: int = 0     # words consumed so far, in [0, m+1]
+    ready: bool = False  # counter reached m+1
+    y: int = 0           # 1 iff acc >= 0 (meaningful at ready)
+
+
+def engine_step(st, word, input_code, acc_width, n_features):
+    """Advance the engine by one cycle; returns (state, overflowed)."""
+    if st.ready:
+        raise ValueError("engine already ready; reset before reuse")
+    value = word if st.counter == 0 else st.acc + word * input_code
+    st.acc = wrap(value, acc_width)
+    overflowed = st.acc != value
+    st.counter += 1
+    st.ready = st.counter == n_features + 1
+    st.y = 1 if st.acc >= 0 else 0
+    return st, overflowed
+
+
+@dataclass(frozen=True)
+class FsmState:
+    state: int
+    done: bool = False
+    out_class: int | None = None
+
+
+def fsm_step(fs, dag, y):
+    """Consume one engine verdict; leaves keep the deciding node as the state."""
+    if fs.done:
+        raise ValueError("FSM already done")
+    node = dag.nodes[fs.state]
+    kind, target = node.on_a_wins if y else node.on_b_wins
+    if kind == "leaf":
+        return FsmState(fs.state, True, target)
+    return FsmState(target, False, None)
+
+
+def reference_simulate(qm, dag, codes):
+    acc_width = qm.profiled_acc_width()
+    m = qm.n_features
+    words = qm.word_table()
+    shift = qm.bias_shift
+    fs = FsmState(dag.initial_state)
+    records = []
+    cycle = evaluations = overflows = 0
+    for _ in range(dag.n_classes - 1):
+        row = fs.state
+        st = EngineState()
+        for col in range(m + 1):
+            word = int(words[row, col])
+            if col == 0:
+                st, ovf = engine_step(st, word << shift, 0, acc_width, m)
+            else:
+                st, ovf = engine_step(st, word, int(codes[col - 1]), acc_width, m)
+            overflows += ovf
+            records.append(CycleRecord(cycle, fs.state, st.counter, row, col, word, st.acc, st.ready, st.y))
+            cycle += 1
+        evaluations += 1
+        fs = fsm_step(fs, dag, st.y)
+        if fs.done:
+            break
+    else:
+        raise ValueError(UNFINISHED_WALK.format(dag.n_classes - 1))
+    return fs.out_class, SimTrace(records, cycle, evaluations, overflows, fs.state, fs.out_class)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiled_cases())
+def test_simulate_equals_the_step_function_reference(case):
+    # shapes, parameter and input widths, and undersized accumulators
+    qm, dag, codes = case
+    for row in codes:
+        cls, trace = simulate(qm, dag, row)
+        assert (cls, trace) == reference_simulate(qm, dag, row)
+        assert simulate(qm, dag, row, record=False)[1] == dataclasses.replace(trace, records=[])
+
+
+def _model(m, weights, bias, param_bits, acc_width):
+    """A two-class model with one vector."""
+    qm = QuantizedModel(2, m, U4_4, param_bits, [QuantVector(0, 1, weights, bias)], [1.0])
+    qm.acc_width = acc_width
+    return qm
 
 
 class TestStorage:
     def test_pendigits_shape(self):
         qm, _, _ = shaped_model("pendigits")
-        st = compile_storage(qm)
-        assert (st.rows, st.words_per_row, st.word_bits) == (45, 18, 8)
+        assert (*qm.word_table().shape, qm.param_bits) == (45, 18, 8)
 
     def test_minimal_shape(self):
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
-        st = compile_storage(qm)
-        assert (st.rows, st.words_per_row) == (1, 2)
+        assert qm.word_table().shape == (1, 2)
 
     @pytest.mark.parametrize("kind", ["mux", "rom"])
     @pytest.mark.parametrize("bits", [2, 5, 8])
     def test_readback_equals_tables(self, kind, bits):
-        qm, _ = random_quantized_model(4, 6, bits, seed=3)
-        st = compile_storage(qm, ArchConfig(kind))
-        for r, vec in enumerate(qm.vectors):
-            expected = [vec.bias] + list(vec.weights)
-            got = [st.read(r, c) for c in range(qm.n_features + 1)]
-            assert got == expected
+        # either kind stores the one word table: the words the simulator
+        # fetches are the words the cost model prices for that kind
+        qm, codes = random_quantized_model(4, 6, bits, seed=3)
+        dag = build_ddag(4)
+        words = qm.word_table()
+        assert words.tolist() == [[vec.bias, *vec.weights] for vec in qm.vectors]
+        _, trace = simulate(qm, dag, codes[0])
+        for rec in trace.records:
+            assert rec.fetched_word == words[rec.fetched_row, rec.fetched_col]
+        tech = TechConfig()
+        if kind == "mux":
+            priced = words.size * bits * tech.mux_per_input_cost
+        else:
+            priced = words.size * math.ceil(bits / 2) * tech.rom_cell_cost + 4 * tech.adc_cost
+        storage_ge = estimate(qm, dag, ArchConfig(kind), tech).gate_equivalents["storage"]
+        assert storage_ge == pytest.approx(priced)
 
     def test_bias_first_column(self):
         qm, _ = random_quantized_model(3, 4, 5, seed=7)
-        st = compile_storage(qm)
-        for r, vec in enumerate(qm.vectors):
-            assert st.read(r, 0) == vec.bias
+        assert qm.word_table()[:, 0].tolist() == [vec.bias for vec in qm.vectors]
 
     def test_rom_dot_count(self):
         # the cost model prices ceil(word_bits/2) two-bit dots per stored word
@@ -66,23 +164,33 @@ class TestStorage:
         assert estimate(qm, dag, ArchConfig("mux")).access_slots == 1
 
     def test_word_table_is_read_only(self):
+        # each call returns a fresh array, so no consumer (walk_batch shifts
+        # the bias column in place) can change the model's words
         qm, _ = random_quantized_model(3, 4, 5, seed=2)
-        st = compile_storage(qm, ArchConfig("rom"))
-        assert np.array_equal(st.table(), qm.word_table())
-        with pytest.raises(ValueError):
-            st.table()[0, 0] = 1
+        table = qm.word_table()
+        table[0, 0] += 1
+        assert qm.word_table()[0, 0] == qm.vectors[0].bias == table[0, 0] - 1
 
     def test_out_of_range_read(self):
-        qm, _ = random_quantized_model(2, 2, 4, seed=1)
-        st = compile_storage(qm)
-        with pytest.raises(IndexError):
-            st.read(1, 0)
+        # a DAG state outside the stored rows is rejected, never read
+        qm, codes = random_quantized_model(2, 2, 4, seed=1)
+        node = build_ddag(2).nodes[0]
+        dag = Ddag(2, {1: dataclasses.replace(node, state_id=1)}, 1)
+        for call in (
+            lambda: simulate(qm, dag, codes[0]),
+            lambda: ddag_infer(qm, dag, codes[0]),
+            lambda: simulate_batch(qm, dag, codes, np.zeros(len(codes))),
+        ):
+            with pytest.raises(ValueError, match="DAG state 1 is not a row of the 1-row storage"):
+                call()
 
     def test_oversized_parameter_guard(self):
-        qm, _ = random_quantized_model(2, 2, 4, seed=1)
+        qm, codes = random_quantized_model(2, 2, 4, seed=1)
         qm.vectors[0].weights[0] = 99  # corrupt behind the type's back
+        with pytest.raises(ValueError, match="vector 0: parameter 99 exceeds 4 bits"):
+            qm.word_table()
         with pytest.raises(ValueError, match="exceeds"):
-            compile_storage(qm)
+            simulate(qm, build_ddag(2), codes[0])
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -94,36 +202,32 @@ class TestStorage:
 class TestEngine:
     def test_zero_model_ready_after_m_plus_one(self):
         m = 4
-        st = EngineState()
-        for k in range(m + 1):
-            assert not st.ready
-            st, ovf = engine_step(st, 0, 0, 8, m)
-            assert not ovf
-        assert st.ready and st.counter == m + 1
-        assert st.y == 1  # 0 >= 0
+        _, trace = simulate(_model(m, [0] * m, 0, 4, 8), build_ddag(2), [0] * m)
+        assert [rec.counter for rec in trace.records] == list(range(1, m + 2))
+        assert [rec.ready for rec in trace.records] == [False] * m + [True]
+        assert trace.overflows == 0
+        assert trace.records[-1].y == 1  # 0 >= 0
 
     def test_hand_example(self):
         # bias 0, then w=-7 times x=15
-        st = EngineState()
-        st, _ = engine_step(st, 0, 0, 9, 1)
-        st, ovf = engine_step(st, -7, 15, 9, 1)
-        assert (st.acc, st.y, st.ready, ovf) == (-105, 0, True, False)
+        cls, trace = simulate(_model(1, [-7], 0, 4, 9), build_ddag(2), [15])
+        last = trace.records[-1]
+        assert (last.acc_after, last.y, last.ready, trace.overflows) == (-105, 0, True, 0)
+        assert cls == 1
 
     def test_overflow_wraps_and_flags(self):
-        st = EngineState(acc=120, counter=1)
-        st, ovf = engine_step(st, 7, 2, 8, 2)
-        assert ovf
-        assert st.acc == wrap(134, 8) == -122
+        # 7 << 4 = 112, + 8*1 = 120, + 7*2 = 134 wraps at 8 bits
+        _, trace = simulate(_model(2, [8, 7], 7, 8, 8), build_ddag(2), [1, 2])
+        assert [rec.acc_after for rec in trace.records] == [112, 120, wrap(134, 8)]
+        assert wrap(134, 8) == -122
+        assert trace.overflows == 1
 
     def test_bias_overflow_wraps(self):
-        st = EngineState()
-        st, ovf = engine_step(st, 200, 0, 8, 1)
-        assert ovf and st.acc == wrap(200, 8)
-
-    def test_step_after_ready_rejected(self):
-        st = EngineState(counter=2, ready=True)
-        with pytest.raises(ValueError):
-            engine_step(st, 0, 0, 8, 1)
+        # the bias loads as 13 << 4 = 208, beyond 8 bits
+        _, trace = simulate(_model(1, [0], 13, 8, 8), build_ddag(2), [0])
+        first = trace.records[0]
+        assert (first.fetched_word, first.acc_after) == (13, wrap(208, 8))
+        assert trace.overflows == 1
 
     def test_counter_bits(self):
         assert counter_bits(1) == 2   # counts 0..2
@@ -134,25 +238,15 @@ class TestEngine:
 class TestFsm:
     def test_two_class_single_step(self):
         dag = build_ddag(2)
-        fs = fsm_step(FsmState(dag.initial_state), dag, 1)
-        assert fs.done and fs.out_class == 0
-        assert fs.state == dag.initial_state  # deciding node is retained
+        cls, trace = simulate(bias_only_model(2, [1]), dag, [0])
+        assert cls == 0 and trace.evaluations == 1
+        assert trace.final_state == dag.initial_state  # deciding node is retained
 
     @pytest.mark.parametrize("n,steps", [(4, 3), (10, 9)])
     def test_path_lengths(self, n, steps):
-        dag = build_ddag(n)
-        fs = FsmState(dag.initial_state)
-        taken = 0
-        while not fs.done:
-            fs = fsm_step(fs, dag, 1)  # lower class always wins -> leaf 0
-            taken += 1
-        assert taken == steps and fs.out_class == 0
-
-    def test_step_after_done_rejected(self):
-        dag = build_ddag(2)
-        fs = fsm_step(FsmState(dag.initial_state), dag, 0)
-        with pytest.raises(ValueError):
-            fsm_step(fs, dag, 1)
+        # lower class always wins -> leaf 0
+        cls, trace = simulate(bias_only_model(n, [1] * pair_count(n)), build_ddag(n), [0])
+        assert trace.evaluations == steps and cls == 0
 
 
 class TestSimulate:
@@ -162,33 +256,31 @@ class TestSimulate:
     def test_cycle_counts(self, n, m, cycles):
         qm, codes = random_quantized_model(n, m, 6, seed=4)
         dag = build_ddag(n)
-        st = compile_storage(qm)
-        _, trace = simulate(qm, dag, st, codes[0])
+        _, trace = simulate(qm, dag, codes[0])
         assert trace.cycles == cycles == (n - 1) * (m + 1)
         assert trace.evaluations == n - 1
 
     def test_matches_reference_walk(self):
         qm, codes = random_quantized_model(5, 7, 5, seed=6)
         dag = build_ddag(5)
-        st = compile_storage(qm)
         for row in codes[:60]:
-            cls, trace = simulate(qm, dag, st, row, record=False)
+            cls, trace = simulate(qm, dag, row, record=False)
             assert trace.overflows == 0
             assert cls == ddag_infer(qm, dag, row)[0]
 
     def test_storage_kind_functionally_identical(self):
+        # the kind changes only what the cost model prices: both kinds serve
+        # the one word table the simulator reads, in the same cycles
         qm, codes = random_quantized_model(4, 5, 7, seed=8)
         dag = build_ddag(4)
-        mux = compile_storage(qm, ArchConfig("mux"))
-        rom = compile_storage(qm, ArchConfig("rom", adc_count=1))
-        for row in codes[:30]:
-            assert simulate(qm, dag, mux, row)[0] == simulate(qm, dag, rom, row)[0]
+        cycles = {simulate(qm, dag, row)[1].cycles for row in codes[:30]}
+        for arch in (ArchConfig("mux"), ArchConfig("rom", adc_count=1)):
+            assert {estimate(qm, dag, arch).latency_cycles} == cycles
 
     def test_trace_structure(self):
         qm, codes = random_quantized_model(3, 2, 4, seed=2)
         dag = build_ddag(3)
-        st = compile_storage(qm)
-        cls, trace = simulate(qm, dag, st, codes[0])
+        cls, trace = simulate(qm, dag, codes[0])
         assert len(trace.records) == trace.cycles == 2 * 3
         for i, rec in enumerate(trace.records):
             assert rec.cycle == i
@@ -205,19 +297,18 @@ class TestSimulate:
     def test_wrong_code_count_rejected(self):
         qm, _ = random_quantized_model(2, 3, 4, seed=0)
         with pytest.raises(ValueError, match="3 input codes"):
-            simulate(qm, build_ddag(2), compile_storage(qm), [1, 2])
+            simulate(qm, build_ddag(2), [1, 2])
 
     def test_unprofiled_model_rejected(self):
         qm = QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [1], 0)], [1.0])
         with pytest.raises(ValueError, match="profile_accumulator"):
-            simulate(qm, build_ddag(2), compile_storage(qm), [0])
+            simulate(qm, build_ddag(2), [0])
 
     def test_undersized_accumulator_flags_overflow(self):
         qm, codes = random_quantized_model(2, 6, 8, seed=5)
         qm.acc_width = 6  # deliberately too narrow
         dag = build_ddag(2)
-        st = compile_storage(qm)
-        total = sum(simulate(qm, dag, st, row, record=False)[1].overflows for row in codes)
+        total = sum(simulate(qm, dag, row, record=False)[1].overflows for row in codes)
         assert total > 0
 
 
@@ -225,14 +316,13 @@ class TestBatch:
     def test_empty_rejected(self):
         qm, _ = random_quantized_model(2, 2, 4, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            simulate_batch(qm, build_ddag(2), compile_storage(qm), np.empty((0, 2)), [])
+            simulate_batch(qm, build_ddag(2), np.empty((0, 2)), [])
 
     def test_equivalence_with_reference(self, blobs3_quant, blobs3_split):
         qm, _, dag = blobs3_quant
         _, test = blobs3_split
         codes = quantize_inputs(test, qm.input_fmt)
-        st = compile_storage(qm)
-        batch = simulate_batch(qm, dag, st, codes, test.labels)
+        batch = simulate_batch(qm, dag, codes, test.labels)
         assert batch.overflows == 0
         ref = np.array([ddag_infer(qm, dag, row)[0] for row in codes])
         assert np.array_equal(batch.predictions, ref)
@@ -241,7 +331,7 @@ class TestBatch:
     def test_mean_cycles_constant(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=3)
         dag = build_ddag(4)
-        batch = simulate_batch(qm, dag, compile_storage(qm), codes[:20], np.zeros(20))
+        batch = simulate_batch(qm, dag, codes[:20], np.zeros(20))
         assert batch.mean_cycles == (4 - 1) * (5 + 1)
 
 
@@ -258,7 +348,7 @@ class TestCensusAndTrace:
     def test_trace_text_format(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=11)
         dag = build_ddag(3)
-        cls, trace = simulate(qm, dag, compile_storage(qm), codes[0])
+        cls, trace = simulate(qm, dag, codes[0])
         text = trace_to_text(trace)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# cycle fsm_state counter")

@@ -267,13 +267,47 @@ def test_gen_hdl_rejects_a_hand_edited_row(full_run, tmp_path, capsys):
     assert "stage gen-hdl failed: DAG state 0 reads row 1; the Verilog reads row = state" in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "cost", "compare"])
-def test_every_stage_rejects_a_hand_edited_row(full_run, tmp_path, capsys, command):
+def _set_ddag_key(key, value):
+    def edit(doc):
+        doc["ddag"][key] = value
+
+    return edit
+
+
+def _append_a_vector(doc):
+    vectors = doc["quantized"]["vectors"]
+    vectors.append(dict(vectors[-1]))
+
+
+def _relabel_row_zero(doc):
+    doc["quantized"]["vectors"][0].update(class_a=1, class_b=2)
+
+
+_ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")
+# the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state bits
+_MODEL_EDITS = {
+    "state_bits": (_set_ddag_key("state_bits", 40), "DAG state_bits 40 is not 2, the width for 3 classes"),
+    "ordering": (_set_ddag_key("ordering", "whatever"), "DAG ordering 'whatever' is not supported"),
+    "extra_vector": (_append_a_vector, "a 3-class model needs 3 vectors, got 4"),
+    "relabelled_pair": (_relabel_row_zero, "vector 0 carries pair (1,2), not (0,1) of row 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [pytest.param(command, *_ROW_SWAP, id=command) for command in ("simulate", "cost", "compare")]
+    + [
+        pytest.param(command, edit, message, id=f"{command}-{key}")
+        for key, (edit, message) in _MODEL_EDITS.items()
+        for command in ("simulate", "gen-hdl", "cost", "compare")
+    ],
+)
+def test_every_stage_rejects_a_hand_edited_row(full_run, tmp_path, capsys, command, edit, message):
     # the model loader rejects it, so no stage reports on a DAG the Verilog would not run
-    out = _edited_copy(full_run, tmp_path, _swap_first_two_rows)
+    out = _edited_copy(full_run, tmp_path, edit)
     assert main([command, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"stage {command} failed: DAG state 0 reads row 1; the Verilog reads row = state" in err
+    assert f"stage {command} failed: {message}" in err
 
 
 def test_run_and_compare_never_import_numpy_ma(synth_csv, tmp_path):

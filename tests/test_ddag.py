@@ -82,9 +82,10 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_state_id_equals_row_index(self, n):
+        # a state reads the row of its pair, so its id is that row
         dag = build_ddag(n)
         for sid, node in dag.nodes.items():
-            assert sid == node.row_index == pair_index(node.class_a, node.class_b, n)
+            assert sid == node.state_id == pair_index(node.class_a, node.class_b, n)
 
 
 class TestInfer:

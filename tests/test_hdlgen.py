@@ -1,11 +1,10 @@
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from helpers import random_quantized_model
-from seqsvm.archsim import ArchConfig, compile_storage, simulate
+from seqsvm.archsim import simulate
 from seqsvm.ddag import build_ddag
 from seqsvm.fxp import FxpFormat
 from seqsvm.hdlgen import (
@@ -82,20 +81,6 @@ class TestGenerate:
         top = generate(qm, build_ddag(3)).top_module
         assert f"bias_init = $signed({aligned});" in top
 
-    def test_rows_permuted_away_from_states_rejected(self):
-        # the Verilog wires row = state, so a state reading another row
-        # would classify differently in hardware than in the simulator
-        qm, _ = random_quantized_model(4, 2, 4, seed=0)
-        dag = build_ddag(4)
-        rows = sorted(dag.nodes)
-        permuted = {
-            sid: dataclasses.replace(node, row_index=rows[(rows.index(sid) + 1) % len(rows)])
-            for sid, node in dag.nodes.items()
-        }
-        bad = dataclasses.replace(dag, nodes=permuted)
-        with pytest.raises(ValueError, match="DAG state 0 reads row 1; the Verilog reads row = state"):
-            generate(qm, bad)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_self_parse_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
@@ -122,7 +107,7 @@ class TestGoldenVectors:
     def test_count_zero_headers_only(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=3)
         dag = build_ddag(3)
-        stim, expect, classes = emit_golden_vectors(qm, dag, compile_storage(qm), codes, 0)
+        stim, expect, classes = emit_golden_vectors(qm, dag, codes, 0)
         assert stim.startswith("#") and stim.count("\n") == 1
         assert expect.startswith("#") and expect.count("\n") == 1
         assert classes == []
@@ -130,8 +115,7 @@ class TestGoldenVectors:
     def test_expectations_come_from_simulator(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=4)
         dag = build_ddag(4)
-        storage = compile_storage(qm)
-        stim, expect, classes = emit_golden_vectors(qm, dag, storage, codes, 8)
+        stim, expect, classes = emit_golden_vectors(qm, dag, codes, 8)
         assert len(classes) == 8
         budget = (4 - 1) * (5 + 1)
         stim_lines, expect_lines = stim.splitlines()[1:], expect.splitlines()[1:]
@@ -141,20 +125,20 @@ class TestGoldenVectors:
             assert fields[:-1] == row
             assert fields[-1] == budget
             cls, state = (int(x) for x in expected.split())
-            ref_cls, trace = simulate(qm, dag, storage, row, record=False)
+            ref_cls, trace = simulate(qm, dag, row, record=False)
             assert cls == ref_cls == want
             assert state == trace.final_state
 
     def test_count_clamps_to_available(self):
         qm, codes = random_quantized_model(2, 2, 4, seed=6)
         dag = build_ddag(2)
-        _, expect, classes = emit_golden_vectors(qm, dag, compile_storage(qm), codes[:3], 99)
+        _, expect, classes = emit_golden_vectors(qm, dag, codes[:3], 99)
         assert len(classes) == 3 and expect.count("\n") == 4
 
     def test_negative_count_rejected(self):
         qm, codes = random_quantized_model(2, 2, 4, seed=6)
         with pytest.raises(ValueError):
-            emit_golden_vectors(qm, build_ddag(2), compile_storage(qm), codes, -1)
+            emit_golden_vectors(qm, build_ddag(2), codes, -1)
 
 
 def test_write_bundle(tmp_path):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import layouts, random_quantized_model
+from helpers import layouts, profiled_cases, random_quantized_model
+from seqsvm.archsim import simulate, simulate_batch
 from seqsvm.hdlgen import emit_golden_vectors
-from seqsvm.archsim import ArchConfig, compile_storage, simulate, simulate_batch, walk_storage
 from seqsvm.ddag import (
     Ddag,
     build_ddag,
@@ -25,40 +25,8 @@ from seqsvm.ddag import (
     walk_batch,
 )
 from seqsvm.fxp import FxpFormat
-from seqsvm.quant import (
-    QuantizedModel,
-    QuantVector,
-    _scale_rows,
-    partial_sum_extremes,
-    profile_accumulator,
-    quantize_model,
-)
+from seqsvm.quant import QuantizedModel, QuantVector, _scale_rows, partial_sum_extremes, quantize_model
 from seqsvm.trainer import FloatSvmModel, SupportVector
-
-
-@st.composite
-def cases(draw):
-    """A random profiled model, its DAG, storage and input codes; acc_width is
-    the profiled width minus 0..6 bits, or an oversized 64."""
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(1, 8))
-    param_bits = draw(st.integers(2, 16))
-    input_bits = draw(st.integers(1, 16))
-    fmt = FxpFormat(input_bits)
-    top = (1 << (param_bits - 1)) - 1
-    coef = st.integers(-top - 1, top)
-    vectors = [
-        QuantVector(a, b, draw(st.lists(coef, min_size=m, max_size=m)), draw(coef))
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
-    qm = QuantizedModel(n, m, fmt, param_bits, vectors, [1.0] * len(vectors))
-    code = st.integers(0, fmt.raw_max)
-    codes = draw(st.lists(st.lists(code, min_size=m, max_size=m), min_size=1, max_size=12))
-    profiled = profile_accumulator(qm, np.array(codes))
-    qm.acc_width = draw(st.one_of(st.integers(max(1, profiled - 6), profiled), st.just(64)))
-    storage = compile_storage(qm, ArchConfig(draw(st.sampled_from(["mux", "rom"]))))
-    return qm, build_ddag(n), storage, codes
 
 
 def _vote_oracle(qm, codes):
@@ -82,25 +50,25 @@ def _extremes_oracle(qm, codes):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cases())
+@given(profiled_cases())
 def test_wrapped_kernel_equals_simulate(case):
-    qm, dag, storage, codes = case
-    classes, states, overflows = walk_storage(qm, dag, storage, codes)
+    qm, dag, codes = case
+    classes, states, overflows = walk_batch(qm, dag, codes, qm.acc_width)
     for i, row in enumerate(codes):
-        cls, trace = simulate(qm, dag, storage, row, record=False)
+        cls, trace = simulate(qm, dag, row, record=False)
         assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
     for view in layouts(codes, np.int64):
-        again = walk_storage(qm, dag, storage, view)
+        again = walk_batch(qm, dag, view, qm.acc_width)
         assert all(np.array_equal(a, b) for a, b in zip(again, (classes, states, overflows)))
-    batch = simulate_batch(qm, dag, storage, codes, classes)
+    batch = simulate_batch(qm, dag, codes, classes)
     assert np.array_equal(batch.predictions, classes)
     assert batch.overflows == int(overflows.sum())
 
 
 @settings(max_examples=150, deadline=None)
-@given(cases())
+@given(profiled_cases())
 def test_exact_kernels_equal_python_oracles(case):
-    qm, dag, _, codes = case
+    qm, dag, codes = case
     expected = [ddag_infer(qm, dag, row)[0] for row in codes]
     for view in layouts(codes, np.int64):
         assert ddag_predict_quant(qm, dag, view).tolist() == expected
@@ -204,14 +172,13 @@ def test_codes_outside_sixteen_bits_rejected():
 def _format_calls(qm, codes):
     """Every entry point that takes a QuantizedModel and input codes."""
     dag = build_ddag(qm.n_classes)
-    storage = compile_storage(qm)
     return {
-        "simulate": lambda: simulate(qm, dag, storage, codes[0]),
+        "simulate": lambda: simulate(qm, dag, codes[0]),
         "ddag_infer": lambda: ddag_infer(qm, dag, codes[0]),
-        "simulate_batch": lambda: simulate_batch(qm, dag, storage, codes, np.zeros(len(codes))),
+        "simulate_batch": lambda: simulate_batch(qm, dag, codes, np.zeros(len(codes))),
         "ddag_predict_quant": lambda: ddag_predict_quant(qm, dag, codes),
-        "walk_storage": lambda: walk_storage(qm, dag, storage, codes),
-        "emit_golden_vectors": lambda: emit_golden_vectors(qm, dag, storage, codes, len(codes)),
+        "walk_batch": lambda: walk_batch(qm, dag, codes, qm.acc_width),
+        "emit_golden_vectors": lambda: emit_golden_vectors(qm, dag, codes, len(codes)),
         "ovo_vote_infer": lambda: ovo_vote_infer(qm, codes[0]),
         "partial_sum_extremes": lambda: partial_sum_extremes(qm, codes),
     }
@@ -235,7 +202,7 @@ def _redirect(dag, edge):
     nodes = {
         sid: dataclasses.replace(node, on_a_wins=edge, on_b_wins=edge) for sid, node in dag.nodes.items()
     }
-    return Ddag(dag.n_classes, nodes, dag.initial_state, dag.state_bits)
+    return Ddag(dag.n_classes, nodes, dag.initial_state)
 
 
 def _error_within(fn, timeout=10.0):
@@ -265,15 +232,14 @@ def _cyclic_calls():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
     dag = build_ddag(3)
     cyclic = _redirect(dag, ("node", dag.initial_state))
-    storage = compile_storage(qm)
     fmodel = _float_twin(qm)
     return {
         "ddag_infer": lambda: ddag_infer(qm, cyclic, codes[0]),
         "ddag_infer_float": lambda: ddag_infer_float(fmodel, cyclic, [0.5, 0.5]),
-        "simulate": lambda: simulate(qm, cyclic, storage, codes[0]),
+        "simulate": lambda: simulate(qm, cyclic, codes[0]),
         "ddag_predict_quant": lambda: ddag_predict_quant(qm, cyclic, codes),
         "ddag_predict_float": lambda: ddag_predict_float(fmodel, cyclic, [[0.5, 0.5]]),
-        "simulate_batch": lambda: simulate_batch(qm, cyclic, storage, codes, np.zeros(len(codes))),
+        "simulate_batch": lambda: simulate_batch(qm, cyclic, codes, np.zeros(len(codes))),
     }
 
 
@@ -285,23 +251,26 @@ def test_cyclic_dag_stops_after_n_minus_one_evaluations(name):
 
 
 def test_kernel_rejects_a_path_shorter_than_n_minus_one():
+    # the scalar walks agree with the kernel: every path takes n-1 evaluations
     qm, codes = random_quantized_model(4, 2, 4, seed=0)
     shallow = _redirect(build_ddag(4), ("leaf", 1))
-    assert ddag_infer(qm, shallow, codes[0])[0] == 1  # the scalar walk stops at the leaf
-    with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
-        ddag_predict_quant(qm, shallow, codes)
     fmodel = _float_twin(qm)
-    assert ddag_infer_float(fmodel, shallow, [0.5, 0.5])[0] == 1
-    with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
-        ddag_predict_float(fmodel, shallow, [[0.5, 0.5]])
+    for call in (
+        lambda: ddag_infer(qm, shallow, codes[0]),
+        lambda: simulate(qm, shallow, codes[0]),
+        lambda: ddag_predict_quant(qm, shallow, codes),
+        lambda: ddag_infer_float(fmodel, shallow, [0.5, 0.5]),
+        lambda: ddag_predict_float(fmodel, shallow, [[0.5, 0.5]]),
+    ):
+        with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
+            call()
 
 
 def test_kernel_rejects_edges_that_lead_nowhere():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
-    words = qm.word_table()
     fmodel = _float_twin(qm)
     for edge in (("node", 99), ("leaf", 3), ("leaf", -1)):
         with pytest.raises(ValueError, match="leads nowhere"):
-            walk_batch(words, qm.bias_shift, _redirect(build_ddag(3), edge), codes)
+            walk_batch(qm, _redirect(build_ddag(3), edge), codes)
         with pytest.raises(ValueError, match="leads nowhere"):
             ddag_predict_float(fmodel, _redirect(build_ddag(3), edge), [[0.5, 0.5]])
