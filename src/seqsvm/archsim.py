@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddag import Ddag, _walk, walk_batch
+from .ddag import Ddag, _walk, check_dag, walk_batch
 from .fxp import wrap
 from .quant import QuantizedModel
 
@@ -94,6 +94,7 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple
     (n-1)*(m+1) regardless of data. Pass record=False to skip per-cycle
     records in bulk runs (totals are still exact).
     """
+    check_dag(qm, dag)
     acc_width = qm.profiled_acc_width()
     m = qm.n_features
     if len(codes) != m:
@@ -119,8 +120,8 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple
             cycles += 1
         return acc >= 0
 
-    out_class, evaluations = _walk(dag, mac_cycles, len(words))
-    # the FSM stays in the state whose verdict chose the leaf
+    out_class, evaluations = _walk(dag, mac_cycles)
+    # the FSM stays in the state whose verdict chose the class
     final_state = evaluations[-1][0]
     return out_class, SimTrace(records, cycles, len(evaluations), overflows, final_state, out_class)
 
@@ -153,6 +154,7 @@ def simulate_batch(qm: QuantizedModel, dag: Ddag, codes_matrix, labels) -> Batch
 
 def register_census(qm: QuantizedModel, dag: Ddag) -> dict:
     """The architecture's three registers: accumulator, column counter, FSM state."""
+    check_dag(qm, dag)
     census = {
         "acc": qm.acc_width,
         "counter": counter_bits(qm.n_features),

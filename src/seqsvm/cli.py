@@ -84,9 +84,7 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
     quantized model, DAG) and the QuantReport."""
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     dag = build_ddag(fmodel.n_classes)
-    qm, report = search_param_bits(
-        fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"], dag
-    )
+    qm, report = search_param_bits(fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"])
     doc = dict(doc)
     doc["config"] = config
     doc["config_hash"] = modelio.config_hash(config)

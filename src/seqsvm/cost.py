@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .archsim import ArchConfig, latency_cycles, register_census
-from .ddag import Ddag, class_bits
+from .ddag import Ddag, class_bits, pair_count
 from .quant import QuantizedModel
 
 FULL_ADDER_GE = 5.0
@@ -91,7 +91,7 @@ def _engine_ge(qm: QuantizedModel, tech: TechConfig) -> float:
 
 
 def _fsm_ge(dag: Ddag, tech: TechConfig) -> float:
-    states = len(dag.nodes)
+    states = pair_count(dag.n_classes)
     row_bits = dag.state_bits  # each state drives its own id as the row
     return states * (2 * dag.state_bits + row_bits) * tech.mux_per_input_cost + states
 

@@ -1,21 +1,20 @@
 """One-vs-one decision DAG: the control graph that picks a class with n-1
 pairwise evaluations, plus inference over it.
 
-One step loop walks every sample through the DAG at once: at each of the
-n-1 steps it gathers the stored row that each sample's state points to and
-scores it column by column, bias first. ``walk_batch`` runs it on integer
-words, exactly or with the hardware's wrapping accumulator, for the
-reference predictions, the batch simulator and the golden vectors;
-``ddag_predict_float`` runs it on the float model. ``ddag_infer`` and
-``ddag_infer_float`` are the scalar oracles: per-sample walks, summing in
-the same order, with their (row, y) logs.
+The DAG is the classical one over the natural class order (Platt et al., NIPS
+1999), fixed by the class count, which is all ``Ddag`` holds. A walk carries
+the interval (lo, hi) of still-alive classes from (0, n-1) and reads row
+``pair_index(lo, hi)``. Engine output y=1 means the pair's lower class
+(trained as +1) won, so hi -= 1; y=0 means lo += 1. After n-1 steps lo is the
+class. The state is the row read: the Verilog wires row = state. The FSM's
+one description is ``transitions``.
 
-Each state carries an interval (lo, hi) of still-alive extreme classes and
-evaluates the separator for pair (lo, hi). Engine output y=1 means the pair's
-lower class (trained as +1) won, eliminating hi; y=0 eliminates lo. A state's
-id is the memory row of its pair under lexicographic pair ordering, so the
-DAG stores no row of its own: the Verilog wires row = state, and every walk
-here reads row = state too.
+``walk_batch`` walks every sample at once on integer words, exactly or with
+the hardware's wrapping accumulator, for the reference predictions, the batch
+simulator and the golden vectors; ``ddag_predict_float`` runs the same step
+loop on the float model. ``ddag_infer`` and ``ddag_infer_float`` are the
+scalar oracles: per-sample walks, summing in the same order, with their
+(row, y) logs.
 """
 
 from __future__ import annotations
@@ -27,35 +26,25 @@ import numpy as np
 
 from .fxp import MAX_INPUT_BITS, wrap
 
-# An edge is ("node", state_id) or ("leaf", class_id).
-Edge = tuple[str, int]
-
-UNFINISHED_WALK = "DAG walk has not reached a leaf after {} evaluations"
-SHORT_PATH = "a DAG path reaches a leaf after {} of {} evaluations"
-NO_ROW = "DAG state {} is not a row of the {}-row storage"
-
 
 @dataclass(frozen=True)
-class DdagNode:
-    state_id: int  # also the storage row this state reads
-    class_a: int
-    class_b: int
-    on_a_wins: Edge
-    on_b_wins: Edge
-
-
-@dataclass
 class Ddag:
     """The DAG over the natural class order: the root compares class 0 with
     class n-1."""
 
     n_classes: int
-    nodes: dict[int, DdagNode]
-    initial_state: int
+
+    def __post_init__(self):
+        if type(self.n_classes) is not int or self.n_classes < 2:
+            raise ValueError(f"a DAG needs an integer class count of at least two, got {self.n_classes!r}")
 
     @property
     def state_bits(self) -> int:
         return state_bits_for(self.n_classes)
+
+    @property
+    def initial_state(self) -> int:
+        return pair_index(0, self.n_classes - 1, self.n_classes)
 
 
 def pair_count(n_classes: int) -> int:
@@ -66,7 +55,12 @@ def pair_index(a: int, b: int, n_classes: int) -> int:
     """Row index of pair (a, b), a < b, under lexicographic ordering."""
     if not 0 <= a < b < n_classes:
         raise ValueError(f"bad pair ({a},{b}) for {n_classes} classes")
-    return a * (n_classes - 1) - a * (a - 1) // 2 + (b - a - 1)
+    return _row(a, b, n_classes)
+
+
+def _row(lo, hi, n_classes: int):
+    """pair_index without the range check, elementwise on arrays too."""
+    return lo * (2 * n_classes - 3 - lo) // 2 + hi - 1
 
 
 def state_bits_for(n_classes: int) -> int:
@@ -81,46 +75,46 @@ def class_bits(n_classes: int) -> int:
 
 def build_ddag(n_classes: int) -> Ddag:
     """Classical DDAG over the natural class order [0..n-1]."""
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
-    n = n_classes
-    nodes = {}
+    return Ddag(n_classes)
+
+
+def transitions(dag: Ddag):
+    """The FSM, one (state, lo, hi, on_a, on_b) per state in state order.
+
+    State ``pair_index(lo, hi)`` compares classes lo and hi. ``on_a`` (y=1)
+    and ``on_b`` (y=0) are its successors: ("node", state), or ("leaf",
+    class) once the pair is adjacent.
+    """
+    n = dag.n_classes
     for lo in range(n):
         for hi in range(lo + 1, n):
-            sid = pair_index(lo, hi, n)
-            if lo == hi - 1:
-                a_edge: Edge = ("leaf", lo)
-            else:
-                a_edge = ("node", pair_index(lo, hi - 1, n))
-            if lo + 1 == hi:
-                b_edge: Edge = ("leaf", hi)
-            else:
-                b_edge = ("node", pair_index(lo + 1, hi, n))
-            nodes[sid] = DdagNode(sid, lo, hi, a_edge, b_edge)
-    return Ddag(n, nodes, pair_index(0, n - 1, n))
+            last = hi == lo + 1
+            on_a = ("leaf", lo) if last else ("node", _row(lo, hi - 1, n))
+            on_b = ("leaf", hi) if last else ("node", _row(lo + 1, hi, n))
+            yield _row(lo, hi, n), lo, hi, on_a, on_b
 
 
-def _walk(dag: Ddag, decide, n_rows: int) -> tuple[int, list[tuple[int, int]]]:
-    """The scalar walk: ``decide(state)`` scores the row of that state and
-    returns whether the pair's lower class won. Returns the leaf class and
-    the (row, y) log, which has exactly n-1 entries: a path that reaches a
-    leaf after fewer or more evaluations is an error, as in the batch kernel."""
-    n_steps = dag.n_classes - 1
+def check_dag(model, dag: Ddag) -> None:
+    """Reject a DAG built for another class count than ``model``'s."""
+    if dag.n_classes != model.n_classes:
+        raise ValueError(f"a {dag.n_classes}-class DAG does not fit a {model.n_classes}-class model")
+
+
+def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
+    """The scalar walk: ``decide(row)`` scores the row of pair (lo, hi) and
+    returns whether the pair's lower class won. Returns the class and the
+    (row, y) log of its n-1 evaluations."""
+    lo, hi = 0, dag.n_classes - 1
     evaluations = []
-    sid = dag.initial_state
-    for step in range(n_steps):
-        node = dag.nodes[sid]
-        if not 0 <= sid < n_rows:
-            raise ValueError(NO_ROW.format(sid, n_rows))
-        y = 1 if decide(sid) else 0
-        evaluations.append((sid, y))
-        kind, target = node.on_a_wins if y else node.on_b_wins
-        if kind == "leaf":
-            if step < n_steps - 1:
-                raise ValueError(SHORT_PATH.format(step + 1, n_steps))
-            return target, evaluations
-        sid = target
-    raise ValueError(UNFINISHED_WALK.format(n_steps))
+    while lo < hi:
+        row = pair_index(lo, hi, dag.n_classes)
+        y = 1 if decide(row) else 0
+        evaluations.append((row, y))
+        if y:
+            hi -= 1
+        else:
+            lo += 1
+    return lo, evaluations
 
 
 def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
@@ -129,6 +123,7 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     The scalar oracle of ddag_predict_quant. Returns the leaf class and the
     (row, y) log; always exactly n-1 entries.
     """
+    check_dag(qm, dag)
     codes = qm.input_codes([codes])[0].tolist()
     shift = qm.bias_shift
 
@@ -139,26 +134,7 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
             acc += w * x
         return acc >= 0
 
-    return _walk(dag, decide, qm.n_vectors)
-
-
-def _state_table(dag: Ddag, n_rows: int) -> np.ndarray:
-    """Per state id (= row): its y=0 and its y=1 successor (leaf class c as -1-c)."""
-
-    def code(kind: str, target: int) -> int:
-        if kind == "leaf" and 0 <= target < dag.n_classes:
-            return -1 - target
-        if kind == "node" and target in dag.nodes:
-            return target
-        raise ValueError(f"DAG edge {(kind, target)} leads nowhere")
-
-    table = np.zeros((n_rows, 2), dtype=np.int64)
-    for sid, node in dag.nodes.items():
-        if not 0 <= sid < n_rows:
-            raise ValueError(NO_ROW.format(sid, n_rows))
-        table[sid] = code(*node.on_b_wins), code(*node.on_a_wins)
-    code("node", dag.initial_state)
-    return table
+    return _walk(dag, decide)
 
 
 def check_codes(codes, n_features: int) -> np.ndarray:
@@ -178,27 +154,27 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
 
     ``table`` row r = [bias, w_1..w_m], the bias already at the products'
     binary point. Each of the n-1 steps gathers the row of each sample's
-    state and carries the accumulator column by column: the bias, then one
-    product per feature. With ``acc_width`` (integers only) it wraps after
+    pair (lo, hi) and carries the accumulator column by column: the bias,
+    then one product per feature. With ``acc_width`` (integers only) it wraps after
     the bias load and after every MAC, and each wrap counts as one overflow,
     as in archsim.simulate; with None the sums are exact integers or plain
     float arithmetic.
 
     Returns int64 (classes, final_states, overflows) per sample; the final
-    state is the node whose verdict chose the leaf.
+    state is the last row read, whose verdict chose the class.
     """
-    states = _state_table(dag, len(table))
     # Column-major copies, (m+1, rows) and (m, samples), so that each
     # multiply-add of a step reads contiguous memory whatever the inputs' layout.
     cols = np.ascontiguousarray(table.T)
     Xt = np.ascontiguousarray(X.T)
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
-    n_steps = dag.n_classes - 1
-    state = target = np.full(len(X), dag.initial_state, dtype=np.int64)
+    n = dag.n_classes
+    lo = np.zeros(len(X), dtype=np.int64)
+    hi = np.full(len(X), n - 1, dtype=np.int64)
     overflows = np.zeros(len(X), dtype=np.int64)
-    for step in range(n_steps):
-        on_b, on_a = states[state].T
+    for _ in range(n - 1):
+        state = _row(lo, hi, n)
         w = cols[:, state]
         acc = w[0]
         for col in range(len(w)):
@@ -208,14 +184,10 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
                 wrapped = wrap(acc, acc_width)
                 overflows += wrapped != acc
                 acc = wrapped
-        target = np.where(acc >= 0, on_a, on_b)
-        if step < n_steps - 1:
-            if (target < 0).any():
-                raise ValueError(SHORT_PATH.format(step + 1, n_steps))
-            state = target
-    if (target >= 0).any():
-        raise ValueError(UNFINISHED_WALK.format(n_steps))
-    return -1 - target, state, overflows
+        won = acc >= 0  # the pair's lower class won
+        hi -= won
+        lo += ~won
+    return lo, state, overflows
 
 
 def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
@@ -227,6 +199,7 @@ def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
     wrapping accumulator's width, or None for exact sums. Returns int64
     (classes, final_states, overflows) per sample, as _walk_table does.
     """
+    check_dag(qm, dag)
     X = qm.input_codes(codes)
     table = qm.word_table()  # a fresh array: its bias column is aligned here
     table[:, 0] <<= qm.bias_shift
@@ -245,6 +218,7 @@ def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
     floats in the batch walk's order, bias first and then one product per
     feature, so both give the same class bit for bit.
     """
+    check_dag(fmodel, dag)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (fmodel.n_features,):
         raise ValueError(f"need {fmodel.n_features} features, got shape {x.shape}")
@@ -257,11 +231,12 @@ def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
             acc += float(w) * xi
         return acc >= 0.0
 
-    return _walk(dag, decide, len(fmodel.vectors))
+    return _walk(dag, decide)
 
 
 def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
     """Float DDAG class of every sample; the batch form of ddag_infer_float."""
+    check_dag(fmodel, dag)
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fmodel.n_features:
         raise ValueError(f"need a samples x {fmodel.n_features} feature matrix, got shape {X.shape}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .archsim import counter_bits, latency_cycles
-from .ddag import Ddag, class_bits, walk_batch
+from .ddag import Ddag, check_dag, class_bits, transitions, walk_batch
 from .fxp import fits
 from .quant import QuantizedModel
 
@@ -112,18 +112,16 @@ def parse_storage_constants(params_text: str) -> list[list[int]]:
 
 def _fsm_case(dag: Ddag, state_bits: int, class_bits: int, indent: str) -> str:
     arms = []
-    for sid in sorted(dag.nodes):
-        node = dag.nodes[sid]
+    for state, lo, hi, on_a, on_b in transitions(dag):
         branches = []
-        for cond, edge in (("if (y)", node.on_a_wins), ("else  ", node.on_b_wins)):
-            kind, target = edge
+        for cond, (kind, target) in (("if (y)", on_a), ("else  ", on_b)):
             if kind == "leaf":
                 action = f"begin done <= 1'b1; class_out <= {_ud(target, class_bits)}; end"
             else:
                 action = f"state <= {_ud(target, state_bits)};"
             branches.append(f"{indent}        {cond} {action}")
         arms.append(
-            f"{indent}{_ud(sid, state_bits)}: begin  // pair ({node.class_a},{node.class_b})\n"
+            f"{indent}{_ud(state, state_bits)}: begin  // pair ({lo},{hi})\n"
             + "\n".join(branches)
             + f"\n{indent}end"
         )
@@ -288,6 +286,7 @@ def generate(qm: QuantizedModel, dag: Ddag, name: str = "svm") -> HdlBundle:
     lookup serves mux and rom configurations alike. The Verilog reads storage
     row ``state``, as every walk in the simulators does.
     """
+    check_dag(qm, dag)
     qm.profiled_acc_width()
     return HdlBundle(
         name=name,

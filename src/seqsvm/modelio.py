@@ -15,6 +15,10 @@ Document layout (format "seqsvm/model", version 1):
                 scales, vectors: [{class_a, class_b, weights, bias}]}
   ddag (optional): {n_classes, initial_state, state_bits, ordering,
                 nodes: [{id, class_a, class_b, row, on_a, on_b}]}
+
+The ``ddag`` object must be the natural DAG of its class count, the one
+``ddag.transitions`` lists. Quantized weights, biases and ``acc_width`` (>= 1)
+must be integers.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 
 import numpy as np
 
-from .ddag import Ddag, DdagNode, state_bits_for
+from .ddag import Ddag, build_ddag, state_bits_for, transitions
 from .fxp import FxpFormat
 from .quant import QuantizedModel, QuantVector
 from .trainer import FloatSvmModel, SupportVector
@@ -98,13 +102,17 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
             f"input format {fmt_doc} with bias_shift {shift} is not supported: "
             "inputs must be unsigned and all fractional, and the bias shifts by the input bits"
         )
-    fmt = FxpFormat(bits)
-    vectors = [
-        QuantVector(v["class_a"], v["class_b"], [int(w) for w in v["weights"]], int(v["bias"]))
-        for v in doc["vectors"]
-    ]
-    qm = QuantizedModel(n_classes, n_features, fmt, doc["param_bits"], vectors, list(doc["scales"]))
-    qm.acc_width = doc["acc_width"]
+    acc_width = doc["acc_width"]
+    if type(acc_width) is not int or acc_width < 1:
+        raise ValueError(f"acc_width {acc_width!r} is not an integer of at least 1")
+    vectors = []
+    for r, v in enumerate(doc["vectors"]):
+        bad = [p for p in [*v["weights"], v["bias"]] if type(p) is not int]
+        if bad:
+            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not an integer")
+        vectors.append(QuantVector(v["class_a"], v["class_b"], v["weights"], v["bias"]))
+    qm = QuantizedModel(n_classes, n_features, FxpFormat(bits), doc["param_bits"], vectors, list(doc["scales"]))
+    qm.acc_width = acc_width
     return qm
 
 
@@ -115,15 +123,8 @@ def ddag_to_dict(dag: Ddag) -> dict:
         "state_bits": dag.state_bits,
         "ordering": "natural",
         "nodes": [
-            {
-                "id": node.state_id,
-                "class_a": node.class_a,
-                "class_b": node.class_b,
-                "row": node.state_id,
-                "on_a": list(node.on_a_wins),
-                "on_b": list(node.on_b_wins),
-            }
-            for _, node in sorted(dag.nodes.items())
+            {"id": state, "class_a": lo, "class_b": hi, "row": state, "on_a": list(on_a), "on_b": list(on_b)}
+            for state, lo, hi, on_a, on_b in transitions(dag)
         ],
     }
 
@@ -131,21 +132,21 @@ def ddag_to_dict(dag: Ddag) -> dict:
 def ddag_from_dict(doc: dict) -> Ddag:
     """The DAG of a model document. The Verilog reads row = state, sizes the
     state register from the class count and compares class 0 with class n-1
-    first, so any other ``row``, ``state_bits`` or ``ordering`` is rejected."""
+    first, so any other ``row``, ``state_bits`` or ``ordering`` is rejected,
+    and so is any document but the natural DAG of its class count."""
     n_classes = doc["n_classes"]
     want_bits = state_bits_for(n_classes)
     if doc["state_bits"] != want_bits:
         raise ValueError(f"DAG state_bits {doc['state_bits']!r} is not {want_bits}, the width for {n_classes} classes")
     if doc["ordering"] != "natural":
         raise ValueError(f"DAG ordering {doc['ordering']!r} is not supported; only \"natural\" is")
-    nodes = {}
     for n in doc["nodes"]:
         if n["row"] != n["id"]:
             raise ValueError(f"DAG state {n['id']} reads row {n['row']}; the Verilog reads row = state")
-        nodes[n["id"]] = DdagNode(
-            n["id"], n["class_a"], n["class_b"], (n["on_a"][0], n["on_a"][1]), (n["on_b"][0], n["on_b"][1])
-        )
-    return Ddag(n_classes, nodes, doc["initial_state"])
+    dag = build_ddag(n_classes)
+    if doc != ddag_to_dict(dag):
+        raise ValueError(f"the DAG is not the natural DAG of {n_classes} classes, the only one the Verilog runs")
+    return dag
 
 
 def save_model_doc(path, doc: dict) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import Ddag, build_ddag, check_codes, ddag_predict_float, ddag_predict_quant
+from .ddag import build_ddag, check_codes, ddag_predict_float, ddag_predict_quant
 from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
 from .trainer import FloatSvmModel
 
@@ -230,15 +230,13 @@ def search_param_bits(
     test: Dataset,
     input_fmt: FxpFormat = U4_4,
     max_bits: int = 8,
-    dag: Ddag | None = None,
 ) -> tuple[QuantizedModel, QuantReport]:
     """Try param_bits = 2..max_bits ascending; keep the first precision whose
     DDAG test accuracy sits within MAX_ACCURACY_DROP of the float DDAG test
     accuracy. Falls back to max_bits with the flag set."""
     if max_bits < 2:
         raise ValueError("max_bits must be >= 2")
-    if dag is None:
-        dag = build_ddag(fmodel.n_classes)
+    dag = build_ddag(fmodel.n_classes)
     float_acc = float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))
     test_codes = quantize_inputs(test, input_fmt)
     train_codes = quantize_inputs(train, input_fmt)

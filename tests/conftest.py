@@ -23,7 +23,7 @@ def blobs3_model(blobs3_split):
 def blobs3_quant(blobs3_split, blobs3_model):
     train, test = blobs3_split
     dag = build_ddag(blobs3_model.n_classes)
-    qm, report = search_param_bits(blobs3_model, train, test, dag=dag)
+    qm, report = search_param_bits(blobs3_model, train, test)
     return qm, report, dag
 
 
@@ -38,5 +38,5 @@ def rings_quant(rings_split):
     train, test = rings_split
     model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=3))
     dag = build_ddag(model.n_classes)
-    qm, report = search_param_bits(model, train, test, dag=dag)
+    qm, report = search_param_bits(model, train, test)
     return qm, report, dag

@@ -1,9 +1,12 @@
-"""Shared builders for randomized and shape-pinned quantized models."""
+"""Shared builders for randomized and shape-pinned quantized models, and the
+reference node graph of the DDAG."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from seqsvm.ddag import build_ddag
+from seqsvm.ddag import build_ddag, pair_index
 from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.quant import QuantizedModel, QuantVector, profile_accumulator
 
@@ -15,6 +18,42 @@ TABLE_SHAPES = {
     "redwine": (6, 11),
     "whitewine": (7, 11),
 }
+
+
+@dataclass(frozen=True)
+class RefNode:
+    state_id: int  # also the storage row this state reads
+    class_a: int
+    class_b: int
+    on_a_wins: tuple  # ("node", state_id) or ("leaf", class_id)
+    on_b_wins: tuple
+
+
+@dataclass(frozen=True)
+class RefGraph:
+    n_classes: int
+    nodes: dict
+    initial_state: int
+
+
+def reference_graph(n):
+    """The natural DDAG over classes 0..n-1 as an explicit node graph, built
+    pair by pair: the reference for the derived ``ddag.transitions`` and for
+    the walks."""
+    nodes = {}
+    for lo in range(n):
+        for hi in range(lo + 1, n):
+            sid = pair_index(lo, hi, n)
+            if lo == hi - 1:
+                a_edge = ("leaf", lo)
+            else:
+                a_edge = ("node", pair_index(lo, hi - 1, n))
+            if lo + 1 == hi:
+                b_edge = ("leaf", hi)
+            else:
+                b_edge = ("node", pair_index(lo + 1, hi, n))
+            nodes[sid] = RefNode(sid, lo, hi, a_edge, b_edge)
+    return RefGraph(n, nodes, pair_index(0, n - 1, n))
 
 
 def random_quantized_model(n, m, param_bits, seed, n_profile=200, input_fmt=U4_4):

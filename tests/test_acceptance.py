@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import TABLE_SHAPES, random_quantized_model, shaped_model
+from helpers import TABLE_SHAPES, random_quantized_model, reference_graph, shaped_model
 from seqsvm.archsim import register_census, simulate
 from seqsvm.cli import main
 from seqsvm.cost import TechConfig, compare_parallel, compare_storage, estimate
 from seqsvm.dataset import SplitSpec, split, to_csv
-from seqsvm.ddag import build_ddag, ddag_infer, ddag_predict_float, ddag_predict_quant, pair_count
+from seqsvm.ddag import build_ddag, ddag_infer, ddag_predict_float, ddag_predict_quant, pair_count, transitions
 from seqsvm.fxp import fits
 from seqsvm.hdlgen import generate, parse_storage_constants
 from seqsvm.quant import MAX_ACCURACY_DROP, quantize_inputs, search_param_bits
@@ -69,7 +69,7 @@ def test_criterion_03_quantization_contract(name):
     train, test = split(ds, SplitSpec(0.8, 1))
     model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=1))
     dag = build_ddag(model.n_classes)
-    qm, report = search_param_bits(model, train, test, dag=dag)
+    qm, report = search_param_bits(model, train, test)
     # recompute both accuracies independently of the report
     float_acc = float(np.mean(ddag_predict_float(model, dag, test.features) == test.labels))
     codes = quantize_inputs(test, qm.input_fmt)
@@ -105,13 +105,16 @@ def test_criterion_04_accumulator_minimality(fixture_name, request):
 
 def test_criterion_05_ddag_structure():
     for n in range(2, 17):
-        dag = build_ddag(n)
-        assert len(dag.nodes) == pair_count(n)
+        dag, graph = build_ddag(n), reference_graph(n)
+        assert len(graph.nodes) == pair_count(n)
         assert dag.state_bits == max(1, math.ceil(math.log2(pair_count(n))))
+        assert list(transitions(dag)) == [
+            (s, v.class_a, v.class_b, v.on_a_wins, v.on_b_wins) for s, v in sorted(graph.nodes.items())
+        ]
         stack = [(dag.initial_state, 1)]
         while stack:
             sid, depth = stack.pop()
-            node = dag.nodes[sid]
+            node = graph.nodes[sid]
             for kind, target in (node.on_a_wins, node.on_b_wins):
                 if kind == "leaf":
                     assert depth == n - 1

@@ -10,7 +10,8 @@ import pytest
 
 from seqsvm.cli import main
 from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
-from seqsvm.modelio import float_model_from_dict, load_model_doc
+from seqsvm.ddag import build_ddag
+from seqsvm.modelio import ddag_to_dict, float_model_from_dict, load_model_doc
 from seqsvm.quant import search_param_bits
 from seqsvm.synth import bundled_dataset, separable_blobs
 from seqsvm.fxp import FxpFormat
@@ -283,13 +284,53 @@ def _relabel_row_zero(doc):
     doc["quantized"]["vectors"][0].update(class_a=1, class_b=2)
 
 
+def _edit_node(state, key, value):
+    def edit(doc):
+        doc["ddag"]["nodes"][state][key] = value
+
+    return edit
+
+
+def _four_class_ddag(doc):
+    doc["ddag"] = ddag_to_dict(build_ddag(4))
+
+
+def _set_quantized(path, value):
+    """Set doc["quantized"] at ``path``, a tuple of keys and indices."""
+
+    def edit(doc):
+        target = doc["quantized"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
 _ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")
-# the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state bits
+_NOT_NATURAL = "the DAG is not the natural DAG of 3 classes"
+# the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
+# bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves
 _MODEL_EDITS = {
     "state_bits": (_set_ddag_key("state_bits", 40), "DAG state_bits 40 is not 2, the width for 3 classes"),
     "ordering": (_set_ddag_key("ordering", "whatever"), "DAG ordering 'whatever' is not supported"),
     "extra_vector": (_append_a_vector, "a 3-class model needs 3 vectors, got 4"),
     "relabelled_pair": (_relabel_row_zero, "vector 0 carries pair (1,2), not (0,1) of row 0"),
+    "cyclic_edge": (_edit_node(1, "on_a", ["node", 1]), _NOT_NATURAL),
+    "short_path": (_edit_node(1, "on_a", ["leaf", 0]), _NOT_NATURAL),
+    "edge_to_node_99": (_edit_node(1, "on_b", ["node", 99]), _NOT_NATURAL),
+    "edge_to_leaf_3": (_edit_node(0, "on_b", ["leaf", 3]), _NOT_NATURAL),
+    "initial_state": (_set_ddag_key("initial_state", 0), _NOT_NATURAL),
+    "class_a": (_edit_node(0, "class_a", 2), _NOT_NATURAL),
+    "four_class_ddag": (_four_class_ddag, "a 4-class DAG does not fit a 3-class model"),
+    "acc_width_true": (_set_quantized(("acc_width",), True), "acc_width True is not an integer of at least 1"),
+    "acc_width_fraction": (_set_quantized(("acc_width",), 7.5), "acc_width 7.5 is not an integer of at least 1"),
+    "acc_width_zero": (_set_quantized(("acc_width",), 0), "acc_width 0 is not an integer of at least 1"),
+    "weight_fraction": (
+        _set_quantized(("vectors", 0, "weights", 0), 1.7), "vector 0: parameter 1.7 is not an integer"
+    ),
+    "weight_true": (_set_quantized(("vectors", 0, "weights", 0), True), "vector 0: parameter True is not an integer"),
+    "bias_fraction": (_set_quantized(("vectors", 1, "bias"), 2.5), "vector 1: parameter 2.5 is not an integer"),
 }
 
 

@@ -1,3 +1,6 @@
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,23 @@ from seqsvm.ddag import build_ddag
 # Published measurements of five printed sequential SVM designs:
 # (area cm^2, power mW), used to calibrate the default power density.
 CALIBRATION_POINTS = [(3.1, 3.6), (4.9, 5.3), (7.8, 8.7), (3.1, 3.5), (3.4, 3.9)]
+
+
+def _bench_shapes():
+    """bench/shapes.py as a module, run from its source text, so that nothing
+    (not even a bytecode cache) is written under bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "shapes.py"
+    module = types.ModuleType("bench_shapes")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_five_shape_table_matches_the_bench_reference():
+    # the per-unit GE of the five benchmark shapes are deterministic; any
+    # drift in the cost model or the accumulator sizing shows up here
+    shapes = _bench_shapes()
+    assert shapes.changes_from_reference(shapes.shape_table()) == []
 
 
 class TestEstimate:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bias_only_model, random_quantized_model
+from helpers import bias_only_model, random_quantized_model, reference_graph
 from seqsvm.ddag import (
     build_ddag,
     ddag_infer,
@@ -13,14 +13,15 @@ from seqsvm.ddag import (
     pair_index,
     state_bits_for,
 )
+from seqsvm.modelio import ddag_to_dict
 
 
-def _all_paths(dag):
+def _all_paths(graph):
     """Every root-to-leaf decision path as a list of visited state ids."""
     paths = []
 
     def walk(sid, visited):
-        node = dag.nodes[sid]
+        node = graph.nodes[sid]
         for edge in (node.on_a_wins, node.on_b_wins):
             kind, target = edge
             if kind == "leaf":
@@ -28,7 +29,7 @@ def _all_paths(dag):
             else:
                 walk(target, visited + [sid])
 
-    walk(dag.initial_state, [])
+    walk(graph.initial_state, [])
     return paths
 
 
@@ -46,46 +47,78 @@ def _interval_walk_oracle(dag, qm, codes):
     return lo
 
 
+def _reference_doc(graph):
+    """The model document's ``ddag`` object, written from the node graph."""
+    n = graph.n_classes
+    return {
+        "n_classes": n,
+        "initial_state": graph.initial_state,
+        "state_bits": max(1, math.ceil(math.log2(n * (n - 1) // 2))),
+        "ordering": "natural",
+        "nodes": [
+            {
+                "id": node.state_id,
+                "class_a": node.class_a,
+                "class_b": node.class_b,
+                "row": node.state_id,
+                "on_a": list(node.on_a_wins),
+                "on_b": list(node.on_b_wins),
+            }
+            for _, node in sorted(graph.nodes.items())
+        ],
+    }
+
+
 class TestBuild:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             build_ddag(1)
 
     def test_two_classes(self):
-        dag = build_ddag(2)
-        assert len(dag.nodes) == 1
+        dag, graph = build_ddag(2), reference_graph(2)
+        assert len(graph.nodes) == 1
         assert dag.state_bits == 1
-        node = dag.nodes[dag.initial_state]
+        node = graph.nodes[dag.initial_state]
         assert node.on_a_wins == ("leaf", 0)
         assert node.on_b_wins == ("leaf", 1)
 
     def test_four_classes(self):
-        dag = build_ddag(4)
-        assert len(dag.nodes) == 6
-        assert all(len(p) == 3 for p in _all_paths(dag))
+        graph = reference_graph(4)
+        assert len(graph.nodes) == 6
+        assert all(len(p) == 3 for p in _all_paths(graph))
 
     def test_ten_classes(self):
-        dag = build_ddag(10)
-        assert len(dag.nodes) == 45
+        dag, graph = build_ddag(10), reference_graph(10)
+        assert len(graph.nodes) == 45
         assert dag.state_bits == 6  # ceil(log2 45)
-        assert all(len(p) == 9 for p in _all_paths(dag))
+        assert all(len(p) == 9 for p in _all_paths(graph))
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_structure_exhaustive(self, n):
-        dag = build_ddag(n)
-        assert len(dag.nodes) == pair_count(n) == n * (n - 1) // 2
+        dag, graph = build_ddag(n), reference_graph(n)
+        assert len(graph.nodes) == pair_count(n) == n * (n - 1) // 2
         assert dag.state_bits == state_bits_for(n) == max(1, math.ceil(math.log2(pair_count(n))))
-        for path in _all_paths(dag):
+        assert dag.initial_state == graph.initial_state
+        for path in _all_paths(graph):
             assert len(path) == n - 1
-            pairs = [(dag.nodes[s].class_a, dag.nodes[s].class_b) for s in path]
+            pairs = [(graph.nodes[s].class_a, graph.nodes[s].class_b) for s in path]
             assert len(set(pairs)) == len(pairs)  # no comparison repeats
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_state_id_equals_row_index(self, n):
         # a state reads the row of its pair, so its id is that row
-        dag = build_ddag(n)
-        for sid, node in dag.nodes.items():
+        for sid, node in reference_graph(n).nodes.items():
             assert sid == node.state_id == pair_index(node.class_a, node.class_b, n)
+
+    def test_model_document_equals_the_reference_graph(self):
+        # the derived transitions are the node graph, beyond the CLI's shapes
+        for n in range(2, 41):
+            assert ddag_to_dict(build_ddag(n)) == _reference_doc(reference_graph(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2.0, True, "3"])
+    def test_rejects_anything_but_an_integer_count_of_two_or_more(self, n):
+        with pytest.raises(ValueError, match="integer class count of at least two"):
+            build_ddag(n)
 
 
 class TestInfer:

@@ -1,9 +1,8 @@
 """The batched DAG-walk kernel against the scalar oracles, on random integer
 models of every width the library accepts and on random float models, plus
-the bounds on malformed DAGs and the batched vector scaling."""
+the rejection of a DAG of another class count and the batched vector
+scaling."""
 
-import dataclasses
-import threading
 import warnings
 
 import numpy as np
@@ -12,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import layouts, profiled_cases, random_quantized_model
-from seqsvm.archsim import simulate, simulate_batch
-from seqsvm.hdlgen import emit_golden_vectors
+from seqsvm.archsim import register_census, simulate, simulate_batch
+from seqsvm.cost import compare_storage, estimate
+from seqsvm.hdlgen import emit_golden_vectors, generate
 from seqsvm.ddag import (
-    Ddag,
     build_ddag,
     ddag_infer,
     ddag_infer_float,
@@ -197,80 +196,35 @@ def test_codes_outside_the_input_format_rejected(name, fmt):
         _format_calls(qm, codes)[name]()
 
 
-def _redirect(dag, edge):
-    """The same DAG with every edge replaced by `edge`."""
-    nodes = {
-        sid: dataclasses.replace(node, on_a_wins=edge, on_b_wins=edge) for sid, node in dag.nodes.items()
-    }
-    return Ddag(dag.n_classes, nodes, dag.initial_state)
-
-
-def _error_within(fn, timeout=10.0):
-    """Run fn in a daemon thread and return what it raised; fail if it hangs."""
-    raised = []
-
-    def target():
-        try:
-            fn()
-        except Exception as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), "the walk did not stop on a cyclic DAG"
-    return raised[0] if raised else None
-
-
 def _float_twin(qm):
     """A float model with qm's pairs and features, every vector all ones."""
     vectors = [SupportVector(v.class_a, v.class_b, np.ones(qm.n_features), 0.0) for v in qm.vectors]
     return FloatSvmModel("ovo", qm.n_classes, qm.n_features, vectors)
 
 
-def _cyclic_calls():
-    qm, codes = random_quantized_model(3, 2, 4, seed=0)
-    dag = build_ddag(3)
-    cyclic = _redirect(dag, ("node", dag.initial_state))
-    fmodel = _float_twin(qm)
+def _dag_calls(qm, fmodel, codes, dag):
+    """Every public function that takes a model and a DAG."""
     return {
-        "ddag_infer": lambda: ddag_infer(qm, cyclic, codes[0]),
-        "ddag_infer_float": lambda: ddag_infer_float(fmodel, cyclic, [0.5, 0.5]),
-        "simulate": lambda: simulate(qm, cyclic, codes[0]),
-        "ddag_predict_quant": lambda: ddag_predict_quant(qm, cyclic, codes),
-        "ddag_predict_float": lambda: ddag_predict_float(fmodel, cyclic, [[0.5, 0.5]]),
-        "simulate_batch": lambda: simulate_batch(qm, cyclic, codes, np.zeros(len(codes))),
+        "ddag_infer": lambda: ddag_infer(qm, dag, codes[0]),
+        "ddag_infer_float": lambda: ddag_infer_float(fmodel, dag, [0.5, 0.5]),
+        "walk_batch": lambda: walk_batch(qm, dag, codes),
+        "ddag_predict_quant": lambda: ddag_predict_quant(qm, dag, codes),
+        "ddag_predict_float": lambda: ddag_predict_float(fmodel, dag, [[0.5, 0.5]]),
+        "simulate": lambda: simulate(qm, dag, codes[0]),
+        "simulate_batch": lambda: simulate_batch(qm, dag, codes, np.zeros(len(codes))),
+        "register_census": lambda: register_census(qm, dag),
+        "estimate": lambda: estimate(qm, dag),
+        "compare_storage": lambda: compare_storage(qm, dag),
+        "generate": lambda: generate(qm, dag),
+        "emit_golden_vectors": lambda: emit_golden_vectors(qm, dag, codes, len(codes)),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_cyclic_calls()))
-def test_cyclic_dag_stops_after_n_minus_one_evaluations(name):
-    err = _error_within(_cyclic_calls()[name])
-    assert isinstance(err, ValueError)
-    assert "has not reached a leaf after 2 evaluations" in str(err)
-
-
-def test_kernel_rejects_a_path_shorter_than_n_minus_one():
-    # the scalar walks agree with the kernel: every path takes n-1 evaluations
+@pytest.mark.parametrize("name", sorted(_dag_calls(None, None, None, None)))
+def test_every_entry_rejects_a_dag_of_another_class_count(name):
+    # the DAG is a function of the class count, so the count is all that can disagree
     qm, codes = random_quantized_model(4, 2, 4, seed=0)
-    shallow = _redirect(build_ddag(4), ("leaf", 1))
     fmodel = _float_twin(qm)
-    for call in (
-        lambda: ddag_infer(qm, shallow, codes[0]),
-        lambda: simulate(qm, shallow, codes[0]),
-        lambda: ddag_predict_quant(qm, shallow, codes),
-        lambda: ddag_infer_float(fmodel, shallow, [0.5, 0.5]),
-        lambda: ddag_predict_float(fmodel, shallow, [[0.5, 0.5]]),
-    ):
-        with pytest.raises(ValueError, match="reaches a leaf after 1 of 3 evaluations"):
-            call()
-
-
-def test_kernel_rejects_edges_that_lead_nowhere():
-    qm, codes = random_quantized_model(3, 2, 4, seed=0)
-    fmodel = _float_twin(qm)
-    for edge in (("node", 99), ("leaf", 3), ("leaf", -1)):
-        with pytest.raises(ValueError, match="leads nowhere"):
-            walk_batch(qm, _redirect(build_ddag(3), edge), codes)
-        with pytest.raises(ValueError, match="leads nowhere"):
-            ddag_predict_float(fmodel, _redirect(build_ddag(3), edge), [[0.5, 0.5]])
+    _dag_calls(qm, fmodel, codes, build_ddag(4))[name]()
+    with pytest.raises(ValueError, match="a 3-class DAG does not fit a 4-class model"):
+        _dag_calls(qm, fmodel, codes, build_ddag(3))[name]()

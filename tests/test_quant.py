@@ -137,7 +137,7 @@ class TestSearchParamBits:
         dag = build_ddag(n)
         train = _dataset_on_grid(fmodel, dag, 60, 0.01, seed=2)
         test = _dataset_on_grid(fmodel, dag, 40, 0.01, seed=3)
-        qm, report = search_param_bits(fmodel, train, test, dag=dag)
+        qm, report = search_param_bits(fmodel, train, test)
         assert report.param_bits == 2
         assert report.accuracy_drop == 0.0
         assert not report.max_precision_flag
@@ -165,7 +165,7 @@ class TestSearchParamBits:
             per_bits[bits] = float(np.mean(ddag_predict_quant(cand, dag, codes) == test.labels))
         adequate = [b for b in range(2, 9) if float_acc - per_bits[b] <= MAX_ACCURACY_DROP + 1e-12]
 
-        qm, report = search_param_bits(fmodel, train, test, dag=dag)
+        qm, report = search_param_bits(fmodel, train, test)
         assert adequate, "fixture defect: no adequate precision"
         assert report.param_bits == adequate[0]
         assert report.param_bits > 2, "fixture defect: too easy to quantize"
