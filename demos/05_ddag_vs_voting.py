@@ -32,7 +32,8 @@ walk, evals = ddag_infer(cycle, dag3, [0])
 print(f"\nCondorcet cycle: vote ties 1-1-1 and breaks to class {vote}; "
       f"the DAG walks {[r for r, _ in evals]} and lands on class {walk}")
 
-# on trained models the disagreement rate is small; both are reported
+# trained models disagree too, and not always a little: at 26 classes the
+# float DDAG is 5.9 points of accuracy below voting. Both are reported.
 ds = bundled_dataset("rings10x17", seed=3)
 train, test = split(ds, SplitSpec(0.8, seed=3))
 model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=3))

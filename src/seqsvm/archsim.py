@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,9 @@ def counter_bits(n_features: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CycleRecord:
+class CycleRecord(NamedTuple):
+    """One cycle; a trace line prints the fields in this order."""
+
     cycle: int
     fsm_state: int
     counter: int
@@ -65,12 +67,6 @@ class CycleRecord:
     acc_after: int
     ready: bool
     y: int
-
-
-TRACE_FIELDS = (
-    "cycle", "fsm_state", "counter", "fetched_row", "fetched_col",
-    "fetched_word", "acc_after", "ready", "y",
-)
 
 
 @dataclass
@@ -171,12 +167,8 @@ def register_census(qm: QuantizedModel, dag: Ddag) -> dict:
 
 def trace_to_text(trace: SimTrace) -> str:
     """One record per line, fixed field order, '#' header."""
-    lines = ["# " + " ".join(TRACE_FIELDS)]
-    for rec in trace.records:
-        lines.append(
-            f"{rec.cycle} {rec.fsm_state} {rec.counter} {rec.fetched_row} "
-            f"{rec.fetched_col} {rec.fetched_word} {rec.acc_after} {int(rec.ready)} {rec.y}"
-        )
+    line = " ".join(["%d"] * len(CycleRecord._fields))
+    lines = ["# " + " ".join(CycleRecord._fields), *(line % rec for rec in trace.records)]
     lines.append(
         f"# totals cycles={trace.cycles} evaluations={trace.evaluations} "
         f"overflows={trace.overflows} class={trace.out_class} final_state={trace.final_state}"

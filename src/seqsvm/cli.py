@@ -14,13 +14,14 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import modelio
 from .archsim import ArchConfig, simulate, simulate_batch, trace_to_text
-from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech, report_to_dict
+from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import build_ddag
+from .ddag import build_ddag, check_dag
 from .fxp import FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import quantize_inputs, search_param_bits
@@ -92,19 +93,7 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
     doc["ddag"] = modelio.ddag_to_dict(dag)
     modelio.save_model_doc(out / "model.json", doc)
     modelio.save_model_doc(
-        out / "quant_report.json",
-        {
-            "config_hash": doc["config_hash"],
-            "seed": doc["seed"],
-            "param_bits": report.param_bits,
-            "float_accuracy": report.float_accuracy,
-            "quantized_accuracy": report.quantized_accuracy,
-            "accuracy_drop": report.accuracy_drop,
-            "acc_width": report.acc_width,
-            "partial_min": report.partial_min,
-            "partial_max": report.partial_max,
-            "max_precision_flag": report.max_precision_flag,
-        },
+        out / "quant_report.json", {"config_hash": doc["config_hash"], "seed": doc["seed"], **asdict(report)}
     )
     print(f"quantized to {report.param_bits}-bit parameters "
           f"(float {report.float_accuracy:.4f} -> quant {report.quantized_accuracy:.4f}, "
@@ -113,12 +102,15 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
     return doc, (fmodel, qm, dag), report
 
 
-def _model_parts(doc: dict):
-    """The (float model, quantized model, DAG) of a model document."""
+def _load_model(out: Path):
+    """The document of ``out``/model.json and its (float model, quantized
+    model, DAG); the float model must be the OvO model the DAG walks."""
+    doc = modelio.load_model_doc(out / "model.json")
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     qm = modelio.quantized_from_dict(doc["quantized"], fmodel.n_classes, fmodel.n_features)
     dag = modelio.ddag_from_dict(doc["ddag"])
-    return fmodel, qm, dag
+    check_dag(fmodel, dag)
+    return doc, (fmodel, qm, dag)
 
 
 def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, storage_kind: str) -> dict:
@@ -162,10 +154,7 @@ def _cost_phase(doc: dict, parts, out: Path, storage_kind: str, tech: TechConfig
     _, qm, dag = parts
     both = compare_storage(qm, dag, tech)
     parallel = compare_parallel(qm, tech)
-    chosen = both[storage_kind]
-    report = report_to_dict(chosen)
-    report["config_hash"] = doc["config_hash"]
-    report["seed"] = doc["seed"]
+    report = {**asdict(both[storage_kind]), "config_hash": doc["config_hash"], "seed": doc["seed"]}
     modelio.save_model_doc(out / "cost_report.json", report)
     table = format_report_table(
         [("seq-mux", both["mux"]), ("seq-rom", both["rom"]), ("parallel", parallel)]
@@ -241,37 +230,36 @@ def cmd_quantize(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
-        doc = modelio.load_model_doc(out / "model.json")
-        _simulate_phase(doc, _model_parts(doc), _ingest(doc["config"])[1], out, args.trace, args.storage)
+        doc, parts = _load_model(out)
+        _simulate_phase(doc, parts, _ingest(doc["config"])[1], out, args.trace, args.storage)
     return 0
 
 
 def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
-        doc = modelio.load_model_doc(out / "model.json")
-        _hdl_phase(_model_parts(doc), _ingest(doc["config"])[1], out, args.vectors)
+        doc, parts = _load_model(out)
+        _hdl_phase(parts, _ingest(doc["config"])[1], out, args.vectors)
     return 0
 
 
 def cmd_cost(args) -> int:
     out = Path(args.out)
     with _stage("cost"):
-        doc = modelio.load_model_doc(out / "model.json")
-        _cost_phase(doc, _model_parts(doc), out, args.storage, _tech(args))
+        doc, parts = _load_model(out)
+        _cost_phase(doc, parts, out, args.storage, _tech(args))
     return 0
 
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
-        doc = modelio.load_model_doc(out / "model.json")
+        doc, (fmodel, qm, dag) = _load_model(out)
         # the DDAG accuracies were measured on this test split by the quantize stage
         quant_report = json.loads((out / "quant_report.json").read_text())
         if quant_report.get("config_hash") != doc["config_hash"]:
             raise ValueError("quant_report.json does not belong to model.json (config_hash differs)")
         train, test = _ingest(doc["config"])
-        fmodel, qm, dag = _model_parts(doc)
         ova = train_ova(train, Hyper(**doc["hyper"]))
         acc_rows = [
             ("ovo-vote (float)", accuracy(fmodel, test)),
@@ -294,8 +282,8 @@ def cmd_compare(args) -> int:
                 "config_hash": doc["config_hash"],
                 "seed": doc["seed"],
                 "accuracy": {name.strip(): acc for name, acc in acc_rows},
-                "sequential": report_to_dict(seq),
-                "parallel": report_to_dict(par),
+                "sequential": asdict(seq),
+                "parallel": asdict(par),
             },
         )
     return 0

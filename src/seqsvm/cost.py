@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .archsim import ArchConfig, latency_cycles, register_census
 from .ddag import Ddag, class_bits, pair_count
@@ -43,8 +43,9 @@ class TechConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be > 0")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -96,6 +97,15 @@ def _fsm_ge(dag: Ddag, tech: TechConfig) -> float:
     return states * (2 * dag.state_bits + row_bits) * tech.mux_per_input_cost + states
 
 
+def _report(design: str, ge: dict, tech: TechConfig, cycles: int, slots: int, register_bits: int) -> CostReport:
+    """The report of a design from its GE per unit: adds the total and derives
+    area, power and latency."""
+    ge["total"] = sum(ge.values())
+    area = ge["total"] * tech.nand_equiv_area
+    latency = cycles * slots / tech.f_clk
+    return CostReport(design, ge, area, tech.power_per_area * area, cycles, latency, register_bits, slots, tech.f_clk)
+
+
 def estimate(
     qm: QuantizedModel,
     dag: Ddag,
@@ -111,24 +121,9 @@ def estimate(
         "fsm": _fsm_ge(dag, tech),
         "registers": census["total"] * tech.dff_nand_equiv,
     }
-    ge["total"] = sum(ge.values())
-    area = ge["total"] * tech.nand_equiv_area
-
+    slots = math.ceil(qm.param_bits / (2 * arch.adc_count)) if arch.storage == "rom" else 1
     cycles = latency_cycles(qm.n_classes, qm.n_features)
-    slots = 1
-    if arch.storage == "rom":
-        slots = math.ceil(qm.param_bits / (2 * arch.adc_count))
-    return CostReport(
-        design=f"sequential-{arch.storage}",
-        gate_equivalents=ge,
-        area_cm2=area,
-        power_mw=tech.power_per_area * area,
-        latency_cycles=cycles,
-        latency_seconds=cycles * slots / tech.f_clk,
-        register_bits=census["total"],
-        access_slots=slots,
-        f_clk=tech.f_clk,
-    )
+    return _report(f"sequential-{arch.storage}", ge, tech, cycles, slots, census["total"])
 
 
 def compare_storage(
@@ -159,19 +154,7 @@ def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> Cos
         "fsm": voter,
         "registers": 0.0,
     }
-    ge["total"] = sum(ge.values())
-    area = ge["total"] * tech.nand_equiv_area
-    return CostReport(
-        design="parallel",
-        gate_equivalents=ge,
-        area_cm2=area,
-        power_mw=tech.power_per_area * area,
-        latency_cycles=1,
-        latency_seconds=1.0 / tech.f_clk,
-        register_bits=0,
-        access_slots=1,
-        f_clk=tech.f_clk,
-    )
+    return _report("parallel", ge, tech, cycles=1, slots=1, register_bits=0)
 
 
 def calibrate_power(points) -> float:
@@ -191,14 +174,6 @@ def calibrate_power(points) -> float:
 # ---------------------------------------------------------------------------
 
 
-def save_tech(tech: TechConfig, path) -> None:
-    lines = ["# printed-technology cost coefficients (flat key=value)"]
-    for f in fields(tech):
-        lines.append(f"{f.name}={getattr(tech, f.name)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_tech(path) -> TechConfig:
     known = {f.name for f in fields(TechConfig)}
     values = {}
@@ -215,10 +190,6 @@ def load_tech(path) -> TechConfig:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = float(raw.strip())
     return TechConfig(**values)
-
-
-def report_to_dict(report: CostReport) -> dict:
-    return asdict(report)
 
 
 def format_report_table(named_reports) -> str:

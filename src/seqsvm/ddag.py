@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fxp import MAX_INPUT_BITS, wrap
+from .fxp import wrap
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,10 @@ def transitions(dag: Ddag):
 
 
 def check_dag(model, dag: Ddag) -> None:
-    """Reject a DAG built for another class count than ``model``'s."""
+    """Reject a DAG built for another class count than ``model``'s, and a
+    float model that is not one-vs-one (a QuantizedModel always is)."""
+    if getattr(model, "kind", "ovo") != "ovo":
+        raise ValueError(f"a DAG walks OvO models only, not a {model.kind!r} model")
     if dag.n_classes != model.n_classes:
         raise ValueError(f"a {dag.n_classes}-class DAG does not fit a {model.n_classes}-class model")
 
@@ -107,7 +110,7 @@ def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
     lo, hi = 0, dag.n_classes - 1
     evaluations = []
     while lo < hi:
-        row = pair_index(lo, hi, dag.n_classes)
+        row = _row(lo, hi, dag.n_classes)
         y = 1 if decide(row) else 0
         evaluations.append((row, y))
         if y:
@@ -135,17 +138,6 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
         return acc >= 0
 
     return _walk(dag, decide)
-
-
-def check_codes(codes, n_features: int) -> np.ndarray:
-    """``codes`` as an int64 samples x n_features matrix of the unsigned
-    codes the integer kernels accept."""
-    X = np.asarray(codes, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"need a samples x {n_features} code matrix, got shape {X.shape}")
-    if X.size and (X.min() < 0 or X.max() >= 1 << MAX_INPUT_BITS):
-        raise ValueError(f"input codes must be unsigned {MAX_INPUT_BITS}-bit integers")
-    return X
 
 
 def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):

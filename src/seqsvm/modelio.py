@@ -17,8 +17,8 @@ Document layout (format "seqsvm/model", version 1):
                 nodes: [{id, class_a, class_b, row, on_a, on_b}]}
 
 The ``ddag`` object must be the natural DAG of its class count, the one
-``ddag.transitions`` lists. Quantized weights, biases and ``acc_width`` (>= 1)
-must be integers.
+``ddag.transitions`` lists. Quantized weights, biases, ``param_bits`` and
+``acc_width`` (>= 1) must be integers.
 """
 
 from __future__ import annotations
@@ -45,20 +45,20 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
 
 
+def _vectors_to_list(vectors, number) -> list:
+    """A model's vectors as JSON objects, every parameter through ``number``."""
+    return [
+        {"class_a": v.class_a, "class_b": v.class_b, "weights": [number(w) for w in v.weights], "bias": number(v.bias)}
+        for v in vectors
+    ]
+
+
 def float_model_to_dict(model: FloatSvmModel) -> dict:
     return {
         "kind": model.kind,
         "n_classes": model.n_classes,
         "n_features": model.n_features,
-        "vectors": [
-            {
-                "class_a": v.class_a,
-                "class_b": v.class_b,
-                "weights": [float(w) for w in v.weights],
-                "bias": float(v.bias),
-            }
-            for v in model.vectors
-        ],
+        "vectors": _vectors_to_list(model.vectors, float),
     }
 
 
@@ -82,15 +82,7 @@ def quantized_to_dict(qm: QuantizedModel) -> dict:
         "acc_width": qm.acc_width,
         "bias_shift": qm.bias_shift,
         "scales": [float(s) for s in qm.scales],
-        "vectors": [
-            {
-                "class_a": v.class_a,
-                "class_b": v.class_b,
-                "weights": [int(w) for w in v.weights],
-                "bias": int(v.bias),
-            }
-            for v in qm.vectors
-        ],
+        "vectors": _vectors_to_list(qm.vectors, int),
     }
 
 
@@ -102,9 +94,9 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
             f"input format {fmt_doc} with bias_shift {shift} is not supported: "
             "inputs must be unsigned and all fractional, and the bias shifts by the input bits"
         )
-    acc_width = doc["acc_width"]
-    if type(acc_width) is not int or acc_width < 1:
-        raise ValueError(f"acc_width {acc_width!r} is not an integer of at least 1")
+    for key in ("param_bits", "acc_width"):  # QuantizedModel checks param_bits' range
+        if type(doc[key]) is not int or doc[key] < 1:
+            raise ValueError(f"{key} {doc[key]!r} is not an integer of at least 1")
     vectors = []
     for r, v in enumerate(doc["vectors"]):
         bad = [p for p in [*v["weights"], v["bias"]] if type(p) is not int]
@@ -112,7 +104,7 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
             raise ValueError(f"vector {r}: parameter {bad[0]!r} is not an integer")
         vectors.append(QuantVector(v["class_a"], v["class_b"], v["weights"], v["bias"]))
     qm = QuantizedModel(n_classes, n_features, FxpFormat(bits), doc["param_bits"], vectors, list(doc["scales"]))
-    qm.acc_width = acc_width
+    qm.acc_width = doc["acc_width"]
     return qm
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import build_ddag, check_codes, ddag_predict_float, ddag_predict_quant
+from .ddag import build_ddag, ddag_predict_float, ddag_predict_quant
 from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
-from .trainer import FloatSvmModel
+from .trainer import FloatSvmModel, check_rows
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
 MAX_ACCURACY_DROP = 0.005
@@ -64,13 +64,7 @@ class QuantizedModel:
         if not 2 <= self.param_bits <= 16:
             raise ValueError("param_bits out of range")
         _check_input_fmt(self.input_fmt)
-        n = self.n_classes
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        if len(self.vectors) != len(pairs):
-            raise ValueError(f"a {n}-class model needs {len(pairs)} vectors, got {len(self.vectors)}")
-        for r, (vec, (a, b)) in enumerate(zip(self.vectors, pairs)):
-            if (vec.class_a, vec.class_b) != (a, b):
-                raise ValueError(f"vector {r} carries pair ({vec.class_a},{vec.class_b}), not ({a},{b}) of row {r}")
+        check_rows(self.vectors, self.n_classes)
         # the first offender in vector order, then weights before the bias
         ragged = [i for i, vec in enumerate(self.vectors) if len(vec.weights) != self.n_features]
         params = [[*vec.weights, vec.bias] for vec in self.vectors[:ragged[0] if ragged else None]]
@@ -100,7 +94,11 @@ class QuantizedModel:
         """``codes`` as an int64 samples x n_features matrix, rejecting any
         code outside the input format: the emitted Verilog keeps only the low
         input bits of each code, so such a code would run differently there."""
-        X = check_codes(codes, self.n_features)
+        X = np.asarray(codes, dtype=np.int64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"need a samples x {self.n_features} code matrix, got shape {X.shape}")
+        if X.size and (X.min() < 0 or X.max() >= 1 << MAX_INPUT_BITS):
+            raise ValueError(f"input codes must be unsigned {MAX_INPUT_BITS}-bit integers")
         if X.size and X.max() > self.input_fmt.raw_max:
             raise ValueError(
                 f"input code {int(X.max())} does not fit the model's "
@@ -212,16 +210,8 @@ def profile_accumulator(qm: QuantizedModel, train_codes: np.ndarray) -> int:
     No guard bits: undersizing at test time is observable (the simulator wraps
     and flags), not silent.
     """
-    _size_accumulator(qm, train_codes)
+    qm.acc_width = width_for_range(*partial_sum_extremes(qm, train_codes))
     return qm.acc_width
-
-
-def _size_accumulator(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
-    """Set ``qm.acc_width`` from the prefix-sum extremes on ``train_codes``;
-    returns the extremes."""
-    lo, hi = partial_sum_extremes(qm, train_codes)
-    qm.acc_width = width_for_range(lo, hi)
-    return lo, hi
 
 
 def search_param_bits(
@@ -250,7 +240,8 @@ def search_param_bits(
     else:
         flagged = True  # the last try, at max_bits, stays chosen
 
-    lo, hi = _size_accumulator(chosen, train_codes)
+    lo, hi = partial_sum_extremes(chosen, train_codes)
+    chosen.acc_width = width_for_range(lo, hi)
     report = QuantReport(
         param_bits=chosen.param_bits,
         float_accuracy=float_acc,

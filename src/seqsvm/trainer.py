@@ -70,6 +70,23 @@ class SupportVector:
     bias: float
 
 
+def check_rows(vectors, n_classes: int, kind: str = "ovo") -> None:
+    """Reject ``vectors`` unless vector r is row r of a ``kind`` model: the
+    r-th class pair in lexicographic order for "ovo", class r against the
+    rest (class_b None) for "ova"."""
+    if kind == "ovo":
+        rows = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
+    elif kind == "ova":
+        rows = [(c, None) for c in range(n_classes)]
+    else:
+        raise ValueError(f"model kind {kind!r} is neither 'ovo' nor 'ova'")
+    if len(vectors) != len(rows):
+        raise ValueError(f"a {n_classes}-class model needs {len(rows)} vectors, got {len(vectors)}")
+    for r, (vec, (a, b)) in enumerate(zip(vectors, rows)):
+        if (vec.class_a, vec.class_b) != (a, b):
+            raise ValueError(f"vector {r} carries pair ({vec.class_a},{vec.class_b}), not ({a},{b}) of row {r}")
+
+
 @dataclass
 class FloatSvmModel:
     kind: str  # "ovo" | "ova"
@@ -78,10 +95,7 @@ class FloatSvmModel:
     vectors: list[SupportVector]
 
     def __post_init__(self):
-        n = self.n_classes
-        expected = n * (n - 1) // 2 if self.kind == "ovo" else n
-        if len(self.vectors) != expected:
-            raise ValueError(f"{self.kind} model needs {expected} vectors, got {len(self.vectors)}")
+        check_rows(self.vectors, self.n_classes, self.kind)
 
     def coef_table(self) -> np.ndarray:
         """The coefficients as float64 rows: row r = [bias, w_1..w_m] of vector r."""
@@ -125,12 +139,6 @@ class FloatSvmModel:
         return np.argmax(votes, axis=1)
 
 
-@dataclass
-class BinaryFit:
-    weights: np.ndarray
-    bias: float
-
-
 @dataclass(frozen=True)
 class Lane:
     """One binary fit: dataset rows ``rows``, where label ``positive`` is
@@ -144,8 +152,9 @@ class Lane:
     key: tuple[int, ...]
 
 
-def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
-    """Fit every lane's hinge-loss separator at once, in lockstep.
+def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
+    """Fit every lane's hinge-loss separator at once, in lockstep; row i of
+    the (lanes, m+1) result is lane i's [w_1..w_m, bias].
 
     A lane whose rows all carry identical features is degenerate: it gets
     zero weights and a bias whose sign picks the majority label. The others
@@ -154,15 +163,16 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
     """
     X = ds.features
     Xa = np.hstack([X, np.ones((ds.n_samples, 1))])
-    fits: list[BinaryFit | None] = [None] * len(lanes)
+    constant, solved = {}, []  # the bias of each degenerate lane; the other lanes
     for i, lane in enumerate(lanes):
         Xl = X[lane.rows]
         if bool(np.all(Xl == Xl[0])):
             y = ds.labels[lane.rows] == lane.positive
-            bias = 1.0 if 2 * np.count_nonzero(y) >= len(y) else -1.0
-            fits[i] = BinaryFit(np.zeros(ds.n_features), bias)
+            constant[i] = 1.0 if 2 * np.count_nonzero(y) >= len(y) else -1.0
+        else:
+            solved.append(i)
     # longest-running lanes first, so the lanes alive in an epoch are a prefix
-    order = sorted((i for i, fit in enumerate(fits) if fit is None), key=lambda i: -lanes[i].epochs)
+    order = sorted(solved, key=lambda i: -lanes[i].epochs)
     lam = np.array([lanes[i].lam for i in order])
     epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
     n = np.array([len(lanes[i].rows) for i in order], dtype=np.int64)
@@ -203,9 +213,9 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> list[BinaryFit]:
             for x, th in zip(yx[:, :, None, :], thresh[:, :, None, None]):
                 violated = np.matmul(x, u_col) < th
                 np.add(u_row, x, out=u_row, where=violated)
-    W = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
-    for j, i in enumerate(order):
-        fits[i] = BinaryFit(W[j, :-1], float(W[j, -1]))
+    fits = np.zeros((len(lanes), Xa.shape[1]))
+    fits[order] = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
+    fits[list(constant), -1] = list(constant.values())
     return fits
 
 
@@ -225,7 +235,7 @@ def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel
     models = []
     for k in range(len(hypers)):
         own = fits[k * len(pairs):(k + 1) * len(pairs)]
-        vectors = [SupportVector(a, b, fit.weights, fit.bias) for (a, b, _), fit in zip(pairs, own)]
+        vectors = [SupportVector(a, b, fit[:-1], float(fit[-1])) for (a, b, _), fit in zip(pairs, own)]
         models.append(FloatSvmModel("ovo", n, ds.n_features, vectors))
     return models
 
@@ -239,7 +249,7 @@ def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
     """One binary fit per class against the rest (comparison harness only)."""
     rows = np.arange(ds.n_samples)
     lanes = [Lane(rows, cls, hyper.lam, hyper.epochs, (hyper.seed, cls)) for cls in range(ds.n_classes)]
-    vectors = [SupportVector(cls, None, fit.weights, fit.bias) for cls, fit in enumerate(fit_lanes(ds, lanes))]
+    vectors = [SupportVector(cls, None, fit[:-1], float(fit[-1])) for cls, fit in enumerate(fit_lanes(ds, lanes))]
     return FloatSvmModel("ova", ds.n_classes, ds.n_features, vectors)
 
 

@@ -222,23 +222,21 @@ def test_rom_storage_flag(synth_csv, tmp_path):
 
 
 def test_tech_file_flag(synth_csv, tmp_path):
-    from seqsvm.cost import TechConfig, save_tech
-
     tech_path = tmp_path / "tech.cfg"
-    save_tech(TechConfig(f_clk=15.0), tech_path)
+    tech_path.write_text("f_clk=15.0\n")
     out = tmp_path / "out"
     assert main(_run_args(synth_csv, out, ["--tech", str(tech_path)])) == 0
     cost = json.loads((out / "cost_report.json").read_text())
     assert cost["f_clk"] == 15.0
 
 
-def _edited_copy(full_run, tmp_path, edit):
-    """A copy of the run's artifacts whose model.json went through ``edit``."""
+def _edited_copy(full_run, tmp_path, edit, name="model.json"):
+    """A copy of the run's artifacts whose ``name`` went through ``edit``."""
     out = tmp_path / "out"
     shutil.copytree(full_run, out)
-    doc = json.loads((out / "model.json").read_text())
+    doc = json.loads((out / name).read_text())
     edit(doc)
-    (out / "model.json").write_text(json.dumps(doc))
+    (out / name).write_text(json.dumps(doc))
     return out
 
 
@@ -307,6 +305,33 @@ def _set_quantized(path, value):
     return edit
 
 
+def _set_float_kind(kind):
+    def edit(doc):
+        doc["float_model"]["kind"] = kind
+
+    return edit
+
+
+def _swap_float_pair_zero(doc):
+    vec = doc["float_model"]["vectors"][0]
+    vec["class_a"], vec["class_b"] = vec["class_b"], vec["class_a"]
+
+
+def _float_model_as_ova(doc):
+    """A well-formed 3-class OvA model: vector r is class r against the rest."""
+    doc["float_model"]["kind"] = "ova"
+    for r, vec in enumerate(doc["float_model"]["vectors"]):
+        vec.update(class_a=r, class_b=None)
+
+
+# edits of the "float_model" object, which float_model.json and model.json share
+_FLOAT_MODEL_EDITS = {
+    "float_kind": (_set_float_kind("bogus"), "model kind 'bogus' is neither 'ovo' nor 'ova'"),
+    "float_swapped_pair": (_swap_float_pair_zero, "vector 0 carries pair (1,0), not (0,1) of row 0"),
+    "float_ova_kind_on_pairs": (_set_float_kind("ova"), "vector 0 carries pair (0,1), not (0,None) of row 0"),
+    "float_ova": (_float_model_as_ova, "a DAG walks OvO models only, not a 'ova' model"),
+}
+
 _ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")
 _NOT_NATURAL = "the DAG is not the natural DAG of 3 classes"
 # the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
@@ -331,6 +356,10 @@ _MODEL_EDITS = {
     ),
     "weight_true": (_set_quantized(("vectors", 0, "weights", 0), True), "vector 0: parameter True is not an integer"),
     "bias_fraction": (_set_quantized(("vectors", 1, "bias"), 2.5), "vector 1: parameter 2.5 is not an integer"),
+    "param_bits_fraction": (_set_quantized(("param_bits",), 7.5), "param_bits 7.5 is not an integer of at least 1"),
+    "param_bits_float": (_set_quantized(("param_bits",), 8.0), "param_bits 8.0 is not an integer of at least 1"),
+    "param_bits_true": (_set_quantized(("param_bits",), True), "param_bits True is not an integer of at least 1"),
+    **_FLOAT_MODEL_EDITS,
 }
 
 
@@ -349,6 +378,26 @@ def test_every_stage_rejects_a_hand_edited_row(full_run, tmp_path, capsys, comma
     assert main([command, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"stage {command} failed: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message", [pytest.param(edit, message, id=key) for key, (edit, message) in _FLOAT_MODEL_EDITS.items()]
+)
+def test_quantize_rejects_a_hand_edited_float_model(full_run, tmp_path, capsys, edit, message):
+    out = _edited_copy(full_run, tmp_path, edit, "float_model.json")
+    assert main(["quantize", "--out", str(out)]) == 2
+    assert f"stage quantize failed: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["f_clk=nan", "nand_equiv_area=inf"])
+def test_non_finite_tech_file_fails_in_cost(synth_csv, tmp_path, capsys, line):
+    tech_path = tmp_path / "tech.cfg"
+    tech_path.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(_run_args(synth_csv, out, ["--tech", str(tech_path)])) == 2
+    key = line.partition("=")[0]
+    assert f"stage cost failed: {key} must be finite and > 0" in capsys.readouterr().err
+    assert not (out / "cost_report.json").exists()
 
 
 def test_run_and_compare_never_import_numpy_ma(synth_csv, tmp_path):

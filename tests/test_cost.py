@@ -1,4 +1,6 @@
+import math
 import types
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from seqsvm.cost import (
     estimate,
     format_report_table,
     load_tech,
-    save_tech,
 )
 from seqsvm.ddag import build_ddag
 
@@ -183,10 +184,16 @@ class TestTechConfig:
         with pytest.raises(ValueError):
             TechConfig(rom_cell_cost=-1.0)
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(TechConfig)])
+    def test_non_finite_rejected(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                TechConfig(**{name: value})
+
     def test_file_roundtrip(self, tmp_path):
         tech = TechConfig(f_clk=15.0, power_per_area=1.2)
         path = tmp_path / "tech.cfg"
-        save_tech(tech, path)
+        path.write_text("".join(f"{key}={value!r}\n" for key, value in asdict(tech).items()))
         assert load_tech(path) == tech
 
     def test_unknown_key_rejected(self, tmp_path):

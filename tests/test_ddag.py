@@ -8,6 +8,7 @@ from seqsvm.ddag import (
     build_ddag,
     ddag_infer,
     ddag_infer_float,
+    ddag_predict_float,
     ovo_vote_infer,
     pair_count,
     pair_index,
@@ -172,6 +173,18 @@ class TestInfer:
         )
         for row in codes[:40]:
             assert ddag_infer(qm, dag, row)[0] == ddag_infer_float(fmodel, dag, row)[0]
+
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_float_walks_reject_an_ova_model(self, n):
+        from seqsvm.trainer import FloatSvmModel, SupportVector
+
+        ova = FloatSvmModel("ova", n, 2, [SupportVector(c, None, np.ones(2), -1.0) for c in range(n)])
+        dag = build_ddag(n)
+        with pytest.raises(ValueError, match="a DAG walks OvO models only, not a 'ova' model"):
+            ddag_predict_float(ova, dag, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="a DAG walks OvO models only, not a 'ova' model"):
+            ddag_infer_float(ova, dag, np.zeros(2))
 
 
 class TestVote:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import seqsvm.trainer as trainer_mod
 from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
+from seqsvm.modelio import float_model_from_dict
 from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
     FloatSvmModel,
@@ -123,6 +124,33 @@ def test_ova_vector_counts(name, n):
     model = train_ova(train, Hyper(epochs=3))
     assert len(model.vectors) == n
     assert all(v.class_b is None for v in model.vectors)
+
+
+def _vectors(rows, m=2):
+    return [SupportVector(a, b, np.zeros(m), 0.0) for a, b in rows]
+
+
+@pytest.mark.parametrize("kind, rows, message", [
+    ("ovo", [(0, 1), (1, 0), (1, 2)], r"vector 1 carries pair \(1,0\), not \(0,2\) of row 1"),
+    ("ovo", [(0, 2), (0, 1), (1, 2)], r"vector 0 carries pair \(0,2\), not \(0,1\) of row 0"),
+    ("ovo", [(0, 1), (0, None), (1, 2)], r"vector 1 carries pair \(0,None\), not \(0,2\) of row 1"),
+    ("ovo", [(0, 1), (0, 2)], "a 3-class model needs 3 vectors, got 2"),
+    ("ova", [(0, None), (2, None), (1, None)], r"vector 1 carries pair \(2,None\), not \(1,None\) of row 1"),
+    ("ova", [(0, None), (1, 2), (2, None)], r"vector 1 carries pair \(1,2\), not \(1,None\) of row 1"),
+    ("ova", [(0, 1), (0, 2), (1, 2)], r"vector 0 carries pair \(0,1\), not \(0,None\) of row 0"),
+    ("ova", [(0, None), (1, None)], "a 3-class model needs 3 vectors, got 2"),
+    ("bogus", [(0, 1), (0, 2), (1, 2)], "model kind 'bogus' is neither 'ovo' nor 'ova'"),
+    ("OvO", [(0, 1), (0, 2), (1, 2)], "model kind 'OvO' is neither 'ovo' nor 'ova'"),
+])
+def test_vector_r_must_be_row_r(kind, rows, message):
+    with pytest.raises(ValueError, match=message):
+        FloatSvmModel(kind, 3, 2, _vectors(rows))
+    doc = {
+        "kind": kind, "n_classes": 3, "n_features": 2,
+        "vectors": [{"class_a": a, "class_b": b, "weights": [0.0, 0.0], "bias": 0.0} for a, b in rows],
+    }
+    with pytest.raises(ValueError, match=message):
+        float_model_from_dict(doc)
 
 
 def test_ovo_vs_ova_gap_reported(capsys):
@@ -390,8 +418,8 @@ class TestLaneSolver:
         batch = fit_lanes(ds, lanes)
         for lane, fit in zip(lanes, batch):
             alone = fit_lanes(ds, [lane])[0]
-            assert np.array_equal(alone.weights, fit.weights)
-            assert alone.bias == fit.bias
+            assert np.array_equal(alone[:-1], fit[:-1])
+            assert alone[-1] == fit[-1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ovo_lanes_match_shrink_and_step(self, seed):
@@ -435,13 +463,13 @@ class TestLaneSolver:
         normal = [Lane(np.arange(40), cls, 0.1, 4, (3, cls)) for cls in range(4)]
         fits = fit_lanes(ds, [normal[0], flat, *normal[1:]])
         majority = 2 * np.count_nonzero(ds.labels[:10] == flat.positive) >= 10
-        assert np.all(fits[1].weights == 0.0)
-        assert fits[1].bias == (1.0 if majority else -1.0)
+        assert np.all(fits[1][:-1] == 0.0)
+        assert fits[1][-1] == (1.0 if majority else -1.0)
         model = train_ova(ds, Hyper(lam=0.1, epochs=4, seed=3))
         for cls, (fit, vec) in enumerate(zip([fits[0], *fits[2:]], model.vectors)):
-            assert np.array_equal(fit.weights, vec.weights) and fit.bias == vec.bias
+            assert np.array_equal(fit[:-1], vec.weights) and fit[-1] == vec.bias
             y = np.where(ds.labels == cls, 1.0, -1.0)
-            _assert_close_to_reference(fit, ds.features, y, 0.1, 4, (3, cls))
+            _assert_close_to_reference(vec, ds.features, y, 0.1, 4, (3, cls))
 
     def test_all_degenerate_ova(self):
         ds = Dataset(np.tile([0.5], (5, 1)), np.array([0, 1, 1, 2, 2]), ["a", "b", "c"])
@@ -472,4 +500,4 @@ class TestLaneSolver:
         fits = fit_lanes(ds, lanes)
         assert draws == [len(rows)] * 5  # one draw in each of the longest lane's 5 epochs
         for one, fit in zip(alone, fits):
-            assert np.array_equal(one.weights, fit.weights) and one.bias == fit.bias
+            assert np.array_equal(one[:-1], fit[:-1]) and one[-1] == fit[-1]
