@@ -35,7 +35,8 @@ class Dataset:
             raise ValueError("labels length must match the number of samples")
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < len(self.label_names):
             raise ValueError(f"labels must be codes 0..{len(self.label_names) - 1} into label_names")
-        if not np.all(np.isfinite(self.features)):
+        # min and max carry any NaN or infinity without a samples-sized mask
+        if self.features.size and not np.isfinite([self.features.min(), self.features.max()]).all():
             raise ValueError("features contain non-finite values")
 
     @property
@@ -175,26 +176,32 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     applying the training normalization.
     """
     n = ds.n_samples
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(n)
+    # rng.permutation(n) drawn into int32, which halves the one index per sample
+    order = np.arange(n, dtype=np.int32)
+    np.random.default_rng(spec.seed).shuffle(order)
     n_train = int(round(n * spec.train_fraction))
     n_train = min(max(n_train, 1), n - 1)
-    train_idx, test_idx = np.sort(order[:n_train]), np.sort(order[n_train:])
+    train_idx, test_idx = order[:n_train], order[n_train:]
+    train_idx.sort()
+    test_idx.sort()
 
     present = _class_count(ds.labels)
-    if _class_count(ds.labels[train_idx]) < present:
+    y_train = ds.labels[train_idx]
+    if _class_count(y_train) < present:
         train_idx, test_idx = _stratified_indices(ds.labels, spec.train_fraction, spec.seed)
         if len(test_idx) == 0:
             raise ValueError(
                 "split leaves no test samples even after stratification; "
                 "increase the dataset size or lower train_fraction"
             )
-    if _class_count(ds.labels[train_idx]) < present:
+        y_train = ds.labels[train_idx]
+    if _class_count(y_train) < present:
         raise ValueError(
             "split leaves a class without training samples; "
             "stratification failed (class with zero samples?)"
         )
 
+    # the row gathers are new arrays, so they are normalized in place
     x_train = ds.features[train_idx]
     x_test = ds.features[test_idx]
     mins = x_train.min(axis=0)
@@ -203,10 +210,12 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     span[span == 0.0] = 1.0  # constant feature maps to 0
 
     norm = list(zip(mins.tolist(), maxs.tolist()))
-    x_train = (x_train - mins) / span
-    x_test = np.clip((x_test - mins) / span, 0.0, 1.0)
+    for x in (x_train, x_test):
+        x -= mins
+        x /= span
+    np.clip(x_test, 0.0, 1.0, out=x_test)
 
-    train = Dataset(x_train, ds.labels[train_idx], ds.label_names, ds.feature_names, norm)
+    train = Dataset(x_train, y_train, ds.label_names, ds.feature_names, norm)
     test = Dataset(x_test, ds.labels[test_idx], ds.label_names, ds.feature_names, norm)
     return train, test
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fxp import wrap
+from .fxp import BLOCK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):
-    """The DAG-walk step loop over every sample at once, on int64 words and
-    codes or on float64 coefficients and features.
+    """The DAG-walk step loop over every sample, on int64 words and codes or
+    on float64 coefficients and features, one block of samples at a time.
 
     ``table`` row r = [bias, w_1..w_m], the bias already at the products'
     binary point. Each of the n-1 steps gathers the row of each sample's
@@ -152,34 +152,57 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
     as in archsim.simulate; with None the sums are exact integers or plain
     float arithmetic.
 
-    Returns int64 (classes, final_states, overflows) per sample; the final
-    state is the last row read, whose verdict chose the class.
+    A block holds BLOCK_ELEMENTS // (m+1) samples. Its inputs are copied
+    column-major, and each step gathers the block's words into one reused
+    (m+1) x samples buffer, so the walk's memory does not grow with the
+    sample count. Yields (first sample, classes, final_states, overflows)
+    per block, int64 views into buffers that the next block reuses; the
+    final state is the last row read, whose verdict chose the class.
     """
-    # Column-major copies, (m+1, rows) and (m, samples), so that each
-    # multiply-add of a step reads contiguous memory whatever the inputs' layout.
-    cols = np.ascontiguousarray(table.T)
-    Xt = np.ascontiguousarray(X.T)
+    cols = np.ascontiguousarray(table.T)  # row j: word j of every stored row
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
-    n = dag.n_classes
-    lo = np.zeros(len(X), dtype=np.int64)
-    hi = np.full(len(X), n - 1, dtype=np.int64)
-    overflows = np.zeros(len(X), dtype=np.int64)
-    for _ in range(n - 1):
-        state = _row(lo, hi, n)
-        w = cols[:, state]
-        acc = w[0]
-        for col in range(len(w)):
-            if col:
-                acc = acc + w[col] * Xt[col - 1]
+    # a wrapping accumulator is carried plus 2**(acc_width-1), in
+    # [0, 2**acc_width), so that fxp.wrap is one mask and the sign a compare
+    offset = 1 << (acc_width - 1) if wraps else 0
+    n, m = dag.n_classes, X.shape[1]
+    block = max(1, BLOCK_ELEMENTS // (m + 1))
+    size = min(block, len(X))
+    x_buf = np.empty((m, size), dtype=table.dtype)
+    word_buf = np.empty((m + 1) * size, dtype=table.dtype)  # flat: a block's words stay contiguous
+    spare_buf = np.empty(size, dtype=table.dtype)
+    lo_buf, hi_buf, state_buf, overflow_buf = (np.empty(size, dtype=np.int64) for _ in range(4))
+    won_buf = np.empty(size, dtype=bool)
+    for start in range(0, len(X), block):
+        k = min(block, len(X) - start)
+        x, words = x_buf[:, :k], word_buf[:(m + 1) * k].reshape(m + 1, k)
+        x[...] = X[start:start + k].T
+        lo, hi, state, overflow, won = lo_buf[:k], hi_buf[:k], state_buf[:k], overflow_buf[:k], won_buf[:k]
+        lo.fill(0)
+        hi.fill(n - 1)
+        overflow.fill(0)
+        for _ in range(n - 1):
+            state[...] = _row(lo, hi, n)
+            np.take(cols, state, axis=1, out=words, mode="clip")
+            # the bias load into word 0's row, then each MAC adds a product
+            # made in its word's row; spare is always a consumed row or spare_buf
+            acc, spare = words[0], spare_buf[:k]
             if wraps:
-                wrapped = wrap(acc, acc_width)
-                overflows += wrapped != acc
-                acc = wrapped
-        won = acc >= 0  # the pair's lower class won
-        hi -= won
-        lo += ~won
-    return lo, state, overflows
+                acc += offset
+            for col in range(m + 1):
+                if col:
+                    product = words[col]
+                    product *= x[col - 1]
+                    acc += product
+                if wraps:
+                    np.bitwise_and(acc, (1 << acc_width) - 1, out=spare)
+                    np.not_equal(spare, acc, out=won)
+                    overflow += won
+                    acc, spare = spare, acc
+            np.greater_equal(acc, offset, out=won)  # the pair's lower class won
+            hi -= won
+            lo += np.logical_not(won, out=won)
+        yield start, lo, state, overflow
 
 
 def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
@@ -189,13 +212,17 @@ def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
     Scores qm's stored words, the bias entering as bias << bias_shift, on
     ``codes``, which must fit qm's input format. ``acc_width`` is the
     wrapping accumulator's width, or None for exact sums. Returns int64
-    (classes, final_states, overflows) per sample, as _walk_table does.
+    (classes, final_states, overflows) per sample, as _walk_table yields them.
     """
     check_dag(qm, dag)
     X = qm.input_codes(codes)
     table = qm.word_table()  # a fresh array: its bias column is aligned here
     table[:, 0] <<= qm.bias_shift
-    return _walk_table(dag, table, X, acc_width)
+    results = tuple(np.empty(len(X), dtype=np.int64) for _ in range(3))
+    for start, *block in _walk_table(dag, table, X, acc_width):
+        for result, part in zip(results, block):
+            result[start:start + len(part)] = part
+    return results
 
 
 def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
@@ -232,9 +259,12 @@ def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fmodel.n_features:
         raise ValueError(f"need a samples x {fmodel.n_features} feature matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    if X.size and not np.isfinite([X.min(), X.max()]).all():
         raise ValueError("features must be finite")
-    return _walk_table(dag, fmodel.coef_table(), X)[0]
+    classes = np.empty(len(X), dtype=np.int64)
+    for start, lo, _, _ in _walk_table(dag, fmodel.coef_table(), X):
+        classes[start:start + len(lo)] = lo
+    return classes
 
 
 def ovo_vote_infer(qm, codes) -> int:

@@ -1,5 +1,6 @@
 """Two's-complement fixed-point primitives shared by the quantizer, the
-reference classifier, and the cycle-accurate simulator."""
+reference classifier, and the cycle-accurate simulator, and the block size
+of their array loops."""
 
 from __future__ import annotations
 
@@ -10,6 +11,12 @@ from dataclasses import dataclass
 #: words of at most 16 bits, every partial sum then stays below (m+1)*2**31
 #: in magnitude, so int64 arithmetic is exact.
 MAX_INPUT_BITS = 16
+
+#: Elements per block of every array loop whose work grows with the sample
+#: count (the DAG walks, input quantization, prefix-sum profiling, float
+#: scoring, the SGD lanes), so a block's buffers take a few hundred kB
+#: whatever the problem's size.
+BLOCK_ELEMENTS = 1 << 15
 
 
 def min_int(width: int) -> int:

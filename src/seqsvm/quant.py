@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .ddag import build_ddag, ddag_predict_float, ddag_predict_quant
-from .fxp import MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
+from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
 from .trainer import FloatSvmModel, check_rows
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
@@ -130,8 +130,14 @@ def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
     if X.size and X.min() < 0.0:
         raise ValueError("features must be normalized to [0, 1] before quantization")
     _check_input_fmt(fmt)
-    codes = np.floor(X * fmt.scale).astype(np.int64)
-    return np.minimum(codes, fmt.raw_max)
+    codes = np.empty(X.shape, dtype=np.int64)
+    block = max(1, BLOCK_ELEMENTS // max(1, X[:1].size))  # samples per block
+    for start in range(0, len(X), block):
+        scaled = X[start:start + block] * fmt.scale
+        part = codes[start:start + block]
+        part[...] = np.floor(scaled, out=scaled)
+        np.minimum(part, fmt.raw_max, out=part)
+    return codes
 
 
 def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +175,6 @@ def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat 
     )
 
 
-#: Samples x rows accumulator elements per block in partial_sum_extremes, so
-#: its buffers take a few hundred kB whatever the model's size.
-_BLOCK_ELEMENTS = 1 << 15
-
-
 def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
     """Extremes over every accumulator prefix: the shifted bias, then the value
     after each MAC, for every vector on every sample.
@@ -189,13 +190,14 @@ def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[i
     bound = int((np.abs(biases) + qm.input_fmt.raw_max * np.abs(words[:, 1:]).sum(axis=1)).max())
     dtype = np.int32 if bound < 1 << 31 else np.int64
     weights = np.ascontiguousarray(words[:, 1:].T, dtype)  # row j: every vector's weight j
-    Xt = np.ascontiguousarray(X.T, dtype)  # row j: every sample's code j
-    block = max(1, _BLOCK_ELEMENTS // len(words))
+    block = max(1, BLOCK_ELEMENTS // len(words))
     acc = np.empty((min(block, len(X)), len(words)), dtype)
     product = np.empty_like(acc)
+    x_buf = np.empty((X.shape[1], len(acc), 1), dtype)  # row j: a block's codes j
     for start in range(0, len(X), block):
-        x = Xt[:, start:start + block, None]
-        a, p = acc[:x.shape[1]], product[:x.shape[1]]
+        k = min(block, len(X) - start)
+        x, a, p = x_buf[:, :k], acc[:k], product[:k]
+        x[..., 0] = X[start:start + k].T
         a[:] = biases
         for w, xj in zip(weights, x):
             np.multiply(xj, w, out=p)

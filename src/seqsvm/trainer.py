@@ -13,7 +13,8 @@ A lane is one binary fit: a (candidate, class pair) of the search or the
 final OvO model, or one class against the rest. ``fit_lanes`` advances all
 lanes together, one numpy step over a (lanes, m+1) array of u per sample
 position. Each lane draws one permutation of its own rows per epoch from its
-own ``default_rng(key)`` (lanes of one key and row count share the draw);
+own ``default_rng(key)`` (lanes of one key and row count share the draw, and
+lanes that also share their rows array share one column of row indices);
 lanes past their rows or epochs are masked out.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .dataset import Dataset, SplitSpec, split
+from .fxp import BLOCK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,6 @@ class SearchSpace:
             raise ValueError(f"need 0 < lam_lo <= lam_hi < inf, got {self.lam_lo}, {self.lam_hi}")
         if not 0 <= self.epochs_lo <= self.epochs_hi:
             raise ValueError(f"need 0 <= epochs_lo <= epochs_hi, got {self.epochs_lo}, {self.epochs_hi}")
-
-
-#: Elements per block of the array loops here (steps x lanes x (m+1) in
-#: fit_lanes, vectors x samples in FloatSvmModel.predict), so a block's
-#: temporaries take a few hundred kB whatever the problem's size.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -96,6 +92,9 @@ class FloatSvmModel:
 
     def __post_init__(self):
         check_rows(self.vectors, self.n_classes, self.kind)
+        for i, vec in enumerate(self.vectors):
+            if np.shape(vec.weights) != (self.n_features,):
+                raise ValueError(f"vector {i}: wrong weight count")
 
     def coef_table(self) -> np.ndarray:
         """The coefficients as float64 rows: row r = [bias, w_1..w_m] of vector r."""
@@ -103,20 +102,68 @@ class FloatSvmModel:
         return np.column_stack(([v.bias for v in vecs], [v.weights for v in vecs])).astype(np.float64)
 
     def _score_blocks(self, X: np.ndarray):
-        """Yield (first vector, scores) block by block of vectors, where
-        scores[k, s] = X[s] @ w + b of vector first+k.
+        """Yield (first sample, scores) block by block of samples, where
+        scores[k, s] is vector k's score of sample first+s. The scores go to
+        one reused buffer, so each block must be used before the next.
 
-        One stacked matmul scores a block: it takes one matrix-vector product
-        per vector, so the scores have the bits of X @ w + b, which a single
-        X @ W.T (a matrix-matrix product) does not keep.
+        A score is summed like the float DDAG walk: the bias, then one
+        product per feature. A BLAS product would round a sample's score
+        differently depending on the rows it is computed with.
         """
         coefs = self.coef_table()
-        block = max(1, _BLOCK_ELEMENTS // max(1, len(X)))
-        for start in range(0, len(coefs), block):
-            coef = coefs[start:start + block]
-            scores = np.matmul(X, coef[:, 1:, None])[:, :, 0]
-            scores += coef[:, :1]
-            yield start, scores
+        weights = np.ascontiguousarray(coefs[:, 1:].T)  # row j: every vector's weight j
+        block = max(1, BLOCK_ELEMENTS // max(1, len(coefs)))
+        size = min(block, len(X))
+        x_buf = np.empty((X.shape[1], size))  # row j: a block's feature j
+        scores = np.empty((len(coefs), size))
+        product = np.empty_like(scores)
+        for start in range(0, len(X), block):
+            k = min(block, len(X) - start)
+            x, s, p = x_buf[:, :k], scores[:, :k], product[:, :k]
+            x[...] = X[start:start + k].T
+            s[:] = coefs[:, :1]
+            for w, xj in zip(weights, x):
+                np.multiply(w[:, None], xj, out=p)
+                s += p
+            yield start, s
+
+    def _a_wins_blocks(self, X: np.ndarray):
+        """Yield (first sample, a_wins) block by block of samples, where
+        a_wins[s, k] is 1.0 when vector k's score of sample first+s, summed
+        as _score_blocks sums it, is >= 0, and 0.0 otherwise. a_wins is a
+        reused buffer, so each block must be used before the next.
+
+        A BLAS product scores the block first. Summed in any order, the m+1
+        terms of a score err by at most (m+1) * 2**-53 / (1 - (m+1) * 2**-53)
+        times the sum of their magnitudes (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 3.1), and that sum is at most |bias| +
+        sum|w| * max|x|. A BLAS score further from 0 than twice the error has
+        the fixed-order score's sign; samples with a score nearer 0, or not
+        finite, are scored again in the fixed order.
+        """
+        coefs = self.coef_table()
+        weights, bias = np.ascontiguousarray(coefs[:, 1:].T), coefs[:, 0]
+        slack = 2 * (X.shape[1] + 2) * np.finfo(np.float64).eps
+        bias_bound, weight_bound = slack * np.abs(bias), slack * np.abs(weights).sum(axis=0)
+        block = max(1, BLOCK_ELEMENTS // max(1, len(coefs)))
+        scores, bound = np.empty((2, min(block, len(X)), len(coefs)))
+        won = np.empty(scores.shape, dtype=bool)
+        for start in range(0, len(X), block):
+            x = X[start:start + block]
+            s, b, w = scores[:len(x)], bound[:len(x)], won[:len(x)]
+            np.matmul(x, weights, out=s)
+            s += bias
+            np.greater_equal(s, 0.0, out=w)
+            largest = np.maximum(x.max(axis=1, initial=0.0), -x.min(axis=1, initial=0.0))
+            np.multiply.outer(largest, weight_bound, out=b)
+            b += bias_bound
+            b += np.finfo(np.float64).tiny  # products that underflow
+            unsure = np.flatnonzero(~np.greater(np.abs(s, out=s), b).all(axis=1))
+            np.copyto(s, w)
+            if len(unsure):
+                for first, exact in self._score_blocks(x[unsure]):
+                    s[unsure[first:first + exact.shape[1]]] = exact.T >= 0.0
+            yield start, s
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA.
@@ -124,19 +171,22 @@ class FloatSvmModel:
         Ties break toward the lowest class id.
         """
         X = np.asarray(features, dtype=np.float64)
+        classes = np.empty(len(X), dtype=np.int64)
         if self.kind == "ova":
-            return np.argmax(np.concatenate([scores for _, scores in self._score_blocks(X)]), axis=0)
+            for start, scores in self._score_blocks(X):
+                classes[start:start + scores.shape[1]] = np.argmax(scores, axis=0)
+            return classes
         pairs = np.array([(v.class_a, v.class_b) for v in self.vectors], dtype=np.int64).reshape(-1, 2)
         onehot = np.eye(self.n_classes)
         # a vector votes for class_b, plus (e_a - e_b) when class_a wins; the
         # counts are small integers, exact in float64
         swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
-        votes = np.tile(onehot[pairs[:, 1]].sum(axis=0), (len(X), 1))
-        tally = np.empty_like(votes)
-        for start, scores in self._score_blocks(X):
-            a_wins = (scores >= 0.0).astype(np.float64)
-            votes += np.matmul(a_wins.T, swing[start:start + len(scores)], out=tally)
-        return np.argmax(votes, axis=1)
+        base = onehot[pairs[:, 1]].sum(axis=0)
+        for start, a_wins in self._a_wins_blocks(X):
+            votes = a_wins @ swing
+            votes += base
+            classes[start:start + len(votes)] = np.argmax(votes, axis=1)
+        return classes
 
 
 @dataclass(frozen=True)
@@ -177,31 +227,43 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
     epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
     n = np.array([len(lanes[i].rows) for i in order], dtype=np.int64)
     positive = np.array([lanes[i].positive for i in order], dtype=np.int64)
-    # lanes of one key and length (the candidates of a search, for one pair)
-    # draw the same permutation each epoch: one stream per (key, length),
-    # drawn once per epoch while any of its lanes is alive
-    keys: dict = {}
-    stream_of = [keys.setdefault((lanes[i].key, len(lanes[i].rows)), len(keys)) for i in order]
-    rngs = [default_rng(list(key)) for key, _ in keys]
+    # lanes of one key and length draw the same permutation each epoch: one
+    # generator per (key, length), drawn once per epoch while any of its lanes
+    # is alive. Lanes that also share their rows array (the candidates of a
+    # search, for one pair) share one stream of row indices: one column of
+    # `index`. The array's identity marks it: the lanes keep it alive here.
+    draws: dict = {}
+    streams: dict = {}
+    sources = []  # per column: the stream's rows and the number of its generator
+    column_of = np.empty(len(order), dtype=np.intp)
+    for j, i in enumerate(order):
+        lane = lanes[i]
+        column_of[j] = streams.setdefault((lane.key, id(lane.rows)), len(streams))
+        if column_of[j] == len(sources):
+            sources.append((lane.rows, draws.setdefault((lane.key, len(lane.rows)), len(draws))))
+    rngs = [default_rng(list(key)) for key, _ in draws]
     U = np.zeros((len(order), Xa.shape[1]))
-    # column j: lane j's rows in this epoch's order, padded with row 0; int32
+    # column c: stream c's rows in this epoch's order, padded with row 0; int32
     # halves the largest buffer of a search
-    stream = np.zeros((int(n.max(initial=0)), len(order)), dtype=np.int32)
+    index = np.zeros((int(n.max(initial=0)), len(sources)), dtype=np.int32)
     for epoch in range(int(epochs.max(initial=0))):
         alive = int(np.count_nonzero(epochs > epoch))
         longest = int(n[:alive].max())
+        # columns are numbered in lane order, so the alive ones are a prefix,
+        # and without shared streams lane j reads column j
+        live = int(column_of[:alive].max()) + 1
+        columns = column_of[:alive] if len(sources) < len(order) else slice(alive)
         perms: dict = {}
-        for j in range(alive):
-            k = stream_of[j]
-            if k not in perms:
-                perms[k] = rngs[k].permutation(n[j])
-            stream[: n[j], j] = lanes[order[j]].rows[perms[k]]
+        for column, (rows, draw) in enumerate(sources[:live]):
+            if draw not in perms:
+                perms[draw] = rngs[draw].permutation(len(rows))
+            index[:len(rows), column] = rows[perms[draw]]
         lam_a, n_a, pos_a = lam[:alive], n[:alive], positive[:alive]
         # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
         u_row, u_col = U[:alive, None, :], U[:alive, :, None]
-        block = max(1, _BLOCK_ELEMENTS // (alive * Xa.shape[1]))
+        block = max(1, BLOCK_ELEMENTS // (alive * Xa.shape[1]))
         for start in range(0, longest, block):
-            rows = stream[start:min(start + block, longest), :alive]
+            rows = index[start:min(start + block, longest), columns]
             # step s of this epoch is step t = epoch*n + s + 1 of its lane
             step = np.arange(start, start + len(rows))[:, None]
             thresh = lam_a * (epoch * n_a + step)

@@ -324,8 +324,13 @@ def _float_model_as_ova(doc):
         vec.update(class_a=r, class_b=None)
 
 
+def _extra_float_weight(doc):
+    doc["float_model"]["vectors"][0]["weights"].append(0.5)
+
+
 # edits of the "float_model" object, which float_model.json and model.json share
 _FLOAT_MODEL_EDITS = {
+    "float_extra_weight": (_extra_float_weight, "vector 0: wrong weight count"),
     "float_kind": (_set_float_kind("bogus"), "model kind 'bogus' is neither 'ovo' nor 'ova'"),
     "float_swapped_pair": (_swap_float_pair_zero, "vector 0 carries pair (1,0), not (0,1) of row 0"),
     "float_ova_kind_on_pairs": (_set_float_kind("ova"), "vector 0 carries pair (0,1), not (0,None) of row 0"),

@@ -1,8 +1,11 @@
 """The batched DAG-walk kernel against the scalar oracles, on random integer
 models of every width the library accepts and on random float models, plus
 the rejection of a DAG of another class count and the batched vector
-scaling."""
+scaling; then the sample-blocked kernels at block edges, and their working
+memory at two sample counts."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,8 +26,16 @@ from seqsvm.ddag import (
     ovo_vote_infer,
     walk_batch,
 )
-from seqsvm.fxp import FxpFormat
-from seqsvm.quant import QuantizedModel, QuantVector, _scale_rows, partial_sum_extremes, quantize_model
+from seqsvm.dataset import Dataset, SplitSpec, split
+from seqsvm.fxp import BLOCK_ELEMENTS, FxpFormat
+from seqsvm.quant import (
+    QuantizedModel,
+    QuantVector,
+    _scale_rows,
+    partial_sum_extremes,
+    quantize_inputs,
+    quantize_model,
+)
 from seqsvm.trainer import FloatSvmModel, SupportVector
 
 
@@ -228,3 +239,89 @@ def test_every_entry_rejects_a_dag_of_another_class_count(name):
     _dag_calls(qm, fmodel, codes, build_ddag(4))[name]()
     with pytest.raises(ValueError, match="a 3-class DAG does not fit a 4-class model"):
         _dag_calls(qm, fmodel, codes, build_ddag(3))[name]()
+
+
+def _random_float_model(n, m, seed):
+    rng = np.random.default_rng(seed)
+    vectors = [SupportVector(a, b, rng.normal(size=m), float(rng.normal())) for a in range(n) for b in range(a + 1, n)]
+    return FloatSvmModel("ovo", n, m, vectors)
+
+
+def _sample_kernels(n_samples):
+    """Every kernel whose work grows with the sample count, on n_samples
+    samples of 5 classes and 4 features, with its inputs built beforehand."""
+    qm, _ = random_quantized_model(5, 4, 6, seed=1)
+    dag = build_ddag(5)
+    fmodel = _random_float_model(5, 4, seed=1)
+    rng = np.random.default_rng(n_samples)
+    codes = rng.integers(0, 16, (n_samples, 4))
+    X = rng.uniform(size=(n_samples, 4))
+    ds = Dataset(rng.normal(size=(n_samples, 4)), rng.integers(0, 5, n_samples), list("abcde"))
+    return {
+        "walk_batch_exact": lambda: walk_batch(qm, dag, codes),
+        "walk_batch_wrapping": lambda: walk_batch(qm, dag, codes, qm.acc_width - 2),
+        "ddag_predict_float": lambda: ddag_predict_float(fmodel, dag, X),
+        "quantize_inputs": lambda: quantize_inputs(X),
+        "split": lambda: split(ds, SplitSpec(0.5, 3)),
+        "predict": lambda: fmodel.predict(X),
+    }
+
+
+@pytest.mark.parametrize("n_samples", [20_000, 160_000])
+@pytest.mark.parametrize("name", sorted(_sample_kernels(0)))
+def test_kernel_memory_does_not_grow_with_the_sample_count(name, n_samples):
+    # the traced peak less what the call leaves behind (its outputs) is the
+    # kernels' working memory; inputs are built before tracing starts. split
+    # keeps one int32 index per sample (640 kB at 160,000); the others only
+    # block buffers.
+    call = _sample_kernels(n_samples)[name]
+    tracemalloc.start()
+    try:
+        result = call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    assert peak - after < 1 << 20
+
+
+def _block_edges(elements_per_sample):
+    """0 samples, 1, exactly one block, and one more."""
+    block = BLOCK_ELEMENTS // elements_per_sample
+    return [0, 1, block, block + 1]
+
+
+# the walks take m+1 elements per sample, quantize_inputs m
+@pytest.mark.parametrize("n_samples", _block_edges(8))
+def test_integer_walks_at_block_edges(n_samples):
+    qm, _ = random_quantized_model(4, 7, 5, seed=2)
+    qm.acc_width -= 3  # some walks wrap
+    dag = build_ddag(4)
+    codes = np.random.default_rng(n_samples).integers(0, 16, (n_samples, 7))
+    exact = [ddag_infer(qm, dag, row)[0] for row in codes]
+    wrapped = [simulate(qm, dag, row, record=False) for row in codes]
+    expected = (
+        [cls for cls, _ in wrapped], [t.final_state for _, t in wrapped], [t.overflows for _, t in wrapped]
+    )
+    assert n_samples < 2 or sum(expected[2]) > 0
+    for view in layouts(codes, np.int64):
+        assert ddag_predict_quant(qm, dag, view).tolist() == exact
+        assert [a.tolist() for a in walk_batch(qm, dag, view, qm.acc_width)] == list(expected)
+
+
+@pytest.mark.parametrize("n_samples", _block_edges(8))
+def test_float_walk_at_block_edges(n_samples):
+    fmodel = _random_float_model(4, 7, seed=3)
+    dag = build_ddag(4)
+    X = np.random.default_rng(n_samples).uniform(size=(n_samples, 7))
+    expected = [ddag_infer_float(fmodel, dag, row)[0] for row in X]
+    for view in layouts(X, np.float64):
+        assert ddag_predict_float(fmodel, dag, view).tolist() == expected
+
+
+@pytest.mark.parametrize("n_samples", _block_edges(8))
+def test_quantize_inputs_at_block_edges(n_samples):
+    X = np.random.default_rng(n_samples).uniform(0.0, 1.2, size=(n_samples, 8))
+    expected = [[min(math.floor(x * 16), 15) for x in row] for row in X.tolist()]
+    for view in layouts(X, np.float64):
+        assert quantize_inputs(view).tolist() == expected

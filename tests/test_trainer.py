@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import seqsvm.trainer as trainer_mod
 from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
+from seqsvm.ddag import build_ddag, ddag_predict_float
 from seqsvm.modelio import float_model_from_dict
 from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
@@ -153,6 +154,16 @@ def test_vector_r_must_be_row_r(kind, rows, message):
         float_model_from_dict(doc)
 
 
+@pytest.mark.parametrize("kind", ["ovo", "ova"])
+@pytest.mark.parametrize("weights", [[0.0, 0.0, 0.5], [0.0], [[0.0, 0.0]], 0.0])
+def test_every_vector_needs_one_weight_per_feature(kind, weights):
+    rows = [(0, 1), (0, 2), (1, 2)] if kind == "ovo" else [(0, None), (1, None), (2, None)]
+    vectors = _vectors(rows)
+    vectors[2].weights = np.array(weights)
+    with pytest.raises(ValueError, match="vector 2: wrong weight count"):
+        FloatSvmModel(kind, 3, 2, vectors)
+
+
 def test_ovo_vs_ova_gap_reported(capsys):
     ds = ring_sectors(6, 11, per_class=30, seed=4)
     train, test = split(ds, SplitSpec(0.8, 4))
@@ -232,6 +243,15 @@ def _per_vector_predict(model, X):
     return np.argmax(scores, axis=1)
 
 
+def _bias_first_scores(vec, X):
+    """One vector's score of every row of X, summed as the float DDAG walk
+    sums it: the bias, then one product per feature."""
+    acc = np.full(len(X), float(vec.bias))
+    for w, column in zip(vec.weights, X.T):
+        acc = acc + w * column
+    return acc
+
+
 @st.composite
 def float_models(draw):
     """An OvO or OvA model with its samples. Small-integer coefficients and
@@ -259,12 +279,14 @@ class TestPredict:
     def test_equals_the_per_vector_loop(self, case, block):
         model, X = case
         expected = _per_vector_predict(model, X)
-        with mock.patch.object(trainer_mod, "_BLOCK_ELEMENTS", block):
+        with mock.patch.object(trainer_mod, "BLOCK_ELEMENTS", block):
             for view in layouts(X, np.float64):
                 assert np.array_equal(model.predict(view), expected)
-                # the scores themselves keep the bits of X @ w + b
-                scores = np.concatenate([s for _, s in model._score_blocks(view)])
-                assert np.array_equal(scores, np.array([view @ v.weights + v.bias for v in model.vectors]))
+                # the scores themselves keep the bits of the bias-first sum,
+                # whatever the block a sample falls in
+                blocks = [s.copy() for _, s in model._score_blocks(view)]
+                scores = np.hstack([np.empty((len(model.vectors), 0)), *blocks])
+                assert np.array_equal(scores, np.array([_bias_first_scores(v, view) for v in model.vectors]))
 
     @pytest.mark.parametrize("kind", ["ovo", "ova"])
     def test_equals_the_per_vector_loop_over_many_blocks(self, kind):
@@ -276,6 +298,30 @@ class TestPredict:
         model = FloatSvmModel(kind, 26, 16, vectors)
         X = ds.features[:3000]
         assert np.array_equal(model.predict(X), _per_vector_predict(model, X))
+
+    def test_votes_follow_the_bias_first_sum(self):
+        # at x = (1, 1, 0), -1 - 2**53 rounds to -2**53, so vector (0,1) sums
+        # to 0 bias first and class 0 wins it, and with it the vote and the
+        # DAG walk; products first, as a BLAS product sums, it gives -1 and
+        # class 1 would win the vote
+        big = 2.0 ** 53
+        vectors = [
+            SupportVector(0, 1, np.array([-big, big, 0.0]), -1.0),
+            SupportVector(0, 2, np.array([0.5, -0.25, 1.0]), 0.1),
+            SupportVector(1, 2, np.array([1.0, 0.5, 0.25]), -0.2),
+        ]
+        model = FloatSvmModel("ovo", 3, 3, vectors)
+        X = np.random.default_rng(0).uniform(size=(400, 3))
+        X[::7] = [1.0, 1.0, 0.0]
+        votes = np.zeros((len(X), 3), dtype=np.int64)
+        for vec in vectors:
+            a_wins = _bias_first_scores(vec, X) >= 0.0
+            votes[a_wins, vec.class_a] += 1
+            votes[~a_wins, vec.class_b] += 1
+        predicted = model.predict(X)
+        assert np.array_equal(predicted, np.argmax(votes, axis=1))
+        assert set(predicted[::7].tolist()) == {0}
+        assert ddag_predict_float(model, build_ddag(3), X[:1]).tolist() == [0]
 
     def test_zero_scores_go_to_class_a(self):
         # every score is 0 or -0.0, so class_a wins each pair and 0 leads;
@@ -420,6 +466,23 @@ class TestLaneSolver:
             alone = fit_lanes(ds, [lane])[0]
             assert np.array_equal(alone[:-1], fit[:-1])
             assert alone[-1] == fit[-1]
+
+    @pytest.mark.parametrize("epochs", [(3, 3), (2, 5), (5, 0), (1, 1)])
+    def test_lanes_of_one_key_and_length_but_other_rows(self, epochs):
+        # one generator serves both lanes, and each keeps its own rows; the
+        # candidates beside them share their key and rows, hence one stream
+        ds = self._random_dataset(4)
+        key, rows = (7, 0), np.arange(0, 60)
+        lanes = [
+            Lane(rows, 0, 0.05, epochs[0], key),
+            Lane(np.arange(30, 90), 1, 0.2, epochs[1], key),
+            Lane(rows, 2, 0.5, 4, key),
+            Lane(rows, 0, 0.05, epochs[0], (8, 0)),
+        ]
+        batch = fit_lanes(ds, lanes)
+        for lane, fit in zip(lanes, batch):
+            assert np.array_equal(fit_lanes(ds, [lane])[0], fit)
+        assert not np.array_equal(batch[0], batch[3])  # another key, another stream
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ovo_lanes_match_shrink_and_step(self, seed):
