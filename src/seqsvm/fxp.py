@@ -14,8 +14,8 @@ MAX_INPUT_BITS = 16
 
 #: Elements per block of every array loop whose work grows with the sample
 #: count (the DAG walks, input quantization, prefix-sum profiling, float
-#: scoring, the SGD lanes), so a block's buffers take a few hundred kB
-#: whatever the problem's size.
+#: scoring, the steps of the SGD lanes), so a block's temporaries take a few
+#: hundred kB whatever the problem's size.
 BLOCK_ELEMENTS = 1 << 15
 
 

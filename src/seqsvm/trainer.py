@@ -127,46 +127,9 @@ class FloatSvmModel:
                 s += p
             yield start, s
 
-    def _a_wins_blocks(self, X: np.ndarray):
-        """Yield (first sample, a_wins) block by block of samples, where
-        a_wins[s, k] is 1.0 when vector k's score of sample first+s, summed
-        as _score_blocks sums it, is >= 0, and 0.0 otherwise. a_wins is a
-        reused buffer, so each block must be used before the next.
-
-        A BLAS product scores the block first. Summed in any order, the m+1
-        terms of a score err by at most (m+1) * 2**-53 / (1 - (m+1) * 2**-53)
-        times the sum of their magnitudes (Higham, Accuracy and Stability of
-        Numerical Algorithms, section 3.1), and that sum is at most |bias| +
-        sum|w| * max|x|. A BLAS score further from 0 than twice the error has
-        the fixed-order score's sign; samples with a score nearer 0, or not
-        finite, are scored again in the fixed order.
-        """
-        coefs = self.coef_table()
-        weights, bias = np.ascontiguousarray(coefs[:, 1:].T), coefs[:, 0]
-        slack = 2 * (X.shape[1] + 2) * np.finfo(np.float64).eps
-        bias_bound, weight_bound = slack * np.abs(bias), slack * np.abs(weights).sum(axis=0)
-        block = max(1, BLOCK_ELEMENTS // max(1, len(coefs)))
-        scores, bound = np.empty((2, min(block, len(X)), len(coefs)))
-        won = np.empty(scores.shape, dtype=bool)
-        for start in range(0, len(X), block):
-            x = X[start:start + block]
-            s, b, w = scores[:len(x)], bound[:len(x)], won[:len(x)]
-            np.matmul(x, weights, out=s)
-            s += bias
-            np.greater_equal(s, 0.0, out=w)
-            largest = np.maximum(x.max(axis=1, initial=0.0), -x.min(axis=1, initial=0.0))
-            np.multiply.outer(largest, weight_bound, out=b)
-            b += bias_bound
-            b += np.finfo(np.float64).tiny  # products that underflow
-            unsure = np.flatnonzero(~np.greater(np.abs(s, out=s), b).all(axis=1))
-            np.copyto(s, w)
-            if len(unsure):
-                for first, exact in self._score_blocks(x[unsure]):
-                    s[unsure[first:first + exact.shape[1]]] = exact.T >= 0.0
-            yield start, s
-
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Class per row: max-wins voting for OvO, argmax score for OvA.
+        """Class per row: max-wins voting for OvO, argmax score for OvA, on
+        the scores of _score_blocks.
 
         Ties break toward the lowest class id.
         """
@@ -182,8 +145,9 @@ class FloatSvmModel:
         # counts are small integers, exact in float64
         swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
         base = onehot[pairs[:, 1]].sum(axis=0)
-        for start, a_wins in self._a_wins_blocks(X):
-            votes = a_wins @ swing
+        for start, scores in self._score_blocks(X):
+            np.greater_equal(scores, 0.0, out=scores)  # 1.0 where class_a wins
+            votes = scores.T @ swing
             votes += base
             classes[start:start + len(votes)] = np.argmax(votes, axis=1)
         return classes
@@ -249,10 +213,8 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
     for epoch in range(int(epochs.max(initial=0))):
         alive = int(np.count_nonzero(epochs > epoch))
         longest = int(n[:alive].max())
-        # columns are numbered in lane order, so the alive ones are a prefix,
-        # and without shared streams lane j reads column j
+        # columns are numbered in lane order, so the alive ones are a prefix
         live = int(column_of[:alive].max()) + 1
-        columns = column_of[:alive] if len(sources) < len(order) else slice(alive)
         perms: dict = {}
         for column, (rows, draw) in enumerate(sources[:live]):
             if draw not in perms:
@@ -263,7 +225,7 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
         u_row, u_col = U[:alive, None, :], U[:alive, :, None]
         block = max(1, BLOCK_ELEMENTS // (alive * Xa.shape[1]))
         for start in range(0, longest, block):
-            rows = index[start:min(start + block, longest), columns]
+            rows = index[start:min(start + block, longest), column_of[:alive]]
             # step s of this epoch is step t = epoch*n + s + 1 of its lane
             step = np.arange(start, start + len(rows))[:, None]
             thresh = lam_a * (epoch * n_a + step)

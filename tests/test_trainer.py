@@ -228,19 +228,8 @@ class TestAccuracy:
         assert model.predict(np.zeros((1, 1)))[0] == 0
 
 
-def _per_vector_predict(model, X):
-    """Reference: the per-vector loop that predict replaced, one X @ w + b per
-    vector and votes tallied vector by vector."""
-    X = np.asarray(X, dtype=np.float64)
-    if model.kind == "ovo":
-        votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
-        for vec in model.vectors:
-            a_wins = X @ vec.weights + vec.bias >= 0.0
-            votes[a_wins, vec.class_a] += 1
-            votes[~a_wins, vec.class_b] += 1
-        return np.argmax(votes, axis=1)
-    scores = np.column_stack([X @ v.weights + v.bias for v in model.vectors])
-    return np.argmax(scores, axis=1)
+def _blas_scores(vec, X):
+    return X @ vec.weights + vec.bias
 
 
 def _bias_first_scores(vec, X):
@@ -252,17 +241,34 @@ def _bias_first_scores(vec, X):
     return acc
 
 
+def _per_vector_predict(model, X, score=_blas_scores):
+    """Reference: a per-vector loop, one score(vec, X) per vector and votes
+    tallied vector by vector."""
+    X = np.asarray(X, dtype=np.float64)
+    if model.kind == "ovo":
+        votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
+        for vec in model.vectors:
+            a_wins = score(vec, X) >= 0.0
+            votes[a_wins, vec.class_a] += 1
+            votes[~a_wins, vec.class_b] += 1
+        return np.argmax(votes, axis=1)
+    scores = np.column_stack([score(v, X) for v in model.vectors])
+    return np.argmax(scores, axis=1)
+
+
 @st.composite
 def float_models(draw):
-    """An OvO or OvA model with its samples. Small-integer coefficients and
-    features on a coarse grid make scores of exactly 0 and vote ties common;
-    normal draws make the products' rounding matter."""
+    """An OvO or OvA model, its samples, and whether every score is exact.
+    Small-integer coefficients and features on a coarse grid make scores of
+    exactly 0 and vote ties common, and every summation order exact; normal
+    draws make the products' rounding matter."""
     kind = draw(st.sampled_from(["ovo", "ova"]))
     n = draw(st.integers(2, 7))
     m = draw(st.integers(1, 17))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     count = n * (n - 1) // 2 if kind == "ovo" else n
-    if draw(st.booleans()):
+    exact = draw(st.booleans())
+    if exact:
         coefs = rng.integers(-2, 3, (count, m + 1)).astype(np.float64)
         X = rng.integers(0, 3, (draw(st.integers(0, 30)), m)) / 2.0
     else:
@@ -270,15 +276,18 @@ def float_models(draw):
         X = rng.uniform(size=(draw(st.integers(0, 30)), m))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] if kind == "ovo" else [(c, None) for c in range(n)]
     vectors = [SupportVector(a, b, c[1:], float(c[0])) for (a, b), c in zip(pairs, coefs)]
-    return FloatSvmModel(kind, n, m, vectors), X
+    return FloatSvmModel(kind, n, m, vectors), X, exact
 
 
 class TestPredict:
     @settings(max_examples=200, deadline=None)
     @given(case=float_models(), block=st.sampled_from([1, 3, 40, 1 << 15]))
     def test_equals_the_per_vector_loop(self, case, block):
-        model, X = case
-        expected = _per_vector_predict(model, X)
+        model, X, exact = case
+        expected = _per_vector_predict(model, X, _bias_first_scores)
+        if exact:
+            # on the grid every summation order gives the same scores
+            assert np.array_equal(_per_vector_predict(model, X), expected)
         with mock.patch.object(trainer_mod, "BLOCK_ELEMENTS", block):
             for view in layouts(X, np.float64):
                 assert np.array_equal(model.predict(view), expected)
@@ -297,7 +306,9 @@ class TestPredict:
         vectors = [SupportVector(a, b, rng.normal(size=16), float(rng.normal())) for a, b in pairs]
         model = FloatSvmModel(kind, 26, 16, vectors)
         X = ds.features[:3000]
-        assert np.array_equal(model.predict(X), _per_vector_predict(model, X))
+        predicted = model.predict(X)
+        assert np.array_equal(predicted, _per_vector_predict(model, X, _bias_first_scores))
+        assert np.array_equal(predicted, _per_vector_predict(model, X))
 
     def test_votes_follow_the_bias_first_sum(self):
         # at x = (1, 1, 0), -1 - 2**53 rounds to -2**53, so vector (0,1) sums
