@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Peak RSS of a `verify`-shaped `seqsvm run` in another checkout and in this one.
+"""Peak RSS of every benchmark workload's commands in another checkout and in this one.
 
     python3 .github/scripts/peak_memory.py BASE_DIR [SEED] [RUNS]
 
-A child process writes the `verify` workload's CSV with the benchmark's own
-generator and prints the workload's command. That command then runs RUNS
-times (default 3) in each checkout, alternating which side goes first, with
-BLAS pinned to one thread as in the benchmark. Each run is a child of this
-script, which imports no numpy: a process keeps its spawner's RSS high-water
-mark across exec, so a spawner with numpy loaded would put its own figure
-under every reading. Prints a Markdown table of each run's `ru_maxrss` and
-the medians per side; the exit status says only whether every run succeeded.
+A child process writes each workload's CSV (`train`, `verify`, `wide`) with
+the benchmark's own generator and prints the workloads' commands: `train`
+runs `seqsvm run` and then `seqsvm compare`, the others one `seqsvm run`.
+Each workload's commands then run RUNS times (default 3) in each checkout,
+in order and into that checkout's own output directory, alternating which
+side goes first, with BLAS pinned to one thread as in the benchmark. Each
+command is a child of this script, which imports no numpy: a process keeps
+its spawner's RSS high-water mark across exec, so a spawner with numpy loaded
+would put its own figure under every reading. Prints a Markdown table of
+each command's `ru_maxrss` per run and the medians per side; the exit status
+says only whether every command succeeded.
 """
 
 from __future__ import annotations
@@ -24,15 +27,19 @@ import tempfile
 from pathlib import Path
 
 THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SIDES = ("base", "head")
 
-WRITE_CSV = """
+WRITE_CSVS = """
 import json, sys
 from pathlib import Path
 sys.path[:0] = ["bench", "src"]
 from run_bench import WORKLOADS, make_csv
-workload = WORKLOADS["verify"]
-make_csv(workload, int(sys.argv[1]), Path(sys.argv[2]))
-print(json.dumps(workload.argvs(Path(sys.argv[2]), Path(sys.argv[3]))))
+tmp = Path(sys.argv[2])
+commands = {}
+for name, workload in WORKLOADS.items():
+    make_csv(workload, int(sys.argv[1]), tmp / f"{name}.csv")
+    commands[name] = {side: workload.argvs(tmp / f"{name}.csv", tmp / side / name) for side in sys.argv[3:]}
+print(json.dumps(commands))
 """
 
 
@@ -48,23 +55,27 @@ def peak_mb(checkout: Path, argv: list[str]) -> float:
 
 
 def main(base: Path, seed: int, runs: int) -> None:
-    head = Path.cwd()
+    checkouts = dict(zip(SIDES, (base.resolve(), Path.cwd())))
     with tempfile.TemporaryDirectory() as tmp:
-        csv, out = Path(tmp) / "verify.csv", Path(tmp) / "out"
-        made = subprocess.run([sys.executable, "-c", WRITE_CSV, str(seed), str(csv), str(out)],
-                              cwd=head, check=True, capture_output=True, text=True)
-        (argv,) = json.loads(made.stdout)
-        figures: dict[str, list[float]] = {"base": [], "head": []}
-        for k in range(runs):
-            sides = [("base", base), ("head", head)]
-            for name, checkout in sides if k % 2 == 0 else sides[::-1]:
-                figures[name].append(peak_mb(checkout.resolve(), argv))
-    print(f"### Peak memory against the base (`verify` run, seed {seed})")
+        made = subprocess.run([sys.executable, "-c", WRITE_CSVS, str(seed), tmp, *SIDES],
+                              cwd=checkouts["head"], check=True, capture_output=True, text=True)
+        commands = json.loads(made.stdout)
+        # (workload, command) -> side -> one reading per run
+        figures: dict[tuple[str, str], dict[str, list[float]]] = {}
+        for name, argvs in commands.items():
+            for k in range(runs):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    for argv in argvs[side]:
+                        readings = figures.setdefault((name, argv[0]), {s: [] for s in SIDES})
+                        readings[side].append(peak_mb(checkouts[side], argv))
+    print(f"### Peak memory of the benchmark workloads against the base (seed {seed})")
     print()
-    print("| side | ru_maxrss per run (MB) | median (MB) |")
-    print("|---|---|---|")
-    for name, values in figures.items():
-        print(f"| {name} | {', '.join(f'{v:.2f}' for v in values)} | {statistics.median(values):.2f} |")
+    print("| workload | command | side | ru_maxrss per run (MB) | median (MB) |")
+    print("|---|---|---|---|---|")
+    for (name, command), sides in figures.items():
+        for side, values in sides.items():
+            print(f"| {name} | `{command}` | {side} | {', '.join(f'{v:.2f}' for v in values)} "
+                  f"| {statistics.median(values):.2f} |")
 
 
 if __name__ == "__main__":

@@ -113,10 +113,10 @@ def _load_model(out: Path):
     return doc, (fmodel, qm, dag)
 
 
-def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, storage_kind: str) -> dict:
+def _simulate_phase(doc: dict, parts, codes, labels, out: Path, trace_n: int, storage_kind: str) -> dict:
+    """Simulate the test split, given as its input codes and labels."""
     _, qm, dag = parts
-    codes = quantize_inputs(test, qm.input_fmt)
-    batch = simulate_batch(qm, dag, codes, test.labels)
+    batch = simulate_batch(qm, dag, codes, labels)
     sim_report = {
         "config_hash": doc["config_hash"],
         "seed": doc["seed"],
@@ -124,7 +124,7 @@ def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, st
         "accuracy": batch.accuracy,
         "overflows": batch.overflows,
         "mean_cycles": batch.mean_cycles,
-        "n_test": int(len(test.labels)),
+        "n_test": int(len(labels)),
     }
     modelio.save_model_doc(out / "sim_report.json", sim_report)
     if trace_n > 0:
@@ -138,10 +138,11 @@ def _simulate_phase(doc: dict, parts, test: Dataset, out: Path, trace_n: int, st
     return sim_report
 
 
-def _hdl_phase(parts, test: Dataset, out: Path, n_vectors: int) -> None:
+def _hdl_phase(parts, codes, out: Path, n_vectors: int) -> None:
+    """Write the HDL bundle and golden vectors for the first ``n_vectors``
+    rows of ``codes`` (input codes of the test split)."""
     _, qm, dag = parts
     bundle = generate(qm, dag)
-    codes = quantize_inputs(test, qm.input_fmt)
     stim, expect, classes = emit_golden_vectors(qm, dag, codes, n_vectors)
     hdl_dir = out / "hdl"
     write_bundle(bundle, hdl_dir)
@@ -231,7 +232,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
         doc, parts = _load_model(out)
-        _simulate_phase(doc, parts, _ingest(doc["config"])[1], out, args.trace, args.storage)
+        test = _ingest(doc["config"])[1]
+        codes = quantize_inputs(test, parts[1].input_fmt)
+        _simulate_phase(doc, parts, codes, test.labels, out, args.trace, args.storage)
     return 0
 
 
@@ -239,7 +242,9 @@ def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
         doc, parts = _load_model(out)
-        _hdl_phase(parts, _ingest(doc["config"])[1], out, args.vectors)
+        test = _ingest(doc["config"])[1]
+        codes = quantize_inputs(test.features[:args.vectors], parts[1].input_fmt)
+        _hdl_phase(parts, codes, out, args.vectors)
     return 0
 
 
@@ -300,9 +305,11 @@ def cmd_run(args) -> int:
         config = _with_quant_keys(config, args)
         doc, parts, quant_report = _quantize_phase(doc, config, out, train, test)
     with _stage("simulate"):
-        sim_report = _simulate_phase(doc, parts, test, out, args.trace, args.storage)
+        # the test split's input codes, shared with gen-hdl
+        codes = quantize_inputs(test, parts[1].input_fmt)
+        sim_report = _simulate_phase(doc, parts, codes, test.labels, out, args.trace, args.storage)
     with _stage("gen-hdl"):
-        _hdl_phase(parts, test, out, args.vectors)
+        _hdl_phase(parts, codes, out, args.vectors)
     with _stage("cost"):
         cost_report = _cost_phase(doc, parts, out, args.storage, _tech(args))
     with _stage("summary"):

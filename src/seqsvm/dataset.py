@@ -145,8 +145,12 @@ def load_csv(path, label_column: str) -> Dataset:
     index = {name: i for i, name in enumerate(label_names)}
     remap = np.array([index[name] for name in first_seen], dtype=np.int64)
     labels = remap[table[:, label_idx].astype(np.int64)]
+    # shift the columns after the label one place left, a column at a time,
+    # so the features are the table's first columns without a second copy
+    for j in range(label_idx, table.shape[1] - 1):
+        table[:, j] = table[:, j + 1]
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    return Dataset(np.delete(table, label_idx, axis=1), labels, label_names, feature_names)
+    return Dataset(table[:, :-1], labels, label_names, feature_names)
 
 
 def _class_count(labels: np.ndarray) -> int:

@@ -12,9 +12,12 @@ counts as a violation) and adds y*x to u when it holds.
 A lane is one binary fit: a (candidate, class pair) of the search or the
 final OvO model, or one class against the rest. ``fit_lanes`` advances all
 lanes together, one numpy step over a (lanes, m+1) array of u per sample
-position. Each lane draws one permutation of its own rows per epoch from its
-own ``default_rng(key)`` (lanes of one key and row count share the draw, and
-lanes that also share their rows array share one column of row indices);
+position. It keeps one table of signed samples, y*[x, 1] for both signs of
+every row, so a lane's stream of samples holds row ids that already carry
+the lane's label sign, and a block of steps is one gather from the table.
+Each lane draws one permutation of its own rows per epoch from its own
+``default_rng(key)`` (lanes of one key and row count share the draw, and
+lanes that also share their rows array and positive class share one stream);
 lanes past their rows or epochs are masked out.
 """
 
@@ -166,6 +169,23 @@ class Lane:
     key: tuple[int, ...]
 
 
+def _signed_ids(ds: Dataset, lane: Lane, i: int) -> np.ndarray:
+    """Lane ``i``'s rows as ids into fit_lanes' signed table: row r where
+    its label is the lane's positive class, n + r where it is not. Rejects
+    a lane whose rows or positive class do not fit ``ds``."""
+    rows = np.asarray(lane.rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"lane {i}: rows must be a 1-D integer array, got {rows.dtype} of shape {rows.shape}")
+    if not len(rows):
+        raise ValueError(f"lane {i}: no rows")
+    if rows.min() < 0 or rows.max() >= ds.n_samples:
+        raise ValueError(f"lane {i}: rows must lie in 0..{ds.n_samples - 1}, got {rows.min()}..{rows.max()}")
+    if not (isinstance(lane.positive, (int, np.integer)) and 0 <= lane.positive < ds.n_classes):
+        raise ValueError(f"lane {i}: positive {lane.positive!r} is not a class code 0..{ds.n_classes - 1}")
+    # the product is int64, so no narrow dtype of rows can wrap
+    return (rows + ds.n_samples * (ds.labels[rows] != lane.positive)).astype(np.int32)
+
+
 def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
     """Fit every lane's hinge-loss separator at once, in lockstep; row i of
     the (lanes, m+1) result is lane i's [w_1..w_m, bias].
@@ -173,42 +193,52 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
     A lane whose rows all carry identical features is degenerate: it gets
     zero weights and a bias whose sign picks the majority label. The others
     run the solver of the module docstring. A lane's result does not depend
-    on the other lanes of the call, bit for bit.
+    on the other lanes of the call, bit for bit. Raises ValueError, naming
+    the lane, for empty, non-integer or out-of-range rows and for a positive
+    label that is not a class code of ``ds``.
     """
-    X = ds.features
-    Xa = np.hstack([X, np.ones((ds.n_samples, 1))])
-    constant, solved = {}, []  # the bias of each degenerate lane; the other lanes
+    n_samples = ds.n_samples
+    # row r is y*[x_r, 1] with y = +1, row n + r the same with y = -1:
+    # negation is exact, so a sample's signed row is one gather
+    signed = np.empty((2 * n_samples, ds.n_features + 1))
+    signed[:n_samples, :-1] = ds.features
+    signed[:n_samples, -1] = 1.0
+    np.negative(signed[:n_samples], out=signed[n_samples:])
+    # a stream is the signed ids of one (key, rows array, positive): the
+    # candidates of a search share it for one pair. The rows array's identity
+    # marks it, as the lanes keep it alive here. Each stream is checked once.
+    stream_of, ids, constant = [], {}, {}  # per lane; per stream; per degenerate stream
     for i, lane in enumerate(lanes):
-        Xl = X[lane.rows]
-        if bool(np.all(Xl == Xl[0])):
-            y = ds.labels[lane.rows] == lane.positive
-            constant[i] = 1.0 if 2 * np.count_nonzero(y) >= len(y) else -1.0
-        else:
-            solved.append(i)
+        stream = (lane.key, id(lane.rows), lane.positive)
+        stream_of.append(stream)
+        if stream not in ids:
+            ids[stream] = own = _signed_ids(ds, lane, i)
+            Xl = ds.features[lane.rows]
+            if bool(np.all(Xl == Xl[0])):
+                constant[stream] = 1.0 if 2 * np.count_nonzero(own < n_samples) >= len(own) else -1.0
+    solved = [i for i, stream in enumerate(stream_of) if stream not in constant]
     # longest-running lanes first, so the lanes alive in an epoch are a prefix
     order = sorted(solved, key=lambda i: -lanes[i].epochs)
     lam = np.array([lanes[i].lam for i in order])
     epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
-    n = np.array([len(lanes[i].rows) for i in order], dtype=np.int64)
-    positive = np.array([lanes[i].positive for i in order], dtype=np.int64)
-    # lanes of one key and length draw the same permutation each epoch: one
+    n = np.array([len(ids[stream_of[i]]) for i in order], dtype=np.int64)
+    # streams of one key and length draw the same permutation each epoch: one
     # generator per (key, length), drawn once per epoch while any of its lanes
-    # is alive. Lanes that also share their rows array (the candidates of a
-    # search, for one pair) share one stream of row indices: one column of
-    # `index`. The array's identity marks it: the lanes keep it alive here.
+    # is alive. Each stream is one column of `index`.
     draws: dict = {}
-    streams: dict = {}
-    sources = []  # per column: the stream's rows and the number of its generator
+    columns: dict = {}
+    sources = []  # per column: the stream's signed ids and the number of its generator
     column_of = np.empty(len(order), dtype=np.intp)
     for j, i in enumerate(order):
-        lane = lanes[i]
-        column_of[j] = streams.setdefault((lane.key, id(lane.rows)), len(streams))
+        stream = stream_of[i]
+        column_of[j] = columns.setdefault(stream, len(columns))
         if column_of[j] == len(sources):
-            sources.append((lane.rows, draws.setdefault((lane.key, len(lane.rows)), len(draws))))
+            own = ids[stream]
+            sources.append((own, draws.setdefault((lanes[i].key, len(own)), len(draws))))
     rngs = [default_rng(list(key)) for key, _ in draws]
-    U = np.zeros((len(order), Xa.shape[1]))
-    # column c: stream c's rows in this epoch's order, padded with row 0; int32
-    # halves the largest buffer of a search
+    U = np.zeros((len(order), signed.shape[1]))
+    # column c: stream c's signed ids in this epoch's order, padded with id 0;
+    # int32 halves the largest buffer of a search
     index = np.zeros((int(n.max(initial=0)), len(sources)), dtype=np.int32)
     for epoch in range(int(epochs.max(initial=0))):
         alive = int(np.count_nonzero(epochs > epoch))
@@ -216,14 +246,14 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
         # columns are numbered in lane order, so the alive ones are a prefix
         live = int(column_of[:alive].max()) + 1
         perms: dict = {}
-        for column, (rows, draw) in enumerate(sources[:live]):
+        for column, (own, draw) in enumerate(sources[:live]):
             if draw not in perms:
-                perms[draw] = rngs[draw].permutation(len(rows))
-            index[:len(rows), column] = rows[perms[draw]]
-        lam_a, n_a, pos_a = lam[:alive], n[:alive], positive[:alive]
+                perms[draw] = rngs[draw].permutation(len(own))
+            index[:len(own), column] = own[perms[draw]]
+        lam_a, n_a = lam[:alive], n[:alive]
         # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
         u_row, u_col = U[:alive, None, :], U[:alive, :, None]
-        block = max(1, BLOCK_ELEMENTS // (alive * Xa.shape[1]))
+        block = max(1, BLOCK_ELEMENTS // (alive * signed.shape[1]))
         for start in range(0, longest, block):
             rows = index[start:min(start + block, longest), column_of[:alive]]
             # step s of this epoch is step t = epoch*n + s + 1 of its lane
@@ -232,14 +262,15 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
             thresh[step >= n_a] = -np.inf  # past the lane's samples: no update
             if epoch == 0 and start == 0:
                 thresh[0] = np.inf  # t = 1 always updates
-            yx = Xa[rows]
-            yx *= np.where(ds.labels[rows] == pos_a, 1.0, -1.0)[:, :, None]
+            yx = signed.take(rows, axis=0)
             for x, th in zip(yx[:, :, None, :], thresh[:, :, None, None]):
                 violated = np.matmul(x, u_col) < th
                 np.add(u_row, x, out=u_row, where=violated)
-    fits = np.zeros((len(lanes), Xa.shape[1]))
+    fits = np.zeros((len(lanes), signed.shape[1]))
     fits[order] = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
-    fits[list(constant), -1] = list(constant.values())
+    for i, stream in enumerate(stream_of):
+        if stream in constant:
+            fits[i, -1] = constant[stream]
     return fits
 
 
@@ -253,7 +284,8 @@ def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel
         for b in range(a + 1, n):
             if not (present[a] and present[b]):
                 raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
-            pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b))))
+            # int32, like fit_lanes' own row ids: every pair's rows stay alive through the fit
+            pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b)).astype(np.int32)))
     lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
     fits = fit_lanes(ds, lanes)
     models = []
@@ -271,7 +303,7 @@ def train_ovo(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
 
 def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
     """One binary fit per class against the rest (comparison harness only)."""
-    rows = np.arange(ds.n_samples)
+    rows = np.arange(ds.n_samples, dtype=np.int32)
     lanes = [Lane(rows, cls, hyper.lam, hyper.epochs, (hyper.seed, cls)) for cls in range(ds.n_classes)]
     vectors = [SupportVector(cls, None, fit[:-1], float(fit[-1])) for cls, fit in enumerate(fit_lanes(ds, lanes))]
     return FloatSvmModel("ova", ds.n_classes, ds.n_features, vectors)

@@ -149,6 +149,23 @@ def test_run_walks_the_float_ddag_once(synth_csv, tmp_path, monkeypatch):
     assert f"ddag {report['float_accuracy']:.4f}" in (out / "summary.txt").read_text()
 
 
+def test_run_quantizes_the_test_split_once_for_simulate_and_gen_hdl(synth_csv, tmp_path, monkeypatch):
+    # one call in the precision search, one shared by simulate and gen-hdl
+    calls = _count_calls(monkeypatch, "quantize_inputs")
+    assert main(_run_args(synth_csv, tmp_path / "out")) == 0
+    assert len(calls) == 3  # the search quantizes both sides of the split
+
+
+def test_gen_hdl_quantizes_only_its_vectors(full_run, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    calls = _count_calls(monkeypatch, "quantize_inputs")
+    assert main(["gen-hdl", "--out", str(out), "--vectors", "7"]) == 0
+    assert [len(np.asarray(getattr(a[0], "features", a[0]))) for a in calls] == [7]
+    stim = (out / "hdl" / "vectors.stim").read_text().splitlines()
+    assert stim[1:] == (full_run / "hdl" / "vectors.stim").read_text().splitlines()[1:8]
+
+
 def test_compare_reuses_the_quantize_stage_accuracies(full_run, tmp_path, monkeypatch):
     out = tmp_path / "out"
     shutil.copytree(full_run, out)

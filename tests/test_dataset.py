@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,31 @@ def test_load_pendigits_shape(tmp_path):
     to_csv(ds0, path)
     ds = load_csv(path, "label")
     assert (ds.n_classes, ds.n_features) == (10, 17)
+
+
+@pytest.mark.parametrize("label_idx", [0, 3, 8])
+def test_label_column_anywhere_leaves_the_features_bit_identical(tmp_path, label_idx):
+    # 4,000 rows of 8 features: large enough that a second copy of the
+    # (rows, 9) table would show in the traced peak
+    rng = np.random.default_rng(label_idx)
+    X = rng.normal(size=(4000, 8))
+    labels = rng.integers(0, 3, len(X))
+    names = [f"f{j}" for j in range(8)]
+    rows = [[repr(v) for v in x] for x in X.tolist()]  # repr round-trips a float exactly
+    for row, lab in zip(rows, labels.tolist()):
+        row.insert(label_idx, f"c{lab}")
+    path = _write_csv(tmp_path / "t.csv", names[:label_idx] + ["label"] + names[label_idx:], rows)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, "label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.tobytes() == X.tobytes()
+    assert ds.feature_names == names
+    assert ds.labels.tolist() == labels.tolist()
+    table_bytes = len(X) * 9 * 8
+    assert peak < 1.7 * table_bytes  # the parsed table and loadtxt's slack, no second table
 
 
 def test_load_single_class_rejected(tmp_path):

@@ -1,15 +1,18 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import default_rng
 
 import seqsvm.trainer as trainer_mod
 from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
 from seqsvm.ddag import build_ddag, ddag_predict_float
+from seqsvm.fxp import BLOCK_ELEMENTS
 from seqsvm.modelio import float_model_from_dict
 from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
@@ -551,6 +554,30 @@ class TestLaneSolver:
         assert [v.bias for v in model.vectors] == [-1.0, -1.0, -1.0]
         assert all(np.all(v.weights == 0.0) for v in model.vectors)
 
+    @pytest.mark.parametrize("rows, positive, message", [
+        (np.array([], dtype=np.int64), 0, "lane 1: no rows"),
+        (np.array([0.0, 1.0]), 0, "lane 1: rows must be a 1-D integer array"),
+        (np.arange(4).reshape(2, 2), 0, "lane 1: rows must be a 1-D integer array"),
+        (np.array([-1, 2]), 0, "lane 1: rows must lie in 0..89, got -1..2"),
+        (np.array([0, 90]), 0, "lane 1: rows must lie in 0..89, got 0..90"),
+        (np.arange(5), 4, "lane 1: positive 4 is not a class code 0..3"),
+        (np.arange(5), -1, "lane 1: positive -1 is not a class code 0..3"),
+        (np.arange(5), 1.5, "lane 1: positive 1.5 is not a class code 0..3"),
+    ])
+    def test_rejects_a_bad_lane_by_its_number(self, rows, positive, message):
+        ds = self._random_dataset(0)
+        lanes = [Lane(np.arange(10), 0, 0.1, 2, (0,)), Lane(rows, positive, 0.1, 2, (1,))]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_lanes(ds, lanes)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64])
+    def test_rows_of_any_integer_dtype_fit_alike(self, dtype):
+        # 300 samples: the ids n + r reach 549, past what uint8 holds
+        ds = self._random_dataset(2, rows=300)
+        rows = np.arange(100, 250)
+        want = fit_lanes(ds, [Lane(rows, 1, 0.1, 3, (2,))])
+        assert np.array_equal(fit_lanes(ds, [Lane(rows.astype(dtype), 1, 0.1, 3, (2,))]), want)
+
     def test_lanes_of_one_key_and_length_draw_once_per_epoch(self, monkeypatch):
         # the candidates of a search for one pair: one key and the same rows,
         # other lams and epochs; plus a lane of other rows of the same count
@@ -575,3 +602,125 @@ class TestLaneSolver:
         assert draws == [len(rows)] * 5  # one draw in each of the longest lane's 5 epochs
         for one, fit in zip(alone, fits):
             assert np.array_equal(one[:-1], fit[:-1]) and one[-1] == fit[-1]
+
+
+def _frozen_fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
+    """fit_lanes as it was before the signed sample table, kept verbatim as
+    an oracle: each block gathers Xa[rows] and multiplies in a +-1 array
+    built from the rows' labels."""
+    X = ds.features
+    Xa = np.hstack([X, np.ones((ds.n_samples, 1))])
+    constant, solved = {}, []  # the bias of each degenerate lane; the other lanes
+    for i, lane in enumerate(lanes):
+        Xl = X[lane.rows]
+        if bool(np.all(Xl == Xl[0])):
+            y = ds.labels[lane.rows] == lane.positive
+            constant[i] = 1.0 if 2 * np.count_nonzero(y) >= len(y) else -1.0
+        else:
+            solved.append(i)
+    # longest-running lanes first, so the lanes alive in an epoch are a prefix
+    order = sorted(solved, key=lambda i: -lanes[i].epochs)
+    lam = np.array([lanes[i].lam for i in order])
+    epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
+    n = np.array([len(lanes[i].rows) for i in order], dtype=np.int64)
+    positive = np.array([lanes[i].positive for i in order], dtype=np.int64)
+    # lanes of one key and length draw the same permutation each epoch: one
+    # generator per (key, length), drawn once per epoch while any of its lanes
+    # is alive. Lanes that also share their rows array (the candidates of a
+    # search, for one pair) share one stream of row indices: one column of
+    # `index`. The array's identity marks it: the lanes keep it alive here.
+    draws: dict = {}
+    streams: dict = {}
+    sources = []  # per column: the stream's rows and the number of its generator
+    column_of = np.empty(len(order), dtype=np.intp)
+    for j, i in enumerate(order):
+        lane = lanes[i]
+        column_of[j] = streams.setdefault((lane.key, id(lane.rows)), len(streams))
+        if column_of[j] == len(sources):
+            sources.append((lane.rows, draws.setdefault((lane.key, len(lane.rows)), len(draws))))
+    rngs = [default_rng(list(key)) for key, _ in draws]
+    U = np.zeros((len(order), Xa.shape[1]))
+    # column c: stream c's rows in this epoch's order, padded with row 0; int32
+    # halves the largest buffer of a search
+    index = np.zeros((int(n.max(initial=0)), len(sources)), dtype=np.int32)
+    for epoch in range(int(epochs.max(initial=0))):
+        alive = int(np.count_nonzero(epochs > epoch))
+        longest = int(n[:alive].max())
+        # columns are numbered in lane order, so the alive ones are a prefix
+        live = int(column_of[:alive].max()) + 1
+        perms: dict = {}
+        for column, (rows, draw) in enumerate(sources[:live]):
+            if draw not in perms:
+                perms[draw] = rngs[draw].permutation(len(rows))
+            index[:len(rows), column] = rows[perms[draw]]
+        lam_a, n_a, pos_a = lam[:alive], n[:alive], positive[:alive]
+        # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
+        u_row, u_col = U[:alive, None, :], U[:alive, :, None]
+        block = max(1, BLOCK_ELEMENTS // (alive * Xa.shape[1]))
+        for start in range(0, longest, block):
+            rows = index[start:min(start + block, longest), column_of[:alive]]
+            # step s of this epoch is step t = epoch*n + s + 1 of its lane
+            step = np.arange(start, start + len(rows))[:, None]
+            thresh = lam_a * (epoch * n_a + step)
+            thresh[step >= n_a] = -np.inf  # past the lane's samples: no update
+            if epoch == 0 and start == 0:
+                thresh[0] = np.inf  # t = 1 always updates
+            yx = Xa[rows]
+            yx *= np.where(ds.labels[rows] == pos_a, 1.0, -1.0)[:, :, None]
+            for x, th in zip(yx[:, :, None, :], thresh[:, :, None, None]):
+                violated = np.matmul(x, u_col) < th
+                np.add(u_row, x, out=u_row, where=violated)
+    fits = np.zeros((len(lanes), Xa.shape[1]))
+    fits[order] = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
+    fits[list(constant), -1] = list(constant.values())
+    return fits
+
+
+def _oracle_dataset(seed):
+    """90 rows of 4 classes; rows 0..11 share one feature row, so a lane
+    inside them is degenerate."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 4, 90)
+    X = rng.normal(size=(90, 5)) + labels[:, None] * 0.7
+    X[:12] = X[0]
+    return Dataset(X, labels, ["0", "1", "2", "3"])
+
+
+@st.composite
+def lane_batches(draw):
+    """A dataset seed and lanes over a few shared rows arrays: lanes of one
+    key and rows array with other positives, arrays of one length (one draw
+    per key) with other rows, degenerate arrays, 0 epochs, lengths 1..90."""
+    seed = draw(st.integers(0, 2**16))
+    common = draw(st.integers(1, 90))
+    specs = draw(st.lists(
+        st.tuples(st.one_of(st.just(common), st.integers(1, 90)), st.integers(-1, 2)),  # length, variant
+        min_size=1, max_size=4,
+    ))
+    row_sets = [
+        np.arange(min(length, 12)) if variant < 0
+        else np.sort(np.random.default_rng([seed, variant]).choice(90, length, replace=False))
+        for length, variant in specs
+    ]
+    lanes = draw(st.lists(
+        st.builds(
+            Lane,
+            rows=st.sampled_from(row_sets),
+            positive=st.integers(0, 3),
+            lam=st.floats(1e-4, 10.0),
+            epochs=st.integers(0, 5),
+            key=st.sampled_from([(0,), (1,), (1, 2)]),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return seed, lanes
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_batches())
+def test_fit_lanes_is_bit_identical_to_the_frozen_kernel(batch):
+    seed, lanes = batch
+    ds = _oracle_dataset(seed)
+    fits, frozen = fit_lanes(ds, lanes), _frozen_fit_lanes(ds, lanes)
+    assert np.array_equal(fits, frozen)
+    assert fits.tobytes() == frozen.tobytes()  # the signs of zeros too
