@@ -4,9 +4,13 @@
 #   .github/scripts/artifact_identity.sh BASE_DIR [SEED]
 #
 # Runs `bench/run_bench.py --workload all --seed SEED --seconds 1 --trace 0`
-# in BASE_DIR and in the current directory, and prints a Markdown table of
-# each workload's combined artifact digest on both sides. Prints only; the
-# exit status says whether both runs produced digests, not whether they match.
+# in BASE_DIR and in the current directory, then, on the `train` workload's
+# CSV that run leaves behind, each stage on its own: train, quantize,
+# simulate --trace 3, gen-hdl --vectors 5, cost --storage rom and compare,
+# which read back the documents the stages before them wrote. Prints a
+# Markdown table of each workload's combined artifact digest, and of the
+# stages' ("stages"), on both sides. Prints only; the exit status says
+# whether both runs produced digests, not whether they match.
 set -euo pipefail
 
 base_dir=$1
@@ -17,12 +21,30 @@ digests() {  # one "workload sha256" line per workload of the checkout at $1
         awk '$2 == "artifacts" && $3 == "sha256" { print $1, $4 }'
 }
 
+stages() {  # one "stages sha256" line for the checkout at $1, or the stage that failed
+    (
+        cd "$1"
+        export PYTHONPATH=src OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+        out=.bench_run/stages
+        rm -rf "$out"
+        for argv in "train --dataset .bench_run/train/data.csv --label-col label --seed 11 --budget 4" \
+                    "quantize" "simulate --trace 3" "gen-hdl --vectors 5" "cost --storage rom" "compare"; do
+            # shellcheck disable=SC2086  # argv is a word list
+            python3 -m seqsvm $argv --out "$out" > "$out.log" 2>&1 || { echo "stages failed:${argv%% *}@$1"; exit 0; }
+        done
+        cd "$out"
+        echo stages "$(find . -type f | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d ' ' -f 1)"
+    )
+}
+
 base=$(digests "$base_dir")
 head=$(digests .)
 if [ -z "$base" ] || [ -z "$head" ]; then
     echo "artifact identity: a bench run printed no digests" >&2
     exit 1
 fi
+base+=$'\n'$(stages "$base_dir")
+head+=$'\n'$(stages .)
 
 echo "### Artifacts against the base (seed $seed)"
 echo

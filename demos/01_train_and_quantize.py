@@ -20,7 +20,7 @@ hyper = random_search(train, budget=8, seed=3)
 print(f"random search picked lam={hyper.lam:.4g}, epochs={hyper.epochs}")
 
 model = train_ovo(train, hyper)
-print(f"trained {len(model.vectors)} pairwise vectors "
+print(f"trained {len(model.coefs)} pairwise vectors "
       f"(= n(n-1)/2 for n={model.n_classes})")
 print(f"float max-wins voting accuracy: {accuracy(model, test):.4f}")
 

@@ -34,8 +34,7 @@ print("  " + "\n  ".join(bundle.top_module[start - 24:].splitlines()[:4]))
 
 # the emitted constants can be parsed back and must equal the model tables
 parsed = parse_storage_constants(bundle.params_module)
-expected = [[v.bias] + list(v.weights) for v in qm.vectors]
-print("\nself-parse equals the quantized tables:", parsed == expected)
+print("\nself-parse equals the quantized word table:", parsed == qm.words.tolist())
 
 out = Path("demo_hdl")
 write_bundle(bundle, out)

@@ -9,7 +9,7 @@ from seqsvm.archsim import ArchConfig
 from seqsvm.cost import TechConfig, calibrate_power, compare_parallel, compare_storage, estimate, format_report_table
 from seqsvm.ddag import build_ddag
 from seqsvm.fxp import U4_4
-from seqsvm.quant import QuantizedModel, QuantVector, profile_accumulator
+from seqsvm.quant import QuantizedModel, profile_accumulator
 
 # benchmark-sized models with random 8-bit parameters; only the shape matters
 SHAPES = {"cardio": (3, 21), "dermatology": (6, 33), "pendigits": (10, 17),
@@ -19,10 +19,11 @@ SHAPES = {"cardio": (3, 21), "dermatology": (6, 33), "pendigits": (10, 17),
 def shaped(n, m, bits=8, seed=0):
     rng = np.random.default_rng([seed, n, m])
     top = (1 << (bits - 1)) - 1
-    vecs = [QuantVector(a, b, [int(v) for v in rng.integers(-top, top + 1, m)],
-                        int(rng.integers(-top, top + 1)))
-            for a in range(n) for b in range(a + 1, n)]
-    qm = QuantizedModel(n, m, U4_4, bits, vecs, [1.0] * len(vecs))
+    rows = []
+    for _ in range(n * (n - 1) // 2):  # the word table, one row [bias, w_1..w_m] per pair
+        weights = rng.integers(-top, top + 1, m)
+        rows.append([int(rng.integers(-top, top + 1)), *weights])
+    qm = QuantizedModel(n, m, U4_4, bits, rows, [1.0] * len(rows))
     profile_accumulator(qm, rng.integers(0, 16, (200, m)))
     return qm
 

@@ -10,7 +10,7 @@ import numpy as np
 from seqsvm.dataset import SplitSpec, split
 from seqsvm.ddag import build_ddag, ddag_infer, ovo_vote_infer, pair_count
 from seqsvm.fxp import U4_4
-from seqsvm.quant import QuantizedModel, QuantVector, quantize_inputs, search_param_bits
+from seqsvm.quant import QuantizedModel, quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
 
@@ -21,9 +21,9 @@ for n in (2, 4, 10, 16):
 
 # a 3-class cycle: 0 beats 1, 2 beats 0, 1 beats 2 (bias-only vectors)
 cycle = QuantizedModel(3, 1, U4_4, 8, [
-    QuantVector(0, 1, [0], 1),    # pair (0,1): sum >= 0, class 0 wins
-    QuantVector(0, 2, [0], -1),   # pair (0,2): class 2 wins
-    QuantVector(1, 2, [0], 1),    # pair (1,2): class 1 wins
+    [1, 0],    # pair (0,1): bias 1, so the sum is >= 0 and class 0 wins
+    [-1, 0],   # pair (0,2): class 2 wins
+    [1, 0],    # pair (1,2): class 1 wins
 ], [1.0] * 3)
 cycle.acc_width = 8
 dag3 = build_ddag(3)

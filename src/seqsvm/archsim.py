@@ -4,7 +4,7 @@ storage, the single-MAC support vector engine and the DDAG control FSM.
 Timing law: one word per cycle, bias first, so each evaluation takes m+1
 cycles and a full classification takes exactly (n-1)*(m+1) cycles
 (``latency_cycles``). The storage is the model's word table,
-``QuantizedModel.word_table()``, and the FSM state is the row it reads. The
+``QuantizedModel.words``, and the FSM state is the row it reads. The
 storage kind (bespoke MUX constants or a 2-bit-dot crossbar ROM) never
 changes what is read; only the cost model tells the kinds apart.
 
@@ -96,7 +96,7 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple
     if len(codes) != m:
         raise ValueError(f"need {m} input codes, got {len(codes)}")
     codes = qm.input_codes([codes])[0].tolist()
-    words = qm.word_table().tolist()
+    words = qm.words.tolist()
     shift = qm.bias_shift
     records: list[CycleRecord] = []
     cycles = overflows = 0

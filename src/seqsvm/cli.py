@@ -75,7 +75,7 @@ def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
     }
     out.mkdir(parents=True, exist_ok=True)
     modelio.save_model_doc(out / "float_model.json", doc)
-    print(f"trained OvO model: {model.n_classes} classes, {len(model.vectors)} vectors "
+    print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors "
           f"(lam={hyper.lam:.5g}, epochs={hyper.epochs})")
     return doc
 
@@ -273,7 +273,7 @@ def cmd_compare(args) -> int:
             ("ova      (float)", accuracy(ova, test)),
         ]
         print(f"accuracy on {len(test.labels)} test samples "
-              f"({len(fmodel.vectors)} OvO vs {len(ova.vectors)} OvA vectors):")
+              f"({len(fmodel.coefs)} OvO vs {len(ova.coefs)} OvA vectors):")
         for name, acc in acc_rows:
             print(f"  {name}: {acc:.4f}")
         tech = _tech(args)
@@ -328,6 +328,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """The value of --trace or --vectors: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True, help="CSV file with a header row")
     p.add_argument("--label-col", default="label", help="name of the label column")
@@ -354,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quant_flags(p)
     _add_storage_flag(p)
     p.add_argument("--tech", help="technology config file (key=value)")
-    p.add_argument("--trace", type=int, default=0, metavar="N", help="write N per-cycle traces")
-    p.add_argument("--vectors", type=int, default=20, help="golden vector count")
+    p.add_argument("--trace", type=_count, default=0, metavar="N", help="write N per-cycle traces")
+    p.add_argument("--vectors", type=_count, default=20, help="golden vector count")
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=cmd_run)
 
@@ -371,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="cycle-accurate batch simulation of the test split")
     _add_storage_flag(p)
-    p.add_argument("--trace", type=int, default=0, metavar="N")
+    p.add_argument("--trace", type=_count, default=0, metavar="N")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-hdl", help="emit Verilog and golden vectors")
-    p.add_argument("--vectors", type=int, default=20)
+    p.add_argument("--vectors", type=_count, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_hdl)
 

@@ -74,8 +74,7 @@ def _adder_ge(width: int) -> float:
 
 
 def _storage_ge(qm: QuantizedModel, arch: ArchConfig, tech: TechConfig) -> float:
-    rows = qm.n_vectors
-    words = qm.n_features + 1
+    rows, words = qm.words.shape
     if arch.storage == "mux":
         return qm.param_bits * rows * words * tech.mux_per_input_cost
     cells = rows * words * math.ceil(qm.param_bits / 2)
@@ -147,10 +146,10 @@ def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> Cos
     m = qm.n_features
     per_vector = m * _mult_ge(qm.param_bits, ib) + m * _adder_ge(acc_width)
     vote_bits = class_bits(qm.n_classes)
-    voter = FULL_ADDER_GE * vote_bits * (2 * qm.n_classes - 1) + qm.n_vectors
+    voter = FULL_ADDER_GE * vote_bits * (2 * qm.n_classes - 1) + len(qm.words)
     ge = {
         "storage": 0.0,
-        "engine": qm.n_vectors * per_vector,
+        "engine": len(qm.words) * per_vector,
         "fsm": voter,
         "registers": 0.0,
     }
@@ -185,10 +184,15 @@ def load_tech(path) -> TechConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, raw = line.partition("=")
-            key = key.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = float(raw.strip())
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            try:
+                values[key] = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} value {raw!r} is not a number") from None
     return TechConfig(**values)
 
 

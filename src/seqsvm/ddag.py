@@ -9,12 +9,15 @@ the interval (lo, hi) of still-alive classes from (0, n-1) and reads row
 class. The state is the row read: the Verilog wires row = state. The FSM's
 one description is ``transitions``.
 
-``walk_batch`` walks every sample at once on integer words, exactly or with
-the hardware's wrapping accumulator, for the reference predictions, the batch
-simulator and the golden vectors; ``ddag_predict_float`` runs the same step
-loop on the float model. ``ddag_infer`` and ``ddag_infer_float`` are the
-scalar oracles: per-sample walks, summing in the same order, with their
-(row, y) logs.
+A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
+``row_pairs``, the bias as word 0. ``walk_batch`` walks every sample at once
+on integer words, exactly or with the hardware's wrapping accumulator, for the
+reference predictions, the batch simulator and the golden vectors;
+``ddag_predict_float`` runs the same step loop on the float model.
+``ddag_infer`` and ``ddag_infer_float`` are the scalar oracles: per-sample
+walks, summing in the same order, with their (row, y) logs. ``_score_table``
+sums every row on every sample in that order too, for max-wins votes and
+accumulator profiling.
 """
 
 from __future__ import annotations
@@ -61,6 +64,16 @@ def pair_index(a: int, b: int, n_classes: int) -> int:
 def _row(lo, hi, n_classes: int):
     """pair_index without the range check, elementwise on arrays too."""
     return lo * (2 * n_classes - 3 - lo) // 2 + hi - 1
+
+
+def row_pairs(kind: str, n_classes: int) -> list[tuple[int, int | None]]:
+    """(class_a, class_b) of each table row of a ``kind`` model: the class
+    pairs in lexicographic order for "ovo", (class, None) per class for "ova"."""
+    if kind == "ovo":
+        return [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
+    if kind == "ova":
+        return [(c, None) for c in range(n_classes)]
+    raise ValueError(f"model kind {kind!r} is neither 'ovo' nor 'ova'")
 
 
 def state_bits_for(n_classes: int) -> int:
@@ -120,6 +133,20 @@ def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
     return lo, evaluations
 
 
+def _score_walk(dag: Ddag, table: np.ndarray, x: list) -> tuple[int, list[tuple[int, int]]]:
+    """The scalar walk on ``table`` (the bias already at the products'
+    binary point): each row read is scored on ``x`` in Python numbers, the
+    bias, then one product per feature, in _walk_table's order."""
+
+    def decide(row):
+        acc, *weights = table[row].tolist()
+        for w, xi in zip(weights, x):
+            acc += w * xi
+        return acc >= 0
+
+    return _walk(dag, decide)
+
+
 def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     """Walk the DAG with exact integer arithmetic on quantized parameters.
 
@@ -127,17 +154,38 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     (row, y) log; always exactly n-1 entries.
     """
     check_dag(qm, dag)
-    codes = qm.input_codes([codes])[0].tolist()
-    shift = qm.bias_shift
+    table = qm.words.copy()  # with its bias column aligned
+    table[:, 0] <<= qm.bias_shift
+    return _score_walk(dag, table, qm.input_codes([codes])[0].tolist())
 
-    def decide(row):
-        vec = qm.vectors[row]
-        acc = vec.bias << shift
-        for w, x in zip(vec.weights, codes):
-            acc += w * x
-        return acc >= 0
 
-    return _walk(dag, decide)
+def _score_table(table: np.ndarray, X: np.ndarray, dtype=None):
+    """Every row's accumulator on every sample, a block of BLOCK_ELEMENTS //
+    rows samples at a time, in ``dtype`` (``table``'s by default): float64
+    scores, or integer prefixes that cannot overflow it.
+
+    ``table`` row r = [bias, w_1..w_m], the bias already at the products'
+    binary point. Yields (first sample, col, acc) after the bias load (col 0)
+    and after each MAC (col j), acc[r, s] being row r's prefix on sample
+    first+s, in one buffer that the next yield reuses. These fixed-order
+    elementwise sums give each score the scalar walks' bits whatever block
+    its sample falls in, which a BLAS product would not.
+    """
+    cols = np.ascontiguousarray(table.T[:, :, None], dtype)  # row j: word j of every stored row
+    block = max(1, BLOCK_ELEMENTS // max(1, len(table)))
+    acc = np.empty((len(table), min(block, len(X))), cols.dtype)
+    product = np.empty_like(acc)
+    x_buf = np.empty((X.shape[1], acc.shape[1]), cols.dtype)  # row j: a block's inputs j
+    for start in range(0, len(X), block):
+        k = min(block, len(X) - start)
+        x, a, p = x_buf[:, :k], acc[:, :k], product[:, :k]
+        x[...] = X[start:start + k].T
+        a[:] = cols[0]
+        yield start, 0, a
+        for col, (w, xj) in enumerate(zip(cols[1:], x), start=1):
+            np.multiply(w, xj, out=p)
+            a += p
+            yield start, col, a
 
 
 def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):
@@ -216,7 +264,7 @@ def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
     """
     check_dag(qm, dag)
     X = qm.input_codes(codes)
-    table = qm.word_table()  # a fresh array: its bias column is aligned here
+    table = qm.words.copy()  # with its bias column aligned
     table[:, 0] <<= qm.bias_shift
     results = tuple(np.empty(len(X), dtype=np.int64) for _ in range(3))
     for start, *block in _walk_table(dag, table, X, acc_width):
@@ -231,7 +279,7 @@ def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
 
 
 def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
-    """The same walk on the float model (vectors in lexicographic pair order).
+    """The same walk on the float model's coefficient table.
 
     The scalar oracle of ddag_predict_float: each score is summed in Python
     floats in the batch walk's order, bias first and then one product per
@@ -241,16 +289,7 @@ def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (fmodel.n_features,):
         raise ValueError(f"need {fmodel.n_features} features, got shape {x.shape}")
-    x = x.tolist()
-
-    def decide(row):
-        vec = fmodel.vectors[row]
-        acc = float(vec.bias)
-        for w, xi in zip(vec.weights, x):
-            acc += float(w) * xi
-        return acc >= 0.0
-
-    return _walk(dag, decide)
+    return _score_walk(dag, fmodel.coefs, x.tolist())
 
 
 def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
@@ -262,7 +301,7 @@ def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
     if X.size and not np.isfinite([X.min(), X.max()]).all():
         raise ValueError("features must be finite")
     classes = np.empty(len(X), dtype=np.int64)
-    for start, lo, _, _ in _walk_table(dag, fmodel.coef_table(), X):
+    for start, lo, _, _ in _walk_table(dag, fmodel.coefs, X):
         classes[start:start + len(lo)] = lo
     return classes
 
@@ -270,7 +309,7 @@ def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
 def ovo_vote_infer(qm, codes) -> int:
     """Baseline semantics: evaluate every pair, max-wins vote, lowest id on ties."""
     x = qm.input_codes([codes])[0]
-    words = qm.word_table()
+    words = qm.words
     sums = (words[:, 0] << qm.bias_shift) + words[:, 1:] @ x  # exact in int64
-    winners = [v.class_a if s >= 0 else v.class_b for v, s in zip(qm.vectors, sums)]
+    winners = [a if s >= 0 else b for (a, b), s in zip(row_pairs("ovo", qm.n_classes), sums.tolist())]
     return int(np.argmax(np.bincount(winners, minlength=qm.n_classes)))

@@ -48,8 +48,7 @@ def _ud(value: int, bits: int) -> str:
 
 
 def _gen_params(qm: QuantizedModel, dag: Ddag, name: str) -> str:
-    rows = qm.n_vectors
-    cols = qm.n_features + 1
+    rows, cols = qm.words.shape
     wb = qm.param_bits
     row_bits = dag.state_bits  # the row address is the FSM state
     col_bits = counter_bits(qm.n_features)
@@ -66,12 +65,10 @@ def _gen_params(qm: QuantizedModel, dag: Ddag, name: str) -> str:
         "    always @* begin",
         "        case ({row, col})",
     ]
-    for r in range(rows):
-        vec = qm.vectors[r]
-        values = [vec.bias] + list(vec.weights)
-        for c in range(cols):
+    for r, values in enumerate(qm.words.tolist()):
+        for c, value in enumerate(values):
             key = (r << col_bits) | c
-            lines.append(f"            {_ud(key, key_bits)}: word = {_sd(values[c], wb)};")
+            lines.append(f"            {_ud(key, key_bits)}: word = {_sd(value, wb)};")
     lines += [
         f"            default: word = {_sd(0, wb)};",
         "        endcase",

@@ -10,7 +10,8 @@ Document layout (format "seqsvm/model", version 1):
   dataset: {label_names, feature_names, normalization, split}
   hyper: {lam, epochs, seed}
   float_model: {kind, n_classes, n_features,
-                vectors: [{class_a, class_b, weights, bias}]}
+                vectors: [{class_a, class_b, weights, bias}]}, one per
+                table row, in ``ddag.row_pairs`` order
   quantized (optional): {input_fmt, param_bits, acc_width, bias_shift,
                 scales, vectors: [{class_a, class_b, weights, bias}]}
   ddag (optional): {n_classes, initial_state, state_bits, ordering,
@@ -28,10 +29,10 @@ import json
 
 import numpy as np
 
-from .ddag import Ddag, build_ddag, state_bits_for, transitions
+from .ddag import Ddag, build_ddag, row_pairs, state_bits_for, transitions
 from .fxp import FxpFormat
-from .quant import QuantizedModel, QuantVector
-from .trainer import FloatSvmModel, SupportVector
+from .quant import QuantizedModel
+from .trainer import FloatSvmModel
 
 FORMAT = "seqsvm/model"
 VERSION = 1
@@ -45,12 +46,26 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(dumps_canonical(config).encode()).hexdigest()
 
 
-def _vectors_to_list(vectors, number) -> list:
-    """A model's vectors as JSON objects, every parameter through ``number``."""
+def _table_to_list(table, kind: str, n_classes: int) -> list:
+    """A model's table as JSON objects, one per row: its pair, weights and bias."""
     return [
-        {"class_a": v.class_a, "class_b": v.class_b, "weights": [number(w) for w in v.weights], "bias": number(v.bias)}
-        for v in vectors
+        {"class_a": a, "class_b": b, "weights": row[1:], "bias": row[0]}
+        for (a, b), row in zip(row_pairs(kind, n_classes), table.tolist())
     ]
+
+
+def _table_rows(vectors: list, kind: str, n_classes: int, n_features: int) -> list:
+    """The table rows [bias, w_1..w_m] of a document's ``vectors``, rejecting
+    a vector that is not its row's pair or lacks one weight per feature."""
+    pairs = row_pairs(kind, n_classes)
+    if len(vectors) != len(pairs):
+        raise ValueError(f"a {n_classes}-class model needs {len(pairs)} vectors, got {len(vectors)}")
+    for r, (v, (a, b)) in enumerate(zip(vectors, pairs)):
+        if (v["class_a"], v["class_b"]) != (a, b):
+            raise ValueError(f"vector {r} carries pair ({v['class_a']},{v['class_b']}), not ({a},{b}) of row {r}")
+        if np.shape(v["weights"]) != (n_features,):
+            raise ValueError(f"vector {r}: wrong weight count")
+    return [[v["bias"], *v["weights"]] for v in vectors]
 
 
 def float_model_to_dict(model: FloatSvmModel) -> dict:
@@ -58,16 +73,13 @@ def float_model_to_dict(model: FloatSvmModel) -> dict:
         "kind": model.kind,
         "n_classes": model.n_classes,
         "n_features": model.n_features,
-        "vectors": _vectors_to_list(model.vectors, float),
+        "vectors": _table_to_list(model.coefs, model.kind, model.n_classes),
     }
 
 
 def float_model_from_dict(doc: dict) -> FloatSvmModel:
-    vectors = [
-        SupportVector(v["class_a"], v["class_b"], np.array(v["weights"]), v["bias"])
-        for v in doc["vectors"]
-    ]
-    return FloatSvmModel(doc["kind"], doc["n_classes"], doc["n_features"], vectors)
+    kind, n_classes, n_features = doc["kind"], doc["n_classes"], doc["n_features"]
+    return FloatSvmModel(kind, n_classes, n_features, _table_rows(doc["vectors"], kind, n_classes, n_features))
 
 
 def _input_fmt_doc(bits) -> dict:
@@ -82,7 +94,7 @@ def quantized_to_dict(qm: QuantizedModel) -> dict:
         "acc_width": qm.acc_width,
         "bias_shift": qm.bias_shift,
         "scales": [float(s) for s in qm.scales],
-        "vectors": _vectors_to_list(qm.vectors, int),
+        "vectors": _table_to_list(qm.words, "ovo", qm.n_classes),
     }
 
 
@@ -97,13 +109,12 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
     for key in ("param_bits", "acc_width"):  # QuantizedModel checks param_bits' range
         if type(doc[key]) is not int or doc[key] < 1:
             raise ValueError(f"{key} {doc[key]!r} is not an integer of at least 1")
-    vectors = []
     for r, v in enumerate(doc["vectors"]):
         bad = [p for p in [*v["weights"], v["bias"]] if type(p) is not int]
         if bad:
             raise ValueError(f"vector {r}: parameter {bad[0]!r} is not an integer")
-        vectors.append(QuantVector(v["class_a"], v["class_b"], v["weights"], v["bias"]))
-    qm = QuantizedModel(n_classes, n_features, FxpFormat(bits), doc["param_bits"], vectors, list(doc["scales"]))
+    words = _table_rows(doc["vectors"], "ovo", n_classes, n_features)
+    qm = QuantizedModel(n_classes, n_features, FxpFormat(bits), doc["param_bits"], words, list(doc["scales"]))
     qm.acc_width = doc["acc_width"]
     return qm
 

@@ -1,5 +1,5 @@
-"""Post-training quantization: 4-bit input truncation, per-vector min-max
-scaling of weights and biases to the smallest precision that keeps accuracy,
+"""Post-training quantization: 4-bit input truncation, per-row min-max
+scaling of the float table to the smallest precision that keeps accuracy,
 and accumulator-width profiling."""
 
 from __future__ import annotations
@@ -10,20 +10,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import build_ddag, ddag_predict_float, ddag_predict_quant
+from .ddag import _score_table, build_ddag, ddag_predict_float, ddag_predict_quant, row_pairs
 from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
-from .trainer import FloatSvmModel, check_rows
+from .trainer import FloatSvmModel, read_only_table
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
 MAX_ACCURACY_DROP = 0.005
 
 
-@dataclass
-class QuantVector:
-    class_a: int
-    class_b: int
-    weights: list[int]
-    bias: int  # stored at param_bits; engine consumes bias << bias_shift
+def QuantVector(class_a: int, class_b: int, weights, bias: int) -> list[int]:
+    """Word-table row [bias, w_1..w_m] of pair (class_a, class_b), for
+    callers that list a model pair by pair (bench/shapes.py). The pair is
+    not stored: row r of a table is the r-th pair of ``ddag.row_pairs``."""
+    return [bias, *weights]
 
 
 def _check_input_fmt(fmt: FxpFormat) -> None:
@@ -32,8 +31,8 @@ def _check_input_fmt(fmt: FxpFormat) -> None:
 
 
 def _check_params(table: np.ndarray, param_bits: int) -> None:
-    """Reject the first entry of ``table`` (one row per vector, scanned row
-    by row) that does not fit a signed param_bits-bit word."""
+    """Reject the first word of ``table`` (scanned row by row, bias first)
+    that does not fit a signed param_bits-bit word."""
     fits = (table >= min_int(param_bits)) & (table <= max_int(param_bits))
     bad = np.argwhere(np.logical_not(fits))
     if len(bad):
@@ -41,12 +40,14 @@ def _check_params(table: np.ndarray, param_bits: int) -> None:
         raise ValueError(f"vector {i}: parameter {table[i, j]} exceeds {param_bits} bits")
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedModel:
-    """Integer OvO model plus every width the hardware needs.
+    """Integer OvO model as its word table, plus every width the hardware
+    needs.
 
-    There is one vector per class pair, ordered lexicographically by
-    (class_a, class_b): vector r is memory row r. The bias code is
+    ``words`` row r is [bias, w_1..w_m] of the r-th class pair in
+    lexicographic order (``ddag.row_pairs``): memory row r, bias at word 0.
+    It is int64 and read-only, range-checked once, here. The bias code is
     left-shifted by ``bias_shift`` (the input's bits, all fractional) before
     accumulation so products and bias share one binary point; the shift is
     free wiring in bespoke logic.
@@ -56,7 +57,7 @@ class QuantizedModel:
     n_features: int
     input_fmt: FxpFormat
     param_bits: int
-    vectors: list[QuantVector]
+    words: np.ndarray
     scales: list[float] = field(default_factory=list)
     acc_width: int = 0  # set by profile_accumulator
 
@@ -64,13 +65,10 @@ class QuantizedModel:
         if not 2 <= self.param_bits <= 16:
             raise ValueError("param_bits out of range")
         _check_input_fmt(self.input_fmt)
-        check_rows(self.vectors, self.n_classes)
-        # the first offender in vector order, then weights before the bias
-        ragged = [i for i, vec in enumerate(self.vectors) if len(vec.weights) != self.n_features]
-        params = [[*vec.weights, vec.bias] for vec in self.vectors[:ragged[0] if ragged else None]]
-        _check_params(np.array(params, ndmin=2), self.param_bits)
-        if ragged:
-            raise ValueError(f"vector {ragged[0]}: wrong weight count")
+        rows = len(row_pairs("ovo", self.n_classes))
+        exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
+        _check_params(exact, self.param_bits)
+        self.words = read_only_table(exact, rows, self.n_features, np.int64)
 
     @property
     def bias_shift(self) -> int:
@@ -81,14 +79,6 @@ class QuantizedModel:
         if self.acc_width < 1:
             raise ValueError("model has no accumulator width; run profile_accumulator first")
         return self.acc_width
-
-    def word_table(self) -> np.ndarray:
-        """The stored words, a fresh int64 array: row r = [bias, w_1..w_m] of
-        vector r. The vectors stay mutable after construction, so the range
-        check runs again here, for every consumer of the words."""
-        table = np.array([[v.bias, *v.weights] for v in self.vectors])
-        _check_params(table, self.param_bits)
-        return table.astype(np.int64, copy=False)
 
     def input_codes(self, codes) -> np.ndarray:
         """``codes`` as an int64 samples x n_features matrix, rejecting any
@@ -105,10 +95,6 @@ class QuantizedModel:
                 f"{self.input_fmt.total_bits}-bit input format"
             )
         return X
-
-    @property
-    def n_vectors(self) -> int:
-        return len(self.vectors)
 
 
 @dataclass
@@ -162,47 +148,29 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4) -> QuantizedModel:
-    """Quantize every OvO vector independently (per-vector scale preserves signs)."""
+    """Quantize every OvO row independently (per-row scale preserves signs)."""
     if fmodel.kind != "ovo":
         raise ValueError("only OvO models map onto the sequential architecture")
-    codes, scales = _scale_rows(fmodel.coef_table(), param_bits)
-    vectors = [
-        QuantVector(vec.class_a, vec.class_b, row[1:], row[0])
-        for vec, row in zip(fmodel.vectors, codes.tolist())
-    ]
-    return QuantizedModel(
-        fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, vectors, scales.tolist()
-    )
+    codes, scales = _scale_rows(fmodel.coefs, param_bits)
+    return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, codes, scales.tolist())
 
 
 def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
     """Extremes over every accumulator prefix: the shifted bias, then the value
-    after each MAC, for every vector on every sample.
+    after each MAC, for every row on every sample.
 
-    The prefixes are summed column by column into preallocated buffers, a
-    block of samples at a time, in int32 when no prefix can reach 2**31 (no
-    row's |bias| << shift plus raw_max * sum|w| does) and in int64 otherwise.
+    ddag._score_table sums the prefixes in int32 when no prefix can reach
+    2**31 (no row's |bias| << shift plus raw_max * sum|w| does) and in int64
+    otherwise.
     """
     X = qm.input_codes(train_codes)
-    words = qm.word_table()
-    biases = words[:, 0] << qm.bias_shift  # the bias load is a prefix even with no samples
-    lo, hi = int(biases.min()), int(biases.max())
-    bound = int((np.abs(biases) + qm.input_fmt.raw_max * np.abs(words[:, 1:]).sum(axis=1)).max())
-    dtype = np.int32 if bound < 1 << 31 else np.int64
-    weights = np.ascontiguousarray(words[:, 1:].T, dtype)  # row j: every vector's weight j
-    block = max(1, BLOCK_ELEMENTS // len(words))
-    acc = np.empty((min(block, len(X)), len(words)), dtype)
-    product = np.empty_like(acc)
-    x_buf = np.empty((X.shape[1], len(acc), 1), dtype)  # row j: a block's codes j
-    for start in range(0, len(X), block):
-        k = min(block, len(X) - start)
-        x, a, p = x_buf[:, :k], acc[:k], product[:k]
-        x[..., 0] = X[start:start + k].T
-        a[:] = biases
-        for w, xj in zip(weights, x):
-            np.multiply(xj, w, out=p)
-            a += p
-            lo, hi = min(lo, int(a.min())), max(hi, int(a.max()))
+    table = qm.words.copy()  # with its bias column aligned
+    table[:, 0] <<= qm.bias_shift
+    # the bias load is a prefix even with no samples
+    lo, hi = int(table[:, 0].min()), int(table[:, 0].max())
+    bound = int((np.abs(table[:, 0]) + qm.input_fmt.raw_max * np.abs(table[:, 1:]).sum(axis=1)).max())
+    for _, _, acc in _score_table(table, X, np.int32 if bound < 1 << 31 else np.int64):
+        lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
     return lo, hi
 
 

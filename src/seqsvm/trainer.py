@@ -30,6 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .dataset import Dataset, SplitSpec, split
+from .ddag import _score_table, row_pairs
 from .fxp import BLOCK_ELEMENTS
 
 
@@ -61,98 +62,53 @@ class SearchSpace:
             raise ValueError(f"need 0 <= epochs_lo <= epochs_hi, got {self.epochs_lo}, {self.epochs_hi}")
 
 
-@dataclass
-class SupportVector:
-    class_a: int
-    class_b: int | None  # None for one-vs-all vectors
-    weights: np.ndarray
-    bias: float
+def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
+    """``values`` as a new read-only (n_rows, n_features + 1) array of
+    ``dtype``: a model's table, one row [bias, w_1..w_m] per stored vector."""
+    table = np.array(values, dtype=dtype)
+    if table.shape != (n_rows, n_features + 1):
+        raise ValueError(f"need a {n_rows} x {n_features + 1} table (one row per vector), got shape {table.shape}")
+    table.flags.writeable = False
+    return table
 
 
-def check_rows(vectors, n_classes: int, kind: str = "ovo") -> None:
-    """Reject ``vectors`` unless vector r is row r of a ``kind`` model: the
-    r-th class pair in lexicographic order for "ovo", class r against the
-    rest (class_b None) for "ova"."""
-    if kind == "ovo":
-        rows = [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
-    elif kind == "ova":
-        rows = [(c, None) for c in range(n_classes)]
-    else:
-        raise ValueError(f"model kind {kind!r} is neither 'ovo' nor 'ova'")
-    if len(vectors) != len(rows):
-        raise ValueError(f"a {n_classes}-class model needs {len(rows)} vectors, got {len(vectors)}")
-    for r, (vec, (a, b)) in enumerate(zip(vectors, rows)):
-        if (vec.class_a, vec.class_b) != (a, b):
-            raise ValueError(f"vector {r} carries pair ({vec.class_a},{vec.class_b}), not ({a},{b}) of row {r}")
-
-
-@dataclass
+@dataclass(eq=False)
 class FloatSvmModel:
+    """A float OvO or OvA model as its coefficient table: ``coefs`` row r is
+    [bias, w_1..w_m] of the r-th entry of ``row_pairs(kind, n_classes)``,
+    float64 and read-only."""
+
     kind: str  # "ovo" | "ova"
     n_classes: int
     n_features: int
-    vectors: list[SupportVector]
+    coefs: np.ndarray
 
     def __post_init__(self):
-        check_rows(self.vectors, self.n_classes, self.kind)
-        for i, vec in enumerate(self.vectors):
-            if np.shape(vec.weights) != (self.n_features,):
-                raise ValueError(f"vector {i}: wrong weight count")
-
-    def coef_table(self) -> np.ndarray:
-        """The coefficients as float64 rows: row r = [bias, w_1..w_m] of vector r."""
-        vecs = self.vectors
-        return np.column_stack(([v.bias for v in vecs], [v.weights for v in vecs])).astype(np.float64)
-
-    def _score_blocks(self, X: np.ndarray):
-        """Yield (first sample, scores) block by block of samples, where
-        scores[k, s] is vector k's score of sample first+s. The scores go to
-        one reused buffer, so each block must be used before the next.
-
-        A score is summed like the float DDAG walk: the bias, then one
-        product per feature. A BLAS product would round a sample's score
-        differently depending on the rows it is computed with.
-        """
-        coefs = self.coef_table()
-        weights = np.ascontiguousarray(coefs[:, 1:].T)  # row j: every vector's weight j
-        block = max(1, BLOCK_ELEMENTS // max(1, len(coefs)))
-        size = min(block, len(X))
-        x_buf = np.empty((X.shape[1], size))  # row j: a block's feature j
-        scores = np.empty((len(coefs), size))
-        product = np.empty_like(scores)
-        for start in range(0, len(X), block):
-            k = min(block, len(X) - start)
-            x, s, p = x_buf[:, :k], scores[:, :k], product[:, :k]
-            x[...] = X[start:start + k].T
-            s[:] = coefs[:, :1]
-            for w, xj in zip(weights, x):
-                np.multiply(w[:, None], xj, out=p)
-                s += p
-            yield start, s
+        rows = len(row_pairs(self.kind, self.n_classes))
+        self.coefs = read_only_table(self.coefs, rows, self.n_features, np.float64)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA, on
-        the scores of _score_blocks.
+        the scores of ddag._score_table.
 
         Ties break toward the lowest class id.
         """
         X = np.asarray(features, dtype=np.float64)
         classes = np.empty(len(X), dtype=np.int64)
-        if self.kind == "ova":
-            for start, scores in self._score_blocks(X):
-                classes[start:start + scores.shape[1]] = np.argmax(scores, axis=0)
-            return classes
-        pairs = np.array([(v.class_a, v.class_b) for v in self.vectors], dtype=np.int64).reshape(-1, 2)
-        onehot = np.eye(self.n_classes)
-        # a vector votes for class_b, plus (e_a - e_b) when class_a wins; the
-        # counts are small integers, exact in float64
-        swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
-        base = onehot[pairs[:, 1]].sum(axis=0)
-        for start, scores in self._score_blocks(X):
-            np.greater_equal(scores, 0.0, out=scores)  # 1.0 where class_a wins
-            votes = scores.T @ swing
-            votes += base
-            classes[start:start + len(votes)] = np.argmax(votes, axis=1)
+        if self.kind == "ovo":
+            pairs = np.array(row_pairs("ovo", self.n_classes), dtype=np.int64).reshape(-1, 2)
+            onehot = np.eye(self.n_classes)
+            # a pair votes for class_b, plus (e_a - e_b) when class_a wins;
+            # the counts are small integers, exact in float64
+            swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
+            base = onehot[pairs[:, 1]].sum(axis=0)
+        for start, col, scores in _score_table(self.coefs, X):
+            if col < self.n_features:
+                continue
+            if self.kind == "ovo":
+                np.greater_equal(scores, 0.0, out=scores)  # 1.0 where class_a wins
+                scores = (scores.T @ swing + base).T  # the votes, one row per class
+            classes[start:start + scores.shape[1]] = np.argmax(scores, axis=0)
         return classes
 
 
@@ -276,7 +232,7 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
 
 def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel]:
     """One OvO model per hyperparameter set, every (candidate, pair) a lane of
-    one fit_lanes call; vectors in lexicographic pair order."""
+    one fit_lanes call; rows in lexicographic pair order."""
     n = ds.n_classes
     present = np.bincount(ds.labels, minlength=n) > 0
     pairs = []
@@ -287,13 +243,10 @@ def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel
             # int32, like fit_lanes' own row ids: every pair's rows stay alive through the fit
             pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b)).astype(np.int32)))
     lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
-    fits = fit_lanes(ds, lanes)
-    models = []
-    for k in range(len(hypers)):
-        own = fits[k * len(pairs):(k + 1) * len(pairs)]
-        vectors = [SupportVector(a, b, fit[:-1], float(fit[-1])) for (a, b, _), fit in zip(pairs, own)]
-        models.append(FloatSvmModel("ovo", n, ds.n_features, vectors))
-    return models
+    coefs = np.roll(fit_lanes(ds, lanes), 1, axis=1)  # rows [bias, w_1..w_m]
+    return [
+        FloatSvmModel("ovo", n, ds.n_features, coefs[k * len(pairs):(k + 1) * len(pairs)]) for k in range(len(hypers))
+    ]
 
 
 def train_ovo(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
@@ -305,8 +258,7 @@ def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
     """One binary fit per class against the rest (comparison harness only)."""
     rows = np.arange(ds.n_samples, dtype=np.int32)
     lanes = [Lane(rows, cls, hyper.lam, hyper.epochs, (hyper.seed, cls)) for cls in range(ds.n_classes)]
-    vectors = [SupportVector(cls, None, fit[:-1], float(fit[-1])) for cls, fit in enumerate(fit_lanes(ds, lanes))]
-    return FloatSvmModel("ova", ds.n_classes, ds.n_features, vectors)
+    return FloatSvmModel("ova", ds.n_classes, ds.n_features, np.roll(fit_lanes(ds, lanes), 1, axis=1))
 
 
 def accuracy(model, ds: Dataset) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqsvm.ddag import build_ddag, pair_index
 from seqsvm.fxp import U4_4, FxpFormat
-from seqsvm.quant import QuantizedModel, QuantVector, profile_accumulator
+from seqsvm.quant import QuantizedModel, profile_accumulator
 
 # (n_classes, n_features) of the five benchmark shapes used throughout.
 TABLE_SHAPES = {
@@ -61,12 +61,11 @@ def random_quantized_model(n, m, param_bits, seed, n_profile=200, input_fmt=U4_4
     so every returned code is overflow-free by construction."""
     rng = np.random.default_rng([seed, n, m, param_bits])
     top = (1 << (param_bits - 1)) - 1
-    vectors = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = rng.integers(-top, top + 1, m)
-            vectors.append(QuantVector(a, b, [int(v) for v in w], int(rng.integers(-top, top + 1))))
-    qm = QuantizedModel(n, m, input_fmt, param_bits, vectors, [1.0] * len(vectors))
+    words = []
+    for _ in range(n * (n - 1) // 2):  # per pair: its weights are drawn before its bias
+        w = rng.integers(-top, top + 1, m)
+        words.append([int(rng.integers(-top, top + 1)), *w])
+    qm = QuantizedModel(n, m, input_fmt, param_bits, words, [1.0] * len(words))
     codes = rng.integers(0, input_fmt.raw_max + 1, (n_profile, m))
     profile_accumulator(qm, codes)
     return qm, codes
@@ -84,13 +83,8 @@ def bias_only_model(n, biases):
     bias >= 0 makes the pair's lower class win; handy for scripting exact
     comparison outcomes.
     """
-    vectors = []
-    k = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            vectors.append(QuantVector(a, b, [0], int(biases[k])))
-            k += 1
-    qm = QuantizedModel(n, 1, U4_4, 8, vectors, [1.0] * len(vectors))
+    words = [[int(bias), 0] for bias in biases[:n * (n - 1) // 2]]
+    qm = QuantizedModel(n, 1, U4_4, 8, words, [1.0] * len(words))
     qm.acc_width = 16
     return qm
 
@@ -116,12 +110,11 @@ def profiled_cases(draw):
     fmt = FxpFormat(input_bits)
     top = (1 << (param_bits - 1)) - 1
     coef = st.integers(-top - 1, top)
-    vectors = [
-        QuantVector(a, b, draw(st.lists(coef, min_size=m, max_size=m)), draw(coef))
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
-    qm = QuantizedModel(n, m, fmt, param_bits, vectors, [1.0] * len(vectors))
+    words = []
+    for _ in range(n * (n - 1) // 2):  # per pair: its weights are drawn before its bias
+        weights = draw(st.lists(coef, min_size=m, max_size=m))
+        words.append([draw(coef), *weights])
+    qm = QuantizedModel(n, m, fmt, param_bits, words, [1.0] * len(words))
     code = st.integers(0, fmt.raw_max)
     codes = draw(st.lists(st.lists(code, min_size=m, max_size=m), min_size=1, max_size=12))
     profiled = profile_accumulator(qm, np.array(codes))

@@ -88,11 +88,11 @@ def test_criterion_04_accumulator_minimality(fixture_name, request):
     codes = quantize_inputs(train, qm.input_fmt)
     overflow_at_width = 0
     overflow_below = 0
-    for vec in qm.vectors:  # exact big-integer replay
+    for bias, *weights in qm.words.tolist():  # exact big-integer replay
         for row in codes:
-            acc = vec.bias << qm.bias_shift
+            acc = bias << qm.bias_shift
             prefixes = [acc]
-            for w, x in zip(vec.weights, row):
+            for w, x in zip(weights, row):
                 acc += w * int(x)
                 prefixes.append(acc)
             overflow_at_width += sum(not fits(p, qm.acc_width) for p in prefixes)
@@ -196,7 +196,6 @@ def test_criterion_11_hdl_self_parse():
         qm, _ = random_quantized_model(n, m, bits, seed=trial + 100)
         bundle = generate(qm, build_ddag(n))
         parsed = parse_storage_constants(bundle.params_module)
-        expected = [[vec.bias] + list(vec.weights) for vec in qm.vectors]
-        assert parsed == expected
+        assert parsed == qm.words.tolist()
     _pass("criterion 11: storage constants parsed back from 20 generated designs "
           "match the model tables exactly")

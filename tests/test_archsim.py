@@ -27,7 +27,8 @@ from seqsvm.archsim import (
 from seqsvm.cost import TechConfig, estimate
 from seqsvm.ddag import build_ddag, ddag_infer, pair_count
 from seqsvm.fxp import U4_4, wrap
-from seqsvm.quant import QuantizedModel, QuantVector, quantize_inputs
+from seqsvm.hdlgen import emit_golden_vectors
+from seqsvm.quant import QuantizedModel, quantize_inputs
 
 # ---------------------------------------------------------------------------
 # Reference: the cycle simulator as separate engine and FSM step functions,
@@ -79,7 +80,7 @@ def fsm_step(fs, graph, y):
 def reference_simulate(qm, dag, codes):
     acc_width = qm.profiled_acc_width()
     m = qm.n_features
-    words = qm.word_table()
+    words = qm.words
     shift = qm.bias_shift
     graph = reference_graph(dag.n_classes)
     fs = FsmState(graph.initial_state)
@@ -118,8 +119,8 @@ def test_simulate_equals_the_step_function_reference(case):
 
 
 def _model(m, weights, bias, param_bits, acc_width):
-    """A two-class model with one vector."""
-    qm = QuantizedModel(2, m, U4_4, param_bits, [QuantVector(0, 1, weights, bias)], [1.0])
+    """A two-class model with one row."""
+    qm = QuantizedModel(2, m, U4_4, param_bits, [[bias, *weights]], [1.0])
     qm.acc_width = acc_width
     return qm
 
@@ -127,11 +128,11 @@ def _model(m, weights, bias, param_bits, acc_width):
 class TestStorage:
     def test_pendigits_shape(self):
         qm, _, _ = shaped_model("pendigits")
-        assert (*qm.word_table().shape, qm.param_bits) == (45, 18, 8)
+        assert (*qm.words.shape, qm.param_bits) == (45, 18, 8)
 
     def test_minimal_shape(self):
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
-        assert qm.word_table().shape == (1, 2)
+        assert qm.words.shape == (1, 2)
 
     @pytest.mark.parametrize("kind", ["mux", "rom"])
     @pytest.mark.parametrize("bits", [2, 5, 8])
@@ -140,8 +141,8 @@ class TestStorage:
         # fetches are the words the cost model prices for that kind
         qm, codes = random_quantized_model(4, 6, bits, seed=3)
         dag = build_ddag(4)
-        words = qm.word_table()
-        assert words.tolist() == [[vec.bias, *vec.weights] for vec in qm.vectors]
+        words = qm.words
+        assert (words.shape, words.dtype) == ((6, 7), np.int64)
         _, trace = simulate(qm, dag, codes[0])
         for rec in trace.records:
             assert rec.fetched_word == words[rec.fetched_row, rec.fetched_col]
@@ -154,8 +155,14 @@ class TestStorage:
         assert storage_ge == pytest.approx(priced)
 
     def test_bias_first_column(self):
-        qm, _ = random_quantized_model(3, 4, 5, seed=7)
-        assert qm.word_table()[:, 0].tolist() == [vec.bias for vec in qm.vectors]
+        # word 0 of a row is its bias: it loads the accumulator, shifted
+        qm, codes = random_quantized_model(3, 4, 5, seed=7)
+        _, trace = simulate(qm, build_ddag(3), codes[0])
+        loads = [rec for rec in trace.records if rec.fetched_col == 0]
+        assert len(loads) == 2
+        for rec in loads:
+            assert rec.fetched_word == qm.words[rec.fetched_row, 0]
+            assert rec.acc_after == wrap(rec.fetched_word << qm.bias_shift, qm.acc_width)
 
     def test_rom_dot_count(self):
         # the cost model prices ceil(word_bits/2) two-bit dots per stored word
@@ -173,20 +180,27 @@ class TestStorage:
         assert estimate(qm, dag, ArchConfig("mux")).access_slots == 1
 
     def test_word_table_is_read_only(self):
-        # each call returns a fresh array, so no consumer (walk_batch shifts
-        # the bias column in place) can change the model's words
-        qm, _ = random_quantized_model(3, 4, 5, seed=2)
-        table = qm.word_table()
-        table[0, 0] += 1
-        assert qm.word_table()[0, 0] == qm.vectors[0].bias == table[0, 0] - 1
+        # no walk, trace or golden-vector call changes the model's words
+        # (walk_batch shifts the bias column of its own copy)
+        qm, codes = random_quantized_model(3, 4, 5, seed=2)
+        dag = build_ddag(3)
+        before = qm.words.tobytes()
+        simulate_batch(qm, dag, codes, np.zeros(len(codes)))
+        simulate(qm, dag, codes[0])
+        ddag_infer(qm, dag, codes[0])
+        emit_golden_vectors(qm, dag, codes, 5)
+        assert qm.words.tobytes() == before
+        with pytest.raises(ValueError, match="read-only"):
+            qm.words[0, 0] += 1
 
     def test_oversized_parameter_guard(self):
-        qm, codes = random_quantized_model(2, 2, 4, seed=1)
-        qm.vectors[0].weights[0] = 99  # corrupt behind the type's back
+        # the range check runs once, when the table is built; the table
+        # cannot be changed behind it afterwards
         with pytest.raises(ValueError, match="vector 0: parameter 99 exceeds 4 bits"):
-            qm.word_table()
-        with pytest.raises(ValueError, match="exceeds"):
-            simulate(qm, build_ddag(2), codes[0])
+            QuantizedModel(2, 2, U4_4, 4, [[0, 99, 0]], [1.0])
+        qm, _ = random_quantized_model(2, 2, 4, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            qm.words[0, 1] = 99
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -286,7 +300,7 @@ class TestSimulate:
         # column 0 always fetches the row's bias word
         for rec in trace.records:
             if rec.fetched_col == 0:
-                assert rec.fetched_word == qm.vectors[rec.fetched_row].bias
+                assert rec.fetched_word == qm.words[rec.fetched_row, 0]
         assert trace.out_class == cls
         assert trace.final_state in range(pair_count(3))
 
@@ -296,7 +310,7 @@ class TestSimulate:
             simulate(qm, build_ddag(2), [1, 2])
 
     def test_unprofiled_model_rejected(self):
-        qm = QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [1], 0)], [1.0])
+        qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])
         with pytest.raises(ValueError, match="profile_accumulator"):
             simulate(qm, build_ddag(2), [0])
 

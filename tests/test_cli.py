@@ -110,7 +110,7 @@ def test_quantize_stage_reproduces_search(synth_csv, full_run):
     assert stored["param_bits"] == report.param_bits
     assert stored["acc_width"] == report.acc_width
     assert stored["quantized_accuracy"] == report.quantized_accuracy
-    assert doc["quantized"]["vectors"][0]["weights"] == qm.vectors[0].weights
+    assert doc["quantized"]["vectors"][0]["weights"] == qm.words[0, 1:].tolist()
 
 
 def test_missing_dataset_fails_in_ingest(tmp_path, capsys):
@@ -207,6 +207,21 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--trace"), ("run", "--vectors"), ("simulate", "--trace"), ("gen-hdl", "--vectors"),
+])
+def test_negative_count_is_a_usage_error(synth_csv, tmp_path, capsys, command, flag):
+    # `run --trace -3` used to write no traces and exit 0, and `run --vectors
+    # -3` to fail in gen-hdl after train, quantize and simulate had written
+    out = tmp_path / "out"
+    args = _run_args(synth_csv, out) if command == "run" else [command, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, flag, "-3"])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_one():

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -211,6 +212,21 @@ class TestTechConfig:
         path = tmp_path / "tech.cfg"
         path.write_text("f_clk\n")
         with pytest.raises(ValueError, match="key=value"):
+            load_tech(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # the second f_clk used to win silently
+        path = tmp_path / "tech.cfg"
+        path.write_text("f_clk=10\n# again\nf_clk=30\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: repeated key 'f_clk'$"):
+            load_tech(path)
+
+    @pytest.mark.parametrize("raw", ["abc", "", "1.5.2", "10 Hz"])
+    def test_non_numeric_value_rejected(self, tmp_path, raw):
+        path = tmp_path / "tech.cfg"
+        path.write_text(f"adc_cost=35\nf_clk = {raw}\n")
+        message = f"{path}:2: f_clk value {raw!r} is not a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_tech(path)
 
 

@@ -12,6 +12,7 @@ from seqsvm.ddag import (
     ovo_vote_infer,
     pair_count,
     pair_index,
+    row_pairs,
     state_bits_for,
 )
 from seqsvm.modelio import ddag_to_dict
@@ -39,8 +40,8 @@ def _interval_walk_oracle(dag, qm, codes):
     lo, hi = 0, dag.n_classes - 1
     shift = qm.bias_shift
     while lo != hi:
-        vec = qm.vectors[pair_index(lo, hi, dag.n_classes)]
-        acc = (vec.bias << shift) + sum(w * int(x) for w, x in zip(vec.weights, codes))
+        bias, *weights = qm.words[pair_index(lo, hi, dag.n_classes)].tolist()
+        acc = (bias << shift) + sum(w * int(x) for w, x in zip(weights, codes))
         if acc >= 0:
             hi -= 1  # lower class won, top one eliminated
         else:
@@ -111,6 +112,16 @@ class TestBuild:
         for sid, node in reference_graph(n).nodes.items():
             assert sid == node.state_id == pair_index(node.class_a, node.class_b, n)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_row_pairs_are_the_table_rows(self, n):
+        # row r of a model's table is the pair whose state reads row r
+        pairs = row_pairs("ovo", n)
+        assert len(pairs) == pair_count(n)
+        assert all(pair_index(a, b, n) == r for r, (a, b) in enumerate(pairs))
+        assert row_pairs("ova", n) == [(c, None) for c in range(n)]
+        with pytest.raises(ValueError, match="model kind 'OvO' is neither 'ovo' nor 'ova'"):
+            row_pairs("OvO", n)
+
     def test_model_document_equals_the_reference_graph(self):
         # the derived transitions are the node graph, beyond the CLI's shapes
         for n in range(2, 41):
@@ -156,30 +167,27 @@ class TestInfer:
         for row in codes[:40]:
             cls, evals = ddag_infer(qm, dag, row)
             for rid, y in evals:
-                vec = qm.vectors[rid]
-                if cls in (vec.class_a, vec.class_b):
-                    assert (y == 1) == (cls == vec.class_a)
+                class_a, class_b = row_pairs("ovo", 6)[rid]
+                if cls in (class_a, class_b):
+                    assert (y == 1) == (cls == class_a)
 
     def test_float_walk_agrees_with_exact_walk_on_integer_model(self):
-        from seqsvm.trainer import FloatSvmModel, SupportVector
+        from seqsvm.trainer import FloatSvmModel
 
         qm, codes = random_quantized_model(4, 3, 4, seed=2)
         dag = build_ddag(4)
-        shift = qm.bias_shift
-        fmodel = FloatSvmModel(
-            "ovo", 4, 3,
-            [SupportVector(v.class_a, v.class_b, np.array(v.weights, dtype=float),
-                           float(v.bias * (1 << shift))) for v in qm.vectors],
-        )
+        coefs = qm.words.astype(float)
+        coefs[:, 0] *= 1 << qm.bias_shift
+        fmodel = FloatSvmModel("ovo", 4, 3, coefs)
         for row in codes[:40]:
             assert ddag_infer(qm, dag, row)[0] == ddag_infer_float(fmodel, dag, row)[0]
 
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_float_walks_reject_an_ova_model(self, n):
-        from seqsvm.trainer import FloatSvmModel, SupportVector
+        from seqsvm.trainer import FloatSvmModel
 
-        ova = FloatSvmModel("ova", n, 2, [SupportVector(c, None, np.ones(2), -1.0) for c in range(n)])
+        ova = FloatSvmModel("ova", n, 2, [[-1.0, 1.0, 1.0]] * n)
         dag = build_ddag(n)
         with pytest.raises(ValueError, match="a DAG walks OvO models only, not a 'ova' model"):
             ddag_predict_float(ova, dag, np.zeros((5, 2)))

@@ -10,7 +10,7 @@ from seqsvm.fxp import (
     width_for_range,
     wrap,
 )
-from seqsvm.quant import QuantizedModel, QuantVector, quantize_inputs
+from seqsvm.quant import QuantizedModel, quantize_inputs
 
 
 def _width_oracle(lo, hi):
@@ -58,7 +58,7 @@ class TestFormats:
             FxpFormat(0)
 
     def test_value_outside_range_rejected(self):
-        qm = QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [1], 0)], [1.0])
+        qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])
         assert qm.input_codes([[15]]).tolist() == [[15]]
         with pytest.raises(ValueError, match="does not fit"):
             qm.input_codes([[16]])

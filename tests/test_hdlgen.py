@@ -18,7 +18,7 @@ from seqsvm.hdlgen import (
 
 
 def _expected_table(qm):
-    return [[vec.bias] + list(vec.weights) for vec in qm.vectors]
+    return qm.words.tolist()
 
 
 class TestLiterals:

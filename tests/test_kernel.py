@@ -24,36 +24,36 @@ from seqsvm.ddag import (
     ddag_predict_float,
     ddag_predict_quant,
     ovo_vote_infer,
+    row_pairs,
     walk_batch,
 )
 from seqsvm.dataset import Dataset, SplitSpec, split
 from seqsvm.fxp import BLOCK_ELEMENTS, FxpFormat
 from seqsvm.quant import (
     QuantizedModel,
-    QuantVector,
     _scale_rows,
     partial_sum_extremes,
     quantize_inputs,
     quantize_model,
 )
-from seqsvm.trainer import FloatSvmModel, SupportVector
+from seqsvm.trainer import FloatSvmModel
 
 
 def _vote_oracle(qm, codes):
     wins = [0] * qm.n_classes
-    for vec in qm.vectors:
-        acc = (vec.bias << qm.bias_shift) + sum(w * x for w, x in zip(vec.weights, codes))
-        wins[vec.class_a if acc >= 0 else vec.class_b] += 1
+    for (a, b), (bias, *weights) in zip(row_pairs("ovo", qm.n_classes), qm.words.tolist()):
+        acc = (bias << qm.bias_shift) + sum(w * x for w, x in zip(weights, codes))
+        wins[a if acc >= 0 else b] += 1
     return max(range(qm.n_classes), key=lambda c: (wins[c], -c))
 
 
 def _extremes_oracle(qm, codes):
     prefixes = []
-    for vec in qm.vectors:
-        prefixes.append(vec.bias << qm.bias_shift)
+    for bias, *weights in qm.words.tolist():
+        prefixes.append(bias << qm.bias_shift)
         for row in codes:
-            acc = vec.bias << qm.bias_shift
-            for w, x in zip(vec.weights, row):
+            acc = bias << qm.bias_shift
+            for w, x in zip(weights, row):
                 acc += w * x
                 prefixes.append(acc)
     return min(prefixes), max(prefixes)
@@ -94,17 +94,16 @@ def float_cases(draw):
     m = draw(st.integers(1, 8))
     scale = 10.0 ** draw(st.floats(-3, 3))
     coef = st.floats(-1, 1).map(lambda c: c * scale)
-    vectors = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if draw(st.booleans()) and draw(st.booleans()):
-                weights, bias = [0.0] * m, 0.0
-            else:
-                weights, bias = draw(st.lists(coef, min_size=m, max_size=m)), draw(coef)
-            vectors.append(SupportVector(a, b, np.array(weights), bias))
+    coefs = []
+    for _ in range(n * (n - 1) // 2):
+        if draw(st.booleans()) and draw(st.booleans()):
+            weights, bias = [0.0] * m, 0.0
+        else:
+            weights, bias = draw(st.lists(coef, min_size=m, max_size=m)), draw(coef)
+        coefs.append([bias, *weights])
     row = st.one_of(st.just([0.0] * m), st.lists(st.floats(0, 1), min_size=m, max_size=m))
     X = draw(st.lists(row, min_size=1, max_size=12))
-    return FloatSvmModel("ovo", n, m, vectors), build_ddag(n), np.array(X)
+    return FloatSvmModel("ovo", n, m, coefs), build_ddag(n), np.array(X)
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,7 +118,7 @@ def test_float_kernel_equals_python_oracle(case):
 def test_float_walks_sum_bias_first():
     # -1 - 2**53 rounds to -2**53, so bias-first sums to 0 (class 0 wins)
     # where products-first gives -1 (class 1 would win)
-    fmodel = FloatSvmModel("ovo", 2, 2, [SupportVector(0, 1, np.array([-2.0**53, 2.0**53]), -1.0)])
+    fmodel = FloatSvmModel("ovo", 2, 2, [[-1.0, -2.0**53, 2.0**53]])
     dag = build_ddag(2)
     assert ddag_predict_float(fmodel, dag, [[1.0, 1.0]]).tolist() == [0]
     assert ddag_infer_float(fmodel, dag, [1.0, 1.0])[0] == 0
@@ -140,23 +139,22 @@ def test_float_kernel_rejects_malformed_features():
 def test_quantize_model_equals_per_vector_scaling(seed):
     rng = np.random.default_rng(seed)
     n, m = 5, 7
-    vectors = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            zero = rng.random() < 0.3
-            w = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
-            vectors.append(SupportVector(a, b, w, 0.0 if zero else float(rng.normal())))
-    fmodel = FloatSvmModel("ovo", n, m, vectors)
+    coefs = []
+    for _ in range(n * (n - 1) // 2):
+        zero = rng.random() < 0.3
+        w = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+        coefs.append([0.0 if zero else float(rng.normal()), *w])
+    fmodel = FloatSvmModel("ovo", n, m, coefs)
     for bits in range(2, 9):
         with warnings.catch_warnings(record=True) as batch_warnings:
             warnings.simplefilter("always")
             qm = quantize_model(fmodel, bits)
         with warnings.catch_warnings(record=True) as row_warnings:
             warnings.simplefilter("always")
-            rows = [_scale_rows([[v.bias, *v.weights]], bits) for v in fmodel.vectors]
-        assert [[v.bias, *v.weights] for v in qm.vectors] == [codes[0].tolist() for codes, _ in rows]
+            rows = [_scale_rows([row], bits) for row in fmodel.coefs]
+        assert qm.words.tolist() == [codes[0].tolist() for codes, _ in rows]
         assert qm.scales == [float(scales[0]) for _, scales in rows]
-        assert len(batch_warnings) == len(row_warnings) == sum(not v.weights.any() for v in vectors)
+        assert len(batch_warnings) == len(row_warnings) == sum(not row.any() for row in fmodel.coefs)
 
 
 @pytest.mark.parametrize("bias, weight", [(32767, 1), (32767, 2), (-32767, -1), (-32767, -2), (-32768, 0)])
@@ -164,7 +162,7 @@ def test_partial_sum_extremes_around_two_to_the_31(bias, weight):
     # 16-bit inputs shift the bias by 16 bits: 32767 << 16 = 2**31 - 65536, and
     # a weight w at code 65535 adds w * 65535, so the worst case ends just
     # below 2**31 (|w| = 1, int32 buffers) or just above it (|w| = 2, int64)
-    qm = QuantizedModel(2, 2, FxpFormat(16), 16, [QuantVector(0, 1, [weight, 0], bias)], [1.0])
+    qm = QuantizedModel(2, 2, FxpFormat(16), 16, [[bias, weight, 0]], [1.0])
     codes = [[65535, 7], [0, 65535], [1, 1]]
     lo, hi = partial_sum_extremes(qm, np.array(codes))
     assert (lo, hi) == _extremes_oracle(qm, codes)
@@ -208,9 +206,10 @@ def test_codes_outside_the_input_format_rejected(name, fmt):
 
 
 def _float_twin(qm):
-    """A float model with qm's pairs and features, every vector all ones."""
-    vectors = [SupportVector(v.class_a, v.class_b, np.ones(qm.n_features), 0.0) for v in qm.vectors]
-    return FloatSvmModel("ovo", qm.n_classes, qm.n_features, vectors)
+    """A float model with qm's rows and features, every weight one, every bias zero."""
+    coefs = np.ones(qm.words.shape)
+    coefs[:, 0] = 0.0
+    return FloatSvmModel("ovo", qm.n_classes, qm.n_features, coefs)
 
 
 def _dag_calls(qm, fmodel, codes, dag):
@@ -243,8 +242,11 @@ def test_every_entry_rejects_a_dag_of_another_class_count(name):
 
 def _random_float_model(n, m, seed):
     rng = np.random.default_rng(seed)
-    vectors = [SupportVector(a, b, rng.normal(size=m), float(rng.normal())) for a in range(n) for b in range(a + 1, n)]
-    return FloatSvmModel("ovo", n, m, vectors)
+    coefs = []
+    for _ in range(n * (n - 1) // 2):  # a row's weights are drawn before its bias
+        weights = rng.normal(size=m)
+        coefs.append([float(rng.normal()), *weights])
+    return FloatSvmModel("ovo", n, m, coefs)
 
 
 def _sample_kernels(n_samples):
@@ -264,6 +266,7 @@ def _sample_kernels(n_samples):
         "quantize_inputs": lambda: quantize_inputs(X),
         "split": lambda: split(ds, SplitSpec(0.5, 3)),
         "predict": lambda: fmodel.predict(X),
+        "partial_sum_extremes": lambda: partial_sum_extremes(qm, codes),
     }
 
 

@@ -3,29 +3,29 @@ import pytest
 
 from helpers import random_quantized_model
 from seqsvm.dataset import Dataset
-from seqsvm.ddag import build_ddag, ddag_predict_float, ddag_predict_quant, pair_index
+from seqsvm.ddag import build_ddag, ddag_predict_float, ddag_predict_quant
 from seqsvm.fxp import U4_4, FxpFormat, fits
 from seqsvm.quant import (
     MAX_ACCURACY_DROP,
     QuantizedModel,
-    QuantVector,
     partial_sum_extremes,
     profile_accumulator,
     quantize_inputs,
     quantize_model,
     search_param_bits,
 )
-from seqsvm.trainer import FloatSvmModel, SupportVector
+from seqsvm.modelio import quantized_from_dict
+from seqsvm.trainer import FloatSvmModel
 
 
 def _prefixes_oracle(qm, codes):
     """Independent pure-python prefix enumeration (bias first, then each MAC)."""
     out = []
-    for vec in qm.vectors:
+    for bias, *weights in qm.words.tolist():
         for row in codes:
-            acc = vec.bias << qm.bias_shift
+            acc = bias << qm.bias_shift
             out.append(acc)
-            for w, x in zip(vec.weights, row):
+            for w, x in zip(weights, row):
                 acc += w * int(x)
                 out.append(acc)
     return out
@@ -53,9 +53,9 @@ class TestQuantizeInputs:
 
 def _scale_one(weights, bias, param_bits):
     """One support vector's (weights, bias, scale) as quantize_model scales it."""
-    vec = SupportVector(0, 1, np.asarray(weights, dtype=float), bias)
-    qm = quantize_model(FloatSvmModel("ovo", 2, len(vec.weights), [vec]), param_bits)
-    return qm.vectors[0].weights, qm.vectors[0].bias, qm.scales[0]
+    qm = quantize_model(FloatSvmModel("ovo", 2, len(weights), [[bias, *weights]]), param_bits)
+    bias, *weights = qm.words[0].tolist()
+    return weights, bias, qm.scales[0]
 
 
 class TestScaleVector:
@@ -99,13 +99,7 @@ class TestScaleVector:
 
 
 def _float_model_from_weights(n, weight_rows, biases, m):
-    vectors = []
-    k = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            vectors.append(SupportVector(a, b, np.asarray(weight_rows[k], dtype=float), float(biases[k])))
-            k += 1
-    return FloatSvmModel("ovo", n, m, vectors)
+    return FloatSvmModel("ovo", n, m, np.column_stack([biases, weight_rows]))
 
 
 def _dataset_on_grid(fmodel, dag, n_samples, min_margin, seed):
@@ -115,7 +109,7 @@ def _dataset_on_grid(fmodel, dag, n_samples, min_margin, seed):
     rows = []
     while len(rows) < n_samples:
         x = rng.integers(0, 16, fmodel.n_features) / 16.0
-        margins = [abs(float(x @ v.weights + v.bias)) for v in fmodel.vectors]
+        margins = [abs(float(x @ c[1:] + c[0])) for c in fmodel.coefs]
         if min(margins) > min_margin:
             rows.append(x)
     X = np.array(rows)
@@ -203,7 +197,7 @@ class TestSearchParamBits:
 
 class TestProfileAccumulator:
     def _single_vector_model(self, weights, bias):
-        qm = QuantizedModel(2, len(weights), U4_4, 8, [QuantVector(0, 1, list(weights), bias)], [1.0])
+        qm = QuantizedModel(2, len(weights), U4_4, 8, [[bias, *weights]], [1.0])
         return qm
 
     def test_all_zero_width_one(self):
@@ -239,15 +233,17 @@ class TestProfileAccumulator:
 
 
 class TestQuantizedModelInvariants:
-    def test_vector_order_matches_rows(self, blobs3_quant):
+    def test_vector_order_matches_rows(self, blobs3_quant, blobs3_model):
+        # row r of the word table is row r of the float table, scaled on its own
         qm, _, _ = blobs3_quant
-        for i, vec in enumerate(qm.vectors):
-            assert pair_index(vec.class_a, vec.class_b, qm.n_classes) == i
+        for r, coefs in enumerate(blobs3_model.coefs):
+            one = quantize_model(FloatSvmModel("ovo", 2, blobs3_model.n_features, [coefs]), qm.param_bits)
+            assert one.words[0].tolist() == qm.words[r].tolist()
 
     def test_aligned_bias_fits_accumulator(self, blobs3_quant):
         qm, _, _ = blobs3_quant
-        for vec in qm.vectors:
-            assert fits(vec.bias << qm.bias_shift, qm.acc_width)
+        for bias in qm.words[:, 0].tolist():
+            assert fits(bias << qm.bias_shift, qm.acc_width)
 
     def test_report_consistent_with_recomputation(self, blobs3_quant, blobs3_split, blobs3_model):
         qm, report, dag = blobs3_quant
@@ -263,43 +259,46 @@ class TestQuantizedModelInvariants:
     def test_prediction_invariant_under_prescale(self, blobs3_model, blobs3_split):
         _, test = blobs3_split
         dag = build_ddag(blobs3_model.n_classes)
-        scaled = FloatSvmModel(
-            "ovo",
-            blobs3_model.n_classes,
-            blobs3_model.n_features,
-            [
-                SupportVector(v.class_a, v.class_b, v.weights * (3.0 if i == 1 else 1.0),
-                              v.bias * (3.0 if i == 1 else 1.0))
-                for i, v in enumerate(blobs3_model.vectors)
-            ],
-        )
+        scale = np.array([[1.0], [3.0], [1.0]])  # row 1 only
+        scaled = FloatSvmModel("ovo", blobs3_model.n_classes, blobs3_model.n_features, blobs3_model.coefs * scale)
         base = quantize_model(blobs3_model, 5)
         other = quantize_model(scaled, 5)
-        for va, vb in zip(base.vectors, other.vectors):
-            assert va.weights == vb.weights and va.bias == vb.bias
+        assert np.array_equal(base.words, other.words)
 
     def test_oversized_parameter_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            QuantizedModel(2, 1, U4_4, 4, [QuantVector(0, 1, [9], 0)], [1.0])
+            QuantizedModel(2, 1, U4_4, 4, [[0, 9]], [1.0])
 
     @pytest.mark.parametrize(
         "params, message",
         [
             # (weights, bias) of vectors (0,1), (0,2), (1,2) at 4 bits: -8..7
-            ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -9], 9), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
+            ((([1, 7], -8), ([8, -9], 7), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -9], 7), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
             ((([1, 7], -8), ([7, -8], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 9), ([0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
+            ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
             ((([1, 7], -8), ([7], 99), ([-99, 0], 0)), "vector 1: wrong weight count"),
             ((([1, 7], -8), ([7, 0, 0], 0), ([0, 0], 0)), "vector 1: wrong weight count"),
             ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)), f"vector 2: parameter {2**70} exceeds 4 bits"),
         ],
     )
     def test_first_offender_named(self, params, message):
-        # vector order first, then the weights in order, then the bias
-        vectors = [QuantVector(a, b, w, bias) for (a, b), (w, bias) in zip([(0, 1), (0, 2), (1, 2)], params)]
+        # a document's vectors in row order; a wrong weight count is found
+        # before any range check, which scans the table row by row, bias
+        # (word 0) first, with exact integers even beyond int64
+        doc = {
+            "input_fmt": {"total_bits": 4, "frac_bits": 4, "signed": False},
+            "bias_shift": 4,
+            "param_bits": 4,
+            "acc_width": 8,
+            "scales": [1.0] * 3,
+            "vectors": [
+                {"class_a": a, "class_b": b, "weights": w, "bias": bias}
+                for (a, b), (w, bias) in zip([(0, 1), (0, 2), (1, 2)], params)
+            ],
+        }
         with pytest.raises(ValueError, match=f"^{message}$"):
-            QuantizedModel(3, 2, U4_4, 4, vectors, [1.0] * 3)
+            quantized_from_dict(doc, 3, 2)
 
 
 class TestInputFormatBounds:
@@ -313,7 +312,7 @@ class TestInputFormatBounds:
     @pytest.mark.parametrize("fmt", BAD)
     def test_model_rejects(self, fmt):
         with pytest.raises(ValueError, match="1..16 bits"):
-            QuantizedModel(2, 1, fmt, 4, [QuantVector(0, 1, [1], 0)], [1.0])
+            QuantizedModel(2, 1, fmt, 4, [[0, 1]], [1.0])
 
     def test_sixteen_bits_accepted(self):
         codes = quantize_inputs(np.array([[1.0, 0.5, 0.0]]), FxpFormat(16))

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+import seqsvm.ddag as ddag_mod
 import seqsvm.trainer as trainer_mod
 from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
-from seqsvm.ddag import build_ddag, ddag_predict_float
+from seqsvm.ddag import _score_table, build_ddag, ddag_predict_float, row_pairs
 from seqsvm.fxp import BLOCK_ELEMENTS
 from seqsvm.modelio import float_model_from_dict
 from seqsvm.synth import bundled_dataset, ring_sectors
@@ -20,7 +21,6 @@ from seqsvm.trainer import (
     Hyper,
     Lane,
     SearchSpace,
-    SupportVector,
     accuracy,
     fit_lanes,
     random_search,
@@ -40,29 +40,30 @@ def _two_class_blobs(per_class=100, sigma=1.0, margin_sigmas=2.0, m=3, seed=0):
 
 
 def _pair_fit(ds, hyper):
-    """The one separator of a two-class OvO model: class 0 (+1) vs class 1 (-1)."""
+    """The one separator of a two-class OvO model, class 0 (+1) vs class 1
+    (-1), as its (weights, bias)."""
     model = train_ovo(ds, hyper)
-    assert [(v.class_a, v.class_b) for v in model.vectors] == [(0, 1)]
-    return model.vectors[0]
+    assert model.coefs.shape == (1, ds.n_features + 1)
+    return model.coefs[0, 1:], model.coefs[0, 0]
 
 
 def test_separable_two_point_set():
     # x=0 belongs to class b (=1), x=1 to class a (=0)
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 0]), ["a", "b"])
-    fit = _pair_fit(ds, Hyper(lam=0.1, epochs=80, seed=0))
-    assert np.any(fit.weights != 0.0)  # not the degenerate constant
-    assert float(np.dot([1.0], fit.weights) + fit.bias) >= 0.0   # class a side
-    assert float(np.dot([0.0], fit.weights) + fit.bias) < 0.0    # class b side
+    weights, bias = _pair_fit(ds, Hyper(lam=0.1, epochs=80, seed=0))
+    assert np.any(weights != 0.0)  # not the degenerate constant
+    assert float(np.dot([1.0], weights) + bias) >= 0.0   # class a side
+    assert float(np.dot([0.0], weights) + bias) < 0.0    # class b side
 
 
 def test_degenerate_identical_features():
     X = np.tile([0.3, 0.7], (6, 1))
     ds = Dataset(X, np.array([0, 0, 0, 0, 1, 1]), ["a", "b"])
-    fit = _pair_fit(ds, Hyper())
-    assert np.all(fit.weights == 0.0)
-    assert fit.bias == 1.0  # majority is class a, mapped +1
+    weights, bias = _pair_fit(ds, Hyper())
+    assert np.all(weights == 0.0)
+    assert bias == 1.0  # majority is class a, mapped +1
     ds.labels[:] = [0, 0, 1, 1, 1, 1]
-    assert _pair_fit(ds, Hyper()).bias == -1.0  # majority is class b, mapped -1
+    assert _pair_fit(ds, Hyper())[1] == -1.0  # majority is class b, mapped -1
 
 
 def test_blob_margin_accuracy():
@@ -88,7 +89,7 @@ def test_negative_epochs_rejected_zero_allowed():
     with pytest.raises(ValueError, match="epochs must be >= 0"):
         Hyper(epochs=-1)
     model = train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(epochs=0))
-    assert all(np.isfinite(v.weights).all() and np.isfinite(v.bias) for v in model.vectors)
+    assert np.isfinite(model.coefs).all()
 
 
 @pytest.mark.parametrize("space", [
@@ -115,10 +116,7 @@ def test_ovo_vector_counts(name, n, expected):
     train, _ = split(ds, SplitSpec(0.8, 0))
     model = train_ovo(train, Hyper(epochs=3))
     assert model.n_classes == n
-    assert len(model.vectors) == expected
-    pairs = [(v.class_a, v.class_b) for v in model.vectors]
-    assert pairs == sorted(pairs)
-    assert all(a < b for a, b in pairs)
+    assert model.coefs.shape == (expected, train.n_features + 1)
 
 
 @pytest.mark.parametrize("name,n", [("blobs3x21", 3), ("rings10x17", 10)])
@@ -126,12 +124,8 @@ def test_ova_vector_counts(name, n):
     ds = bundled_dataset(name, seed=0)
     train, _ = split(ds, SplitSpec(0.8, 0))
     model = train_ova(train, Hyper(epochs=3))
-    assert len(model.vectors) == n
-    assert all(v.class_b is None for v in model.vectors)
-
-
-def _vectors(rows, m=2):
-    return [SupportVector(a, b, np.zeros(m), 0.0) for a, b in rows]
+    assert model.kind == "ova"
+    assert model.coefs.shape == (n, train.n_features + 1)
 
 
 @pytest.mark.parametrize("kind, rows, message", [
@@ -147,8 +141,7 @@ def _vectors(rows, m=2):
     ("OvO", [(0, 1), (0, 2), (1, 2)], "model kind 'OvO' is neither 'ovo' nor 'ova'"),
 ])
 def test_vector_r_must_be_row_r(kind, rows, message):
-    with pytest.raises(ValueError, match=message):
-        FloatSvmModel(kind, 3, 2, _vectors(rows))
+    # a table's rows carry no pairs, so only a document can misorder them
     doc = {
         "kind": kind, "n_classes": 3, "n_features": 2,
         "vectors": [{"class_a": a, "class_b": b, "weights": [0.0, 0.0], "bias": 0.0} for a, b in rows],
@@ -160,11 +153,13 @@ def test_vector_r_must_be_row_r(kind, rows, message):
 @pytest.mark.parametrize("kind", ["ovo", "ova"])
 @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.5], [0.0], [[0.0, 0.0]], 0.0])
 def test_every_vector_needs_one_weight_per_feature(kind, weights):
-    rows = [(0, 1), (0, 2), (1, 2)] if kind == "ovo" else [(0, None), (1, None), (2, None)]
-    vectors = _vectors(rows)
-    vectors[2].weights = np.array(weights)
+    vectors = [{"class_a": a, "class_b": b, "weights": [0.0, 0.0], "bias": 0.0} for a, b in row_pairs(kind, 3)]
+    vectors[2]["weights"] = weights
     with pytest.raises(ValueError, match="vector 2: wrong weight count"):
-        FloatSvmModel(kind, 3, 2, vectors)
+        float_model_from_dict({"kind": kind, "n_classes": 3, "n_features": 2, "vectors": vectors})
+    # in memory, the table needs one column per feature beside the bias
+    with pytest.raises(ValueError, match=r"need a 3 x 3 table \(one row per vector\), got shape \(3, 2\)"):
+        FloatSvmModel(kind, 3, 2, np.zeros((3, 2)))
 
 
 def test_ovo_vs_ova_gap_reported(capsys):
@@ -182,19 +177,12 @@ def test_training_bit_reproducible():
     train, _ = split(ds, SplitSpec(0.8, 2))
     m1 = train_ovo(train, Hyper(lam=0.05, epochs=6, seed=9))
     m2 = train_ovo(train, Hyper(lam=0.05, epochs=6, seed=9))
-    for v1, v2 in zip(m1.vectors, m2.vectors):
-        assert np.array_equal(v1.weights, v2.weights)
-        assert v1.bias == v2.bias
+    assert m1.coefs.tobytes() == m2.coefs.tobytes()
 
 
 def test_positive_scaling_leaves_predictions(blobs3_split, blobs3_model):
     _, test = blobs3_split
-    scaled = FloatSvmModel(
-        "ovo",
-        blobs3_model.n_classes,
-        blobs3_model.n_features,
-        [SupportVector(v.class_a, v.class_b, v.weights * 7.0, v.bias * 7.0) for v in blobs3_model.vectors],
-    )
+    scaled = FloatSvmModel("ovo", blobs3_model.n_classes, blobs3_model.n_features, blobs3_model.coefs * 7.0)
     assert np.array_equal(blobs3_model.predict(test.features), scaled.predict(test.features))
 
 
@@ -212,7 +200,7 @@ class TestAccuracy:
 
     def test_hand_built_two_class(self):
         # boundary at x = 0.5; >= goes to class 0
-        model = FloatSvmModel("ovo", 2, 1, [SupportVector(0, 1, np.array([1.0]), -0.5)])
+        model = FloatSvmModel("ovo", 2, 1, [[-0.5, 1.0]])
         X = np.array([[0.2], [0.4], [0.6], [0.8]])
         labels = np.array([1, 0, 0, 0])
         expected = sum(
@@ -222,40 +210,40 @@ class TestAccuracy:
 
     def test_vote_tie_breaks_low_id(self):
         # class 0 and 2 both get one win; argmax takes the lowest id
-        vecs = [
-            SupportVector(0, 1, np.array([0.0]), 1.0),   # 0 beats 1
-            SupportVector(0, 2, np.array([0.0]), -1.0),  # 2 beats 0
-            SupportVector(1, 2, np.array([0.0]), 1.0),   # 1 beats 2
+        coefs = [
+            [1.0, 0.0],   # pair (0,1): 0 beats 1
+            [-1.0, 0.0],  # pair (0,2): 2 beats 0
+            [1.0, 0.0],   # pair (1,2): 1 beats 2
         ]
-        model = FloatSvmModel("ovo", 3, 1, vecs)
+        model = FloatSvmModel("ovo", 3, 1, coefs)
         assert model.predict(np.zeros((1, 1)))[0] == 0
 
 
-def _blas_scores(vec, X):
-    return X @ vec.weights + vec.bias
+def _blas_scores(row, X):
+    return X @ row[1:] + row[0]
 
 
-def _bias_first_scores(vec, X):
-    """One vector's score of every row of X, summed as the float DDAG walk
-    sums it: the bias, then one product per feature."""
-    acc = np.full(len(X), float(vec.bias))
-    for w, column in zip(vec.weights, X.T):
+def _bias_first_scores(row, X):
+    """One table row's score of every row of X, summed as the float DDAG
+    walk sums it: the bias, then one product per feature."""
+    acc = np.full(len(X), float(row[0]))
+    for w, column in zip(row[1:], X.T):
         acc = acc + w * column
     return acc
 
 
 def _per_vector_predict(model, X, score=_blas_scores):
-    """Reference: a per-vector loop, one score(vec, X) per vector and votes
-    tallied vector by vector."""
+    """Reference: a per-vector loop, one score(row, X) per table row and
+    votes tallied row by row."""
     X = np.asarray(X, dtype=np.float64)
     if model.kind == "ovo":
         votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
-        for vec in model.vectors:
-            a_wins = score(vec, X) >= 0.0
-            votes[a_wins, vec.class_a] += 1
-            votes[~a_wins, vec.class_b] += 1
+        for (a, b), row in zip(row_pairs("ovo", model.n_classes), model.coefs):
+            a_wins = score(row, X) >= 0.0
+            votes[a_wins, a] += 1
+            votes[~a_wins, b] += 1
         return np.argmax(votes, axis=1)
-    scores = np.column_stack([score(v, X) for v in model.vectors])
+    scores = np.column_stack([score(row, X) for row in model.coefs])
     return np.argmax(scores, axis=1)
 
 
@@ -277,9 +265,7 @@ def float_models(draw):
     else:
         coefs = rng.normal(size=(count, m + 1)) * 10.0 ** rng.integers(-3, 4, (count, 1))
         X = rng.uniform(size=(draw(st.integers(0, 30)), m))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)] if kind == "ovo" else [(c, None) for c in range(n)]
-    vectors = [SupportVector(a, b, c[1:], float(c[0])) for (a, b), c in zip(pairs, coefs)]
-    return FloatSvmModel(kind, n, m, vectors), X, exact
+    return FloatSvmModel(kind, n, m, coefs), X, exact
 
 
 class TestPredict:
@@ -291,23 +277,26 @@ class TestPredict:
         if exact:
             # on the grid every summation order gives the same scores
             assert np.array_equal(_per_vector_predict(model, X), expected)
-        with mock.patch.object(trainer_mod, "BLOCK_ELEMENTS", block):
+        with mock.patch.object(ddag_mod, "BLOCK_ELEMENTS", block):
             for view in layouts(X, np.float64):
                 assert np.array_equal(model.predict(view), expected)
                 # the scores themselves keep the bits of the bias-first sum,
                 # whatever the block a sample falls in
-                blocks = [s.copy() for _, s in model._score_blocks(view)]
-                scores = np.hstack([np.empty((len(model.vectors), 0)), *blocks])
-                assert np.array_equal(scores, np.array([_bias_first_scores(v, view) for v in model.vectors]))
+                blocks = [s.copy() for _, col, s in _score_table(model.coefs, view) if col == model.n_features]
+                scores = np.hstack([np.empty((len(model.coefs), 0)), *blocks])
+                reference = np.array([_bias_first_scores(row, view) for row in model.coefs]).reshape(scores.shape)
+                assert scores.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("kind", ["ovo", "ova"])
     def test_equals_the_per_vector_loop_over_many_blocks(self, kind):
-        # 26 classes and 3000 samples: 10 vectors per block, 33 blocks for OvO
+        # 26 classes and 3000 samples: 100 samples per block, 30 blocks for OvO
         ds = ring_sectors(26, 16, 160, seed=2)
         rng = np.random.default_rng(3)
-        pairs = [(a, b) for a in range(26) for b in range(a + 1, 26)] if kind == "ovo" else [(c, None) for c in range(26)]
-        vectors = [SupportVector(a, b, rng.normal(size=16), float(rng.normal())) for a, b in pairs]
-        model = FloatSvmModel(kind, 26, 16, vectors)
+        coefs = []
+        for _ in row_pairs(kind, 26):  # a row's weights are drawn before its bias
+            weights = rng.normal(size=16)
+            coefs.append([float(rng.normal()), *weights])
+        model = FloatSvmModel(kind, 26, 16, coefs)
         X = ds.features[:3000]
         predicted = model.predict(X)
         assert np.array_equal(predicted, _per_vector_predict(model, X, _bias_first_scores))
@@ -319,19 +308,19 @@ class TestPredict:
         # DAG walk; products first, as a BLAS product sums, it gives -1 and
         # class 1 would win the vote
         big = 2.0 ** 53
-        vectors = [
-            SupportVector(0, 1, np.array([-big, big, 0.0]), -1.0),
-            SupportVector(0, 2, np.array([0.5, -0.25, 1.0]), 0.1),
-            SupportVector(1, 2, np.array([1.0, 0.5, 0.25]), -0.2),
+        coefs = [
+            [-1.0, -big, big, 0.0],    # pair (0,1)
+            [0.1, 0.5, -0.25, 1.0],    # pair (0,2)
+            [-0.2, 1.0, 0.5, 0.25],    # pair (1,2)
         ]
-        model = FloatSvmModel("ovo", 3, 3, vectors)
+        model = FloatSvmModel("ovo", 3, 3, coefs)
         X = np.random.default_rng(0).uniform(size=(400, 3))
         X[::7] = [1.0, 1.0, 0.0]
         votes = np.zeros((len(X), 3), dtype=np.int64)
-        for vec in vectors:
-            a_wins = _bias_first_scores(vec, X) >= 0.0
-            votes[a_wins, vec.class_a] += 1
-            votes[~a_wins, vec.class_b] += 1
+        for (a, b), row in zip(row_pairs("ovo", 3), coefs):
+            a_wins = _bias_first_scores(row, X) >= 0.0
+            votes[a_wins, a] += 1
+            votes[~a_wins, b] += 1
         predicted = model.predict(X)
         assert np.array_equal(predicted, np.argmax(votes, axis=1))
         assert set(predicted[::7].tolist()) == {0}
@@ -340,12 +329,14 @@ class TestPredict:
     def test_zero_scores_go_to_class_a(self):
         # every score is 0 or -0.0, so class_a wins each pair and 0 leads;
         # with the (0, b) pairs biased below 0, 1 wins three pairs and leads
-        zero = [SupportVector(a, b, np.array([0.0, -0.0]), -0.0) for a in range(4) for b in range(a + 1, 4)]
+        zero = np.tile([-0.0, 0.0, -0.0], (6, 1))  # bias -0.0, weights 0.0 and -0.0
         model = FloatSvmModel("ovo", 4, 2, zero)
         assert model.predict(np.array([[0.5, 0.25], [0.0, 0.0]])).tolist() == [0, 0]
-        for vec in zero[:3]:
-            vec.bias = -1.0
-        assert model.predict(np.array([[0.5, 0.25]])).tolist() == [1]
+        zero[:3, 0] = -1.0  # the pairs (0, b); the model keeps its own table
+        assert model.predict(np.array([[0.5, 0.25]])).tolist() == [0]
+        with pytest.raises(ValueError, match="read-only"):
+            model.coefs[:3, 0] = -1.0
+        assert FloatSvmModel("ovo", 4, 2, zero).predict(np.array([[0.5, 0.25]])).tolist() == [1]
 
 
 class TestRandomSearch:
@@ -438,11 +429,12 @@ def _shrink_and_step(X, y, lam, epochs, rng):
     return w
 
 
-def _assert_close_to_reference(vec, X, y, lam, epochs, key):
+def _assert_close_to_reference(row, X, y, lam, epochs, key):
+    """``row``, a table row [bias, w_1..w_m], against the reference fit."""
     ref = _shrink_and_step(X, y, lam, epochs, np.random.default_rng(list(key)))
     # the bias sum is a count of +-1 steps, so it can cancel to exactly 0
     # where the reference keeps rounding noise: atol is relative to the vector
-    np.testing.assert_allclose(np.r_[vec.weights, vec.bias], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    np.testing.assert_allclose(np.r_[row[1:], row[0]], ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
 class TestLaneSolver:
@@ -503,20 +495,19 @@ class TestLaneSolver:
         ds = self._random_dataset(seed)
         hyper = Hyper(lam=[0.003, 0.05, 1.5][seed], epochs=4 + seed, seed=seed)
         model = train_ovo(ds, hyper)
-        for vec in model.vectors:
-            mask = (ds.labels == vec.class_a) | (ds.labels == vec.class_b)
-            y = np.where(ds.labels[mask] == vec.class_a, 1.0, -1.0)
-            _assert_close_to_reference(vec, ds.features[mask], y, hyper.lam, hyper.epochs,
-                                       (seed, vec.class_a, vec.class_b))
+        for (a, b), row in zip(row_pairs("ovo", model.n_classes), model.coefs):
+            mask = (ds.labels == a) | (ds.labels == b)
+            y = np.where(ds.labels[mask] == a, 1.0, -1.0)
+            _assert_close_to_reference(row, ds.features[mask], y, hyper.lam, hyper.epochs, (seed, a, b))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ova_lanes_match_shrink_and_step(self, seed):
         ds = self._random_dataset(seed)
         hyper = Hyper(lam=0.02, epochs=3, seed=seed)
         model = train_ova(ds, hyper)
-        for vec in model.vectors:
-            y = np.where(ds.labels == vec.class_a, 1.0, -1.0)
-            _assert_close_to_reference(vec, ds.features, y, hyper.lam, hyper.epochs, (seed, vec.class_a))
+        for cls, row in enumerate(model.coefs):
+            y = np.where(ds.labels == cls, 1.0, -1.0)
+            _assert_close_to_reference(row, ds.features, y, hyper.lam, hyper.epochs, (seed, cls))
 
     def test_degenerate_ovo_lanes_beside_normal_lanes(self):
         # classes 0 and 1 share one feature row; class 2 varies
@@ -525,12 +516,12 @@ class TestLaneSolver:
         ds = Dataset(X, labels, ["a", "b", "c"])
         hyper = Hyper(lam=0.05, epochs=6, seed=4)
         model = train_ovo(ds, hyper)
-        v01, v02, v12 = model.vectors
-        assert np.all(v01.weights == 0.0) and v01.bias == 1.0  # 4 of 7 rows are class 0
-        for vec in (v02, v12):
-            mask = (labels == vec.class_a) | (labels == vec.class_b)
-            y = np.where(labels[mask] == vec.class_a, 1.0, -1.0)
-            _assert_close_to_reference(vec, X[mask], y, hyper.lam, hyper.epochs, (4, vec.class_a, vec.class_b))
+        v01, v02, v12 = model.coefs
+        assert np.all(v01[1:] == 0.0) and v01[0] == 1.0  # 4 of 7 rows are class 0
+        for (a, b), row in zip([(0, 2), (1, 2)], (v02, v12)):
+            mask = (labels == a) | (labels == b)
+            y = np.where(labels[mask] == a, 1.0, -1.0)
+            _assert_close_to_reference(row, X[mask], y, hyper.lam, hyper.epochs, (4, a, b))
 
     def test_degenerate_ova_lanes_beside_normal_lanes(self):
         # one lane of a batch sees identical rows, the others do not
@@ -543,16 +534,16 @@ class TestLaneSolver:
         assert np.all(fits[1][:-1] == 0.0)
         assert fits[1][-1] == (1.0 if majority else -1.0)
         model = train_ova(ds, Hyper(lam=0.1, epochs=4, seed=3))
-        for cls, (fit, vec) in enumerate(zip([fits[0], *fits[2:]], model.vectors)):
-            assert np.array_equal(fit[:-1], vec.weights) and fit[-1] == vec.bias
+        for cls, (fit, row) in enumerate(zip([fits[0], *fits[2:]], model.coefs)):
+            assert np.array_equal(fit[:-1], row[1:]) and fit[-1] == row[0]
             y = np.where(ds.labels == cls, 1.0, -1.0)
-            _assert_close_to_reference(vec, ds.features, y, 0.1, 4, (3, cls))
+            _assert_close_to_reference(row, ds.features, y, 0.1, 4, (3, cls))
 
     def test_all_degenerate_ova(self):
         ds = Dataset(np.tile([0.5], (5, 1)), np.array([0, 1, 1, 2, 2]), ["a", "b", "c"])
         model = train_ova(ds, Hyper(lam=0.1, epochs=3, seed=0))
-        assert [v.bias for v in model.vectors] == [-1.0, -1.0, -1.0]
-        assert all(np.all(v.weights == 0.0) for v in model.vectors)
+        assert model.coefs[:, 0].tolist() == [-1.0, -1.0, -1.0]
+        assert np.all(model.coefs[:, 1:] == 0.0)
 
     @pytest.mark.parametrize("rows, positive, message", [
         (np.array([], dtype=np.int64), 0, "lane 1: no rows"),
