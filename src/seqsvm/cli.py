@@ -86,11 +86,8 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     dag = build_ddag(fmodel.n_classes)
     qm, report = search_param_bits(fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"])
-    doc = dict(doc)
-    doc["config"] = config
-    doc["config_hash"] = modelio.config_hash(config)
-    doc["quantized"] = modelio.quantized_to_dict(qm)
-    doc["ddag"] = modelio.ddag_to_dict(dag)
+    doc = {**doc, "config": config, "config_hash": modelio.config_hash(config),
+           "quantized": modelio.quantized_to_dict(qm), "ddag": modelio.ddag_to_dict(dag)}
     modelio.save_model_doc(out / "model.json", doc)
     modelio.save_model_doc(
         out / "quant_report.json", {"config_hash": doc["config_hash"], "seed": doc["seed"], **asdict(report)}
@@ -157,10 +154,7 @@ def _cost_phase(doc: dict, parts, out: Path, storage_kind: str, tech: TechConfig
     parallel = compare_parallel(qm, tech)
     report = {**asdict(both[storage_kind]), "config_hash": doc["config_hash"], "seed": doc["seed"]}
     modelio.save_model_doc(out / "cost_report.json", report)
-    table = format_report_table(
-        [("seq-mux", both["mux"]), ("seq-rom", both["rom"]), ("parallel", parallel)]
-    )
-    print(table, end="")
+    print(format_report_table([("seq-mux", both["mux"]), ("seq-rom", both["rom"]), ("parallel", parallel)]), end="")
     return report
 
 
@@ -199,10 +193,7 @@ def _pipeline_config(args) -> dict:
 
 
 def _with_quant_keys(config: dict, args) -> dict:
-    config = dict(config)
-    config["input_bits"] = args.input_bits
-    config["max_param_bits"] = args.max_param_bits
-    return config
+    return {**config, "input_bits": args.input_bits, "max_param_bits": args.max_param_bits}
 
 
 def _tech(args) -> TechConfig:

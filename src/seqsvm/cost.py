@@ -20,7 +20,6 @@ Gate-equivalent formulas:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 

@@ -15,9 +15,10 @@ on integer words, exactly or with the hardware's wrapping accumulator, for the
 reference predictions, the batch simulator and the golden vectors;
 ``ddag_predict_float`` runs the same step loop on the float model.
 ``ddag_infer`` and ``ddag_infer_float`` are the scalar oracles: per-sample
-walks, summing in the same order, with their (row, y) logs. ``_score_table``
-sums every row on every sample in that order too, for max-wins votes and
-accumulator profiling.
+walks, summing in the same order, with their (row, y) logs. ``score_table``
+sums every row on every sample in that order too, for the float model's
+max-wins votes and quant's accumulator profiling; it sits beside
+``_walk_table`` so the two loops keep one summation order.
 """
 
 from __future__ import annotations
@@ -154,12 +155,18 @@ def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
     (row, y) log; always exactly n-1 entries.
     """
     check_dag(qm, dag)
-    table = qm.words.copy()  # with its bias column aligned
+    return _score_walk(dag, aligned_words(qm), qm.input_codes([codes])[0].tolist())
+
+
+def aligned_words(qm) -> np.ndarray:
+    """A writable copy of qm's word table with each bias at the products'
+    binary point (bias << bias_shift): the table the integer kernels run."""
+    table = qm.words.copy()
     table[:, 0] <<= qm.bias_shift
-    return _score_walk(dag, table, qm.input_codes([codes])[0].tolist())
+    return table
 
 
-def _score_table(table: np.ndarray, X: np.ndarray, dtype=None):
+def score_table(table: np.ndarray, X: np.ndarray, dtype=None):
     """Every row's accumulator on every sample, a block of BLOCK_ELEMENTS //
     rows samples at a time, in ``dtype`` (``table``'s by default): float64
     scores, or integer prefixes that cannot overflow it.
@@ -264,10 +271,8 @@ def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
     """
     check_dag(qm, dag)
     X = qm.input_codes(codes)
-    table = qm.words.copy()  # with its bias column aligned
-    table[:, 0] <<= qm.bias_shift
     results = tuple(np.empty(len(X), dtype=np.int64) for _ in range(3))
-    for start, *block in _walk_table(dag, table, X, acc_width):
+    for start, *block in _walk_table(dag, aligned_words(qm), X, acc_width):
         for result, part in zip(results, block):
             result[start:start + len(part)] = part
     return results

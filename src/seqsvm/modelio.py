@@ -31,7 +31,7 @@ import numpy as np
 
 from .ddag import Ddag, build_ddag, row_pairs, state_bits_for, transitions
 from .fxp import FxpFormat
-from .quant import QuantizedModel
+from .quant import QuantizedModel, check_params, check_widths
 from .trainer import FloatSvmModel
 
 FORMAT = "seqsvm/model"
@@ -54,18 +54,24 @@ def _table_to_list(table, kind: str, n_classes: int) -> list:
     ]
 
 
-def _table_rows(vectors: list, kind: str, n_classes: int, n_features: int) -> list:
-    """The table rows [bias, w_1..w_m] of a document's ``vectors``, rejecting
-    a vector that is not its row's pair or lacks one weight per feature."""
+def _table_rows(vectors: list, kind: str, n_classes: int, n_features: int, check=None) -> list:
+    """The table rows [bias, w_1..w_m] of a document's ``vectors``. Rejects a
+    wrong vector count, then any vector that is not its row's pair, then
+    ``check``'s offender among the rows before the first vector without one
+    weight per feature, then that vector."""
     pairs = row_pairs(kind, n_classes)
     if len(vectors) != len(pairs):
         raise ValueError(f"a {n_classes}-class model needs {len(pairs)} vectors, got {len(vectors)}")
     for r, (v, (a, b)) in enumerate(zip(vectors, pairs)):
         if (v["class_a"], v["class_b"]) != (a, b):
             raise ValueError(f"vector {r} carries pair ({v['class_a']},{v['class_b']}), not ({a},{b}) of row {r}")
-        if np.shape(v["weights"]) != (n_features,):
-            raise ValueError(f"vector {r}: wrong weight count")
-    return [[v["bias"], *v["weights"]] for v in vectors]
+    ragged = next((r for r, v in enumerate(vectors) if np.shape(v["weights"]) != (n_features,)), None)
+    rows = [[v["bias"], *v["weights"]] for v in vectors[:ragged]]
+    if ragged is not None:
+        if check:
+            check(rows)
+        raise ValueError(f"vector {ragged}: wrong weight count")
+    return rows
 
 
 def float_model_to_dict(model: FloatSvmModel) -> dict:
@@ -113,8 +119,10 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
         bad = [p for p in [*v["weights"], v["bias"]] if type(p) is not int]
         if bad:
             raise ValueError(f"vector {r}: parameter {bad[0]!r} is not an integer")
-    words = _table_rows(doc["vectors"], "ovo", n_classes, n_features)
-    qm = QuantizedModel(n_classes, n_features, FxpFormat(bits), doc["param_bits"], words, list(doc["scales"]))
+    fmt, param_bits = FxpFormat(bits), doc["param_bits"]
+    check_widths(param_bits, fmt)  # before the vectors, as the model checks them
+    words = _table_rows(doc["vectors"], "ovo", n_classes, n_features, lambda rows: check_params(rows, param_bits))
+    qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, list(doc["scales"]))
     qm.acc_width = doc["acc_width"]
     return qm
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import _score_table, build_ddag, ddag_predict_float, ddag_predict_quant, row_pairs
+from .ddag import aligned_words, build_ddag, ddag_predict_float, ddag_predict_quant, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
 from .trainer import FloatSvmModel, read_only_table
 
@@ -19,9 +19,10 @@ MAX_ACCURACY_DROP = 0.005
 
 
 def QuantVector(class_a: int, class_b: int, weights, bias: int) -> list[int]:
-    """Word-table row [bias, w_1..w_m] of pair (class_a, class_b), for
-    callers that list a model pair by pair (bench/shapes.py). The pair is
-    not stored: row r of a table is the r-th pair of ``ddag.row_pairs``."""
+    """Word-table row [bias, w_1..w_m]; the pair is ignored, as row r of a
+    table is the r-th pair of ``ddag.row_pairs``. Kept only for
+    bench/shapes.py, until the benchmark next changes; new code writes the
+    rows itself."""
     return [bias, *weights]
 
 
@@ -30,9 +31,19 @@ def _check_input_fmt(fmt: FxpFormat) -> None:
         raise ValueError(f"input format must have 1..{MAX_INPUT_BITS} bits, got {fmt}")
 
 
-def _check_params(table: np.ndarray, param_bits: int) -> None:
-    """Reject the first word of ``table`` (scanned row by row, bias first)
-    that does not fit a signed param_bits-bit word."""
+def check_widths(param_bits: int, input_fmt: FxpFormat) -> None:
+    """Reject a parameter width outside 2..16 bits or an input format wider
+    than MAX_INPUT_BITS, before any word is looked at."""
+    if not 2 <= param_bits <= 16:
+        raise ValueError("param_bits out of range")
+    _check_input_fmt(input_fmt)
+
+
+def check_params(rows, param_bits: int) -> None:
+    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m], exact
+    integers even past int64) that does not fit a signed param_bits-bit
+    word, scanning row by row, each row's weights before its bias."""
+    table = np.roll(np.array(rows, dtype=object, ndmin=2), -1, axis=1)  # rows as [w_1..w_m, bias]
     fits = (table >= min_int(param_bits)) & (table <= max_int(param_bits))
     bad = np.argwhere(np.logical_not(fits))
     if len(bad):
@@ -62,12 +73,10 @@ class QuantizedModel:
     acc_width: int = 0  # set by profile_accumulator
 
     def __post_init__(self):
-        if not 2 <= self.param_bits <= 16:
-            raise ValueError("param_bits out of range")
-        _check_input_fmt(self.input_fmt)
+        check_widths(self.param_bits, self.input_fmt)
         rows = len(row_pairs("ovo", self.n_classes))
         exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
-        _check_params(exact, self.param_bits)
+        check_params(exact, self.param_bits)
         self.words = read_only_table(exact, rows, self.n_features, np.int64)
 
     @property
@@ -159,18 +168,18 @@ def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[i
     """Extremes over every accumulator prefix: the shifted bias, then the value
     after each MAC, for every row on every sample.
 
-    ddag._score_table sums the prefixes in int32 when no prefix can reach
+    ddag.score_table sums the prefixes in int32 when no prefix can reach
     2**31 (no row's |bias| << shift plus raw_max * sum|w| does) and in int64
     otherwise.
     """
     X = qm.input_codes(train_codes)
-    table = qm.words.copy()  # with its bias column aligned
-    table[:, 0] <<= qm.bias_shift
-    # the bias load is a prefix even with no samples
+    table = aligned_words(qm)
+    # the bias load is a prefix even with no samples, and the same on every sample
     lo, hi = int(table[:, 0].min()), int(table[:, 0].max())
     bound = int((np.abs(table[:, 0]) + qm.input_fmt.raw_max * np.abs(table[:, 1:]).sum(axis=1)).max())
-    for _, _, acc in _score_table(table, X, np.int32 if bound < 1 << 31 else np.int64):
-        lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
+    for _, col, acc in score_table(table, X, np.int32 if bound < 1 << 31 else np.int64):
+        if col:
+            lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
     return lo, hi
 
 

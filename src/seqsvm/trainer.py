@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .dataset import Dataset, SplitSpec, split
-from .ddag import _score_table, row_pairs
+from .ddag import row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS
 
 
@@ -89,7 +89,7 @@ class FloatSvmModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA, on
-        the scores of ddag._score_table.
+        the scores of ddag.score_table.
 
         Ties break toward the lowest class id.
         """
@@ -102,7 +102,7 @@ class FloatSvmModel:
             # the counts are small integers, exact in float64
             swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
             base = onehot[pairs[:, 1]].sum(axis=0)
-        for start, col, scores in _score_table(self.coefs, X):
+        for start, col, scores in score_table(self.coefs, X):
             if col < self.n_features:
                 continue
             if self.kind == "ovo":
@@ -236,12 +236,11 @@ def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel
     n = ds.n_classes
     present = np.bincount(ds.labels, minlength=n) > 0
     pairs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not (present[a] and present[b]):
-                raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
-            # int32, like fit_lanes' own row ids: every pair's rows stay alive through the fit
-            pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b)).astype(np.int32)))
+    for a, b in row_pairs("ovo", n):
+        if not (present[a] and present[b]):
+            raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
+        # int32, like fit_lanes' own row ids: every pair's rows stay alive through the fit
+        pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b)).astype(np.int32)))
     lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
     coefs = np.roll(fit_lanes(ds, lanes), 1, axis=1)  # rows [bias, w_1..w_m]
     return [
@@ -296,11 +295,8 @@ def random_search(
         return hypers[0]
 
     sub_train, holdout = split(train, SplitSpec(1.0 - holdout_fraction, seed))
-    best: tuple | None = None
-    best_hyper = None
-    for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers)):
-        key = (-accuracy(model, holdout), hyper.lam, hyper.epochs)
-        if best is None or key < best:
-            best = key
-            best_hyper = hyper
-    return best_hyper
+    scored = [
+        ((-accuracy(model, holdout), hyper.lam, hyper.epochs), hyper)
+        for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers))
+    ]
+    return min(scored, key=lambda pair: pair[0])[1]  # the first of equal keys

@@ -1,10 +1,12 @@
 """Model documents round-trip bit for bit: a table written by the
 serializers, printed canonically and read back by the loaders is the same
-table, and printing it again gives the same bytes."""
+table, and printing it again gives the same bytes. A document with more
+than one fault is rejected for the one the loaders check first."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +77,39 @@ def test_quantized_document_round_trip(qm):
     assert back.words.tobytes() == qm.words.tobytes()
     assert np.array(back.scales).tobytes() == np.array(qm.scales).tobytes()
     assert dumps_canonical(quantized_to_dict(back)) == text
+
+
+def _quantized_doc(pairs, weights, param_bits=4, total_bits=4):
+    return {
+        "input_fmt": {"total_bits": total_bits, "frac_bits": total_bits, "signed": False},
+        "bias_shift": total_bits,
+        "param_bits": param_bits,
+        "acc_width": 8,
+        "scales": [1.0] * len(pairs),
+        "vectors": [{"class_a": a, "class_b": b, "weights": w, "bias": 0} for (a, b), w in zip(pairs, weights)],
+    }
+
+
+SWAPPED = [(0, 1), (0, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the widths come before the vectors
+    (_quantized_doc(SWAPPED, [[0, 0]] * 3, param_bits=17), "param_bits out of range"),
+    (_quantized_doc(SWAPPED, [[0, 0]] * 3, total_bits=17), "input format must have 1..16 bits"),
+    # every pair comes before any weight count or range
+    (_quantized_doc(SWAPPED, [[0], [99, 0], [0, 0]]), r"vector 2 carries pair \(2,1\), not \(1,2\) of row 2"),
+    (_quantized_doc(SWAPPED, [[99, 0], [0, 0], [0, 0]]), r"vector 2 carries pair \(2,1\), not \(1,2\) of row 2"),
+])
+def test_quantized_loader_check_order(doc, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        quantized_from_dict(doc, 3, 2)
+
+
+@pytest.mark.parametrize("kind", ["ovo", "ova"])
+def test_float_loader_checks_every_pair_before_weight_counts(kind):
+    vectors = [{"class_a": a, "class_b": b, "weights": [0.0, 0.0], "bias": 0.0} for a, b in row_pairs(kind, 3)]
+    vectors[0]["weights"] = [0.0]
+    vectors[2]["class_a"] = 9
+    with pytest.raises(ValueError, match=r"^vector 2 carries pair \(9,"):
+        float_model_from_dict({"kind": kind, "n_classes": 3, "n_features": 2, "vectors": vectors})

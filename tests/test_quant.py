@@ -273,19 +273,19 @@ class TestQuantizedModelInvariants:
         "params, message",
         [
             # (weights, bias) of vectors (0,1), (0,2), (1,2) at 4 bits: -8..7
-            ((([1, 7], -8), ([8, -9], 7), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -9], 7), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
+            ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -9], 9), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
             ((([1, 7], -8), ([7, -8], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
-            ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 9), ([0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
             ((([1, 7], -8), ([7], 99), ([-99, 0], 0)), "vector 1: wrong weight count"),
             ((([1, 7], -8), ([7, 0, 0], 0), ([0, 0], 0)), "vector 1: wrong weight count"),
             ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)), f"vector 2: parameter {2**70} exceeds 4 bits"),
         ],
     )
     def test_first_offender_named(self, params, message):
-        # a document's vectors in row order; a wrong weight count is found
-        # before any range check, which scans the table row by row, bias
-        # (word 0) first, with exact integers even beyond int64
+        # vector order first, then the weights in order, then the bias; a
+        # wrong-length vector cannot be a table row, so the cases go through
+        # the document loader
         doc = {
             "input_fmt": {"total_bits": 4, "frac_bits": 4, "signed": False},
             "bias_shift": 4,
@@ -299,6 +299,11 @@ class TestQuantizedModelInvariants:
         }
         with pytest.raises(ValueError, match=f"^{message}$"):
             quantized_from_dict(doc, 3, 2)
+
+    def test_weights_named_before_bias_in_memory(self):
+        words = [[-8, 1, 7], [9, 8, -9], [0, -99, 0]]  # rows [bias, w_1, w_2]
+        with pytest.raises(ValueError, match="^vector 1: parameter 8 exceeds 4 bits$"):
+            QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)
 
 
 class TestInputFormatBounds:

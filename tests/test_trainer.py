@@ -12,7 +12,7 @@ import seqsvm.ddag as ddag_mod
 import seqsvm.trainer as trainer_mod
 from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
-from seqsvm.ddag import _score_table, build_ddag, ddag_predict_float, row_pairs
+from seqsvm.ddag import build_ddag, ddag_predict_float, row_pairs, score_table
 from seqsvm.fxp import BLOCK_ELEMENTS
 from seqsvm.modelio import float_model_from_dict
 from seqsvm.synth import bundled_dataset, ring_sectors
@@ -282,7 +282,7 @@ class TestPredict:
                 assert np.array_equal(model.predict(view), expected)
                 # the scores themselves keep the bits of the bias-first sum,
                 # whatever the block a sample falls in
-                blocks = [s.copy() for _, col, s in _score_table(model.coefs, view) if col == model.n_features]
+                blocks = [s.copy() for _, col, s in score_table(model.coefs, view) if col == model.n_features]
                 scores = np.hstack([np.empty((len(model.coefs), 0)), *blocks])
                 reference = np.array([_bias_first_scores(row, view) for row in model.coefs]).reshape(scores.shape)
                 assert scores.tobytes() == reference.tobytes()
