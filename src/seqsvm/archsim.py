@@ -79,7 +79,7 @@ class SimTrace:
     out_class: int
 
 
-def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple[int, SimTrace]:
+def simulate(qm: QuantizedModel, dag: Ddag, codes) -> tuple[int, SimTrace]:
     """Run one classification cycle by cycle.
 
     In each state the engine loads its row's bias, already shifted to the
@@ -87,8 +87,7 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple
     cycle. The accumulator wraps exactly as acc_width-bit hardware would;
     each wrap counts as one overflow, reported, never raised. Matches
     ddag_infer's class whenever no overflow occurred; the cycle total is
-    (n-1)*(m+1) regardless of data. Pass record=False to skip per-cycle
-    records in bulk runs (totals are still exact).
+    (n-1)*(m+1) regardless of data. The trace holds one record per cycle.
     """
     check_dag(qm, dag)
     acc_width = qm.profiled_acc_width()
@@ -109,10 +108,7 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes, record: bool = True) -> tuple
             value = word << shift if col == 0 else acc + word * codes[col - 1]
             acc = wrap(value, acc_width)
             overflows += acc != value
-            if record:
-                records.append(
-                    CycleRecord(cycles, state, col + 1, state, col, word, acc, col == m, int(acc >= 0))
-                )
+            records.append(CycleRecord(cycles, state, col + 1, state, col, word, acc, col == m, int(acc >= 0)))
             cycles += 1
         return acc >= 0
 

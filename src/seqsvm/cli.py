@@ -22,9 +22,9 @@ from .archsim import ArchConfig, simulate, simulate_batch, trace_to_text
 from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .ddag import build_ddag, check_dag
-from .fxp import FxpFormat
+from .fxp import MAX_INPUT_BITS, FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
-from .quant import quantize_inputs, search_param_bits
+from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, quantize_inputs, search_param_bits
 from .trainer import Hyper, accuracy, random_search, train_ova, train_ovo
 
 
@@ -39,8 +39,6 @@ class StageError(RuntimeError):
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -128,7 +126,7 @@ def _simulate_phase(doc: dict, parts, codes, labels, out: Path, trace_n: int, st
         trace_dir = out / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
         for i, row in enumerate(codes[:trace_n]):
-            _, trace = simulate(qm, dag, row, record=True)
+            _, trace = simulate(qm, dag, row)
             (trace_dir / f"trace_{i:03d}.txt").write_text(trace_to_text(trace))
     print(f"simulated {sim_report['n_test']} samples: accuracy {batch.accuracy:.4f}, "
           f"{batch.overflows} overflows, {batch.mean_cycles:.0f} cycles each")
@@ -319,28 +317,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """The value of --trace or --vectors: an integer of at least 0."""
-    try:
+def _int_range(lo: int, hi: int | None = None):
+    """An argument type: an integer of at least ``lo`` and, given ``hi``, at
+    most ``hi``, checked at parse time, before any stage writes."""
+
+    def parse(text: str) -> int:
         value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}" if hi is None
+                                             else f"must be in {lo}..{hi}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value: ..."
+    return parse
 
 
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True, help="CSV file with a header row")
     p.add_argument("--label-col", default="label", help="name of the label column")
-    p.add_argument("--seed", type=int, required=True, help="pipeline seed (mandatory)")
+    p.add_argument("--seed", type=_int_range(0), required=True, help="pipeline seed (mandatory)")
     p.add_argument("--split", type=float, default=0.8, help="training fraction")
-    p.add_argument("--budget", type=int, default=8, help="random-search budget")
+    p.add_argument("--budget", type=_int_range(1), default=8, help="random-search budget")
 
 
 def _add_quant_flags(p):
-    p.add_argument("--input-bits", type=int, default=4, help="unsigned input code width")
-    p.add_argument("--max-param-bits", type=int, default=8, help="precision search ceiling")
+    p.add_argument("--input-bits", type=_int_range(1, MAX_INPUT_BITS), default=4, help="unsigned input code width")
+    p.add_argument("--max-param-bits", type=_int_range(MIN_PARAM_BITS, MAX_PARAM_BITS), default=8,
+                   help="precision search ceiling")
 
 
 def _add_storage_flag(p):
@@ -356,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quant_flags(p)
     _add_storage_flag(p)
     p.add_argument("--tech", help="technology config file (key=value)")
-    p.add_argument("--trace", type=_count, default=0, metavar="N", help="write N per-cycle traces")
-    p.add_argument("--vectors", type=_count, default=20, help="golden vector count")
+    p.add_argument("--trace", type=_int_range(0), default=0, metavar="N", help="write N per-cycle traces")
+    p.add_argument("--vectors", type=_int_range(0), default=20, help="golden vector count")
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=cmd_run)
 
@@ -373,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="cycle-accurate batch simulation of the test split")
     _add_storage_flag(p)
-    p.add_argument("--trace", type=_count, default=0, metavar="N")
+    p.add_argument("--trace", type=_int_range(0), default=0, metavar="N")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-hdl", help="emit Verilog and golden vectors")
-    p.add_argument("--vectors", type=_count, default=20)
+    p.add_argument("--vectors", type=_int_range(0), default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_hdl)
 

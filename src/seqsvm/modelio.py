@@ -19,7 +19,8 @@ Document layout (format "seqsvm/model", version 1):
 
 The ``ddag`` object must be the natural DAG of its class count, the one
 ``ddag.transitions`` lists. Quantized weights, biases, ``param_bits`` and
-``acc_width`` (>= 1) must be integers.
+``acc_width`` (>= 1) must be integers, float weights and biases finite
+numbers, and ``scales`` one finite number > 0 per vector.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .ddag import Ddag, build_ddag, row_pairs, state_bits_for, transitions
 from .fxp import FxpFormat
 from .quant import QuantizedModel, check_params, check_widths
-from .trainer import FloatSvmModel
+from .trainer import FloatSvmModel, check_finite
 
 FORMAT = "seqsvm/model"
 VERSION = 1
@@ -85,7 +86,9 @@ def float_model_to_dict(model: FloatSvmModel) -> dict:
 
 def float_model_from_dict(doc: dict) -> FloatSvmModel:
     kind, n_classes, n_features = doc["kind"], doc["n_classes"], doc["n_features"]
-    return FloatSvmModel(kind, n_classes, n_features, _table_rows(doc["vectors"], kind, n_classes, n_features))
+    rows = _table_rows(doc["vectors"], kind, n_classes, n_features, check_finite)
+    check_finite(rows)  # before the table casts "0.5" or true to a float
+    return FloatSvmModel(kind, n_classes, n_features, rows)
 
 
 def _input_fmt_doc(bits) -> dict:
@@ -99,7 +102,7 @@ def quantized_to_dict(qm: QuantizedModel) -> dict:
         "param_bits": qm.param_bits,
         "acc_width": qm.acc_width,
         "bias_shift": qm.bias_shift,
-        "scales": [float(s) for s in qm.scales],
+        "scales": list(qm.scales),
         "vectors": _table_to_list(qm.words, "ovo", qm.n_classes),
     }
 
@@ -122,7 +125,7 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
     fmt, param_bits = FxpFormat(bits), doc["param_bits"]
     check_widths(param_bits, fmt)  # before the vectors, as the model checks them
     words = _table_rows(doc["vectors"], "ovo", n_classes, n_features, lambda rows: check_params(rows, param_bits))
-    qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, list(doc["scales"]))
+    qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, doc["scales"])
     qm.acc_width = doc["acc_width"]
     return qm
 

@@ -5,17 +5,19 @@ and accumulator-width profiling."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .ddag import aligned_words, build_ddag, ddag_predict_float, ddag_predict_quant, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
-from .trainer import FloatSvmModel, read_only_table
+from .trainer import FloatSvmModel, finite_number, read_only_table
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
 MAX_ACCURACY_DROP = 0.005
+#: Parameter widths the model, the HDL and the --max-param-bits flag accept.
+MIN_PARAM_BITS, MAX_PARAM_BITS = 2, 16
 
 
 def QuantVector(class_a: int, class_b: int, weights, bias: int) -> list[int]:
@@ -34,7 +36,7 @@ def _check_input_fmt(fmt: FxpFormat) -> None:
 def check_widths(param_bits: int, input_fmt: FxpFormat) -> None:
     """Reject a parameter width outside 2..16 bits or an input format wider
     than MAX_INPUT_BITS, before any word is looked at."""
-    if not 2 <= param_bits <= 16:
+    if not MIN_PARAM_BITS <= param_bits <= MAX_PARAM_BITS:
         raise ValueError("param_bits out of range")
     _check_input_fmt(input_fmt)
 
@@ -69,7 +71,7 @@ class QuantizedModel:
     input_fmt: FxpFormat
     param_bits: int
     words: np.ndarray
-    scales: list[float] = field(default_factory=list)
+    scales: list[float]  # one finite number > 0 per row
     acc_width: int = 0  # set by profile_accumulator
 
     def __post_init__(self):
@@ -78,6 +80,12 @@ class QuantizedModel:
         exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
         check_params(exact, self.param_bits)
         self.words = read_only_table(exact, rows, self.n_features, np.int64)
+        if not (isinstance(self.scales, list) and len(self.scales) == rows):
+            raise ValueError(f"scales must be a list of one number per vector ({rows}), got {self.scales!r:.40}")
+        bad = next((r for r, s in enumerate(self.scales) if not (finite_number(s) and s > 0)), None)
+        if bad is not None:
+            raise ValueError(f"vector {bad}: scale {self.scales[bad]!r} is not a finite number > 0")
+        self.scales = [float(s) for s in self.scales]
 
     @property
     def bias_shift(self) -> int:

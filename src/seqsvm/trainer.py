@@ -15,15 +15,16 @@ lanes together, one numpy step over a (lanes, m+1) array of u per sample
 position. It keeps one table of signed samples, y*[x, 1] for both signs of
 every row, so a lane's stream of samples holds row ids that already carry
 the lane's label sign, and a block of steps is one gather from the table.
-Each lane draws one permutation of its own rows per epoch from its own
-``default_rng(key)`` (lanes of one key and row count share the draw, and
-lanes that also share their rows array and positive class share one stream);
-lanes past their rows or epochs are masked out.
+A stream is the lanes of one key, rows array and positive class, such as
+the candidates of a search for one pair. Each stream draws one permutation
+of its rows per epoch from its own ``default_rng(key)``; lanes past their
+rows or epochs are masked out.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +49,11 @@ class Hyper:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    lam_lo: float = 1e-4
-    lam_hi: float = 10.0
-    epochs_lo: int = 5
-    epochs_hi: int = 50
-
-    def __post_init__(self):
-        if not (0 < self.lam_lo <= self.lam_hi < math.inf):
-            raise ValueError(f"need 0 < lam_lo <= lam_hi < inf, got {self.lam_lo}, {self.lam_hi}")
-        if not 0 <= self.epochs_lo <= self.epochs_hi:
-            raise ValueError(f"need 0 <= epochs_lo <= epochs_hi, got {self.epochs_lo}, {self.epochs_hi}")
+#: random_search draws lam log-uniformly and epochs uniformly from these
+#: ranges (ends included) and scores each draw on this share of its rows.
+LAM_RANGE = (1e-4, 10.0)
+EPOCH_RANGE = (5, 50)
+HOLDOUT_FRACTION = 0.25
 
 
 def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
@@ -72,11 +66,25 @@ def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
     return table
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is an int or float (no bool) finite in float64."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def check_finite(rows) -> None:
+    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m]) that is
+    not a finite number, row by row, each row's weights before its bias."""
+    for r, row in enumerate(rows):
+        bad = [p for p in [*row[1:], row[0]] if not finite_number(p)]
+        if bad:
+            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not a finite number")
+
+
 @dataclass(eq=False)
 class FloatSvmModel:
     """A float OvO or OvA model as its coefficient table: ``coefs`` row r is
     [bias, w_1..w_m] of the r-th entry of ``row_pairs(kind, n_classes)``,
-    float64 and read-only."""
+    float64, finite and read-only."""
 
     kind: str  # "ovo" | "ova"
     n_classes: int
@@ -86,6 +94,8 @@ class FloatSvmModel:
     def __post_init__(self):
         rows = len(row_pairs(self.kind, self.n_classes))
         self.coefs = read_only_table(self.coefs, rows, self.n_features, np.float64)
+        if not np.isfinite(self.coefs).all():
+            check_finite(self.coefs.tolist())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA, on
@@ -178,20 +188,11 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
     lam = np.array([lanes[i].lam for i in order])
     epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
     n = np.array([len(ids[stream_of[i]]) for i in order], dtype=np.int64)
-    # streams of one key and length draw the same permutation each epoch: one
-    # generator per (key, length), drawn once per epoch while any of its lanes
-    # is alive. Each stream is one column of `index`.
-    draws: dict = {}
+    # each stream is one column of `index`, numbered in lane order, and has
+    # its own generator, seeded by its key
     columns: dict = {}
-    sources = []  # per column: the stream's signed ids and the number of its generator
-    column_of = np.empty(len(order), dtype=np.intp)
-    for j, i in enumerate(order):
-        stream = stream_of[i]
-        column_of[j] = columns.setdefault(stream, len(columns))
-        if column_of[j] == len(sources):
-            own = ids[stream]
-            sources.append((own, draws.setdefault((lanes[i].key, len(own)), len(draws))))
-    rngs = [default_rng(list(key)) for key, _ in draws]
+    column_of = np.array([columns.setdefault(stream_of[i], len(columns)) for i in order], dtype=np.intp)
+    sources = [(ids[stream], default_rng(list(stream[0]))) for stream in columns]
     U = np.zeros((len(order), signed.shape[1]))
     # column c: stream c's signed ids in this epoch's order, padded with id 0;
     # int32 halves the largest buffer of a search
@@ -201,11 +202,8 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
         longest = int(n[:alive].max())
         # columns are numbered in lane order, so the alive ones are a prefix
         live = int(column_of[:alive].max()) + 1
-        perms: dict = {}
-        for column, (own, draw) in enumerate(sources[:live]):
-            if draw not in perms:
-                perms[draw] = rngs[draw].permutation(len(own))
-            index[:len(own), column] = own[perms[draw]]
+        for column, (own, rng) in enumerate(sources[:live]):
+            index[:len(own), column] = own[rng.permutation(len(own))]
         lam_a, n_a = lam[:alive], n[:alive]
         # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
         u_row, u_col = U[:alive, None, :], U[:alive, :, None]
@@ -261,40 +259,28 @@ def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
 
 
 def accuracy(model, ds: Dataset) -> float:
-    """Fraction of samples classified correctly; model is anything with
-    predict(features) or a callable doing the same."""
-    predict = model.predict if hasattr(model, "predict") else model
-    pred = np.asarray(predict(ds.features))
+    """Fraction of samples that ``model.predict`` classifies correctly."""
+    pred = np.asarray(model.predict(ds.features))
     if pred.shape != ds.labels.shape:
         raise ValueError("prediction/label shape mismatch")
     return float(np.mean(pred == ds.labels))
 
 
-def random_search(
-    train: Dataset,
-    space: SearchSpace = SearchSpace(),
-    budget: int = 8,
-    seed: int = 0,
-    holdout_fraction: float = 0.25,
-) -> Hyper:
-    """Sample (lam, epochs) pairs and keep the best holdout accuracy.
-
-    Deterministic for a given seed; ties break toward smaller lam, then fewer
-    epochs. lam is sampled log-uniformly. A budget of 1 returns its one draw
-    without a holdout split or a fit.
-    """
+def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> Hyper:
+    """Draw ``budget`` (lam, epochs) pairs and keep the best holdout accuracy;
+    ties break toward smaller lam, then fewer epochs. Deterministic for a
+    given seed. A budget of 1 returns its one draw without a holdout split
+    or a fit."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must lie strictly between 0 and 1")
     rng = default_rng([seed, 99])
-    lams = 10.0 ** rng.uniform(np.log10(space.lam_lo), np.log10(space.lam_hi), budget)
-    epoch_counts = rng.integers(space.epochs_lo, space.epochs_hi + 1, budget)
+    lams = 10.0 ** rng.uniform(np.log10(LAM_RANGE[0]), np.log10(LAM_RANGE[1]), budget)
+    epoch_counts = rng.integers(EPOCH_RANGE[0], EPOCH_RANGE[1] + 1, budget)
     hypers = [Hyper(lam=lam, epochs=int(epochs), seed=seed) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
     if budget == 1:
         return hypers[0]
 
-    sub_train, holdout = split(train, SplitSpec(1.0 - holdout_fraction, seed))
+    sub_train, holdout = split(train, SplitSpec(1.0 - HOLDOUT_FRACTION, seed))
     scored = [
         ((-accuracy(model, holdout), hyper.lam, hyper.epochs), hyper)
         for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers))

@@ -37,7 +37,7 @@ def _pass(msg):
 def test_criterion_01_cycle_law():
     for name, (n, m) in TABLE_SHAPES.items():
         qm, dag, codes = shaped_model(name)
-        _, trace = simulate(qm, dag, codes[0], record=False)
+        _, trace = simulate(qm, dag, codes[0])
         assert trace.cycles == EXPECTED_CYCLES[name] == (n - 1) * (m + 1)
     _pass("criterion 1: cycle law (n-1)*(m+1) exact on all five benchmark shapes")
 
@@ -53,7 +53,7 @@ def test_criterion_02_golden_model_equivalence():
         qm, codes = random_quantized_model(n, m, bits, seed=models, n_profile=1000)
         dag = build_ddag(n)
         for row in codes:
-            cls, trace = simulate(qm, dag, row, record=False)
+            cls, trace = simulate(qm, dag, row)
             if trace.overflows == 0:
                 assert cls == ddag_infer(qm, dag, row)[0]
                 checked += 1

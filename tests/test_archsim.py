@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -115,7 +114,6 @@ def test_simulate_equals_the_step_function_reference(case):
     for row in codes:
         cls, trace = simulate(qm, dag, row)
         assert (cls, trace) == reference_simulate(qm, dag, row)
-        assert simulate(qm, dag, row, record=False)[1] == dataclasses.replace(trace, records=[])
 
 
 def _model(m, weights, bias, param_bits, acc_width):
@@ -274,7 +272,7 @@ class TestSimulate:
         qm, codes = random_quantized_model(5, 7, 5, seed=6)
         dag = build_ddag(5)
         for row in codes[:60]:
-            cls, trace = simulate(qm, dag, row, record=False)
+            cls, trace = simulate(qm, dag, row)
             assert trace.overflows == 0
             assert cls == ddag_infer(qm, dag, row)[0]
 
@@ -318,7 +316,7 @@ class TestSimulate:
         qm, codes = random_quantized_model(2, 6, 8, seed=5)
         qm.acc_width = 6  # deliberately too narrow
         dag = build_ddag(2)
-        total = sum(simulate(qm, dag, row, record=False)[1].overflows for row in codes)
+        total = sum(simulate(qm, dag, row)[1].overflows for row in codes)
         assert total > 0
 
 

@@ -193,9 +193,38 @@ def test_compare_needs_the_matching_quant_report(full_run, tmp_path, capsys):
 
 
 def test_oversized_input_bits_fail_clearly(synth_csv, tmp_path, capsys):
-    assert main(_run_args(synth_csv, tmp_path / "out", ["--input-bits", "63"])) == 2
-    err = capsys.readouterr().err
-    assert "stage quantize failed" in err and "1..16 bits" in err
+    # a usage error since the flag is range-checked at parse time; it used to
+    # fail the quantize stage (exit 2) after train had written its model
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(synth_csv, out, ["--input-bits", "63"]))
+    assert exc.value.code == 1
+    assert "argument --input-bits: must be in 1..16, got 63" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("run", "--seed", "-1", "must be >= 0, got -1"),
+    ("train", "--seed", "-1", "must be >= 0, got -1"),
+    ("run", "--budget", "0", "must be >= 1, got 0"),
+    ("train", "--budget", "-2", "must be >= 1, got -2"),
+    ("run", "--input-bits", "0", "must be in 1..16, got 0"),
+    ("run", "--input-bits", "17", "must be in 1..16, got 17"),
+    ("quantize", "--input-bits", "17", "must be in 1..16, got 17"),
+    ("run", "--max-param-bits", "99", "must be in 2..16, got 99"),
+    ("run", "--max-param-bits", "1", "must be in 2..16, got 1"),
+    ("quantize", "--max-param-bits", "17", "must be in 2..16, got 17"),
+])
+def test_out_of_range_integer_flag_is_a_usage_error(synth_csv, tmp_path, capsys, command, flag, value, message):
+    # `--max-param-bits 99` used to be recorded in the config, and
+    # `--input-bits 0` to fail in quantize after train had written
+    out = tmp_path / "out"
+    args = ["quantize", "--out", str(out)] if command == "quantize" else [command, *_run_args(synth_csv, out)[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quantize_without_train_fails(tmp_path, capsys):
@@ -360,6 +389,19 @@ def _extra_float_weight(doc):
     doc["float_model"]["vectors"][0]["weights"].append(0.5)
 
 
+def _set_float(row, index, value):
+    """Set weight ``index`` of float vector ``row``, or its bias for None."""
+
+    def edit(doc):
+        vector = doc["float_model"]["vectors"][row]
+        if index is None:
+            vector["bias"] = value
+        else:
+            vector["weights"][index] = value
+
+    return edit
+
+
 # edits of the "float_model" object, which float_model.json and model.json share
 _FLOAT_MODEL_EDITS = {
     "float_extra_weight": (_extra_float_weight, "vector 0: wrong weight count"),
@@ -367,10 +409,16 @@ _FLOAT_MODEL_EDITS = {
     "float_swapped_pair": (_swap_float_pair_zero, "vector 0 carries pair (1,0), not (0,1) of row 0"),
     "float_ova_kind_on_pairs": (_set_float_kind("ova"), "vector 0 carries pair (0,1), not (0,None) of row 0"),
     "float_ova": (_float_model_as_ova, "a DAG walks OvO models only, not a 'ova' model"),
+    "float_bias_string": (_set_float(0, None, "0.5"), "vector 0: parameter '0.5' is not a finite number"),
+    "float_weight_true": (_set_float(1, 3, True), "vector 1: parameter True is not a finite number"),
+    "float_bias_nan": (_set_float(2, None, float("nan")), "vector 2: parameter nan is not a finite number"),
+    "float_weight_infinity": (_set_float(0, 10, float("inf")), "vector 0: parameter inf is not a finite number"),
+    "float_weight_null": (_set_float(2, 0, None), "vector 2: parameter None is not a finite number"),
 }
 
 _ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")
 _NOT_NATURAL = "the DAG is not the natural DAG of 3 classes"
+_SCALES_LIST = "scales must be a list of one number per vector (3)"
 # the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
 # bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves
 _MODEL_EDITS = {
@@ -396,6 +444,14 @@ _MODEL_EDITS = {
     "param_bits_fraction": (_set_quantized(("param_bits",), 7.5), "param_bits 7.5 is not an integer of at least 1"),
     "param_bits_float": (_set_quantized(("param_bits",), 8.0), "param_bits 8.0 is not an integer of at least 1"),
     "param_bits_true": (_set_quantized(("param_bits",), True), "param_bits True is not an integer of at least 1"),
+    "scales_string": (_set_quantized(("scales",), "abc"), f"{_SCALES_LIST}, got 'abc'"),
+    "scales_empty": (_set_quantized(("scales",), []), f"{_SCALES_LIST}, got []"),
+    "scales_number": (_set_quantized(("scales",), 5), f"{_SCALES_LIST}, got 5"),
+    "scale_zero": (_set_quantized(("scales", 1), 0), "vector 1: scale 0 is not a finite number > 0"),
+    "scale_negative": (_set_quantized(("scales", 2), -1.5), "vector 2: scale -1.5 is not a finite number > 0"),
+    "scale_true": (_set_quantized(("scales", 0), True), "vector 0: scale True is not a finite number > 0"),
+    "scale_nan": (_set_quantized(("scales", 2), float("nan")), "vector 2: scale nan is not a finite number > 0"),
+    "scale_string": (_set_quantized(("scales", 0), "1.0"), "vector 0: scale '1.0' is not a finite number > 0"),
     **_FLOAT_MODEL_EDITS,
 }
 

@@ -125,7 +125,7 @@ class TestGoldenVectors:
             assert fields[:-1] == row
             assert fields[-1] == budget
             cls, state = (int(x) for x in expected.split())
-            ref_cls, trace = simulate(qm, dag, row, record=False)
+            ref_cls, trace = simulate(qm, dag, row)
             assert cls == ref_cls == want
             assert state == trace.final_state
 

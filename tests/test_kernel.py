@@ -65,7 +65,7 @@ def test_wrapped_kernel_equals_simulate(case):
     qm, dag, codes = case
     classes, states, overflows = walk_batch(qm, dag, codes, qm.acc_width)
     for i, row in enumerate(codes):
-        cls, trace = simulate(qm, dag, row, record=False)
+        cls, trace = simulate(qm, dag, row)
         assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
     for view in layouts(codes, np.int64):
         again = walk_batch(qm, dag, view, qm.acc_width)
@@ -302,7 +302,7 @@ def test_integer_walks_at_block_edges(n_samples):
     dag = build_ddag(4)
     codes = np.random.default_rng(n_samples).integers(0, 16, (n_samples, 7))
     exact = [ddag_infer(qm, dag, row)[0] for row in codes]
-    wrapped = [simulate(qm, dag, row, record=False) for row in codes]
+    wrapped = [simulate(qm, dag, row) for row in codes]
     expected = (
         [cls for cls, _ in wrapped], [t.final_state for _, t in wrapped], [t.overflows for _, t in wrapped]
     )

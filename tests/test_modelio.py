@@ -52,7 +52,8 @@ def quantized_models(draw):
     size = len(row_pairs("ovo", n)) * (m + 1)
     words = draw(st.lists(st.one_of(st.sampled_from([lo, hi, 0, -1]), st.integers(lo, hi)), min_size=size, max_size=size))
     words[0], words[-1] = lo, hi  # both extremes, in the first and last word
-    scales = draw(st.lists(FLOATS, min_size=size // (m + 1), max_size=size // (m + 1)))
+    rows = size // (m + 1)
+    scales = draw(st.lists(FLOATS.map(abs).filter(lambda s: s > 0), min_size=rows, max_size=rows))
     qm = QuantizedModel(n, m, FxpFormat(draw(st.integers(1, 16))), bits, np.reshape(words, (-1, m + 1)), scales)
     qm.acc_width = draw(st.integers(1, 64))
     return qm

@@ -305,6 +305,24 @@ class TestQuantizedModelInvariants:
         with pytest.raises(ValueError, match="^vector 1: parameter 8 exceeds 4 bits$"):
             QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)
 
+    @pytest.mark.parametrize("scales, message", [
+        ((1.0, 1.0, 1.0), r"scales must be a list of one number per vector \(3\), got \(1.0, 1.0, 1.0\)"),
+        ([1.0, 1.0], r"scales must be a list of one number per vector \(3\), got \[1.0, 1.0\]"),
+        ([1.0, 0.0, 1.0], "vector 1: scale 0.0 is not a finite number > 0"),
+        ([1.0, 1.0, float("inf")], "vector 2: scale inf is not a finite number > 0"),
+        ([10**400, 1.0, 1.0], "vector 0: scale 1000+ is not a finite number > 0"),
+        ([1.0, False, 1.0], "vector 1: scale False is not a finite number > 0"),
+        ([1.0, None, 1.0], "vector 1: scale None is not a finite number > 0"),
+    ])
+    def test_one_finite_positive_scale_per_row(self, scales, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, scales)
+        # ints are numbers too, and the model keeps its own float copy
+        given = [1, 0.5, 2]
+        qm = QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, given)
+        given[0] = -1
+        assert qm.scales == [1.0, 0.5, 2.0] and all(type(s) is float for s in qm.scales)
+
 
 class TestInputFormatBounds:
     BAD = [FxpFormat(17), FxpFormat(63), FxpFormat(70), FxpFormat(32)]

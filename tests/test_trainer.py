@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,9 @@ from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
     FloatSvmModel,
     Hyper,
+    EPOCH_RANGE,
+    LAM_RANGE,
     Lane,
-    SearchSpace,
     accuracy,
     fit_lanes,
     random_search,
@@ -92,20 +94,6 @@ def test_negative_epochs_rejected_zero_allowed():
     assert np.isfinite(model.coefs).all()
 
 
-@pytest.mark.parametrize("space", [
-    dict(lam_lo=0.0),
-    dict(lam_lo=-1.0),
-    dict(lam_lo=1.0, lam_hi=0.5),
-    dict(lam_hi=float("inf")),
-    dict(epochs_lo=-1),
-    dict(epochs_lo=9, epochs_hi=8),
-])
-def test_search_space_rejects_bad_ranges(space):
-    ds = bundled_dataset("blobs3x21", seed=0)
-    with pytest.raises(ValueError, match="need"):
-        random_search(ds, SearchSpace(**space), budget=2)
-
-
 @pytest.mark.parametrize("name,n,expected", [
     ("blobs3x21", 3, 3),
     ("noisy6x11", 6, 15),
@@ -162,6 +150,24 @@ def test_every_vector_needs_one_weight_per_feature(kind, weights):
         FloatSvmModel(kind, 3, 2, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("row, column, message", [
+    (1, 2, "vector 1: parameter nan is not a finite number"),
+    (0, 0, "vector 0: parameter -inf is not a finite number"),
+])
+def test_every_parameter_must_be_finite(row, column, message):
+    coefs = np.zeros((3, 3))
+    coefs[row, column] = math.nan if column else -math.inf
+    coefs[2, 0] = math.inf  # a later row's offender is not the one named
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FloatSvmModel("ovo", 3, 2, coefs)
+    # in a document, the JSON types too: a string or a bool is not a number,
+    # and it is named before a later vector's wrong weight count
+    vectors = [{"class_a": a, "class_b": b, "weights": [0.5, 0.5], "bias": 0.0} for a, b in row_pairs("ovo", 3)]
+    vectors[1]["bias"], vectors[1]["weights"][1], vectors[2]["weights"] = "0.5", True, [0.5]
+    with pytest.raises(ValueError, match="^vector 1: parameter True is not a finite number$"):
+        float_model_from_dict({"kind": "ovo", "n_classes": 3, "n_features": 2, "vectors": vectors})
+
+
 def test_ovo_vs_ova_gap_reported(capsys):
     ds = ring_sectors(6, 11, per_class=30, seed=4)
     train, test = split(ds, SplitSpec(0.8, 4))
@@ -188,7 +194,8 @@ def test_positive_scaling_leaves_predictions(blobs3_split, blobs3_model):
 
 class TestAccuracy:
     def _constant_model(self, cls):
-        return lambda X: np.full(len(X), cls, dtype=np.int64)
+        """A bias-only 2-class OvO model that predicts ``cls`` everywhere."""
+        return FloatSvmModel("ovo", 2, 1, [[1.0 if cls == 0 else -1.0, 0.0]])
 
     def test_always_right(self):
         ds = Dataset(np.zeros((5, 1)), np.zeros(5, dtype=int), ["a", "b"])
@@ -362,17 +369,11 @@ class TestRandomSearch:
 
         monkeypatch.setattr(trainer_mod, "split", refuse)
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", refuse)
-        space = SearchSpace(lam_lo=1e-3, lam_hi=1.0, epochs_lo=3, epochs_hi=30)
+        assert (LAM_RANGE, EPOCH_RANGE) == ((1e-4, 10.0), (5, 50))
         rng = np.random.default_rng([6, 99])  # the search's draws: lam first, then epochs
-        lam = float(10.0 ** rng.uniform(math.log10(1e-3), math.log10(1.0), 1)[0])
-        epochs = int(rng.integers(3, 31, 1)[0])
-        assert random_search(blobs3_split[0], space, budget=1, seed=6) == Hyper(lam, epochs, 6)
-
-    @pytest.mark.parametrize("budget", [1, 2, 5])
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.25, 1.5, math.nan])
-    def test_bad_holdout_fraction_rejected_at_every_budget(self, blobs3_split, budget, fraction):
-        with pytest.raises(ValueError, match="holdout_fraction must lie strictly between 0 and 1"):
-            random_search(blobs3_split[0], budget=budget, seed=0, holdout_fraction=fraction)
+        lam = float(10.0 ** rng.uniform(math.log10(1e-4), math.log10(10.0), 1)[0])
+        epochs = int(rng.integers(5, 51, 1)[0])
+        assert random_search(blobs3_split[0], budget=1, seed=6) == Hyper(lam, epochs, 6)
 
     def test_picks_strictly_better_candidate(self, blobs3_split, monkeypatch):
         # score rises as lam falls; the smallest sampled lam must win
@@ -578,19 +579,22 @@ class TestLaneSolver:
         lanes = [Lane(rows, 0, lam, epochs, (4, 0, 1)) for lam, epochs in [(0.01, 3), (0.5, 5), (2.0, 2), (0.1, 0)]]
         lanes.append(Lane(other, 1, 0.05, 4, (4, 0, 1)))
         alone = [fit_lanes(ds, [lane])[0] for lane in lanes]
-        draws = []
+        draws = []  # (generator, length) per draw
 
         class CountingRng:
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
 
             def permutation(self, n):
-                draws.append(n)
+                draws.append((id(self), n))
                 return self.rng.permutation(n)
 
         monkeypatch.setattr(trainer_mod, "default_rng", CountingRng)
         fits = fit_lanes(ds, lanes)
-        assert draws == [len(rows)] * 5  # one draw in each of the longest lane's 5 epochs
+        # one generator per stream, drawn once per epoch while a lane of it is
+        # alive: the candidates' 5 epochs, then the other rows' lane's 4
+        assert {n for _, n in draws} == {len(rows)}
+        assert sorted(Counter(generator for generator, _ in draws).values()) == [4, 5]
         for one, fit in zip(alone, fits):
             assert np.array_equal(one[:-1], fit[:-1]) and one[-1] == fit[-1]
 
