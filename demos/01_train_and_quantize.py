@@ -6,7 +6,7 @@
 import numpy as np
 
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.ddag import build_ddag, ddag_predict_float, ddag_predict_quant
+from seqsvm.ddag import ddag_predict_float, ddag_predict_quant
 from seqsvm.quant import quantize_inputs, quantize_model, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, accuracy, random_search, train_ovo
@@ -25,8 +25,7 @@ print(f"trained {len(model.coefs)} pairwise vectors "
 print(f"float max-wins voting accuracy: {accuracy(model, test):.4f}")
 
 # the hardware walks a decision DAG instead of voting: n-1 evaluations
-dag = build_ddag(model.n_classes)
-float_ddag = float(np.mean(ddag_predict_float(model, dag, test.features) == test.labels))
+float_ddag = float(np.mean(ddag_predict_float(model, test.features) == test.labels))
 print(f"float DAG-walk accuracy:        {float_ddag:.4f}")
 
 # accuracy at each candidate parameter width, measured on 4-bit inputs
@@ -34,7 +33,7 @@ codes = quantize_inputs(test)
 print("\nbits  quantized-accuracy  drop")
 for bits in range(2, 9):
     qm = quantize_model(model, bits)
-    acc = float(np.mean(ddag_predict_quant(qm, dag, codes) == test.labels))
+    acc = float(np.mean(ddag_predict_quant(qm, codes) == test.labels))
     print(f"  {bits}   {acc:.4f}             {float_ddag - acc:+.4f}")
 
 qm, report = search_param_bits(model, train, test)

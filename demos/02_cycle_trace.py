@@ -8,7 +8,7 @@ import numpy as np
 
 from seqsvm.archsim import latency_cycles, simulate, trace_to_text
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.ddag import build_ddag, ddag_infer
+from seqsvm.ddag import ddag_infer
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
@@ -17,12 +17,11 @@ ds = bundled_dataset("blobs3x21", seed=7)
 train, test = split(ds, SplitSpec(0.8, seed=7))
 model = train_ovo(train, Hyper(lam=0.01, epochs=15, seed=7))
 qm, _ = search_param_bits(model, train, test)
-dag = build_ddag(qm.n_classes)
 
 codes = [int(c) for c in quantize_inputs(test, qm.input_fmt)[0]]
 print(f"input codes: {codes}")
 
-cls, trace = simulate(qm, dag, codes)
+cls, trace = simulate(qm, codes)
 n, m = qm.n_classes, qm.n_features
 print(f"class {cls} after {trace.cycles} cycles "
       f"(= ({n}-1) x ({m}+1) = {latency_cycles(n, m)}), "
@@ -34,7 +33,7 @@ for line in trace_to_text(trace).splitlines()[: m + 4]:
     print(" ", line)
 
 # the simulator is bit-exact against the integer reference walk
-ref_cls, evals = ddag_infer(qm, dag, codes)
+ref_cls, evals = ddag_infer(qm, codes)
 assert ref_cls == cls
 print("\nreference walk (row, engine y):", evals)
 print("verdict matches the cycle-accurate simulation:", ref_cls == cls)

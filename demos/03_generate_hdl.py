@@ -7,7 +7,6 @@
 from pathlib import Path
 
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.ddag import build_ddag
 from seqsvm.hdlgen import emit_golden_vectors, generate, parse_storage_constants, write_bundle
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
@@ -17,9 +16,8 @@ ds = bundled_dataset("noisy6x11", seed=2)
 train, test = split(ds, SplitSpec(0.8, seed=2))
 model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=2))
 qm, report = search_param_bits(model, train, test)
-dag = build_ddag(qm.n_classes)
 
-bundle = generate(qm, dag, name="demo")
+bundle = generate(qm, name="demo")
 print("top module header:")
 for line in bundle.top_module.splitlines()[:12]:
     print(" ", line)
@@ -39,7 +37,7 @@ print("\nself-parse equals the quantized word table:", parsed == qm.words.tolist
 out = Path("demo_hdl")
 write_bundle(bundle, out)
 codes = quantize_inputs(test, qm.input_fmt)
-stim, expect, classes = emit_golden_vectors(qm, dag, codes, count=10)
+stim, expect, classes = emit_golden_vectors(qm, codes, count=10)
 (out / "vectors.stim").write_text(stim)
 (out / "vectors.expect").write_text(expect)
 print(f"\nwrote {out}/demo_top.v, demo_params.v, demo_tb.v and {len(classes)} golden vectors")

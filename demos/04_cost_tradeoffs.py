@@ -7,7 +7,6 @@ import numpy as np
 
 from seqsvm.archsim import ArchConfig
 from seqsvm.cost import TechConfig, calibrate_power, compare_parallel, compare_storage, estimate, format_report_table
-from seqsvm.ddag import build_ddag
 from seqsvm.fxp import U4_4
 from seqsvm.quant import QuantizedModel, profile_accumulator
 
@@ -34,8 +33,7 @@ print(f"technology: {tech.nand_equiv_area} cm^2/GE, DFF = {tech.dff_nand_equiv} 
 
 for name, (n, m) in SHAPES.items():
     qm = shaped(n, m)
-    dag = build_ddag(n)
-    both = compare_storage(qm, dag, tech)
+    both = compare_storage(qm, tech=tech)
     par = compare_parallel(qm, tech)
     print(f"--- {name} (n={n}, m={m}, acc={qm.acc_width} bits) ---")
     print(format_report_table([("seq-mux", both["mux"]), ("seq-rom", both["rom"]),
@@ -45,7 +43,7 @@ for name, (n, m) in SHAPES.items():
 
 # ROM pays a fixed ADC floor: tiny models prefer the bespoke MUX
 tiny = shaped(2, 1, bits=4)
-both = compare_storage(tiny, build_ddag(2), tech)
+both = compare_storage(tiny, tech=tech)
 print(f"n=2, m=1: mux {both['mux'].area_cm2:.3f} cm^2 vs rom {both['rom'].area_cm2:.3f} cm^2 "
       "(ADC floor dominates)\n")
 

@@ -8,16 +8,15 @@
 import numpy as np
 
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.ddag import build_ddag, ddag_infer, ovo_vote_infer, pair_count
+from seqsvm.ddag import ddag_infer, ovo_vote_infer, pair_count, state_bits_for
 from seqsvm.fxp import U4_4
 from seqsvm.quant import QuantizedModel, quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
 
 for n in (2, 4, 10, 16):
-    dag = build_ddag(n)
     print(f"n={n:2d}: {pair_count(n):3d} stored vectors, {n - 1:2d} evaluations per input, "
-          f"{dag.state_bits} state bits")
+          f"{state_bits_for(n)} state bits")
 
 # a 3-class cycle: 0 beats 1, 2 beats 0, 1 beats 2 (bias-only vectors)
 cycle = QuantizedModel(3, 1, U4_4, 8, [
@@ -26,9 +25,8 @@ cycle = QuantizedModel(3, 1, U4_4, 8, [
     [1, 0],    # pair (1,2): class 1 wins
 ], [1.0] * 3)
 cycle.acc_width = 8
-dag3 = build_ddag(3)
 vote = ovo_vote_infer(cycle, [0])
-walk, evals = ddag_infer(cycle, dag3, [0])
+walk, evals = ddag_infer(cycle, [0])
 print(f"\nCondorcet cycle: vote ties 1-1-1 and breaks to class {vote}; "
       f"the DAG walks {[r for r, _ in evals]} and lands on class {walk}")
 
@@ -38,10 +36,9 @@ ds = bundled_dataset("rings10x17", seed=3)
 train, test = split(ds, SplitSpec(0.8, seed=3))
 model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=3))
 qm, _ = search_param_bits(model, train, test)
-dag = build_ddag(qm.n_classes)
 codes = quantize_inputs(test, qm.input_fmt)
 
-walk_pred = np.array([ddag_infer(qm, dag, row)[0] for row in codes])
+walk_pred = np.array([ddag_infer(qm, row)[0] for row in codes])
 vote_pred = np.array([ovo_vote_infer(qm, row) for row in codes])
 agree = float(np.mean(walk_pred == vote_pred))
 acc_walk = float(np.mean(walk_pred == test.labels))

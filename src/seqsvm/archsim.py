@@ -8,11 +8,12 @@ cycles and a full classification takes exactly (n-1)*(m+1) cycles
 storage kind (bespoke MUX constants or a 2-bit-dot crossbar ROM) never
 changes what is read; only the cost model tells the kinds apart.
 
+Every function takes the model alone: the DAG is that of ``qm.n_classes``.
 ``simulate`` runs one classification cycle by cycle and writes traces: the
 engine's m+1 cycles per state run inside the scalar DAG walk of ``ddag``,
-which makes it the scalar oracle of the batch path. ``simulate_batch`` runs
-every sample through ``ddag.walk_batch``, the batched kernel, with the
-wrapping accumulator.
+the scalar oracle of the batch path. ``simulate_batch`` runs every sample
+through ``ddag.walk_batch``, the batched kernel, with the wrapping
+accumulator.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ddag import Ddag, _walk, check_dag, walk_batch
+from .ddag import _walk, state_bits_for, walk_batch
 from .fxp import wrap
 from .quant import QuantizedModel
 
@@ -79,7 +80,7 @@ class SimTrace:
     out_class: int
 
 
-def simulate(qm: QuantizedModel, dag: Ddag, codes) -> tuple[int, SimTrace]:
+def simulate(qm: QuantizedModel, codes) -> tuple[int, SimTrace]:
     """Run one classification cycle by cycle.
 
     In each state the engine loads its row's bias, already shifted to the
@@ -89,7 +90,6 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes) -> tuple[int, SimTrace]:
     ddag_infer's class whenever no overflow occurred; the cycle total is
     (n-1)*(m+1) regardless of data. The trace holds one record per cycle.
     """
-    check_dag(qm, dag)
     acc_width = qm.profiled_acc_width()
     m = qm.n_features
     if len(codes) != m:
@@ -112,7 +112,7 @@ def simulate(qm: QuantizedModel, dag: Ddag, codes) -> tuple[int, SimTrace]:
             cycles += 1
         return acc >= 0
 
-    out_class, evaluations = _walk(dag, mac_cycles)
+    out_class, evaluations = _walk(qm.n_classes, mac_cycles)
     # the FSM stays in the state whose verdict chose the class
     final_state = evaluations[-1][0]
     return out_class, SimTrace(records, cycles, len(evaluations), overflows, final_state, out_class)
@@ -126,7 +126,7 @@ class BatchResult:
     predictions: np.ndarray
 
 
-def simulate_batch(qm: QuantizedModel, dag: Ddag, codes_matrix, labels) -> BatchResult:
+def simulate_batch(qm: QuantizedModel, codes_matrix, labels) -> BatchResult:
     """Simulate every sample at once; accuracy over the given labels.
 
     Bit-exact with simulate per sample; every walk takes (n-1)*(m+1) cycles.
@@ -135,7 +135,7 @@ def simulate_batch(qm: QuantizedModel, dag: Ddag, codes_matrix, labels) -> Batch
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty or malformed code matrix")
-    preds, _, overflows = walk_batch(qm, dag, X, qm.profiled_acc_width())
+    preds, _, overflows = walk_batch(qm, X, qm.profiled_acc_width())
     return BatchResult(
         accuracy=float(np.mean(preds == labels)),
         overflows=int(overflows.sum()),
@@ -144,13 +144,12 @@ def simulate_batch(qm: QuantizedModel, dag: Ddag, codes_matrix, labels) -> Batch
     )
 
 
-def register_census(qm: QuantizedModel, dag: Ddag) -> dict:
+def register_census(qm: QuantizedModel) -> dict:
     """The architecture's three registers: accumulator, column counter, FSM state."""
-    check_dag(qm, dag)
     census = {
         "acc": qm.acc_width,
         "counter": counter_bits(qm.n_features),
-        "state": dag.state_bits,
+        "state": state_bits_for(qm.n_classes),
     }
     census["total"] = sum(census.values())
     return census

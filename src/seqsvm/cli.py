@@ -21,11 +21,11 @@ from . import modelio
 from .archsim import ArchConfig, simulate, simulate_batch, trace_to_text
 from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import build_ddag, check_dag
+from .ddag import check_ovo
 from .fxp import MAX_INPUT_BITS, FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
-from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, quantize_inputs, search_param_bits
-from .trainer import Hyper, accuracy, random_search, train_ova, train_ovo
+from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_inputs, search_param_bits
+from .trainer import FloatSvmModel, Hyper, accuracy, random_search, train_ova, train_ovo
 
 
 class StageError(RuntimeError):
@@ -80,12 +80,11 @@ def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
 
 def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Dataset):
     """Precision search; returns the model document, its (float model,
-    quantized model, DAG) and the QuantReport."""
+    quantized model) and the QuantReport."""
     fmodel = modelio.float_model_from_dict(doc["float_model"])
-    dag = build_ddag(fmodel.n_classes)
     qm, report = search_param_bits(fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"])
     doc = {**doc, "config": config, "config_hash": modelio.config_hash(config),
-           "quantized": modelio.quantized_to_dict(qm), "ddag": modelio.ddag_to_dict(dag)}
+           "quantized": modelio.quantized_to_dict(qm), "ddag": modelio.ddag_to_dict(qm.n_classes)}
     modelio.save_model_doc(out / "model.json", doc)
     modelio.save_model_doc(
         out / "quant_report.json", {"config_hash": doc["config_hash"], "seed": doc["seed"], **asdict(report)}
@@ -94,24 +93,24 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
           f"(float {report.float_accuracy:.4f} -> quant {report.quantized_accuracy:.4f}, "
           f"acc_width={report.acc_width}"
           + (", max-precision flag" if report.max_precision_flag else "") + ")")
-    return doc, (fmodel, qm, dag), report
+    return doc, (fmodel, qm), report
 
 
 def _load_model(out: Path):
     """The document of ``out``/model.json and its (float model, quantized
-    model, DAG); the float model must be the OvO model the DAG walks."""
+    model); the float model must be the OvO model the DAG walks."""
     doc = modelio.load_model_doc(out / "model.json")
+    modelio.check_provenance(doc)
     fmodel = modelio.float_model_from_dict(doc["float_model"])
     qm = modelio.quantized_from_dict(doc["quantized"], fmodel.n_classes, fmodel.n_features)
-    dag = modelio.ddag_from_dict(doc["ddag"])
-    check_dag(fmodel, dag)
-    return doc, (fmodel, qm, dag)
+    modelio.check_ddag_doc(doc["ddag"], fmodel.n_classes)
+    check_ovo(fmodel)
+    return doc, (fmodel, qm)
 
 
-def _simulate_phase(doc: dict, parts, codes, labels, out: Path, trace_n: int, storage_kind: str) -> dict:
+def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, trace_n: int, storage_kind: str) -> dict:
     """Simulate the test split, given as its input codes and labels."""
-    _, qm, dag = parts
-    batch = simulate_batch(qm, dag, codes, labels)
+    batch = simulate_batch(qm, codes, labels)
     sim_report = {
         "config_hash": doc["config_hash"],
         "seed": doc["seed"],
@@ -126,19 +125,18 @@ def _simulate_phase(doc: dict, parts, codes, labels, out: Path, trace_n: int, st
         trace_dir = out / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
         for i, row in enumerate(codes[:trace_n]):
-            _, trace = simulate(qm, dag, row)
+            _, trace = simulate(qm, row)
             (trace_dir / f"trace_{i:03d}.txt").write_text(trace_to_text(trace))
     print(f"simulated {sim_report['n_test']} samples: accuracy {batch.accuracy:.4f}, "
           f"{batch.overflows} overflows, {batch.mean_cycles:.0f} cycles each")
     return sim_report
 
 
-def _hdl_phase(parts, codes, out: Path, n_vectors: int) -> None:
+def _hdl_phase(qm: QuantizedModel, codes, out: Path, n_vectors: int) -> None:
     """Write the HDL bundle and golden vectors for the first ``n_vectors``
     rows of ``codes`` (input codes of the test split)."""
-    _, qm, dag = parts
-    bundle = generate(qm, dag)
-    stim, expect, classes = emit_golden_vectors(qm, dag, codes, n_vectors)
+    bundle = generate(qm)
+    stim, expect, classes = emit_golden_vectors(qm, codes, n_vectors)
     hdl_dir = out / "hdl"
     write_bundle(bundle, hdl_dir)
     (hdl_dir / "vectors.stim").write_text(stim)
@@ -146,9 +144,8 @@ def _hdl_phase(parts, codes, out: Path, n_vectors: int) -> None:
     print(f"wrote HDL bundle and {len(classes)} golden vectors to {hdl_dir}")
 
 
-def _cost_phase(doc: dict, parts, out: Path, storage_kind: str, tech: TechConfig) -> dict:
-    _, qm, dag = parts
-    both = compare_storage(qm, dag, tech)
+def _cost_phase(doc: dict, qm: QuantizedModel, out: Path, storage_kind: str, tech: TechConfig) -> dict:
+    both = compare_storage(qm, tech=tech)
     parallel = compare_parallel(qm, tech)
     report = {**asdict(both[storage_kind]), "config_hash": doc["config_hash"], "seed": doc["seed"]}
     modelio.save_model_doc(out / "cost_report.json", report)
@@ -156,10 +153,8 @@ def _cost_phase(doc: dict, parts, out: Path, storage_kind: str, tech: TechConfig
     return report
 
 
-def _summary(
-    parts, config: dict, test: Dataset, float_ddag_acc: float, sim_report: dict, cost_report: dict, out: Path
-) -> None:
-    fmodel, qm, _ = parts
+def _summary(fmodel: FloatSvmModel, qm: QuantizedModel, config: dict, test: Dataset, float_ddag_acc: float,
+             sim_report: dict, cost_report: dict, out: Path) -> None:
     vote_acc = accuracy(fmodel, test)
     lines = [
         f"dataset      : {config['dataset']} ({fmodel.n_classes} classes, {fmodel.n_features} features)",
@@ -212,6 +207,7 @@ def cmd_quantize(args) -> int:
     out = Path(args.out)
     with _stage("quantize"):
         doc = modelio.load_model_doc(out / "float_model.json")
+        modelio.check_provenance(doc)
         config = _with_quant_keys(doc["config"], args)
         _quantize_phase(doc, config, out, *_ingest(config))
     return 0
@@ -220,35 +216,35 @@ def cmd_quantize(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
-        doc, parts = _load_model(out)
+        doc, (_, qm) = _load_model(out)
         test = _ingest(doc["config"])[1]
-        codes = quantize_inputs(test, parts[1].input_fmt)
-        _simulate_phase(doc, parts, codes, test.labels, out, args.trace, args.storage)
+        codes = quantize_inputs(test, qm.input_fmt)
+        _simulate_phase(doc, qm, codes, test.labels, out, args.trace, args.storage)
     return 0
 
 
 def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
-        doc, parts = _load_model(out)
+        doc, (_, qm) = _load_model(out)
         test = _ingest(doc["config"])[1]
-        codes = quantize_inputs(test.features[:args.vectors], parts[1].input_fmt)
-        _hdl_phase(parts, codes, out, args.vectors)
+        codes = quantize_inputs(test.features[:args.vectors], qm.input_fmt)
+        _hdl_phase(qm, codes, out, args.vectors)
     return 0
 
 
 def cmd_cost(args) -> int:
     out = Path(args.out)
     with _stage("cost"):
-        doc, parts = _load_model(out)
-        _cost_phase(doc, parts, out, args.storage, _tech(args))
+        doc, (_, qm) = _load_model(out)
+        _cost_phase(doc, qm, out, args.storage, _tech(args))
     return 0
 
 
 def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
-        doc, (fmodel, qm, dag) = _load_model(out)
+        doc, (fmodel, qm) = _load_model(out)
         # the DDAG accuracies were measured on this test split by the quantize stage
         quant_report = json.loads((out / "quant_report.json").read_text())
         if quant_report.get("config_hash") != doc["config_hash"]:
@@ -266,7 +262,7 @@ def cmd_compare(args) -> int:
         for name, acc in acc_rows:
             print(f"  {name}: {acc:.4f}")
         tech = _tech(args)
-        seq = estimate(qm, dag, ArchConfig(args.storage), tech)
+        seq = estimate(qm, ArchConfig(args.storage), tech)
         par = compare_parallel(qm, tech)
         print(format_report_table([(f"seq-{args.storage}", seq), ("parallel", par)]), end="")
         print(f"parallel/sequential area ratio: {par.area_cm2 / seq.area_cm2:.2f}x")
@@ -292,17 +288,17 @@ def cmd_run(args) -> int:
         doc = _train_phase(config, out, train)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc, parts, quant_report = _quantize_phase(doc, config, out, train, test)
+        doc, (fmodel, qm), quant_report = _quantize_phase(doc, config, out, train, test)
     with _stage("simulate"):
         # the test split's input codes, shared with gen-hdl
-        codes = quantize_inputs(test, parts[1].input_fmt)
-        sim_report = _simulate_phase(doc, parts, codes, test.labels, out, args.trace, args.storage)
+        codes = quantize_inputs(test, qm.input_fmt)
+        sim_report = _simulate_phase(doc, qm, codes, test.labels, out, args.trace, args.storage)
     with _stage("gen-hdl"):
-        _hdl_phase(parts, codes, out, args.vectors)
+        _hdl_phase(qm, codes, out, args.vectors)
     with _stage("cost"):
-        cost_report = _cost_phase(doc, parts, out, args.storage, _tech(args))
+        cost_report = _cost_phase(doc, qm, out, args.storage, _tech(args))
     with _stage("summary"):
-        _summary(parts, config, test, quant_report.float_accuracy, sim_report, cost_report, out)
+        _summary(fmodel, qm, config, test, quant_report.float_accuracy, sim_report, cost_report, out)
     return 0
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .archsim import ArchConfig, latency_cycles, register_census
-from .ddag import Ddag, class_bits, pair_count
+from .ddag import class_bits, pair_count, state_bits_for
 from .quant import QuantizedModel
 
 FULL_ADDER_GE = 5.0
@@ -89,10 +89,10 @@ def _engine_ge(qm: QuantizedModel, tech: TechConfig) -> float:
     return ge
 
 
-def _fsm_ge(dag: Ddag, tech: TechConfig) -> float:
-    states = pair_count(dag.n_classes)
-    row_bits = dag.state_bits  # each state drives its own id as the row
-    return states * (2 * dag.state_bits + row_bits) * tech.mux_per_input_cost + states
+def _fsm_ge(n_classes: int, tech: TechConfig) -> float:
+    states = pair_count(n_classes)
+    state_bits = row_bits = state_bits_for(n_classes)  # each state drives its own id as the row
+    return states * (2 * state_bits + row_bits) * tech.mux_per_input_cost + states
 
 
 def _report(design: str, ge: dict, tech: TechConfig, cycles: int, slots: int, register_bits: int) -> CostReport:
@@ -106,17 +106,16 @@ def _report(design: str, ge: dict, tech: TechConfig, cycles: int, slots: int, re
 
 def estimate(
     qm: QuantizedModel,
-    dag: Ddag,
     arch: ArchConfig = ArchConfig(),
     tech: TechConfig = TechConfig(),
 ) -> CostReport:
     """Cost of the sequential design for one storage configuration."""
     qm.profiled_acc_width()
-    census = register_census(qm, dag)
+    census = register_census(qm)
     ge = {
         "storage": _storage_ge(qm, arch, tech),
         "engine": _engine_ge(qm, tech),
-        "fsm": _fsm_ge(dag, tech),
+        "fsm": _fsm_ge(qm.n_classes, tech),
         "registers": census["total"] * tech.dff_nand_equiv,
     }
     slots = math.ceil(qm.param_bits / (2 * arch.adc_count)) if arch.storage == "rom" else 1
@@ -126,14 +125,18 @@ def estimate(
 
 def compare_storage(
     qm: QuantizedModel,
-    dag: Ddag,
+    n_classes: int | None = None,
     tech: TechConfig = TechConfig(),
     adc_count: int = 4,
 ) -> dict:
-    """The mux-vs-rom trade-off on one and the same model."""
+    """The mux-vs-rom trade-off on one and the same model. ``n_classes``, if
+    given, must be ``qm.n_classes``: kept only for bench/shapes.py, which
+    passes ``ddag.build_ddag(n)``, until the benchmark next changes."""
+    if n_classes is not None and n_classes != qm.n_classes:
+        raise ValueError(f"a {n_classes}-class DAG does not fit a {qm.n_classes}-class model")
     return {
-        "mux": estimate(qm, dag, ArchConfig("mux"), tech),
-        "rom": estimate(qm, dag, ArchConfig("rom", adc_count), tech),
+        "mux": estimate(qm, ArchConfig("mux"), tech),
+        "rom": estimate(qm, ArchConfig("rom", adc_count), tech),
     }
 
 

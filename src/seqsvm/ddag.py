@@ -2,12 +2,13 @@
 pairwise evaluations, plus inference over it.
 
 The DAG is the classical one over the natural class order (Platt et al., NIPS
-1999), fixed by the class count, which is all ``Ddag`` holds. A walk carries
-the interval (lo, hi) of still-alive classes from (0, n-1) and reads row
-``pair_index(lo, hi)``. Engine output y=1 means the pair's lower class
-(trained as +1) won, so hi -= 1; y=0 means lo += 1. After n-1 steps lo is the
-class. The state is the row read: the Verilog wires row = state. The FSM's
-one description is ``transitions``.
+1999), fixed by the class count n, which every walk reads from its model. A
+walk carries the interval (lo, hi) of still-alive classes from (0, n-1) and
+reads row ``pair_index(lo, hi)``. Engine output y=1 means the pair's lower
+class (trained as +1) won, so hi -= 1; y=0 means lo += 1. After n-1 steps lo
+is the class. The state is the row read: the Verilog wires row = state, from
+``pair_index(0, n-1, n)``, in ``state_bits_for(n)`` bits. The FSM's one
+description is ``transitions(n)``.
 
 A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
 ``row_pairs``, the bias as word 0. ``walk_batch`` walks every sample at once
@@ -24,31 +25,10 @@ max-wins votes and quant's accumulator profiling; it sits beside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fxp import BLOCK_ELEMENTS
-
-
-@dataclass(frozen=True)
-class Ddag:
-    """The DAG over the natural class order: the root compares class 0 with
-    class n-1."""
-
-    n_classes: int
-
-    def __post_init__(self):
-        if type(self.n_classes) is not int or self.n_classes < 2:
-            raise ValueError(f"a DAG needs an integer class count of at least two, got {self.n_classes!r}")
-
-    @property
-    def state_bits(self) -> int:
-        return state_bits_for(self.n_classes)
-
-    @property
-    def initial_state(self) -> int:
-        return pair_index(0, self.n_classes - 1, self.n_classes)
 
 
 def pair_count(n_classes: int) -> int:
@@ -69,7 +49,10 @@ def _row(lo, hi, n_classes: int):
 
 def row_pairs(kind: str, n_classes: int) -> list[tuple[int, int | None]]:
     """(class_a, class_b) of each table row of a ``kind`` model: the class
-    pairs in lexicographic order for "ovo", (class, None) per class for "ova"."""
+    pairs in lexicographic order for "ovo", (class, None) per class for "ova".
+    Both models call it, so it rejects any class count but an int (no bool) >= 2."""
+    if type(n_classes) is not int or n_classes < 2:
+        raise ValueError(f"a model needs an integer class count of at least two, got {n_classes!r}")
     if kind == "ovo":
         return [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
     if kind == "ova":
@@ -87,19 +70,20 @@ def class_bits(n_classes: int) -> int:
     return max(1, (n_classes - 1).bit_length())
 
 
-def build_ddag(n_classes: int) -> Ddag:
-    """Classical DDAG over the natural class order [0..n-1]."""
-    return Ddag(n_classes)
+def build_ddag(n_classes: int) -> int:
+    """The class count itself, which fixes the DAG: kept only for
+    bench/shapes.py's ``cost.compare_storage`` call, until the benchmark changes."""
+    return n_classes
 
 
-def transitions(dag: Ddag):
-    """The FSM, one (state, lo, hi, on_a, on_b) per state in state order.
+def transitions(n: int):
+    """The FSM of the n-class DAG, one (state, lo, hi, on_a, on_b) per state
+    in state order.
 
     State ``pair_index(lo, hi)`` compares classes lo and hi. ``on_a`` (y=1)
     and ``on_b`` (y=0) are its successors: ("node", state), or ("leaf",
     class) once the pair is adjacent.
     """
-    n = dag.n_classes
     for lo in range(n):
         for hi in range(lo + 1, n):
             last = hi == lo + 1
@@ -108,23 +92,20 @@ def transitions(dag: Ddag):
             yield _row(lo, hi, n), lo, hi, on_a, on_b
 
 
-def check_dag(model, dag: Ddag) -> None:
-    """Reject a DAG built for another class count than ``model``'s, and a
-    float model that is not one-vs-one (a QuantizedModel always is)."""
-    if getattr(model, "kind", "ovo") != "ovo":
-        raise ValueError(f"a DAG walks OvO models only, not a {model.kind!r} model")
-    if dag.n_classes != model.n_classes:
-        raise ValueError(f"a {dag.n_classes}-class DAG does not fit a {model.n_classes}-class model")
+def check_ovo(fmodel) -> None:
+    """Reject a float model that is not one-vs-one; a QuantizedModel always is."""
+    if fmodel.kind != "ovo":
+        raise ValueError(f"a DAG walks OvO models only, not a {fmodel.kind!r} model")
 
 
-def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
+def _walk(n: int, decide) -> tuple[int, list[tuple[int, int]]]:
     """The scalar walk: ``decide(row)`` scores the row of pair (lo, hi) and
     returns whether the pair's lower class won. Returns the class and the
     (row, y) log of its n-1 evaluations."""
-    lo, hi = 0, dag.n_classes - 1
+    lo, hi = 0, n - 1
     evaluations = []
     while lo < hi:
-        row = _row(lo, hi, dag.n_classes)
+        row = _row(lo, hi, n)
         y = 1 if decide(row) else 0
         evaluations.append((row, y))
         if y:
@@ -134,7 +115,7 @@ def _walk(dag: Ddag, decide) -> tuple[int, list[tuple[int, int]]]:
     return lo, evaluations
 
 
-def _score_walk(dag: Ddag, table: np.ndarray, x: list) -> tuple[int, list[tuple[int, int]]]:
+def _score_walk(n: int, table: np.ndarray, x: list) -> tuple[int, list[tuple[int, int]]]:
     """The scalar walk on ``table`` (the bias already at the products'
     binary point): each row read is scored on ``x`` in Python numbers, the
     bias, then one product per feature, in _walk_table's order."""
@@ -145,17 +126,16 @@ def _score_walk(dag: Ddag, table: np.ndarray, x: list) -> tuple[int, list[tuple[
             acc += w * xi
         return acc >= 0
 
-    return _walk(dag, decide)
+    return _walk(n, decide)
 
 
-def ddag_infer(qm, dag: Ddag, codes) -> tuple[int, list[tuple[int, int]]]:
+def ddag_infer(qm, codes) -> tuple[int, list[tuple[int, int]]]:
     """Walk the DAG with exact integer arithmetic on quantized parameters.
 
     The scalar oracle of ddag_predict_quant. Returns the leaf class and the
     (row, y) log; always exactly n-1 entries.
     """
-    check_dag(qm, dag)
-    return _score_walk(dag, aligned_words(qm), qm.input_codes([codes])[0].tolist())
+    return _score_walk(qm.n_classes, aligned_words(qm), qm.input_codes([codes])[0].tolist())
 
 
 def aligned_words(qm) -> np.ndarray:
@@ -195,7 +175,7 @@ def score_table(table: np.ndarray, X: np.ndarray, dtype=None):
             yield start, col, a
 
 
-def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):
+def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):
     """The DAG-walk step loop over every sample, on int64 words and codes or
     on float64 coefficients and features, one block of samples at a time.
 
@@ -220,7 +200,7 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
     # a wrapping accumulator is carried plus 2**(acc_width-1), in
     # [0, 2**acc_width), so that fxp.wrap is one mask and the sign a compare
     offset = 1 << (acc_width - 1) if wraps else 0
-    n, m = dag.n_classes, X.shape[1]
+    m = X.shape[1]
     block = max(1, BLOCK_ELEMENTS // (m + 1))
     size = min(block, len(X))
     x_buf = np.empty((m, size), dtype=table.dtype)
@@ -260,7 +240,7 @@ def _walk_table(dag: Ddag, table: np.ndarray, X: np.ndarray, acc_width: int | No
         yield start, lo, state, overflow
 
 
-def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
+def walk_batch(qm, codes, acc_width: int | None = None):
     """The integer walk of every sample at once: the kernel behind
     ddag_predict_quant, simulate_batch and emit_golden_vectors.
 
@@ -269,44 +249,43 @@ def walk_batch(qm, dag: Ddag, codes, acc_width: int | None = None):
     wrapping accumulator's width, or None for exact sums. Returns int64
     (classes, final_states, overflows) per sample, as _walk_table yields them.
     """
-    check_dag(qm, dag)
     X = qm.input_codes(codes)
     results = tuple(np.empty(len(X), dtype=np.int64) for _ in range(3))
-    for start, *block in _walk_table(dag, aligned_words(qm), X, acc_width):
+    for start, *block in _walk_table(qm.n_classes, aligned_words(qm), X, acc_width):
         for result, part in zip(results, block):
             result[start:start + len(part)] = part
     return results
 
 
-def ddag_predict_quant(qm, dag: Ddag, codes_matrix) -> np.ndarray:
+def ddag_predict_quant(qm, codes_matrix) -> np.ndarray:
     """Exact-arithmetic classes of every sample; the batch form of ddag_infer."""
-    return walk_batch(qm, dag, codes_matrix)[0]
+    return walk_batch(qm, codes_matrix)[0]
 
 
-def ddag_infer_float(fmodel, dag: Ddag, x) -> tuple[int, list[tuple[int, int]]]:
+def ddag_infer_float(fmodel, x) -> tuple[int, list[tuple[int, int]]]:
     """The same walk on the float model's coefficient table.
 
     The scalar oracle of ddag_predict_float: each score is summed in Python
     floats in the batch walk's order, bias first and then one product per
     feature, so both give the same class bit for bit.
     """
-    check_dag(fmodel, dag)
+    check_ovo(fmodel)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (fmodel.n_features,):
         raise ValueError(f"need {fmodel.n_features} features, got shape {x.shape}")
-    return _score_walk(dag, fmodel.coefs, x.tolist())
+    return _score_walk(fmodel.n_classes, fmodel.coefs, x.tolist())
 
 
-def ddag_predict_float(fmodel, dag: Ddag, features) -> np.ndarray:
+def ddag_predict_float(fmodel, features) -> np.ndarray:
     """Float DDAG class of every sample; the batch form of ddag_infer_float."""
-    check_dag(fmodel, dag)
+    check_ovo(fmodel)
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fmodel.n_features:
         raise ValueError(f"need a samples x {fmodel.n_features} feature matrix, got shape {X.shape}")
     if X.size and not np.isfinite([X.min(), X.max()]).all():
         raise ValueError("features must be finite")
     classes = np.empty(len(X), dtype=np.int64)
-    for start, lo, _, _ in _walk_table(dag, fmodel.coefs, X):
+    for start, lo, _, _ in _walk_table(fmodel.n_classes, fmodel.coefs, X):
         classes[start:start + len(lo)] = lo
     return classes
 

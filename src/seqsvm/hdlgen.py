@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .archsim import counter_bits, latency_cycles
-from .ddag import Ddag, check_dag, class_bits, transitions, walk_batch
+from .ddag import class_bits, pair_index, state_bits_for, transitions, walk_batch
 from .fxp import fits
 from .quant import QuantizedModel
 
@@ -47,10 +47,10 @@ def _ud(value: int, bits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _gen_params(qm: QuantizedModel, dag: Ddag, name: str) -> str:
+def _gen_params(qm: QuantizedModel, name: str) -> str:
     rows, cols = qm.words.shape
     wb = qm.param_bits
-    row_bits = dag.state_bits  # the row address is the FSM state
+    row_bits = state_bits_for(qm.n_classes)  # the row address is the FSM state
     col_bits = counter_bits(qm.n_features)
     key_bits = row_bits + col_bits
 
@@ -107,9 +107,9 @@ def parse_storage_constants(params_text: str) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _fsm_case(dag: Ddag, state_bits: int, class_bits: int, indent: str) -> str:
+def _fsm_case(n_classes: int, state_bits: int, class_bits: int, indent: str) -> str:
     arms = []
-    for state, lo, hi, on_a, on_b in transitions(dag):
+    for state, lo, hi, on_a, on_b in transitions(n_classes):
         branches = []
         for cond, (kind, target) in (("if (y)", on_a), ("else  ", on_b)):
             if kind == "leaf":
@@ -126,24 +126,25 @@ def _fsm_case(dag: Ddag, state_bits: int, class_bits: int, indent: str) -> str:
     return "\n".join(arms)
 
 
-def _gen_top(qm: QuantizedModel, dag: Ddag, name: str) -> str:
+def _gen_top(qm: QuantizedModel, name: str) -> str:
     m = qm.n_features
     ib = qm.input_fmt.total_bits
     wb = qm.param_bits
     ab = qm.acc_width
     cnt_bits = counter_bits(m)
-    sb = dag.state_bits
-    cb = class_bits(qm.n_classes)
+    n = qm.n_classes
+    sb = state_bits_for(n)
+    cb = class_bits(n)
     bus_bits = m * ib
-    init = _ud(dag.initial_state, sb)
+    init = _ud(pair_index(0, n - 1, n), sb)
     zero_cnt = _ud(0, cnt_bits)
     # the bias shares the products' binary point: word << bias_shift
     shift = qm.bias_shift
 
-    fsm = _fsm_case(dag, sb, cb, " " * 16)
+    fsm = _fsm_case(n, sb, cb, " " * 16)
     return f"""// {name}_top.v -- generated sequential one-vs-one SVM classifier, do not edit
-// classes={qm.n_classes} features={m} input_bits={ib} word_bits={wb} acc_bits={ab} state_bits={sb}
-// A classification takes ({qm.n_classes}-1)*({m}+1) = {latency_cycles(qm.n_classes, m)} cycles after start.
+// classes={n} features={m} input_bits={ib} word_bits={wb} acc_bits={ab} state_bits={sb}
+// A classification takes ({n}-1)*({m}+1) = {latency_cycles(n, m)} cycles after start.
 module {name}_top (
     input  wire clk,
     input  wire rst,    // synchronous, active high
@@ -206,7 +207,7 @@ endmodule
 """
 
 
-def _gen_testbench(qm: QuantizedModel, dag: Ddag, name: str) -> str:
+def _gen_testbench(qm: QuantizedModel, name: str) -> str:
     m = qm.n_features
     ib = qm.input_fmt.total_bits
     cb = class_bits(qm.n_classes)
@@ -275,7 +276,7 @@ endmodule
 """
 
 
-def generate(qm: QuantizedModel, dag: Ddag, name: str = "svm") -> HdlBundle:
+def generate(qm: QuantizedModel, name: str = "svm") -> HdlBundle:
     """Instantiate the templates for one trained model.
 
     The engine differs between models only in widths; the FSM case structure
@@ -283,13 +284,12 @@ def generate(qm: QuantizedModel, dag: Ddag, name: str = "svm") -> HdlBundle:
     lookup serves mux and rom configurations alike. The Verilog reads storage
     row ``state``, as every walk in the simulators does.
     """
-    check_dag(qm, dag)
     qm.profiled_acc_width()
     return HdlBundle(
         name=name,
-        top_module=_gen_top(qm, dag, name),
-        params_module=_gen_params(qm, dag, name),
-        testbench=_gen_testbench(qm, dag, name),
+        top_module=_gen_top(qm, name),
+        params_module=_gen_params(qm, name),
+        testbench=_gen_testbench(qm, name),
     )
 
 
@@ -301,7 +301,7 @@ STIM_HEADER = "# stimulus: x0..x{last} cycle_budget"
 EXPECT_HEADER = "# expectation: class final_fsm_state"
 
 
-def emit_golden_vectors(qm: QuantizedModel, dag: Ddag, test_codes, count: int) -> tuple[str, str, list[int]]:
+def emit_golden_vectors(qm: QuantizedModel, test_codes, count: int) -> tuple[str, str, list[int]]:
     """Simulate the first `count` inputs and freeze stimulus/expectation text.
 
     Every expectation, class and final FSM state, comes from the batch
@@ -313,7 +313,7 @@ def emit_golden_vectors(qm: QuantizedModel, dag: Ddag, test_codes, count: int) -
         raise ValueError("count must be >= 0")
     budget = latency_cycles(qm.n_classes, qm.n_features)
     X = np.asarray(test_codes, dtype=np.int64)[:count]
-    classes, states, _ = walk_batch(qm, dag, X, qm.profiled_acc_width())
+    classes, states, _ = walk_batch(qm, X, qm.profiled_acc_width())
     stim_lines = [STIM_HEADER.format(last=qm.n_features - 1)]
     expect_lines = [EXPECT_HEADER]
     for codes, cls, state in zip(X.tolist(), classes.tolist(), states.tolist()):

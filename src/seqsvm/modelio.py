@@ -1,9 +1,9 @@
 """Model document (de)serialization.
 
-One JSON document is the single source of truth consumed by the DAG builder,
-the simulator, the HDL generator, and the cost model. Serialization is
-canonical (sorted keys, fixed separators, trailing newline) so identical
-models are byte-identical on disk; floats round-trip exactly through repr.
+One JSON document is the single source of truth consumed by the simulator,
+the HDL generator, and the cost model. Serialization is canonical (sorted
+keys, fixed separators, trailing newline) so identical models are
+byte-identical on disk; floats round-trip exactly through repr.
 
 Document layout (format "seqsvm/model", version 1):
   seed, config, config_hash              provenance
@@ -17,10 +17,12 @@ Document layout (format "seqsvm/model", version 1):
   ddag (optional): {n_classes, initial_state, state_bits, ordering,
                 nodes: [{id, class_a, class_b, row, on_a, on_b}]}
 
-The ``ddag`` object must be the natural DAG of its class count, the one
-``ddag.transitions`` lists. Quantized weights, biases, ``param_bits`` and
-``acc_width`` (>= 1) must be integers, float weights and biases finite
-numbers, and ``scales`` one finite number > 0 per vector.
+The ``ddag`` object must be ``ddag_to_dict`` of the float model's class
+count: the natural DAG, the one ``ddag.transitions`` lists. ``seed`` must be
+an int >= 0 and ``hyper`` a valid ``trainer.Hyper``. Quantized weights,
+biases, ``param_bits`` and ``acc_width`` (>= 1) must be integers, float
+weights and biases finite numbers, and ``scales`` one finite number > 0 per
+vector.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import json
 
 import numpy as np
 
-from .ddag import Ddag, build_ddag, row_pairs, state_bits_for, transitions
+from .ddag import pair_index, row_pairs, state_bits_for, transitions
 from .fxp import FxpFormat
 from .quant import QuantizedModel, check_params, check_widths
-from .trainer import FloatSvmModel, check_finite
+from .trainer import FloatSvmModel, Hyper, check_finite
 
 FORMAT = "seqsvm/model"
 VERSION = 1
@@ -130,37 +132,52 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
     return qm
 
 
-def ddag_to_dict(dag: Ddag) -> dict:
+def ddag_to_dict(n_classes: int) -> dict:
     return {
-        "n_classes": dag.n_classes,
-        "initial_state": dag.initial_state,
-        "state_bits": dag.state_bits,
+        "n_classes": n_classes,
+        "initial_state": pair_index(0, n_classes - 1, n_classes),
+        "state_bits": state_bits_for(n_classes),
         "ordering": "natural",
         "nodes": [
             {"id": state, "class_a": lo, "class_b": hi, "row": state, "on_a": list(on_a), "on_b": list(on_b)}
-            for state, lo, hi, on_a, on_b in transitions(dag)
+            for state, lo, hi, on_a, on_b in transitions(n_classes)
         ],
     }
 
 
-def ddag_from_dict(doc: dict) -> Ddag:
-    """The DAG of a model document. The Verilog reads row = state, sizes the
-    state register from the class count and compares class 0 with class n-1
-    first, so any other ``row``, ``state_bits`` or ``ordering`` is rejected,
-    and so is any document but the natural DAG of its class count."""
-    n_classes = doc["n_classes"]
-    want_bits = state_bits_for(n_classes)
+def check_ddag_doc(doc: dict, n_classes: int) -> None:
+    """Reject a ``ddag`` object other than ``ddag_to_dict(n_classes)``. The
+    Verilog reads row = state, sizes the state register from the class count
+    and compares class 0 with class n-1 first, so a wrong ``row``,
+    ``state_bits`` or ``ordering`` is named first, then a DAG that is not the
+    natural one of its own class count, then that count."""
+    n = doc["n_classes"]
+    want_bits = state_bits_for(n)
     if doc["state_bits"] != want_bits:
-        raise ValueError(f"DAG state_bits {doc['state_bits']!r} is not {want_bits}, the width for {n_classes} classes")
+        raise ValueError(f"DAG state_bits {doc['state_bits']!r} is not {want_bits}, the width for {n} classes")
     if doc["ordering"] != "natural":
         raise ValueError(f"DAG ordering {doc['ordering']!r} is not supported; only \"natural\" is")
-    for n in doc["nodes"]:
-        if n["row"] != n["id"]:
-            raise ValueError(f"DAG state {n['id']} reads row {n['row']}; the Verilog reads row = state")
-    dag = build_ddag(n_classes)
-    if doc != ddag_to_dict(dag):
-        raise ValueError(f"the DAG is not the natural DAG of {n_classes} classes, the only one the Verilog runs")
-    return dag
+    for node in doc["nodes"]:
+        if node["row"] != node["id"]:
+            raise ValueError(f"DAG state {node['id']} reads row {node['row']}; the Verilog reads row = state")
+    if doc != ddag_to_dict(n):
+        raise ValueError(f"the DAG is not the natural DAG of {n} classes, the only one the Verilog runs")
+    if n != n_classes:
+        raise ValueError(f"a {n}-class DAG does not fit a {n_classes}-class model")
+
+
+def check_provenance(doc: dict) -> None:
+    """Reject a document whose ``seed`` is not a non-negative int, or whose
+    ``hyper`` is not exactly lam, epochs and seed that ``Hyper`` accepts."""
+    seed, hyper = doc["seed"], doc["hyper"]
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed {seed!r} is not a non-negative integer")
+    if not (isinstance(hyper, dict) and sorted(hyper) == ["epochs", "lam", "seed"]):
+        raise ValueError(f"hyper {hyper!r:.80} is not an object of lam, epochs and seed")
+    try:
+        Hyper(**hyper)
+    except ValueError as exc:
+        raise ValueError(f"hyper: {exc}") from None
 
 
 def save_model_doc(path, doc: dict) -> None:

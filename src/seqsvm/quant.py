@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import aligned_words, build_ddag, ddag_predict_float, ddag_predict_quant, row_pairs, score_table
+from .ddag import aligned_words, ddag_predict_float, ddag_predict_quant, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
 from .trainer import FloatSvmModel, finite_number, read_only_table
 
@@ -191,14 +191,16 @@ def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[i
     return lo, hi
 
 
-def profile_accumulator(qm: QuantizedModel, train_codes: np.ndarray) -> int:
-    """Size the accumulator to the exact prefix-sum range seen on training data.
+def profile_accumulator(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int, int]:
+    """Size the accumulator to the exact prefix-sum range seen on training
+    data. Returns the width and the (lo, hi) extremes it was sized from.
 
     No guard bits: undersizing at test time is observable (the simulator wraps
     and flags), not silent.
     """
-    qm.acc_width = width_for_range(*partial_sum_extremes(qm, train_codes))
-    return qm.acc_width
+    lo, hi = partial_sum_extremes(qm, train_codes)
+    qm.acc_width = width_for_range(lo, hi)
+    return qm.acc_width, lo, hi
 
 
 def search_param_bits(
@@ -208,27 +210,25 @@ def search_param_bits(
     input_fmt: FxpFormat = U4_4,
     max_bits: int = 8,
 ) -> tuple[QuantizedModel, QuantReport]:
-    """Try param_bits = 2..max_bits ascending; keep the first precision whose
-    DDAG test accuracy sits within MAX_ACCURACY_DROP of the float DDAG test
-    accuracy. Falls back to max_bits with the flag set."""
-    if max_bits < 2:
-        raise ValueError("max_bits must be >= 2")
-    dag = build_ddag(fmodel.n_classes)
-    float_acc = float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))
+    """Try param_bits = MIN_PARAM_BITS..max_bits ascending; keep the first
+    precision whose DDAG test accuracy sits within MAX_ACCURACY_DROP of the
+    float DDAG test accuracy. Falls back to max_bits with the flag set."""
+    if not MIN_PARAM_BITS <= max_bits <= MAX_PARAM_BITS:
+        raise ValueError(f"max_bits must be in {MIN_PARAM_BITS}..{MAX_PARAM_BITS}, got {max_bits!r}")
+    float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
     test_codes = quantize_inputs(test, input_fmt)
     train_codes = quantize_inputs(train, input_fmt)
 
     flagged = False
-    for bits in range(2, max_bits + 1):
+    for bits in range(MIN_PARAM_BITS, max_bits + 1):
         chosen = quantize_model(fmodel, bits, input_fmt)
-        chosen_acc = float(np.mean(ddag_predict_quant(chosen, dag, test_codes) == test.labels))
+        chosen_acc = float(np.mean(ddag_predict_quant(chosen, test_codes) == test.labels))
         if float_acc - chosen_acc <= MAX_ACCURACY_DROP + 1e-12:
             break
     else:
         flagged = True  # the last try, at max_bits, stays chosen
 
-    lo, hi = partial_sum_extremes(chosen, train_codes)
-    chosen.acc_width = width_for_range(lo, hi)
+    _, lo, hi = profile_accumulator(chosen, train_codes)
     report = QuantReport(
         param_bits=chosen.param_bits,
         float_accuracy=float_acc,

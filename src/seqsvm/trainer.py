@@ -23,7 +23,6 @@ rows or epochs are masked out.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -43,10 +42,11 @@ class Hyper:
 
     def __post_init__(self):
         # the solver divides by lam, so lam <= 0 gives non-finite weights
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (finite_number(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
+        for key, value in (("epochs", self.epochs), ("seed", self.seed)):
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{key} must be >= 0 and an int, got {value!r}")
 
 
 #: random_search draws lam log-uniformly and epochs uniformly from these
@@ -67,7 +67,10 @@ def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
 
 
 def finite_number(value) -> bool:
-    """Whether ``value`` is an int or float (no bool) finite in float64."""
+    """Whether ``value`` is an int, a float or a numpy integer or floating
+    scalar of at most 64 bits (no bool of either), finite in float64."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 

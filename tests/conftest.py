@@ -1,7 +1,6 @@
 import pytest
 
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.ddag import build_ddag
 from seqsvm.quant import search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
@@ -22,9 +21,7 @@ def blobs3_model(blobs3_split):
 @pytest.fixture(scope="session")
 def blobs3_quant(blobs3_split, blobs3_model):
     train, test = blobs3_split
-    dag = build_ddag(blobs3_model.n_classes)
-    qm, report = search_param_bits(blobs3_model, train, test)
-    return qm, report, dag
+    return search_param_bits(blobs3_model, train, test)
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +34,4 @@ def rings_split():
 def rings_quant(rings_split):
     train, test = rings_split
     model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=3))
-    dag = build_ddag(model.n_classes)
-    qm, report = search_param_bits(model, train, test)
-    return qm, report, dag
+    return search_param_bits(model, train, test)

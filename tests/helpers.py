@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from seqsvm.ddag import build_ddag, pair_index
+from seqsvm.ddag import pair_index
 from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.quant import QuantizedModel, profile_accumulator
 
@@ -73,8 +73,7 @@ def random_quantized_model(n, m, param_bits, seed, n_profile=200, input_fmt=U4_4
 
 def shaped_model(name, param_bits=8, seed=0):
     n, m = TABLE_SHAPES[name]
-    qm, codes = random_quantized_model(n, m, param_bits, seed)
-    return qm, build_ddag(n), codes
+    return random_quantized_model(n, m, param_bits, seed)
 
 
 def bias_only_model(n, biases):
@@ -100,7 +99,7 @@ def layouts(rows, dtype):
 
 @st.composite
 def profiled_cases(draw):
-    """A random profiled model of any width the library accepts, its DAG and
+    """A random profiled model of any width the library accepts and its
     input codes; acc_width is the profiled width minus 0..6 bits, or an
     oversized 64."""
     n = draw(st.integers(2, 6))
@@ -117,6 +116,6 @@ def profiled_cases(draw):
     qm = QuantizedModel(n, m, fmt, param_bits, words, [1.0] * len(words))
     code = st.integers(0, fmt.raw_max)
     codes = draw(st.lists(st.lists(code, min_size=m, max_size=m), min_size=1, max_size=12))
-    profiled = profile_accumulator(qm, np.array(codes))
+    profiled, _, _ = profile_accumulator(qm, np.array(codes))
     qm.acc_width = draw(st.one_of(st.integers(max(1, profiled - 6), profiled), st.just(64)))
-    return qm, build_ddag(n), codes
+    return qm, codes

@@ -11,7 +11,15 @@ from seqsvm.archsim import register_census, simulate
 from seqsvm.cli import main
 from seqsvm.cost import TechConfig, compare_parallel, compare_storage, estimate
 from seqsvm.dataset import SplitSpec, split, to_csv
-from seqsvm.ddag import build_ddag, ddag_infer, ddag_predict_float, ddag_predict_quant, pair_count, transitions
+from seqsvm.ddag import (
+    ddag_infer,
+    ddag_predict_float,
+    ddag_predict_quant,
+    pair_count,
+    pair_index,
+    state_bits_for,
+    transitions,
+)
 from seqsvm.fxp import fits
 from seqsvm.hdlgen import generate, parse_storage_constants
 from seqsvm.quant import MAX_ACCURACY_DROP, quantize_inputs, search_param_bits
@@ -36,8 +44,8 @@ def _pass(msg):
 
 def test_criterion_01_cycle_law():
     for name, (n, m) in TABLE_SHAPES.items():
-        qm, dag, codes = shaped_model(name)
-        _, trace = simulate(qm, dag, codes[0])
+        qm, codes = shaped_model(name)
+        _, trace = simulate(qm, codes[0])
         assert trace.cycles == EXPECTED_CYCLES[name] == (n - 1) * (m + 1)
     _pass("criterion 1: cycle law (n-1)*(m+1) exact on all five benchmark shapes")
 
@@ -51,11 +59,10 @@ def test_criterion_02_golden_model_equivalence():
         m = int(rng.integers(1, 13))
         bits = int(rng.integers(2, 9))
         qm, codes = random_quantized_model(n, m, bits, seed=models, n_profile=1000)
-        dag = build_ddag(n)
         for row in codes:
-            cls, trace = simulate(qm, dag, row)
+            cls, trace = simulate(qm, row)
             if trace.overflows == 0:
-                assert cls == ddag_infer(qm, dag, row)[0]
+                assert cls == ddag_infer(qm, row)[0]
                 checked += 1
         models += 1
     assert checked >= 50 * 900  # essentially all inputs are overflow-free here
@@ -68,12 +75,11 @@ def test_criterion_03_quantization_contract(name):
     ds = bundled_dataset(name, seed=1)
     train, test = split(ds, SplitSpec(0.8, 1))
     model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=1))
-    dag = build_ddag(model.n_classes)
     qm, report = search_param_bits(model, train, test)
     # recompute both accuracies independently of the report
-    float_acc = float(np.mean(ddag_predict_float(model, dag, test.features) == test.labels))
+    float_acc = float(np.mean(ddag_predict_float(model, test.features) == test.labels))
     codes = quantize_inputs(test, qm.input_fmt)
-    quant_acc = float(np.mean(ddag_predict_quant(qm, dag, codes) == test.labels))
+    quant_acc = float(np.mean(ddag_predict_quant(qm, codes) == test.labels))
     drop = float_acc - quant_acc
     assert drop <= MAX_ACCURACY_DROP + 1e-12 or report.max_precision_flag
     _pass(f"criterion 3: {name}: float {float_acc:.4f} vs quant {quant_acc:.4f} "
@@ -83,7 +89,7 @@ def test_criterion_03_quantization_contract(name):
 
 @pytest.mark.parametrize("fixture_name", ["blobs3_quant", "rings_quant"])
 def test_criterion_04_accumulator_minimality(fixture_name, request):
-    qm, _, _ = request.getfixturevalue(fixture_name)
+    qm, _ = request.getfixturevalue(fixture_name)
     train, _ = request.getfixturevalue(fixture_name.replace("_quant", "_split"))
     codes = quantize_inputs(train, qm.input_fmt)
     overflow_at_width = 0
@@ -105,13 +111,13 @@ def test_criterion_04_accumulator_minimality(fixture_name, request):
 
 def test_criterion_05_ddag_structure():
     for n in range(2, 17):
-        dag, graph = build_ddag(n), reference_graph(n)
+        graph = reference_graph(n)
         assert len(graph.nodes) == pair_count(n)
-        assert dag.state_bits == max(1, math.ceil(math.log2(pair_count(n))))
-        assert list(transitions(dag)) == [
+        assert state_bits_for(n) == max(1, math.ceil(math.log2(pair_count(n))))
+        assert list(transitions(n)) == [
             (s, v.class_a, v.class_b, v.on_a_wins, v.on_b_wins) for s, v in sorted(graph.nodes.items())
         ]
-        stack = [(dag.initial_state, 1)]
+        stack = [(pair_index(0, n - 1, n), 1)]
         while stack:
             sid, depth = stack.pop()
             node = graph.nodes[sid]
@@ -125,10 +131,10 @@ def test_criterion_05_ddag_structure():
 
 def test_criterion_06_register_census():
     for name, (n, m) in TABLE_SHAPES.items():
-        qm, dag, _ = shaped_model(name)
-        expected = qm.acc_width + math.ceil(math.log2(m + 2)) + dag.state_bits
-        census = register_census(qm, dag)
-        report = estimate(qm, dag)
+        qm, _ = shaped_model(name)
+        expected = qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
+        census = register_census(qm)
+        report = estimate(qm)
         assert census["total"] == expected == report.register_bits
     _pass("criterion 6: register census acc + counter + state matches the cost report "
           "on all five shapes")
@@ -146,8 +152,8 @@ def test_criterion_07_power_calibration():
 
 
 def test_criterion_08_storage_tradeoff_direction():
-    qm, dag, _ = shaped_model("pendigits")
-    both = compare_storage(qm, dag)
+    qm, _ = shaped_model("pendigits")
+    both = compare_storage(qm)
     assert both["rom"].area_cm2 < both["mux"].area_cm2
     ours = both["rom"].area_cm2 / both["mux"].area_cm2
     _pass(f"criterion 8: pendigits shape rom {both['rom'].area_cm2:.2f} < "
@@ -158,8 +164,8 @@ def test_criterion_08_storage_tradeoff_direction():
 def test_criterion_09_sequential_vs_parallel():
     ratios = {}
     for name in TABLE_SHAPES:
-        qm, dag, _ = shaped_model(name)
-        seq = estimate(qm, dag)
+        qm, _ = shaped_model(name)
+        seq = estimate(qm)
         par = compare_parallel(qm)
         assert par.area_cm2 > seq.area_cm2
         ratios[name] = par.area_cm2 / seq.area_cm2
@@ -194,7 +200,7 @@ def test_criterion_11_hdl_self_parse():
         m = int(rng.integers(1, 12))
         bits = int(rng.integers(2, 9))
         qm, _ = random_quantized_model(n, m, bits, seed=trial + 100)
-        bundle = generate(qm, build_ddag(n))
+        bundle = generate(qm)
         parsed = parse_storage_constants(bundle.params_module)
         assert parsed == qm.words.tolist()
     _pass("criterion 11: storage constants parsed back from 20 generated designs "

@@ -24,7 +24,7 @@ from seqsvm.archsim import (
     trace_to_text,
 )
 from seqsvm.cost import TechConfig, estimate
-from seqsvm.ddag import build_ddag, ddag_infer, pair_count
+from seqsvm.ddag import ddag_infer, pair_count, pair_index, state_bits_for
 from seqsvm.fxp import U4_4, wrap
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.quant import QuantizedModel, quantize_inputs
@@ -76,16 +76,16 @@ def fsm_step(fs, graph, y):
     return FsmState(target, False, None)
 
 
-def reference_simulate(qm, dag, codes):
+def reference_simulate(qm, codes):
     acc_width = qm.profiled_acc_width()
     m = qm.n_features
     words = qm.words
     shift = qm.bias_shift
-    graph = reference_graph(dag.n_classes)
+    graph = reference_graph(qm.n_classes)
     fs = FsmState(graph.initial_state)
     records = []
     cycle = evaluations = overflows = 0
-    for _ in range(dag.n_classes - 1):
+    for _ in range(qm.n_classes - 1):
         row = fs.state
         st = EngineState()
         for col in range(m + 1):
@@ -110,10 +110,10 @@ def reference_simulate(qm, dag, codes):
 @given(profiled_cases())
 def test_simulate_equals_the_step_function_reference(case):
     # shapes, parameter and input widths, and undersized accumulators
-    qm, dag, codes = case
+    qm, codes = case
     for row in codes:
-        cls, trace = simulate(qm, dag, row)
-        assert (cls, trace) == reference_simulate(qm, dag, row)
+        cls, trace = simulate(qm, row)
+        assert (cls, trace) == reference_simulate(qm, row)
 
 
 def _model(m, weights, bias, param_bits, acc_width):
@@ -125,7 +125,7 @@ def _model(m, weights, bias, param_bits, acc_width):
 
 class TestStorage:
     def test_pendigits_shape(self):
-        qm, _, _ = shaped_model("pendigits")
+        qm, _ = shaped_model("pendigits")
         assert (*qm.words.shape, qm.param_bits) == (45, 18, 8)
 
     def test_minimal_shape(self):
@@ -138,10 +138,9 @@ class TestStorage:
         # either kind stores the one word table: the words the simulator
         # fetches are the words the cost model prices for that kind
         qm, codes = random_quantized_model(4, 6, bits, seed=3)
-        dag = build_ddag(4)
         words = qm.words
         assert (words.shape, words.dtype) == ((6, 7), np.int64)
-        _, trace = simulate(qm, dag, codes[0])
+        _, trace = simulate(qm, codes[0])
         for rec in trace.records:
             assert rec.fetched_word == words[rec.fetched_row, rec.fetched_col]
         tech = TechConfig()
@@ -149,13 +148,13 @@ class TestStorage:
             priced = words.size * bits * tech.mux_per_input_cost
         else:
             priced = words.size * math.ceil(bits / 2) * tech.rom_cell_cost + 4 * tech.adc_cost
-        storage_ge = estimate(qm, dag, ArchConfig(kind), tech).gate_equivalents["storage"]
+        storage_ge = estimate(qm, ArchConfig(kind), tech).gate_equivalents["storage"]
         assert storage_ge == pytest.approx(priced)
 
     def test_bias_first_column(self):
         # word 0 of a row is its bias: it loads the accumulator, shifted
         qm, codes = random_quantized_model(3, 4, 5, seed=7)
-        _, trace = simulate(qm, build_ddag(3), codes[0])
+        _, trace = simulate(qm, codes[0])
         loads = [rec for rec in trace.records if rec.fetched_col == 0]
         assert len(loads) == 2
         for rec in loads:
@@ -167,26 +166,24 @@ class TestStorage:
         tech = TechConfig()
         for bits, dots in [(2, 1), (5, 3), (8, 4)]:
             qm, _ = random_quantized_model(2, 2, bits, seed=1)
-            storage_ge = estimate(qm, build_ddag(2), ArchConfig("rom"), tech).gate_equivalents["storage"]
+            storage_ge = estimate(qm, ArchConfig("rom"), tech).gate_equivalents["storage"]
             assert storage_ge == 1 * 3 * dots * tech.rom_cell_cost + 4 * tech.adc_cost
 
     def test_access_slots(self):
         qm, _ = random_quantized_model(2, 2, 8, seed=1)
-        dag = build_ddag(2)
-        assert estimate(qm, dag, ArchConfig("rom", adc_count=4)).access_slots == 1
-        assert estimate(qm, dag, ArchConfig("rom", adc_count=1)).access_slots == 4
-        assert estimate(qm, dag, ArchConfig("mux")).access_slots == 1
+        assert estimate(qm, ArchConfig("rom", adc_count=4)).access_slots == 1
+        assert estimate(qm, ArchConfig("rom", adc_count=1)).access_slots == 4
+        assert estimate(qm, ArchConfig("mux")).access_slots == 1
 
     def test_word_table_is_read_only(self):
         # no walk, trace or golden-vector call changes the model's words
         # (walk_batch shifts the bias column of its own copy)
         qm, codes = random_quantized_model(3, 4, 5, seed=2)
-        dag = build_ddag(3)
         before = qm.words.tobytes()
-        simulate_batch(qm, dag, codes, np.zeros(len(codes)))
-        simulate(qm, dag, codes[0])
-        ddag_infer(qm, dag, codes[0])
-        emit_golden_vectors(qm, dag, codes, 5)
+        simulate_batch(qm, codes, np.zeros(len(codes)))
+        simulate(qm, codes[0])
+        ddag_infer(qm, codes[0])
+        emit_golden_vectors(qm, codes, 5)
         assert qm.words.tobytes() == before
         with pytest.raises(ValueError, match="read-only"):
             qm.words[0, 0] += 1
@@ -210,7 +207,7 @@ class TestStorage:
 class TestEngine:
     def test_zero_model_ready_after_m_plus_one(self):
         m = 4
-        _, trace = simulate(_model(m, [0] * m, 0, 4, 8), build_ddag(2), [0] * m)
+        _, trace = simulate(_model(m, [0] * m, 0, 4, 8), [0] * m)
         assert [rec.counter for rec in trace.records] == list(range(1, m + 2))
         assert [rec.ready for rec in trace.records] == [False] * m + [True]
         assert trace.overflows == 0
@@ -218,21 +215,21 @@ class TestEngine:
 
     def test_hand_example(self):
         # bias 0, then w=-7 times x=15
-        cls, trace = simulate(_model(1, [-7], 0, 4, 9), build_ddag(2), [15])
+        cls, trace = simulate(_model(1, [-7], 0, 4, 9), [15])
         last = trace.records[-1]
         assert (last.acc_after, last.y, last.ready, trace.overflows) == (-105, 0, True, 0)
         assert cls == 1
 
     def test_overflow_wraps_and_flags(self):
         # 7 << 4 = 112, + 8*1 = 120, + 7*2 = 134 wraps at 8 bits
-        _, trace = simulate(_model(2, [8, 7], 7, 8, 8), build_ddag(2), [1, 2])
+        _, trace = simulate(_model(2, [8, 7], 7, 8, 8), [1, 2])
         assert [rec.acc_after for rec in trace.records] == [112, 120, wrap(134, 8)]
         assert wrap(134, 8) == -122
         assert trace.overflows == 1
 
     def test_bias_overflow_wraps(self):
         # the bias loads as 13 << 4 = 208, beyond 8 bits
-        _, trace = simulate(_model(1, [0], 13, 8, 8), build_ddag(2), [0])
+        _, trace = simulate(_model(1, [0], 13, 8, 8), [0])
         first = trace.records[0]
         assert (first.fetched_word, first.acc_after) == (13, wrap(208, 8))
         assert trace.overflows == 1
@@ -245,15 +242,14 @@ class TestEngine:
 
 class TestFsm:
     def test_two_class_single_step(self):
-        dag = build_ddag(2)
-        cls, trace = simulate(bias_only_model(2, [1]), dag, [0])
+        cls, trace = simulate(bias_only_model(2, [1]), [0])
         assert cls == 0 and trace.evaluations == 1
-        assert trace.final_state == dag.initial_state  # deciding node is retained
+        assert trace.final_state == pair_index(0, 1, 2)  # deciding node is retained
 
     @pytest.mark.parametrize("n,steps", [(4, 3), (10, 9)])
     def test_path_lengths(self, n, steps):
         # lower class always wins -> leaf 0
-        cls, trace = simulate(bias_only_model(n, [1] * pair_count(n)), build_ddag(n), [0])
+        cls, trace = simulate(bias_only_model(n, [1] * pair_count(n)), [0])
         assert trace.evaluations == steps and cls == 0
 
 
@@ -263,32 +259,28 @@ class TestSimulate:
     )
     def test_cycle_counts(self, n, m, cycles):
         qm, codes = random_quantized_model(n, m, 6, seed=4)
-        dag = build_ddag(n)
-        _, trace = simulate(qm, dag, codes[0])
+        _, trace = simulate(qm, codes[0])
         assert trace.cycles == cycles == (n - 1) * (m + 1)
         assert trace.evaluations == n - 1
 
     def test_matches_reference_walk(self):
         qm, codes = random_quantized_model(5, 7, 5, seed=6)
-        dag = build_ddag(5)
         for row in codes[:60]:
-            cls, trace = simulate(qm, dag, row)
+            cls, trace = simulate(qm, row)
             assert trace.overflows == 0
-            assert cls == ddag_infer(qm, dag, row)[0]
+            assert cls == ddag_infer(qm, row)[0]
 
     def test_storage_kind_functionally_identical(self):
         # the kind changes only what the cost model prices: both kinds serve
         # the one word table the simulator reads, in the same cycles
         qm, codes = random_quantized_model(4, 5, 7, seed=8)
-        dag = build_ddag(4)
-        cycles = {simulate(qm, dag, row)[1].cycles for row in codes[:30]}
+        cycles = {simulate(qm, row)[1].cycles for row in codes[:30]}
         for arch in (ArchConfig("mux"), ArchConfig("rom", adc_count=1)):
-            assert {estimate(qm, dag, arch).latency_cycles} == cycles
+            assert {estimate(qm, arch).latency_cycles} == cycles
 
     def test_trace_structure(self):
         qm, codes = random_quantized_model(3, 2, 4, seed=2)
-        dag = build_ddag(3)
-        cls, trace = simulate(qm, dag, codes[0])
+        cls, trace = simulate(qm, codes[0])
         assert len(trace.records) == trace.cycles == 2 * 3
         for i, rec in enumerate(trace.records):
             assert rec.cycle == i
@@ -305,18 +297,17 @@ class TestSimulate:
     def test_wrong_code_count_rejected(self):
         qm, _ = random_quantized_model(2, 3, 4, seed=0)
         with pytest.raises(ValueError, match="3 input codes"):
-            simulate(qm, build_ddag(2), [1, 2])
+            simulate(qm, [1, 2])
 
     def test_unprofiled_model_rejected(self):
         qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])
         with pytest.raises(ValueError, match="profile_accumulator"):
-            simulate(qm, build_ddag(2), [0])
+            simulate(qm, [0])
 
     def test_undersized_accumulator_flags_overflow(self):
         qm, codes = random_quantized_model(2, 6, 8, seed=5)
         qm.acc_width = 6  # deliberately too narrow
-        dag = build_ddag(2)
-        total = sum(simulate(qm, dag, row)[1].overflows for row in codes)
+        total = sum(simulate(qm, row)[1].overflows for row in codes)
         assert total > 0
 
 
@@ -324,45 +315,43 @@ class TestBatch:
     def test_empty_rejected(self):
         qm, _ = random_quantized_model(2, 2, 4, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            simulate_batch(qm, build_ddag(2), np.empty((0, 2)), [])
+            simulate_batch(qm, np.empty((0, 2)), [])
 
     def test_equivalence_with_reference(self, blobs3_quant, blobs3_split):
-        qm, _, dag = blobs3_quant
+        qm, _ = blobs3_quant
         _, test = blobs3_split
         codes = quantize_inputs(test, qm.input_fmt)
-        batch = simulate_batch(qm, dag, codes, test.labels)
+        batch = simulate_batch(qm, codes, test.labels)
         assert batch.overflows == 0
-        ref = np.array([ddag_infer(qm, dag, row)[0] for row in codes])
+        ref = np.array([ddag_infer(qm, row)[0] for row in codes])
         assert np.array_equal(batch.predictions, ref)
         assert batch.accuracy == float(np.mean(ref == test.labels))
 
     def test_mean_cycles_constant(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=3)
-        dag = build_ddag(4)
-        batch = simulate_batch(qm, dag, codes[:20], np.zeros(20))
+        batch = simulate_batch(qm, codes[:20], np.zeros(20))
         assert batch.mean_cycles == (4 - 1) * (5 + 1)
 
 
 class TestCensusAndTrace:
     @pytest.mark.parametrize("name", sorted(TABLE_SHAPES))
     def test_register_census_formula(self, name):
-        qm, dag, _ = shaped_model(name)
+        qm, _ = shaped_model(name)
         n, m = TABLE_SHAPES[name]
-        census = register_census(qm, dag)
+        census = register_census(qm)
         assert census["counter"] == math.ceil(math.log2(m + 2))
-        assert census["state"] == dag.state_bits
-        assert census["total"] == qm.acc_width + math.ceil(math.log2(m + 2)) + dag.state_bits
+        assert census["state"] == state_bits_for(n)
+        assert census["total"] == qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
 
     def test_trace_text_format(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=11)
-        dag = build_ddag(3)
-        cls, trace = simulate(qm, dag, codes[0])
+        cls, trace = simulate(qm, codes[0])
         text = trace_to_text(trace)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# cycle fsm_state counter")
         assert len(lines) == trace.cycles + 2  # header + records + totals
         first = lines[1].split()
-        assert [int(x) for x in first[:5]] == [0, dag.initial_state, 1, dag.initial_state, 0]
+        assert [int(x) for x in first[:5]] == [0, pair_index(0, 2, 3), 1, pair_index(0, 2, 3), 0]
         assert lines[-1] == (
             f"# totals cycles={trace.cycles} evaluations=2 overflows=0 "
             f"class={cls} final_state={trace.final_state}"

@@ -10,7 +10,6 @@ import pytest
 
 from seqsvm.cli import main
 from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
-from seqsvm.ddag import build_ddag
 from seqsvm.modelio import ddag_to_dict, float_model_from_dict, load_model_doc
 from seqsvm.quant import search_param_bits
 from seqsvm.synth import bundled_dataset, separable_blobs
@@ -351,7 +350,7 @@ def _edit_node(state, key, value):
 
 
 def _four_class_ddag(doc):
-    doc["ddag"] = ddag_to_dict(build_ddag(4))
+    doc["ddag"] = ddag_to_dict(4)
 
 
 def _set_quantized(path, value):
@@ -402,7 +401,30 @@ def _set_float(row, index, value):
     return edit
 
 
-# edits of the "float_model" object, which float_model.json and model.json share
+def _set_top(key, value):
+    def edit(doc):
+        doc[key] = value
+
+    return edit
+
+
+def _set_hyper(key, value):
+    def edit(doc):
+        doc["hyper"][key] = value
+
+    return edit
+
+
+def _set_float_n_classes(value):
+    def edit(doc):
+        doc["float_model"]["n_classes"] = value
+
+    return edit
+
+
+_HYPER_KEYS = "is not an object of lam, epochs and seed"
+# edits of what float_model.json and model.json share: the "float_model"
+# object and the provenance keys "seed" and "hyper"
 _FLOAT_MODEL_EDITS = {
     "float_extra_weight": (_extra_float_weight, "vector 0: wrong weight count"),
     "float_kind": (_set_float_kind("bogus"), "model kind 'bogus' is neither 'ovo' nor 'ova'"),
@@ -414,6 +436,20 @@ _FLOAT_MODEL_EDITS = {
     "float_bias_nan": (_set_float(2, None, float("nan")), "vector 2: parameter nan is not a finite number"),
     "float_weight_infinity": (_set_float(0, 10, float("inf")), "vector 0: parameter inf is not a finite number"),
     "float_weight_null": (_set_float(2, 0, None), "vector 2: parameter None is not a finite number"),
+    "float_n_classes_one": (_set_float_n_classes(1), "a model needs an integer class count of at least two, got 1"),
+    "float_n_classes_true": (
+        _set_float_n_classes(True), "a model needs an integer class count of at least two, got True"
+    ),
+    "seed_string": (_set_top("seed", "x"), "seed 'x' is not a non-negative integer"),
+    "seed_negative": (_set_top("seed", -1), "seed -1 is not a non-negative integer"),
+    "seed_true": (_set_top("seed", True), "seed True is not a non-negative integer"),
+    "hyper_list": (_set_top("hyper", []), f"hyper [] {_HYPER_KEYS}"),
+    "hyper_epochs_negative": (_set_hyper("epochs", -3), "hyper: epochs must be >= 0 and an int, got -3"),
+    "hyper_epochs_fraction": (_set_hyper("epochs", 2.5), "hyper: epochs must be >= 0 and an int, got 2.5"),
+    "hyper_epochs_true": (_set_hyper("epochs", True), "hyper: epochs must be >= 0 and an int, got True"),
+    "hyper_lam_zero": (_set_hyper("lam", 0), "hyper: lam must be finite and > 0, got 0"),
+    "hyper_lam_string": (_set_hyper("lam", "0.1"), "hyper: lam must be finite and > 0, got '0.1'"),
+    "hyper_seed_string": (_set_hyper("seed", "x"), "hyper: seed must be >= 0 and an int, got 'x'"),
 }
 
 _ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")

@@ -19,7 +19,6 @@ from seqsvm.cost import (
     format_report_table,
     load_tech,
 )
-from seqsvm.ddag import build_ddag
 
 # Published measurements of five printed sequential SVM designs:
 # (area cm^2, power mW), used to calibrate the default power density.
@@ -46,29 +45,29 @@ def test_five_shape_table_matches_the_bench_reference():
 class TestEstimate:
     @pytest.mark.parametrize("name", sorted(TABLE_SHAPES))
     def test_latency_law(self, name):
-        qm, dag, _ = shaped_model(name)
+        qm, _ = shaped_model(name)
         n, m = TABLE_SHAPES[name]
         for arch in (ArchConfig("mux"), ArchConfig("rom", 1)):
-            rep = estimate(qm, dag, arch)
+            rep = estimate(qm, arch)
             assert rep.latency_cycles == (n - 1) * (m + 1)
 
     @pytest.mark.parametrize("name", sorted(TABLE_SHAPES))
     def test_register_bits_match_census(self, name):
-        qm, dag, _ = shaped_model(name)
-        rep = estimate(qm, dag)
-        assert rep.register_bits == register_census(qm, dag)["total"]
+        qm, _ = shaped_model(name)
+        rep = estimate(qm)
+        assert rep.register_bits == register_census(qm)["total"]
 
     def test_power_is_area_times_density(self):
-        qm, dag, _ = shaped_model("cardio")
+        qm, _ = shaped_model("cardio")
         tech = TechConfig(power_per_area=2.5)
-        rep = estimate(qm, dag, tech=tech)
+        rep = estimate(qm, tech=tech)
         assert rep.power_mw == rep.area_cm2 * 2.5
 
     def test_rom_slots_charge_latency(self):
-        qm, dag, _ = shaped_model("pendigits")  # 8-bit words
+        qm, _ = shaped_model("pendigits")  # 8-bit words
         tech = TechConfig()
-        one = estimate(qm, dag, ArchConfig("rom", 4), tech)
-        four = estimate(qm, dag, ArchConfig("rom", 1), tech)
+        one = estimate(qm, ArchConfig("rom", 4), tech)
+        four = estimate(qm, ArchConfig("rom", 1), tech)
         assert one.access_slots == 1 and four.access_slots == 4
         assert four.latency_seconds == 4 * one.latency_seconds
         assert one.latency_cycles == four.latency_cycles
@@ -77,20 +76,18 @@ class TestEstimate:
         lo, _ = random_quantized_model(4, 9, 4, seed=0)
         hi, _ = random_quantized_model(4, 9, 8, seed=0)
         hi.acc_width = lo.acc_width  # isolate the param_bits effect
-        dag = build_ddag(4)
         for arch in (ArchConfig("mux"), ArchConfig("rom", 2)):
-            a = estimate(lo, dag, arch)
-            b = estimate(hi, dag, arch)
+            a = estimate(lo, arch)
+            b = estimate(hi, arch)
             for block in ("storage", "engine", "fsm", "registers", "total"):
                 assert b.gate_equivalents[block] >= a.gate_equivalents[block]
             assert b.area_cm2 >= a.area_cm2
 
     def test_strictly_increasing_in_acc_width(self):
         qm, _ = random_quantized_model(3, 5, 5, seed=1)
-        dag = build_ddag(3)
-        base = estimate(qm, dag)
+        base = estimate(qm)
         qm.acc_width += 3
-        wider = estimate(qm, dag)
+        wider = estimate(qm)
         assert wider.gate_equivalents["engine"] > base.gate_equivalents["engine"]
         assert wider.gate_equivalents["registers"] > base.gate_equivalents["registers"]
 
@@ -98,13 +95,13 @@ class TestEstimate:
         qm, _ = random_quantized_model(2, 2, 4, seed=0)
         qm.acc_width = 0
         with pytest.raises(ValueError):
-            estimate(qm, build_ddag(2))
+            estimate(qm)
 
 
 class TestStorageTradeoff:
     def test_pendigits_rom_beats_mux(self, capsys):
-        qm, dag, _ = shaped_model("pendigits")
-        both = compare_storage(qm, dag)
+        qm, _ = shaped_model("pendigits")
+        both = compare_storage(qm)
         assert both["rom"].area_cm2 < both["mux"].area_cm2
         print(
             f"storage ratio rom/mux = "
@@ -114,12 +111,12 @@ class TestStorageTradeoff:
 
     def test_one_row_model_prefers_mux(self):
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
-        both = compare_storage(qm, build_ddag(2))
+        both = compare_storage(qm)
         assert both["mux"].area_cm2 <= both["rom"].area_cm2  # ADC floor dominates
 
     def test_identical_latency_when_words_fit_the_adcs(self):
-        qm, dag, _ = shaped_model("pendigits")  # 8-bit words, 4 ADCs
-        both = compare_storage(qm, dag, adc_count=4)
+        qm, _ = shaped_model("pendigits")  # 8-bit words, 4 ADCs
+        both = compare_storage(qm, adc_count=4)
         assert both["mux"].latency_seconds == both["rom"].latency_seconds
         assert both["mux"].latency_cycles == both["rom"].latency_cycles
 
@@ -127,8 +124,8 @@ class TestStorageTradeoff:
 class TestParallelBaseline:
     @pytest.mark.parametrize("name", sorted(TABLE_SHAPES))
     def test_parallel_exceeds_sequential(self, name):
-        qm, dag, _ = shaped_model(name)
-        seq = estimate(qm, dag)
+        qm, _ = shaped_model(name)
+        seq = estimate(qm)
         par = compare_parallel(qm)
         assert par.area_cm2 > seq.area_cm2
 
@@ -136,13 +133,13 @@ class TestParallelBaseline:
         small, _ = random_quantized_model(3, 5, 6, seed=2)
         big, _ = random_quantized_model(6, 20, 6, seed=2)
         big.acc_width = small.acc_width
-        r_small = compare_parallel(small).area_cm2 / estimate(small, build_ddag(3)).area_cm2
-        r_big = compare_parallel(big).area_cm2 / estimate(big, build_ddag(6)).area_cm2
+        r_small = compare_parallel(small).area_cm2 / estimate(small).area_cm2
+        r_big = compare_parallel(big).area_cm2 / estimate(big).area_cm2
         assert r_big > r_small
 
     def test_tiny_model_may_prefer_parallel(self, capsys):
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
-        seq = estimate(qm, build_ddag(2))
+        seq = estimate(qm)
         par = compare_parallel(qm)
         print(f"n=2,m=1: parallel {par.area_cm2:.3f} vs sequential {seq.area_cm2:.3f} cm^2")
         assert par.latency_cycles == 1
@@ -231,8 +228,8 @@ class TestTechConfig:
 
 
 def test_report_table_layout():
-    qm, dag, _ = shaped_model("redwine")
-    table = format_report_table([("seq", estimate(qm, dag)), ("par", compare_parallel(qm))])
+    qm, _ = shaped_model("redwine")
+    table = format_report_table([("seq", estimate(qm)), ("par", compare_parallel(qm))])
     lines = table.strip().split("\n")
     assert len(lines) == 4  # header, rule, two rows
     assert lines[0].startswith("Design")

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_quantized_model
 from seqsvm.archsim import simulate
-from seqsvm.ddag import build_ddag, pair_count
+from seqsvm.ddag import pair_count
 from seqsvm.fxp import FxpFormat
 from seqsvm.hdlgen import (
     _sd,
@@ -38,8 +38,7 @@ class TestLiterals:
 class TestGenerate:
     def test_toy_model_structure(self):
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
-        dag = build_ddag(2)
-        bundle = generate(qm, dag)
+        bundle = generate(qm)
         # storage: one row of two words plus the default arm
         assert len(re.findall(r": word =", bundle.params_module)) == 3
         # FSM: a single state arm plus the default arm
@@ -51,21 +50,20 @@ class TestGenerate:
 
     def test_fig_shape_fsm_states(self):
         qm, _ = random_quantized_model(4, 6, 5, seed=1)
-        bundle = generate(qm, build_ddag(4))
+        bundle = generate(qm)
         assert len(re.findall(r"// pair \(\d+,\d+\)", bundle.top_module)) == 6
 
     def test_deterministic_bytes(self):
         qm, _ = random_quantized_model(5, 7, 6, seed=2)
-        dag = build_ddag(5)
-        a = generate(qm, dag)
-        b = generate(qm, dag)
+        a = generate(qm)
+        b = generate(qm)
         assert a.top_module == b.top_module
         assert a.params_module == b.params_module
         assert a.testbench == b.testbench
 
     def test_name_prefix(self):
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
-        bundle = generate(qm, build_ddag(2), name="pend")
+        bundle = generate(qm, name="pend")
         assert "module pend_top" in bundle.top_module
         assert "pend_params params_i" in bundle.top_module
 
@@ -73,12 +71,12 @@ class TestGenerate:
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
         qm.acc_width = 0
         with pytest.raises(ValueError, match="profile_accumulator"):
-            generate(qm, build_ddag(2))
+            generate(qm)
 
     @pytest.mark.parametrize("fmt, aligned", [(FxpFormat(2), "{word, 2'd0}")])
     def test_bias_aligned_by_bias_shift(self, fmt, aligned):
         qm, _ = random_quantized_model(3, 2, 4, seed=0, input_fmt=fmt)
-        top = generate(qm, build_ddag(3)).top_module
+        top = generate(qm).top_module
         assert f"bias_init = $signed({aligned});" in top
 
     @pytest.mark.parametrize("seed", range(5))
@@ -86,13 +84,12 @@ class TestGenerate:
         rng = np.random.default_rng(seed)
         n, m, bits = int(rng.integers(2, 7)), int(rng.integers(1, 10)), int(rng.integers(2, 9))
         qm, _ = random_quantized_model(n, m, bits, seed=seed)
-        bundle = generate(qm, build_ddag(n))
+        bundle = generate(qm)
         assert parse_storage_constants(bundle.params_module) == _expected_table(qm)
 
     def test_every_fsm_literal_is_a_model_integer(self):
         qm, _ = random_quantized_model(4, 3, 4, seed=5)
-        dag = build_ddag(4)
-        bundle = generate(qm, dag)
+        bundle = generate(qm)
         state_literals = {
             int(v) for v in re.findall(r"state <= \d+'d(\d+);", bundle.top_module)
         }
@@ -106,16 +103,14 @@ class TestGenerate:
 class TestGoldenVectors:
     def test_count_zero_headers_only(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=3)
-        dag = build_ddag(3)
-        stim, expect, classes = emit_golden_vectors(qm, dag, codes, 0)
+        stim, expect, classes = emit_golden_vectors(qm, codes, 0)
         assert stim.startswith("#") and stim.count("\n") == 1
         assert expect.startswith("#") and expect.count("\n") == 1
         assert classes == []
 
     def test_expectations_come_from_simulator(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=4)
-        dag = build_ddag(4)
-        stim, expect, classes = emit_golden_vectors(qm, dag, codes, 8)
+        stim, expect, classes = emit_golden_vectors(qm, codes, 8)
         assert len(classes) == 8
         budget = (4 - 1) * (5 + 1)
         stim_lines, expect_lines = stim.splitlines()[1:], expect.splitlines()[1:]
@@ -125,25 +120,24 @@ class TestGoldenVectors:
             assert fields[:-1] == row
             assert fields[-1] == budget
             cls, state = (int(x) for x in expected.split())
-            ref_cls, trace = simulate(qm, dag, row)
+            ref_cls, trace = simulate(qm, row)
             assert cls == ref_cls == want
             assert state == trace.final_state
 
     def test_count_clamps_to_available(self):
         qm, codes = random_quantized_model(2, 2, 4, seed=6)
-        dag = build_ddag(2)
-        _, expect, classes = emit_golden_vectors(qm, dag, codes[:3], 99)
+        _, expect, classes = emit_golden_vectors(qm, codes[:3], 99)
         assert len(classes) == 3 and expect.count("\n") == 4
 
     def test_negative_count_rejected(self):
         qm, codes = random_quantized_model(2, 2, 4, seed=6)
         with pytest.raises(ValueError):
-            emit_golden_vectors(qm, build_ddag(2), codes, -1)
+            emit_golden_vectors(qm, codes, -1)
 
 
 def test_write_bundle(tmp_path):
     qm, _ = random_quantized_model(3, 3, 4, seed=7)
-    bundle = generate(qm, build_ddag(3), name="toy")
+    bundle = generate(qm, name="toy")
     paths = write_bundle(bundle, tmp_path / "hdl")
     names = sorted(p.name for p in paths)
     assert names == ["toy_params.v", "toy_tb.v", "toy_top.v"]

@@ -1,6 +1,6 @@
 """The batched DAG-walk kernel against the scalar oracles, on random integer
 models of every width the library accepts and on random float models, plus
-the rejection of a DAG of another class count and the batched vector
+compare_storage's rejection of a DAG of another class count and the batched vector
 scaling; then the sample-blocked kernels at block edges, and their working
 memory at two sample counts."""
 
@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import layouts, profiled_cases, random_quantized_model
-from seqsvm.archsim import register_census, simulate, simulate_batch
-from seqsvm.cost import compare_storage, estimate
-from seqsvm.hdlgen import emit_golden_vectors, generate
+from seqsvm.archsim import simulate, simulate_batch
+from seqsvm.cost import compare_storage
+from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.ddag import (
     build_ddag,
     ddag_infer,
@@ -62,15 +62,15 @@ def _extremes_oracle(qm, codes):
 @settings(max_examples=150, deadline=None)
 @given(profiled_cases())
 def test_wrapped_kernel_equals_simulate(case):
-    qm, dag, codes = case
-    classes, states, overflows = walk_batch(qm, dag, codes, qm.acc_width)
+    qm, codes = case
+    classes, states, overflows = walk_batch(qm, codes, qm.acc_width)
     for i, row in enumerate(codes):
-        cls, trace = simulate(qm, dag, row)
+        cls, trace = simulate(qm, row)
         assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
     for view in layouts(codes, np.int64):
-        again = walk_batch(qm, dag, view, qm.acc_width)
+        again = walk_batch(qm, view, qm.acc_width)
         assert all(np.array_equal(a, b) for a, b in zip(again, (classes, states, overflows)))
-    batch = simulate_batch(qm, dag, codes, classes)
+    batch = simulate_batch(qm, codes, classes)
     assert np.array_equal(batch.predictions, classes)
     assert batch.overflows == int(overflows.sum())
 
@@ -78,10 +78,10 @@ def test_wrapped_kernel_equals_simulate(case):
 @settings(max_examples=150, deadline=None)
 @given(profiled_cases())
 def test_exact_kernels_equal_python_oracles(case):
-    qm, dag, codes = case
-    expected = [ddag_infer(qm, dag, row)[0] for row in codes]
+    qm, codes = case
+    expected = [ddag_infer(qm, row)[0] for row in codes]
     for view in layouts(codes, np.int64):
-        assert ddag_predict_quant(qm, dag, view).tolist() == expected
+        assert ddag_predict_quant(qm, view).tolist() == expected
     assert [ovo_vote_infer(qm, row) for row in codes] == [_vote_oracle(qm, row) for row in codes]
     assert partial_sum_extremes(qm, np.array(codes)) == _extremes_oracle(qm, codes)
 
@@ -103,36 +103,34 @@ def float_cases(draw):
         coefs.append([bias, *weights])
     row = st.one_of(st.just([0.0] * m), st.lists(st.floats(0, 1), min_size=m, max_size=m))
     X = draw(st.lists(row, min_size=1, max_size=12))
-    return FloatSvmModel("ovo", n, m, coefs), build_ddag(n), np.array(X)
+    return FloatSvmModel("ovo", n, m, coefs), np.array(X)
 
 
 @settings(max_examples=150, deadline=None)
 @given(float_cases())
 def test_float_kernel_equals_python_oracle(case):
-    fmodel, dag, X = case
-    expected = [ddag_infer_float(fmodel, dag, row)[0] for row in X]
+    fmodel, X = case
+    expected = [ddag_infer_float(fmodel, row)[0] for row in X]
     for view in layouts(X, np.float64):
-        assert ddag_predict_float(fmodel, dag, view).tolist() == expected
+        assert ddag_predict_float(fmodel, view).tolist() == expected
 
 
 def test_float_walks_sum_bias_first():
     # -1 - 2**53 rounds to -2**53, so bias-first sums to 0 (class 0 wins)
     # where products-first gives -1 (class 1 would win)
     fmodel = FloatSvmModel("ovo", 2, 2, [[-1.0, -2.0**53, 2.0**53]])
-    dag = build_ddag(2)
-    assert ddag_predict_float(fmodel, dag, [[1.0, 1.0]]).tolist() == [0]
-    assert ddag_infer_float(fmodel, dag, [1.0, 1.0])[0] == 0
+    assert ddag_predict_float(fmodel, [[1.0, 1.0]]).tolist() == [0]
+    assert ddag_infer_float(fmodel, [1.0, 1.0])[0] == 0
 
 
 def test_float_kernel_rejects_malformed_features():
     fmodel = _float_twin(random_quantized_model(3, 2, 4, seed=0)[0])
-    dag = build_ddag(3)
     for bad in ([0.5, 0.5], [[[0.5, 0.5]]], [[0.5, 0.5, 0.5]], [[0.5]]):
         with pytest.raises(ValueError, match="samples x 2 feature matrix"):
-            ddag_predict_float(fmodel, dag, bad)
+            ddag_predict_float(fmodel, bad)
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            ddag_predict_float(fmodel, dag, [[0.5, 0.5], [value, 0.5]])
+            ddag_predict_float(fmodel, [[0.5, 0.5], [value, 0.5]])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -172,21 +170,20 @@ def test_partial_sum_extremes_around_two_to_the_31(bias, weight):
 def test_codes_outside_sixteen_bits_rejected():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
     with pytest.raises(ValueError, match="unsigned 16-bit"):
-        ddag_predict_quant(qm, build_ddag(3), [[1 << 16, 0]])
+        ddag_predict_quant(qm, [[1 << 16, 0]])
     with pytest.raises(ValueError, match="code matrix"):
-        ddag_predict_quant(qm, build_ddag(3), codes[:, :1])
+        ddag_predict_quant(qm, codes[:, :1])
 
 
 def _format_calls(qm, codes):
     """Every entry point that takes a QuantizedModel and input codes."""
-    dag = build_ddag(qm.n_classes)
     return {
-        "simulate": lambda: simulate(qm, dag, codes[0]),
-        "ddag_infer": lambda: ddag_infer(qm, dag, codes[0]),
-        "simulate_batch": lambda: simulate_batch(qm, dag, codes, np.zeros(len(codes))),
-        "ddag_predict_quant": lambda: ddag_predict_quant(qm, dag, codes),
-        "walk_batch": lambda: walk_batch(qm, dag, codes, qm.acc_width),
-        "emit_golden_vectors": lambda: emit_golden_vectors(qm, dag, codes, len(codes)),
+        "simulate": lambda: simulate(qm, codes[0]),
+        "ddag_infer": lambda: ddag_infer(qm, codes[0]),
+        "simulate_batch": lambda: simulate_batch(qm, codes, np.zeros(len(codes))),
+        "ddag_predict_quant": lambda: ddag_predict_quant(qm, codes),
+        "walk_batch": lambda: walk_batch(qm, codes, qm.acc_width),
+        "emit_golden_vectors": lambda: emit_golden_vectors(qm, codes, len(codes)),
         "ovo_vote_infer": lambda: ovo_vote_infer(qm, codes[0]),
         "partial_sum_extremes": lambda: partial_sum_extremes(qm, codes),
     }
@@ -212,32 +209,22 @@ def _float_twin(qm):
     return FloatSvmModel("ovo", qm.n_classes, qm.n_features, coefs)
 
 
-def _dag_calls(qm, fmodel, codes, dag):
-    """Every public function that takes a model and a DAG."""
+def _dag_calls(qm):
+    """Every public function that still takes a DAG: compare_storage, whose
+    second parameter is the class count that bench/shapes.py passes as
+    ``build_ddag(n)``."""
     return {
-        "ddag_infer": lambda: ddag_infer(qm, dag, codes[0]),
-        "ddag_infer_float": lambda: ddag_infer_float(fmodel, dag, [0.5, 0.5]),
-        "walk_batch": lambda: walk_batch(qm, dag, codes),
-        "ddag_predict_quant": lambda: ddag_predict_quant(qm, dag, codes),
-        "ddag_predict_float": lambda: ddag_predict_float(fmodel, dag, [[0.5, 0.5]]),
-        "simulate": lambda: simulate(qm, dag, codes[0]),
-        "simulate_batch": lambda: simulate_batch(qm, dag, codes, np.zeros(len(codes))),
-        "register_census": lambda: register_census(qm, dag),
-        "estimate": lambda: estimate(qm, dag),
-        "compare_storage": lambda: compare_storage(qm, dag),
-        "generate": lambda: generate(qm, dag),
-        "emit_golden_vectors": lambda: emit_golden_vectors(qm, dag, codes, len(codes)),
+        "compare_storage": lambda dag: compare_storage(qm, dag),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_dag_calls(None, None, None, None)))
+@pytest.mark.parametrize("name", sorted(_dag_calls(None)))
 def test_every_entry_rejects_a_dag_of_another_class_count(name):
     # the DAG is a function of the class count, so the count is all that can disagree
-    qm, codes = random_quantized_model(4, 2, 4, seed=0)
-    fmodel = _float_twin(qm)
-    _dag_calls(qm, fmodel, codes, build_ddag(4))[name]()
+    qm, _ = random_quantized_model(4, 2, 4, seed=0)
+    _dag_calls(qm)[name](build_ddag(4))
     with pytest.raises(ValueError, match="a 3-class DAG does not fit a 4-class model"):
-        _dag_calls(qm, fmodel, codes, build_ddag(3))[name]()
+        _dag_calls(qm)[name](build_ddag(3))
 
 
 def _random_float_model(n, m, seed):
@@ -253,16 +240,15 @@ def _sample_kernels(n_samples):
     """Every kernel whose work grows with the sample count, on n_samples
     samples of 5 classes and 4 features, with its inputs built beforehand."""
     qm, _ = random_quantized_model(5, 4, 6, seed=1)
-    dag = build_ddag(5)
     fmodel = _random_float_model(5, 4, seed=1)
     rng = np.random.default_rng(n_samples)
     codes = rng.integers(0, 16, (n_samples, 4))
     X = rng.uniform(size=(n_samples, 4))
     ds = Dataset(rng.normal(size=(n_samples, 4)), rng.integers(0, 5, n_samples), list("abcde"))
     return {
-        "walk_batch_exact": lambda: walk_batch(qm, dag, codes),
-        "walk_batch_wrapping": lambda: walk_batch(qm, dag, codes, qm.acc_width - 2),
-        "ddag_predict_float": lambda: ddag_predict_float(fmodel, dag, X),
+        "walk_batch_exact": lambda: walk_batch(qm, codes),
+        "walk_batch_wrapping": lambda: walk_batch(qm, codes, qm.acc_width - 2),
+        "ddag_predict_float": lambda: ddag_predict_float(fmodel, X),
         "quantize_inputs": lambda: quantize_inputs(X),
         "split": lambda: split(ds, SplitSpec(0.5, 3)),
         "predict": lambda: fmodel.predict(X),
@@ -299,27 +285,25 @@ def _block_edges(elements_per_sample):
 def test_integer_walks_at_block_edges(n_samples):
     qm, _ = random_quantized_model(4, 7, 5, seed=2)
     qm.acc_width -= 3  # some walks wrap
-    dag = build_ddag(4)
     codes = np.random.default_rng(n_samples).integers(0, 16, (n_samples, 7))
-    exact = [ddag_infer(qm, dag, row)[0] for row in codes]
-    wrapped = [simulate(qm, dag, row) for row in codes]
+    exact = [ddag_infer(qm, row)[0] for row in codes]
+    wrapped = [simulate(qm, row) for row in codes]
     expected = (
         [cls for cls, _ in wrapped], [t.final_state for _, t in wrapped], [t.overflows for _, t in wrapped]
     )
     assert n_samples < 2 or sum(expected[2]) > 0
     for view in layouts(codes, np.int64):
-        assert ddag_predict_quant(qm, dag, view).tolist() == exact
-        assert [a.tolist() for a in walk_batch(qm, dag, view, qm.acc_width)] == list(expected)
+        assert ddag_predict_quant(qm, view).tolist() == exact
+        assert [a.tolist() for a in walk_batch(qm, view, qm.acc_width)] == list(expected)
 
 
 @pytest.mark.parametrize("n_samples", _block_edges(8))
 def test_float_walk_at_block_edges(n_samples):
     fmodel = _random_float_model(4, 7, seed=3)
-    dag = build_ddag(4)
     X = np.random.default_rng(n_samples).uniform(size=(n_samples, 7))
-    expected = [ddag_infer_float(fmodel, dag, row)[0] for row in X]
+    expected = [ddag_infer_float(fmodel, row)[0] for row in X]
     for view in layouts(X, np.float64):
-        assert ddag_predict_float(fmodel, dag, view).tolist() == expected
+        assert ddag_predict_float(fmodel, view).tolist() == expected
 
 
 @pytest.mark.parametrize("n_samples", _block_edges(8))

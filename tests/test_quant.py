@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_quantized_model
 from seqsvm.dataset import Dataset
-from seqsvm.ddag import build_ddag, ddag_predict_float, ddag_predict_quant
+from seqsvm.ddag import ddag_predict_float, ddag_predict_quant
 from seqsvm.fxp import U4_4, FxpFormat, fits
 from seqsvm.quant import (
     MAX_ACCURACY_DROP,
@@ -102,7 +102,7 @@ def _float_model_from_weights(n, weight_rows, biases, m):
     return FloatSvmModel("ovo", n, m, np.column_stack([biases, weight_rows]))
 
 
-def _dataset_on_grid(fmodel, dag, n_samples, min_margin, seed):
+def _dataset_on_grid(fmodel, n_samples, min_margin, seed):
     """Inputs on the 1/16 grid (input truncation is exact), margins above
     min_margin at every vector, labeled by the float DAG itself."""
     rng = np.random.default_rng(seed)
@@ -113,7 +113,7 @@ def _dataset_on_grid(fmodel, dag, n_samples, min_margin, seed):
         if min(margins) > min_margin:
             rows.append(x)
     X = np.array(rows)
-    labels = ddag_predict_float(fmodel, dag, X)
+    labels = ddag_predict_float(fmodel, X)
     names = [str(c) for c in range(fmodel.n_classes)]
     ds = Dataset(X, labels, names)
     ds.normalization = [(0.0, 1.0)] * fmodel.n_features
@@ -128,9 +128,8 @@ class TestSearchParamBits:
         weight_rows = [[1, -1, 0, 1], [0, 1, -1, -1], [1, 0, 1, -1]]
         biases = [-1, 1, 0]
         fmodel = _float_model_from_weights(n, weight_rows, biases, m)
-        dag = build_ddag(n)
-        train = _dataset_on_grid(fmodel, dag, 60, 0.01, seed=2)
-        test = _dataset_on_grid(fmodel, dag, 40, 0.01, seed=3)
+        train = _dataset_on_grid(fmodel, 60, 0.01, seed=2)
+        test = _dataset_on_grid(fmodel, 40, 0.01, seed=3)
         qm, report = search_param_bits(fmodel, train, test)
         assert report.param_bits == 2
         assert report.accuracy_drop == 0.0
@@ -144,19 +143,18 @@ class TestSearchParamBits:
         weight_rows[:, 0] *= 4.0  # one dominant weight starves the others of resolution
         biases = rng.normal(size=3) * 0.1
         fmodel = _float_model_from_weights(n, weight_rows, biases, m)
-        dag = build_ddag(n)
         # 0.25 margin floor guarantees the finest precision flips nothing,
         # while coarse codes still mislabel plenty
-        train = _dataset_on_grid(fmodel, dag, 150, 0.25, seed=4)
-        test = _dataset_on_grid(fmodel, dag, 150, 0.25, seed=5)
+        train = _dataset_on_grid(fmodel, 150, 0.25, seed=4)
+        test = _dataset_on_grid(fmodel, 150, 0.25, seed=5)
 
         # independent oracle: accuracy at every precision, brute force
-        float_acc = float(np.mean(ddag_predict_float(fmodel, dag, test.features) == test.labels))
+        float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
         codes = quantize_inputs(test)
         per_bits = {}
         for bits in range(2, 9):
             cand = quantize_model(fmodel, bits)
-            per_bits[bits] = float(np.mean(ddag_predict_quant(cand, dag, codes) == test.labels))
+            per_bits[bits] = float(np.mean(ddag_predict_quant(cand, codes) == test.labels))
         adequate = [b for b in range(2, 9) if float_acc - per_bits[b] <= MAX_ACCURACY_DROP + 1e-12]
 
         qm, report = search_param_bits(fmodel, train, test)
@@ -184,7 +182,13 @@ class TestSearchParamBits:
         assert calls == [qm]
         codes = quantize_inputs(train, qm.input_fmt)
         assert (report.partial_min, report.partial_max) == partial_sum_extremes(qm, codes)
-        assert report.acc_width == qm.acc_width == profile_accumulator(qm, codes)
+        assert report.acc_width == qm.acc_width == profile_accumulator(qm, codes)[0]
+
+    @pytest.mark.parametrize("max_bits", [1, 17, 99])
+    def test_max_bits_outside_the_model_widths_rejected(self, blobs3_split, blobs3_model, max_bits):
+        train, test = blobs3_split
+        with pytest.raises(ValueError, match=f"^max_bits must be in 2..16, got {max_bits}$"):
+            search_param_bits(blobs3_model, train, test, max_bits=max_bits)
 
     def test_rejects_ova(self, blobs3_split):
         from seqsvm.trainer import Hyper, train_ova
@@ -202,12 +206,12 @@ class TestProfileAccumulator:
 
     def test_all_zero_width_one(self):
         qm = self._single_vector_model([0, 0], 0)
-        assert profile_accumulator(qm, np.zeros((4, 2), dtype=int)) == 1
+        assert profile_accumulator(qm, np.zeros((4, 2), dtype=int))[0] == 1
 
     def test_single_weight_seven(self):
         # max prefix 7*15 = 105 -> fits s8, not s7
         qm = self._single_vector_model([7], 0)
-        assert profile_accumulator(qm, np.array([[15], [3]])) == 8
+        assert profile_accumulator(qm, np.array([[15], [3]]))[0] == 8
 
     def test_negative_heavy(self):
         # prefixes 0, -78, -169, -260; -260 needs 10 bits (s9 floor is -256)
@@ -215,16 +219,17 @@ class TestProfileAccumulator:
         codes = np.array([[13, 13, 13]])
         oracle = _prefixes_oracle(qm, codes)
         assert min(oracle) == -260
-        assert profile_accumulator(qm, codes) == 10
+        assert profile_accumulator(qm, codes)[0] == 10
 
     def test_matches_oracle_random(self):
         qm, codes = random_quantized_model(4, 5, 6, seed=21)
         oracle = _prefixes_oracle(qm, codes)
         lo, hi = partial_sum_extremes(qm, codes)
         assert (lo, hi) == (min(oracle), max(oracle))
+        assert profile_accumulator(qm, codes) == (qm.acc_width, lo, hi)
 
     def test_no_overflow_at_width_and_overflow_below(self, blobs3_quant, blobs3_split):
-        qm, _, _ = blobs3_quant
+        qm, _ = blobs3_quant
         train, _ = blobs3_split
         codes = quantize_inputs(train, qm.input_fmt)
         prefixes = _prefixes_oracle(qm, codes)
@@ -235,22 +240,22 @@ class TestProfileAccumulator:
 class TestQuantizedModelInvariants:
     def test_vector_order_matches_rows(self, blobs3_quant, blobs3_model):
         # row r of the word table is row r of the float table, scaled on its own
-        qm, _, _ = blobs3_quant
+        qm, _ = blobs3_quant
         for r, coefs in enumerate(blobs3_model.coefs):
             one = quantize_model(FloatSvmModel("ovo", 2, blobs3_model.n_features, [coefs]), qm.param_bits)
             assert one.words[0].tolist() == qm.words[r].tolist()
 
     def test_aligned_bias_fits_accumulator(self, blobs3_quant):
-        qm, _, _ = blobs3_quant
+        qm, _ = blobs3_quant
         for bias in qm.words[:, 0].tolist():
             assert fits(bias << qm.bias_shift, qm.acc_width)
 
     def test_report_consistent_with_recomputation(self, blobs3_quant, blobs3_split, blobs3_model):
-        qm, report, dag = blobs3_quant
+        qm, report = blobs3_quant
         _, test = blobs3_split
-        float_acc = float(np.mean(ddag_predict_float(blobs3_model, dag, test.features) == test.labels))
+        float_acc = float(np.mean(ddag_predict_float(blobs3_model, test.features) == test.labels))
         codes = quantize_inputs(test, qm.input_fmt)
-        q_acc = float(np.mean(ddag_predict_quant(qm, dag, codes) == test.labels))
+        q_acc = float(np.mean(ddag_predict_quant(qm, codes) == test.labels))
         assert report.float_accuracy == float_acc
         assert report.quantized_accuracy == q_acc
         assert report.accuracy_drop == float_acc - q_acc
@@ -258,7 +263,6 @@ class TestQuantizedModelInvariants:
 
     def test_prediction_invariant_under_prescale(self, blobs3_model, blobs3_split):
         _, test = blobs3_split
-        dag = build_ddag(blobs3_model.n_classes)
         scale = np.array([[1.0], [3.0], [1.0]])  # row 1 only
         scaled = FloatSvmModel("ovo", blobs3_model.n_classes, blobs3_model.n_features, blobs3_model.coefs * scale)
         base = quantize_model(blobs3_model, 5)
@@ -313,6 +317,10 @@ class TestQuantizedModelInvariants:
         ([10**400, 1.0, 1.0], "vector 0: scale 1000+ is not a finite number > 0"),
         ([1.0, False, 1.0], "vector 1: scale False is not a finite number > 0"),
         ([1.0, None, 1.0], "vector 1: scale None is not a finite number > 0"),
+        ([1.0, np.bool_(True), 1.0], r"vector 1: scale np\.True_ is not a finite number > 0"),
+        ([1.0, 1.0, np.float64("nan")], r"vector 2: scale np\.float64\(nan\) is not a finite number > 0"),
+        ([np.int64(-2), 1.0, 1.0], r"vector 0: scale np\.int64\(-2\) is not a finite number > 0"),
+        (["0.5", 1.0, 1.0], "vector 0: scale '0.5' is not a finite number > 0"),
     ])
     def test_one_finite_positive_scale_per_row(self, scales, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -322,6 +330,9 @@ class TestQuantizedModelInvariants:
         qm = QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, given)
         given[0] = -1
         assert qm.scales == [1.0, 0.5, 2.0] and all(type(s) is float for s in qm.scales)
+        # so are numpy integer and floating scalars
+        qm = QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, [np.float64(0.17), np.int64(2), np.float32(0.5)])
+        assert qm.scales == [0.17, 2.0, 0.5] and all(type(s) is float for s in qm.scales)
 
 
 class TestInputFormatBounds:

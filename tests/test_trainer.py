@@ -13,7 +13,7 @@ import seqsvm.ddag as ddag_mod
 import seqsvm.trainer as trainer_mod
 from helpers import layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
-from seqsvm.ddag import build_ddag, ddag_predict_float, row_pairs, score_table
+from seqsvm.ddag import ddag_predict_float, row_pairs, score_table
 from seqsvm.fxp import BLOCK_ELEMENTS
 from seqsvm.modelio import float_model_from_dict
 from seqsvm.synth import bundled_dataset, ring_sectors
@@ -331,7 +331,7 @@ class TestPredict:
         predicted = model.predict(X)
         assert np.array_equal(predicted, np.argmax(votes, axis=1))
         assert set(predicted[::7].tolist()) == {0}
-        assert ddag_predict_float(model, build_ddag(3), X[:1]).tolist() == [0]
+        assert ddag_predict_float(model, X[:1]).tolist() == [0]
 
     def test_zero_scores_go_to_class_a(self):
         # every score is 0 or -0.0, so class_a wins each pair and 0 leads;
