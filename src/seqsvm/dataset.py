@@ -4,6 +4,7 @@ normalization derived from the training side only."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -224,11 +225,30 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+#: Rows formatted per write. Small on purpose: a process that writes the CSV
+#: and then spawns commands passes its RSS high-water mark on to them.
+_ROWS = 64
+
+
+def _label_cell(name: str) -> str:
+    """The end of a row whose last field is ``name``: its comma, the name
+    quoted as the csv module quotes it, and the line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", name])
+    return buf.getvalue()
+
+
 def to_csv(ds: Dataset, path) -> None:
-    """Write the dataset back out as a headered CSV with a final label column."""
+    """Write the dataset back out as a headered CSV with a final label column.
+
+    Features are written as ``repr`` of each float (the shortest string that
+    round-trips), lines end in CRLF, and names are quoted by the csv module.
+    """
     names = ds.feature_names or [f"f{i}" for i in range(ds.n_features)]
+    cells = [_label_cell(name) for name in ds.label_names]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["label"])
-        for row, lab in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [ds.label_names[lab]])
+        csv.writer(fh).writerow(list(names) + ["label"])
+        for start in range(0, ds.n_samples, _ROWS):
+            rows = ds.features[start:start + _ROWS].tolist()
+            labels = ds.labels[start:start + _ROWS].tolist()
+            fh.writelines(",".join(map(repr, row)) + cells[lab] for row, lab in zip(rows, labels))

@@ -19,7 +19,8 @@ Document layout (format "seqsvm/model", version 1):
 
 The ``ddag`` object must be ``ddag_to_dict`` of the float model's class
 count: the natural DAG, the one ``ddag.transitions`` lists. ``seed`` must be
-an int >= 0 and ``hyper`` a valid ``trainer.Hyper``. Quantized weights,
+an int >= 0, ``hyper`` a valid ``trainer.Hyper`` and ``config`` hold the
+keys of ``_CONFIG_KEYS`` within the CLI's ranges. Quantized weights,
 biases, ``param_bits`` and ``acc_width`` (>= 1) must be integers, float
 weights and biases finite numbers, and ``scales`` one finite number > 0 per
 vector.
@@ -33,9 +34,9 @@ import json
 import numpy as np
 
 from .ddag import pair_index, row_pairs, state_bits_for, transitions
-from .fxp import FxpFormat
-from .quant import QuantizedModel, check_params, check_widths
-from .trainer import FloatSvmModel, Hyper, check_finite
+from .fxp import MAX_INPUT_BITS, FxpFormat
+from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, check_params, check_widths
+from .trainer import FloatSvmModel, Hyper, check_finite, finite_number
 
 FORMAT = "seqsvm/model"
 VERSION = 1
@@ -166,10 +167,30 @@ def check_ddag_doc(doc: dict, n_classes: int) -> None:
         raise ValueError(f"a {n}-class DAG does not fit a {n_classes}-class model")
 
 
+def _int_in(lo: int, hi: int | None = None):
+    return lambda v: type(v) is int and v >= lo and (hi is None or v <= hi)
+
+
+#: Each ``config`` key: whether every document has it (float_model.json has
+#: no quantizer keys), its check and what the check asks for.
+_CONFIG_KEYS = {
+    "dataset": (True, lambda v: isinstance(v, str), "a string"),
+    "label_column": (True, lambda v: isinstance(v, str), "a string"),
+    "seed": (True, _int_in(0), "an integer >= 0"),
+    "train_fraction": (True, lambda v: finite_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
+    "budget": (True, _int_in(1), "an integer >= 1"),
+    "input_bits": (False, _int_in(1, MAX_INPUT_BITS), f"an integer in 1..{MAX_INPUT_BITS}"),
+    "max_param_bits": (
+        False, _int_in(MIN_PARAM_BITS, MAX_PARAM_BITS), f"an integer in {MIN_PARAM_BITS}..{MAX_PARAM_BITS}"
+    ),
+}
+
+
 def check_provenance(doc: dict) -> None:
-    """Reject a document whose ``seed`` is not a non-negative int, or whose
-    ``hyper`` is not exactly lam, epochs and seed that ``Hyper`` accepts."""
-    seed, hyper = doc["seed"], doc["hyper"]
+    """Reject a document whose ``seed`` is not a non-negative int, whose
+    ``hyper`` is not exactly lam, epochs and seed that ``Hyper`` accepts, or
+    whose ``config`` lacks a key or holds one ``_CONFIG_KEYS`` rejects."""
+    seed, hyper, config = doc["seed"], doc["hyper"], doc["config"]
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed {seed!r} is not a non-negative integer")
     if not (isinstance(hyper, dict) and sorted(hyper) == ["epochs", "lam", "seed"]):
@@ -178,6 +199,14 @@ def check_provenance(doc: dict) -> None:
         Hyper(**hyper)
     except ValueError as exc:
         raise ValueError(f"hyper: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {config!r:.80} is not an object")
+    for key, (required, ok, what) in _CONFIG_KEYS.items():
+        if key not in config:
+            if required:
+                raise ValueError(f"config has no key {key!r}")
+        elif not ok(config[key]):
+            raise ValueError(f"config {key} {config[key]!r:.80} is not {what}")
 
 
 def save_model_doc(path, doc: dict) -> None:

@@ -415,12 +415,51 @@ def _set_hyper(key, value):
     return edit
 
 
+def _set_config(key, value=None):
+    """Set doc["config"][key], or delete it when ``value`` is None."""
+
+    def edit(doc):
+        if value is None:
+            del doc["config"][key]
+        else:
+            doc["config"][key] = value
+
+    return edit
+
+
 def _set_float_n_classes(value):
     def edit(doc):
         doc["float_model"]["n_classes"] = value
 
     return edit
 
+
+_FRACTION = "is not a number strictly between 0 and 1"
+# edits of the "config" object that both documents carry
+_CONFIG_EDITS = {
+    "config_list": (_set_top("config", []), "config [] is not an object"),
+    "config_dataset_number": (_set_config("dataset", 5), "config dataset 5 is not a string"),
+    "config_label_column_missing": (_set_config("label_column"), "config has no key 'label_column'"),
+    "config_budget_missing": (_set_config("budget"), "config has no key 'budget'"),
+    "config_label_column_list": (_set_config("label_column", []), "config label_column [] is not a string"),
+    "config_seed_negative": (_set_config("seed", -1), "config seed -1 is not an integer >= 0"),
+    "config_seed_fraction": (_set_config("seed", 1.0), "config seed 1.0 is not an integer >= 0"),
+    "config_train_fraction_string": (_set_config("train_fraction", "0.8"), f"config train_fraction '0.8' {_FRACTION}"),
+    "config_train_fraction_one": (_set_config("train_fraction", 1), f"config train_fraction 1 {_FRACTION}"),
+    "config_train_fraction_true": (_set_config("train_fraction", True), f"config train_fraction True {_FRACTION}"),
+    "config_budget_zero": (_set_config("budget", 0), "config budget 0 is not an integer >= 1"),
+}
+# edits of the quantizer's config keys, which only model.json carries
+_QUANT_CONFIG_EDITS = {
+    "config_input_bits_zero": (_set_config("input_bits", 0), "config input_bits 0 is not an integer in 1..16"),
+    "config_input_bits_17": (_set_config("input_bits", 17), "config input_bits 17 is not an integer in 1..16"),
+    "config_max_param_bits_one": (
+        _set_config("max_param_bits", 1), "config max_param_bits 1 is not an integer in 2..16"
+    ),
+    "config_max_param_bits_string": (
+        _set_config("max_param_bits", "8"), "config max_param_bits '8' is not an integer in 2..16"
+    ),
+}
 
 _HYPER_KEYS = "is not an object of lam, epochs and seed"
 # edits of what float_model.json and model.json share: the "float_model"
@@ -450,6 +489,7 @@ _FLOAT_MODEL_EDITS = {
     "hyper_lam_zero": (_set_hyper("lam", 0), "hyper: lam must be finite and > 0, got 0"),
     "hyper_lam_string": (_set_hyper("lam", "0.1"), "hyper: lam must be finite and > 0, got '0.1'"),
     "hyper_seed_string": (_set_hyper("seed", "x"), "hyper: seed must be >= 0 and an int, got 'x'"),
+    **_CONFIG_EDITS,
 }
 
 _ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")
@@ -488,6 +528,7 @@ _MODEL_EDITS = {
     "scale_true": (_set_quantized(("scales", 0), True), "vector 0: scale True is not a finite number > 0"),
     "scale_nan": (_set_quantized(("scales", 2), float("nan")), "vector 2: scale nan is not a finite number > 0"),
     "scale_string": (_set_quantized(("scales", 0), "1.0"), "vector 0: scale '1.0' is not a finite number > 0"),
+    **_QUANT_CONFIG_EDITS,
     **_FLOAT_MODEL_EDITS,
 }
 
@@ -516,6 +557,29 @@ def test_quantize_rejects_a_hand_edited_float_model(full_run, tmp_path, capsys, 
     out = _edited_copy(full_run, tmp_path, edit, "float_model.json")
     assert main(["quantize", "--out", str(out)]) == 2
     assert f"stage quantize failed: {message}" in capsys.readouterr().err
+
+
+def _tree_bytes(out: Path) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, message",
+    [
+        pytest.param("simulate", "model.json", edit, message, id=f"simulate-{key}")
+        for key, (edit, message) in {**_CONFIG_EDITS, **_QUANT_CONFIG_EDITS}.items()
+    ]
+    + [
+        pytest.param("quantize", "float_model.json", edit, message, id=f"quantize-{key}")
+        for key, (edit, message) in _CONFIG_EDITS.items()
+    ],
+)
+def test_a_bad_config_key_is_named_and_changes_no_artifact(full_run, tmp_path, capsys, command, name, edit, message):
+    out = _edited_copy(full_run, tmp_path, edit, name)
+    before = _tree_bytes(out)
+    assert main([command, "--out", str(out)]) == 2
+    assert f"stage {command} failed: {message}" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
 
 
 @pytest.mark.parametrize("line", ["f_clk=nan", "nand_equiv_area=inf"])

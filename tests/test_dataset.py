@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsvm.dataset import Dataset, SplitSpec, _label_sort_key, load_csv, split, to_csv
+from seqsvm.dataset import _ROWS, Dataset, SplitSpec, _label_sort_key, load_csv, split, to_csv
 from seqsvm.synth import bundled_dataset, ring_sectors
 
 
@@ -323,6 +323,70 @@ def test_csv_roundtrip(tmp_path):
     back = load_csv(path, "label")
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
+
+
+def _frozen_to_csv(ds: Dataset, path) -> None:
+    """to_csv as it was before it wrote row blocks, kept verbatim as an
+    oracle: one csv.writer row per sample, repr(float(v)) per cell."""
+    names = ds.feature_names or [f"f{i}" for i in range(ds.n_features)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + ["label"])
+        for row, lab in zip(ds.features, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [ds.label_names[lab]])
+
+
+# signed zeros, subnormals, where repr turns to exponents (1e-05, 1e+16) and
+# integral floats
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-5, 9.999e-5, 1e-4,
+    9999999999999998.0, 1e16, -1.2345e17, 1e22, 1.7976931348623157e308,
+    1.0, -3.0, 2.0**53, 123456789.0, 0.1, 1 / 3,
+]
+_ODD_NAMES = ["", " lead", "trail ", "a,b", 'say "hi"', '"', "cr\rhere", "lf\nhere", "\r\n", "ünï", "日本", "x"]
+_NAME = st.sampled_from(_ODD_NAMES) | st.text(max_size=5)
+
+
+@st.composite
+def csv_datasets(draw):
+    """A dataset of 0, 1, or about one block of rows, 1 to 3 features of edge
+    or random floats, default or odd feature names and odd class names."""
+    n_rows = draw(st.sampled_from([0, 1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1]))
+    m = draw(st.integers(1, 3))
+    value = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    features = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n_rows, max_size=n_rows))
+    label_names = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.integers(0, len(label_names) - 1), min_size=n_rows, max_size=n_rows))
+    feature_names = draw(st.none() | st.lists(_NAME, min_size=m, max_size=m))
+    return Dataset(np.array(features, dtype=np.float64).reshape(n_rows, m), labels, label_names, feature_names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_datasets())
+def test_to_csv_writes_the_frozen_writers_bytes(tmp_path_factory, ds):
+    folder = tmp_path_factory.mktemp("to_csv")
+    to_csv(ds, folder / "new.csv")
+    _frozen_to_csv(ds, folder / "frozen.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "frozen.csv").read_bytes()
+
+
+def test_to_csv_memory_does_not_grow_with_the_row_count(tmp_path):
+    # the writer holds one block of rows as Python floats at a time; a process
+    # that writes the CSV and then spawns commands passes its RSS high-water
+    # mark on to them
+    m = 16
+    peaks = []
+    for n_rows in (2_000, 20_000):
+        rng = np.random.default_rng(n_rows)
+        ds = Dataset(rng.normal(size=(n_rows, m)), rng.integers(0, 10, n_rows), [f"c{i}" for i in range(10)])
+        tracemalloc.start()
+        try:
+            to_csv(ds, tmp_path / f"{n_rows}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block_bytes = _ROWS * m * 32  # a float object (24 B) and its list slot (8 B) per value
+    assert abs(peaks[1] - peaks[0]) < block_bytes
 
 
 @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
