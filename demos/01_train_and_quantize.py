@@ -9,7 +9,7 @@ from seqsvm.dataset import SplitSpec, split
 from seqsvm.ddag import ddag_predict_float, ddag_predict_quant
 from seqsvm.quant import quantize_inputs, quantize_model, search_param_bits
 from seqsvm.synth import bundled_dataset
-from seqsvm.trainer import Hyper, accuracy, random_search, train_ovo
+from seqsvm.trainer import accuracy, random_search, train_ovo
 
 ds = bundled_dataset("rings10x17", seed=3)
 train, test = split(ds, SplitSpec(0.8, seed=3))

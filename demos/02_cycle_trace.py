@@ -4,8 +4,6 @@
 # cycle, and after m+1 cycles the sign of the accumulator drives the next
 # FSM state. Total latency is always (n-1)*(m+1) cycles.
 
-import numpy as np
-
 from seqsvm.archsim import latency_cycles, simulate, trace_to_text
 from seqsvm.dataset import SplitSpec, split
 from seqsvm.ddag import ddag_infer

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-# Explore the cost model: bespoke-MUX vs crossbar-ROM storage, the sequential
-# design against a fully parallel baseline, and the power-density calibration
-# behind the default technology coefficients.
+# Explore the cost model: bespoke-MUX vs crossbar-ROM storage (the storage
+# kind is a cost-model choice only; both kinds serve the same words), the
+# ROM's access slots, the sequential design against a fully parallel
+# baseline, and the power-density calibration behind the default technology
+# coefficients.
 
 import numpy as np
 
-from seqsvm.archsim import ArchConfig
-from seqsvm.cost import TechConfig, calibrate_power, compare_parallel, compare_storage, estimate, format_report_table
+from seqsvm.cost import ADC_COUNT, TechConfig, calibrate_power, compare_parallel, compare_storage, format_report_table
 from seqsvm.fxp import U4_4
 from seqsvm.quant import QuantizedModel, profile_accumulator
 
@@ -46,6 +47,15 @@ tiny = shaped(2, 1, bits=4)
 both = compare_storage(tiny, tech=tech)
 print(f"n=2, m=1: mux {both['mux'].area_cm2:.3f} cm^2 vs rom {both['rom'].area_cm2:.3f} cm^2 "
       "(ADC floor dominates)\n")
+
+# the ROM's ADCs read 2 bits each per access slot, 8 bits together: a wider
+# word takes a second slot in every cycle, so the same cycles last twice as long
+for bits in (8, 12):
+    both = compare_storage(shaped(10, 17, bits=bits), tech=tech)
+    print(f"pendigits, {bits}-bit words: rom reads {2 * ADC_COUNT} bits per slot, "
+          f"{both['rom'].access_slots} slot(s) per cycle, "
+          f"{both['rom'].latency_seconds:.2f} s vs mux {both['mux'].latency_seconds:.2f} s")
+print()
 
 # power density: least-squares slope through the origin over five published
 # (area, power) measurements of printed sequential SVM designs

@@ -6,7 +6,7 @@ cycles and a full classification takes exactly (n-1)*(m+1) cycles
 (``latency_cycles``). The storage is the model's word table,
 ``QuantizedModel.words``, and the FSM state is the row it reads. The
 storage kind (bespoke MUX constants or a 2-bit-dot crossbar ROM) never
-changes what is read; only the cost model tells the kinds apart.
+changes what is read, so only ``cost.estimate`` takes it.
 
 Every function takes the model alone: the DAG is that of ``qm.n_classes``.
 ``simulate`` runs one classification cycle by cycle and writes traces: the
@@ -27,18 +27,6 @@ import numpy as np
 from .ddag import _walk, state_bits_for, walk_batch
 from .fxp import wrap
 from .quant import QuantizedModel
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    storage: str = "mux"  # "mux" | "rom"
-    adc_count: int = 4    # ROM reads 2*adc_count bits per access slot
-
-    def __post_init__(self):
-        if self.storage not in ("mux", "rom"):
-            raise ValueError(f"unknown storage kind {self.storage!r}")
-        if not 1 <= self.adc_count <= 4:
-            raise ValueError("adc_count must be in [1, 4]")
 
 
 def latency_cycles(n_classes: int, n_features: int) -> int:

@@ -18,8 +18,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import modelio
-from .archsim import ArchConfig, simulate, simulate_batch, trace_to_text
-from .cost import TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
+from .archsim import simulate, simulate_batch, trace_to_text
+from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .ddag import check_ovo
 from .fxp import MAX_INPUT_BITS, FxpFormat
@@ -262,7 +262,7 @@ def cmd_compare(args) -> int:
         for name, acc in acc_rows:
             print(f"  {name}: {acc:.4f}")
         tech = _tech(args)
-        seq = estimate(qm, ArchConfig(args.storage), tech)
+        seq = estimate(qm, args.storage, tech)
         par = compare_parallel(qm, tech)
         print(format_report_table([(f"seq-{args.storage}", seq), ("parallel", par)]), end="")
         print(f"parallel/sequential area ratio: {par.area_cm2 / seq.area_cm2:.2f}x")
@@ -313,37 +313,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_range(lo: int, hi: int | None = None):
-    """An argument type: an integer of at least ``lo`` and, given ``hi``, at
-    most ``hi``, checked at parse time, before any stage writes."""
+def _in_range(lo: int, hi: int | None = None, kind=int):
+    """An argument type checked at parse time, before any stage writes: an int
+    in lo.. or lo..hi, or, with ``kind=float``, a float strictly between
+    ``lo`` and ``hi``, which NaN and the infinities never are."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}" if hi is None
-                                             else f"must be in {lo}..{hi}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if kind is float:
+            ok, want = lo < value < hi, f"lie strictly between {lo} and {hi}"
+        elif hi is None:
+            ok, want = value >= lo, f"be >= {lo}"
+        else:
+            ok, want = lo <= value <= hi, f"be in {lo}..{hi}"
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must {want}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value: ..."
+    parse.__name__ = kind.__name__  # argparse reports a ValueError as "invalid int value: ..."
     return parse
 
 
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True, help="CSV file with a header row")
     p.add_argument("--label-col", default="label", help="name of the label column")
-    p.add_argument("--seed", type=_int_range(0), required=True, help="pipeline seed (mandatory)")
-    p.add_argument("--split", type=float, default=0.8, help="training fraction")
-    p.add_argument("--budget", type=_int_range(1), default=8, help="random-search budget")
+    p.add_argument("--seed", type=_in_range(0), required=True, help="pipeline seed (mandatory)")
+    p.add_argument("--split", type=_in_range(0, 1, float), default=0.8, help="training fraction")
+    p.add_argument("--budget", type=_in_range(1), default=8, help="random-search budget")
 
 
 def _add_quant_flags(p):
-    p.add_argument("--input-bits", type=_int_range(1, MAX_INPUT_BITS), default=4, help="unsigned input code width")
-    p.add_argument("--max-param-bits", type=_int_range(MIN_PARAM_BITS, MAX_PARAM_BITS), default=8,
+    p.add_argument("--input-bits", type=_in_range(1, MAX_INPUT_BITS), default=4, help="unsigned input code width")
+    p.add_argument("--max-param-bits", type=_in_range(MIN_PARAM_BITS, MAX_PARAM_BITS), default=8,
                    help="precision search ceiling")
 
 
 def _add_storage_flag(p):
-    p.add_argument("--storage", choices=("mux", "rom"), default="mux")
+    p.add_argument("--storage", choices=STORAGE_KINDS, default="mux")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quant_flags(p)
     _add_storage_flag(p)
     p.add_argument("--tech", help="technology config file (key=value)")
-    p.add_argument("--trace", type=_int_range(0), default=0, metavar="N", help="write N per-cycle traces")
-    p.add_argument("--vectors", type=_int_range(0), default=20, help="golden vector count")
+    p.add_argument("--trace", type=_in_range(0), default=0, metavar="N", help="write N per-cycle traces")
+    p.add_argument("--vectors", type=_in_range(0), default=20, help="golden vector count")
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=cmd_run)
 
@@ -372,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="cycle-accurate batch simulation of the test split")
     _add_storage_flag(p)
-    p.add_argument("--trace", type=_int_range(0), default=0, metavar="N")
+    p.add_argument("--trace", type=_in_range(0), default=0, metavar="N")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-hdl", help="emit Verilog and golden vectors")
-    p.add_argument("--vectors", type=_int_range(0), default=20)
+    p.add_argument("--vectors", type=_in_range(0), default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_hdl)
 

@@ -12,10 +12,13 @@ Gate-equivalent formulas:
   ripple adder (w bits)           5*w
   mux storage                     word_bits * rows * words * mux_per_input_cost
   rom storage                     rows * words * ceil(word_bits/2) * rom_cell_cost
-                                  + adc_count * adc_cost
+                                  + ADC_COUNT * adc_cost
   control FSM                     states * (2*state_bits + row_bits) * mux_per_input_cost
                                   + states (decode); row_bits = state_bits (row = state)
   registers                       register_bits * dff_nand_equiv
+
+Both STORAGE_KINDS serve the same words, one per cycle; a ROM word wider than
+the 8 bits its ADC_COUNT 2-bit ADCs read per access slot takes two slots.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .archsim import ArchConfig, latency_cycles, register_census
+from .archsim import latency_cycles, register_census
 from .ddag import class_bits, pair_count, state_bits_for
 from .quant import QuantizedModel
 
 FULL_ADDER_GE = 5.0
+#: Storage kinds: bespoke MUX constants, or a crossbar ROM of 2-bit printed dots.
+STORAGE_KINDS = ("mux", "rom")
+#: 2-bit readout ADCs of the ROM, so it reads 8 bits per access slot.
+ADC_COUNT = 4
 
 
 @dataclass(frozen=True)
@@ -72,12 +79,12 @@ def _adder_ge(width: int) -> float:
     return FULL_ADDER_GE * width
 
 
-def _storage_ge(qm: QuantizedModel, arch: ArchConfig, tech: TechConfig) -> float:
+def _storage_ge(qm: QuantizedModel, storage: str, tech: TechConfig) -> float:
     rows, words = qm.words.shape
-    if arch.storage == "mux":
+    if storage == "mux":
         return qm.param_bits * rows * words * tech.mux_per_input_cost
     cells = rows * words * math.ceil(qm.param_bits / 2)
-    return cells * tech.rom_cell_cost + arch.adc_count * tech.adc_cost
+    return cells * tech.rom_cell_cost + ADC_COUNT * tech.adc_cost
 
 
 def _engine_ge(qm: QuantizedModel, tech: TechConfig) -> float:
@@ -104,40 +111,30 @@ def _report(design: str, ge: dict, tech: TechConfig, cycles: int, slots: int, re
     return CostReport(design, ge, area, tech.power_per_area * area, cycles, latency, register_bits, slots, tech.f_clk)
 
 
-def estimate(
-    qm: QuantizedModel,
-    arch: ArchConfig = ArchConfig(),
-    tech: TechConfig = TechConfig(),
-) -> CostReport:
-    """Cost of the sequential design for one storage configuration."""
+def estimate(qm: QuantizedModel, storage: str = "mux", tech: TechConfig = TechConfig()) -> CostReport:
+    """Cost of the sequential design with ``storage``, one of STORAGE_KINDS."""
+    if storage not in STORAGE_KINDS:
+        raise ValueError(f"unknown storage kind {storage!r}")
     qm.profiled_acc_width()
     census = register_census(qm)
     ge = {
-        "storage": _storage_ge(qm, arch, tech),
+        "storage": _storage_ge(qm, storage, tech),
         "engine": _engine_ge(qm, tech),
         "fsm": _fsm_ge(qm.n_classes, tech),
         "registers": census["total"] * tech.dff_nand_equiv,
     }
-    slots = math.ceil(qm.param_bits / (2 * arch.adc_count)) if arch.storage == "rom" else 1
+    slots = math.ceil(qm.param_bits / (2 * ADC_COUNT)) if storage == "rom" else 1
     cycles = latency_cycles(qm.n_classes, qm.n_features)
-    return _report(f"sequential-{arch.storage}", ge, tech, cycles, slots, census["total"])
+    return _report(f"sequential-{storage}", ge, tech, cycles, slots, census["total"])
 
 
-def compare_storage(
-    qm: QuantizedModel,
-    n_classes: int | None = None,
-    tech: TechConfig = TechConfig(),
-    adc_count: int = 4,
-) -> dict:
+def compare_storage(qm: QuantizedModel, n_classes: int | None = None, tech: TechConfig = TechConfig()) -> dict:
     """The mux-vs-rom trade-off on one and the same model. ``n_classes``, if
     given, must be ``qm.n_classes``: kept only for bench/shapes.py, which
     passes ``ddag.build_ddag(n)``, until the benchmark next changes."""
     if n_classes is not None and n_classes != qm.n_classes:
         raise ValueError(f"a {n_classes}-class DAG does not fit a {qm.n_classes}-class model")
-    return {
-        "mux": estimate(qm, ArchConfig("mux"), tech),
-        "rom": estimate(qm, ArchConfig("rom", adc_count), tech),
-    }
+    return {storage: estimate(qm, storage, tech) for storage in STORAGE_KINDS}
 
 
 def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> CostReport:

@@ -42,14 +42,14 @@ def wrap(value, width: int):
 
 @dataclass(frozen=True)
 class FxpFormat:
-    """An unsigned, all-fractional input code of ``total_bits`` bits;
-    real value = raw / 2**total_bits."""
+    """An unsigned, all-fractional input code of ``total_bits`` bits, 1 to
+    MAX_INPUT_BITS; real value = raw / 2**total_bits."""
 
     total_bits: int
 
     def __post_init__(self):
-        if self.total_bits < 1:
-            raise ValueError("total_bits must be >= 1")
+        if not 1 <= self.total_bits <= MAX_INPUT_BITS:
+            raise ValueError(f"input format must have 1..{MAX_INPUT_BITS} bits, got {self.total_bits}")
 
     @property
     def raw_max(self) -> int:

@@ -125,8 +125,9 @@ def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> Quantized
         bad = [p for p in [*v["weights"], v["bias"]] if type(p) is not int]
         if bad:
             raise ValueError(f"vector {r}: parameter {bad[0]!r} is not an integer")
-    fmt, param_bits = FxpFormat(bits), doc["param_bits"]
-    check_widths(param_bits, fmt)  # before the vectors, as the model checks them
+    param_bits = doc["param_bits"]
+    check_widths(param_bits)  # before the input format and the vectors
+    fmt = FxpFormat(bits)
     words = _table_rows(doc["vectors"], "ovo", n_classes, n_features, lambda rows: check_params(rows, param_bits))
     qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, doc["scales"])
     qm.acc_width = doc["acc_width"]
@@ -187,9 +188,12 @@ _CONFIG_KEYS = {
 
 
 def check_provenance(doc: dict) -> None:
-    """Reject a document whose ``seed`` is not a non-negative int, whose
-    ``hyper`` is not exactly lam, epochs and seed that ``Hyper`` accepts, or
-    whose ``config`` lacks a key or holds one ``_CONFIG_KEYS`` rejects."""
+    """Reject a document that lacks ``seed``, ``hyper`` or ``config``, or whose
+    ``seed`` is not an int >= 0, ``hyper`` not exactly lam, epochs and seed that
+    ``Hyper`` accepts, or ``config`` lacks a key or holds one ``_CONFIG_KEYS`` rejects."""
+    missing = next((key for key in ("seed", "hyper", "config") if key not in doc), None)
+    if missing:
+        raise ValueError(f"document has no key {missing!r}")
     seed, hyper, config = doc["seed"], doc["hyper"], doc["config"]
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed {seed!r} is not a non-negative integer")

@@ -28,17 +28,11 @@ def QuantVector(class_a: int, class_b: int, weights, bias: int) -> list[int]:
     return [bias, *weights]
 
 
-def _check_input_fmt(fmt: FxpFormat) -> None:
-    if fmt.total_bits > MAX_INPUT_BITS:
-        raise ValueError(f"input format must have 1..{MAX_INPUT_BITS} bits, got {fmt}")
-
-
-def check_widths(param_bits: int, input_fmt: FxpFormat) -> None:
-    """Reject a parameter width outside 2..16 bits or an input format wider
-    than MAX_INPUT_BITS, before any word is looked at."""
+def check_widths(param_bits: int) -> None:
+    """Reject a parameter width outside 2..16 bits, before any word is looked
+    at. ``FxpFormat`` bounds the input width itself."""
     if not MIN_PARAM_BITS <= param_bits <= MAX_PARAM_BITS:
         raise ValueError("param_bits out of range")
-    _check_input_fmt(input_fmt)
 
 
 def check_params(rows, param_bits: int) -> None:
@@ -75,7 +69,7 @@ class QuantizedModel:
     acc_width: int = 0  # set by profile_accumulator
 
     def __post_init__(self):
-        check_widths(self.param_bits, self.input_fmt)
+        check_widths(self.param_bits)
         rows = len(row_pairs("ovo", self.n_classes))
         exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
         check_params(exact, self.param_bits)
@@ -132,7 +126,6 @@ def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.size and X.min() < 0.0:
         raise ValueError("features must be normalized to [0, 1] before quantization")
-    _check_input_fmt(fmt)
     codes = np.empty(X.shape, dtype=np.int64)
     block = max(1, BLOCK_ELEMENTS // max(1, X[:1].size))  # samples per block
     for start in range(0, len(X), block):
@@ -152,8 +145,6 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
     scale 1 and is flagged with one warning. Returns the int64 codes and the
     float64 scales.
     """
-    if param_bits < 2:
-        raise ValueError("param_bits must be >= 2")
     C = np.asarray(coefs, dtype=np.float64)
     top = float((1 << (param_bits - 1)) - 1)
     peak = np.abs(C).max(axis=1, initial=0.0)
@@ -168,6 +159,7 @@ def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat 
     """Quantize every OvO row independently (per-row scale preserves signs)."""
     if fmodel.kind != "ovo":
         raise ValueError("only OvO models map onto the sequential architecture")
+    check_widths(param_bits)
     codes, scales = _scale_rows(fmodel.coefs, param_bits)
     return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, codes, scales.tolist())
 

@@ -14,7 +14,6 @@ from helpers import (
     shaped_model,
 )
 from seqsvm.archsim import (
-    ArchConfig,
     CycleRecord,
     SimTrace,
     counter_bits,
@@ -23,7 +22,7 @@ from seqsvm.archsim import (
     simulate_batch,
     trace_to_text,
 )
-from seqsvm.cost import TechConfig, estimate
+from seqsvm.cost import STORAGE_KINDS, TechConfig, estimate
 from seqsvm.ddag import ddag_infer, pair_count, pair_index, state_bits_for
 from seqsvm.fxp import U4_4, wrap
 from seqsvm.hdlgen import emit_golden_vectors
@@ -132,7 +131,7 @@ class TestStorage:
         qm, _ = random_quantized_model(2, 1, 4, seed=0)
         assert qm.words.shape == (1, 2)
 
-    @pytest.mark.parametrize("kind", ["mux", "rom"])
+    @pytest.mark.parametrize("kind", STORAGE_KINDS)
     @pytest.mark.parametrize("bits", [2, 5, 8])
     def test_readback_equals_tables(self, kind, bits):
         # either kind stores the one word table: the words the simulator
@@ -148,7 +147,7 @@ class TestStorage:
             priced = words.size * bits * tech.mux_per_input_cost
         else:
             priced = words.size * math.ceil(bits / 2) * tech.rom_cell_cost + 4 * tech.adc_cost
-        storage_ge = estimate(qm, ArchConfig(kind), tech).gate_equivalents["storage"]
+        storage_ge = estimate(qm, kind, tech).gate_equivalents["storage"]
         assert storage_ge == pytest.approx(priced)
 
     def test_bias_first_column(self):
@@ -166,14 +165,15 @@ class TestStorage:
         tech = TechConfig()
         for bits, dots in [(2, 1), (5, 3), (8, 4)]:
             qm, _ = random_quantized_model(2, 2, bits, seed=1)
-            storage_ge = estimate(qm, ArchConfig("rom"), tech).gate_equivalents["storage"]
+            storage_ge = estimate(qm, "rom", tech).gate_equivalents["storage"]
             assert storage_ge == 1 * 3 * dots * tech.rom_cell_cost + 4 * tech.adc_cost
 
     def test_access_slots(self):
-        qm, _ = random_quantized_model(2, 2, 8, seed=1)
-        assert estimate(qm, ArchConfig("rom", adc_count=4)).access_slots == 1
-        assert estimate(qm, ArchConfig("rom", adc_count=1)).access_slots == 4
-        assert estimate(qm, ArchConfig("mux")).access_slots == 1
+        # the ROM reads up to 8 bits per slot; MUX constants are one word wide
+        for bits in range(2, 17):
+            qm, _ = random_quantized_model(2, 2, bits, seed=1)
+            assert estimate(qm, "rom").access_slots == (1 if bits <= 8 else 2)
+            assert estimate(qm, "mux").access_slots == 1
 
     def test_word_table_is_read_only(self):
         # no walk, trace or golden-vector call changes the model's words
@@ -198,10 +198,10 @@ class TestStorage:
             qm.words[0, 1] = 99
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            ArchConfig("dram")
-        with pytest.raises(ValueError):
-            ArchConfig("rom", adc_count=5)
+        qm, _ = random_quantized_model(2, 2, 4, seed=1)
+        for kind in ("dram", "ROM", ""):
+            with pytest.raises(ValueError, match=f"^unknown storage kind {kind!r}$"):
+                estimate(qm, kind)
 
 
 class TestEngine:
@@ -275,8 +275,8 @@ class TestSimulate:
         # the one word table the simulator reads, in the same cycles
         qm, codes = random_quantized_model(4, 5, 7, seed=8)
         cycles = {simulate(qm, row)[1].cycles for row in codes[:30]}
-        for arch in (ArchConfig("mux"), ArchConfig("rom", adc_count=1)):
-            assert {estimate(qm, arch).latency_cycles} == cycles
+        for storage in STORAGE_KINDS:
+            assert {estimate(qm, storage).latency_cycles} == cycles
 
     def test_trace_structure(self):
         qm, codes = random_quantized_model(3, 2, 4, seed=2)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -8,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqsvm.cli import main
+from seqsvm.cli import build_parser, main
+from seqsvm.cost import STORAGE_KINDS
 from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
 from seqsvm.modelio import ddag_to_dict, float_model_from_dict, load_model_doc
 from seqsvm.quant import search_param_bits
-from seqsvm.synth import bundled_dataset, separable_blobs
+from seqsvm.synth import separable_blobs
 from seqsvm.fxp import FxpFormat
 
 ARTIFACTS = [
@@ -213,10 +215,16 @@ def test_oversized_input_bits_fail_clearly(synth_csv, tmp_path, capsys):
     ("run", "--max-param-bits", "99", "must be in 2..16, got 99"),
     ("run", "--max-param-bits", "1", "must be in 2..16, got 1"),
     ("quantize", "--max-param-bits", "17", "must be in 2..16, got 17"),
+    ("run", "--split", "1.5", "must lie strictly between 0 and 1, got 1.5"),
+    ("train", "--split", "0", "must lie strictly between 0 and 1, got 0.0"),
+    ("run", "--split", "1", "must lie strictly between 0 and 1, got 1.0"),
+    ("train", "--split", "nan", "must lie strictly between 0 and 1, got nan"),
+    ("run", "--split", "inf", "must lie strictly between 0 and 1, got inf"),
 ])
 def test_out_of_range_integer_flag_is_a_usage_error(synth_csv, tmp_path, capsys, command, flag, value, message):
-    # `--max-param-bits 99` used to be recorded in the config, and
-    # `--input-bits 0` to fail in quantize after train had written
+    # `--max-param-bits 99` used to be recorded in the config, `--input-bits
+    # 0` to fail in quantize after train had written, and `--split 1.5` to
+    # fail in ingest with exit 2
     out = tmp_path / "out"
     args = ["quantize", "--out", str(out)] if command == "quantize" else [command, *_run_args(synth_csv, out)[1:]]
     with pytest.raises(SystemExit) as exc:
@@ -250,6 +258,17 @@ def test_negative_count_is_a_usage_error(synth_csv, tmp_path, capsys, command, f
     assert exc.value.code == 1
     assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_storage_choices_are_the_cost_model_kinds():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    choices = {
+        name: next(a.choices for a in sub._actions if a.dest == "storage")
+        for name, sub in commands.items()
+        if any(a.dest == "storage" for a in sub._actions)
+    }
+    assert choices == dict.fromkeys(["run", "simulate", "cost", "compare"], STORAGE_KINDS)
 
 
 def test_unknown_subcommand_exits_one():
@@ -401,9 +420,14 @@ def _set_float(row, index, value):
     return edit
 
 
-def _set_top(key, value):
+def _set_top(key, value=None):
+    """Set doc[key], or delete it when ``value`` is None."""
+
     def edit(doc):
-        doc[key] = value
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
 
     return edit
 
@@ -482,6 +506,9 @@ _FLOAT_MODEL_EDITS = {
     "seed_string": (_set_top("seed", "x"), "seed 'x' is not a non-negative integer"),
     "seed_negative": (_set_top("seed", -1), "seed -1 is not a non-negative integer"),
     "seed_true": (_set_top("seed", True), "seed True is not a non-negative integer"),
+    "seed_missing": (_set_top("seed"), "document has no key 'seed'"),
+    "hyper_missing": (_set_top("hyper"), "document has no key 'hyper'"),
+    "config_missing": (_set_top("config"), "document has no key 'config'"),
     "hyper_list": (_set_top("hyper", []), f"hyper [] {_HYPER_KEYS}"),
     "hyper_epochs_negative": (_set_hyper("epochs", -3), "hyper: epochs must be >= 0 and an int, got -3"),
     "hyper_epochs_fraction": (_set_hyper("epochs", 2.5), "hyper: epochs must be >= 0 and an int, got 2.5"),

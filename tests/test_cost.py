@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from helpers import TABLE_SHAPES, random_quantized_model, shaped_model
-from seqsvm.archsim import ArchConfig, register_census
+from seqsvm.archsim import register_census
 from seqsvm.cost import (
-    CostReport,
+    STORAGE_KINDS,
     TechConfig,
     calibrate_power,
     compare_parallel,
@@ -47,8 +47,8 @@ class TestEstimate:
     def test_latency_law(self, name):
         qm, _ = shaped_model(name)
         n, m = TABLE_SHAPES[name]
-        for arch in (ArchConfig("mux"), ArchConfig("rom", 1)):
-            rep = estimate(qm, arch)
+        for storage in STORAGE_KINDS:
+            rep = estimate(qm, storage)
             assert rep.latency_cycles == (n - 1) * (m + 1)
 
     @pytest.mark.parametrize("name", sorted(TABLE_SHAPES))
@@ -64,21 +64,24 @@ class TestEstimate:
         assert rep.power_mw == rep.area_cm2 * 2.5
 
     def test_rom_slots_charge_latency(self):
-        qm, _ = shaped_model("pendigits")  # 8-bit words
-        tech = TechConfig()
-        one = estimate(qm, ArchConfig("rom", 4), tech)
-        four = estimate(qm, ArchConfig("rom", 1), tech)
-        assert one.access_slots == 1 and four.access_slots == 4
-        assert four.latency_seconds == 4 * one.latency_seconds
-        assert one.latency_cycles == four.latency_cycles
+        # the ROM's four 2-bit ADCs read 8 bits per slot: a wider word takes
+        # two slots per cycle, so the same cycles last twice as long
+        byte = estimate(shaped_model("cardio", 8)[0], "rom")
+        assert byte.access_slots == 1
+        for bits in range(9, 17):
+            qm, _ = shaped_model("cardio", bits)
+            rom, mux = estimate(qm, "rom"), estimate(qm, "mux")
+            assert (rom.access_slots, mux.access_slots) == (2, 1)
+            assert rom.latency_cycles == mux.latency_cycles == byte.latency_cycles
+            assert rom.latency_seconds == 2 * mux.latency_seconds == 2 * byte.latency_seconds
 
     def test_monotone_in_param_bits(self):
         lo, _ = random_quantized_model(4, 9, 4, seed=0)
         hi, _ = random_quantized_model(4, 9, 8, seed=0)
         hi.acc_width = lo.acc_width  # isolate the param_bits effect
-        for arch in (ArchConfig("mux"), ArchConfig("rom", 2)):
-            a = estimate(lo, arch)
-            b = estimate(hi, arch)
+        for storage in STORAGE_KINDS:
+            a = estimate(lo, storage)
+            b = estimate(hi, storage)
             for block in ("storage", "engine", "fsm", "registers", "total"):
                 assert b.gate_equivalents[block] >= a.gate_equivalents[block]
             assert b.area_cm2 >= a.area_cm2
@@ -116,7 +119,7 @@ class TestStorageTradeoff:
 
     def test_identical_latency_when_words_fit_the_adcs(self):
         qm, _ = shaped_model("pendigits")  # 8-bit words, 4 ADCs
-        both = compare_storage(qm, adc_count=4)
+        both = compare_storage(qm)
         assert both["mux"].latency_seconds == both["rom"].latency_seconds
         assert both["mux"].latency_cycles == both["rom"].latency_cycles
 

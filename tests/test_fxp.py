@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqsvm.fxp import (
+    MAX_INPUT_BITS,
     U4_4,
     FxpFormat,
     fits,
@@ -54,8 +55,15 @@ class TestTruncate:
 
 class TestFormats:
     def test_bad_total_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^input format must have 1..16 bits, got 0$"):
             FxpFormat(0)
+
+    @pytest.mark.parametrize("bits", [17, 32, 63, 70])
+    def test_too_wide_rejected(self, bits):
+        # the integer kernels are exact in int64 only up to MAX_INPUT_BITS
+        with pytest.raises(ValueError, match=f"^input format must have 1..16 bits, got {bits}$"):
+            FxpFormat(bits)
+        assert FxpFormat(MAX_INPUT_BITS).raw_max == 65535
 
     def test_value_outside_range_rejected(self):
         qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])
