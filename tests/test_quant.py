@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -343,8 +345,20 @@ class TestQuantizedModelInvariants:
 
 
 class TestInputFormatBounds:
-    # no format wider than 16 bits can be built (test_fxp), so none reaches
-    # quantize_inputs or a model
+    # FxpFormat itself rejects a width past 16 bits, so the format is built on
+    # the way into each call: neither path can be handed one
+    BAD = [partial(FxpFormat, 17), partial(FxpFormat, 63), partial(FxpFormat, 70), partial(FxpFormat, 32)]
+
+    @pytest.mark.parametrize("fmt", BAD)
+    def test_quantize_inputs_rejects(self, fmt):
+        with pytest.raises(ValueError, match="1..16 bits"):
+            quantize_inputs(np.ones((2, 3)), fmt())
+
+    @pytest.mark.parametrize("fmt", BAD)
+    def test_model_rejects(self, fmt):
+        with pytest.raises(ValueError, match="1..16 bits"):
+            QuantizedModel(2, 1, fmt(), 4, [[0, 1]], [1.0])
+
     def test_sixteen_bits_accepted(self):
         codes = quantize_inputs(np.array([[1.0, 0.5, 0.0]]), FxpFormat(16))
         assert codes.tolist() == [[65535, 32768, 0]]
