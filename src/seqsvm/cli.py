@@ -53,7 +53,8 @@ def _ingest(config: dict) -> tuple[Dataset, Dataset]:
     return split(ds, SplitSpec(config["train_fraction"], config["seed"]))
 
 
-def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
+def _train_phase(config: dict, out: Path, train: Dataset) -> tuple[dict, FloatSvmModel]:
+    """Search and train; returns the float model document and the model."""
     hyper = random_search(train, budget=config["budget"], seed=config["seed"])
     model = train_ovo(train, hyper)
     doc = {
@@ -75,13 +76,12 @@ def _train_phase(config: dict, out: Path, train: Dataset) -> dict:
     modelio.save_model_doc(out / "float_model.json", doc)
     print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors "
           f"(lam={hyper.lam:.5g}, epochs={hyper.epochs})")
-    return doc
+    return doc, model
 
 
-def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Dataset):
-    """Precision search; returns the model document, its (float model,
-    quantized model) and the QuantReport."""
-    fmodel = modelio.float_model_from_dict(doc["float_model"])
+def _quantize_phase(doc: dict, fmodel: FloatSvmModel, config: dict, out: Path, train: Dataset, test: Dataset):
+    """Precision search of ``fmodel``, the float model of ``doc``; returns
+    the model document, the quantized model and the QuantReport."""
     qm, report = search_param_bits(fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"])
     doc = {**doc, "config": config, "config_hash": modelio.config_hash(config),
            "quantized": modelio.quantized_to_dict(qm), "ddag": modelio.ddag_to_dict(qm.n_classes)}
@@ -93,7 +93,7 @@ def _quantize_phase(doc: dict, config: dict, out: Path, train: Dataset, test: Da
           f"(float {report.float_accuracy:.4f} -> quant {report.quantized_accuracy:.4f}, "
           f"acc_width={report.acc_width}"
           + (", max-precision flag" if report.max_precision_flag else "") + ")")
-    return doc, (fmodel, qm), report
+    return doc, qm, report
 
 
 def _load_model(out: Path):
@@ -209,7 +209,8 @@ def cmd_quantize(args) -> int:
         doc = modelio.load_model_doc(out / "float_model.json")
         modelio.check_provenance(doc)
         config = _with_quant_keys(doc["config"], args)
-        _quantize_phase(doc, config, out, *_ingest(config))
+        fmodel = modelio.float_model_from_dict(doc["float_model"])
+        _quantize_phase(doc, fmodel, config, out, *_ingest(config))
     return 0
 
 
@@ -285,10 +286,10 @@ def cmd_run(args) -> int:
     with _stage("ingest"):
         train, test = _ingest(config)
     with _stage("train"):
-        doc = _train_phase(config, out, train)
+        doc, fmodel = _train_phase(config, out, train)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc, (fmodel, qm), quant_report = _quantize_phase(doc, config, out, train, test)
+        doc, qm, quant_report = _quantize_phase(doc, fmodel, config, out, train, test)
     with _stage("simulate"):
         # the test split's input codes, shared with gen-hdl
         codes = quantize_inputs(test, qm.input_fmt)

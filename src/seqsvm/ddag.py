@@ -17,9 +17,10 @@ reference predictions, the batch simulator and the golden vectors;
 ``ddag_predict_float`` runs the same step loop on the float model.
 ``ddag_infer`` and ``ddag_infer_float`` are the scalar oracles: per-sample
 walks, summing in the same order, with their (row, y) logs. ``score_table``
-sums every row on every sample in that order too, for the float model's
-max-wins votes and quant's accumulator profiling; it sits beside
-``_walk_table`` so the two loops keep one summation order.
+sums every row on every sample in that order too, for quant's accumulator
+profiling and for the float model's max-wins votes wherever a BLAS score
+cannot certify them; it sits beside ``_walk_table`` so the two loops keep
+one summation order.
 """
 
 from __future__ import annotations
@@ -276,14 +277,21 @@ def ddag_infer_float(fmodel, x) -> tuple[int, list[tuple[int, int]]]:
     return _score_walk(fmodel.n_classes, fmodel.coefs, x.tolist())
 
 
-def ddag_predict_float(fmodel, features) -> np.ndarray:
-    """Float DDAG class of every sample; the batch form of ddag_infer_float."""
-    check_ovo(fmodel)
+def float_features(fmodel, features) -> np.ndarray:
+    """``features`` as the float64 samples x m matrix that ``fmodel`` scores.
+    Rejects any other shape, then any value that is not finite."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fmodel.n_features:
         raise ValueError(f"need a samples x {fmodel.n_features} feature matrix, got shape {X.shape}")
     if X.size and not np.isfinite([X.min(), X.max()]).all():
         raise ValueError("features must be finite")
+    return X
+
+
+def ddag_predict_float(fmodel, features) -> np.ndarray:
+    """Float DDAG class of every sample; the batch form of ddag_infer_float."""
+    check_ovo(fmodel)
+    X = float_features(fmodel, features)
     classes = np.empty(len(X), dtype=np.int64)
     for start, lo, _, _ in _walk_table(fmodel.n_classes, fmodel.coefs, X):
         classes[start:start + len(lo)] = lo

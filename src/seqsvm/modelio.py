@@ -5,6 +5,11 @@ the HDL generator, and the cost model. Serialization is canonical (sorted
 keys, fixed separators, trailing newline) so identical models are
 byte-identical on disk; floats round-trip exactly through repr.
 
+Byte contract: ``dumps_canonical(obj)`` is exactly
+``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, in every JSON
+artifact and in what ``config_hash`` hashes. Its own writer only avoids the
+stdlib's pure-Python encoder, which ``indent`` selects.
+
 Document layout (format "seqsvm/model", version 1):
   seed, config, config_hash              provenance
   dataset: {label_names, feature_names, normalization, split}
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -43,7 +50,38 @@ VERSION = 1
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, pad: str) -> str:
+    """``obj`` as json.dumps(obj, indent=2, sort_keys=True) writes it where
+    ``pad``, a newline and the indentation, starts each of its lines.
+
+    Strings, plain ints and finite plain floats write their own text, and
+    dicts of str keys, lists and tuples recurse, a list of only plain ints
+    or only finite plain floats in one join. Anything else (None, a bool, a
+    non-finite float, a subclass such as np.float64, other keys) is
+    json.dumps' own text, re-indented, which is exact because JSON text
+    holds no raw newline inside a string.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int or kind is float and math.isfinite(obj):
+        return kind.__repr__(obj)
+    inner = pad + "  "
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        items = [f"{_quote(key)}: {_encode(obj[key], inner)}" for key in sorted(obj)]
+        return "{" + inner + f",{inner}".join(items) + pad + "}"
+    if (kind is list or kind is tuple) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {float} and all(map(math.isfinite, obj)):
+            items = map(kinds.pop().__repr__, obj)
+        else:
+            items = [_encode(value, inner) for value in obj]
+        return "[" + inner + f",{inner}".join(items) + pad + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def config_hash(config: dict) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .dataset import Dataset, SplitSpec, split
-from .ddag import row_pairs, score_table
+from .ddag import float_features, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS
 
 
@@ -101,12 +101,18 @@ class FloatSvmModel:
             check_finite(self.coefs.tolist())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Class per row: max-wins voting for OvO, argmax score for OvA, on
-        the scores of ddag.score_table.
+        """Class per row: max-wins voting for OvO, argmax score for OvA, as
+        the scores of ddag.score_table decide them; ties break toward the
+        lowest class id. Rejects features as ddag_predict_float does.
 
-        Ties break toward the lowest class id.
+        Each block is scored by BLAS first. A decision that the BLAS scores
+        make by more than their bounds (an OvO score further from 0 than its
+        bound, an OvA top score above each other score by more than both
+        bounds) is score_table's decision too. A sample with any other
+        decision, or a score that is not finite, is scored again by
+        score_table. So the classes do not depend on the BLAS kernel.
         """
-        X = np.asarray(features, dtype=np.float64)
+        X = float_features(self, features)
         classes = np.empty(len(X), dtype=np.int64)
         if self.kind == "ovo":
             pairs = np.array(row_pairs("ovo", self.n_classes), dtype=np.int64).reshape(-1, 2)
@@ -115,14 +121,70 @@ class FloatSvmModel:
             # the counts are small integers, exact in float64
             swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
             base = onehot[pairs[:, 1]].sum(axis=0)
-        for start, col, scores in score_table(self.coefs, X):
-            if col < self.n_features:
-                continue
+        for start, scores, bounds in self._blas_blocks(X):
+            k = len(scores)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is never sure
+                finite = np.isfinite(scores.sum(axis=1))
+                if self.kind == "ovo":
+                    won = scores >= 0.0
+                    sure = np.abs(scores, out=scores) > bounds
+                    np.copyto(scores, won)  # 1.0 where class_a wins
+                else:
+                    top = np.argmax(scores, axis=1)
+                    classes[start:start + k] = top
+                    ends = np.arange(k), top
+                    bounds += bounds[ends][:, None]
+                    sure = np.subtract(scores[ends][:, None], scores, out=scores) > bounds
+                    sure[ends] = True
+            unsure = np.flatnonzero(~(sure.all(axis=1) & finite))
+            for first, col, exact in score_table(self.coefs, X[start + unsure]):
+                if col == self.n_features:
+                    redo = unsure[first:first + exact.shape[1]]
+                    if self.kind == "ovo":
+                        scores[redo] = exact.T >= 0.0
+                    else:
+                        classes[start + redo] = np.argmax(exact, axis=0)
             if self.kind == "ovo":
-                np.greater_equal(scores, 0.0, out=scores)  # 1.0 where class_a wins
-                scores = (scores.T @ swing + base).T  # the votes, one row per class
-            classes[start:start + scores.shape[1]] = np.argmax(scores, axis=0)
+                votes = np.matmul(scores, swing)
+                votes += base
+                classes[start:start + k] = np.argmax(votes, axis=1)
         return classes
+
+    def _blas_blocks(self, X: np.ndarray):
+        """Yield (first sample, scores, bounds) per block of samples, where
+        scores[s, r] is row r's BLAS score X @ W.T + b of sample first+s and
+        bounds[s, r] exceeds its distance from score_table's score, or is
+        not finite. Both go to reused buffers, so each block must be used
+        before the next.
+
+        Summed in any order, fused multiply-adds included, m+1 terms err by
+        at most gamma_(m+1) = (m+1)u / (1 - (m+1)u) times the sum of their
+        magnitudes, u = 2**-53 (Higham, Accuracy and Stability of Numerical
+        Algorithms, section 3.1). That holds for both scores, so the bound is
+        twice 2(m+2)u times that sum, which also covers the rounding of the
+        bound itself and of predict's OvA gaps, plus tiny for the products
+        that underflow.
+        """
+        weights = np.ascontiguousarray(self.coefs[:, 1:].T)  # row j: every stored row's weight j
+        bias = self.coefs[:, 0]
+        magnitudes, bias_magnitudes = np.abs(weights), np.abs(bias)
+        slack = 4 * (self.n_features + 2) * 2.0 ** -53
+        block = max(1, BLOCK_ELEMENTS // len(self.coefs))
+        size = min(block, len(X))
+        x_buf = np.empty((size, self.n_features))
+        score_buf, bound_buf = np.empty((2, size, len(self.coefs)))
+        for start in range(0, len(X), block):
+            k = min(block, len(X) - start)
+            x, scores, bounds = x_buf[:k], score_buf[:k], bound_buf[:k]
+            x[...] = X[start:start + k]
+            with np.errstate(over="ignore", invalid="ignore"):  # predict redoes what overflows
+                np.matmul(x, weights, out=scores)
+                scores += bias
+                np.matmul(np.abs(x, out=x), magnitudes, out=bounds)
+                bounds += bias_magnitudes
+                bounds *= slack
+            bounds += np.finfo(np.float64).tiny
+            yield start, scores, bounds
 
 
 @dataclass(frozen=True)

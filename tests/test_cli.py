@@ -12,7 +12,7 @@ import pytest
 from seqsvm.cli import build_parser, main
 from seqsvm.cost import STORAGE_KINDS
 from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
-from seqsvm.modelio import ddag_to_dict, float_model_from_dict, load_model_doc
+from seqsvm.modelio import ddag_to_dict, dumps_canonical, float_model_from_dict, load_model_doc
 from seqsvm.quant import search_param_bits
 from seqsvm.synth import separable_blobs
 from seqsvm.fxp import FxpFormat
@@ -114,6 +114,19 @@ def test_quantize_stage_reproduces_search(synth_csv, full_run):
     assert doc["quantized"]["vectors"][0]["weights"] == qm.words[0, 1:].tolist()
 
 
+def test_every_json_artifact_is_the_stdlib_encoding(full_run, tmp_path):
+    # the canonical writer's bytes are json.dumps(indent=2, sort_keys=True)'s
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    assert main(["compare", "--out", str(out)]) == 0
+    paths = sorted(out.rglob("*.json"))
+    assert {path.name for path in paths} >= {"float_model.json", "model.json", "compare_report.json"}
+    for path in paths:
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n" == dumps_canonical(doc), path.name
+
+
 def test_missing_dataset_fails_in_ingest(tmp_path, capsys):
     code = main(_run_args(tmp_path / "nope.csv", tmp_path / "out"))
     assert code == 2
@@ -148,6 +161,15 @@ def test_run_walks_the_float_ddag_once(synth_csv, tmp_path, monkeypatch):
     assert len(calls) == 1
     report = json.loads((out / "quant_report.json").read_text())
     assert f"ddag {report['float_accuracy']:.4f}" in (out / "summary.txt").read_text()
+
+
+def test_run_quantizes_the_trained_model_without_rebuilding_it(synth_csv, tmp_path, monkeypatch):
+    # quantize takes the model that train made; only the stage on its own loads float_model.json
+    calls = _count_calls(monkeypatch, "float_model_from_dict")
+    assert main(_run_args(synth_csv, tmp_path / "out")) == 0
+    assert calls == []
+    assert main(["quantize", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_run_quantizes_the_test_split_once_for_simulate_and_gen_hdl(synth_csv, tmp_path, monkeypatch):

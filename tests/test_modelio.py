@@ -33,6 +33,44 @@ FLOATS = st.one_of(
 )
 
 
+#: JSON scalars, and numbers that the encoder writes its own way: ints past
+#: 2**64, NaN and the infinities, and float subclasses such as np.float64.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**70), 10**40]),
+    FLOATS,
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(['"\\/\n\r\t\b\f', "\x00\x1f\x7f", "é☃\U0001d11e", "\ud800"]),
+)
+
+KEYS = st.one_of(st.text(), st.sampled_from(["", "\n", '"', "é", "\U0001d11e"]))
+
+#: Nested dicts (str keys, or int keys), lists and tuples, empty ones too, and
+#: lists of one number type, which the writer joins in one call.
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.lists(FLOATS | st.floats(), max_size=5),
+        st.lists(st.integers(), max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON_VALUES)
+def test_writer_is_the_stdlib_encoder(obj):
+    assert dumps_canonical(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 @st.composite
 def float_models(draw):
     kind = draw(st.sampled_from(["ovo", "ova"]))

@@ -1,5 +1,10 @@
+import ast
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -344,6 +349,70 @@ class TestPredict:
         with pytest.raises(ValueError, match="read-only"):
             model.coefs[:3, 0] = -1.0
         assert FloatSvmModel("ovo", 4, 2, zero).predict(np.array([[0.5, 0.25]])).tolist() == [1]
+
+
+@pytest.mark.parametrize("features, message", [
+    pytest.param(np.zeros((5, 2)), r"need a samples x 3 feature matrix, got shape \(5, 2\)", id="two-columns"),
+    pytest.param(np.zeros((5, 5)), r"need a samples x 3 feature matrix, got shape \(5, 5\)", id="five-columns"),
+    pytest.param(np.zeros(3), r"need a samples x 3 feature matrix, got shape \(3,\)", id="one-dimensional"),
+    pytest.param([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]], "features must be finite", id="nan"),
+])
+def test_predict_rejects_a_bad_feature_matrix(features, message):
+    # predict and the float DDAG share one check of the features
+    model = FloatSvmModel("ovo", 4, 3, np.random.default_rng(5).normal(size=(6, 4)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model.predict(features)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ddag_predict_float(model, features)
+
+
+def _kernel_cases():
+    """(model, features) cases: the 2**53 case of
+    test_votes_follow_the_bias_first_sum and exact-grid models whose scores
+    are often exactly 0, which need the fixed-order fallback, and 26-class
+    models, whose BLAS scores take other bits under other kernels."""
+    big = 2.0 ** 53
+    X = np.random.default_rng(0).uniform(size=(400, 3))
+    X[::7] = [1.0, 1.0, 0.0]
+    cases = [(FloatSvmModel("ovo", 3, 3, [[-1.0, -big, big, 0.0], [0.1, 0.5, -0.25, 1.0], [-0.2, 1.0, 0.5, 0.25]]), X)]
+    rng = np.random.default_rng(1)
+    for kind in ("ovo", "ova"):
+        rows = len(row_pairs(kind, 5))
+        grid = rng.integers(-2, 3, (rows, 7)).astype(np.float64)
+        cases.append((FloatSvmModel(kind, 5, 6, grid), rng.integers(0, 3, (500, 6)) / 2.0))
+        rows = len(row_pairs(kind, 26))
+        coefs = rng.normal(size=(rows, 17)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+        cases.append((FloatSvmModel(kind, 26, 16, coefs), ring_sectors(26, 16, 40, seed=2).features))
+    return cases
+
+
+_KERNEL_CHILD = """
+import pickle, sys
+from seqsvm.trainer import FloatSvmModel
+with open(sys.argv[1], "rb") as fh:
+    cases = pickle.load(fh)
+print(repr([FloatSvmModel(*model).predict(X).tolist() for model, X in cases]))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["", "Prescott"])
+def test_votes_do_not_follow_the_blas_kernel(coretype, tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernel at load time, so each kernel
+    # runs predict in a child process; the classes must be the bias-first
+    # sum's under both the default kernel and Prescott's
+    cases = _kernel_cases()
+    path = tmp_path / "cases.pickle"
+    with open(path, "wb") as fh:
+        pickle.dump([((m.kind, m.n_classes, m.n_features, m.coefs), X) for m, X in cases], fh)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, str(path)], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    predicted = ast.literal_eval(proc.stdout)
+    for (model, X), classes in zip(cases, predicted, strict=True):
+        assert classes == _per_vector_predict(model, X, _bias_first_scores).tolist()
 
 
 class TestRandomSearch:
