@@ -53,38 +53,23 @@ def _ingest(config: dict) -> tuple[Dataset, Dataset]:
     return split(ds, SplitSpec(config["train_fraction"], config["seed"]))
 
 
-def _train_phase(config: dict, out: Path, train: Dataset) -> tuple[dict, FloatSvmModel]:
-    """Search and train; returns the float model document and the model."""
+def _train_phase(config: dict, out: Path, train: Dataset) -> tuple[Hyper, FloatSvmModel]:
+    """Search and train; writes float_model.json and returns the hyperparameters and the model."""
     hyper = random_search(train, budget=config["budget"], seed=config["seed"])
     model = train_ovo(train, hyper)
-    doc = {
-        "format": modelio.FORMAT,
-        "version": modelio.VERSION,
-        "seed": config["seed"],
-        "config": config,
-        "config_hash": modelio.config_hash(config),
-        "dataset": {
-            "label_names": train.label_names,
-            "feature_names": train.feature_names,
-            "normalization": [list(pair) for pair in train.normalization],
-            "split": {"train_fraction": config["train_fraction"], "seed": config["seed"]},
-        },
-        "hyper": {"lam": hyper.lam, "epochs": hyper.epochs, "seed": hyper.seed},
-        "float_model": modelio.float_model_to_dict(model),
-    }
     out.mkdir(parents=True, exist_ok=True)
-    modelio.save_model_doc(out / "float_model.json", doc)
+    modelio.save_model_doc(out / "float_model.json", modelio.model_doc(config, train, hyper, model))
     print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors "
           f"(lam={hyper.lam:.5g}, epochs={hyper.epochs})")
-    return doc, model
+    return hyper, model
 
 
-def _quantize_phase(doc: dict, fmodel: FloatSvmModel, config: dict, out: Path, train: Dataset, test: Dataset):
-    """Precision search of ``fmodel``, the float model of ``doc``; returns
-    the model document, the quantized model and the QuantReport."""
+def _quantize_phase(config: dict, names: Dataset, hyper: Hyper, fmodel: FloatSvmModel, out: Path, train: Dataset,
+                    test: Dataset):
+    """Precision search of ``fmodel``; writes model.json (with the dataset names and normalization of ``names``)
+    and returns the document, the quantized model and the QuantReport."""
     qm, report = search_param_bits(fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"])
-    doc = {**doc, "config": config, "config_hash": modelio.config_hash(config),
-           "quantized": modelio.quantized_to_dict(qm), "ddag": modelio.ddag_to_dict(qm.n_classes)}
+    doc = modelio.model_doc(config, names, hyper, fmodel, qm)
     modelio.save_model_doc(out / "model.json", doc)
     modelio.save_model_doc(
         out / "quant_report.json", {"config_hash": doc["config_hash"], "seed": doc["seed"], **asdict(report)}
@@ -97,15 +82,12 @@ def _quantize_phase(doc: dict, fmodel: FloatSvmModel, config: dict, out: Path, t
 
 
 def _load_model(out: Path):
-    """The document of ``out``/model.json and its (float model, quantized
-    model); the float model must be the OvO model the DAG walks."""
+    """The document of ``out``/model.json and its parts (``modelio.read_model_doc``);
+    the float model must be the OvO model the DAG walks."""
     doc = modelio.load_model_doc(out / "model.json")
-    modelio.check_provenance(doc)
-    fmodel = modelio.float_model_from_dict(doc["float_model"])
-    qm = modelio.quantized_from_dict(doc["quantized"], fmodel.n_classes, fmodel.n_features)
-    modelio.check_ddag_doc(doc["ddag"], fmodel.n_classes)
-    check_ovo(fmodel)
-    return doc, (fmodel, qm)
+    parts = modelio.read_model_doc(doc, quantized=True)
+    check_ovo(parts[3])
+    return doc, parts
 
 
 def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, trace_n: int, storage_kind: str) -> dict:
@@ -207,18 +189,17 @@ def cmd_quantize(args) -> int:
     out = Path(args.out)
     with _stage("quantize"):
         doc = modelio.load_model_doc(out / "float_model.json")
-        modelio.check_provenance(doc)
-        config = _with_quant_keys(doc["config"], args)
-        fmodel = modelio.float_model_from_dict(doc["float_model"])
-        _quantize_phase(doc, fmodel, config, out, *_ingest(config))
+        config, names, hyper, fmodel, _ = modelio.read_model_doc(doc, quantized=False)
+        config = _with_quant_keys(config, args)
+        _quantize_phase(config, names, hyper, fmodel, out, *_ingest(config))
     return 0
 
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
-        doc, (_, qm) = _load_model(out)
-        test = _ingest(doc["config"])[1]
+        doc, (config, *_, qm) = _load_model(out)
+        test = _ingest(config)[1]
         codes = quantize_inputs(test, qm.input_fmt)
         _simulate_phase(doc, qm, codes, test.labels, out, args.trace, args.storage)
     return 0
@@ -227,8 +208,8 @@ def cmd_simulate(args) -> int:
 def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
-        doc, (_, qm) = _load_model(out)
-        test = _ingest(doc["config"])[1]
+        doc, (config, *_, qm) = _load_model(out)
+        test = _ingest(config)[1]
         codes = quantize_inputs(test.features[:args.vectors], qm.input_fmt)
         _hdl_phase(qm, codes, out, args.vectors)
     return 0
@@ -237,7 +218,7 @@ def cmd_gen_hdl(args) -> int:
 def cmd_cost(args) -> int:
     out = Path(args.out)
     with _stage("cost"):
-        doc, (_, qm) = _load_model(out)
+        doc, (*_, qm) = _load_model(out)
         _cost_phase(doc, qm, out, args.storage, _tech(args))
     return 0
 
@@ -245,13 +226,13 @@ def cmd_cost(args) -> int:
 def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
-        doc, (fmodel, qm) = _load_model(out)
+        doc, (config, _, hyper, fmodel, qm) = _load_model(out)
         # the DDAG accuracies were measured on this test split by the quantize stage
         quant_report = json.loads((out / "quant_report.json").read_text())
         if quant_report.get("config_hash") != doc["config_hash"]:
             raise ValueError("quant_report.json does not belong to model.json (config_hash differs)")
-        train, test = _ingest(doc["config"])
-        ova = train_ova(train, Hyper(**doc["hyper"]))
+        train, test = _ingest(config)
+        ova = train_ova(train, hyper)
         acc_rows = [
             ("ovo-vote (float)", accuracy(fmodel, test)),
             ("ovo-ddag (float)", quant_report["float_accuracy"]),
@@ -286,10 +267,10 @@ def cmd_run(args) -> int:
     with _stage("ingest"):
         train, test = _ingest(config)
     with _stage("train"):
-        doc, fmodel = _train_phase(config, out, train)
+        hyper, fmodel = _train_phase(config, out, train)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc, qm, quant_report = _quantize_phase(doc, fmodel, config, out, train, test)
+        doc, qm, quant_report = _quantize_phase(config, train, hyper, fmodel, out, train, test)
     with _stage("simulate"):
         # the test split's input codes, shared with gen-hdl
         codes = quantize_inputs(test, qm.input_fmt)

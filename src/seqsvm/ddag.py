@@ -18,8 +18,8 @@ reference predictions, the batch simulator and the golden vectors;
 ``ddag_infer`` and ``ddag_infer_float`` are the scalar oracles: per-sample
 walks, summing in the same order, with their (row, y) logs. ``score_table``
 sums every row on every sample in that order too, for quant's accumulator
-profiling and for the float model's max-wins votes wherever a BLAS score
-cannot certify them; it sits beside ``_walk_table`` so the two loops keep
+profiling, the float OvA scores and the OvO max-wins votes wherever a BLAS
+score cannot certify them; it sits beside ``_walk_table`` so the two loops keep
 one summation order.
 """
 

@@ -1,4 +1,4 @@
-"""Model document (de)serialization.
+"""Model documents: their one writer, their loader, and canonical JSON.
 
 One JSON document is the single source of truth consumed by the simulator,
 the HDL generator, and the cost model. Serialization is canonical (sorted
@@ -10,25 +10,14 @@ Byte contract: ``dumps_canonical(obj)`` is exactly
 artifact and in what ``config_hash`` hashes. Its own writer only avoids the
 stdlib's pure-Python encoder, which ``indent`` selects.
 
-Document layout (format "seqsvm/model", version 1):
-  seed, config, config_hash              provenance
-  dataset: {label_names, feature_names, normalization, split}
-  hyper: {lam, epochs, seed}
-  float_model: {kind, n_classes, n_features,
-                vectors: [{class_a, class_b, weights, bias}]}, one per
-                table row, in ``ddag.row_pairs`` order
-  quantized (optional): {input_fmt, param_bits, acc_width, bias_shift,
-                scales, vectors: [{class_a, class_b, weights, bias}]}
-  ddag (optional): {n_classes, initial_state, state_bits, ordering,
-                nodes: [{id, class_a, class_b, row, on_a, on_b}]}
-
-The ``ddag`` object must be ``ddag_to_dict`` of the float model's class
-count: the natural DAG, the one ``ddag.transitions`` lists. ``seed`` must be
-an int >= 0, ``hyper`` a valid ``trainer.Hyper`` and ``config`` hold the
-keys of ``_CONFIG_KEYS`` within the CLI's ranges. Quantized weights,
-biases, ``param_bits`` and ``acc_width`` (>= 1) must be integers, float
-weights and biases finite numbers, and ``scales`` one finite number > 0 per
-vector.
+``model_doc`` is the only builder of a document, format "seqsvm/model"
+version 1 (README.md, "File formats", shows the layout). ``read_model_doc``
+builds its parts back from the fields nothing else determines, checking
+each, then ``check_written`` rejects the document unless it is exactly what
+``model_doc`` writes for those parts. That one rule covers every derived
+field: ``format``, ``version``, ``seed``, ``config_hash``,
+``dataset.split``, ``hyper.seed``, each vector's pair, ``input_fmt``,
+``bias_shift`` and the whole ``ddag``.
 """
 
 from __future__ import annotations
@@ -36,14 +25,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
+from .dataset import Dataset
 from .ddag import pair_index, row_pairs, state_bits_for, transitions
 from .fxp import MAX_INPUT_BITS, FxpFormat
 from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, check_params, check_widths
-from .trainer import FloatSvmModel, Hyper, check_finite, finite_number
+from .trainer import FloatSvmModel, Hyper, check_feature_count, check_parameters, finite_number
 
 FORMAT = "seqsvm/model"
 VERSION = 1
@@ -96,78 +87,89 @@ def _table_to_list(table, kind: str, n_classes: int) -> list:
     ]
 
 
-def _table_rows(vectors: list, kind: str, n_classes: int, n_features: int, check=None) -> list:
-    """The table rows [bias, w_1..w_m] of a document's ``vectors``. Rejects a
-    wrong vector count, then any vector that is not its row's pair, then
-    ``check``'s offender among the rows before the first vector without one
-    weight per feature, then that vector."""
-    pairs = row_pairs(kind, n_classes)
-    if len(vectors) != len(pairs):
-        raise ValueError(f"a {n_classes}-class model needs {len(pairs)} vectors, got {len(vectors)}")
-    for r, (v, (a, b)) in enumerate(zip(vectors, pairs)):
-        if (v["class_a"], v["class_b"]) != (a, b):
-            raise ValueError(f"vector {r} carries pair ({v['class_a']},{v['class_b']}), not ({a},{b}) of row {r}")
-    ragged = next((r for r, v in enumerate(vectors) if np.shape(v["weights"]) != (n_features,)), None)
-    rows = [[v["bias"], *v["weights"]] for v in vectors[:ragged]]
-    if ragged is not None:
-        if check:
-            check(rows)
-        raise ValueError(f"vector {ragged}: wrong weight count")
-    return rows
-
-
-def float_model_to_dict(model: FloatSvmModel) -> dict:
-    return {
-        "kind": model.kind,
-        "n_classes": model.n_classes,
-        "n_features": model.n_features,
-        "vectors": _table_to_list(model.coefs, model.kind, model.n_classes),
+def model_doc(config: dict, dataset: Dataset, hyper: Hyper, fmodel: FloatSvmModel, qm: QuantizedModel | None = None):
+    """The document of these parts: float_model.json, or model.json with
+    ``qm``. Of ``dataset`` only the names and the normalization are written."""
+    doc = {
+        "format": FORMAT, "version": VERSION, "seed": config["seed"], "config": config,
+        "config_hash": config_hash(config),
+        "dataset": {"label_names": dataset.label_names, "feature_names": dataset.feature_names,
+                    "normalization": dataset.normalization,
+                    "split": {"train_fraction": config["train_fraction"], "seed": config["seed"]}},
+        "hyper": {"lam": hyper.lam, "epochs": hyper.epochs, "seed": hyper.seed},
+        "float_model": {
+            "kind": fmodel.kind, "n_classes": fmodel.n_classes, "n_features": fmodel.n_features,
+            "vectors": _table_to_list(fmodel.coefs, fmodel.kind, fmodel.n_classes),
+        },
     }
+    if qm is not None:
+        bits = qm.input_fmt.total_bits
+        doc["quantized"] = {
+            "input_fmt": {"total_bits": bits, "frac_bits": bits, "signed": False},
+            "param_bits": qm.param_bits, "acc_width": qm.acc_width, "bias_shift": qm.bias_shift,
+            "scales": list(qm.scales), "vectors": _table_to_list(qm.words, "ovo", qm.n_classes),
+        }
+        doc["ddag"] = ddag_to_dict(qm.n_classes)
+    return doc
+
+
+def _field(obj, key: str, at: str):
+    """``obj[key]``, naming ``obj`` by ``at`` if it is no object or has no ``key``."""
+    if type(obj) is not dict:
+        raise ValueError(f"{at} {obj!r:.80} is not an object")
+    if key not in obj:
+        raise ValueError(f"{at} has no key {key!r}")
+    return obj[key]
+
+
+def _table_rows(doc: dict, at: str, kind: str, n_classes: int, n_features: int, check) -> list:
+    """The rows [bias, w_1..w_m] of the model object ``doc``, named ``at``.
+    Rejects a bad class count, kind or feature count, a wrong vector count,
+    then ``check``'s offender among the rows before the first vector without
+    one weight per feature, then that vector."""
+    rows = len(row_pairs(kind, n_classes))
+    check_feature_count(n_features)
+    vectors = _field(doc, "vectors", at)
+    if type(vectors) is not list:
+        raise ValueError(f"{at}.vectors {vectors!r:.80} is not a list")
+    if len(vectors) != rows:
+        raise ValueError(f"a {n_classes}-class model needs {rows} vectors, got {len(vectors)}")
+    table = []
+    for r, v in enumerate(vectors):
+        weights = _field(v, "weights", f"{at}.vectors.{r}")
+        if type(weights) is not list or len(weights) != n_features:
+            break
+        table.append([_field(v, "bias", f"{at}.vectors.{r}"), *weights])
+    check(table)
+    if len(table) < rows:
+        raise ValueError(f"vector {len(table)}: wrong weight count")
+    return table
 
 
 def float_model_from_dict(doc: dict) -> FloatSvmModel:
-    kind, n_classes, n_features = doc["kind"], doc["n_classes"], doc["n_features"]
-    rows = _table_rows(doc["vectors"], kind, n_classes, n_features, check_finite)
-    check_finite(rows)  # before the table casts "0.5" or true to a float
+    """The float model of a ``float_model`` object: kind, counts, weights, biases."""
+    kind, n_classes, n_features = (_field(doc, key, "float_model") for key in ("kind", "n_classes", "n_features"))
+    # checked before the table casts "0.5" or true to a float
+    rows = _table_rows(doc, "float_model", kind, n_classes, n_features, check_parameters)
     return FloatSvmModel(kind, n_classes, n_features, rows)
 
 
-def _input_fmt_doc(bits) -> dict:
-    """The serialized input format: unsigned and all fractional."""
-    return {"total_bits": bits, "frac_bits": bits, "signed": False}
-
-
-def quantized_to_dict(qm: QuantizedModel) -> dict:
-    return {
-        "input_fmt": _input_fmt_doc(qm.input_fmt.total_bits),
-        "param_bits": qm.param_bits,
-        "acc_width": qm.acc_width,
-        "bias_shift": qm.bias_shift,
-        "scales": list(qm.scales),
-        "vectors": _table_to_list(qm.words, "ovo", qm.n_classes),
-    }
-
-
-def quantized_from_dict(doc: dict, n_classes: int, n_features: int) -> QuantizedModel:
-    fmt_doc, shift = doc["input_fmt"], doc.get("bias_shift")
-    bits = fmt_doc.get("total_bits") if isinstance(fmt_doc, dict) else None
-    if type(bits) is not int or fmt_doc != _input_fmt_doc(bits) or shift != bits:
-        raise ValueError(
-            f"input format {fmt_doc} with bias_shift {shift} is not supported: "
-            "inputs must be unsigned and all fractional, and the bias shifts by the input bits"
-        )
+def quantized_from_dict(doc: dict, n_classes: int, n_features: int, input_bits: int) -> QuantizedModel:
+    """The quantized model of a ``quantized`` object (widths, scales, weights,
+    biases) for inputs of ``input_bits``, the config's."""
+    fmt = FxpFormat(input_bits)
     for key in ("param_bits", "acc_width"):  # QuantizedModel checks param_bits' range
-        if type(doc[key]) is not int or doc[key] < 1:
+        if not _int_in(1)(_field(doc, key, "quantized")):
             raise ValueError(f"{key} {doc[key]!r} is not an integer of at least 1")
-    for r, v in enumerate(doc["vectors"]):
-        bad = [p for p in [*v["weights"], v["bias"]] if type(p) is not int]
-        if bad:
-            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not an integer")
     param_bits = doc["param_bits"]
-    check_widths(param_bits)  # before the input format and the vectors
-    fmt = FxpFormat(bits)
-    words = _table_rows(doc["vectors"], "ovo", n_classes, n_features, lambda rows: check_params(rows, param_bits))
-    qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, doc["scales"])
+    check_widths(param_bits)  # before the vectors
+
+    def check(rows):  # types first: a float in range is no word
+        check_parameters(rows, lambda p: type(p) is int, "an integer")
+        check_params(rows, param_bits)
+
+    words = _table_rows(doc, "quantized", "ovo", n_classes, n_features, check)
+    qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, _field(doc, "scales", "quantized"))
     qm.acc_width = doc["acc_width"]
     return qm
 
@@ -185,70 +187,95 @@ def ddag_to_dict(n_classes: int) -> dict:
     }
 
 
-def check_ddag_doc(doc: dict, n_classes: int) -> None:
-    """Reject a ``ddag`` object other than ``ddag_to_dict(n_classes)``. The
-    Verilog reads row = state, sizes the state register from the class count
-    and compares class 0 with class n-1 first, so a wrong ``row``,
-    ``state_bits`` or ``ordering`` is named first, then a DAG that is not the
-    natural one of its own class count, then that count."""
-    n = doc["n_classes"]
-    want_bits = state_bits_for(n)
-    if doc["state_bits"] != want_bits:
-        raise ValueError(f"DAG state_bits {doc['state_bits']!r} is not {want_bits}, the width for {n} classes")
-    if doc["ordering"] != "natural":
-        raise ValueError(f"DAG ordering {doc['ordering']!r} is not supported; only \"natural\" is")
-    for node in doc["nodes"]:
-        if node["row"] != node["id"]:
-            raise ValueError(f"DAG state {node['id']} reads row {node['row']}; the Verilog reads row = state")
-    if doc != ddag_to_dict(n):
-        raise ValueError(f"the DAG is not the natural DAG of {n} classes, the only one the Verilog runs")
-    if n != n_classes:
-        raise ValueError(f"a {n}-class DAG does not fit a {n_classes}-class model")
-
-
 def _int_in(lo: int, hi: int | None = None):
     return lambda v: type(v) is int and v >= lo and (hi is None or v <= hi)
 
 
-#: Each ``config`` key: whether every document has it (float_model.json has
+#: Each ``config`` key: whether only model.json has it (float_model.json has
 #: no quantizer keys), its check and what the check asks for.
 _CONFIG_KEYS = {
-    "dataset": (True, lambda v: isinstance(v, str), "a string"),
-    "label_column": (True, lambda v: isinstance(v, str), "a string"),
-    "seed": (True, _int_in(0), "an integer >= 0"),
-    "train_fraction": (True, lambda v: finite_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
-    "budget": (True, _int_in(1), "an integer >= 1"),
-    "input_bits": (False, _int_in(1, MAX_INPUT_BITS), f"an integer in 1..{MAX_INPUT_BITS}"),
+    "dataset": (False, lambda v: isinstance(v, str), "a string"),
+    "label_column": (False, lambda v: isinstance(v, str), "a string"),
+    "seed": (False, _int_in(0), "an integer >= 0"),
+    "train_fraction": (False, lambda v: finite_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
+    "budget": (False, _int_in(1), "an integer >= 1"),
+    "input_bits": (True, _int_in(1, MAX_INPUT_BITS), f"an integer in 1..{MAX_INPUT_BITS}"),
     "max_param_bits": (
-        False, _int_in(MIN_PARAM_BITS, MAX_PARAM_BITS), f"an integer in {MIN_PARAM_BITS}..{MAX_PARAM_BITS}"
+        True, _int_in(MIN_PARAM_BITS, MAX_PARAM_BITS), f"an integer in {MIN_PARAM_BITS}..{MAX_PARAM_BITS}"
     ),
 }
 
 
-def check_provenance(doc: dict) -> None:
-    """Reject a document that lacks ``seed``, ``hyper`` or ``config``, or whose
-    ``seed`` is not an int >= 0, ``hyper`` not exactly lam, epochs and seed that
-    ``Hyper`` accepts, or ``config`` lacks a key or holds one ``_CONFIG_KEYS`` rejects."""
-    missing = next((key for key in ("seed", "hyper", "config") if key not in doc), None)
-    if missing:
-        raise ValueError(f"document has no key {missing!r}")
-    seed, hyper, config = doc["seed"], doc["hyper"], doc["config"]
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed {seed!r} is not a non-negative integer")
-    if not (isinstance(hyper, dict) and sorted(hyper) == ["epochs", "lam", "seed"]):
-        raise ValueError(f"hyper {hyper!r:.80} is not an object of lam, epochs and seed")
+def read_model_doc(doc: dict, quantized: bool) -> tuple:
+    """The parts (config, dataset, hyper, float model, quantized model or None)
+    of ``doc``, model.json if ``quantized``. Reads and checks, in order,
+    ``config`` (the keys of ``_CONFIG_KEYS`` the document takes, in range),
+    ``hyper``'s lam and epochs, the models, and the dataset's names and
+    normalization (a Dataset of no samples); then ``check_written``."""
+    config = _field(doc, "config", "document")
+    keys = [key for key, (quantizer, _, _) in _CONFIG_KEYS.items() if quantized or not quantizer]
+    for key in keys:
+        ok, what = _CONFIG_KEYS[key][1:]
+        if not ok(_field(config, key, "config")):
+            raise ValueError(f"config {key} {config[key]!r:.80} is not {what}")
+    if set(config) - set(keys):
+        raise ValueError(f"config has an unknown key {min(set(config) - set(keys))!r}")
+    hyper = _field(doc, "hyper", "document")
+    lam, epochs = _field(hyper, "lam", "hyper"), _field(hyper, "epochs", "hyper")
     try:
-        Hyper(**hyper)
+        hyper = Hyper(lam, epochs, config["seed"])
     except ValueError as exc:
         raise ValueError(f"hyper: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"config {config!r:.80} is not an object")
-    for key, (required, ok, what) in _CONFIG_KEYS.items():
-        if key not in config:
-            if required:
-                raise ValueError(f"config has no key {key!r}")
-        elif not ok(config[key]):
-            raise ValueError(f"config {key} {config[key]!r:.80} is not {what}")
+    fmodel = float_model_from_dict(_field(doc, "float_model", "document"))
+    qm = quantized_from_dict(_field(doc, "quantized", "document"), fmodel.n_classes, fmodel.n_features,
+                             config["input_bits"]) if quantized else None
+    names = [_field(_field(doc, "dataset", "document"), key, "dataset")
+             for key in ("label_names", "feature_names", "normalization")]
+    dataset = Dataset(np.empty((0, fmodel.n_features)), [], *names)
+    parts = (config, dataset, hyper, fmodel, qm)
+    check_written(doc, model_doc(*parts))
+    return parts
+
+
+def _same_types(a: dict, b: dict) -> bool:
+    """For ``a == b``: whether both hold the same type everywhere, one level's types in one step."""
+    xs, ys = [a], [b]
+    while xs:
+        level_a, level_b = [], []
+        for x, y in zip(xs, ys):
+            if type(x) is dict:
+                level_a += x.values()
+                level_b += map(y.__getitem__, x)
+            else:
+                level_a += x
+                level_b += y
+        kinds = list(map(type, level_a))
+        if kinds != list(map(type, level_b)):
+            return False
+        nested = list(map({dict: True, list: True}.get, kinds))
+        xs, ys = list(compress(level_a, nested)), list(compress(level_b, nested))
+    return True
+
+
+def check_written(doc, written, path: str = "") -> None:
+    """Reject ``doc`` unless it equals ``written``, what the writer writes for
+    its parts, with the same type at every place, so that 1.0 or true never
+    passes for 1. Names the first difference in sorted key order: a missing
+    or unknown key, a list's length, or a value and what is written there."""
+    if not path and type(doc) is dict and doc == written and _same_types(doc, written):
+        return
+    if type(doc) is dict and type(written) is dict:
+        for key in sorted(doc.keys() | written.keys()):
+            if key not in doc or key not in written:
+                raise ValueError(f"{path or 'document'} has {'no' if key in written else 'an unknown'} key {key!r}")
+            check_written(doc[key], written[key], f"{path}.{key}" if path else key)
+    elif type(doc) is list and type(written) is list:
+        if len(doc) != len(written):
+            raise ValueError(f"{path} has {len(doc)} entries, the model writes {len(written)}")
+        for i, (value, want) in enumerate(zip(doc, written)):
+            check_written(value, want, f"{path}.{i}")
+    elif doc is not written and (type(doc) is not type(written) or doc != written):
+        raise ValueError(f"{path or 'document'} is {doc!r:.80}, the model writes {written!r:.80}")
 
 
 def save_model_doc(path, doc: dict) -> None:
@@ -258,9 +285,4 @@ def save_model_doc(path, doc: dict) -> None:
 
 def load_model_doc(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
-        raise ValueError(f"{path}: not a {FORMAT} document")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"{path}: unsupported version {doc.get('version')}")
-    return doc
+        return json.load(fh)

@@ -56,9 +56,16 @@ EPOCH_RANGE = (5, 50)
 HOLDOUT_FRACTION = 0.25
 
 
+def check_feature_count(n_features) -> None:
+    """Reject a feature count that is not an int (no bool) of at least 1."""
+    if type(n_features) is not int or n_features < 1:
+        raise ValueError(f"a model needs an integer feature count of at least one, got {n_features!r}")
+
+
 def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
     """``values`` as a new read-only (n_rows, n_features + 1) array of
     ``dtype``: a model's table, one row [bias, w_1..w_m] per stored vector."""
+    check_feature_count(n_features)
     table = np.array(values, dtype=dtype)
     if table.shape != (n_rows, n_features + 1):
         raise ValueError(f"need a {n_rows} x {n_features + 1} table (one row per vector), got shape {table.shape}")
@@ -74,13 +81,13 @@ def finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def check_finite(rows) -> None:
-    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m]) that is
-    not a finite number, row by row, each row's weights before its bias."""
+def check_parameters(rows, ok=finite_number, what: str = "a finite number") -> None:
+    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m]) that
+    ``ok`` rejects, row by row, each row's weights before its bias."""
     for r, row in enumerate(rows):
-        bad = [p for p in [*row[1:], row[0]] if not finite_number(p)]
+        bad = [p for p in [*row[1:], row[0]] if not ok(p)]
         if bad:
-            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not a finite number")
+            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not {what}")
 
 
 @dataclass(eq=False)
@@ -98,56 +105,45 @@ class FloatSvmModel:
         rows = len(row_pairs(self.kind, self.n_classes))
         self.coefs = read_only_table(self.coefs, rows, self.n_features, np.float64)
         if not np.isfinite(self.coefs).all():
-            check_finite(self.coefs.tolist())
+            check_parameters(self.coefs.tolist())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA, as
         the scores of ddag.score_table decide them; ties break toward the
         lowest class id. Rejects features as ddag_predict_float does.
 
-        Each block is scored by BLAS first. A decision that the BLAS scores
-        make by more than their bounds (an OvO score further from 0 than its
-        bound, an OvA top score above each other score by more than both
-        bounds) is score_table's decision too. A sample with any other
-        decision, or a score that is not finite, is scored again by
-        score_table. So the classes do not depend on the BLAS kernel.
+        OvA scores are score_table's. Each OvO block is scored by BLAS
+        first: a score further from 0 than its bound has score_table's
+        sign. A sample with any other score, or one that is not finite, is
+        scored again by score_table. So the classes do not depend on the
+        BLAS kernel.
         """
         X = float_features(self, features)
         classes = np.empty(len(X), dtype=np.int64)
-        if self.kind == "ovo":
-            pairs = np.array(row_pairs("ovo", self.n_classes), dtype=np.int64).reshape(-1, 2)
-            onehot = np.eye(self.n_classes)
-            # a pair votes for class_b, plus (e_a - e_b) when class_a wins;
-            # the counts are small integers, exact in float64
-            swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
-            base = onehot[pairs[:, 1]].sum(axis=0)
+        if self.kind == "ova":
+            for first, col, scores in score_table(self.coefs, X):
+                if col == self.n_features:
+                    classes[first:first + scores.shape[1]] = np.argmax(scores, axis=0)
+            return classes
+        pairs = np.array(row_pairs("ovo", self.n_classes), dtype=np.int64).reshape(-1, 2)
+        onehot = np.eye(self.n_classes)
+        # a pair votes for class_b, plus (e_a - e_b) when class_a wins;
+        # the counts are small integers, exact in float64
+        swing = onehot[pairs[:, 0]] - onehot[pairs[:, 1]]
+        base = onehot[pairs[:, 1]].sum(axis=0)
         for start, scores, bounds in self._blas_blocks(X):
-            k = len(scores)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is never sure
                 finite = np.isfinite(scores.sum(axis=1))
-                if self.kind == "ovo":
-                    won = scores >= 0.0
-                    sure = np.abs(scores, out=scores) > bounds
-                    np.copyto(scores, won)  # 1.0 where class_a wins
-                else:
-                    top = np.argmax(scores, axis=1)
-                    classes[start:start + k] = top
-                    ends = np.arange(k), top
-                    bounds += bounds[ends][:, None]
-                    sure = np.subtract(scores[ends][:, None], scores, out=scores) > bounds
-                    sure[ends] = True
+                won = scores >= 0.0
+                sure = np.abs(scores, out=scores) > bounds
+                np.copyto(scores, won)  # 1.0 where class_a wins
             unsure = np.flatnonzero(~(sure.all(axis=1) & finite))
             for first, col, exact in score_table(self.coefs, X[start + unsure]):
                 if col == self.n_features:
-                    redo = unsure[first:first + exact.shape[1]]
-                    if self.kind == "ovo":
-                        scores[redo] = exact.T >= 0.0
-                    else:
-                        classes[start + redo] = np.argmax(exact, axis=0)
-            if self.kind == "ovo":
-                votes = np.matmul(scores, swing)
-                votes += base
-                classes[start:start + k] = np.argmax(votes, axis=1)
+                    scores[unsure[first:first + exact.shape[1]]] = exact.T >= 0.0
+            votes = np.matmul(scores, swing)
+            votes += base
+            classes[start:start + len(scores)] = np.argmax(votes, axis=1)
         return classes
 
     def _blas_blocks(self, X: np.ndarray):
@@ -162,8 +158,7 @@ class FloatSvmModel:
         magnitudes, u = 2**-53 (Higham, Accuracy and Stability of Numerical
         Algorithms, section 3.1). That holds for both scores, so the bound is
         twice 2(m+2)u times that sum, which also covers the rounding of the
-        bound itself and of predict's OvA gaps, plus tiny for the products
-        that underflow.
+        bound itself, plus tiny for the products that underflow.
         """
         weights = np.ascontiguousarray(self.coefs[:, 1:].T)  # row j: every stored row's weight j
         bias = self.coefs[:, 0]

@@ -1,14 +1,18 @@
-"""Shared builders for randomized and shape-pinned quantized models, and the
-reference node graph of the DDAG."""
+"""Shared builders for randomized and shape-pinned quantized models, model
+documents, and the reference node graph of the DDAG."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
+from seqsvm.dataset import Dataset
 from seqsvm.ddag import pair_index
 from seqsvm.fxp import U4_4, FxpFormat
+from seqsvm.modelio import dumps_canonical, model_doc
 from seqsvm.quant import QuantizedModel, profile_accumulator
+from seqsvm.trainer import Hyper
 
 # (n_classes, n_features) of the five benchmark shapes used throughout.
 TABLE_SHAPES = {
@@ -18,6 +22,18 @@ TABLE_SHAPES = {
     "redwine": (6, 11),
     "whitewine": (7, 11),
 }
+
+
+def document(fmodel, qm=None) -> dict:
+    """float_model.json of ``fmodel``, or model.json with ``qm``, under a
+    fixed config, dataset and seed, as its JSON text reads back."""
+    config = {"dataset": "data.csv", "label_column": "label", "seed": 0, "train_fraction": 0.8, "budget": 1}
+    if qm is not None:
+        config.update(input_bits=qm.input_fmt.total_bits, max_param_bits=16)
+    m = fmodel.n_features
+    names = Dataset(np.empty((0, m)), [], [f"c{c}" for c in range(fmodel.n_classes)], [f"f{j}" for j in range(m)],
+                    [(0.0, 1.0)] * m)
+    return json.loads(dumps_canonical(model_doc(config, names, Hyper(), fmodel, qm)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import shutil
@@ -9,10 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqsvm.cli import build_parser, main
+from seqsvm.cli import _load_model, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
 from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
-from seqsvm.modelio import ddag_to_dict, dumps_canonical, float_model_from_dict, load_model_doc
+from seqsvm.modelio import (
+    ddag_to_dict,
+    dumps_canonical,
+    float_model_from_dict,
+    load_model_doc,
+    model_doc,
+    read_model_doc,
+)
 from seqsvm.quant import search_param_bits
 from seqsvm.synth import separable_blobs
 from seqsvm.fxp import FxpFormat
@@ -341,18 +349,23 @@ def _edited_copy(full_run, tmp_path, edit, name="model.json"):
     return out
 
 
-@pytest.mark.parametrize(
-    "key, value", [("signed", True), ("frac_bits", 3), ("total_bits", 3), ("bias_shift", 3)]
-)
-def test_simulate_rejects_a_hand_edited_input_format(full_run, tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param(key, value, message, id=f"{key}-{value}") for key, value, message in [
+        ("signed", True, "quantized.input_fmt.signed is True, the model writes False"),
+        ("frac_bits", 3, "quantized.input_fmt.frac_bits is 3, the model writes 4"),
+        ("total_bits", 3, "quantized.input_fmt.total_bits is 3, the model writes 4"),
+        ("bias_shift", 3, "quantized.bias_shift is 3, the model writes 4"),
+    ]
+])
+def test_simulate_rejects_a_hand_edited_input_format(full_run, tmp_path, capsys, key, value, message):
+    # the input bits are config's; the format and the bias shift follow from them
     def edit(doc):
         quantized = doc["quantized"]
         (quantized if key == "bias_shift" else quantized["input_fmt"])[key] = value
 
     out = _edited_copy(full_run, tmp_path, edit)
     assert main(["simulate", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "stage simulate failed: input format" in err and "is not supported" in err
+    assert f"stage simulate failed: {message}" in capsys.readouterr().err
 
 
 def _swap_first_two_rows(doc):
@@ -364,7 +377,7 @@ def test_gen_hdl_rejects_a_hand_edited_row(full_run, tmp_path, capsys):
     out = _edited_copy(full_run, tmp_path, _swap_first_two_rows)
     assert main(["gen-hdl", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "stage gen-hdl failed: DAG state 0 reads row 1; the Verilog reads row = state" in err
+    assert "stage gen-hdl failed: ddag.nodes.0.row is 1, the model writes 0" in err
 
 
 def _set_ddag_key(key, value):
@@ -473,9 +486,27 @@ def _set_config(key, value=None):
     return edit
 
 
-def _set_float_n_classes(value):
+def _set_float_model(key, value):
     def edit(doc):
-        doc["float_model"]["n_classes"] = value
+        doc["float_model"][key] = value
+
+    return edit
+
+
+_DELETE = object()
+
+
+def _set_path(path, value=_DELETE):
+    """Set the value at ``path``, a tuple of keys and indices, or delete it."""
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
 
     return edit
 
@@ -494,6 +525,9 @@ _CONFIG_EDITS = {
     "config_train_fraction_one": (_set_config("train_fraction", 1), f"config train_fraction 1 {_FRACTION}"),
     "config_train_fraction_true": (_set_config("train_fraction", True), f"config train_fraction True {_FRACTION}"),
     "config_budget_zero": (_set_config("budget", 0), "config budget 0 is not an integer >= 1"),
+    "config_unknown_key": (_set_config("colour", "red"), "config has an unknown key 'colour'"),
+    # a config in range that is not the one the model was written under
+    "config_train_fraction_half": (_set_config("train_fraction", 0.5), "config_hash is '"),
 }
 # edits of the quantizer's config keys, which only model.json carries
 _QUANT_CONFIG_EDITS = {
@@ -507,57 +541,87 @@ _QUANT_CONFIG_EDITS = {
     ),
 }
 
-_HYPER_KEYS = "is not an object of lam, epochs and seed"
 # edits of what float_model.json and model.json share: the "float_model"
 # object and the provenance keys "seed" and "hyper"
 _FLOAT_MODEL_EDITS = {
     "float_extra_weight": (_extra_float_weight, "vector 0: wrong weight count"),
     "float_kind": (_set_float_kind("bogus"), "model kind 'bogus' is neither 'ovo' nor 'ova'"),
-    "float_swapped_pair": (_swap_float_pair_zero, "vector 0 carries pair (1,0), not (0,1) of row 0"),
-    "float_ova_kind_on_pairs": (_set_float_kind("ova"), "vector 0 carries pair (0,1), not (0,None) of row 0"),
+    "float_swapped_pair": (_swap_float_pair_zero, "float_model.vectors.0.class_a is 1, the model writes 0"),
+    "float_ova_kind_on_pairs": (_set_float_kind("ova"), "float_model.vectors.0.class_b is 1, the model writes None"),
     "float_ova": (_float_model_as_ova, "a DAG walks OvO models only, not a 'ova' model"),
     "float_bias_string": (_set_float(0, None, "0.5"), "vector 0: parameter '0.5' is not a finite number"),
     "float_weight_true": (_set_float(1, 3, True), "vector 1: parameter True is not a finite number"),
     "float_bias_nan": (_set_float(2, None, float("nan")), "vector 2: parameter nan is not a finite number"),
     "float_weight_infinity": (_set_float(0, 10, float("inf")), "vector 0: parameter inf is not a finite number"),
     "float_weight_null": (_set_float(2, 0, None), "vector 2: parameter None is not a finite number"),
-    "float_n_classes_one": (_set_float_n_classes(1), "a model needs an integer class count of at least two, got 1"),
-    "float_n_classes_true": (
-        _set_float_n_classes(True), "a model needs an integer class count of at least two, got True"
+    "float_n_classes_one": (
+        _set_float_model("n_classes", 1), "a model needs an integer class count of at least two, got 1"
     ),
-    "seed_string": (_set_top("seed", "x"), "seed 'x' is not a non-negative integer"),
-    "seed_negative": (_set_top("seed", -1), "seed -1 is not a non-negative integer"),
-    "seed_true": (_set_top("seed", True), "seed True is not a non-negative integer"),
+    "float_n_classes_true": (
+        _set_float_model("n_classes", True), "a model needs an integer class count of at least two, got True"
+    ),
+    "float_n_features_float": (
+        _set_float_model("n_features", 11.0), "a model needs an integer feature count of at least one, got 11.0"
+    ),
+    "float_n_features_true": (
+        _set_float_model("n_features", True), "a model needs an integer feature count of at least one, got True"
+    ),
+    "float_n_features_zero": (
+        _set_float_model("n_features", 0), "a model needs an integer feature count of at least one, got 0"
+    ),
+    "float_weight_int": (_set_float(1, 2, 1), "float_model.vectors.1.weights.2 is 1, the model writes 1.0"),
+    "float_unknown_key": (_set_float_model("note", "x"), "float_model has an unknown key 'note'"),
+    "float_model_missing": (_set_top("float_model"), "document has no key 'float_model'"),
+    "float_weights_missing": (
+        _set_path(("float_model", "vectors", 0, "weights")), "float_model.vectors.0 has no key 'weights'"
+    ),
+    "seed_string": (_set_top("seed", "x"), "seed is 'x', the model writes 11"),
+    "seed_negative": (_set_top("seed", -1), "seed is -1, the model writes 11"),
+    "seed_true": (_set_top("seed", True), "seed is True, the model writes 11"),
+    "seed_other": (_set_top("seed", 12), "seed is 12, the model writes 11"),
     "seed_missing": (_set_top("seed"), "document has no key 'seed'"),
     "hyper_missing": (_set_top("hyper"), "document has no key 'hyper'"),
     "config_missing": (_set_top("config"), "document has no key 'config'"),
-    "hyper_list": (_set_top("hyper", []), f"hyper [] {_HYPER_KEYS}"),
+    "dataset_split_seed": (
+        _set_path(("dataset", "split", "seed"), 12), "dataset.split.seed is 12, the model writes 11"
+    ),
+    "dataset_split_fraction": (
+        _set_path(("dataset", "split", "train_fraction"), 0.5),
+        "dataset.split.train_fraction is 0.5, the model writes 0.8",
+    ),
+    "hyper_list": (_set_top("hyper", []), "hyper [] is not an object"),
     "hyper_epochs_negative": (_set_hyper("epochs", -3), "hyper: epochs must be >= 0 and an int, got -3"),
     "hyper_epochs_fraction": (_set_hyper("epochs", 2.5), "hyper: epochs must be >= 0 and an int, got 2.5"),
     "hyper_epochs_true": (_set_hyper("epochs", True), "hyper: epochs must be >= 0 and an int, got True"),
     "hyper_lam_zero": (_set_hyper("lam", 0), "hyper: lam must be finite and > 0, got 0"),
     "hyper_lam_string": (_set_hyper("lam", "0.1"), "hyper: lam must be finite and > 0, got '0.1'"),
-    "hyper_seed_string": (_set_hyper("seed", "x"), "hyper: seed must be >= 0 and an int, got 'x'"),
+    "hyper_seed_string": (_set_hyper("seed", "x"), "hyper.seed is 'x', the model writes 11"),
+    "hyper_seed_other": (_set_hyper("seed", 12), "hyper.seed is 12, the model writes 11"),
     **_CONFIG_EDITS,
 }
 
-_ROW_SWAP = (_swap_first_two_rows, "DAG state 0 reads row 1; the Verilog reads row = state")
-_NOT_NATURAL = "the DAG is not the natural DAG of 3 classes"
+_ROW_SWAP = (_swap_first_two_rows, "ddag.nodes.0.row is 1, the model writes 0")
 _SCALES_LIST = "scales must be a list of one number per vector (3)"
 # the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
 # bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves
 _MODEL_EDITS = {
-    "state_bits": (_set_ddag_key("state_bits", 40), "DAG state_bits 40 is not 2, the width for 3 classes"),
-    "ordering": (_set_ddag_key("ordering", "whatever"), "DAG ordering 'whatever' is not supported"),
+    "state_bits": (_set_ddag_key("state_bits", 40), "ddag.state_bits is 40, the model writes 2"),
+    "ordering": (_set_ddag_key("ordering", "whatever"), "ddag.ordering is 'whatever', the model writes 'natural'"),
     "extra_vector": (_append_a_vector, "a 3-class model needs 3 vectors, got 4"),
-    "relabelled_pair": (_relabel_row_zero, "vector 0 carries pair (1,2), not (0,1) of row 0"),
-    "cyclic_edge": (_edit_node(1, "on_a", ["node", 1]), _NOT_NATURAL),
-    "short_path": (_edit_node(1, "on_a", ["leaf", 0]), _NOT_NATURAL),
-    "edge_to_node_99": (_edit_node(1, "on_b", ["node", 99]), _NOT_NATURAL),
-    "edge_to_leaf_3": (_edit_node(0, "on_b", ["leaf", 3]), _NOT_NATURAL),
-    "initial_state": (_set_ddag_key("initial_state", 0), _NOT_NATURAL),
-    "class_a": (_edit_node(0, "class_a", 2), _NOT_NATURAL),
-    "four_class_ddag": (_four_class_ddag, "a 4-class DAG does not fit a 3-class model"),
+    "relabelled_pair": (_relabel_row_zero, "quantized.vectors.0.class_a is 1, the model writes 0"),
+    "cyclic_edge": (_edit_node(1, "on_a", ["node", 1]), "ddag.nodes.1.on_a.1 is 1, the model writes 0"),
+    "short_path": (_edit_node(1, "on_a", ["leaf", 0]), "ddag.nodes.1.on_a.0 is 'leaf', the model writes 'node'"),
+    "edge_to_node_99": (_edit_node(1, "on_b", ["node", 99]), "ddag.nodes.1.on_b.1 is 99, the model writes 2"),
+    "edge_to_leaf_3": (_edit_node(0, "on_b", ["leaf", 3]), "ddag.nodes.0.on_b.1 is 3, the model writes 1"),
+    "initial_state": (_set_ddag_key("initial_state", 0), "ddag.initial_state is 0, the model writes 1"),
+    "initial_state_float": (_set_ddag_key("initial_state", 1.0), "ddag.initial_state is 1.0, the model writes 1"),
+    "class_a": (_edit_node(0, "class_a", 2), "ddag.nodes.0.class_a is 2, the model writes 0"),
+    "four_class_ddag": (_four_class_ddag, "ddag.initial_state is 2, the model writes 1"),
+    "ddag_missing": (_set_top("ddag"), "document has no key 'ddag'"),
+    "ddag_list": (_set_top("ddag", []), "ddag is [], the model writes {"),
+    "quantized_missing": (_set_top("quantized"), "document has no key 'quantized'"),
+    "scales_missing": (_set_path(("quantized", "scales")), "quantized has no key 'scales'"),
+    "quantized_unknown_key": (_set_quantized(("note",), "x"), "quantized has an unknown key 'note'"),
     "acc_width_true": (_set_quantized(("acc_width",), True), "acc_width True is not an integer of at least 1"),
     "acc_width_fraction": (_set_quantized(("acc_width",), 7.5), "acc_width 7.5 is not an integer of at least 1"),
     "acc_width_zero": (_set_quantized(("acc_width",), 0), "acc_width 0 is not an integer of at least 1"),
@@ -592,11 +656,14 @@ _MODEL_EDITS = {
     ],
 )
 def test_every_stage_rejects_a_hand_edited_row(full_run, tmp_path, capsys, command, edit, message):
-    # the model loader rejects it, so no stage reports on a DAG the Verilog would not run
+    # the model loader rejects it before any write, so no stage reports on a
+    # model the Verilog would not run
     out = _edited_copy(full_run, tmp_path, edit)
+    before = _tree_bytes(out)
     assert main([command, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"stage {command} failed: {message}" in err
+    assert _tree_bytes(out) == before
 
 
 @pytest.mark.parametrize(
@@ -604,12 +671,74 @@ def test_every_stage_rejects_a_hand_edited_row(full_run, tmp_path, capsys, comma
 )
 def test_quantize_rejects_a_hand_edited_float_model(full_run, tmp_path, capsys, edit, message):
     out = _edited_copy(full_run, tmp_path, edit, "float_model.json")
+    before = _tree_bytes(out)
     assert main(["quantize", "--out", str(out)]) == 2
     assert f"stage quantize failed: {message}" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+
+
+def test_float_model_json_takes_no_quantizer_keys(full_run, tmp_path, capsys):
+    out = _edited_copy(full_run, tmp_path, _set_config("input_bits", 4), "float_model.json")
+    assert main(["quantize", "--out", str(out)]) == 2
+    assert "stage quantize failed: config has an unknown key 'input_bits'" in capsys.readouterr().err
 
 
 def _tree_bytes(out: Path) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_loaded_parts_write_each_document_again(synth_csv, full_run, tmp_path):
+    # model_doc of what the loader read back is each document, byte for byte,
+    # after one `run` and after train and quantize on their own
+    staged = tmp_path / "staged"
+    assert main(["train", *_run_args(synth_csv, staged)[1:]]) == 0
+    assert main(["quantize", "--out", str(staged)]) == 0
+    for out in (full_run, staged):
+        for name, quantized in (("float_model.json", False), ("model.json", True)):
+            text = (out / name).read_text()
+            assert dumps_canonical(model_doc(*read_model_doc(json.loads(text), quantized))) == text, (out, name)
+
+
+def _paths(obj, path=()):
+    """Every path (a tuple of keys and indices) in ``obj``, each container before its contents."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _names(path) -> set:
+    """What an error about ``path`` may say to name it: its last key, or the
+    row it lies in (``vector r``) as the models name a row, or the count a
+    class or feature count is."""
+    keys = [step for step in path if isinstance(step, str)]
+    names = {keys[-1], {"n_classes": "class count", "n_features": "feature count"}.get(keys[-1], keys[-1])}
+    for key in ("vectors", "scales"):
+        if key in path[:-1]:
+            names.add(f"vector {path[path.index(key) + 1]}")
+    return names
+
+
+# no stage reads these, so any value passes as long as the key is there
+_UNREAD = {("dataset", "label_names"), ("dataset", "feature_names"), ("dataset", "normalization")}
+
+
+def test_every_field_of_model_json_is_checked_by_name(full_run, tmp_path):
+    # delete each key or entry, or set it to null or [], and the loader names
+    # it in a ValueError, never a bare KeyError or TypeError text
+    doc = json.loads((full_run / "model.json").read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = [path for path in _paths(doc) if path[:2] not in _UNREAD]
+    assert len(paths) > 150
+    for path in paths:
+        for value in (_DELETE, None, []):
+            edited = copy.deepcopy(doc)
+            _set_path(path, value)(edited)
+            (out / "model.json").write_text(json.dumps(edited))
+            with pytest.raises(ValueError) as exc:
+                _load_model(out)
+            assert any(name in str(exc.value) for name in _names(path)), (path, value, str(exc.value))
 
 
 @pytest.mark.parametrize(

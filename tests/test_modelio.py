@@ -1,7 +1,8 @@
-"""Model documents round-trip bit for bit: a table written by the
-serializers, printed canonically and read back by the loaders is the same
-table, and printing it again gives the same bytes. A document with more
-than one fault is rejected for the one the loaders check first."""
+"""Model documents round-trip bit for bit: a model written by model_doc,
+printed canonically and read back by read_model_doc is the same model, and
+writing its parts again gives the same bytes. The loader reads the fields
+nothing else determines first, then rejects any other difference from what
+model_doc writes, naming its path."""
 
 import json
 
@@ -10,15 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import document
 from seqsvm.ddag import row_pairs
 from seqsvm.fxp import FxpFormat, max_int, min_int
-from seqsvm.modelio import (
-    dumps_canonical,
-    float_model_from_dict,
-    float_model_to_dict,
-    quantized_from_dict,
-    quantized_to_dict,
-)
+from seqsvm.modelio import check_written, dumps_canonical, model_doc, read_model_doc
 from seqsvm.quant import QuantizedModel
 from seqsvm.trainer import FloatSvmModel
 
@@ -100,55 +96,94 @@ def quantized_models(draw):
 @settings(max_examples=200, deadline=None)
 @given(model=float_models())
 def test_float_model_document_round_trip(model):
-    text = dumps_canonical(float_model_to_dict(model))
-    back = float_model_from_dict(json.loads(text))
+    doc = document(model)
+    parts = read_model_doc(doc, quantized=False)
+    back = parts[3]
     assert (back.kind, back.n_classes, back.n_features) == (model.kind, model.n_classes, model.n_features)
     assert back.coefs.tobytes() == model.coefs.tobytes()
-    assert dumps_canonical(float_model_to_dict(back)) == text
+    assert dumps_canonical(model_doc(*parts)) == dumps_canonical(doc)
+
+
+def _zero_ovo(n, m):
+    return FloatSvmModel("ovo", n, m, np.zeros((len(row_pairs("ovo", n)), m + 1)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(qm=quantized_models())
 def test_quantized_document_round_trip(qm):
-    text = dumps_canonical(quantized_to_dict(qm))
-    back = quantized_from_dict(json.loads(text), qm.n_classes, qm.n_features)
+    doc = document(_zero_ovo(qm.n_classes, qm.n_features), qm)
+    parts = read_model_doc(doc, quantized=True)
+    back = parts[4]
     assert (back.input_fmt, back.param_bits, back.acc_width) == (qm.input_fmt, qm.param_bits, qm.acc_width)
     assert back.words.tobytes() == qm.words.tobytes()
     assert np.array(back.scales).tobytes() == np.array(qm.scales).tobytes()
-    assert dumps_canonical(quantized_to_dict(back)) == text
+    assert dumps_canonical(model_doc(*parts)) == dumps_canonical(doc)
 
 
-def _quantized_doc(pairs, weights, param_bits=4, total_bits=4):
-    return {
-        "input_fmt": {"total_bits": total_bits, "frac_bits": total_bits, "signed": False},
-        "bias_shift": total_bits,
-        "param_bits": param_bits,
-        "acc_width": 8,
-        "scales": [1.0] * len(pairs),
-        "vectors": [{"class_a": a, "class_b": b, "weights": w, "bias": 0} for (a, b), w in zip(pairs, weights)],
-    }
+def _model_json():
+    """model.json of a 3-class, 2-feature model at 4 input and 4 parameter bits."""
+    qm = QuantizedModel(3, 2, FxpFormat(4), 4, [[1, 2, 3]] * 3, [1.0] * 3)
+    qm.acc_width = 8
+    return document(_zero_ovo(3, 2), qm)
 
 
-SWAPPED = [(0, 1), (0, 2), (2, 1)]
+def _edit(*changes):
+    """model.json with each (path, value) of ``changes`` set."""
+    doc = _model_json()
+    for path, value in changes:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+SWAPPED = (("quantized", "vectors", 2, "class_a"), 2), (("quantized", "vectors", 2, "class_b"), 1)
+DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized", "bias_shift"), 3)
 
 
 @pytest.mark.parametrize("doc, message", [
-    # the widths come before the vectors
-    (_quantized_doc(SWAPPED, [[0, 0]] * 3, param_bits=17), "param_bits out of range"),
-    (_quantized_doc(SWAPPED, [[0, 0]] * 3, total_bits=17), "input format must have 1..16 bits"),
-    # every pair comes before any weight count or range
-    (_quantized_doc(SWAPPED, [[0], [99, 0], [0, 0]]), r"vector 2 carries pair \(2,1\), not \(1,2\) of row 2"),
-    (_quantized_doc(SWAPPED, [[99, 0], [0, 0], [0, 0]]), r"vector 2 carries pair \(2,1\), not \(1,2\) of row 2"),
+    # the fields nothing else determines first, each with its own check:
+    # config, hyper, the float model, the quantized widths, then its vectors
+    (_edit(*DERIVED, (("config", "input_bits"), 17)), "config input_bits 17 is not an integer in 1..16"),
+    (_edit(*DERIVED, (("hyper", "lam"), 0)), "hyper: lam must be finite and > 0, got 0"),
+    (_edit(*DERIVED, (("float_model", "n_features"), 2.0)), "a model needs an integer feature count of at least one"),
+    (_edit(*DERIVED, (("quantized", "param_bits"), 17)), "param_bits out of range"),
+    (_edit(*DERIVED, (("quantized", "vectors", 0, "weights"), [0])), "vector 0: wrong weight count"),
+    (_edit(*DERIVED, (("quantized", "vectors", 1, "bias"), 99)), "vector 1: parameter 99 exceeds 4 bits"),
+    # then the comparison with what model_doc writes, in sorted key order;
+    # the dataset's names are written back as read, so any value passes
+    (_edit(*DERIVED, (("dataset", "label_names"), 5), (("dataset", "feature_names"), None)),
+     "ddag.state_bits is 40, the model writes 2"),
+    (_edit(*DERIVED[1:]), "quantized.bias_shift is 3, the model writes 4"),
+    (_edit(*SWAPPED, DERIVED[1]), "quantized.vectors.2.class_a is 2, the model writes 1"),
+    (_edit(DERIVED[1]), "seed is 5, the model writes 0"),
 ])
-def test_quantized_loader_check_order(doc, message):
+def test_loader_check_order(doc, message):
     with pytest.raises(ValueError, match=f"^{message}"):
-        quantized_from_dict(doc, 3, 2)
+        read_model_doc(doc, quantized=True)
 
 
-@pytest.mark.parametrize("kind", ["ovo", "ova"])
-def test_float_loader_checks_every_pair_before_weight_counts(kind):
-    vectors = [{"class_a": a, "class_b": b, "weights": [0.0, 0.0], "bias": 0.0} for a, b in row_pairs(kind, 3)]
-    vectors[0]["weights"] = [0.0]
-    vectors[2]["class_a"] = 9
-    with pytest.raises(ValueError, match=r"^vector 2 carries pair \(9,"):
-        float_model_from_dict({"kind": kind, "n_classes": 3, "n_features": 2, "vectors": vectors})
+WRITTEN = {"a": 1, "b": [1.0, {"c": [True, None, "x"]}], "d": {"e": 2.5}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**WRITTEN, "a": 1.0}, "a is 1.0, the model writes 1"),
+    ({**WRITTEN, "a": True}, "a is True, the model writes 1"),
+    # two types swapped keep the count of each type
+    ({**WRITTEN, "b": [1, {"c": [True, None, "x"]}], "d": {"e": 2.5}, "a": 1.0}, "a is 1.0, the model writes 1"),
+    ({**WRITTEN, "b": [1, {"c": [1.0, None, "x"]}]}, r"b.0 is 1, the model writes 1.0"),
+    ({**WRITTEN, "b": [1, {"c": [True, None, "x"]}]}, r"b.0 is 1, the model writes 1.0"),
+    ({**WRITTEN, "b": [1.0, {"c": [1, None, "x"]}]}, r"b.1.c.0 is 1, the model writes True"),
+    ({**WRITTEN, "b": [1.0, {"c": [True, None]}]}, r"b.1.c has 2 entries, the model writes 3"),
+    ({**WRITTEN, "d": {"e": 2.5, "f": 0}}, "d has an unknown key 'f'"),
+    ({"a": 1, "b": WRITTEN["b"]}, "document has no key 'd'"),
+    ({**WRITTEN, "z": 0}, "document has an unknown key 'z'"),
+    ({**WRITTEN, "d": []}, r"d is \[\], the model writes \{'e': 2.5\}"),
+    ([], r"document is \[\], the model writes"),
+])
+def test_check_written_compares_type_and_value_everywhere(doc, message):
+    # == alone takes 1.0 and true for 1; the check does not
+    check_written(json.loads(json.dumps(WRITTEN)), WRITTEN)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_written(doc, WRITTEN)

@@ -298,20 +298,15 @@ class TestQuantizedModelInvariants:
     def test_first_offender_named(self, params, message):
         # vector order first, then the weights in order, then the bias; a
         # wrong-length vector cannot be a table row, so the cases go through
-        # the document loader
+        # the loader of a document's quantized object
         doc = {
-            "input_fmt": {"total_bits": 4, "frac_bits": 4, "signed": False},
-            "bias_shift": 4,
             "param_bits": 4,
             "acc_width": 8,
             "scales": [1.0] * 3,
-            "vectors": [
-                {"class_a": a, "class_b": b, "weights": w, "bias": bias}
-                for (a, b), (w, bias) in zip([(0, 1), (0, 2), (1, 2)], params)
-            ],
+            "vectors": [{"weights": w, "bias": bias} for w, bias in params],
         }
         with pytest.raises(ValueError, match=f"^{message}$"):
-            quantized_from_dict(doc, 3, 2)
+            quantized_from_dict(doc, 3, 2, 4)
 
     def test_weights_named_before_bias_in_memory(self):
         words = [[-8, 1, 7], [9, 8, -9], [0, -99, 0]]  # rows [bias, w_1, w_2]

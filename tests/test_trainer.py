@@ -16,11 +16,11 @@ from numpy.random import default_rng
 
 import seqsvm.ddag as ddag_mod
 import seqsvm.trainer as trainer_mod
-from helpers import layouts
+from helpers import document, layouts
 from seqsvm.dataset import Dataset, SplitSpec, split
 from seqsvm.ddag import ddag_predict_float, row_pairs, score_table
 from seqsvm.fxp import BLOCK_ELEMENTS
-from seqsvm.modelio import float_model_from_dict
+from seqsvm.modelio import float_model_from_dict, read_model_doc
 from seqsvm.synth import bundled_dataset, ring_sectors
 from seqsvm.trainer import (
     FloatSvmModel,
@@ -121,26 +121,46 @@ def test_ova_vector_counts(name, n):
     assert model.coefs.shape == (n, train.n_features + 1)
 
 
-@pytest.mark.parametrize("kind, rows, message", [
-    ("ovo", [(0, 1), (1, 0), (1, 2)], r"vector 1 carries pair \(1,0\), not \(0,2\) of row 1"),
-    ("ovo", [(0, 2), (0, 1), (1, 2)], r"vector 0 carries pair \(0,2\), not \(0,1\) of row 0"),
-    ("ovo", [(0, 1), (0, None), (1, 2)], r"vector 1 carries pair \(0,None\), not \(0,2\) of row 1"),
-    ("ovo", [(0, 1), (0, 2)], "a 3-class model needs 3 vectors, got 2"),
-    ("ova", [(0, None), (2, None), (1, None)], r"vector 1 carries pair \(2,None\), not \(1,None\) of row 1"),
-    ("ova", [(0, None), (1, 2), (2, None)], r"vector 1 carries pair \(1,2\), not \(1,None\) of row 1"),
-    ("ova", [(0, 1), (0, 2), (1, 2)], r"vector 0 carries pair \(0,1\), not \(0,None\) of row 0"),
-    ("ova", [(0, None), (1, None)], "a 3-class model needs 3 vectors, got 2"),
-    ("bogus", [(0, 1), (0, 2), (1, 2)], "model kind 'bogus' is neither 'ovo' nor 'ova'"),
-    ("OvO", [(0, 1), (0, 2), (1, 2)], "model kind 'OvO' is neither 'ovo' nor 'ova'"),
-])
+def _pair_case(kind, rows, message, pair):
+    """A case whose id names the vector that carries a pair other than its row's."""
+    return pytest.param(kind, rows, message, id=f"{kind}-rows{len(_PAIR_CASES)}-{pair}")
+
+
+_PAIR_CASES = []
+for _case in [
+    ("ovo", [(0, 1), (1, 0), (1, 2)], "float_model.vectors.1.class_a is 1, the model writes 0",
+     r"vector 1 carries pair \(1,0\), not \(0,2\) of row 1"),
+    ("ovo", [(0, 2), (0, 1), (1, 2)], "float_model.vectors.0.class_b is 2, the model writes 1",
+     r"vector 0 carries pair \(0,2\), not \(0,1\) of row 0"),
+    ("ovo", [(0, 1), (0, None), (1, 2)], "float_model.vectors.1.class_b is None, the model writes 2",
+     r"vector 1 carries pair \(0,None\), not \(0,2\) of row 1"),
+    ("ovo", [(0, 1), (0, 2)], "a 3-class model needs 3 vectors, got 2", "a 3-class model needs 3 vectors, got 2"),
+    ("ova", [(0, None), (2, None), (1, None)], "float_model.vectors.1.class_a is 2, the model writes 1",
+     r"vector 1 carries pair \(2,None\), not \(1,None\) of row 1"),
+    ("ova", [(0, None), (1, 2), (2, None)], "float_model.vectors.1.class_b is 2, the model writes None",
+     r"vector 1 carries pair \(1,2\), not \(1,None\) of row 1"),
+    ("ova", [(0, 1), (0, 2), (1, 2)], "float_model.vectors.0.class_b is 1, the model writes None",
+     r"vector 0 carries pair \(0,1\), not \(0,None\) of row 0"),
+    ("ova", [(0, None), (1, None)], "a 3-class model needs 3 vectors, got 2", "a 3-class model needs 3 vectors, got 2"),
+    ("bogus", [(0, 1), (0, 2), (1, 2)], "model kind 'bogus' is neither 'ovo' nor 'ova'",
+     "model kind 'bogus' is neither 'ovo' nor 'ova'"),
+    ("OvO", [(0, 1), (0, 2), (1, 2)], "model kind 'OvO' is neither 'ovo' nor 'ova'",
+     "model kind 'OvO' is neither 'ovo' nor 'ova'"),
+]:
+    _PAIR_CASES.append(_pair_case(*_case))
+
+
+@pytest.mark.parametrize("kind, rows, message", _PAIR_CASES)
 def test_vector_r_must_be_row_r(kind, rows, message):
-    # a table's rows carry no pairs, so only a document can misorder them
-    doc = {
+    # a table's rows carry no pairs, so only a document can misorder them;
+    # the loader compares them with the pairs the writer writes
+    doc = document(FloatSvmModel("ovo", 3, 2, np.zeros((3, 3))))
+    doc["float_model"] = {
         "kind": kind, "n_classes": 3, "n_features": 2,
         "vectors": [{"class_a": a, "class_b": b, "weights": [0.0, 0.0], "bias": 0.0} for a, b in rows],
     }
-    with pytest.raises(ValueError, match=message):
-        float_model_from_dict(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_model_doc(doc, quantized=False)
 
 
 @pytest.mark.parametrize("kind", ["ovo", "ova"])
