@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import document
 from seqsvm.ddag import row_pairs
 from seqsvm.fxp import FxpFormat, max_int, min_int
-from seqsvm.modelio import check_written, dumps_canonical, model_doc, read_model_doc
+from seqsvm.modelio import check_written, dumps_canonical, model_doc, quantized_from_dict, read_model_doc
 from seqsvm.quant import QuantizedModel
 from seqsvm.trainer import FloatSvmModel
 
@@ -162,6 +162,42 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
 def test_loader_check_order(doc, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         read_model_doc(doc, quantized=True)
+
+
+def _quantized_doc(pairs, weights, param_bits=4, total_bits=4):
+    return {
+        "input_fmt": {"total_bits": total_bits, "frac_bits": total_bits, "signed": False},
+        "bias_shift": total_bits,
+        "param_bits": param_bits,
+        "acc_width": 8,
+        "scales": [1.0] * len(pairs),
+        "vectors": [{"class_a": a, "class_b": b, "weights": w, "bias": 0} for (a, b), w in zip(pairs, weights)],
+    }
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the widths come before the vectors: a wrong weight count, then 99 in 4 bits
+    (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], param_bits=17), "param_bits out of range"),
+    (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], total_bits=17), "input format must have 1..16 bits"),
+])
+def test_quantized_loader_check_order(doc, message):
+    # read_model_doc passes config.input_bits, which model_doc writes as input_fmt.total_bits
+    with pytest.raises(ValueError, match=f"^{message}"):
+        quantized_from_dict(doc, 3, 2, doc["input_fmt"]["total_bits"])
+
+
+@pytest.mark.parametrize("kind", ["ovo", "ova"])
+def test_float_loader_checks_weight_counts_before_pairs(kind):
+    doc = document(FloatSvmModel(kind, 3, 2, np.zeros((3, 3))))
+    vectors = doc["float_model"]["vectors"]
+    vectors[0]["weights"] = [0.0]
+    vectors[2]["class_a"] = 9
+    with pytest.raises(ValueError, match="^vector 0: wrong weight count"):
+        read_model_doc(doc, quantized=False)
+    vectors[0]["weights"] = [0.0, 0.0]
+    written = row_pairs(kind, 3)[2][0]
+    with pytest.raises(ValueError, match=f"^float_model.vectors.2.class_a is 9, the model writes {written}$"):
+        read_model_doc(doc, quantized=False)
 
 
 WRITTEN = {"a": 1, "b": [1.0, {"c": [True, None, "x"]}], "d": {"e": 2.5}}
