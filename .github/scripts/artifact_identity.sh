@@ -7,7 +7,9 @@
 # in BASE_DIR and in the current directory, then, on the `train` workload's
 # CSV that run leaves behind, each stage on its own: train, quantize,
 # simulate --trace 3, gen-hdl --vectors 5, cost --storage rom and compare,
-# which read back the documents the stages before them wrote. Prints a
+# which read back the documents the stages before them wrote; then, with
+# model.json's acc_width lowered by 3 bits, simulate --trace 5, whose traces
+# wrap the accumulator. Prints a
 # Markdown table of each workload's combined artifact digest, and of the
 # stages' ("stages"), on both sides. Prints only; the exit status says
 # whether both runs produced digests, not whether they match.
@@ -32,6 +34,12 @@ stages() {  # one "stages sha256" line for the checkout at $1, or the stage that
             # shellcheck disable=SC2086  # argv is a word list
             python3 -m seqsvm $argv --out "$out" > "$out.log" 2>&1 || { echo "stages failed:${argv%% *}@$1"; exit 0; }
         done
+        # an accumulator 3 bits narrower than profiled, so the traces overflow
+        python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["quantized"]["acc_width"] -= 3
+open(sys.argv[1], "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")' "$out/model.json" &&
+            python3 -m seqsvm simulate --trace 5 --out "$out" > "$out.log" 2>&1 || { echo "stages failed:narrow@$1"; exit 0; }
         cd "$out"
         echo stages "$(find . -type f | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d ' ' -f 1)"
     )

@@ -6,7 +6,7 @@
 
 from seqsvm.archsim import latency_cycles, simulate, trace_to_text
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.ddag import ddag_infer
+from seqsvm.ddag import ddag_predict_quant
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
@@ -19,7 +19,8 @@ qm, _ = search_param_bits(model, train, test)
 codes = [int(c) for c in quantize_inputs(test, qm.input_fmt)[0]]
 print(f"input codes: {codes}")
 
-cls, trace = simulate(qm, codes)
+trace, = simulate(qm, [codes])  # one trace per row of the code matrix
+cls = trace.out_class
 n, m = qm.n_classes, qm.n_features
 print(f"class {cls} after {trace.cycles} cycles "
       f"(= ({n}-1) x ({m}+1) = {latency_cycles(n, m)}), "
@@ -30,8 +31,9 @@ print("\nfirst evaluation plus the handoff into the second:")
 for line in trace_to_text(trace).splitlines()[: m + 4]:
     print(" ", line)
 
-# the simulator is bit-exact against the integer reference walk
-ref_cls, evals = ddag_infer(qm, codes)
-assert ref_cls == cls
-print("\nreference walk (row, engine y):", evals)
-print("verdict matches the cycle-accurate simulation:", ref_cls == cls)
+# the walk's path: the FSM state and engine verdict of each ready cycle
+print("\nwalk (row, engine y):", [(rec.fsm_state, rec.y) for rec in trace.records if rec.ready])
+# with no overflow the simulation's class is the exact integer walk's
+ref_cls = int(ddag_predict_quant(qm, [codes])[0])
+assert trace.overflows or ref_cls == cls
+print("verdict matches the exact-arithmetic walk:", ref_cls == cls)

@@ -5,7 +5,7 @@ emission, and printed-electronics cost estimation."""
 from .archsim import BatchResult, SimTrace, register_census, simulate, simulate_batch
 from .cost import CostReport, TechConfig, calibrate_power, compare_parallel, compare_storage, estimate
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import ddag_infer, ddag_predict_float, ddag_predict_quant, ovo_vote_infer, walk_batch
+from .ddag import ddag_predict_float, ddag_predict_quant, walk_batch
 from .fxp import U4_4, FxpFormat, width_for_range
 from .hdlgen import HdlBundle, emit_golden_vectors, generate, parse_storage_constants
 from .quant import (

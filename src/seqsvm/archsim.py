@@ -9,11 +9,10 @@ storage kind (bespoke MUX constants or a 2-bit-dot crossbar ROM) never
 changes what is read, so only ``cost.estimate`` takes it.
 
 Every function takes the model alone: the DAG is that of ``qm.n_classes``.
-``simulate`` runs one classification cycle by cycle and writes traces: the
-engine's m+1 cycles per state run inside the scalar DAG walk of ``ddag``,
-the scalar oracle of the batch path. ``simulate_batch`` runs every sample
-through ``ddag.walk_batch``, the batched kernel, with the wrapping
-accumulator.
+Both simulations run ``ddag._walk_table``, the library's one DAG walk, with
+the wrapping accumulator. ``simulate_batch`` runs it through
+``ddag.walk_batch`` for classes and overflow counts; ``simulate`` has it
+record every step's state and accumulator, and returns one trace per sample.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ddag import _walk, state_bits_for, walk_batch
-from .fxp import wrap
+from .ddag import _walk_table, aligned_words, state_bits_for, walk_batch
 from .quant import QuantizedModel
 
 
@@ -68,42 +66,38 @@ class SimTrace:
     out_class: int
 
 
-def simulate(qm: QuantizedModel, codes) -> tuple[int, SimTrace]:
-    """Run one classification cycle by cycle.
+def simulate(qm: QuantizedModel, codes) -> list[SimTrace]:
+    """Run each row of ``codes``, a samples x m code matrix, cycle by cycle;
+    one trace per row, whose ``out_class`` is the row's class.
 
     In each state the engine loads its row's bias, already shifted to the
     products' binary point, then multiplies and accumulates one weight per
     cycle. The accumulator wraps exactly as acc_width-bit hardware would;
-    each wrap counts as one overflow, reported, never raised. Matches
-    ddag_infer's class whenever no overflow occurred; the cycle total is
-    (n-1)*(m+1) regardless of data. The trace holds one record per cycle.
+    each wrap counts as one overflow, reported, never raised. Every trace
+    holds (n-1)*(m+1) records, one per cycle, built from what one recording
+    pass of the batch walk wrote: each step's state and its accumulator
+    after each word. Its buffers and traces grow with the rows, so the CLI
+    passes one walk block of rows at a time.
     """
     acc_width = qm.profiled_acc_width()
-    m = qm.n_features
-    if len(codes) != m:
-        raise ValueError(f"need {m} input codes, got {len(codes)}")
-    codes = qm.input_codes([codes])[0].tolist()
+    X = qm.input_codes(codes)
+    n, m = qm.n_classes, qm.n_features
+    states = np.empty((n - 1, len(X)), dtype=np.int64)
+    accs = np.empty((n - 1, m + 1, len(X)), dtype=np.int64)
+    ends = []
+    for _, classes, final_states, overflows in _walk_table(n, aligned_words(qm), X, acc_width, (states, accs)):
+        ends += zip(classes.tolist(), final_states.tolist(), overflows.tolist())
     words = qm.words.tolist()
-    shift = qm.bias_shift
-    records: list[CycleRecord] = []
-    cycles = overflows = 0
-
-    def mac_cycles(state: int) -> bool:
-        """The engine's m+1 cycles on row ``state``; its verdict y."""
-        nonlocal cycles, overflows
-        acc = 0
-        for col, word in enumerate(words[state]):
-            value = word << shift if col == 0 else acc + word * codes[col - 1]
-            acc = wrap(value, acc_width)
-            overflows += acc != value
-            records.append(CycleRecord(cycles, state, col + 1, state, col, word, acc, col == m, int(acc >= 0)))
-            cycles += 1
-        return acc >= 0
-
-    out_class, evaluations = _walk(qm.n_classes, mac_cycles)
-    # the FSM stays in the state whose verdict chose the class
-    final_state = evaluations[-1][0]
-    return out_class, SimTrace(records, cycles, len(evaluations), overflows, final_state, out_class)
+    traces = []
+    for (out_class, final_state, overflows), path, sums in zip(ends, states.T.tolist(),
+                                                               accs.transpose(2, 0, 1).tolist()):
+        records = [
+            CycleRecord(step * (m + 1) + col, state, col + 1, state, col, word, acc, col == m, int(acc >= 0))
+            for step, (state, step_sums) in enumerate(zip(path, sums))
+            for col, (word, acc) in enumerate(zip(words[state], step_sums))
+        ]
+        traces.append(SimTrace(records, len(records), n - 1, overflows, final_state, out_class))
+    return traces
 
 
 @dataclass
@@ -117,7 +111,8 @@ class BatchResult:
 def simulate_batch(qm: QuantizedModel, codes_matrix, labels) -> BatchResult:
     """Simulate every sample at once; accuracy over the given labels.
 
-    Bit-exact with simulate per sample; every walk takes (n-1)*(m+1) cycles.
+    The classes and overflows of simulate's traces; every walk takes
+    (n-1)*(m+1) cycles.
     """
     X = np.asarray(codes_matrix)
     labels = np.asarray(labels)

@@ -21,7 +21,7 @@ from . import modelio
 from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import check_ovo
+from .ddag import _block_rows, check_ovo
 from .fxp import MAX_INPUT_BITS, FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_inputs, search_param_bits
@@ -103,15 +103,25 @@ def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, tra
         "n_test": int(len(labels)),
     }
     modelio.save_model_doc(out / "sim_report.json", sim_report)
-    if trace_n > 0:
-        trace_dir = out / "traces"
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for i, row in enumerate(codes[:trace_n]):
-            _, trace = simulate(qm, row)
-            (trace_dir / f"trace_{i:03d}.txt").write_text(trace_to_text(trace))
+    _write_traces(qm, codes[:trace_n], out / "traces")
     print(f"simulated {sim_report['n_test']} samples: accuracy {batch.accuracy:.4f}, "
           f"{batch.overflows} overflows, {batch.mean_cycles:.0f} cycles each")
     return sim_report
+
+
+def _write_traces(qm: QuantizedModel, codes, trace_dir: Path) -> None:
+    """One trace file per row of ``codes``, simulated a walk block at a time;
+    removes every other trace file, which nothing in it would tell apart from
+    these."""
+    names = [f"trace_{i:03d}.txt" for i in range(len(codes))]
+    for path in set(trace_dir.glob("trace_*.txt")) - {trace_dir / name for name in names}:
+        path.unlink()
+    if names:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+    block = _block_rows(qm.n_features)
+    for start in range(0, len(codes), block):
+        for name, trace in zip(names[start:], simulate(qm, codes[start:start + block])):
+            (trace_dir / name).write_text(trace_to_text(trace))
 
 
 def _hdl_phase(qm: QuantizedModel, codes, out: Path, n_vectors: int) -> None:

@@ -11,13 +11,12 @@ is the class. The state is the row read: the Verilog wires row = state, from
 description is ``transitions(n)``.
 
 A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
-``row_pairs``, the bias as word 0. ``walk_batch`` walks every sample at once
-on integer words, exactly or with the hardware's wrapping accumulator, for the
-reference predictions, the batch simulator and the golden vectors;
-``ddag_predict_float`` runs the same step loop on the float model.
-``ddag_infer`` and ``ddag_infer_float`` are the scalar oracles: per-sample
-walks, summing in the same order, with their (row, y) logs. ``score_table``
-sums every row on every sample in that order too, for quant's accumulator
+``row_pairs``, the bias as word 0. ``_walk_table`` is the library's one DAG
+walk. ``walk_batch`` runs it on integer words, exactly or with the hardware's
+wrapping accumulator, for the reference predictions, the batch simulator and
+the golden vectors; ``archsim.simulate`` runs it recording every step, for
+traces; ``ddag_predict_float`` runs it on the float model. ``score_table``
+sums every row on every sample in the walk's order, for quant's accumulator
 profiling, the float OvA scores and the OvO max-wins votes wherever a BLAS
 score cannot certify them; it sits beside ``_walk_table`` so the two loops keep
 one summation order.
@@ -99,46 +98,6 @@ def check_ovo(fmodel) -> None:
         raise ValueError(f"a DAG walks OvO models only, not a {fmodel.kind!r} model")
 
 
-def _walk(n: int, decide) -> tuple[int, list[tuple[int, int]]]:
-    """The scalar walk: ``decide(row)`` scores the row of pair (lo, hi) and
-    returns whether the pair's lower class won. Returns the class and the
-    (row, y) log of its n-1 evaluations."""
-    lo, hi = 0, n - 1
-    evaluations = []
-    while lo < hi:
-        row = _row(lo, hi, n)
-        y = 1 if decide(row) else 0
-        evaluations.append((row, y))
-        if y:
-            hi -= 1
-        else:
-            lo += 1
-    return lo, evaluations
-
-
-def _score_walk(n: int, table: np.ndarray, x: list) -> tuple[int, list[tuple[int, int]]]:
-    """The scalar walk on ``table`` (the bias already at the products'
-    binary point): each row read is scored on ``x`` in Python numbers, the
-    bias, then one product per feature, in _walk_table's order."""
-
-    def decide(row):
-        acc, *weights = table[row].tolist()
-        for w, xi in zip(weights, x):
-            acc += w * xi
-        return acc >= 0
-
-    return _walk(n, decide)
-
-
-def ddag_infer(qm, codes) -> tuple[int, list[tuple[int, int]]]:
-    """Walk the DAG with exact integer arithmetic on quantized parameters.
-
-    The scalar oracle of ddag_predict_quant. Returns the leaf class and the
-    (row, y) log; always exactly n-1 entries.
-    """
-    return _score_walk(qm.n_classes, aligned_words(qm), qm.input_codes([codes])[0].tolist())
-
-
 def aligned_words(qm) -> np.ndarray:
     """A writable copy of qm's word table with each bias at the products'
     binary point (bias << bias_shift): the table the integer kernels run."""
@@ -156,7 +115,7 @@ def score_table(table: np.ndarray, X: np.ndarray, dtype=None):
     binary point. Yields (first sample, col, acc) after the bias load (col 0)
     and after each MAC (col j), acc[r, s] being row r's prefix on sample
     first+s, in one buffer that the next yield reuses. These fixed-order
-    elementwise sums give each score the scalar walks' bits whatever block
+    elementwise sums give each score the walk's bits whatever block
     its sample falls in, which a BLAS product would not.
     """
     cols = np.ascontiguousarray(table.T[:, :, None], dtype)  # row j: word j of every stored row
@@ -176,7 +135,12 @@ def score_table(table: np.ndarray, X: np.ndarray, dtype=None):
             yield start, col, a
 
 
-def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None = None):
+def _block_rows(n_features: int) -> int:
+    """Samples per block of ``_walk_table``: BLOCK_ELEMENTS // (m+1)."""
+    return max(1, BLOCK_ELEMENTS // (n_features + 1))
+
+
+def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None = None, record=None):
     """The DAG-walk step loop over every sample, on int64 words and codes or
     on float64 coefficients and features, one block of samples at a time.
 
@@ -184,9 +148,8 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
     binary point. Each of the n-1 steps gathers the row of each sample's
     pair (lo, hi) and carries the accumulator column by column: the bias,
     then one product per feature. With ``acc_width`` (integers only) it wraps after
-    the bias load and after every MAC, and each wrap counts as one overflow,
-    as in archsim.simulate; with None the sums are exact integers or plain
-    float arithmetic.
+    the bias load and after every MAC, and each wrap counts as one overflow;
+    with None the sums are exact integers or plain float arithmetic.
 
     A block holds BLOCK_ELEMENTS // (m+1) samples. Its inputs are copied
     column-major, and each step gathers the block's words into one reused
@@ -194,15 +157,20 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
     sample count. Yields (first sample, classes, final_states, overflows)
     per block, int64 views into buffers that the next block reuses; the
     final state is the last row read, whose verdict chose the class.
+
+    ``record``, for archsim.simulate's traces, is a pair of int64 arrays
+    (states, accs) of shapes (n-1, samples) and (n-1, m+1, samples): step t
+    of sample s writes its state to states[t, s], and its accumulator after
+    column j, wrapped, to accs[t, j, s].
     """
     cols = np.ascontiguousarray(table.T)  # row j: word j of every stored row
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
     # a wrapping accumulator is carried plus 2**(acc_width-1), in
-    # [0, 2**acc_width), so that fxp.wrap is one mask and the sign a compare
+    # [0, 2**acc_width), so that the wrap is one mask and the sign a compare
     offset = 1 << (acc_width - 1) if wraps else 0
     m = X.shape[1]
-    block = max(1, BLOCK_ELEMENTS // (m + 1))
+    block = _block_rows(m)
     size = min(block, len(X))
     x_buf = np.empty((m, size), dtype=table.dtype)
     word_buf = np.empty((m + 1) * size, dtype=table.dtype)  # flat: a block's words stay contiguous
@@ -217,8 +185,11 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
         lo.fill(0)
         hi.fill(n - 1)
         overflow.fill(0)
-        for _ in range(n - 1):
+        for step in range(n - 1):
             state[...] = _row(lo, hi, n)
+            if record is not None:
+                record[0][step, start:start + k] = state
+                trace = record[1][step, :, start:start + k]
             np.take(cols, state, axis=1, out=words, mode="clip")
             # the bias load into word 0's row, then each MAC adds a product
             # made in its word's row; spare is always a consumed row or spare_buf
@@ -235,6 +206,8 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
                     np.not_equal(spare, acc, out=won)
                     overflow += won
                     acc, spare = spare, acc
+                if record is not None:
+                    np.subtract(acc, offset, out=trace[col])
             np.greater_equal(acc, offset, out=won)  # the pair's lower class won
             hi -= won
             lo += np.logical_not(won, out=won)
@@ -259,22 +232,8 @@ def walk_batch(qm, codes, acc_width: int | None = None):
 
 
 def ddag_predict_quant(qm, codes_matrix) -> np.ndarray:
-    """Exact-arithmetic classes of every sample; the batch form of ddag_infer."""
+    """Exact-arithmetic DDAG class of every sample."""
     return walk_batch(qm, codes_matrix)[0]
-
-
-def ddag_infer_float(fmodel, x) -> tuple[int, list[tuple[int, int]]]:
-    """The same walk on the float model's coefficient table.
-
-    The scalar oracle of ddag_predict_float: each score is summed in Python
-    floats in the batch walk's order, bias first and then one product per
-    feature, so both give the same class bit for bit.
-    """
-    check_ovo(fmodel)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fmodel.n_features,):
-        raise ValueError(f"need {fmodel.n_features} features, got shape {x.shape}")
-    return _score_walk(fmodel.n_classes, fmodel.coefs, x.tolist())
 
 
 def float_features(fmodel, features) -> np.ndarray:
@@ -289,19 +248,10 @@ def float_features(fmodel, features) -> np.ndarray:
 
 
 def ddag_predict_float(fmodel, features) -> np.ndarray:
-    """Float DDAG class of every sample; the batch form of ddag_infer_float."""
+    """Float DDAG class of every sample."""
     check_ovo(fmodel)
     X = float_features(fmodel, features)
     classes = np.empty(len(X), dtype=np.int64)
     for start, lo, _, _ in _walk_table(fmodel.n_classes, fmodel.coefs, X):
         classes[start:start + len(lo)] = lo
     return classes
-
-
-def ovo_vote_infer(qm, codes) -> int:
-    """Baseline semantics: evaluate every pair, max-wins vote, lowest id on ties."""
-    x = qm.input_codes([codes])[0]
-    words = qm.words
-    sums = (words[:, 0] << qm.bias_shift) + words[:, 1:] @ x  # exact in int64
-    winners = [a if s >= 0 else b for (a, b), s in zip(row_pairs("ovo", qm.n_classes), sums.tolist())]
-    return int(np.argmax(np.bincount(winners, minlength=qm.n_classes)))

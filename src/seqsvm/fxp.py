@@ -31,15 +31,6 @@ def fits(value: int, width: int) -> bool:
     return min_int(width) <= value <= max_int(width)
 
 
-def wrap(value, width: int):
-    """Truncate an integer into width-bit two's complement (hardware wrap).
-
-    Also wraps int64 arrays elementwise, for widths up to 63 bits.
-    """
-    half = 1 << (width - 1)
-    return ((value + half) & ((1 << width) - 1)) - half
-
-
 @dataclass(frozen=True)
 class FxpFormat:
     """An unsigned, all-fractional input code of ``total_bits`` bits, 1 to

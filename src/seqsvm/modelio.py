@@ -210,7 +210,8 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     """The parts (config, dataset, hyper, float model, quantized model or None)
     of ``doc``, model.json if ``quantized``. Reads and checks, in order,
     ``config`` (the keys of ``_CONFIG_KEYS`` the document takes, in range),
-    ``hyper``'s lam and epochs, the models, and the dataset's names and
+    ``hyper``'s lam and epochs, the models (``param_bits`` at most the
+    config's ``max_param_bits``), and the dataset's names and
     normalization (a Dataset of no samples); then ``check_written``."""
     config = _field(doc, "config", "document")
     keys = [key for key, (quantizer, _, _) in _CONFIG_KEYS.items() if quantized or not quantizer]
@@ -229,6 +230,9 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     fmodel = float_model_from_dict(_field(doc, "float_model", "document"))
     qm = quantized_from_dict(_field(doc, "quantized", "document"), fmodel.n_classes, fmodel.n_features,
                              config["input_bits"]) if quantized else None
+    if qm is not None and qm.param_bits > config["max_param_bits"]:
+        raise ValueError(f"quantized.param_bits {qm.param_bits} exceeds config max_param_bits "
+                         f"{config['max_param_bits']}")
     names = [_field(_field(doc, "dataset", "document"), key, "dataset")
              for key in ("label_names", "feature_names", "normalization")]
     dataset = Dataset(np.empty((0, fmodel.n_features)), [], *names)

@@ -1,5 +1,7 @@
 """Shared builders for randomized and shape-pinned quantized models, model
-documents, and the reference node graph of the DDAG."""
+documents, and the reference node graph of the DDAG; and the test-side
+oracles that the library's one DAG walk, ``ddag._walk_table``, is held to:
+the step-function cycle simulator, the scalar walks and the max-wins vote."""
 
 import json
 from dataclasses import dataclass
@@ -7,12 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
+from seqsvm.archsim import CycleRecord, SimTrace
 from seqsvm.dataset import Dataset
-from seqsvm.ddag import pair_index
+from seqsvm.ddag import _row, aligned_words, pair_index, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.modelio import dumps_canonical, model_doc
 from seqsvm.quant import QuantizedModel, profile_accumulator
-from seqsvm.trainer import Hyper
+from seqsvm.trainer import FloatSvmModel, Hyper
 
 # (n_classes, n_features) of the five benchmark shapes used throughout.
 TABLE_SHAPES = {
@@ -70,6 +73,153 @@ def reference_graph(n):
                 b_edge = ("node", pair_index(lo + 1, hi, n))
             nodes[sid] = RefNode(sid, lo, hi, a_edge, b_edge)
     return RefGraph(n, nodes, pair_index(0, n - 1, n))
+
+
+def wrap(value, width: int):
+    """Truncate an integer into width-bit two's complement (hardware wrap)."""
+    half = 1 << (width - 1)
+    return ((value + half) & ((1 << width) - 1)) - half
+
+
+# ---------------------------------------------------------------------------
+# Reference: the cycle simulator as separate engine and FSM step functions,
+# with the FSM stepping through the explicit node graph of reference_graph.
+# archsim.simulate is held to it record for record.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EngineState:
+    acc: int = 0
+    counter: int = 0     # words consumed so far, in [0, m+1]
+    ready: bool = False  # counter reached m+1
+    y: int = 0           # 1 iff acc >= 0 (meaningful at ready)
+
+
+def engine_step(st, word, input_code, acc_width, n_features):
+    """Advance the engine by one cycle; returns (state, overflowed)."""
+    if st.ready:
+        raise ValueError("engine already ready; reset before reuse")
+    value = word if st.counter == 0 else st.acc + word * input_code
+    st.acc = wrap(value, acc_width)
+    overflowed = st.acc != value
+    st.counter += 1
+    st.ready = st.counter == n_features + 1
+    st.y = 1 if st.acc >= 0 else 0
+    return st, overflowed
+
+
+@dataclass(frozen=True)
+class FsmState:
+    state: int
+    done: bool = False
+    out_class: int | None = None
+
+
+def fsm_step(fs, graph, y):
+    """Consume one engine verdict; leaves keep the deciding node as the state."""
+    if fs.done:
+        raise ValueError("FSM already done")
+    node = graph.nodes[fs.state]
+    kind, target = node.on_a_wins if y else node.on_b_wins
+    if kind == "leaf":
+        return FsmState(fs.state, True, target)
+    return FsmState(target, False, None)
+
+
+def reference_simulate(qm, codes):
+    """One classification of the input codes ``codes``: (class, SimTrace)."""
+    acc_width = qm.profiled_acc_width()
+    m = qm.n_features
+    words = qm.words
+    shift = qm.bias_shift
+    graph = reference_graph(qm.n_classes)
+    fs = FsmState(graph.initial_state)
+    records = []
+    cycle = evaluations = overflows = 0
+    for _ in range(qm.n_classes - 1):
+        row = fs.state
+        st = EngineState()
+        for col in range(m + 1):
+            word = int(words[row, col])
+            if col == 0:
+                st, ovf = engine_step(st, word << shift, 0, acc_width, m)
+            else:
+                st, ovf = engine_step(st, word, int(codes[col - 1]), acc_width, m)
+            overflows += ovf
+            records.append(CycleRecord(cycle, fs.state, st.counter, row, col, word, st.acc, st.ready, st.y))
+            cycle += 1
+        evaluations += 1
+        fs = fsm_step(fs, graph, st.y)
+        if fs.done:
+            break
+    else:
+        raise ValueError("the FSM did not finish after n-1 evaluations")
+    return fs.out_class, SimTrace(records, cycle, evaluations, overflows, fs.state, fs.out_class)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the scalar walks and the max-wins vote, in Python numbers.
+# ---------------------------------------------------------------------------
+
+
+def _interval_walk_oracle(qm, codes):
+    """Independent re-implementation: walk the (lo, hi) interval rule directly."""
+    lo, hi = 0, qm.n_classes - 1
+    shift = qm.bias_shift
+    while lo != hi:
+        bias, *weights = qm.words[pair_index(lo, hi, qm.n_classes)].tolist()
+        acc = (bias << shift) + sum(w * int(x) for w, x in zip(weights, codes))
+        if acc >= 0:
+            hi -= 1  # lower class won, top one eliminated
+        else:
+            lo += 1
+    return lo
+
+
+def _walk(n: int, decide) -> tuple[int, list[tuple[int, int]]]:
+    """The scalar walk: ``decide(row)`` scores the row of pair (lo, hi) and
+    returns whether the pair's lower class won. Returns the class and the
+    (row, y) log of its n-1 evaluations."""
+    lo, hi = 0, n - 1
+    evaluations = []
+    while lo < hi:
+        row = _row(lo, hi, n)
+        y = 1 if decide(row) else 0
+        evaluations.append((row, y))
+        if y:
+            hi -= 1
+        else:
+            lo += 1
+    return lo, evaluations
+
+
+def _score_walk(n: int, table: np.ndarray, x: list) -> tuple[int, list[tuple[int, int]]]:
+    """The scalar walk on ``table`` (the bias already at the products'
+    binary point): each row read is scored on ``x`` in Python numbers, the
+    bias, then one product per feature, in _walk_table's order."""
+
+    def decide(row):
+        acc, *weights = table[row].tolist()
+        for w, xi in zip(weights, x):
+            acc += w * xi
+        return acc >= 0
+
+    return _walk(n, decide)
+
+
+def _vote_oracle(qm, codes):
+    wins = [0] * qm.n_classes
+    for (a, b), (bias, *weights) in zip(row_pairs("ovo", qm.n_classes), qm.words.tolist()):
+        acc = (bias << qm.bias_shift) + sum(w * x for w, x in zip(weights, codes))
+        wins[a if acc >= 0 else b] += 1
+    return max(range(qm.n_classes), key=lambda c: (wins[c], -c))
+
+
+def integer_twin(qm):
+    """The float OvO model of qm's rows, each bias at the products' binary
+    point: its scores on input codes are exact, so its votes are qm's."""
+    return FloatSvmModel("ovo", qm.n_classes, qm.n_features, aligned_words(qm).astype(np.float64))
 
 
 def random_quantized_model(n, m, param_bits, seed, n_profile=200, input_fmt=U4_4):

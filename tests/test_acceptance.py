@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import TABLE_SHAPES, random_quantized_model, reference_graph, shaped_model
+from helpers import TABLE_SHAPES, _interval_walk_oracle, random_quantized_model, reference_graph, shaped_model
 from seqsvm.archsim import register_census, simulate
 from seqsvm.cli import main
 from seqsvm.cost import TechConfig, compare_parallel, compare_storage, estimate
 from seqsvm.dataset import SplitSpec, split, to_csv
 from seqsvm.ddag import (
-    ddag_infer,
     ddag_predict_float,
     ddag_predict_quant,
     pair_count,
@@ -45,7 +44,7 @@ def _pass(msg):
 def test_criterion_01_cycle_law():
     for name, (n, m) in TABLE_SHAPES.items():
         qm, codes = shaped_model(name)
-        _, trace = simulate(qm, codes[0])
+        trace, = simulate(qm, codes[:1])
         assert trace.cycles == EXPECTED_CYCLES[name] == (n - 1) * (m + 1)
     _pass("criterion 1: cycle law (n-1)*(m+1) exact on all five benchmark shapes")
 
@@ -59,10 +58,9 @@ def test_criterion_02_golden_model_equivalence():
         m = int(rng.integers(1, 13))
         bits = int(rng.integers(2, 9))
         qm, codes = random_quantized_model(n, m, bits, seed=models, n_profile=1000)
-        for row in codes:
-            cls, trace = simulate(qm, row)
+        for row, trace in zip(codes, simulate(qm, codes)):
             if trace.overflows == 0:
-                assert cls == ddag_infer(qm, row)[0]
+                assert trace.out_class == _interval_walk_oracle(qm, row)
                 checked += 1
         models += 1
     assert checked >= 50 * 900  # essentially all inputs are overflow-free here

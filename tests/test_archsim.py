@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,112 +6,29 @@ from hypothesis import given, settings
 
 from helpers import (
     TABLE_SHAPES,
+    _interval_walk_oracle,
     bias_only_model,
     profiled_cases,
     random_quantized_model,
-    reference_graph,
+    reference_simulate,
     shaped_model,
+    wrap,
 )
-from seqsvm.archsim import (
-    CycleRecord,
-    SimTrace,
-    counter_bits,
-    register_census,
-    simulate,
-    simulate_batch,
-    trace_to_text,
-)
+from seqsvm.archsim import counter_bits, register_census, simulate, simulate_batch, trace_to_text
 from seqsvm.cost import STORAGE_KINDS, TechConfig, estimate
-from seqsvm.ddag import ddag_infer, pair_count, pair_index, state_bits_for
-from seqsvm.fxp import U4_4, wrap
+from seqsvm.ddag import ddag_predict_quant, pair_count, pair_index, state_bits_for
+from seqsvm.fxp import U4_4
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.quant import QuantizedModel, quantize_inputs
-
-# ---------------------------------------------------------------------------
-# Reference: the cycle simulator as separate engine and FSM step functions,
-# which simulate folded into one callback of the DAG walk, with the FSM
-# stepping through the explicit node graph of helpers.reference_graph. The
-# property test below holds simulate to it record for record.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EngineState:
-    acc: int = 0
-    counter: int = 0     # words consumed so far, in [0, m+1]
-    ready: bool = False  # counter reached m+1
-    y: int = 0           # 1 iff acc >= 0 (meaningful at ready)
-
-
-def engine_step(st, word, input_code, acc_width, n_features):
-    """Advance the engine by one cycle; returns (state, overflowed)."""
-    if st.ready:
-        raise ValueError("engine already ready; reset before reuse")
-    value = word if st.counter == 0 else st.acc + word * input_code
-    st.acc = wrap(value, acc_width)
-    overflowed = st.acc != value
-    st.counter += 1
-    st.ready = st.counter == n_features + 1
-    st.y = 1 if st.acc >= 0 else 0
-    return st, overflowed
-
-
-@dataclass(frozen=True)
-class FsmState:
-    state: int
-    done: bool = False
-    out_class: int | None = None
-
-
-def fsm_step(fs, graph, y):
-    """Consume one engine verdict; leaves keep the deciding node as the state."""
-    if fs.done:
-        raise ValueError("FSM already done")
-    node = graph.nodes[fs.state]
-    kind, target = node.on_a_wins if y else node.on_b_wins
-    if kind == "leaf":
-        return FsmState(fs.state, True, target)
-    return FsmState(target, False, None)
-
-
-def reference_simulate(qm, codes):
-    acc_width = qm.profiled_acc_width()
-    m = qm.n_features
-    words = qm.words
-    shift = qm.bias_shift
-    graph = reference_graph(qm.n_classes)
-    fs = FsmState(graph.initial_state)
-    records = []
-    cycle = evaluations = overflows = 0
-    for _ in range(qm.n_classes - 1):
-        row = fs.state
-        st = EngineState()
-        for col in range(m + 1):
-            word = int(words[row, col])
-            if col == 0:
-                st, ovf = engine_step(st, word << shift, 0, acc_width, m)
-            else:
-                st, ovf = engine_step(st, word, int(codes[col - 1]), acc_width, m)
-            overflows += ovf
-            records.append(CycleRecord(cycle, fs.state, st.counter, row, col, word, st.acc, st.ready, st.y))
-            cycle += 1
-        evaluations += 1
-        fs = fsm_step(fs, graph, st.y)
-        if fs.done:
-            break
-    else:
-        raise ValueError("the FSM did not finish after n-1 evaluations")
-    return fs.out_class, SimTrace(records, cycle, evaluations, overflows, fs.state, fs.out_class)
 
 
 @settings(max_examples=150, deadline=None)
 @given(profiled_cases())
 def test_simulate_equals_the_step_function_reference(case):
-    # shapes, parameter and input widths, and undersized accumulators
+    # shapes, parameter and input widths, and undersized accumulators: one
+    # trace per row, each the reference's record for record
     qm, codes = case
-    for row in codes:
-        cls, trace = simulate(qm, row)
-        assert (cls, trace) == reference_simulate(qm, row)
+    assert simulate(qm, codes) == [reference_simulate(qm, row)[1] for row in codes]
 
 
 def _model(m, weights, bias, param_bits, acc_width):
@@ -139,7 +55,7 @@ class TestStorage:
         qm, codes = random_quantized_model(4, 6, bits, seed=3)
         words = qm.words
         assert (words.shape, words.dtype) == ((6, 7), np.int64)
-        _, trace = simulate(qm, codes[0])
+        trace, = simulate(qm, codes[:1])
         for rec in trace.records:
             assert rec.fetched_word == words[rec.fetched_row, rec.fetched_col]
         tech = TechConfig()
@@ -153,7 +69,7 @@ class TestStorage:
     def test_bias_first_column(self):
         # word 0 of a row is its bias: it loads the accumulator, shifted
         qm, codes = random_quantized_model(3, 4, 5, seed=7)
-        _, trace = simulate(qm, codes[0])
+        trace, = simulate(qm, codes[:1])
         loads = [rec for rec in trace.records if rec.fetched_col == 0]
         assert len(loads) == 2
         for rec in loads:
@@ -181,8 +97,8 @@ class TestStorage:
         qm, codes = random_quantized_model(3, 4, 5, seed=2)
         before = qm.words.tobytes()
         simulate_batch(qm, codes, np.zeros(len(codes)))
-        simulate(qm, codes[0])
-        ddag_infer(qm, codes[0])
+        simulate(qm, codes[:1])
+        ddag_predict_quant(qm, codes[:1])
         emit_golden_vectors(qm, codes, 5)
         assert qm.words.tobytes() == before
         with pytest.raises(ValueError, match="read-only"):
@@ -207,7 +123,7 @@ class TestStorage:
 class TestEngine:
     def test_zero_model_ready_after_m_plus_one(self):
         m = 4
-        _, trace = simulate(_model(m, [0] * m, 0, 4, 8), [0] * m)
+        trace, = simulate(_model(m, [0] * m, 0, 4, 8), [[0] * m])
         assert [rec.counter for rec in trace.records] == list(range(1, m + 2))
         assert [rec.ready for rec in trace.records] == [False] * m + [True]
         assert trace.overflows == 0
@@ -215,21 +131,21 @@ class TestEngine:
 
     def test_hand_example(self):
         # bias 0, then w=-7 times x=15
-        cls, trace = simulate(_model(1, [-7], 0, 4, 9), [15])
+        trace, = simulate(_model(1, [-7], 0, 4, 9), [[15]])
         last = trace.records[-1]
         assert (last.acc_after, last.y, last.ready, trace.overflows) == (-105, 0, True, 0)
-        assert cls == 1
+        assert trace.out_class == 1
 
     def test_overflow_wraps_and_flags(self):
         # 7 << 4 = 112, + 8*1 = 120, + 7*2 = 134 wraps at 8 bits
-        _, trace = simulate(_model(2, [8, 7], 7, 8, 8), [1, 2])
+        trace, = simulate(_model(2, [8, 7], 7, 8, 8), [[1, 2]])
         assert [rec.acc_after for rec in trace.records] == [112, 120, wrap(134, 8)]
         assert wrap(134, 8) == -122
         assert trace.overflows == 1
 
     def test_bias_overflow_wraps(self):
         # the bias loads as 13 << 4 = 208, beyond 8 bits
-        _, trace = simulate(_model(1, [0], 13, 8, 8), [0])
+        trace, = simulate(_model(1, [0], 13, 8, 8), [[0]])
         first = trace.records[0]
         assert (first.fetched_word, first.acc_after) == (13, wrap(208, 8))
         assert trace.overflows == 1
@@ -242,15 +158,15 @@ class TestEngine:
 
 class TestFsm:
     def test_two_class_single_step(self):
-        cls, trace = simulate(bias_only_model(2, [1]), [0])
-        assert cls == 0 and trace.evaluations == 1
+        trace, = simulate(bias_only_model(2, [1]), [[0]])
+        assert trace.out_class == 0 and trace.evaluations == 1
         assert trace.final_state == pair_index(0, 1, 2)  # deciding node is retained
 
     @pytest.mark.parametrize("n,steps", [(4, 3), (10, 9)])
     def test_path_lengths(self, n, steps):
         # lower class always wins -> leaf 0
-        cls, trace = simulate(bias_only_model(n, [1] * pair_count(n)), [0])
-        assert trace.evaluations == steps and cls == 0
+        trace, = simulate(bias_only_model(n, [1] * pair_count(n)), [[0]])
+        assert trace.evaluations == steps and trace.out_class == 0
 
 
 class TestSimulate:
@@ -259,28 +175,27 @@ class TestSimulate:
     )
     def test_cycle_counts(self, n, m, cycles):
         qm, codes = random_quantized_model(n, m, 6, seed=4)
-        _, trace = simulate(qm, codes[0])
+        trace, = simulate(qm, codes[:1])
         assert trace.cycles == cycles == (n - 1) * (m + 1)
         assert trace.evaluations == n - 1
 
     def test_matches_reference_walk(self):
         qm, codes = random_quantized_model(5, 7, 5, seed=6)
-        for row in codes[:60]:
-            cls, trace = simulate(qm, row)
+        for row, trace in zip(codes[:60], simulate(qm, codes[:60])):
             assert trace.overflows == 0
-            assert cls == ddag_infer(qm, row)[0]
+            assert trace.out_class == _interval_walk_oracle(qm, row)
 
     def test_storage_kind_functionally_identical(self):
         # the kind changes only what the cost model prices: both kinds serve
         # the one word table the simulator reads, in the same cycles
         qm, codes = random_quantized_model(4, 5, 7, seed=8)
-        cycles = {simulate(qm, row)[1].cycles for row in codes[:30]}
+        cycles = {trace.cycles for trace in simulate(qm, codes[:30])}
         for storage in STORAGE_KINDS:
             assert {estimate(qm, storage).latency_cycles} == cycles
 
     def test_trace_structure(self):
         qm, codes = random_quantized_model(3, 2, 4, seed=2)
-        cls, trace = simulate(qm, codes[0])
+        trace, = simulate(qm, codes[:1])
         assert len(trace.records) == trace.cycles == 2 * 3
         for i, rec in enumerate(trace.records):
             assert rec.cycle == i
@@ -291,23 +206,25 @@ class TestSimulate:
         for rec in trace.records:
             if rec.fetched_col == 0:
                 assert rec.fetched_word == qm.words[rec.fetched_row, 0]
-        assert trace.out_class == cls
+        assert trace.out_class == _interval_walk_oracle(qm, codes[0])
         assert trace.final_state in range(pair_count(3))
 
     def test_wrong_code_count_rejected(self):
         qm, _ = random_quantized_model(2, 3, 4, seed=0)
-        with pytest.raises(ValueError, match="3 input codes"):
-            simulate(qm, [1, 2])
+        with pytest.raises(ValueError, match="samples x 3 code matrix"):
+            simulate(qm, [[1, 2]])
+        with pytest.raises(ValueError, match="samples x 3 code matrix"):
+            simulate(qm, [1, 2, 3])
 
     def test_unprofiled_model_rejected(self):
         qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])
         with pytest.raises(ValueError, match="profile_accumulator"):
-            simulate(qm, [0])
+            simulate(qm, [[0]])
 
     def test_undersized_accumulator_flags_overflow(self):
         qm, codes = random_quantized_model(2, 6, 8, seed=5)
         qm.acc_width = 6  # deliberately too narrow
-        total = sum(simulate(qm, row)[1].overflows for row in codes)
+        total = sum(trace.overflows for trace in simulate(qm, codes))
         assert total > 0
 
 
@@ -323,7 +240,7 @@ class TestBatch:
         codes = quantize_inputs(test, qm.input_fmt)
         batch = simulate_batch(qm, codes, test.labels)
         assert batch.overflows == 0
-        ref = np.array([ddag_infer(qm, row)[0] for row in codes])
+        ref = np.array([_interval_walk_oracle(qm, row) for row in codes])
         assert np.array_equal(batch.predictions, ref)
         assert batch.accuracy == float(np.mean(ref == test.labels))
 
@@ -345,7 +262,7 @@ class TestCensusAndTrace:
 
     def test_trace_text_format(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=11)
-        cls, trace = simulate(qm, codes[0])
+        trace, = simulate(qm, codes[:1])
         text = trace_to_text(trace)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# cycle fsm_state counter")
@@ -354,5 +271,5 @@ class TestCensusAndTrace:
         assert [int(x) for x in first[:5]] == [0, pair_index(0, 2, 3), 1, pair_index(0, 2, 3), 0]
         assert lines[-1] == (
             f"# totals cycles={trace.cycles} evaluations=2 overflows=0 "
-            f"class={cls} final_state={trace.final_state}"
+            f"class={trace.out_class} final_state={trace.final_state}"
         )

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqsvm.cli import _load_model, build_parser, main
+from helpers import reference_simulate
+from seqsvm.archsim import trace_to_text
+from seqsvm.cli import _ingest, _load_model, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
 from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
 from seqsvm.modelio import (
@@ -21,7 +23,7 @@ from seqsvm.modelio import (
     model_doc,
     read_model_doc,
 )
-from seqsvm.quant import search_param_bits
+from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import separable_blobs
 from seqsvm.fxp import FxpFormat
 
@@ -103,6 +105,38 @@ def test_stage_isolation_matches_one_shot(synth_csv, full_run, tmp_path):
         if rel == "summary.txt":  # produced by `run` only
             continue
         assert (out / rel).read_bytes() == (full_run / rel).read_bytes(), rel
+
+
+def test_run_traces_are_the_reference_simulator_s(full_run):
+    # the batch walk's records, as text, for the first three test rows
+    _, (config, *_, qm) = _load_model(full_run)
+    codes = quantize_inputs(_ingest(config)[1], qm.input_fmt)
+    for i, row in enumerate(codes[:3]):
+        _, trace = reference_simulate(qm, row)
+        assert (full_run / "traces" / f"trace_{i:03d}.txt").read_text() == trace_to_text(trace)
+
+
+def _trace_files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted((out / "traces").iterdir())}
+
+
+def test_simulate_leaves_only_its_own_traces(full_run, tmp_path):
+    # nothing in a trace names its model, so a rerun removes every trace file
+    # it did not write, and nothing else in traces/
+    fresh = tmp_path / "fresh"
+    shutil.copytree(full_run, fresh)
+    shutil.rmtree(fresh / "traces")
+    assert main(["simulate", "--out", str(fresh), "--trace", "2"]) == 0
+    assert sorted(_trace_files(fresh)) == ["trace_000.txt", "trace_001.txt"]
+    out = tmp_path / "out"
+    shutil.copytree(full_run, out)
+    (out / "traces" / "notes.txt").write_text("kept\n")
+    assert main(["simulate", "--out", str(out), "--trace", "5"]) == 0
+    assert len(_trace_files(out)) == 6
+    assert main(["simulate", "--out", str(out), "--trace", "2"]) == 0
+    assert _trace_files(out) == {**_trace_files(fresh), "notes.txt": b"kept\n"}
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert _trace_files(out) == {"notes.txt": b"kept\n"}
 
 
 def test_quantize_stage_reproduces_search(synth_csv, full_run):
@@ -633,6 +667,9 @@ _MODEL_EDITS = {
     "param_bits_fraction": (_set_quantized(("param_bits",), 7.5), "param_bits 7.5 is not an integer of at least 1"),
     "param_bits_float": (_set_quantized(("param_bits",), 8.0), "param_bits 8.0 is not an integer of at least 1"),
     "param_bits_true": (_set_quantized(("param_bits",), True), "param_bits True is not an integer of at least 1"),
+    "param_bits_above_ceiling": (
+        _set_quantized(("param_bits",), 12), "quantized.param_bits 12 exceeds config max_param_bits 8"
+    ),
     "scales_string": (_set_quantized(("scales",), "abc"), f"{_SCALES_LIST}, got 'abc'"),
     "scales_empty": (_set_quantized(("scales",), []), f"{_SCALES_LIST}, got []"),
     "scales_number": (_set_quantized(("scales",), 5), f"{_SCALES_LIST}, got 5"),

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bias_only_model, random_quantized_model, reference_graph
+from helpers import _interval_walk_oracle, bias_only_model, integer_twin, random_quantized_model, reference_graph
+from seqsvm.archsim import simulate
 from seqsvm.ddag import (
-    ddag_infer,
-    ddag_infer_float,
     ddag_predict_float,
-    ovo_vote_infer,
+    ddag_predict_quant,
     pair_count,
     pair_index,
     row_pairs,
@@ -37,18 +36,9 @@ def _all_paths(graph):
     return paths
 
 
-def _interval_walk_oracle(qm, codes):
-    """Independent re-implementation: walk the (lo, hi) interval rule directly."""
-    lo, hi = 0, qm.n_classes - 1
-    shift = qm.bias_shift
-    while lo != hi:
-        bias, *weights = qm.words[pair_index(lo, hi, qm.n_classes)].tolist()
-        acc = (bias << shift) + sum(w * int(x) for w, x in zip(weights, codes))
-        if acc >= 0:
-            hi -= 1  # lower class won, top one eliminated
-        else:
-            lo += 1
-    return lo
+def _path(trace):
+    """The (state, y) of each evaluation of a simulated walk: its ready cycles."""
+    return [(rec.fsm_state, rec.y) for rec in trace.records if rec.ready]
 
 
 def _reference_doc(graph):
@@ -139,73 +129,70 @@ class TestBuild:
 
 
 class TestInfer:
+    # the walk's path is in the records of archsim.simulate, which runs the
+    # DAG-walk kernel; on these profiled codes its accumulator never wraps
     def test_zero_params_two_classes(self):
         # sum 0 satisfies the >= 0 rule, so the pair's lower class wins
         qm = bias_only_model(2, [0])
-        cls, evals = ddag_infer(qm, [0])
-        assert cls == 0
-        assert evals == [(0, 1)]
+        trace, = simulate(qm, [[0]])
+        assert trace.out_class == 0
+        assert _path(trace) == [(0, 1)]
 
     def test_four_class_six_feature_shape(self):
         qm, codes = random_quantized_model(4, 6, 4, seed=0)
-        cls, evals = ddag_infer(qm, codes[0])
-        assert len(evals) == 3
+        trace, = simulate(qm, codes[:1])
+        assert len(_path(trace)) == trace.evaluations == 3
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_always_n_minus_one_evaluations(self, n):
         qm, codes = random_quantized_model(n, 4, 5, seed=n)
-        for row in codes[:30]:
-            _, evals = ddag_infer(qm, row)
-            assert len(evals) == n - 1
+        for trace in simulate(qm, codes[:30]):
+            assert len(_path(trace)) == trace.evaluations == n - 1
 
     def test_matches_interval_oracle(self):
         for seed in range(5):
             qm, codes = random_quantized_model(5, 3, 5, seed=seed)
-            for row in codes[:50]:
-                assert ddag_infer(qm, row)[0] == _interval_walk_oracle(qm, row)
+            expected = [_interval_walk_oracle(qm, row) for row in codes[:50]]
+            assert ddag_predict_quant(qm, codes[:50]).tolist() == expected
+            assert [trace.out_class for trace in simulate(qm, codes[:50])] == expected
 
     def test_winner_won_every_comparison_on_path(self):
         qm, codes = random_quantized_model(6, 4, 5, seed=9)
-        for row in codes[:40]:
-            cls, evals = ddag_infer(qm, row)
-            for rid, y in evals:
+        for trace in simulate(qm, codes[:40]):
+            assert trace.overflows == 0
+            for rid, y in _path(trace):
                 class_a, class_b = row_pairs("ovo", 6)[rid]
-                if cls in (class_a, class_b):
-                    assert (y == 1) == (cls == class_a)
+                if trace.out_class in (class_a, class_b):
+                    assert (y == 1) == (trace.out_class == class_a)
 
     def test_float_walk_agrees_with_exact_walk_on_integer_model(self):
         qm, codes = random_quantized_model(4, 3, 4, seed=2)
-        coefs = qm.words.astype(float)
-        coefs[:, 0] *= 1 << qm.bias_shift
-        fmodel = FloatSvmModel("ovo", 4, 3, coefs)
-        for row in codes[:40]:
-            assert ddag_infer(qm, row)[0] == ddag_infer_float(fmodel, row)[0]
-
+        expected = [_interval_walk_oracle(qm, row) for row in codes[:40]]
+        assert ddag_predict_float(integer_twin(qm), codes[:40]).tolist() == expected
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_float_walks_reject_an_ova_model(self, n):
         ova = FloatSvmModel("ova", n, 2, [[-1.0, 1.0, 1.0]] * n)
         with pytest.raises(ValueError, match="a DAG walks OvO models only, not a 'ova' model"):
             ddag_predict_float(ova, np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="a DAG walks OvO models only, not a 'ova' model"):
-            ddag_infer_float(ova, np.zeros(2))
 
 
 class TestVote:
+    # votes are FloatSvmModel.predict's on the float twin of qm's rows,
+    # whose scores on input codes are exact (see test_kernel)
     def test_two_classes_always_agree(self):
         qm, codes = random_quantized_model(2, 5, 4, seed=1)
-        for row in codes[:50]:
-            assert ddag_infer(qm, row)[0] == ovo_vote_infer(qm, row)
+        assert ddag_predict_quant(qm, codes[:50]).tolist() == integer_twin(qm).predict(codes[:50]).tolist()
 
     def test_condorcet_cycle_recorded(self):
         # 0 beats 1, 2 beats 0, 1 beats 2: vote ties at one win each and
         # breaks to class 0; the DAG walks (0,2) -> (1,2) and lands on 1
         qm = bias_only_model(3, [1, -1, 1])
-        vote = ovo_vote_infer(qm, [0])
-        dag_cls, evals = ddag_infer(qm, [0])
+        vote = integer_twin(qm).predict([[0]])[0]
+        trace, = simulate(qm, [[0]])
         assert vote == 0
-        assert dag_cls == 1
-        assert [rid for rid, _ in evals] == [pair_index(0, 2, 3), pair_index(1, 2, 3)]
+        assert trace.out_class == 1
+        assert [rid for rid, _ in _path(trace)] == [pair_index(0, 2, 3), pair_index(1, 2, 3)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_agree_on_transitive_outcomes(self, n):
@@ -220,14 +207,12 @@ class TestVote:
                 for b in range(a + 1, n):
                     biases.append(1 if rank[a] < rank[b] else -1)
             qm = bias_only_model(n, biases)
-            assert ddag_infer(qm, [0])[0] == order[0]
-            assert ovo_vote_infer(qm, [0]) == order[0]
+            assert ddag_predict_quant(qm, [[0]])[0] == order[0]
+            assert integer_twin(qm).predict([[0]])[0] == order[0]
 
     def test_agreement_rate_reported(self, capsys):
         qm, codes = random_quantized_model(5, 6, 4, seed=13)
-        agree = sum(
-            ddag_infer(qm, row)[0] == ovo_vote_infer(qm, row) for row in codes
-        )
+        agree = int(np.sum(ddag_predict_quant(qm, codes) == integer_twin(qm).predict(codes)))
         rate = agree / len(codes)
         print(f"ddag/vote agreement: {rate:.3f}")
         assert 0.0 <= rate <= 1.0

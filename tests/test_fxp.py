@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import wrap
 from seqsvm.fxp import (
     MAX_INPUT_BITS,
     U4_4,
@@ -9,7 +10,6 @@ from seqsvm.fxp import (
     max_int,
     min_int,
     width_for_range,
-    wrap,
 )
 from seqsvm.quant import QuantizedModel, quantize_inputs
 
@@ -100,6 +100,8 @@ class TestWidthForRange:
 
 
 class TestWrap:
+    # the reference simulator's wrap, in tests/helpers.py: the library's own
+    # is the DAG walk's mask on an offset accumulator
     def test_examples(self):
         assert wrap(134, 8) == -122
         assert wrap(-130, 8) == 126

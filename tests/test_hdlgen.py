@@ -3,8 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_quantized_model
-from seqsvm.archsim import simulate
+from helpers import random_quantized_model, reference_simulate
 from seqsvm.ddag import pair_count
 from seqsvm.fxp import FxpFormat
 from seqsvm.hdlgen import (
@@ -120,7 +119,7 @@ class TestGoldenVectors:
             assert fields[:-1] == row
             assert fields[-1] == budget
             cls, state = (int(x) for x in expected.split())
-            ref_cls, trace = simulate(qm, row)
+            ref_cls, trace = reference_simulate(qm, row)
             assert cls == ref_cls == want
             assert state == trace.final_state
 

@@ -1,4 +1,6 @@
-"""The batched DAG-walk kernel against the scalar oracles, on random integer
+"""The batched DAG-walk kernel, the library's one DAG walk, against the
+test-side oracles of tests/helpers.py (the step-function simulator, the
+scalar walks in Python numbers and the max-wins vote), on random integer
 models of every width the library accepts and on random float models, plus
 compare_storage's rejection of a DAG of another class count and the batched vector
 scaling; then the sample-blocked kernels at block edges, and their working
@@ -13,18 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import layouts, profiled_cases, random_quantized_model
+from helpers import (
+    _interval_walk_oracle,
+    _score_walk,
+    _vote_oracle,
+    integer_twin,
+    layouts,
+    profiled_cases,
+    random_quantized_model,
+    reference_simulate,
+)
 from seqsvm.archsim import simulate, simulate_batch
 from seqsvm.cost import compare_storage
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.ddag import (
     build_ddag,
-    ddag_infer,
-    ddag_infer_float,
     ddag_predict_float,
     ddag_predict_quant,
-    ovo_vote_infer,
-    row_pairs,
     walk_batch,
 )
 from seqsvm.dataset import Dataset, SplitSpec, split
@@ -37,14 +44,6 @@ from seqsvm.quant import (
     quantize_model,
 )
 from seqsvm.trainer import FloatSvmModel
-
-
-def _vote_oracle(qm, codes):
-    wins = [0] * qm.n_classes
-    for (a, b), (bias, *weights) in zip(row_pairs("ovo", qm.n_classes), qm.words.tolist()):
-        acc = (bias << qm.bias_shift) + sum(w * x for w, x in zip(weights, codes))
-        wins[a if acc >= 0 else b] += 1
-    return max(range(qm.n_classes), key=lambda c: (wins[c], -c))
 
 
 def _extremes_oracle(qm, codes):
@@ -62,10 +61,11 @@ def _extremes_oracle(qm, codes):
 @settings(max_examples=150, deadline=None)
 @given(profiled_cases())
 def test_wrapped_kernel_equals_simulate(case):
+    # the simulator as the step-function reference defines it
     qm, codes = case
     classes, states, overflows = walk_batch(qm, codes, qm.acc_width)
     for i, row in enumerate(codes):
-        cls, trace = simulate(qm, row)
+        cls, trace = reference_simulate(qm, row)
         assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
     for view in layouts(codes, np.int64):
         again = walk_batch(qm, view, qm.acc_width)
@@ -79,10 +79,11 @@ def test_wrapped_kernel_equals_simulate(case):
 @given(profiled_cases())
 def test_exact_kernels_equal_python_oracles(case):
     qm, codes = case
-    expected = [ddag_infer(qm, row)[0] for row in codes]
+    expected = [_interval_walk_oracle(qm, row) for row in codes]
     for view in layouts(codes, np.int64):
         assert ddag_predict_quant(qm, view).tolist() == expected
-    assert [ovo_vote_infer(qm, row) for row in codes] == [_vote_oracle(qm, row) for row in codes]
+    # the float votes of qm's rows, whose scores on codes are exact
+    assert integer_twin(qm).predict(codes).tolist() == [_vote_oracle(qm, row) for row in codes]
     assert partial_sum_extremes(qm, np.array(codes)) == _extremes_oracle(qm, codes)
 
 
@@ -110,7 +111,7 @@ def float_cases(draw):
 @given(float_cases())
 def test_float_kernel_equals_python_oracle(case):
     fmodel, X = case
-    expected = [ddag_infer_float(fmodel, row)[0] for row in X]
+    expected = [_score_walk(fmodel.n_classes, fmodel.coefs, row)[0] for row in X.tolist()]
     for view in layouts(X, np.float64):
         assert ddag_predict_float(fmodel, view).tolist() == expected
 
@@ -120,7 +121,7 @@ def test_float_walks_sum_bias_first():
     # where products-first gives -1 (class 1 would win)
     fmodel = FloatSvmModel("ovo", 2, 2, [[-1.0, -2.0**53, 2.0**53]])
     assert ddag_predict_float(fmodel, [[1.0, 1.0]]).tolist() == [0]
-    assert ddag_infer_float(fmodel, [1.0, 1.0])[0] == 0
+    assert _score_walk(2, fmodel.coefs, [1.0, 1.0])[0] == 0
 
 
 def test_float_kernel_rejects_malformed_features():
@@ -178,13 +179,11 @@ def test_codes_outside_sixteen_bits_rejected():
 def _format_calls(qm, codes):
     """Every entry point that takes a QuantizedModel and input codes."""
     return {
-        "simulate": lambda: simulate(qm, codes[0]),
-        "ddag_infer": lambda: ddag_infer(qm, codes[0]),
+        "simulate": lambda: simulate(qm, codes),
         "simulate_batch": lambda: simulate_batch(qm, codes, np.zeros(len(codes))),
         "ddag_predict_quant": lambda: ddag_predict_quant(qm, codes),
         "walk_batch": lambda: walk_batch(qm, codes, qm.acc_width),
         "emit_golden_vectors": lambda: emit_golden_vectors(qm, codes, len(codes)),
-        "ovo_vote_infer": lambda: ovo_vote_infer(qm, codes[0]),
         "partial_sum_extremes": lambda: partial_sum_extremes(qm, codes),
     }
 
@@ -286,8 +285,8 @@ def test_integer_walks_at_block_edges(n_samples):
     qm, _ = random_quantized_model(4, 7, 5, seed=2)
     qm.acc_width -= 3  # some walks wrap
     codes = np.random.default_rng(n_samples).integers(0, 16, (n_samples, 7))
-    exact = [ddag_infer(qm, row)[0] for row in codes]
-    wrapped = [simulate(qm, row) for row in codes]
+    exact = [_interval_walk_oracle(qm, row) for row in codes]
+    wrapped = [reference_simulate(qm, row) for row in codes]
     expected = (
         [cls for cls, _ in wrapped], [t.final_state for _, t in wrapped], [t.overflows for _, t in wrapped]
     )
@@ -295,13 +294,15 @@ def test_integer_walks_at_block_edges(n_samples):
     for view in layouts(codes, np.int64):
         assert ddag_predict_quant(qm, view).tolist() == exact
         assert [a.tolist() for a in walk_batch(qm, view, qm.acc_width)] == list(expected)
+    # at one block and one row, the traces' recording crosses a block edge
+    assert simulate(qm, codes) == [t for _, t in wrapped]
 
 
 @pytest.mark.parametrize("n_samples", _block_edges(8))
 def test_float_walk_at_block_edges(n_samples):
     fmodel = _random_float_model(4, 7, seed=3)
     X = np.random.default_rng(n_samples).uniform(size=(n_samples, 7))
-    expected = [ddag_infer_float(fmodel, row)[0] for row in X]
+    expected = [_score_walk(fmodel.n_classes, fmodel.coefs, row)[0] for row in X.tolist()]
     for view in layouts(X, np.float64):
         assert ddag_predict_float(fmodel, view).tolist() == expected
 
