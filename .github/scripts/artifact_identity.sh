@@ -9,10 +9,13 @@
 # simulate --trace 3, gen-hdl --vectors 5, cost --storage rom and compare,
 # which read back the documents the stages before them wrote; then, with
 # model.json's acc_width lowered by 3 bits, simulate --trace 5, whose traces
-# wrap the accumulator. Prints a
-# Markdown table of each workload's combined artifact digest, and of the
-# stages' ("stages"), on both sides. Prints only; the exit status says
-# whether both runs produced digests, not whether they match.
+# wrap the accumulator. Last, in a copy of those artifacts outside the
+# digested directory, it negates every quantized bias of model.json and runs
+# simulate: the "refusal" row reads "refused" if that exits 2 and "accepted"
+# otherwise. Prints a Markdown table of each workload's combined artifact
+# digest, of the stages' ("stages") and the refusal, on both sides. Prints
+# only; the exit status says whether both runs produced digests, not whether
+# they match.
 set -euo pipefail
 
 base_dir=$1
@@ -40,6 +43,18 @@ doc = json.load(open(sys.argv[1]))
 doc["quantized"]["acc_width"] -= 3
 open(sys.argv[1], "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")' "$out/model.json" &&
             python3 -m seqsvm simulate --trace 5 --out "$out" > "$out.log" 2>&1 || { echo "stages failed:narrow@$1"; exit 0; }
+        # every quantized bias negated: in range, but not the quantizer's words
+        probe=.bench_run/refusal
+        rm -rf "$probe"
+        cp -r "$out" "$probe"
+        python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+for vector in doc["quantized"]["vectors"]:
+    vector["bias"] = -vector["bias"]
+open(sys.argv[1], "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")' "$probe/model.json"
+        status=0
+        python3 -m seqsvm simulate --out "$probe" > "$probe.log" 2>&1 || status=$?
+        echo refusal "$([ "$status" = 2 ] && echo refused || echo accepted)"
         cd "$out"
         echo stages "$(find . -type f | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d ' ' -f 1)"
     )

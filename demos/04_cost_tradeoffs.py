@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from seqsvm.cost import ADC_COUNT, TechConfig, calibrate_power, compare_parallel, compare_storage, format_report_table
+from seqsvm.cost import ADC_COUNT, TechConfig, compare_parallel, compare_storage, format_report_table
 from seqsvm.fxp import U4_4
 from seqsvm.quant import QuantizedModel, profile_accumulator
 
@@ -60,7 +60,7 @@ print()
 # power density: least-squares slope through the origin over five published
 # (area, power) measurements of printed sequential SVM designs
 points = [(3.1, 3.6), (4.9, 5.3), (7.8, 8.7), (3.1, 3.5), (3.4, 3.9)]
-slope = calibrate_power(points)
+slope = sum(area * power for area, power in points) / sum(area * area for area, _ in points)
 print(f"calibrated power density {slope:.3f} mW/cm^2 (shipped default {tech.power_per_area})")
 for area, power in points:
     print(f"  area {area:4.1f} -> predicted {tech.power_per_area * area:4.2f} mW "

@@ -11,17 +11,18 @@ Exit codes: 0 success, 1 usage, 2 stage failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import modelio
 from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import _block_rows, check_ovo
+from .ddag import _block_rows, ddag_predict_float, ddag_predict_quant
 from .fxp import MAX_INPUT_BITS, FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_inputs, search_param_bits
@@ -82,12 +83,9 @@ def _quantize_phase(config: dict, names: Dataset, hyper: Hyper, fmodel: FloatSvm
 
 
 def _load_model(out: Path):
-    """The document of ``out``/model.json and its parts (``modelio.read_model_doc``);
-    the float model must be the OvO model the DAG walks."""
+    """The document of ``out``/model.json and its parts (``modelio.read_model_doc``)."""
     doc = modelio.load_model_doc(out / "model.json")
-    parts = modelio.read_model_doc(doc, quantized=True)
-    check_ovo(parts[3])
-    return doc, parts
+    return doc, modelio.read_model_doc(doc, quantized=True)
 
 
 def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, trace_n: int, storage_kind: str) -> dict:
@@ -237,16 +235,15 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
         doc, (config, _, hyper, fmodel, qm) = _load_model(out)
-        # the DDAG accuracies were measured on this test split by the quantize stage
-        quant_report = json.loads((out / "quant_report.json").read_text())
-        if quant_report.get("config_hash") != doc["config_hash"]:
-            raise ValueError("quant_report.json does not belong to model.json (config_hash differs)")
         train, test = _ingest(config)
         ova = train_ova(train, hyper)
+        # the DDAG accuracies, measured as the quantize stage measures them
+        float_ddag = ddag_predict_float(fmodel, test.features)
+        quant_ddag = ddag_predict_quant(qm, quantize_inputs(test, qm.input_fmt))
         acc_rows = [
             ("ovo-vote (float)", accuracy(fmodel, test)),
-            ("ovo-ddag (float)", quant_report["float_accuracy"]),
-            ("ovo-ddag (quant)", quant_report["quantized_accuracy"]),
+            ("ovo-ddag (float)", float(np.mean(float_ddag == test.labels))),
+            ("ovo-ddag (quant)", float(np.mean(quant_ddag == test.labels))),
             ("ova      (float)", accuracy(ova, test)),
         ]
         print(f"accuracy on {len(test.labels)} test samples "

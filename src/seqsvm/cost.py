@@ -155,18 +155,6 @@ def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> Cos
     return _report("parallel", ge, tech, cycles=1, slots=1, register_bits=0)
 
 
-def calibrate_power(points) -> float:
-    """Least-squares slope through the origin for (area, power) pairs."""
-    pts = [(float(a), float(p)) for a, p in points]
-    if len(pts) < 2:
-        raise ValueError("need at least two (area, power) points")
-    if any(a <= 0 for a, _ in pts):
-        raise ValueError("areas must be positive")
-    num = sum(a * p for a, p in pts)
-    den = sum(a * a for a, _ in pts)
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Config file and report formatting
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ each, then ``check_written`` rejects the document unless it is exactly what
 ``model_doc`` writes for those parts. That one rule covers every derived
 field: ``format``, ``version``, ``seed``, ``config_hash``,
 ``dataset.split``, ``hyper.seed``, each vector's pair, ``input_fmt``,
-``bias_shift`` and the whole ``ddag``.
+``bias_shift``, the quantized ``vectors`` and ``scales`` (the quantizer's
+output for the float model) and the whole ``ddag``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import pair_index, row_pairs, state_bits_for, transitions
+from .ddag import check_ovo, pair_index, row_pairs, state_bits_for, transitions
 from .fxp import MAX_INPUT_BITS, FxpFormat
-from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, check_params, check_widths
+from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_model
 from .trainer import FloatSvmModel, Hyper, check_feature_count, check_parameters, finite_number
 
 FORMAT = "seqsvm/model"
@@ -122,54 +124,43 @@ def _field(obj, key: str, at: str):
     return obj[key]
 
 
-def _table_rows(doc: dict, at: str, kind: str, n_classes: int, n_features: int, check) -> list:
-    """The rows [bias, w_1..w_m] of the model object ``doc``, named ``at``.
-    Rejects a bad class count, kind or feature count, a wrong vector count,
-    then ``check``'s offender among the rows before the first vector without
-    one weight per feature, then that vector."""
+def float_model_from_dict(doc: dict) -> FloatSvmModel:
+    """The float model of a ``float_model`` object: kind, counts, weights,
+    biases. Rejects a bad class count, kind or feature count, a wrong vector
+    count, then the first parameter that is no finite number among the rows
+    before the first vector without one weight per feature, then that vector."""
+    kind, n_classes, n_features = (_field(doc, key, "float_model") for key in ("kind", "n_classes", "n_features"))
     rows = len(row_pairs(kind, n_classes))
     check_feature_count(n_features)
-    vectors = _field(doc, "vectors", at)
+    vectors = _field(doc, "vectors", "float_model")
     if type(vectors) is not list:
-        raise ValueError(f"{at}.vectors {vectors!r:.80} is not a list")
+        raise ValueError(f"float_model.vectors {vectors!r:.80} is not a list")
     if len(vectors) != rows:
         raise ValueError(f"a {n_classes}-class model needs {rows} vectors, got {len(vectors)}")
     table = []
     for r, v in enumerate(vectors):
-        weights = _field(v, "weights", f"{at}.vectors.{r}")
+        weights = _field(v, "weights", f"float_model.vectors.{r}")
         if type(weights) is not list or len(weights) != n_features:
             break
-        table.append([_field(v, "bias", f"{at}.vectors.{r}"), *weights])
-    check(table)
+        table.append([_field(v, "bias", f"float_model.vectors.{r}"), *weights])
+    check_parameters(table)  # before the table casts "0.5" or true to a float
     if len(table) < rows:
         raise ValueError(f"vector {len(table)}: wrong weight count")
-    return table
+    return FloatSvmModel(kind, n_classes, n_features, table)
 
 
-def float_model_from_dict(doc: dict) -> FloatSvmModel:
-    """The float model of a ``float_model`` object: kind, counts, weights, biases."""
-    kind, n_classes, n_features = (_field(doc, key, "float_model") for key in ("kind", "n_classes", "n_features"))
-    # checked before the table casts "0.5" or true to a float
-    rows = _table_rows(doc, "float_model", kind, n_classes, n_features, check_parameters)
-    return FloatSvmModel(kind, n_classes, n_features, rows)
-
-
-def quantized_from_dict(doc: dict, n_classes: int, n_features: int, input_bits: int) -> QuantizedModel:
-    """The quantized model of a ``quantized`` object (widths, scales, weights,
-    biases) for inputs of ``input_bits``, the config's."""
-    fmt = FxpFormat(input_bits)
-    for key in ("param_bits", "acc_width"):  # QuantizedModel checks param_bits' range
+def quantized_from_dict(doc: dict, fmodel: FloatSvmModel, input_bits: int) -> QuantizedModel:
+    """The quantized model of a ``quantized`` object: ``fmodel``, which must
+    be OvO, quantized to the object's ``param_bits`` for inputs of
+    ``input_bits`` (the config's), with its ``acc_width``. The words and
+    scales are the quantizer's, so no other key is read."""
+    for key in ("param_bits", "acc_width"):  # quantize_model checks param_bits' range
         if not _int_in(1)(_field(doc, key, "quantized")):
             raise ValueError(f"{key} {doc[key]!r} is not an integer of at least 1")
-    param_bits = doc["param_bits"]
-    check_widths(param_bits)  # before the vectors
-
-    def check(rows):  # types first: a float in range is no word
-        check_parameters(rows, lambda p: type(p) is int, "an integer")
-        check_params(rows, param_bits)
-
-    words = _table_rows(doc, "quantized", "ovo", n_classes, n_features, check)
-    qm = QuantizedModel(n_classes, n_features, fmt, param_bits, words, _field(doc, "scales", "quantized"))
+    check_ovo(fmodel)
+    with warnings.catch_warnings():  # the quantize stage has warned of an all-zero row
+        warnings.simplefilter("ignore", UserWarning)
+        qm = quantize_model(fmodel, doc["param_bits"], FxpFormat(input_bits))
     qm.acc_width = doc["acc_width"]
     return qm
 
@@ -210,9 +201,10 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     """The parts (config, dataset, hyper, float model, quantized model or None)
     of ``doc``, model.json if ``quantized``. Reads and checks, in order,
     ``config`` (the keys of ``_CONFIG_KEYS`` the document takes, in range),
-    ``hyper``'s lam and epochs, the models (``param_bits`` at most the
-    config's ``max_param_bits``), and the dataset's names and
-    normalization (a Dataset of no samples); then ``check_written``."""
+    ``hyper``'s lam and epochs, the float model, the quantized widths
+    (``param_bits`` at most the config's ``max_param_bits``) and the
+    dataset's names and normalization (a Dataset of no samples); then
+    ``check_written``, which compares the quantizer's words and scales too."""
     config = _field(doc, "config", "document")
     keys = [key for key, (quantizer, _, _) in _CONFIG_KEYS.items() if quantized or not quantizer]
     for key in keys:
@@ -228,8 +220,7 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     except ValueError as exc:
         raise ValueError(f"hyper: {exc}") from None
     fmodel = float_model_from_dict(_field(doc, "float_model", "document"))
-    qm = quantized_from_dict(_field(doc, "quantized", "document"), fmodel.n_classes, fmodel.n_features,
-                             config["input_bits"]) if quantized else None
+    qm = quantized_from_dict(_field(doc, "quantized", "document"), fmodel, config["input_bits"]) if quantized else None
     if qm is not None and qm.param_bits > config["max_param_bits"]:
         raise ValueError(f"quantized.param_bits {qm.param_bits} exceeds config max_param_bits "
                          f"{config['max_param_bits']}")

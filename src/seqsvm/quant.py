@@ -142,8 +142,9 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
 
     A row's scale maps its largest-magnitude coefficient onto
     2**(param_bits-1) - 1; rounding is half-to-even. An all-zero row keeps
-    scale 1 and is flagged with one warning. Returns the int64 codes and the
-    float64 scales.
+    scale 1 and is flagged with one warning. A row whose scale overflows,
+    its largest |coefficient| being too small, is rejected before any cast.
+    Returns the int64 codes and the float64 scales.
     """
     C = np.asarray(coefs, dtype=np.float64)
     top = float((1 << (param_bits - 1)) - 1)
@@ -151,7 +152,12 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
     zero = peak == 0.0
     for _ in range(np.count_nonzero(zero)):
         warnings.warn("all-zero support vector; quantizing to zeros with scale 1")
-    scales = top / np.where(zero, top, peak)
+    with np.errstate(over="ignore"):
+        scales = top / np.where(zero, top, peak)
+    bad = np.flatnonzero(~np.isfinite(scales))
+    if len(bad):
+        raise ValueError(f"vector {bad[0]}: largest |coefficient| {float(peak[bad[0]])!r} is too small to "
+                         f"scale to {param_bits} bits")
     return np.clip(np.rint(C * scales[:, None]), -top, top).astype(np.int64), scales
 
 

@@ -81,13 +81,13 @@ def finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def check_parameters(rows, ok=finite_number, what: str = "a finite number") -> None:
-    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m]) that
-    ``ok`` rejects, row by row, each row's weights before its bias."""
+def check_parameters(rows) -> None:
+    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m]) that is
+    not a finite number, row by row, each row's weights before its bias."""
     for r, row in enumerate(rows):
-        bad = [p for p in [*row[1:], row[0]] if not ok(p)]
+        bad = [p for p in [*row[1:], row[0]] if not finite_number(p)]
         if bad:
-            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not {what}")
+            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not a finite number")
 
 
 @dataclass(eq=False)

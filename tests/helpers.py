@@ -14,7 +14,7 @@ from seqsvm.dataset import Dataset
 from seqsvm.ddag import _row, aligned_words, pair_index, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.modelio import dumps_canonical, model_doc
-from seqsvm.quant import QuantizedModel, profile_accumulator
+from seqsvm.quant import QuantizedModel, profile_accumulator, quantize_model
 from seqsvm.trainer import FloatSvmModel, Hyper
 
 # (n_classes, n_features) of the five benchmark shapes used throughout.
@@ -27,12 +27,16 @@ TABLE_SHAPES = {
 }
 
 
-def document(fmodel, qm=None) -> dict:
-    """float_model.json of ``fmodel``, or model.json with ``qm``, under a
+def document(fmodel, param_bits=None, input_bits=4, acc_width=8) -> dict:
+    """float_model.json of ``fmodel``, or, given ``param_bits``, model.json
+    with ``fmodel`` quantized to them for inputs of ``input_bits``, under a
     fixed config, dataset and seed, as its JSON text reads back."""
     config = {"dataset": "data.csv", "label_column": "label", "seed": 0, "train_fraction": 0.8, "budget": 1}
-    if qm is not None:
-        config.update(input_bits=qm.input_fmt.total_bits, max_param_bits=16)
+    qm = None
+    if param_bits is not None:
+        config.update(input_bits=input_bits, max_param_bits=16)
+        qm = quantize_model(fmodel, param_bits, FxpFormat(input_bits))
+        qm.acc_width = acc_width
     m = fmodel.n_features
     names = Dataset(np.empty((0, m)), [], [f"c{c}" for c in range(fmodel.n_classes)], [f"f{j}" for j in range(m)],
                     [(0.0, 1.0)] * m)

@@ -45,7 +45,7 @@ ARTIFACTS = [
 @pytest.fixture(scope="module")
 def synth_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "blobs.csv"
-    to_csv(separable_blobs(3, 11, per_class=30, seed=5), path)
+    to_csv(separable_blobs(3, 11, per_class=30, seed=6), path)
     return path
 
 
@@ -231,30 +231,29 @@ def test_gen_hdl_quantizes_only_its_vectors(full_run, tmp_path, monkeypatch):
     assert stim[1:] == (full_run / "hdl" / "vectors.stim").read_text().splitlines()[1:8]
 
 
-def test_compare_reuses_the_quantize_stage_accuracies(full_run, tmp_path, monkeypatch):
+def test_compare_measures_the_quantize_stage_accuracies(full_run, tmp_path, monkeypatch):
+    # one walk of each DDAG on the test split, as the precision search walks them
     out = tmp_path / "out"
     shutil.copytree(full_run, out)
     calls = _count_calls(monkeypatch, "ddag_predict_float", "ddag_predict_quant")
     assert main(["compare", "--out", str(out)]) == 0
-    assert calls == []
+    assert len(calls) == 2
     report = json.loads((out / "compare_report.json").read_text())
     quant = json.loads((out / "quant_report.json").read_text())
     assert report["accuracy"]["ovo-ddag (float)"] == quant["float_accuracy"]
     assert report["accuracy"]["ovo-ddag (quant)"] == quant["quantized_accuracy"]
 
 
-def test_compare_needs_the_matching_quant_report(full_run, tmp_path, capsys):
-    out = tmp_path / "out"
-    shutil.copytree(full_run, out)
-    report = json.loads((out / "quant_report.json").read_text())
-    report["config_hash"] = "0" * len(report["config_hash"])
-    (out / "quant_report.json").write_text(json.dumps(report))
-    assert main(["compare", "--out", str(out)]) == 2
-    assert "stage compare failed: quant_report.json does not belong to model.json" in capsys.readouterr().err
-    (out / "quant_report.json").unlink()
-    assert main(["compare", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "stage compare failed" in err and "quant_report.json" in err
+def test_compare_writes_the_same_report_without_quant_report(full_run, tmp_path):
+    reports = []
+    for name, drop in (("kept", False), ("dropped", True)):
+        out = tmp_path / name
+        shutil.copytree(full_run, out)
+        if drop:
+            (out / "quant_report.json").unlink()
+        assert main(["compare", "--out", str(out)]) == 0
+        reports.append((out / "compare_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_oversized_input_bits_fail_clearly(synth_csv, tmp_path, capsys):
@@ -476,6 +475,17 @@ def _extra_float_weight(doc):
     doc["float_model"]["vectors"][0]["weights"].append(0.5)
 
 
+def _tiny_float_row(doc):
+    """Float vector 0 with no coefficient larger than 5e-324, too small to scale to any width."""
+    vector = doc["float_model"]["vectors"][0]
+    vector.update(weights=[(-1) ** j * 5e-324 for j in range(len(vector["weights"]))], bias=0.0)
+
+
+def _negate_biases(doc):
+    for vector in doc["quantized"]["vectors"]:
+        vector["bias"] = -vector["bias"]
+
+
 def _set_float(row, index, value):
     """Set weight ``index`` of float vector ``row``, or its bias for None."""
 
@@ -588,6 +598,7 @@ _FLOAT_MODEL_EDITS = {
     "float_bias_nan": (_set_float(2, None, float("nan")), "vector 2: parameter nan is not a finite number"),
     "float_weight_infinity": (_set_float(0, 10, float("inf")), "vector 0: parameter inf is not a finite number"),
     "float_weight_null": (_set_float(2, 0, None), "vector 2: parameter None is not a finite number"),
+    "float_row_too_small": (_tiny_float_row, "vector 0: largest |coefficient| 5e-324 is too small to scale to 2 bits"),
     "float_n_classes_one": (
         _set_float_model("n_classes", 1), "a model needs an integer class count of at least two, got 1"
     ),
@@ -635,13 +646,15 @@ _FLOAT_MODEL_EDITS = {
 }
 
 _ROW_SWAP = (_swap_first_two_rows, "ddag.nodes.0.row is 1, the model writes 0")
-_SCALES_LIST = "scales must be a list of one number per vector (3)"
 # the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
-# bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves
+# bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves. Its
+# words are 2 bits wide (-2..1), the biases 1, 0 and -1, and vector 0's first
+# weight -1; these are the scales its float model quantizes with
+_SCALES = "0.3458189758734454", "0.7395383987991718", "0.36422293776864983"
 _MODEL_EDITS = {
     "state_bits": (_set_ddag_key("state_bits", 40), "ddag.state_bits is 40, the model writes 2"),
     "ordering": (_set_ddag_key("ordering", "whatever"), "ddag.ordering is 'whatever', the model writes 'natural'"),
-    "extra_vector": (_append_a_vector, "a 3-class model needs 3 vectors, got 4"),
+    "extra_vector": (_append_a_vector, "quantized.vectors has 4 entries, the model writes 3"),
     "relabelled_pair": (_relabel_row_zero, "quantized.vectors.0.class_a is 1, the model writes 0"),
     "cyclic_edge": (_edit_node(1, "on_a", ["node", 1]), "ddag.nodes.1.on_a.1 is 1, the model writes 0"),
     "short_path": (_edit_node(1, "on_a", ["leaf", 0]), "ddag.nodes.1.on_a.0 is 'leaf', the model writes 'node'"),
@@ -660,26 +673,46 @@ _MODEL_EDITS = {
     "acc_width_fraction": (_set_quantized(("acc_width",), 7.5), "acc_width 7.5 is not an integer of at least 1"),
     "acc_width_zero": (_set_quantized(("acc_width",), 0), "acc_width 0 is not an integer of at least 1"),
     "weight_fraction": (
-        _set_quantized(("vectors", 0, "weights", 0), 1.7), "vector 0: parameter 1.7 is not an integer"
+        _set_quantized(("vectors", 0, "weights", 0), 1.7), "quantized.vectors.0.weights.0 is 1.7, the model writes -1"
     ),
-    "weight_true": (_set_quantized(("vectors", 0, "weights", 0), True), "vector 0: parameter True is not an integer"),
-    "bias_fraction": (_set_quantized(("vectors", 1, "bias"), 2.5), "vector 1: parameter 2.5 is not an integer"),
+    "weight_true": (
+        _set_quantized(("vectors", 0, "weights", 0), True), "quantized.vectors.0.weights.0 is True, the model writes -1"
+    ),
+    "bias_fraction": (
+        _set_quantized(("vectors", 1, "bias"), 2.5), "quantized.vectors.1.bias is 2.5, the model writes 0"
+    ),
     "param_bits_fraction": (_set_quantized(("param_bits",), 7.5), "param_bits 7.5 is not an integer of at least 1"),
     "param_bits_float": (_set_quantized(("param_bits",), 8.0), "param_bits 8.0 is not an integer of at least 1"),
     "param_bits_true": (_set_quantized(("param_bits",), True), "param_bits True is not an integer of at least 1"),
     "param_bits_above_ceiling": (
         _set_quantized(("param_bits",), 12), "quantized.param_bits 12 exceeds config max_param_bits 8"
     ),
-    "scales_string": (_set_quantized(("scales",), "abc"), f"{_SCALES_LIST}, got 'abc'"),
-    "scales_empty": (_set_quantized(("scales",), []), f"{_SCALES_LIST}, got []"),
-    "scales_number": (_set_quantized(("scales",), 5), f"{_SCALES_LIST}, got 5"),
-    "scale_zero": (_set_quantized(("scales", 1), 0), "vector 1: scale 0 is not a finite number > 0"),
-    "scale_negative": (_set_quantized(("scales", 2), -1.5), "vector 2: scale -1.5 is not a finite number > 0"),
-    "scale_true": (_set_quantized(("scales", 0), True), "vector 0: scale True is not a finite number > 0"),
-    "scale_nan": (_set_quantized(("scales", 2), float("nan")), "vector 2: scale nan is not a finite number > 0"),
-    "scale_string": (_set_quantized(("scales", 0), "1.0"), "vector 0: scale '1.0' is not a finite number > 0"),
+    "scales_string": (_set_quantized(("scales",), "abc"), f"quantized.scales is 'abc', the model writes [{_SCALES[0]}"),
+    "scales_empty": (_set_quantized(("scales",), []), "quantized.scales has 0 entries, the model writes 3"),
+    "scales_number": (_set_quantized(("scales",), 5), f"quantized.scales is 5, the model writes [{_SCALES[0]}"),
+    "scale_zero": (_set_quantized(("scales", 1), 0), f"quantized.scales.1 is 0, the model writes {_SCALES[1]}"),
+    "scale_negative": (
+        _set_quantized(("scales", 2), -1.5), f"quantized.scales.2 is -1.5, the model writes {_SCALES[2]}"
+    ),
+    "scale_true": (_set_quantized(("scales", 0), True), f"quantized.scales.0 is True, the model writes {_SCALES[0]}"),
+    "scale_nan": (
+        _set_quantized(("scales", 2), float("nan")), f"quantized.scales.2 is nan, the model writes {_SCALES[2]}"
+    ),
+    "scale_string": (
+        _set_quantized(("scales", 0), "1.0"), f"quantized.scales.0 is '1.0', the model writes {_SCALES[0]}"
+    ),
+    # in range, and each accepted before the words and scales were the quantizer's
+    "biases_negated": (_negate_biases, "quantized.vectors.0.bias is -1, the model writes 1"),
+    "weight_plus_one": (
+        _set_quantized(("vectors", 0, "weights", 0), 0), "quantized.vectors.0.weights.0 is 0, the model writes -1"
+    ),
+    "scale_changed": (
+        _set_quantized(("scales", 1), 0.75), f"quantized.scales.1 is 0.75, the model writes {_SCALES[1]}"
+    ),
     **_QUANT_CONFIG_EDITS,
     **_FLOAT_MODEL_EDITS,
+    # model.json's loader takes only OvO float models, before it compares the pairs
+    "float_ova_kind_on_pairs": (_set_float_kind("ova"), "a DAG walks OvO models only, not a 'ova' model"),
 }
 
 

@@ -12,7 +12,6 @@ from seqsvm.archsim import register_census
 from seqsvm.cost import (
     STORAGE_KINDS,
     TechConfig,
-    calibrate_power,
     compare_parallel,
     compare_storage,
     estimate,
@@ -150,32 +149,18 @@ class TestParallelBaseline:
 
 
 class TestCalibration:
-    def test_duplicated_point(self):
-        slope = calibrate_power([(3.1, 3.6), (3.1, 3.6)])
-        assert slope == pytest.approx(3.6 / 3.1)
-        assert round(slope, 3) == 1.161
-
     def test_five_points_near_default(self):
-        slope = calibrate_power(CALIBRATION_POINTS)
-        # independent oracle: numpy least squares on the same through-origin fit
+        # the shipped density is the least-squares slope through the origin
+        # of the published points, as demo 04 computes it
         a = np.array([[x] for x, _ in CALIBRATION_POINTS])
         p = np.array([y for _, y in CALIBRATION_POINTS])
-        oracle = float(np.linalg.lstsq(a, p, rcond=None)[0][0])
-        assert slope == pytest.approx(oracle)
-        assert abs(slope - 1.13) <= 0.05
+        slope = float(np.linalg.lstsq(a, p, rcond=None)[0][0])
+        assert abs(TechConfig().power_per_area - slope) <= 0.05
 
     def test_default_density_within_ten_percent(self):
         density = TechConfig().power_per_area
         for area, power in CALIBRATION_POINTS:
             assert abs(density * area - power) / power <= 0.10
-
-    def test_single_point_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_power([(3.1, 3.6)])
-
-    def test_zero_area_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_power([(0.0, 1.0), (1.0, 1.0)])
 
 
 class TestTechConfig:

@@ -5,17 +5,19 @@ nothing else determines first, then rejects any other difference from what
 model_doc writes, naming its path."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import document
 from seqsvm.ddag import row_pairs
 from seqsvm.fxp import FxpFormat, max_int, min_int
 from seqsvm.modelio import check_written, dumps_canonical, model_doc, quantized_from_dict, read_model_doc
-from seqsvm.quant import QuantizedModel
+from seqsvm.quant import quantize_model
 from seqsvm.trainer import FloatSvmModel
 
 #: Finite doubles: signed zeros, subnormals, the smallest and largest
@@ -78,19 +80,21 @@ def float_models(draw):
 
 
 @st.composite
-def quantized_models(draw):
+def quantizable_models(draw):
+    """An OvO float model whose rows all scale to the drawn parameter bits,
+    and those bits."""
     n = draw(st.integers(2, 6))
     m = draw(st.integers(1, 5))
-    bits = draw(st.integers(2, 16))
-    lo, hi = min_int(bits), max_int(bits)
     size = len(row_pairs("ovo", n)) * (m + 1)
-    words = draw(st.lists(st.one_of(st.sampled_from([lo, hi, 0, -1]), st.integers(lo, hi)), min_size=size, max_size=size))
-    words[0], words[-1] = lo, hi  # both extremes, in the first and last word
-    rows = size // (m + 1)
-    scales = draw(st.lists(FLOATS.map(abs).filter(lambda s: s > 0), min_size=rows, max_size=rows))
-    qm = QuantizedModel(n, m, FxpFormat(draw(st.integers(1, 16))), bits, np.reshape(words, (-1, m + 1)), scales)
-    qm.acc_width = draw(st.integers(1, 64))
-    return qm
+    model = FloatSvmModel("ovo", n, m, np.reshape(draw(st.lists(FLOATS, min_size=size, max_size=size)), (-1, m + 1)))
+    bits = draw(st.integers(2, 16))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an all-zero row
+            quantize_model(model, bits)
+    except ValueError:  # a row too small to scale
+        reject()
+    return model, bits
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,27 +108,47 @@ def test_float_model_document_round_trip(model):
     assert dumps_canonical(model_doc(*parts)) == dumps_canonical(doc)
 
 
-def _zero_ovo(n, m):
-    return FloatSvmModel("ovo", n, m, np.zeros((len(row_pairs("ovo", n)), m + 1)))
-
-
+@pytest.mark.filterwarnings("ignore:all-zero support vector")
 @settings(max_examples=200, deadline=None)
-@given(qm=quantized_models())
-def test_quantized_document_round_trip(qm):
-    doc = document(_zero_ovo(qm.n_classes, qm.n_features), qm)
+@given(case=quantizable_models(), input_bits=st.integers(1, 16), acc_width=st.integers(1, 64))
+def test_quantized_document_round_trip(case, input_bits, acc_width):
+    # the loader quantizes the float model again, to the same words and scales
+    model, bits = case
+    doc = document(model, bits, input_bits, acc_width)
     parts = read_model_doc(doc, quantized=True)
-    back = parts[4]
-    assert (back.input_fmt, back.param_bits, back.acc_width) == (qm.input_fmt, qm.param_bits, qm.acc_width)
-    assert back.words.tobytes() == qm.words.tobytes()
-    assert np.array(back.scales).tobytes() == np.array(qm.scales).tobytes()
+    back, want = parts[4], quantize_model(model, bits, FxpFormat(input_bits))
+    assert (back.input_fmt, back.param_bits, back.acc_width) == (want.input_fmt, bits, acc_width)
+    assert back.words.tobytes() == want.words.tobytes()
+    assert np.array(back.scales).tobytes() == np.array(want.scales).tobytes()
     assert dumps_canonical(model_doc(*parts)) == dumps_canonical(doc)
 
 
+@pytest.mark.filterwarnings("ignore:all-zero support vector")
+@settings(max_examples=200, deadline=None)
+@given(case=quantizable_models(), data=st.data())
+def test_a_changed_word_is_refused_at_its_path(case, data):
+    # any other word that fits param_bits, the bias at index 0
+    model, bits = case
+    doc = document(model, bits)
+    r = data.draw(st.integers(0, len(model.coefs) - 1))
+    j = data.draw(st.integers(0, model.n_features))
+    vector = doc["quantized"]["vectors"][r]
+    holder, key, path = (vector, "bias", "bias") if j == 0 else (vector["weights"], j - 1, f"weights.{j - 1}")
+    word = holder[key]
+    holder[key] = data.draw(st.integers(min_int(bits), max_int(bits)).filter(lambda w: w != word))
+    message = f"quantized.vectors.{r}.{path} is {holder[key]}, the model writes {word}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_model_doc(doc, quantized=True)
+
+
+#: A 3-class, 2-feature model whose rows [bias, w_1, w_2] quantize at 4 bits
+#: to [2, 4, -7], [2, 1, 7] and [-5, 7, 2], with scales 3.5, 7/3 and 3.5.
+_FMODEL = FloatSvmModel("ovo", 3, 2, [[0.5, 1.0, -2.0], [1.0, 0.25, 3.0], [-1.5, 2.0, 0.5]])
+
+
 def _model_json():
-    """model.json of a 3-class, 2-feature model at 4 input and 4 parameter bits."""
-    qm = QuantizedModel(3, 2, FxpFormat(4), 4, [[1, 2, 3]] * 3, [1.0] * 3)
-    qm.acc_width = 8
-    return document(_zero_ovo(3, 2), qm)
+    """model.json of ``_FMODEL`` at 4 input and 4 parameter bits."""
+    return document(_FMODEL, 4)
 
 
 def _edit(*changes):
@@ -144,13 +168,17 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
 
 @pytest.mark.parametrize("doc, message", [
     # the fields nothing else determines first, each with its own check:
-    # config, hyper, the float model, the quantized widths, then its vectors
+    # config, hyper, the float model (its table before the quantized
+    # widths), the quantized widths, then whether its rows scale
     (_edit(*DERIVED, (("config", "input_bits"), 17)), "config input_bits 17 is not an integer in 1..16"),
     (_edit(*DERIVED, (("hyper", "lam"), 0)), "hyper: lam must be finite and > 0, got 0"),
     (_edit(*DERIVED, (("float_model", "n_features"), 2.0)), "a model needs an integer feature count of at least one"),
     (_edit(*DERIVED, (("quantized", "param_bits"), 17)), "param_bits out of range"),
-    (_edit(*DERIVED, (("quantized", "vectors", 0, "weights"), [0])), "vector 0: wrong weight count"),
-    (_edit(*DERIVED, (("quantized", "vectors", 1, "bias"), 99)), "vector 1: parameter 99 exceeds 4 bits"),
+    (_edit(*DERIVED, (("quantized", "param_bits"), 17), (("float_model", "vectors", 0, "weights"), [0.0])),
+     "vector 0: wrong weight count"),
+    (_edit(*DERIVED, (("float_model", "vectors", 1, "weights"), [5e-324, 0.0]),
+           (("float_model", "vectors", 1, "bias"), 0.0)),
+     "vector 1: largest |coefficient| 5e-324 is too small to scale to 4 bits"),
     # then the comparison with what model_doc writes, in sorted key order;
     # the dataset's names are written back as read, so any value passes
     (_edit(*DERIVED, (("dataset", "label_names"), 5), (("dataset", "feature_names"), None)),
@@ -158,9 +186,13 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
     (_edit(*DERIVED[1:]), "quantized.bias_shift is 3, the model writes 4"),
     (_edit(*SWAPPED, DERIVED[1]), "quantized.vectors.2.class_a is 2, the model writes 1"),
     (_edit(DERIVED[1]), "seed is 5, the model writes 0"),
+    # the words and scales are the quantizer's, so each is derived too
+    (_edit(DERIVED[1], (("quantized", "vectors", 0, "bias"), 3)), "quantized.vectors.0.bias is 3, the model writes 2"),
+    (_edit(DERIVED[1], (("quantized", "scales", 1), 2.5)),
+     "quantized.scales.1 is 2.5, the model writes 2.3333333333333335"),
 ])
 def test_loader_check_order(doc, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         read_model_doc(doc, quantized=True)
 
 
@@ -176,14 +208,25 @@ def _quantized_doc(pairs, weights, param_bits=4, total_bits=4):
 
 
 @pytest.mark.parametrize("doc, message", [
-    # the widths come before the vectors: a wrong weight count, then 99 in 4 bits
+    # the widths are checked; the vectors, a wrong weight count and 99 in 4 bits, are never read
     (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], param_bits=17), "param_bits out of range"),
     (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], total_bits=17), "input format must have 1..16 bits"),
 ])
 def test_quantized_loader_check_order(doc, message):
     # read_model_doc passes config.input_bits, which model_doc writes as input_fmt.total_bits
     with pytest.raises(ValueError, match=f"^{message}"):
-        quantized_from_dict(doc, 3, 2, doc["input_fmt"]["total_bits"])
+        quantized_from_dict(doc, _FMODEL, doc["input_fmt"]["total_bits"])
+
+
+def test_quantized_loader_reads_only_the_widths():
+    # the words and scales are the quantizer's output for the float model,
+    # which must be the OvO model the DAG walks
+    widths = {"param_bits": 4, "acc_width": 9}
+    qm, want = quantized_from_dict(widths, _FMODEL, 3), quantize_model(_FMODEL, 4, FxpFormat(3))
+    assert (qm.input_fmt, qm.param_bits, qm.acc_width) == (FxpFormat(3), 4, 9)
+    assert qm.words.tobytes() == want.words.tobytes() and qm.scales == want.scales
+    with pytest.raises(ValueError, match="^a DAG walks OvO models only, not a 'ova' model$"):
+        quantized_from_dict(widths, FloatSvmModel("ova", 3, 2, _FMODEL.coefs), 3)
 
 
 @pytest.mark.parametrize("kind", ["ovo", "ova"])

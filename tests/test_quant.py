@@ -16,7 +16,6 @@ from seqsvm.quant import (
     quantize_model,
     search_param_bits,
 )
-from seqsvm.modelio import quantized_from_dict
 from seqsvm.trainer import FloatSvmModel
 
 
@@ -88,6 +87,19 @@ class TestScaleVector:
         with pytest.raises(ValueError, match="^param_bits out of range$"):
             quantize_model(FloatSvmModel("ovo", 2, 1, [[0.0, 0.0]]), bits)
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("peak, bits", [(1e-305, 16), (5e-324, 2), (5e-324, 16)])
+    def test_row_too_small_to_scale_named(self, peak, bits, recwarn):
+        # its scale overflows; 0 * inf would be NaN, and NaN casts to INT64_MIN
+        rows = [[1.0, -2.0], [0.0, 0.5], [-peak, peak / 2]]
+        with pytest.raises(ValueError, match=f"^vector 2: largest \\|coefficient\\| {peak!r} is too small to scale "
+                                             f"to {bits} bits$"):
+            quantize_model(FloatSvmModel("ovo", 3, 1, rows), bits)
+        assert len(recwarn) == 0
+
+    def test_tiny_row_scales_where_its_scale_is_finite(self):
+        rows = [[1.0, -2.0], [0.0, 0.5], [-1e-305, 5e-306]]
+        assert quantize_model(FloatSvmModel("ovo", 3, 1, rows), 8).words[2].tolist() == [-127, 64]
 
     def test_codes_fit_param_bits(self):
         rng = np.random.default_rng(0)
@@ -289,24 +301,17 @@ class TestQuantizedModelInvariants:
             ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
             ((([1, 7], -8), ([7, -9], 9), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
             ((([1, 7], -8), ([7, -8], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 9), ([0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
-            ((([1, 7], -8), ([7], 99), ([-99, 0], 0)), "vector 1: wrong weight count"),
-            ((([1, 7], -8), ([7, 0, 0], 0), ([0, 0], 0)), "vector 1: wrong weight count"),
+            ((([1, 7], -8), ([7, -8], 9), ([0, 0], 99)), "vector 1: parameter 9 exceeds 4 bits"),
+            ((([1, 7], -9), ([8, -8], 9), ([0, 0], 0)), "vector 0: parameter -9 exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 0), ([0, 8], 0)), "vector 2: parameter 8 exceeds 4 bits"),
             ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)), f"vector 2: parameter {2**70} exceeds 4 bits"),
         ],
     )
     def test_first_offender_named(self, params, message):
-        # vector order first, then the weights in order, then the bias; a
-        # wrong-length vector cannot be a table row, so the cases go through
-        # the loader of a document's quantized object
-        doc = {
-            "param_bits": 4,
-            "acc_width": 8,
-            "scales": [1.0] * 3,
-            "vectors": [{"weights": w, "bias": bias} for w, bias in params],
-        }
+        # vector order first, then the weights in order, then the bias
+        words = [[bias, *weights] for weights, bias in params]
         with pytest.raises(ValueError, match=f"^{message}$"):
-            quantized_from_dict(doc, 3, 2, 4)
+            QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)
 
     def test_weights_named_before_bias_in_memory(self):
         words = [[-8, 1, 7], [9, 8, -9], [0, -99, 0]]  # rows [bias, w_1, w_2]
