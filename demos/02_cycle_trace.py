@@ -4,7 +4,7 @@
 # cycle, and after m+1 cycles the sign of the accumulator drives the next
 # FSM state. Total latency is always (n-1)*(m+1) cycles.
 
-from seqsvm.archsim import latency_cycles, simulate, trace_to_text
+from seqsvm.archsim import rtl, simulate, trace_to_text
 from seqsvm.dataset import SplitSpec, split
 from seqsvm.ddag import ddag_predict_quant
 from seqsvm.quant import quantize_inputs, search_param_bits
@@ -23,7 +23,7 @@ trace, = simulate(qm, [codes])  # one trace per row of the code matrix
 cls = trace.out_class
 n, m = qm.n_classes, qm.n_features
 print(f"class {cls} after {trace.cycles} cycles "
-      f"(= ({n}-1) x ({m}+1) = {latency_cycles(n, m)}), "
+      f"(= ({n}-1) x ({m}+1) = {rtl(qm).cycles}), "
       f"{trace.evaluations} support vectors evaluated, {trace.overflows} overflows")
 
 # the cycle-exact record; engine output y only matters on the ready cycle

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 # Emit the synthesizable Verilog for a trained model: a constant parameter
 # store addressed by (row, column), the single-MAC engine, and a case-based
-# FSM with two hardwired next states per node. Golden stimulus/expectation
-# files come straight from the cycle-accurate simulator.
+# FSM with two hardwired next states per node. Every width and count it prints
+# is the design's register-transfer record, archsim.rtl. Golden
+# stimulus/expectation files come straight from the cycle-accurate simulator.
 
 from pathlib import Path
 
+from seqsvm.archsim import rtl
 from seqsvm.dataset import SplitSpec, split
-from seqsvm.hdlgen import emit_golden_vectors, generate, parse_storage_constants, write_bundle
+from seqsvm.hdlgen import emit_golden_vectors, generate, write_bundle
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
@@ -16,6 +18,9 @@ ds = bundled_dataset("noisy6x11", seed=2)
 train, test = split(ds, SplitSpec(0.8, seed=2))
 model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=2))
 qm, report = search_param_bits(model, train, test)
+
+print("the design's widths and counts:")
+print(" ", rtl(qm))
 
 bundle = generate(qm, name="demo")
 print("top module header:")
@@ -29,10 +34,6 @@ for line in bundle.params_module.splitlines()[8:14]:
 print("\none FSM state (two hardwired next states, selected by engine output y):")
 start = bundle.top_module.index("// pair")
 print("  " + "\n  ".join(bundle.top_module[start - 24:].splitlines()[:4]))
-
-# the emitted constants can be parsed back and must equal the model tables
-parsed = parse_storage_constants(bundle.params_module)
-print("\nself-parse equals the quantized word table:", parsed == qm.words.tolist())
 
 out = Path("demo_hdl")
 write_bundle(bundle, out)

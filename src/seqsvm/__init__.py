@@ -2,12 +2,12 @@
 classifier, with fixed-point quantization, cycle-accurate simulation, Verilog
 emission, and printed-electronics cost estimation."""
 
-from .archsim import BatchResult, SimTrace, register_census, simulate, simulate_batch
+from .archsim import BatchResult, Rtl, SimTrace, rtl, simulate, simulate_batch
 from .cost import CostReport, TechConfig, compare_parallel, compare_storage, estimate
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .ddag import ddag_predict_float, ddag_predict_quant, walk_batch
 from .fxp import U4_4, FxpFormat, width_for_range
-from .hdlgen import HdlBundle, emit_golden_vectors, generate, parse_storage_constants
+from .hdlgen import HdlBundle, emit_golden_vectors, generate
 from .quant import (
     QuantizedModel,
     QuantReport,

@@ -2,11 +2,16 @@
 storage, the single-MAC support vector engine and the DDAG control FSM.
 
 Timing law: one word per cycle, bias first, so each evaluation takes m+1
-cycles and a full classification takes exactly (n-1)*(m+1) cycles
-(``latency_cycles``). The storage is the model's word table,
-``QuantizedModel.words``, and the FSM state is the row it reads. The
-storage kind (bespoke MUX constants or a 2-bit-dot crossbar ROM) never
-changes what is read, so only ``cost.estimate`` takes it.
+cycles and a full classification takes exactly (n-1)*(m+1) cycles. The
+storage is the model's word table, ``QuantizedModel.words``, and the FSM
+state is the row it reads. The storage kind (bespoke MUX constants or a
+2-bit-dot crossbar ROM) never changes what is read, so only
+``cost.estimate`` takes it.
+
+``rtl(qm)`` is the design's register-transfer record: every width and count
+of the hardware, derived once. ``hdlgen`` prints it, ``cost`` prices it, and
+the simulators and the golden vectors take their accumulator width and cycle
+count from it.
 
 Every function takes the model alone: the DAG is that of ``qm.n_classes``.
 Both simulations run ``ddag._walk_table``, the library's one DAG walk, with
@@ -23,18 +28,45 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ddag import _walk_table, aligned_words, state_bits_for, walk_batch
+from .ddag import _walk_table, aligned_words, pair_index, state_bits_for, walk_batch
 from .quant import QuantizedModel
 
 
-def latency_cycles(n_classes: int, n_features: int) -> int:
-    """Cycles of one classification: n-1 evaluations of m+1 words each."""
-    return (n_classes - 1) * (n_features + 1)
+@dataclass(frozen=True)
+class Rtl:
+    """The widths and counts of one model's design, as ``rtl`` derives them."""
+
+    input_bits: int     # one unsigned input code
+    word_bits: int      # one stored word
+    acc_bits: int       # the wrapping accumulator
+    counter_bits: int   # the column counter, which spans 0..m+1
+    state_bits: int     # the FSM state, which is also the storage row address
+    class_bits: int     # a class id 0..n-1
+    bias_shift: int     # the bias loads as word << bias_shift
+    initial_state: int  # the row of pair (0, n-1)
+    cycles: int         # of one classification: n-1 evaluations of m+1 words
+    register_bits: int  # accumulator, counter and state
 
 
-def counter_bits(n_features: int) -> int:
-    """Counter register width: the counter spans 0..m+1."""
-    return max(1, math.ceil(math.log2(n_features + 2)))
+def rtl(qm: QuantizedModel) -> Rtl:
+    """The design of ``qm``; an error if profile_accumulator has not sized its accumulator."""
+    if qm.acc_width < 1:
+        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    n, m = qm.n_classes, qm.n_features
+    counter_bits = max(1, math.ceil(math.log2(m + 2)))
+    state_bits = state_bits_for(n)
+    return Rtl(
+        input_bits=qm.input_fmt.total_bits,
+        word_bits=qm.param_bits,
+        acc_bits=qm.acc_width,
+        counter_bits=counter_bits,
+        state_bits=state_bits,
+        class_bits=max(1, (n - 1).bit_length()),
+        bias_shift=qm.bias_shift,
+        initial_state=pair_index(0, n - 1, n),
+        cycles=(n - 1) * (m + 1),
+        register_bits=qm.acc_width + counter_bits + state_bits,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +111,7 @@ def simulate(qm: QuantizedModel, codes) -> list[SimTrace]:
     after each word. Its buffers and traces grow with the rows, so the CLI
     passes one walk block of rows at a time.
     """
-    acc_width = qm.profiled_acc_width()
+    acc_width = rtl(qm).acc_bits
     X = qm.input_codes(codes)
     n, m = qm.n_classes, qm.n_features
     states = np.empty((n - 1, len(X)), dtype=np.int64)
@@ -118,24 +150,14 @@ def simulate_batch(qm: QuantizedModel, codes_matrix, labels) -> BatchResult:
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty or malformed code matrix")
-    preds, _, overflows = walk_batch(qm, X, qm.profiled_acc_width())
+    design = rtl(qm)
+    preds, _, overflows = walk_batch(qm, X, design.acc_bits)
     return BatchResult(
         accuracy=float(np.mean(preds == labels)),
         overflows=int(overflows.sum()),
-        mean_cycles=float(latency_cycles(qm.n_classes, qm.n_features)),
+        mean_cycles=float(design.cycles),
         predictions=preds,
     )
-
-
-def register_census(qm: QuantizedModel) -> dict:
-    """The architecture's three registers: accumulator, column counter, FSM state."""
-    census = {
-        "acc": qm.acc_width,
-        "counter": counter_bits(qm.n_features),
-        "state": state_bits_for(qm.n_classes),
-    }
-    census["total"] = sum(census.values())
-    return census
 
 
 # ---------------------------------------------------------------------------

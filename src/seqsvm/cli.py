@@ -23,9 +23,9 @@ from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .ddag import _block_rows, ddag_predict_float, ddag_predict_quant
-from .fxp import MAX_INPUT_BITS, FxpFormat
+from .fxp import FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
-from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_inputs, search_param_bits
+from .quant import QuantizedModel, quantize_inputs, search_param_bits
 from .trainer import FloatSvmModel, Hyper, accuracy, random_search, train_ova, train_ovo
 
 
@@ -303,37 +303,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _in_range(lo: int, hi: int | None = None, kind=int):
-    """An argument type checked at parse time, before any stage writes: an int
-    in lo.. or lo..hi, or, with ``kind=float``, a float strictly between
-    ``lo`` and ``hi``, which NaN and the infinities never are."""
+    """An argument type checked at parse time, before any stage writes, for
+    the range (lo, hi, kind) of ``modelio.in_range``."""
 
     def parse(text: str):
         value = kind(text)
-        if kind is float:
-            ok, want = lo < value < hi, f"lie strictly between {lo} and {hi}"
-        elif hi is None:
-            ok, want = value >= lo, f"be >= {lo}"
-        else:
-            ok, want = lo <= value <= hi, f"be in {lo}..{hi}"
-        if not ok:
-            raise argparse.ArgumentTypeError(f"must {want}, got {value}")
+        if not modelio.in_range(value, lo, hi, kind):
+            verb = "lie" if kind is float else "be"
+            raise argparse.ArgumentTypeError(f"must {verb} {modelio.range_text(lo, hi, kind)}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse reports a ValueError as "invalid int value: ..."
     return parse
 
 
+def _config_value(key: str):
+    """The argument type of ``config`` key ``key``, in its range of ``modelio.CONFIG_RANGES``."""
+    return _in_range(*modelio.CONFIG_RANGES[key])
+
+
 def _add_dataset_flags(p):
     p.add_argument("--dataset", required=True, help="CSV file with a header row")
     p.add_argument("--label-col", default="label", help="name of the label column")
-    p.add_argument("--seed", type=_in_range(0), required=True, help="pipeline seed (mandatory)")
-    p.add_argument("--split", type=_in_range(0, 1, float), default=0.8, help="training fraction")
-    p.add_argument("--budget", type=_in_range(1), default=8, help="random-search budget")
+    p.add_argument("--seed", type=_config_value("seed"), required=True, help="pipeline seed (mandatory)")
+    p.add_argument("--split", type=_config_value("train_fraction"), default=0.8, help="training fraction")
+    p.add_argument("--budget", type=_config_value("budget"), default=8, help="random-search budget")
 
 
 def _add_quant_flags(p):
-    p.add_argument("--input-bits", type=_in_range(1, MAX_INPUT_BITS), default=4, help="unsigned input code width")
-    p.add_argument("--max-param-bits", type=_in_range(MIN_PARAM_BITS, MAX_PARAM_BITS), default=8,
+    p.add_argument("--input-bits", type=_config_value("input_bits"), default=4, help="unsigned input code width")
+    p.add_argument("--max-param-bits", type=_config_value("max_param_bits"), default=8,
                    help="precision search ceiling")
 
 

@@ -6,6 +6,7 @@ approximations, then converted to area by a calibrated cm^2-per-GE
 coefficient. Power in this technology is mostly static, so it is modeled as
 proportional to area. Absolute areas are only as good as the calibration;
 the contract is relative comparisons (mux vs rom, sequential vs parallel).
+Every width and count priced is the design's own, ``archsim.rtl(qm)``.
 
 Gate-equivalent formulas:
   array multiplier (a x b bits)   a*b AND terms + 5*(a-1)*b full-adder GE
@@ -15,7 +16,7 @@ Gate-equivalent formulas:
                                   + ADC_COUNT * adc_cost
   control FSM                     states * (2*state_bits + row_bits) * mux_per_input_cost
                                   + states (decode); row_bits = state_bits (row = state)
-  registers                       register_bits * dff_nand_equiv
+  registers                       register_bits * dff_nand_equiv (acc + counter + state)
 
 Both STORAGE_KINDS serve the same words, one per cycle; a ROM word wider than
 the 8 bits its ADC_COUNT 2-bit ADCs read per access slot takes two slots.
@@ -26,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .archsim import latency_cycles, register_census
-from .ddag import class_bits, pair_count, state_bits_for
+from .archsim import Rtl, rtl
 from .quant import QuantizedModel
 
 FULL_ADDER_GE = 5.0
@@ -79,27 +79,25 @@ def _adder_ge(width: int) -> float:
     return FULL_ADDER_GE * width
 
 
-def _storage_ge(qm: QuantizedModel, storage: str, tech: TechConfig) -> float:
+def _storage_ge(qm: QuantizedModel, r: Rtl, storage: str, tech: TechConfig) -> float:
     rows, words = qm.words.shape
     if storage == "mux":
-        return qm.param_bits * rows * words * tech.mux_per_input_cost
-    cells = rows * words * math.ceil(qm.param_bits / 2)
+        return r.word_bits * rows * words * tech.mux_per_input_cost
+    cells = rows * words * math.ceil(r.word_bits / 2)
     return cells * tech.rom_cell_cost + ADC_COUNT * tech.adc_cost
 
 
-def _engine_ge(qm: QuantizedModel, tech: TechConfig) -> float:
-    ib = qm.input_fmt.total_bits
-    ge = _mult_ge(qm.param_bits, ib)
-    ge += _adder_ge(qm.acc_width)
-    ge += qm.acc_width * tech.mux_per_input_cost          # bias-init select
-    ge += qm.n_features * ib * tech.mux_per_input_cost    # input bus select
+def _engine_ge(qm: QuantizedModel, r: Rtl, tech: TechConfig) -> float:
+    ge = _mult_ge(r.word_bits, r.input_bits)
+    ge += _adder_ge(r.acc_bits)
+    ge += r.acc_bits * tech.mux_per_input_cost                      # bias-init select
+    ge += qm.n_features * r.input_bits * tech.mux_per_input_cost    # input bus select
     return ge
 
 
-def _fsm_ge(n_classes: int, tech: TechConfig) -> float:
-    states = pair_count(n_classes)
-    state_bits = row_bits = state_bits_for(n_classes)  # each state drives its own id as the row
-    return states * (2 * state_bits + row_bits) * tech.mux_per_input_cost + states
+def _fsm_ge(qm: QuantizedModel, r: Rtl, tech: TechConfig) -> float:
+    states = len(qm.words)  # one per stored row; each drives its own id as the row
+    return states * (2 * r.state_bits + r.state_bits) * tech.mux_per_input_cost + states
 
 
 def _report(design: str, ge: dict, tech: TechConfig, cycles: int, slots: int, register_bits: int) -> CostReport:
@@ -115,17 +113,15 @@ def estimate(qm: QuantizedModel, storage: str = "mux", tech: TechConfig = TechCo
     """Cost of the sequential design with ``storage``, one of STORAGE_KINDS."""
     if storage not in STORAGE_KINDS:
         raise ValueError(f"unknown storage kind {storage!r}")
-    qm.profiled_acc_width()
-    census = register_census(qm)
+    r = rtl(qm)
     ge = {
-        "storage": _storage_ge(qm, storage, tech),
-        "engine": _engine_ge(qm, tech),
-        "fsm": _fsm_ge(qm.n_classes, tech),
-        "registers": census["total"] * tech.dff_nand_equiv,
+        "storage": _storage_ge(qm, r, storage, tech),
+        "engine": _engine_ge(qm, r, tech),
+        "fsm": _fsm_ge(qm, r, tech),
+        "registers": r.register_bits * tech.dff_nand_equiv,
     }
-    slots = math.ceil(qm.param_bits / (2 * ADC_COUNT)) if storage == "rom" else 1
-    cycles = latency_cycles(qm.n_classes, qm.n_features)
-    return _report(f"sequential-{storage}", ge, tech, cycles, slots, census["total"])
+    slots = math.ceil(r.word_bits / (2 * ADC_COUNT)) if storage == "rom" else 1
+    return _report(f"sequential-{storage}", ge, tech, r.cycles, slots, r.register_bits)
 
 
 def compare_storage(qm: QuantizedModel, n_classes: int | None = None, tech: TechConfig = TechConfig()) -> dict:
@@ -140,12 +136,11 @@ def compare_storage(qm: QuantizedModel, n_classes: int | None = None, tech: Tech
 def compare_parallel(qm: QuantizedModel, tech: TechConfig = TechConfig()) -> CostReport:
     """Fully parallel baseline: one multiplier per weight, adder tree per
     vector, and a max-wins voter; parameters hardwired, no registers."""
-    acc_width = qm.profiled_acc_width()
-    ib = qm.input_fmt.total_bits
+    r = rtl(qm)
     m = qm.n_features
-    per_vector = m * _mult_ge(qm.param_bits, ib) + m * _adder_ge(acc_width)
-    vote_bits = class_bits(qm.n_classes)
-    voter = FULL_ADDER_GE * vote_bits * (2 * qm.n_classes - 1) + len(qm.words)
+    per_vector = m * _mult_ge(r.word_bits, r.input_bits) + m * _adder_ge(r.acc_bits)
+    # a vote count 0..n-1 is as wide as a class id
+    voter = FULL_ADDER_GE * r.class_bits * (2 * qm.n_classes - 1) + len(qm.words)
     ge = {
         "storage": 0.0,
         "engine": len(qm.words) * per_vector,

@@ -65,11 +65,6 @@ def state_bits_for(n_classes: int) -> int:
     return max(1, math.ceil(math.log2(pair_count(n_classes))))
 
 
-def class_bits(n_classes: int) -> int:
-    """Width of a class id 0..n-1, and of a vote count 0..n-1."""
-    return max(1, (n_classes - 1).bit_length())
-
-
 def build_ddag(n_classes: int) -> int:
     """The class count itself, which fixes the DAG: kept only for
     bench/shapes.py's ``cost.compare_storage`` call, until the benchmark changes."""

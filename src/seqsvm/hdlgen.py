@@ -3,20 +3,21 @@ expectation files for external HDL simulation.
 
 The dialect is a conservative synthesizable subset: one clock, synchronous
 active-high reset, no latches. Inputs arrive as a flat bus of m*input_bits
-with the engine indexing by its column counter. Generation is pure text
-assembly, so identical models produce byte-identical output.
+with the engine indexing by its column counter. The text prints the model's
+word table, the FSM of ``ddag.transitions`` and the widths and counts of
+``archsim.rtl``, which derives each once. Generation is pure text assembly,
+so identical models produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .archsim import counter_bits, latency_cycles
-from .ddag import class_bits, pair_index, state_bits_for, transitions, walk_batch
+from .archsim import Rtl, rtl
+from .ddag import transitions, walk_batch
 from .fxp import fits
 from .quant import QuantizedModel
 
@@ -47,30 +48,25 @@ def _ud(value: int, bits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _gen_params(qm: QuantizedModel, name: str) -> str:
+def _gen_params(qm: QuantizedModel, r: Rtl, name: str) -> str:
     rows, cols = qm.words.shape
-    wb = qm.param_bits
-    row_bits = state_bits_for(qm.n_classes)  # the row address is the FSM state
-    col_bits = counter_bits(qm.n_features)
-    key_bits = row_bits + col_bits
-
     lines = [
         f"// {name}_params.v -- generated constant parameter storage, do not edit",
-        f"// rows={rows} cols={cols} word_bits={wb} row_bits={row_bits} col_bits={col_bits}",
+        f"// rows={rows} cols={cols} word_bits={r.word_bits} row_bits={r.state_bits} col_bits={r.counter_bits}",
         f"module {name}_params (",
-        f"    input  wire [{row_bits - 1}:0] row,",
-        f"    input  wire [{col_bits - 1}:0] col,",
-        f"    output reg  signed [{wb - 1}:0] word",
+        f"    input  wire [{r.state_bits - 1}:0] row,",  # the row address is the FSM state
+        f"    input  wire [{r.counter_bits - 1}:0] col,",
+        f"    output reg  signed [{r.word_bits - 1}:0] word",
         ");",
         "    always @* begin",
         "        case ({row, col})",
     ]
-    for r, values in enumerate(qm.words.tolist()):
-        for c, value in enumerate(values):
-            key = (r << col_bits) | c
-            lines.append(f"            {_ud(key, key_bits)}: word = {_sd(value, wb)};")
+    for row, values in enumerate(qm.words.tolist()):
+        for col, value in enumerate(values):
+            key = (row << r.counter_bits) | col
+            lines.append(f"            {_ud(key, r.state_bits + r.counter_bits)}: word = {_sd(value, r.word_bits)};")
     lines += [
-        f"            default: word = {_sd(0, wb)};",
+        f"            default: word = {_sd(0, r.word_bits)};",
         "        endcase",
         "    end",
         "endmodule",
@@ -78,127 +74,90 @@ def _gen_params(qm: QuantizedModel, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_storage_constants(params_text: str) -> list[list[int]]:
-    """Recover the stored integer table from emitted storage text.
-
-    Reads the dims comment, then decodes each case key back to (row, col).
-    Used as a self-check that HDL literals equal the model's tables.
-    """
-    dims = re.search(
-        r"rows=(\d+) cols=(\d+) word_bits=(\d+) row_bits=(\d+) col_bits=(\d+)", params_text
-    )
-    if not dims:
-        raise ValueError("missing dims comment in storage text")
-    rows, cols, _wb, _row_bits, col_bits = (int(g) for g in dims.groups())
-    table: list[list[int | None]] = [[None] * cols for _ in range(rows)]
-    for m in re.finditer(r"(\d+)'d(\d+): word = (-?)\d+'sd(\d+);", params_text):
-        key = int(m.group(2))
-        row, col = key >> col_bits, key & ((1 << col_bits) - 1)
-        value = int(m.group(4))
-        table[row][col] = -value if m.group(3) == "-" else value
-    for r, row in enumerate(table):
-        if any(v is None for v in row):
-            raise ValueError(f"row {r}: incomplete storage case")
-    return [[int(v) for v in row] for row in table]
-
-
 # ---------------------------------------------------------------------------
 # Top module: engine + control FSM
 # ---------------------------------------------------------------------------
 
 
-def _fsm_case(n_classes: int, state_bits: int, class_bits: int, indent: str) -> str:
+def _fsm_case(n_classes: int, r: Rtl, indent: str) -> str:
     arms = []
     for state, lo, hi, on_a, on_b in transitions(n_classes):
         branches = []
         for cond, (kind, target) in (("if (y)", on_a), ("else  ", on_b)):
             if kind == "leaf":
-                action = f"begin done <= 1'b1; class_out <= {_ud(target, class_bits)}; end"
+                action = f"begin done <= 1'b1; class_out <= {_ud(target, r.class_bits)}; end"
             else:
-                action = f"state <= {_ud(target, state_bits)};"
+                action = f"state <= {_ud(target, r.state_bits)};"
             branches.append(f"{indent}        {cond} {action}")
         arms.append(
-            f"{indent}{_ud(state, state_bits)}: begin  // pair ({lo},{hi})\n"
+            f"{indent}{_ud(state, r.state_bits)}: begin  // pair ({lo},{hi})\n"
             + "\n".join(branches)
             + f"\n{indent}end"
         )
-    arms.append(f"{indent}default: begin done <= 1'b1; class_out <= {_ud(0, class_bits)}; end")
+    arms.append(f"{indent}default: begin done <= 1'b1; class_out <= {_ud(0, r.class_bits)}; end")
     return "\n".join(arms)
 
 
-def _gen_top(qm: QuantizedModel, name: str) -> str:
-    m = qm.n_features
-    ib = qm.input_fmt.total_bits
-    wb = qm.param_bits
-    ab = qm.acc_width
-    cnt_bits = counter_bits(m)
-    n = qm.n_classes
-    sb = state_bits_for(n)
-    cb = class_bits(n)
-    bus_bits = m * ib
-    init = _ud(pair_index(0, n - 1, n), sb)
-    zero_cnt = _ud(0, cnt_bits)
-    # the bias shares the products' binary point: word << bias_shift
-    shift = qm.bias_shift
+def _restart(r: Rtl, running: str) -> str:
+    """The register loads of the reset and start arms, which differ only in ``running``."""
+    return f"""            running   <= 1'b{running};
+            done      <= 1'b0;
+            class_out <= {_ud(0, r.class_bits)};
+            counter   <= {_ud(0, r.counter_bits)};
+            state     <= {_ud(r.initial_state, r.state_bits)};
+            acc       <= {_sd(0, r.acc_bits)};"""
 
-    fsm = _fsm_case(n, sb, cb, " " * 16)
+
+def _gen_top(qm: QuantizedModel, r: Rtl, name: str) -> str:
+    n, m = qm.n_classes, qm.n_features
+    zero_cnt = _ud(0, r.counter_bits)
     return f"""// {name}_top.v -- generated sequential one-vs-one SVM classifier, do not edit
-// classes={n} features={m} input_bits={ib} word_bits={wb} acc_bits={ab} state_bits={sb}
-// A classification takes ({n}-1)*({m}+1) = {latency_cycles(n, m)} cycles after start.
+// classes={n} features={m} input_bits={r.input_bits} word_bits={r.word_bits} acc_bits={r.acc_bits} state_bits={r.state_bits}
+// A classification takes ({n}-1)*({m}+1) = {r.cycles} cycles after start.
 module {name}_top (
     input  wire clk,
     input  wire rst,    // synchronous, active high
     input  wire start,  // pulse for one cycle with x_bus held stable
-    input  wire [{bus_bits - 1}:0] x_bus,  // feature i at bits [i*{ib} +: {ib}]
+    input  wire [{m * r.input_bits - 1}:0] x_bus,  // feature i at bits [i*{r.input_bits} +: {r.input_bits}]
     output reg  done,
-    output reg  [{cb - 1}:0] class_out
+    output reg  [{r.class_bits - 1}:0] class_out
 );
     localparam integer M = {m};
 
-    reg  [{cnt_bits - 1}:0] counter;
-    reg  signed [{ab - 1}:0] acc;
-    reg  [{sb - 1}:0] state;
+    reg  [{r.counter_bits - 1}:0] counter;
+    reg  signed [{r.acc_bits - 1}:0] acc;
+    reg  [{r.state_bits - 1}:0] state;
     reg  running;
 
     // state id doubles as the storage row index
-    wire [{sb - 1}:0] row = state;
-    wire [{cnt_bits - 1}:0] col = counter;
-    wire signed [{wb - 1}:0] word;
+    wire [{r.state_bits - 1}:0] row = state;
+    wire [{r.counter_bits - 1}:0] col = counter;
+    wire signed [{r.word_bits - 1}:0] word;
     {name}_params params_i (.row(row), .col(col), .word(word));
 
-    wire [{cnt_bits - 1}:0] xi = (counter == {zero_cnt}) ? {zero_cnt} : (counter - {_ud(1, cnt_bits)});
-    wire [{ib - 1}:0] x_cur = x_bus[xi * {ib} +: {ib}];
+    wire [{r.counter_bits - 1}:0] xi = (counter == {zero_cnt}) ? {zero_cnt} : (counter - {_ud(1, r.counter_bits)});
+    wire [{r.input_bits - 1}:0] x_cur = x_bus[xi * {r.input_bits} +: {r.input_bits}];
 
     // widths truncate to the accumulator, wrapping exactly like the reference model
-    wire signed [{ab - 1}:0] product   = word * $signed({{1'b0, x_cur}});
-    wire signed [{ab - 1}:0] bias_init = $signed({{word, {shift}'d0}});
-    wire signed [{ab - 1}:0] acc_next  = (counter == {zero_cnt}) ? bias_init : (acc + product);
-    wire y = ~acc_next[{ab - 1}];  // 1 when the finished sum is >= 0
+    wire signed [{r.acc_bits - 1}:0] product   = word * $signed({{1'b0, x_cur}});
+    wire signed [{r.acc_bits - 1}:0] bias_init = $signed({{word, {r.bias_shift}'d0}});
+    wire signed [{r.acc_bits - 1}:0] acc_next  = (counter == {zero_cnt}) ? bias_init : (acc + product);
+    wire y = ~acc_next[{r.acc_bits - 1}];  // 1 when the finished sum is >= 0
 
     always @(posedge clk) begin
         if (rst) begin
-            running   <= 1'b0;
-            done      <= 1'b0;
-            class_out <= {_ud(0, cb)};
-            counter   <= {zero_cnt};
-            state     <= {init};
-            acc       <= {_sd(0, ab)};
+{_restart(r, '0')}
         end else if (start) begin
-            running   <= 1'b1;
-            done      <= 1'b0;
-            class_out <= {_ud(0, cb)};
-            counter   <= {zero_cnt};
-            state     <= {init};
-            acc       <= {_sd(0, ab)};
+{_restart(r, '1')}
         end else if (running && !done) begin
             acc <= acc_next;
-            if (counter != {_ud(m, cnt_bits)}) begin
-                counter <= counter + {_ud(1, cnt_bits)};
+            if (counter != {_ud(m, r.counter_bits)}) begin
+                counter <= counter + {_ud(1, r.counter_bits)};
             end else begin
                 // last word of this support vector: commit the comparison
                 counter <= {zero_cnt};
                 case (state)
-{fsm}
+{_fsm_case(n, r, " " * 16)}
                 endcase
             end
         end
@@ -207,11 +166,8 @@ endmodule
 """
 
 
-def _gen_testbench(qm: QuantizedModel, name: str) -> str:
+def _gen_testbench(qm: QuantizedModel, r: Rtl, name: str) -> str:
     m = qm.n_features
-    ib = qm.input_fmt.total_bits
-    cb = class_bits(qm.n_classes)
-    bus_bits = m * ib
     return f"""// {name}_tb.v -- generated self-checking testbench, do not edit
 // Reads vectors.stim ({m} input codes + cycle budget per line) and
 // vectors.expect (class + final FSM state per line); '#' lines are headers.
@@ -221,9 +177,9 @@ module {name}_tb;
     always #5 clk = ~clk;
     reg rst = 1'b1;
     reg start = 1'b0;
-    reg [{bus_bits - 1}:0] x_bus = {bus_bits}'d0;
+    reg [{m * r.input_bits - 1}:0] x_bus = {m * r.input_bits}'d0;
     wire done;
-    wire [{cb - 1}:0] class_out;
+    wire [{r.class_bits - 1}:0] class_out;
 
     {name}_top dut (
         .clk(clk), .rst(rst), .start(start), .x_bus(x_bus),
@@ -250,10 +206,10 @@ module {name}_tb;
         while (!$feof(stim)) begin
             status = $fscanf(stim, "%d", code);
             if (status == 1) begin
-                x_bus[0 +: {ib}] = code[{ib - 1}:0];
+                x_bus[0 +: {r.input_bits}] = code[{r.input_bits - 1}:0];
                 for (i = 1; i < {m}; i = i + 1) begin
                     status = $fscanf(stim, "%d", code);
-                    x_bus[i*{ib} +: {ib}] = code[{ib - 1}:0];
+                    x_bus[i*{r.input_bits} +: {r.input_bits}] = code[{r.input_bits - 1}:0];
                 end
                 status = $fscanf(stim, "%d\\n", budget);
                 status = $fscanf(expf, "%d %d\\n", exp_class, exp_state);
@@ -261,7 +217,7 @@ module {name}_tb;
                 @(negedge clk) start = 1'b0;
                 for (i = 0; i < budget; i = i + 1) @(negedge clk);
                 nvec = nvec + 1;
-                if (!done || class_out !== exp_class[{cb - 1}:0]) begin
+                if (!done || class_out !== exp_class[{r.class_bits - 1}:0]) begin
                     errors = errors + 1;
                     $display("FAIL vector %0d: done=%b class=%0d expected=%0d",
                              nvec, done, class_out, exp_class);
@@ -284,12 +240,12 @@ def generate(qm: QuantizedModel, name: str = "svm") -> HdlBundle:
     lookup serves mux and rom configurations alike. The Verilog reads storage
     row ``state``, as every walk in the simulators does.
     """
-    qm.profiled_acc_width()
+    r = rtl(qm)
     return HdlBundle(
         name=name,
-        top_module=_gen_top(qm, name),
-        params_module=_gen_params(qm, name),
-        testbench=_gen_testbench(qm, name),
+        top_module=_gen_top(qm, r, name),
+        params_module=_gen_params(qm, r, name),
+        testbench=_gen_testbench(qm, r, name),
     )
 
 
@@ -311,13 +267,13 @@ def emit_golden_vectors(qm: QuantizedModel, test_codes, count: int) -> tuple[str
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    budget = latency_cycles(qm.n_classes, qm.n_features)
+    r = rtl(qm)
     X = np.asarray(test_codes, dtype=np.int64)[:count]
-    classes, states, _ = walk_batch(qm, X, qm.profiled_acc_width())
+    classes, states, _ = walk_batch(qm, X, r.acc_bits)
     stim_lines = [STIM_HEADER.format(last=qm.n_features - 1)]
     expect_lines = [EXPECT_HEADER]
     for codes, cls, state in zip(X.tolist(), classes.tolist(), states.tolist()):
-        stim_lines.append(" ".join(str(c) for c in codes) + f" {budget}")
+        stim_lines.append(" ".join(str(c) for c in codes) + f" {r.cycles}")
         expect_lines.append(f"{cls} {state}")
     return "\n".join(stim_lines) + "\n", "\n".join(expect_lines) + "\n", classes.tolist()
 

@@ -155,7 +155,7 @@ def quantized_from_dict(doc: dict, fmodel: FloatSvmModel, input_bits: int) -> Qu
     ``input_bits`` (the config's), with its ``acc_width``. The words and
     scales are the quantizer's, so no other key is read."""
     for key in ("param_bits", "acc_width"):  # quantize_model checks param_bits' range
-        if not _int_in(1)(_field(doc, key, "quantized")):
+        if not in_range(_field(doc, key, "quantized"), 1):
             raise ValueError(f"{key} {doc[key]!r} is not an integer of at least 1")
     check_ovo(fmodel)
     with warnings.catch_warnings():  # the quantize stage has warned of an all-zero row
@@ -178,23 +178,35 @@ def ddag_to_dict(n_classes: int) -> dict:
     }
 
 
-def _int_in(lo: int, hi: int | None = None):
-    return lambda v: type(v) is int and v >= lo and (hi is None or v <= hi)
-
-
-#: Each ``config`` key: whether only model.json has it (float_model.json has
-#: no quantizer keys), its check and what the check asks for.
-_CONFIG_KEYS = {
-    "dataset": (False, lambda v: isinstance(v, str), "a string"),
-    "label_column": (False, lambda v: isinstance(v, str), "a string"),
-    "seed": (False, _int_in(0), "an integer >= 0"),
-    "train_fraction": (False, lambda v: finite_number(v) and 0 < v < 1, "a number strictly between 0 and 1"),
-    "budget": (False, _int_in(1), "an integer >= 1"),
-    "input_bits": (True, _int_in(1, MAX_INPUT_BITS), f"an integer in 1..{MAX_INPUT_BITS}"),
-    "max_param_bits": (
-        True, _int_in(MIN_PARAM_BITS, MAX_PARAM_BITS), f"an integer in {MIN_PARAM_BITS}..{MAX_PARAM_BITS}"
-    ),
+#: The numeric ``config`` keys, each (lo, hi, kind): an int in lo.., or
+#: lo..hi, or a float strictly between lo and hi. The CLI's flags for them
+#: take the same ranges.
+CONFIG_RANGES = {
+    "seed": (0, None, int),
+    "train_fraction": (0, 1, float),
+    "budget": (1, None, int),
+    "input_bits": (1, MAX_INPUT_BITS, int),
+    "max_param_bits": (MIN_PARAM_BITS, MAX_PARAM_BITS, int),
 }
+
+
+def in_range(value, lo, hi=None, kind=int) -> bool:
+    """Whether ``value`` lies in the range (lo, hi, kind); NaN, the infinities and bools never do."""
+    if kind is float:
+        return finite_number(value) and lo < value < hi
+    return type(value) is int and value >= lo and (hi is None or value <= hi)
+
+
+def range_text(lo, hi, kind) -> str:
+    """The range (lo, hi, kind) in words: "strictly between 0 and 1", ">= 0" or "in 1..16"."""
+    if kind is float:
+        return f"strictly between {lo} and {hi}"
+    return f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+
+#: The ``config`` keys in the order they are checked; only model.json has the
+#: quantizer's two, the last.
+_CONFIG_KEYS = ("dataset", "label_column", "seed", "train_fraction", "budget", "input_bits", "max_param_bits")
 
 
 def read_model_doc(doc: dict, quantized: bool) -> tuple:
@@ -206,11 +218,17 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     dataset's names and normalization (a Dataset of no samples); then
     ``check_written``, which compares the quantizer's words and scales too."""
     config = _field(doc, "config", "document")
-    keys = [key for key, (quantizer, _, _) in _CONFIG_KEYS.items() if quantized or not quantizer]
+    keys = _CONFIG_KEYS if quantized else _CONFIG_KEYS[:-2]
     for key in keys:
-        ok, what = _CONFIG_KEYS[key][1:]
-        if not ok(_field(config, key, "config")):
-            raise ValueError(f"config {key} {config[key]!r:.80} is not {what}")
+        value = _field(config, key, "config")
+        if key not in CONFIG_RANGES:
+            ok, what = isinstance(value, str), "a string"
+        else:
+            lo, hi, kind = CONFIG_RANGES[key]
+            ok = in_range(value, lo, hi, kind)
+            what = f"{'a number' if kind is float else 'an integer'} {range_text(lo, hi, kind)}"
+        if not ok:
+            raise ValueError(f"config {key} {value!r:.80} is not {what}")
     if set(config) - set(keys):
         raise ValueError(f"config has an unknown key {min(set(config) - set(keys))!r}")
     hyper = _field(doc, "hyper", "document")
@@ -278,6 +296,16 @@ def save_model_doc(path, doc: dict) -> None:
         fh.write(dumps_canonical(doc))
 
 
+def _unrepeated(pairs: list) -> dict:
+    """One JSON object's (key, value) pairs as a dict, rejecting a repeated
+    key, of which plain json.load would keep only the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"an object repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def load_model_doc(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unrepeated)

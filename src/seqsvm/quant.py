@@ -85,12 +85,6 @@ class QuantizedModel:
     def bias_shift(self) -> int:
         return self.input_fmt.total_bits
 
-    def profiled_acc_width(self) -> int:
-        """``acc_width``, or an error if profile_accumulator has not sized it."""
-        if self.acc_width < 1:
-            raise ValueError("model has no accumulator width; run profile_accumulator first")
-        return self.acc_width
-
     def input_codes(self, codes) -> np.ndarray:
         """``codes`` as an int64 samples x n_features matrix, rejecting any
         code outside the input format: the emitted Verilog keeps only the low

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from seqsvm.archsim import CycleRecord, SimTrace
+from seqsvm.archsim import CycleRecord, SimTrace, rtl
 from seqsvm.dataset import Dataset
 from seqsvm.ddag import _row, aligned_words, pair_index, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat
@@ -133,7 +133,7 @@ def fsm_step(fs, graph, y):
 
 def reference_simulate(qm, codes):
     """One classification of the input codes ``codes``: (class, SimTrace)."""
-    acc_width = qm.profiled_acc_width()
+    acc_width = rtl(qm).acc_bits
     m = qm.n_features
     words = qm.words
     shift = qm.bias_shift

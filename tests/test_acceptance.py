@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import TABLE_SHAPES, _interval_walk_oracle, random_quantized_model, reference_graph, shaped_model
-from seqsvm.archsim import register_census, simulate
+from seqsvm.archsim import rtl, simulate
 from seqsvm.cli import main
 from seqsvm.cost import TechConfig, compare_parallel, compare_storage, estimate
 from seqsvm.dataset import SplitSpec, split, to_csv
@@ -20,10 +20,11 @@ from seqsvm.ddag import (
     transitions,
 )
 from seqsvm.fxp import fits
-from seqsvm.hdlgen import generate, parse_storage_constants
+from seqsvm.hdlgen import generate
 from seqsvm.quant import MAX_ACCURACY_DROP, quantize_inputs, search_param_bits
 from seqsvm.synth import BUNDLED, bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
+from verilog import read
 
 # (area cm^2, power mW) of five published printed sequential SVM designs.
 CALIBRATION_POINTS = [(3.1, 3.6), (4.9, 5.3), (7.8, 8.7), (3.1, 3.5), (3.4, 3.9)]
@@ -131,9 +132,9 @@ def test_criterion_06_register_census():
     for name, (n, m) in TABLE_SHAPES.items():
         qm, _ = shaped_model(name)
         expected = qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
-        census = register_census(qm)
-        report = estimate(qm)
-        assert census["total"] == expected == report.register_bits
+        r = rtl(qm)
+        assert r.acc_bits + r.counter_bits + r.state_bits == r.register_bits == expected
+        assert estimate(qm).register_bits == expected
     _pass("criterion 6: register census acc + counter + state matches the cost report "
           "on all five shapes")
 
@@ -199,7 +200,8 @@ def test_criterion_11_hdl_self_parse():
         bits = int(rng.integers(2, 9))
         qm, _ = random_quantized_model(n, m, bits, seed=trial + 100)
         bundle = generate(qm)
-        parsed = parse_storage_constants(bundle.params_module)
-        assert parsed == qm.words.tolist()
-    _pass("criterion 11: storage constants parsed back from 20 generated designs "
-          "match the model tables exactly")
+        design = read(bundle.top_module, bundle.params_module)
+        assert design.words == qm.words.tolist()
+        assert design.rtl == rtl(qm)
+    _pass("criterion 11: storage constants and widths read back from 20 generated designs "
+          "match the model tables and records exactly")

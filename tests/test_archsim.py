@@ -14,10 +14,10 @@ from helpers import (
     shaped_model,
     wrap,
 )
-from seqsvm.archsim import counter_bits, register_census, simulate, simulate_batch, trace_to_text
+from seqsvm.archsim import rtl, simulate, simulate_batch, trace_to_text
 from seqsvm.cost import STORAGE_KINDS, TechConfig, estimate
 from seqsvm.ddag import ddag_predict_quant, pair_count, pair_index, state_bits_for
-from seqsvm.fxp import U4_4
+from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.quant import QuantizedModel, quantize_inputs
 
@@ -151,6 +151,9 @@ class TestEngine:
         assert trace.overflows == 1
 
     def test_counter_bits(self):
+        def counter_bits(m):
+            return rtl(random_quantized_model(2, m, 4, seed=0)[0]).counter_bits
+
         assert counter_bits(1) == 2   # counts 0..2
         assert counter_bits(17) == 5  # counts 0..18
         assert counter_bits(33) == 6
@@ -255,10 +258,24 @@ class TestCensusAndTrace:
     def test_register_census_formula(self, name):
         qm, _ = shaped_model(name)
         n, m = TABLE_SHAPES[name]
-        census = register_census(qm)
-        assert census["counter"] == math.ceil(math.log2(m + 2))
-        assert census["state"] == state_bits_for(n)
-        assert census["total"] == qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
+        r = rtl(qm)
+        assert r.counter_bits == math.ceil(math.log2(m + 2))
+        assert r.state_bits == state_bits_for(n)
+        assert r.register_bits == qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
+
+    @pytest.mark.parametrize("n, m, class_bits", [(2, 1, 1), (3, 4, 2), (5, 2, 3), (10, 17, 4), (26, 33, 5)])
+    def test_record_widths_and_counts(self, n, m, class_bits):
+        qm, _ = random_quantized_model(n, m, 6, seed=1, input_fmt=FxpFormat(3))
+        r = rtl(qm)
+        assert (r.input_bits, r.word_bits, r.acc_bits, r.bias_shift) == (3, 6, qm.acc_width, 3)
+        assert r.class_bits == class_bits  # a class id 0..n-1
+        assert r.initial_state == pair_index(0, n - 1, n)
+        assert r.cycles == (n - 1) * (m + 1)
+
+    def test_record_of_an_unsized_model_rejected(self):
+        qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])
+        with pytest.raises(ValueError, match="profile_accumulator"):
+            rtl(qm)
 
     def test_trace_text_format(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=11)

@@ -373,12 +373,13 @@ def test_tech_file_flag(synth_csv, tmp_path):
 
 
 def _edited_copy(full_run, tmp_path, edit, name="model.json"):
-    """A copy of the run's artifacts whose ``name`` went through ``edit``."""
+    """A copy of the run's artifacts whose ``name`` went through ``edit``,
+    which edits the document in place or returns the text to write."""
     out = tmp_path / "out"
     shutil.copytree(full_run, out)
     doc = json.loads((out / name).read_text())
-    edit(doc)
-    (out / name).write_text(json.dumps(doc))
+    text = edit(doc)
+    (out / name).write_text(json.dumps(doc) if text is None else text)
     return out
 
 
@@ -555,6 +556,18 @@ def _set_path(path, value=_DELETE):
     return edit
 
 
+def _repeat_key(key, value):
+    """The document's text with ``"key": value`` written just before its first
+    ``key``, whose last value plain json.load would keep."""
+
+    def edit(doc):
+        text = json.dumps(doc)
+        assert f'"{key}": ' in text
+        return text.replace(f'"{key}": ', f'"{key}": {json.dumps(value)}, "{key}": ', 1)
+
+    return edit
+
+
 _FRACTION = "is not a number strictly between 0 and 1"
 # edits of the "config" object that both documents carry
 _CONFIG_EDITS = {
@@ -642,6 +655,7 @@ _FLOAT_MODEL_EDITS = {
     "hyper_lam_string": (_set_hyper("lam", "0.1"), "hyper: lam must be finite and > 0, got '0.1'"),
     "hyper_seed_string": (_set_hyper("seed", "x"), "hyper.seed is 'x', the model writes 11"),
     "hyper_seed_other": (_set_hyper("seed", 12), "hyper.seed is 12, the model writes 11"),
+    "seed_repeated": (_repeat_key("seed", 3), "an object repeats the key 'seed'"),
     **_CONFIG_EDITS,
 }
 
@@ -709,6 +723,7 @@ _MODEL_EDITS = {
     "scale_changed": (
         _set_quantized(("scales", 1), 0.75), f"quantized.scales.1 is 0.75, the model writes {_SCALES[1]}"
     ),
+    "acc_width_repeated": (_repeat_key("acc_width", 3), "an object repeats the key 'acc_width'"),
     **_QUANT_CONFIG_EDITS,
     **_FLOAT_MODEL_EDITS,
     # model.json's loader takes only OvO float models, before it compares the pairs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import TABLE_SHAPES, random_quantized_model, shaped_model
-from seqsvm.archsim import register_census
+from seqsvm.archsim import rtl
 from seqsvm.cost import (
     STORAGE_KINDS,
     TechConfig,
@@ -54,7 +54,7 @@ class TestEstimate:
     def test_register_bits_match_census(self, name):
         qm, _ = shaped_model(name)
         rep = estimate(qm)
-        assert rep.register_bits == register_census(qm)["total"]
+        assert rep.register_bits == rtl(qm).register_bits
 
     def test_power_is_area_times_density(self):
         qm, _ = shaped_model("cardio")

@@ -6,18 +6,9 @@ import pytest
 from helpers import random_quantized_model, reference_simulate
 from seqsvm.ddag import pair_count
 from seqsvm.fxp import FxpFormat
-from seqsvm.hdlgen import (
-    _sd,
-    _ud,
-    emit_golden_vectors,
-    generate,
-    parse_storage_constants,
-    write_bundle,
-)
-
-
-def _expected_table(qm):
-    return qm.words.tolist()
+from seqsvm.archsim import rtl
+from seqsvm.hdlgen import _sd, _ud, emit_golden_vectors, generate, write_bundle
+from verilog import read
 
 
 class TestLiterals:
@@ -84,7 +75,8 @@ class TestGenerate:
         n, m, bits = int(rng.integers(2, 7)), int(rng.integers(1, 10)), int(rng.integers(2, 9))
         qm, _ = random_quantized_model(n, m, bits, seed=seed)
         bundle = generate(qm)
-        assert parse_storage_constants(bundle.params_module) == _expected_table(qm)
+        design = read(bundle.top_module, bundle.params_module)
+        assert (design.rtl, design.words) == (rtl(qm), qm.words.tolist())
 
     def test_every_fsm_literal_is_a_model_integer(self):
         qm, _ = random_quantized_model(4, 3, 4, seed=5)
