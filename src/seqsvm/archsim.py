@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ddag import _walk_table, aligned_words, pair_index, state_bits_for, walk_batch
+from .ddag import _walk_table, kernel_words, pair_index, state_bits_for, walk_batch
 from .quant import QuantizedModel
 
 
@@ -117,7 +117,8 @@ def simulate(qm: QuantizedModel, codes) -> list[SimTrace]:
     states = np.empty((n - 1, len(X)), dtype=np.int64)
     accs = np.empty((n - 1, m + 1, len(X)), dtype=np.int64)
     ends = []
-    for _, classes, final_states, overflows in _walk_table(n, aligned_words(qm), X, acc_width, (states, accs)):
+    table = kernel_words(qm, acc_width)
+    for _, classes, final_states, overflows in _walk_table(n, table, X, acc_width, (states, accs)):
         ends += zip(classes.tolist(), final_states.tolist(), overflows.tolist())
     words = qm.words.tolist()
     traces = []

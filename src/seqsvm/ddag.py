@@ -14,7 +14,8 @@ A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
 ``row_pairs``, the bias as word 0. ``_walk_table`` is the library's one DAG
 walk. ``walk_batch`` runs it on integer words, exactly or with the hardware's
 wrapping accumulator, for the reference predictions, the batch simulator and
-the golden vectors; ``archsim.simulate`` runs it recording every step, for
+the golden vectors, in the narrowest integer type that ``kernel_words``
+proves exact; ``archsim.simulate`` runs it recording every step, for
 traces; ``ddag_predict_float`` runs it on the float model. ``score_table``
 sums every row on every sample in the walk's order, for quant's accumulator
 profiling, the float OvA scores and the OvO max-wins votes wherever a BLAS
@@ -93,18 +94,34 @@ def check_ovo(fmodel) -> None:
         raise ValueError(f"a DAG walks OvO models only, not a {fmodel.kind!r} model")
 
 
-def aligned_words(qm) -> np.ndarray:
-    """A writable copy of qm's word table with each bias at the products'
-    binary point (bias << bias_shift): the table the integer kernels run."""
+def kernel_words(qm, acc_width: int | None = None) -> np.ndarray:
+    """qm's word table with each bias at the products' binary point (bias <<
+    bias_shift): the table the integer kernels run, in the narrowest of
+    int16, int32 and int64 that holds every value they make from it.
+
+    Those values are the input codes (at most raw_max), and the products and
+    accumulator prefixes, each at most the row bound in magnitude: the
+    largest |bias << bias_shift| + raw_max * sum|w| of any row. A wrapping
+    accumulator of ``acc_width`` bits (below 64) is carried in
+    [0, 2**acc_width) before each add, so its walk needs the row bound plus
+    2**acc_width. int64 holds every exact sum (see fxp.MAX_INPUT_BITS).
+    """
     table = qm.words.copy()
     table[:, 0] <<= qm.bias_shift
+    raw_max = qm.input_fmt.raw_max
+    bound = int((np.abs(table[:, 0]) + raw_max * np.abs(table[:, 1:]).sum(axis=1)).max())
+    if acc_width is not None and acc_width < 64:
+        bound += 1 << acc_width
+    for dtype in (np.int16, np.int32):
+        if max(bound, raw_max) <= np.iinfo(dtype).max:
+            return table.astype(dtype)
     return table
 
 
-def score_table(table: np.ndarray, X: np.ndarray, dtype=None):
+def score_table(table: np.ndarray, X: np.ndarray):
     """Every row's accumulator on every sample, a block of BLOCK_ELEMENTS //
-    rows samples at a time, in ``dtype`` (``table``'s by default): float64
-    scores, or integer prefixes that cannot overflow it.
+    rows samples at a time, in ``table``'s dtype: float64 scores, or the
+    integer prefixes of a ``kernel_words`` table, which cannot overflow it.
 
     ``table`` row r = [bias, w_1..w_m], the bias already at the products'
     binary point. Yields (first sample, col, acc) after the bias load (col 0)
@@ -113,11 +130,11 @@ def score_table(table: np.ndarray, X: np.ndarray, dtype=None):
     elementwise sums give each score the walk's bits whatever block
     its sample falls in, which a BLAS product would not.
     """
-    cols = np.ascontiguousarray(table.T[:, :, None], dtype)  # row j: word j of every stored row
+    cols = np.ascontiguousarray(table.T[:, :, None])  # row j: word j of every stored row
     block = max(1, BLOCK_ELEMENTS // max(1, len(table)))
     acc = np.empty((len(table), min(block, len(X))), cols.dtype)
     product = np.empty_like(acc)
-    x_buf = np.empty((X.shape[1], acc.shape[1]), cols.dtype)  # row j: a block's inputs j
+    x_buf = np.empty((X.shape[1], acc.shape[1]), cols.dtype)  # row j: a block's inputs j, cast on the copy
     for start in range(0, len(X), block):
         k = min(block, len(X) - start)
         x, a, p = x_buf[:, :k], acc[:, :k], product[:, :k]
@@ -136,22 +153,25 @@ def _block_rows(n_features: int) -> int:
 
 
 def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None = None, record=None):
-    """The DAG-walk step loop over every sample, on int64 words and codes or
-    on float64 coefficients and features, one block of samples at a time.
+    """The DAG-walk step loop over every sample, on the integer words of a
+    ``kernel_words`` table and codes, or on float64 coefficients and
+    features, one block of samples at a time, in ``table``'s dtype.
 
     ``table`` row r = [bias, w_1..w_m], the bias already at the products'
     binary point. Each of the n-1 steps gathers the row of each sample's
     pair (lo, hi) and carries the accumulator column by column: the bias,
-    then one product per feature. With ``acc_width`` (integers only) it wraps after
-    the bias load and after every MAC, and each wrap counts as one overflow;
-    with None the sums are exact integers or plain float arithmetic.
+    then one product per feature. With ``acc_width`` (integers only) it
+    wraps after the bias load and after every MAC, and each wrap counts as
+    one overflow; with None the sums are exact integers, which an
+    unrecorded walk adds up all at once, or plain float arithmetic.
 
     A block holds BLOCK_ELEMENTS // (m+1) samples. Its inputs are copied
-    column-major, and each step gathers the block's words into one reused
-    (m+1) x samples buffer, so the walk's memory does not grow with the
-    sample count. Yields (first sample, classes, final_states, overflows)
-    per block, int64 views into buffers that the next block reuses; the
-    final state is the last row read, whose verdict chose the class.
+    column-major into the table's dtype, and each step gathers the block's
+    words into one reused (m+1) x samples buffer, so the walk's memory does
+    not grow with the sample count. Yields (first sample, classes,
+    final_states, overflows) per block, int64 views into buffers that the
+    next block reuses; the final state is the last row read, whose verdict
+    chose the class.
 
     ``record``, for archsim.simulate's traces, is a pair of int64 arrays
     (states, accs) of shapes (n-1, samples) and (n-1, m+1, samples): step t
@@ -164,6 +184,9 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
     # a wrapping accumulator is carried plus 2**(acc_width-1), in
     # [0, 2**acc_width), so that the wrap is one mask and the sign a compare
     offset = 1 << (acc_width - 1) if wraps else 0
+    # exact integer sums are the same in any order, so an unrecorded one is
+    # every product at once, then one sum over the columns
+    summed = not wraps and record is None and table.dtype.kind == "i"
     m = X.shape[1]
     block = _block_rows(m)
     size = min(block, len(X))
@@ -189,9 +212,13 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
             # the bias load into word 0's row, then each MAC adds a product
             # made in its word's row; spare is always a consumed row or spare_buf
             acc, spare = words[0], spare_buf[:k]
+            if summed:
+                words[1:] *= x
+                np.add.reduce(words, axis=0, out=spare)
+                acc = spare
             if wraps:
                 acc += offset
-            for col in range(m + 1):
+            for col in range(0 if summed else m + 1):
                 if col:
                     product = words[col]
                     product *= x[col - 1]
@@ -214,13 +241,14 @@ def walk_batch(qm, codes, acc_width: int | None = None):
     ddag_predict_quant, simulate_batch and emit_golden_vectors.
 
     Scores qm's stored words, the bias entering as bias << bias_shift, on
-    ``codes``, which must fit qm's input format. ``acc_width`` is the
+    ``codes``, which must fit qm's input format, in the narrowest integer
+    type that ``kernel_words`` proves exact for them. ``acc_width`` is the
     wrapping accumulator's width, or None for exact sums. Returns int64
     (classes, final_states, overflows) per sample, as _walk_table yields them.
     """
     X = qm.input_codes(codes)
     results = tuple(np.empty(len(X), dtype=np.int64) for _ in range(3))
-    for start, *block in _walk_table(qm.n_classes, aligned_words(qm), X, acc_width):
+    for start, *block in _walk_table(qm.n_classes, kernel_words(qm, acc_width), X, acc_width):
         for result, part in zip(results, block):
             result[start:start + len(part)] = part
     return results

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 #: Widest unsigned input code the integer kernels accept. With parameter
 #: words of at most 16 bits, every partial sum then stays below (m+1)*2**31
-#: in magnitude, so int64 arithmetic is exact.
+#: in magnitude, so int64 arithmetic is exact. The kernels run in the
+#: narrowest of int16, int32 and int64 that their model's row bound proves
+#: exact (``ddag.kernel_words``), int64 being the widest they need.
 MAX_INPUT_BITS = 16
 
 #: Elements per block of every array loop whose work grows with the sample

@@ -61,10 +61,13 @@ def _gen_params(qm: QuantizedModel, r: Rtl, name: str) -> str:
         "    always @* begin",
         "        case ({row, col})",
     ]
+    # one checked literal per distinct word; every key fits its bits, as
+    # row < 2**state_bits and col <= m < 2**counter_bits
+    literal = {value: _sd(value, r.word_bits) for value in set(qm.words.ravel().tolist())}
+    key_bits = r.state_bits + r.counter_bits
     for row, values in enumerate(qm.words.tolist()):
-        for col, value in enumerate(values):
-            key = (row << r.counter_bits) | col
-            lines.append(f"            {_ud(key, r.state_bits + r.counter_bits)}: word = {_sd(value, r.word_bits)};")
+        first = row << r.counter_bits
+        lines += [f"            {key_bits}'d{first | col}: word = {literal[v]};" for col, v in enumerate(values)]
     lines += [
         f"            default: word = {_sd(0, r.word_bits)};",
         "        endcase",

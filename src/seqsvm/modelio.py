@@ -52,11 +52,11 @@ def _encode(obj, pad: str) -> str:
     ``pad``, a newline and the indentation, starts each of its lines.
 
     Strings, plain ints and finite plain floats write their own text, and
-    dicts of str keys, lists and tuples recurse, a list of only plain ints
-    or only finite plain floats in one join. Anything else (None, a bool, a
-    non-finite float, a subclass such as np.float64, other keys) is
-    json.dumps' own text, re-indented, which is exact because JSON text
-    holds no raw newline inside a string.
+    dicts of str keys, lists and tuples recurse, a list of only strings and
+    plain ints or only finite plain floats in one join. Anything else
+    (None, a bool, a non-finite float, a subclass such as np.float64, other
+    keys) is json.dumps' own text, re-indented, which is exact because JSON
+    text holds no raw newline inside a string.
     """
     kind = type(obj)
     if kind is str:
@@ -71,6 +71,8 @@ def _encode(obj, pad: str) -> str:
         kinds = set(map(type, obj))
         if kinds == {int} or kinds == {float} and all(map(math.isfinite, obj)):
             items = map(kinds.pop().__repr__, obj)
+        elif kinds <= {str, int}:
+            items = [_quote(value) if type(value) is str else int.__repr__(value) for value in obj]
         else:
             items = [_encode(value, inner) for value in obj]
         return "[" + inner + f",{inner}".join(items) + pad + "]"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import aligned_words, ddag_predict_float, ddag_predict_quant, row_pairs, score_table
+from .ddag import ddag_predict_float, ddag_predict_quant, kernel_words, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
 from .trainer import FloatSvmModel, finite_number, read_only_table
 
@@ -54,7 +54,9 @@ class QuantizedModel:
 
     ``words`` row r is [bias, w_1..w_m] of the r-th class pair in
     lexicographic order (``ddag.row_pairs``): memory row r, bias at word 0.
-    It is int64 and read-only, range-checked once, here. The bias code is
+    It is int64 and read-only, range-checked once, here: an int64 array by
+    its extremes, anything else value by value, exactly even past int64,
+    and the first offender named either way. The bias code is
     left-shifted by ``bias_shift`` (the input's bits, all fractional) before
     accumulation so products and bias share one binary point; the shift is
     free wiring in bespoke logic.
@@ -71,9 +73,14 @@ class QuantizedModel:
     def __post_init__(self):
         check_widths(self.param_bits)
         rows = len(row_pairs("ovo", self.n_classes))
-        exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
-        check_params(exact, self.param_bits)
-        self.words = read_only_table(exact, rows, self.n_features, np.int64)
+        if isinstance(self.words, np.ndarray) and self.words.dtype == np.int64:
+            self.words = read_only_table(self.words, rows, self.n_features, np.int64)
+            if self.words.min() < min_int(self.param_bits) or self.words.max() > max_int(self.param_bits):
+                check_params(self.words.tolist(), self.param_bits)  # names the first offender
+        else:
+            exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
+            check_params(exact, self.param_bits)
+            self.words = read_only_table(exact, rows, self.n_features, np.int64)
         if not (isinstance(self.scales, list) and len(self.scales) == rows):
             raise ValueError(f"scales must be a list of one number per vector ({rows}), got {self.scales!r:.40}")
         bad = next((r for r, s in enumerate(self.scales) if not (finite_number(s) and s > 0)), None)
@@ -168,16 +175,14 @@ def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[i
     """Extremes over every accumulator prefix: the shifted bias, then the value
     after each MAC, for every row on every sample.
 
-    ddag.score_table sums the prefixes in int32 when no prefix can reach
-    2**31 (no row's |bias| << shift plus raw_max * sum|w| does) and in int64
-    otherwise.
+    ddag.score_table sums the prefixes in the narrowest integer type that
+    ``kernel_words`` proves exact for them.
     """
     X = qm.input_codes(train_codes)
-    table = aligned_words(qm)
+    table = kernel_words(qm)
     # the bias load is a prefix even with no samples, and the same on every sample
     lo, hi = int(table[:, 0].min()), int(table[:, 0].max())
-    bound = int((np.abs(table[:, 0]) + qm.input_fmt.raw_max * np.abs(table[:, 1:]).sum(axis=1)).max())
-    for _, col, acc in score_table(table, X, np.int32 if bound < 1 << 31 else np.int64):
+    for _, col, acc in score_table(table, X):
         if col:
             lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
     return lo, hi

@@ -239,8 +239,9 @@ def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
         stream_of.append(stream)
         if stream not in ids:
             ids[stream] = own = _signed_ids(ds, lane, i)
-            Xl = ds.features[lane.rows]
-            if bool(np.all(Xl == Xl[0])):
+            # a stream that varies in its first feature needs no full gather
+            first = ds.features[lane.rows, 0]
+            if np.all(first == first[0]) and np.all(ds.features[lane.rows] == ds.features[lane.rows[0]]):
                 constant[stream] = 1.0 if 2 * np.count_nonzero(own < n_samples) >= len(own) else -1.0
     solved = [i for i, stream in enumerate(stream_of) if stream not in constant]
     # longest-running lanes first, so the lanes alive in an epoch are a prefix
@@ -292,13 +293,15 @@ def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel
     """One OvO model per hyperparameter set, every (candidate, pair) a lane of
     one fit_lanes call; rows in lexicographic pair order."""
     n = ds.n_classes
-    present = np.bincount(ds.labels, minlength=n) > 0
+    # each class's rows, ascending, from one stable sort of the labels
+    order = np.argsort(ds.labels, kind="stable").astype(np.int32)
+    members = np.split(order, np.cumsum(np.bincount(ds.labels, minlength=n))[:-1])
     pairs = []
     for a, b in row_pairs("ovo", n):
-        if not (present[a] and present[b]):
+        if not (len(members[a]) and len(members[b])):
             raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
         # int32, like fit_lanes' own row ids: every pair's rows stay alive through the fit
-        pairs.append((a, b, np.flatnonzero((ds.labels == a) | (ds.labels == b)).astype(np.int32)))
+        pairs.append((a, b, np.sort(np.concatenate((members[a], members[b])))))
     lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
     coefs = np.roll(fit_lanes(ds, lanes), 1, axis=1)  # rows [bias, w_1..w_m]
     return [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from seqsvm.archsim import CycleRecord, SimTrace, rtl
 from seqsvm.dataset import Dataset
-from seqsvm.ddag import _row, aligned_words, pair_index, row_pairs
+from seqsvm.ddag import _row, kernel_words, pair_index, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.modelio import dumps_canonical, model_doc
 from seqsvm.quant import QuantizedModel, profile_accumulator, quantize_model
@@ -223,7 +223,7 @@ def _vote_oracle(qm, codes):
 def integer_twin(qm):
     """The float OvO model of qm's rows, each bias at the products' binary
     point: its scores on input codes are exact, so its votes are qm's."""
-    return FloatSvmModel("ovo", qm.n_classes, qm.n_features, aligned_words(qm).astype(np.float64))
+    return FloatSvmModel("ovo", qm.n_classes, qm.n_features, kernel_words(qm).astype(np.float64))
 
 
 def random_quantized_model(n, m, param_bits, seed, n_profile=200, input_fmt=U4_4):

@@ -858,19 +858,25 @@ def test_non_finite_tech_file_fails_in_cost(synth_csv, tmp_path, capsys, line):
 
 def test_run_and_compare_never_import_numpy_ma(synth_csv, tmp_path):
     # np.unique imports numpy.ma, about 20 ms per process; the pipeline
-    # finds the classes present from the dense label codes instead
-    out = tmp_path / "out"
-    code = (
-        "import sys\n"
-        "from seqsvm.cli import main\n"
-        f"assert main({_run_args(synth_csv, out)!r}) == 0\n"
-        f"assert main(['compare', '--out', {str(out)!r}]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
+    # finds the classes present from the dense label codes instead. `run`
+    # and `compare` share one process, and each stage of a staged run has
+    # its own, as on the command line.
+    out, staged = tmp_path / "out", tmp_path / "staged"
+    base = ["--dataset", str(synth_csv), "--label-col", "label", "--seed", "11"]
+    stages = [["train", *base], ["quantize"], ["simulate", "--trace", "2"], ["gen-hdl"], ["cost"]]
+    processes = [[_run_args(synth_csv, out), ["compare", "--out", str(out)]]]
+    processes += [[[*stage, "--out", str(staged)]] for stage in stages]
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
-    assert proc.stdout.splitlines()[-1] == "False"
+    for argvs in processes:
+        code = (
+            "import sys\n"
+            "from seqsvm.cli import main\n"
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+            + "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "False", argvs[0][0]

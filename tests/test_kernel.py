@@ -29,9 +29,12 @@ from seqsvm.archsim import simulate, simulate_batch
 from seqsvm.cost import compare_storage
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.ddag import (
+    _walk_table,
     build_ddag,
     ddag_predict_float,
     ddag_predict_quant,
+    kernel_words,
+    score_table,
     walk_batch,
 )
 from seqsvm.dataset import Dataset, SplitSpec, split
@@ -166,6 +169,110 @@ def test_partial_sum_extremes_around_two_to_the_31(bias, weight):
     lo, hi = partial_sum_extremes(qm, np.array(codes))
     assert (lo, hi) == _extremes_oracle(qm, codes)
     assert max(-lo, hi) == abs(bias << 16) + abs(weight) * 65535
+
+
+#: Row bounds where kernel_words' type turns: int16 holds at most 2**15 - 1
+#: and int32 2**31 - 1, and a wrapping walk of 14 or 30 bits adds 2**14 or
+#: 2**30 to the row bound.
+BOUND_EDGES = (1 << 14, 1 << 15, 1 << 30, 1 << 31)
+
+
+def _row_bound(qm) -> int:
+    """max over rows of |bias << shift| + raw_max * sum|w|, in Python ints."""
+    raw_max = qm.input_fmt.raw_max
+    return max(abs(bias << qm.bias_shift) + raw_max * sum(map(abs, weights)) for bias, *weights in qm.words.tolist())
+
+
+def _narrowest(bound: int):
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max or t is np.int64)
+
+
+def _edge_row(bound: int, input_bits: int):
+    """[bias, w_1..w_m] of 16-bit words, all >= 0, at most nine weights,
+    whose row bound at ``input_bits`` is exactly ``bound``; None if there is
+    none."""
+    top, scale, raw_max = (1 << 15) - 1, 1 << input_bits, (1 << input_bits) - 1
+    # raw_max = -1 modulo 2**k, so sum|w| = -bound modulo 2**k, and the bias
+    # fits 16 bits once raw_max * sum|w| >= bound - (top << k)
+    total = (-bound) % scale
+    short = -(-(bound - (top << input_bits)) // raw_max) - total
+    total += -(-max(0, short) // scale) * scale
+    bias = (bound - raw_max * total) >> input_bits
+    if not 0 <= bias <= top or total > 8 * top:
+        return None
+    return [bias, *[top] * (total // top), total % top]
+
+
+@st.composite
+def edge_cases(draw):
+    """A model whose row bound sits on, just under or just over one of
+    BOUND_EDGES, every row that edge row or its negation, its accumulator
+    log2(edge) bits wide (so that it wraps), and codes that include raw_max
+    everywhere, which reach the bound."""
+    edge = draw(st.sampled_from(BOUND_EDGES))
+    bound = edge + draw(st.sampled_from((-1, 0, 1)))
+    input_bits = draw(st.sampled_from([k for k in range(1, 17) if _edge_row(bound, k)]))
+    row = _edge_row(bound, input_bits)
+    n = draw(st.integers(2, 4))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    words = [[sign * w for w in row] for sign in signs]
+    fmt = FxpFormat(input_bits)
+    qm = QuantizedModel(n, len(row) - 1, fmt, 16, words, [1.0] * len(words))
+    qm.acc_width = edge.bit_length() - 1
+    code = st.integers(0, fmt.raw_max)
+    codes = draw(st.lists(st.lists(code, min_size=qm.n_features, max_size=qm.n_features), max_size=6))
+    return qm, [[fmt.raw_max] * qm.n_features, *codes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(profiled_cases(), edge_cases()))
+def test_narrow_kernels_return_what_int64_kernels_return(case):
+    # walk_batch, exact and wrapping, and partial_sum_extremes in
+    # kernel_words' type against the same kernels forced to int64
+    qm, codes = case
+    X = np.array(codes, dtype=np.int64)
+    table = qm.words.copy()  # int64, each bias at the products' binary point
+    table[:, 0] <<= qm.bias_shift
+    for acc_width in (None, qm.acc_width):
+        wraps = acc_width is not None and acc_width < 64
+        bound = _row_bound(qm) + (1 << acc_width if wraps else 0)
+        assert kernel_words(qm, acc_width).dtype == _narrowest(max(qm.input_fmt.raw_max, bound))
+        expected = [np.concatenate(part) for part in zip(*(
+            [a.copy() for a in block] for _, *block in _walk_table(qm.n_classes, table, X, acc_width)
+        ))]
+        assert [a.tolist() for a in walk_batch(qm, X, acc_width)] == [a.tolist() for a in expected]
+    lo, hi = int(table[:, 0].min()), int(table[:, 0].max())
+    for _, col, acc in score_table(table, X):
+        if col:
+            lo, hi = min(lo, int(acc.min())), max(hi, int(acc.max()))
+    assert partial_sum_extremes(qm, X) == (lo, hi)
+
+
+@pytest.mark.parametrize("edge, exact, wrapping", [
+    # the row bound edge - 1 and edge; the wrapping walk is log2(edge) bits
+    (1 << 14, (np.int16, np.int16), (np.int16, np.int32)),
+    (1 << 15, (np.int16, np.int32), (np.int32, np.int32)),
+    (1 << 30, (np.int32, np.int32), (np.int32, np.int64)),
+    (1 << 31, (np.int32, np.int64), (np.int64, np.int64)),
+])
+def test_kernel_type_at_each_bound_edge(edge, exact, wrapping):
+    for bound, exact_type, wrapping_type in zip((edge - 1, edge), exact, wrapping):
+        input_bits = next(k for k in range(1, 17) if _edge_row(bound, k))
+        row = _edge_row(bound, input_bits)
+        qm = QuantizedModel(2, len(row) - 1, FxpFormat(input_bits), 16, [row], [1.0])
+        assert _row_bound(qm) == bound
+        assert kernel_words(qm).dtype == exact_type
+        assert kernel_words(qm, edge.bit_length() - 1).dtype == wrapping_type
+        assert kernel_words(qm, 64).dtype == exact_type  # 64 bits never wrap
+
+
+@pytest.mark.parametrize("input_bits, expected", [(15, np.int16), (16, np.int32)])
+def test_kernel_type_holds_every_input_code(input_bits, expected):
+    # a zero model's row bound is 0, but the codes are copied into its type
+    qm = QuantizedModel(2, 1, FxpFormat(input_bits), 2, [[0, 0]], [1.0])
+    assert kernel_words(qm).dtype == expected
+    codes = [[(1 << input_bits) - 1]]
+    assert walk_batch(qm, codes)[0].tolist() == [0]
 
 
 def test_codes_outside_sixteen_bits_rejected():

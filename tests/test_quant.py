@@ -294,24 +294,46 @@ class TestQuantizedModelInvariants:
         with pytest.raises(ValueError, match="exceeds"):
             QuantizedModel(2, 1, U4_4, 4, [[0, 9]], [1.0])
 
+    # (weights, bias) of vectors (0,1), (0,2), (1,2) at 4 bits: -8..7
+    FIRST_OFFENDERS = [
+        ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
+        ((([1, 7], -8), ([7, -9], 9), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
+        ((([1, 7], -8), ([7, -8], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
+        ((([1, 7], -8), ([7, -8], 9), ([0, 0], 99)), "vector 1: parameter 9 exceeds 4 bits"),
+        ((([1, 7], -9), ([8, -8], 9), ([0, 0], 0)), "vector 0: parameter -9 exceeds 4 bits"),
+        ((([1, 7], -8), ([7, -8], 0), ([0, 8], 0)), "vector 2: parameter 8 exceeds 4 bits"),
+    ]
+
     @pytest.mark.parametrize(
         "params, message",
-        [
-            # (weights, bias) of vectors (0,1), (0,2), (1,2) at 4 bits: -8..7
-            ((([1, 7], -8), ([8, -9], 9), ([-99, 0], 0)), "vector 1: parameter 8 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -9], 9), ([-99, 0], 0)), "vector 1: parameter -9 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 9), ([-99, 0], 0)), "vector 1: parameter 9 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 9), ([0, 0], 99)), "vector 1: parameter 9 exceeds 4 bits"),
-            ((([1, 7], -9), ([8, -8], 9), ([0, 0], 0)), "vector 0: parameter -9 exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 0), ([0, 8], 0)), "vector 2: parameter 8 exceeds 4 bits"),
+        FIRST_OFFENDERS + [
             ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)), f"vector 2: parameter {2**70} exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 0), ([0, 2**63], 0)), f"vector 2: parameter {2**63} exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 0), ([0, 0], -2**63 - 1)), f"vector 2: parameter {-2**63 - 1} exceeds 4 bits"),
         ],
     )
     def test_first_offender_named(self, params, message):
-        # vector order first, then the weights in order, then the bias
+        # vector order first, then the weights in order, then the bias; a
+        # list may hold words past int64
         words = [[bias, *weights] for weights, bias in params]
         with pytest.raises(ValueError, match=f"^{message}$"):
             QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        FIRST_OFFENDERS + [
+            ((([1, 7], -8), ([7, -8], 0), ([-2**63, 2**63 - 1], 0)), f"vector 2: parameter {-2**63} exceeds 4 bits"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_an_array_names_the_first_offender_as_its_list_does(self, params, message, dtype):
+        # an int64 array is range-checked by its extremes, then named as its
+        # rows are; an array of any other dtype is checked value by value
+        words = np.array([[bias, *weights] for weights, bias in params], dtype=dtype)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantizedModel(3, 2, U4_4, 4, words.tolist(), [1.0] * 3)
 
     def test_weights_named_before_bias_in_memory(self):
         words = [[-8, 1, 7], [9, 8, -9], [0, -99, 0]]  # rows [bias, w_1, w_2]
