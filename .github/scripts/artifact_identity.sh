@@ -13,9 +13,12 @@
 # digested directory, it negates every quantized bias of model.json and runs
 # simulate: the "refusal" row reads "refused" if that exits 2 and "accepted"
 # otherwise. Prints a Markdown table of each workload's combined artifact
-# digest, of the stages' ("stages") and the refusal, on both sides. Prints
-# only; the exit status says whether both runs produced digests, not whether
-# they match.
+# digest, of the stages' ("stages") and the refusal, on both sides; then,
+# per workload and for the stages, the names of the files whose sha256
+# differs between the sides (or exists on one side only), from each side's
+# `.bench_run/<workload>/digests-seed<SEED>.json` and a per-file digest of
+# its stages directory. Prints only; the exit status says whether both runs
+# produced digests, not whether they match.
 set -euo pipefail
 
 base_dir=$1
@@ -60,12 +63,24 @@ open(sys.argv[1], "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")' 
     )
 }
 
+files() {  # one "path sha256" line per artifact of workload $2 (or "stages") in the checkout at $1
+    if [ "$2" = stages ]; then
+        (cd "$1/.bench_run/stages" && find . -type f | LC_ALL=C sort | xargs sha256sum) |
+            awk '{ sub(/^\.\//, "", $2); print $2, $1 }'
+    else
+        python3 -c 'import json, sys
+for path, digest in json.load(open(sys.argv[1])).items():
+    print(path, digest)' "$1/.bench_run/$2/digests-seed$seed.json"
+    fi | LC_ALL=C sort
+}
+
 base=$(digests "$base_dir")
 head=$(digests .)
 if [ -z "$base" ] || [ -z "$head" ]; then
     echo "artifact identity: a bench run printed no digests" >&2
     exit 1
 fi
+workloads=$(cut -d ' ' -f 1 <<<"$head")
 base+=$'\n'$(stages "$base_dir")
 head+=$'\n'$(stages .)
 
@@ -75,3 +90,12 @@ echo "| workload | base sha256 | head sha256 | identical |"
 echo "|---|---|---|---|"
 join -a 1 -a 2 -e missing -o 0,1.2,2.2 <(sort <<<"$base") <(sort <<<"$head") |
     awk '{ printf "| %s | `%s` | `%s` | %s |\n", $1, substr($2, 1, 16), substr($3, 1, 16), ($2 == $3 ? "yes" : "**no**") }'
+
+echo
+echo "| workload | files that differ |"
+echo "|---|---|"
+for workload in $workloads stages; do
+    differ=$(LC_ALL=C join -a 1 -a 2 -e missing -o 0,1.2,2.2 <(files "$base_dir" "$workload") <(files . "$workload") |
+        awk '$2 != $3 { printf "%s`%s`", sep, $1; sep = ", " }')
+    echo "| $workload | ${differ:-none} |"
+done

@@ -17,14 +17,13 @@ Every function takes the model alone: the DAG is that of ``qm.n_classes``.
 Both simulations run ``ddag._walk_table``, the library's one DAG walk, with
 the wrapping accumulator. ``simulate_batch`` runs it through
 ``ddag.walk_batch`` for classes and overflow counts; ``simulate`` has it
-record every step's state and accumulator, and returns one trace per sample.
+record every step's state and accumulator, and yields one trace per sample.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,7 @@ class Rtl:
     input_bits: int     # one unsigned input code
     word_bits: int      # one stored word
     acc_bits: int       # the wrapping accumulator
-    counter_bits: int   # the column counter, which spans 0..m+1
+    counter_bits: int   # the column counter, which spans 0..m
     state_bits: int     # the FSM state, which is also the storage row address
     class_bits: int     # a class id 0..n-1
     bias_shift: int     # the bias loads as word << bias_shift
@@ -53,7 +52,7 @@ def rtl(qm: QuantizedModel) -> Rtl:
     if qm.acc_width < 1:
         raise ValueError("model has no accumulator width; run profile_accumulator first")
     n, m = qm.n_classes, qm.n_features
-    counter_bits = max(1, math.ceil(math.log2(m + 2)))
+    counter_bits = m.bit_length()
     state_bits = state_bits_for(n)
     return Rtl(
         input_bits=qm.input_fmt.total_bits,
@@ -98,7 +97,7 @@ class SimTrace:
     out_class: int
 
 
-def simulate(qm: QuantizedModel, codes) -> list[SimTrace]:
+def simulate(qm: QuantizedModel, codes) -> Iterator[SimTrace]:
     """Run each row of ``codes``, a samples x m code matrix, cycle by cycle;
     one trace per row, whose ``out_class`` is the row's class.
 
@@ -108,29 +107,28 @@ def simulate(qm: QuantizedModel, codes) -> list[SimTrace]:
     each wrap counts as one overflow, reported, never raised. Every trace
     holds (n-1)*(m+1) records, one per cycle, built from what one recording
     pass of the batch walk wrote: each step's state and its accumulator
-    after each word. Its buffers and traces grow with the rows, so the CLI
-    passes one walk block of rows at a time.
+    after each word. Checks the model and codes at once, then yields the
+    traces one walk block at a time, so its memory does not grow with the
+    rows.
     """
     acc_width = rtl(qm).acc_bits
     X = qm.input_codes(codes)
+    return _traces(qm, _walk_table(qm.n_classes, kernel_words(qm, acc_width), X, acc_width, record=True))
+
+
+def _traces(qm: QuantizedModel, blocks):
+    """simulate's traces, from the blocks of its recording walk."""
     n, m = qm.n_classes, qm.n_features
-    states = np.empty((n - 1, len(X)), dtype=np.int64)
-    accs = np.empty((n - 1, m + 1, len(X)), dtype=np.int64)
-    ends = []
-    table = kernel_words(qm, acc_width)
-    for _, classes, final_states, overflows in _walk_table(n, table, X, acc_width, (states, accs)):
-        ends += zip(classes.tolist(), final_states.tolist(), overflows.tolist())
     words = qm.words.tolist()
-    traces = []
-    for (out_class, final_state, overflows), path, sums in zip(ends, states.T.tolist(),
-                                                               accs.transpose(2, 0, 1).tolist()):
-        records = [
-            CycleRecord(step * (m + 1) + col, state, col + 1, state, col, word, acc, col == m, int(acc >= 0))
-            for step, (state, step_sums) in enumerate(zip(path, sums))
-            for col, (word, acc) in enumerate(zip(words[state], step_sums))
-        ]
-        traces.append(SimTrace(records, len(records), n - 1, overflows, final_state, out_class))
-    return traces
+    for _, *ends, (states, accs) in blocks:
+        rows = zip(zip(*(end.tolist() for end in ends)), states.T.tolist(), accs.transpose(2, 0, 1).tolist())
+        for (out_class, final_state, overflows), path, sums in rows:
+            records = [
+                CycleRecord(step * (m + 1) + col, state, col + 1, state, col, word, acc, col == m, int(acc >= 0))
+                for step, (state, step_sums) in enumerate(zip(path, sums))
+                for col, (word, acc) in enumerate(zip(words[state], step_sums))
+            ]
+            yield SimTrace(records, len(records), n - 1, overflows, final_state, out_class)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from . import modelio
 from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .ddag import _block_rows, ddag_predict_float, ddag_predict_quant
+from .ddag import ddag_predict_float, ddag_predict_quant
 from .fxp import FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import QuantizedModel, quantize_inputs, search_param_bits
@@ -88,13 +88,12 @@ def _load_model(out: Path):
     return doc, modelio.read_model_doc(doc, quantized=True)
 
 
-def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, trace_n: int, storage_kind: str) -> dict:
+def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, trace_n: int) -> dict:
     """Simulate the test split, given as its input codes and labels."""
     batch = simulate_batch(qm, codes, labels)
     sim_report = {
         "config_hash": doc["config_hash"],
         "seed": doc["seed"],
-        "storage": storage_kind,
         "accuracy": batch.accuracy,
         "overflows": batch.overflows,
         "mean_cycles": batch.mean_cycles,
@@ -108,18 +107,15 @@ def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, tra
 
 
 def _write_traces(qm: QuantizedModel, codes, trace_dir: Path) -> None:
-    """One trace file per row of ``codes``, simulated a walk block at a time;
-    removes every other trace file, which nothing in it would tell apart from
-    these."""
+    """One trace file per row of ``codes``; removes every other trace file,
+    which nothing in it would tell apart from these."""
     names = [f"trace_{i:03d}.txt" for i in range(len(codes))]
     for path in set(trace_dir.glob("trace_*.txt")) - {trace_dir / name for name in names}:
         path.unlink()
     if names:
         trace_dir.mkdir(parents=True, exist_ok=True)
-    block = _block_rows(qm.n_features)
-    for start in range(0, len(codes), block):
-        for name, trace in zip(names[start:], simulate(qm, codes[start:start + block])):
-            (trace_dir / name).write_text(trace_to_text(trace))
+    for name, trace in zip(names, simulate(qm, codes)):
+        (trace_dir / name).write_text(trace_to_text(trace))
 
 
 def _hdl_phase(qm: QuantizedModel, codes, out: Path, n_vectors: int) -> None:
@@ -209,7 +205,7 @@ def cmd_simulate(args) -> int:
         doc, (config, *_, qm) = _load_model(out)
         test = _ingest(config)[1]
         codes = quantize_inputs(test, qm.input_fmt)
-        _simulate_phase(doc, qm, codes, test.labels, out, args.trace, args.storage)
+        _simulate_phase(doc, qm, codes, test.labels, out, args.trace)
     return 0
 
 
@@ -281,7 +277,7 @@ def cmd_run(args) -> int:
     with _stage("simulate"):
         # the test split's input codes, shared with gen-hdl
         codes = quantize_inputs(test, qm.input_fmt)
-        sim_report = _simulate_phase(doc, qm, codes, test.labels, out, args.trace, args.storage)
+        sim_report = _simulate_phase(doc, qm, codes, test.labels, out, args.trace)
     with _stage("gen-hdl"):
         _hdl_phase(qm, codes, out, args.vectors)
     with _stage("cost"):
@@ -365,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("simulate", help="cycle-accurate batch simulation of the test split")
-    _add_storage_flag(p)
     p.add_argument("--trace", type=_in_range(0), default=0, metavar="N")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

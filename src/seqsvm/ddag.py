@@ -2,13 +2,12 @@
 pairwise evaluations, plus inference over it.
 
 The DAG is the classical one over the natural class order (Platt et al., NIPS
-1999), fixed by the class count n, which every walk reads from its model. A
-walk carries the interval (lo, hi) of still-alive classes from (0, n-1) and
-reads row ``pair_index(lo, hi)``. Engine output y=1 means the pair's lower
-class (trained as +1) won, so hi -= 1; y=0 means lo += 1. After n-1 steps lo
-is the class. The state is the row read: the Verilog wires row = state, from
-``pair_index(0, n-1, n)``, in ``state_bits_for(n)`` bits. The FSM's one
-description is ``transitions(n)``.
+1999), fixed by the class count n, which every walk reads from its model. Its
+FSM's one description is ``transitions(n)``: state ``pair_index(a, b)``
+compares classes a and b and reads that storage row, from
+``pair_index(0, n-1, n)``, in ``state_bits_for(n)`` bits. Engine output y=1
+means the pair's lower class (trained as +1) won. ``hdlgen`` prints that
+FSM, and every walk steps it as one table of arcs, ``_successors(n)``.
 
 A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
 ``row_pairs``, the bias as word 0. ``_walk_table`` is the library's one DAG
@@ -25,6 +24,7 @@ one summation order.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,12 +40,7 @@ def pair_index(a: int, b: int, n_classes: int) -> int:
     """Row index of pair (a, b), a < b, under lexicographic ordering."""
     if not 0 <= a < b < n_classes:
         raise ValueError(f"bad pair ({a},{b}) for {n_classes} classes")
-    return _row(a, b, n_classes)
-
-
-def _row(lo, hi, n_classes: int):
-    """pair_index without the range check, elementwise on arrays too."""
-    return lo * (2 * n_classes - 3 - lo) // 2 + hi - 1
+    return a * (2 * n_classes - 3 - a) // 2 + b - 1
 
 
 def row_pairs(kind: str, n_classes: int) -> list[tuple[int, int | None]]:
@@ -83,9 +78,19 @@ def transitions(n: int):
     for lo in range(n):
         for hi in range(lo + 1, n):
             last = hi == lo + 1
-            on_a = ("leaf", lo) if last else ("node", _row(lo, hi - 1, n))
-            on_b = ("leaf", hi) if last else ("node", _row(lo + 1, hi, n))
-            yield _row(lo, hi, n), lo, hi, on_a, on_b
+            on_a = ("leaf", lo) if last else ("node", pair_index(lo, hi - 1, n))
+            on_b = ("leaf", hi) if last else ("node", pair_index(lo + 1, hi, n))
+            yield pair_index(lo, hi, n), lo, hi, on_a, on_b
+
+
+@functools.cache
+def _successors(n: int) -> np.ndarray:
+    """``transitions(n)`` as one read-only int64 table of its arcs: entry
+    2*state + y is that state's successor on verdict y, the next state or,
+    on the last of the n-1 steps, which always reaches a leaf, the class."""
+    table = np.array([arc for *_, (_, on_a), (_, on_b) in transitions(n) for arc in (on_b, on_a)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def check_ovo(fmodel) -> None:
@@ -147,23 +152,19 @@ def score_table(table: np.ndarray, X: np.ndarray):
             yield start, col, a
 
 
-def _block_rows(n_features: int) -> int:
-    """Samples per block of ``_walk_table``: BLOCK_ELEMENTS // (m+1)."""
-    return max(1, BLOCK_ELEMENTS // (n_features + 1))
-
-
-def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None = None, record=None):
+def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None = None, record: bool = False):
     """The DAG-walk step loop over every sample, on the integer words of a
     ``kernel_words`` table and codes, or on float64 coefficients and
     features, one block of samples at a time, in ``table``'s dtype.
 
     ``table`` row r = [bias, w_1..w_m], the bias already at the products'
-    binary point. Each of the n-1 steps gathers the row of each sample's
-    pair (lo, hi) and carries the accumulator column by column: the bias,
-    then one product per feature. With ``acc_width`` (integers only) it
-    wraps after the bias load and after every MAC, and each wrap counts as
-    one overflow; with None the sums are exact integers, which an
-    unrecorded walk adds up all at once, or plain float arithmetic.
+    binary point. From state ``pair_index(0, n-1, n)``, each of the n-1
+    steps gathers the row of each sample's state and carries the accumulator
+    column by column: the bias, then one product per feature; its verdict y
+    then takes the arc ``_successors(n)[2*state + y]``. With ``acc_width``
+    (integers only) it wraps after the bias load and after every MAC, and
+    each wrap counts as one overflow; with None the sums are exact integers,
+    which an unrecorded walk adds up all at once, or plain float arithmetic.
 
     A block holds BLOCK_ELEMENTS // (m+1) samples. Its inputs are copied
     column-major into the table's dtype, and each step gathers the block's
@@ -171,14 +172,14 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
     not grow with the sample count. Yields (first sample, classes,
     final_states, overflows) per block, int64 views into buffers that the
     next block reuses; the final state is the last row read, whose verdict
-    chose the class.
-
-    ``record``, for archsim.simulate's traces, is a pair of int64 arrays
-    (states, accs) of shapes (n-1, samples) and (n-1, m+1, samples): step t
-    of sample s writes its state to states[t, s], and its accumulator after
-    column j, wrapped, to accs[t, j, s].
+    chose the class. A fifth item is None, or with ``record``, for
+    archsim.simulate's traces, the pair (states, accs): int64 views of shapes
+    (n-1, samples) and (n-1, m+1, samples) into buffers of one block, step t
+    of sample s having read row states[t, s] and held accs[t, j, s], wrapped,
+    after column j.
     """
     cols = np.ascontiguousarray(table.T)  # row j: word j of every stored row
+    arcs = _successors(n)
     # |partial sums| < 2**63 (see MAX_INPUT_BITS), so 64 or more bits never wrap
     wraps = acc_width is not None and acc_width < 64
     # a wrapping accumulator is carried plus 2**(acc_width-1), in
@@ -186,28 +187,29 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
     offset = 1 << (acc_width - 1) if wraps else 0
     # exact integer sums are the same in any order, so an unrecorded one is
     # every product at once, then one sum over the columns
-    summed = not wraps and record is None and table.dtype.kind == "i"
+    summed = not wraps and not record and table.dtype.kind == "i"
     m = X.shape[1]
-    block = _block_rows(m)
+    block = max(1, BLOCK_ELEMENTS // (m + 1))
     size = min(block, len(X))
     x_buf = np.empty((m, size), dtype=table.dtype)
     word_buf = np.empty((m + 1) * size, dtype=table.dtype)  # flat: a block's words stay contiguous
     spare_buf = np.empty(size, dtype=table.dtype)
-    lo_buf, hi_buf, state_buf, overflow_buf = (np.empty(size, dtype=np.int64) for _ in range(4))
+    state_buf, arc_buf, class_buf, overflow_buf = (np.empty(size, dtype=np.int64) for _ in range(4))
     won_buf = np.empty(size, dtype=bool)
+    if record:
+        states_buf = np.empty((n - 1, size), dtype=np.int64)
+        accs_buf = np.empty((n - 1, m + 1, size), dtype=np.int64)
     for start in range(0, len(X), block):
         k = min(block, len(X) - start)
         x, words = x_buf[:, :k], word_buf[:(m + 1) * k].reshape(m + 1, k)
         x[...] = X[start:start + k].T
-        lo, hi, state, overflow, won = lo_buf[:k], hi_buf[:k], state_buf[:k], overflow_buf[:k], won_buf[:k]
-        lo.fill(0)
-        hi.fill(n - 1)
+        state, arc, classes, overflow, won = state_buf[:k], arc_buf[:k], class_buf[:k], overflow_buf[:k], won_buf[:k]
+        state.fill(pair_index(0, n - 1, n))
         overflow.fill(0)
         for step in range(n - 1):
-            state[...] = _row(lo, hi, n)
-            if record is not None:
-                record[0][step, start:start + k] = state
-                trace = record[1][step, :, start:start + k]
+            if record:
+                states_buf[step, :k] = state
+                trace = accs_buf[step, :, :k]
             np.take(cols, state, axis=1, out=words, mode="clip")
             # the bias load into word 0's row, then each MAC adds a product
             # made in its word's row; spare is always a consumed row or spare_buf
@@ -228,12 +230,14 @@ def _walk_table(n: int, table: np.ndarray, X: np.ndarray, acc_width: int | None 
                     np.not_equal(spare, acc, out=won)
                     overflow += won
                     acc, spare = spare, acc
-                if record is not None:
+                if record:
                     np.subtract(acc, offset, out=trace[col])
             np.greater_equal(acc, offset, out=won)  # the pair's lower class won
-            hi -= won
-            lo += np.logical_not(won, out=won)
-        yield start, lo, state, overflow
+            np.left_shift(state, 1, out=arc)
+            arc += won
+            # the last step's arcs end at the classes; state keeps the row read
+            np.take(arcs, arc, out=classes if step == n - 2 else state, mode="clip")
+        yield start, classes, state, overflow, (states_buf[:, :k], accs_buf[:, :, :k]) if record else None
 
 
 def walk_batch(qm, codes, acc_width: int | None = None):
@@ -248,7 +252,7 @@ def walk_batch(qm, codes, acc_width: int | None = None):
     """
     X = qm.input_codes(codes)
     results = tuple(np.empty(len(X), dtype=np.int64) for _ in range(3))
-    for start, *block in _walk_table(qm.n_classes, kernel_words(qm, acc_width), X, acc_width):
+    for start, *block, _ in _walk_table(qm.n_classes, kernel_words(qm, acc_width), X, acc_width):
         for result, part in zip(results, block):
             result[start:start + len(part)] = part
     return results
@@ -275,6 +279,6 @@ def ddag_predict_float(fmodel, features) -> np.ndarray:
     check_ovo(fmodel)
     X = float_features(fmodel, features)
     classes = np.empty(len(X), dtype=np.int64)
-    for start, lo, _, _ in _walk_table(fmodel.n_classes, fmodel.coefs, X):
-        classes[start:start + len(lo)] = lo
+    for start, block_classes, *_ in _walk_table(fmodel.n_classes, fmodel.coefs, X):
+        classes[start:start + len(block_classes)] = block_classes
     return classes

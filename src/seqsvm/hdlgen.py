@@ -220,10 +220,12 @@ module {name}_tb;
                 @(negedge clk) start = 1'b0;
                 for (i = 0; i < budget; i = i + 1) @(negedge clk);
                 nvec = nvec + 1;
-                if (!done || class_out !== exp_class[{r.class_bits - 1}:0]) begin
+                // a leaf arm leaves the state on the last row read
+                if (!done || class_out !== exp_class[{r.class_bits - 1}:0]
+                        || dut.state !== exp_state[{r.state_bits - 1}:0]) begin
                     errors = errors + 1;
-                    $display("FAIL vector %0d: done=%b class=%0d expected=%0d",
-                             nvec, done, class_out, exp_class);
+                    $display("FAIL vector %0d: done=%b class=%0d state=%0d expected=%0d %0d",
+                             nvec, done, class_out, dut.state, exp_class, exp_state);
                 end
             end
         end

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from seqsvm.archsim import CycleRecord, SimTrace, rtl
 from seqsvm.dataset import Dataset
-from seqsvm.ddag import _row, kernel_words, pair_index, row_pairs
+from seqsvm.ddag import kernel_words, pair_index, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat
 from seqsvm.modelio import dumps_canonical, model_doc
 from seqsvm.quant import QuantizedModel, profile_accumulator, quantize_model
@@ -188,7 +188,7 @@ def _walk(n: int, decide) -> tuple[int, list[tuple[int, int]]]:
     lo, hi = 0, n - 1
     evaluations = []
     while lo < hi:
-        row = _row(lo, hi, n)
+        row = pair_index(lo, hi, n)
         y = 1 if decide(row) else 0
         evaluations.append((row, y))
         if y:

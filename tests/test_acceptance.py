@@ -131,7 +131,7 @@ def test_criterion_05_ddag_structure():
 def test_criterion_06_register_census():
     for name, (n, m) in TABLE_SHAPES.items():
         qm, _ = shaped_model(name)
-        expected = qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
+        expected = qm.acc_width + math.ceil(math.log2(m + 1)) + state_bits_for(n)
         r = rtl(qm)
         assert r.acc_bits + r.counter_bits + r.state_bits == r.register_bits == expected
         assert estimate(qm).register_bits == expected

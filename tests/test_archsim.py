@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from helpers import (
 from seqsvm.archsim import rtl, simulate, simulate_batch, trace_to_text
 from seqsvm.cost import STORAGE_KINDS, TechConfig, estimate
 from seqsvm.ddag import ddag_predict_quant, pair_count, pair_index, state_bits_for
-from seqsvm.fxp import U4_4, FxpFormat
+from seqsvm.fxp import BLOCK_ELEMENTS, U4_4, FxpFormat
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.quant import QuantizedModel, quantize_inputs
 
@@ -28,7 +29,7 @@ def test_simulate_equals_the_step_function_reference(case):
     # shapes, parameter and input widths, and undersized accumulators: one
     # trace per row, each the reference's record for record
     qm, codes = case
-    assert simulate(qm, codes) == [reference_simulate(qm, row)[1] for row in codes]
+    assert list(simulate(qm, codes)) == [reference_simulate(qm, row)[1] for row in codes]
 
 
 def _model(m, weights, bias, param_bits, acc_width):
@@ -97,7 +98,7 @@ class TestStorage:
         qm, codes = random_quantized_model(3, 4, 5, seed=2)
         before = qm.words.tobytes()
         simulate_batch(qm, codes, np.zeros(len(codes)))
-        simulate(qm, codes[:1])
+        list(simulate(qm, codes[:1]))
         ddag_predict_quant(qm, codes[:1])
         emit_golden_vectors(qm, codes, 5)
         assert qm.words.tobytes() == before
@@ -154,8 +155,11 @@ class TestEngine:
         def counter_bits(m):
             return rtl(random_quantized_model(2, m, 4, seed=0)[0]).counter_bits
 
-        assert counter_bits(1) == 2   # counts 0..2
-        assert counter_bits(17) == 5  # counts 0..18
+        assert counter_bits(1) == 1   # counts 0..1
+        assert counter_bits(3) == 2   # counts 0..3
+        assert counter_bits(15) == 4  # counts 0..15
+        assert counter_bits(17) == 5  # counts 0..17
+        assert counter_bits(31) == 5
         assert counter_bits(33) == 6
 
 
@@ -230,6 +234,26 @@ class TestSimulate:
         total = sum(trace.overflows for trace in simulate(qm, codes))
         assert total > 0
 
+    def test_memory_does_not_grow_with_the_rows(self):
+        # traces consumed and dropped one by one: the peak at 8 walk blocks
+        # of rows is that at 2 blocks, within 10%; a simulator that held
+        # every row's records at once would need about 4 times as much
+        m = 255
+        qm, _ = random_quantized_model(2, m, 4, seed=0)
+        block = BLOCK_ELEMENTS // (m + 1)
+
+        def peak(blocks):
+            codes = np.random.default_rng(blocks).integers(0, 16, (blocks * block, m))
+            tracemalloc.start()
+            try:
+                for _ in simulate(qm, codes):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.1 * peak(2)
+
 
 class TestBatch:
     def test_empty_rejected(self):
@@ -259,9 +283,9 @@ class TestCensusAndTrace:
         qm, _ = shaped_model(name)
         n, m = TABLE_SHAPES[name]
         r = rtl(qm)
-        assert r.counter_bits == math.ceil(math.log2(m + 2))
+        assert r.counter_bits == math.ceil(math.log2(m + 1))
         assert r.state_bits == state_bits_for(n)
-        assert r.register_bits == qm.acc_width + math.ceil(math.log2(m + 2)) + state_bits_for(n)
+        assert r.register_bits == qm.acc_width + math.ceil(math.log2(m + 1)) + state_bits_for(n)
 
     @pytest.mark.parametrize("n, m, class_bits", [(2, 1, 1), (3, 4, 2), (5, 2, 3), (10, 17, 4), (26, 33, 5)])
     def test_record_widths_and_counts(self, n, m, class_bits):

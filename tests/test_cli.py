@@ -331,7 +331,7 @@ def test_storage_choices_are_the_cost_model_kinds():
         for name, sub in commands.items()
         if any(a.dest == "storage" for a in sub._actions)
     }
-    assert choices == dict.fromkeys(["run", "simulate", "cost", "compare"], STORAGE_KINDS)
+    assert choices == dict.fromkeys(["run", "cost", "compare"], STORAGE_KINDS)
 
 
 def test_unknown_subcommand_exits_one():
@@ -357,8 +357,6 @@ def test_compare_two_class(tmp_path, capsys):
 def test_rom_storage_flag(synth_csv, tmp_path):
     out = tmp_path / "rom"
     assert main(_run_args(synth_csv, out, ["--storage", "rom"])) == 0
-    sim = json.loads((out / "sim_report.json").read_text())
-    assert sim["storage"] == "rom"
     cost = json.loads((out / "cost_report.json").read_text())
     assert cost["design"] == "sequential-rom"
 

@@ -1,17 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import _interval_walk_oracle, bias_only_model, integer_twin, random_quantized_model, reference_graph
+from helpers import _interval_walk_oracle, _walk, bias_only_model, integer_twin, random_quantized_model, reference_graph
 from seqsvm.archsim import simulate
 from seqsvm.ddag import (
+    _successors,
     ddag_predict_float,
     ddag_predict_quant,
     pair_count,
     pair_index,
     row_pairs,
     state_bits_for,
+    transitions,
 )
 from seqsvm.fxp import U4_4
 from seqsvm.modelio import ddag_to_dict
@@ -118,6 +121,33 @@ class TestBuild:
         # the derived transitions are the node graph, beyond the CLI's shapes
         for n in range(2, 41):
             assert ddag_to_dict(n) == _reference_doc(reference_graph(n))
+
+    @pytest.mark.parametrize("n", range(2, 27))
+    def test_successor_table_is_the_fsm(self, n):
+        # entry 2*state + y is the target of transitions(n)'s arc on verdict y
+        table = _successors(n)
+        assert table.dtype == np.int64 and len(table) == 2 * pair_count(n)
+        assert table.tolist() == [
+            target for state, _, _, on_a, on_b in transitions(n) for (_, target) in (on_b, on_a)
+        ]
+        assert _successors(n) is table  # built once per class count
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_successor_walk_is_the_interval_walk(self, n):
+        # under every verdict sequence, n-1 steps from the initial state read
+        # the interval walk's rows, and the last arc is its class
+        table = _successors(n).tolist()
+        for verdicts in itertools.product((0, 1), repeat=n - 1):
+            state, rows = pair_index(0, n - 1, n), []
+            for y in verdicts:
+                rows.append(state)
+                state = table[2 * state + y]
+            ys = iter(verdicts)
+            cls, evaluations = _walk(n, lambda row: next(ys))
+            assert evaluations == list(zip(rows, verdicts))
+            assert state == cls
 
     @pytest.mark.parametrize("n", [0, 1, 2.0, True, "3"])
     def test_rejects_anything_but_an_integer_count_of_two_or_more(self, n):

@@ -91,6 +91,17 @@ class TestGenerate:
         assert class_literals <= set(range(qm.n_classes))
 
 
+    def test_testbench_checks_the_final_state(self):
+        # a vector fails on its final FSM state as well as on done and class
+        qm, _ = random_quantized_model(5, 3, 4, seed=8)
+        r = rtl(qm)
+        tb = generate(qm).testbench
+        condition = re.search(r"if \((!done .*?)\) begin\n\s*errors = errors \+ 1;", tb, re.S).group(1)
+        assert f"class_out !== exp_class[{r.class_bits - 1}:0]" in condition
+        assert f"dut.state !== exp_state[{r.state_bits - 1}:0]" in condition
+        assert re.search(r'\$display\("FAIL vector [^;]*state=%0d[^;]*dut\.state', tb)
+
+
 class TestGoldenVectors:
     def test_count_zero_headers_only(self):
         qm, codes = random_quantized_model(3, 4, 4, seed=3)

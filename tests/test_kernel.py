@@ -238,7 +238,7 @@ def test_narrow_kernels_return_what_int64_kernels_return(case):
         bound = _row_bound(qm) + (1 << acc_width if wraps else 0)
         assert kernel_words(qm, acc_width).dtype == _narrowest(max(qm.input_fmt.raw_max, bound))
         expected = [np.concatenate(part) for part in zip(*(
-            [a.copy() for a in block] for _, *block in _walk_table(qm.n_classes, table, X, acc_width)
+            [a.copy() for a in block] for _, *block, _ in _walk_table(qm.n_classes, table, X, acc_width)
         ))]
         assert [a.tolist() for a in walk_batch(qm, X, acc_width)] == [a.tolist() for a in expected]
     lo, hi = int(table[:, 0].min()), int(table[:, 0].max())
@@ -402,7 +402,7 @@ def test_integer_walks_at_block_edges(n_samples):
         assert ddag_predict_quant(qm, view).tolist() == exact
         assert [a.tolist() for a in walk_batch(qm, view, qm.acc_width)] == list(expected)
     # at one block and one row, the traces' recording crosses a block edge
-    assert simulate(qm, codes) == [t for _, t in wrapped]
+    assert list(simulate(qm, codes)) == [t for _, t in wrapped]
 
 
 @pytest.mark.parametrize("n_samples", _block_edges(8))
