@@ -15,7 +15,8 @@
 # otherwise. Prints a Markdown table of each workload's combined artifact
 # digest, of the stages' ("stages") and the refusal, on both sides; then,
 # per workload and for the stages, the names of the files whose sha256
-# differs between the sides (or exists on one side only), from each side's
+# differs between the sides (or exists on one side only; a directory with
+# more than 3 such files is named once, with their count), from each side's
 # `.bench_run/<workload>/digests-seed<SEED>.json` and a per-file digest of
 # its stages directory. Prints only; the exit status says whether both runs
 # produced digests, not whether they match.
@@ -95,7 +96,18 @@ echo
 echo "| workload | files that differ |"
 echo "|---|---|"
 for workload in $workloads stages; do
+    # a directory with more than 3 differing files is named once, with its count
     differ=$(LC_ALL=C join -a 1 -a 2 -e missing -o 0,1.2,2.2 <(files "$base_dir" "$workload") <(files . "$workload") |
-        awk '$2 != $3 { printf "%s`%s`", sep, $1; sep = ", " }')
+        awk 'function dir(path) { sub(/[^\/]*$/, "", path); return path }
+             $2 != $3 { paths[++n] = $1; count[dir($1)]++ }
+             END {
+                 for (i = 1; i <= n; i++) {
+                     d = dir(paths[i])
+                     if (d == "" || count[d] <= 3) item = "`" paths[i] "`"
+                     else if (!(d in named)) { item = "`" d "` (" count[d] " files)"; named[d] = 1 }
+                     else continue
+                     printf "%s%s", sep, item; sep = ", "
+                 }
+             }')
     echo "| $workload | ${differ:-none} |"
 done

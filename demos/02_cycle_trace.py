@@ -22,17 +22,20 @@ print(f"input codes: {codes}")
 trace, = simulate(qm, [codes])  # one trace per row of the code matrix
 cls = trace.out_class
 n, m = qm.n_classes, qm.n_features
-print(f"class {cls} after {trace.cycles} cycles "
+verdicts = [rec for rec in trace.records if rec.counter == m]  # one per evaluation
+print(f"class {cls} after {len(trace.records)} cycles "
       f"(= ({n}-1) x ({m}+1) = {rtl(qm).cycles}), "
-      f"{trace.evaluations} support vectors evaluated, {trace.overflows} overflows")
+      f"{len(verdicts)} support vectors evaluated, {trace.overflows} overflows")
 
-# the cycle-exact record; engine output y only matters on the ready cycle
+# the cycle-exact record: each field is the _top.v signal of that name during
+# its clock; y is the sign of every partial sum, and the FSM branches on it
+# only where the counter is m, the last word of a support vector
 print("\nfirst evaluation plus the handoff into the second:")
 for line in trace_to_text(trace).splitlines()[: m + 4]:
     print(" ", line)
 
-# the walk's path: the FSM state and engine verdict of each ready cycle
-print("\nwalk (row, engine y):", [(rec.fsm_state, rec.y) for rec in trace.records if rec.ready])
+# the walk's path: the FSM state and engine verdict of each evaluation
+print("\nwalk (row, engine y):", [(rec.state, rec.y) for rec in verdicts])
 # with no overflow the simulation's class is the exact integer walk's
 ref_cls = int(ddag_predict_quant(qm, [codes])[0])
 assert trace.overflows or ref_cls == cls

@@ -29,7 +29,7 @@ vote = FloatSvmModel("ovo", 3, 1, rows).predict([[0.0]])[0]
 cycle = QuantizedModel(3, 1, U4_4, 8, rows, [1.0] * 3)
 cycle.acc_width = 8
 trace, = simulate(cycle, [[0]])
-path = [rec.fsm_state for rec in trace.records if rec.ready]
+path = [rec.state for rec in trace.records if rec.counter == 0]
 print(f"\nCondorcet cycle: vote ties 1-1-1 and breaks to class {vote}; "
       f"the DAG walks {path} and lands on class {trace.out_class}")
 

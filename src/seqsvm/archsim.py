@@ -17,7 +17,8 @@ Every function takes the model alone: the DAG is that of ``qm.n_classes``.
 Both simulations run ``ddag._walk_table``, the library's one DAG walk, with
 the wrapping accumulator. ``simulate_batch`` runs it through
 ``ddag.walk_batch`` for classes and overflow counts; ``simulate`` has it
-record every step's state and accumulator, and yields one trace per sample.
+record every step's state and accumulator, and yields one trace per sample,
+a record per clock of the ``_top.v`` signals that ``CycleRecord`` names.
 """
 
 from __future__ import annotations
@@ -74,24 +75,21 @@ def rtl(qm: QuantizedModel) -> Rtl:
 
 
 class CycleRecord(NamedTuple):
-    """One cycle; a trace line prints the fields in this order."""
+    """One clock of a classification: each field is the ``_top.v`` signal of
+    that name during clock ``cycle``, before its edge; cycle 0 is the first
+    clock after ``start``. A trace line prints the fields in this order."""
 
     cycle: int
-    fsm_state: int
-    counter: int
-    fetched_row: int
-    fetched_col: int
-    fetched_word: int
-    acc_after: int
-    ready: bool
-    y: int
+    state: int     # the FSM state, which is also the storage row read
+    counter: int   # the column read, 0 (the bias) .. m; at m, y is the verdict
+    word: int      # the stored word at (state, counter)
+    acc_next: int  # the accumulator the edge loads, wrapped to acc_bits
+    y: int         # 1 when acc_next >= 0
 
 
 @dataclass
 class SimTrace:
     records: list
-    cycles: int
-    evaluations: int
     overflows: int
     final_state: int
     out_class: int
@@ -118,17 +116,17 @@ def simulate(qm: QuantizedModel, codes) -> Iterator[SimTrace]:
 
 def _traces(qm: QuantizedModel, blocks):
     """simulate's traces, from the blocks of its recording walk."""
-    n, m = qm.n_classes, qm.n_features
+    m = qm.n_features
     words = qm.words.tolist()
     for _, *ends, (states, accs) in blocks:
         rows = zip(zip(*(end.tolist() for end in ends)), states.T.tolist(), accs.transpose(2, 0, 1).tolist())
         for (out_class, final_state, overflows), path, sums in rows:
             records = [
-                CycleRecord(step * (m + 1) + col, state, col + 1, state, col, word, acc, col == m, int(acc >= 0))
+                CycleRecord(step * (m + 1) + col, state, col, word, acc, int(acc >= 0))
                 for step, (state, step_sums) in enumerate(zip(path, sums))
                 for col, (word, acc) in enumerate(zip(words[state], step_sums))
             ]
-            yield SimTrace(records, len(records), n - 1, overflows, final_state, out_class)
+            yield SimTrace(records, overflows, final_state, out_class)
 
 
 @dataclass
@@ -165,11 +163,12 @@ def simulate_batch(qm: QuantizedModel, codes_matrix, labels) -> BatchResult:
 
 
 def trace_to_text(trace: SimTrace) -> str:
-    """One record per line, fixed field order, '#' header."""
+    """'#' header, one record per line, then the totals; an evaluation starts where counter is 0."""
+    records = trace.records
     line = " ".join(["%d"] * len(CycleRecord._fields))
-    lines = ["# " + " ".join(CycleRecord._fields), *(line % rec for rec in trace.records)]
+    lines = ["# " + " ".join(CycleRecord._fields), *(line % rec for rec in records)]
     lines.append(
-        f"# totals cycles={trace.cycles} evaluations={trace.evaluations} "
+        f"# totals cycles={len(records)} evaluations={sum(rec.counter == 0 for rec in records)} "
         f"overflows={trace.overflows} class={trace.out_class} final_state={trace.final_state}"
     )
     return "\n".join(lines) + "\n"

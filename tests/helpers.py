@@ -1,7 +1,8 @@
 """Shared builders for randomized and shape-pinned quantized models, model
 documents, and the reference node graph of the DDAG; and the test-side
 oracles that the library's one DAG walk, ``ddag._walk_table``, is held to:
-the step-function cycle simulator, the scalar walks and the max-wins vote."""
+the scalar walks and the max-wins vote. The cycle-by-cycle oracle is the
+emitted Verilog, read back and stepped (tests/verilog.py)."""
 
 import json
 from dataclasses import dataclass
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from seqsvm.archsim import CycleRecord, SimTrace, rtl
 from seqsvm.dataset import Dataset
 from seqsvm.ddag import kernel_words, pair_index, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat
@@ -61,8 +61,7 @@ class RefGraph:
 
 def reference_graph(n):
     """The natural DDAG over classes 0..n-1 as an explicit node graph, built
-    pair by pair: the reference for the derived ``ddag.transitions`` and for
-    the walks."""
+    pair by pair: the reference for the derived ``ddag.transitions``."""
     nodes = {}
     for lo in range(n):
         for hi in range(lo + 1, n):
@@ -83,83 +82,6 @@ def wrap(value, width: int):
     """Truncate an integer into width-bit two's complement (hardware wrap)."""
     half = 1 << (width - 1)
     return ((value + half) & ((1 << width) - 1)) - half
-
-
-# ---------------------------------------------------------------------------
-# Reference: the cycle simulator as separate engine and FSM step functions,
-# with the FSM stepping through the explicit node graph of reference_graph.
-# archsim.simulate is held to it record for record.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EngineState:
-    acc: int = 0
-    counter: int = 0     # words consumed so far, in [0, m+1]
-    ready: bool = False  # counter reached m+1
-    y: int = 0           # 1 iff acc >= 0 (meaningful at ready)
-
-
-def engine_step(st, word, input_code, acc_width, n_features):
-    """Advance the engine by one cycle; returns (state, overflowed)."""
-    if st.ready:
-        raise ValueError("engine already ready; reset before reuse")
-    value = word if st.counter == 0 else st.acc + word * input_code
-    st.acc = wrap(value, acc_width)
-    overflowed = st.acc != value
-    st.counter += 1
-    st.ready = st.counter == n_features + 1
-    st.y = 1 if st.acc >= 0 else 0
-    return st, overflowed
-
-
-@dataclass(frozen=True)
-class FsmState:
-    state: int
-    done: bool = False
-    out_class: int | None = None
-
-
-def fsm_step(fs, graph, y):
-    """Consume one engine verdict; leaves keep the deciding node as the state."""
-    if fs.done:
-        raise ValueError("FSM already done")
-    node = graph.nodes[fs.state]
-    kind, target = node.on_a_wins if y else node.on_b_wins
-    if kind == "leaf":
-        return FsmState(fs.state, True, target)
-    return FsmState(target, False, None)
-
-
-def reference_simulate(qm, codes):
-    """One classification of the input codes ``codes``: (class, SimTrace)."""
-    acc_width = rtl(qm).acc_bits
-    m = qm.n_features
-    words = qm.words
-    shift = qm.bias_shift
-    graph = reference_graph(qm.n_classes)
-    fs = FsmState(graph.initial_state)
-    records = []
-    cycle = evaluations = overflows = 0
-    for _ in range(qm.n_classes - 1):
-        row = fs.state
-        st = EngineState()
-        for col in range(m + 1):
-            word = int(words[row, col])
-            if col == 0:
-                st, ovf = engine_step(st, word << shift, 0, acc_width, m)
-            else:
-                st, ovf = engine_step(st, word, int(codes[col - 1]), acc_width, m)
-            overflows += ovf
-            records.append(CycleRecord(cycle, fs.state, st.counter, row, col, word, st.acc, st.ready, st.y))
-            cycle += 1
-        evaluations += 1
-        fs = fsm_step(fs, graph, st.y)
-        if fs.done:
-            break
-    else:
-        raise ValueError("the FSM did not finish after n-1 evaluations")
-    return fs.out_class, SimTrace(records, cycle, evaluations, overflows, fs.state, fs.out_class)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from helpers import (
     bias_only_model,
     profiled_cases,
     random_quantized_model,
-    reference_simulate,
     shaped_model,
     wrap,
 )
@@ -21,15 +20,16 @@ from seqsvm.ddag import ddag_predict_quant, pair_count, pair_index, state_bits_f
 from seqsvm.fxp import BLOCK_ELEMENTS, U4_4, FxpFormat
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.quant import QuantizedModel, quantize_inputs
+from verilog import stepped
 
 
 @settings(max_examples=150, deadline=None)
 @given(profiled_cases())
 def test_simulate_equals_the_step_function_reference(case):
     # shapes, parameter and input widths, and undersized accumulators: one
-    # trace per row, each the reference's record for record
+    # trace per row, each the emitted Verilog's, stepped, record for record
     qm, codes = case
-    assert list(simulate(qm, codes)) == [reference_simulate(qm, row)[1] for row in codes]
+    assert list(simulate(qm, codes)) == stepped(qm, codes)
 
 
 def _model(m, weights, bias, param_bits, acc_width):
@@ -58,7 +58,7 @@ class TestStorage:
         assert (words.shape, words.dtype) == ((6, 7), np.int64)
         trace, = simulate(qm, codes[:1])
         for rec in trace.records:
-            assert rec.fetched_word == words[rec.fetched_row, rec.fetched_col]
+            assert rec.word == words[rec.state, rec.counter]
         tech = TechConfig()
         if kind == "mux":
             priced = words.size * bits * tech.mux_per_input_cost
@@ -71,11 +71,11 @@ class TestStorage:
         # word 0 of a row is its bias: it loads the accumulator, shifted
         qm, codes = random_quantized_model(3, 4, 5, seed=7)
         trace, = simulate(qm, codes[:1])
-        loads = [rec for rec in trace.records if rec.fetched_col == 0]
+        loads = [rec for rec in trace.records if rec.counter == 0]
         assert len(loads) == 2
         for rec in loads:
-            assert rec.fetched_word == qm.words[rec.fetched_row, 0]
-            assert rec.acc_after == wrap(rec.fetched_word << qm.bias_shift, qm.acc_width)
+            assert rec.word == qm.words[rec.state, 0]
+            assert rec.acc_next == wrap(rec.word << qm.bias_shift, qm.acc_width)
 
     def test_rom_dot_count(self):
         # the cost model prices ceil(word_bits/2) two-bit dots per stored word
@@ -123,24 +123,33 @@ class TestStorage:
 
 class TestEngine:
     def test_zero_model_ready_after_m_plus_one(self):
+        # the verdict is y on the cycle whose counter is m, the (m+1)-th
         m = 4
         trace, = simulate(_model(m, [0] * m, 0, 4, 8), [[0] * m])
-        assert [rec.counter for rec in trace.records] == list(range(1, m + 2))
-        assert [rec.ready for rec in trace.records] == [False] * m + [True]
+        assert [rec.counter == m for rec in trace.records] == [False] * m + [True]
         assert trace.overflows == 0
         assert trace.records[-1].y == 1  # 0 >= 0
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 15, 31])
+    def test_counter_is_the_register(self, m):
+        # the counter runs 0..m in each evaluation, so it fits its register,
+        # which holds exactly 0..m when m+1 is a power of two
+        qm, codes = random_quantized_model(3, m, 4, seed=m)
+        assert 1 << rtl(qm).counter_bits == m + 1
+        trace, = simulate(qm, codes[:1])
+        assert [rec.counter for rec in trace.records] == list(range(m + 1)) * 2
 
     def test_hand_example(self):
         # bias 0, then w=-7 times x=15
         trace, = simulate(_model(1, [-7], 0, 4, 9), [[15]])
         last = trace.records[-1]
-        assert (last.acc_after, last.y, last.ready, trace.overflows) == (-105, 0, True, 0)
+        assert (last.acc_next, last.y, last.counter, trace.overflows) == (-105, 0, 1, 0)
         assert trace.out_class == 1
 
     def test_overflow_wraps_and_flags(self):
         # 7 << 4 = 112, + 8*1 = 120, + 7*2 = 134 wraps at 8 bits
         trace, = simulate(_model(2, [8, 7], 7, 8, 8), [[1, 2]])
-        assert [rec.acc_after for rec in trace.records] == [112, 120, wrap(134, 8)]
+        assert [rec.acc_next for rec in trace.records] == [112, 120, wrap(134, 8)]
         assert wrap(134, 8) == -122
         assert trace.overflows == 1
 
@@ -148,7 +157,7 @@ class TestEngine:
         # the bias loads as 13 << 4 = 208, beyond 8 bits
         trace, = simulate(_model(1, [0], 13, 8, 8), [[0]])
         first = trace.records[0]
-        assert (first.fetched_word, first.acc_after) == (13, wrap(208, 8))
+        assert (first.word, first.acc_next) == (13, wrap(208, 8))
         assert trace.overflows == 1
 
     def test_counter_bits(self):
@@ -166,14 +175,16 @@ class TestEngine:
 class TestFsm:
     def test_two_class_single_step(self):
         trace, = simulate(bias_only_model(2, [1]), [[0]])
-        assert trace.out_class == 0 and trace.evaluations == 1
+        assert trace.out_class == 0 and len(trace.records) == 2  # one evaluation of m+1 = 2 words
         assert trace.final_state == pair_index(0, 1, 2)  # deciding node is retained
 
     @pytest.mark.parametrize("n,steps", [(4, 3), (10, 9)])
     def test_path_lengths(self, n, steps):
         # lower class always wins -> leaf 0
         trace, = simulate(bias_only_model(n, [1] * pair_count(n)), [[0]])
-        assert trace.evaluations == steps and trace.out_class == 0
+        path = [rec.state for rec in trace.records if rec.counter == 0]
+        assert path == [pair_index(0, hi, n) for hi in range(n - 1, 0, -1)]
+        assert len(trace.records) == 2 * steps and trace.out_class == 0
 
 
 class TestSimulate:
@@ -183,8 +194,8 @@ class TestSimulate:
     def test_cycle_counts(self, n, m, cycles):
         qm, codes = random_quantized_model(n, m, 6, seed=4)
         trace, = simulate(qm, codes[:1])
-        assert trace.cycles == cycles == (n - 1) * (m + 1)
-        assert trace.evaluations == n - 1
+        assert len(trace.records) == cycles == (n - 1) * (m + 1)
+        assert sum(rec.counter == 0 for rec in trace.records) == n - 1
 
     def test_matches_reference_walk(self):
         qm, codes = random_quantized_model(5, 7, 5, seed=6)
@@ -196,25 +207,23 @@ class TestSimulate:
         # the kind changes only what the cost model prices: both kinds serve
         # the one word table the simulator reads, in the same cycles
         qm, codes = random_quantized_model(4, 5, 7, seed=8)
-        cycles = {trace.cycles for trace in simulate(qm, codes[:30])}
+        cycles = {len(trace.records) for trace in simulate(qm, codes[:30])}
         for storage in STORAGE_KINDS:
             assert {estimate(qm, storage).latency_cycles} == cycles
 
     def test_trace_structure(self):
         qm, codes = random_quantized_model(3, 2, 4, seed=2)
         trace, = simulate(qm, codes[:1])
-        assert len(trace.records) == trace.cycles == 2 * 3
+        assert len(trace.records) == 2 * 3
         for i, rec in enumerate(trace.records):
-            assert rec.cycle == i
-            assert rec.fetched_col == i % 3
-            assert rec.counter == rec.fetched_col + 1
-            assert rec.ready == (rec.fetched_col == 2)
-        # column 0 always fetches the row's bias word
-        for rec in trace.records:
-            if rec.fetched_col == 0:
-                assert rec.fetched_word == qm.words[rec.fetched_row, 0]
+            assert (rec.cycle, rec.counter) == (i, i % 3)
+            assert rec.word == qm.words[rec.state, rec.counter]  # counter 0 reads the bias
+            assert rec.y == int(rec.acc_next >= 0)
+        # each evaluation's verdict is y where the counter is m: the walk's path
+        (first, y), (second, _) = [(rec.state, rec.y) for rec in trace.records if rec.counter == 2]
+        assert (first, second) == (pair_index(0, 2, 3), pair_index(0, 1, 3) if y else pair_index(1, 2, 3))
+        assert trace.final_state == second
         assert trace.out_class == _interval_walk_oracle(qm, codes[0])
-        assert trace.final_state in range(pair_count(3))
 
     def test_wrong_code_count_rejected(self):
         qm, _ = random_quantized_model(2, 3, 4, seed=0)
@@ -306,11 +315,12 @@ class TestCensusAndTrace:
         trace, = simulate(qm, codes[:1])
         text = trace_to_text(trace)
         lines = text.strip().split("\n")
-        assert lines[0].startswith("# cycle fsm_state counter")
-        assert len(lines) == trace.cycles + 2  # header + records + totals
-        first = lines[1].split()
-        assert [int(x) for x in first[:5]] == [0, pair_index(0, 2, 3), 1, pair_index(0, 2, 3), 0]
+        assert lines[0] == "# cycle state counter word acc_next y"
+        assert len(lines) == 2 * 5 + 2  # header + records + totals
+        bias = int(qm.words[pair_index(0, 2, 3), 0])
+        acc = wrap(bias << qm.bias_shift, qm.acc_width)
+        assert lines[1] == f"0 {pair_index(0, 2, 3)} 0 {bias} {acc} {int(acc >= 0)}"
         assert lines[-1] == (
-            f"# totals cycles={trace.cycles} evaluations=2 overflows=0 "
+            f"# totals cycles=10 evaluations=2 overflows=0 "
             f"class={trace.out_class} final_state={trace.final_state}"
         )

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_simulate
 from seqsvm.archsim import trace_to_text
 from seqsvm.cli import _ingest, _load_model, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
@@ -26,6 +25,7 @@ from seqsvm.modelio import (
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import separable_blobs
 from seqsvm.fxp import FxpFormat
+from verilog import stepped
 
 ARTIFACTS = [
     "float_model.json",
@@ -108,11 +108,10 @@ def test_stage_isolation_matches_one_shot(synth_csv, full_run, tmp_path):
 
 
 def test_run_traces_are_the_reference_simulator_s(full_run):
-    # the batch walk's records, as text, for the first three test rows
+    # the stepped Verilog's records, as text, for the first three test rows
     _, (config, *_, qm) = _load_model(full_run)
     codes = quantize_inputs(_ingest(config)[1], qm.input_fmt)
-    for i, row in enumerate(codes[:3]):
-        _, trace = reference_simulate(qm, row)
+    for i, trace in enumerate(stepped(qm, codes[:3])):
         assert (full_run / "traces" / f"trace_{i:03d}.txt").read_text() == trace_to_text(trace)
 
 

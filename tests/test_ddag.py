@@ -39,9 +39,10 @@ def _all_paths(graph):
     return paths
 
 
-def _path(trace):
-    """The (state, y) of each evaluation of a simulated walk: its ready cycles."""
-    return [(rec.fsm_state, rec.y) for rec in trace.records if rec.ready]
+def _path(trace, m):
+    """The (state, y) of each evaluation of a simulated walk of an m-feature
+    model: the records whose counter is m, where y is the verdict."""
+    return [(rec.state, rec.y) for rec in trace.records if rec.counter == m]
 
 
 def _reference_doc(graph):
@@ -166,18 +167,18 @@ class TestInfer:
         qm = bias_only_model(2, [0])
         trace, = simulate(qm, [[0]])
         assert trace.out_class == 0
-        assert _path(trace) == [(0, 1)]
+        assert _path(trace, 1) == [(0, 1)]
 
     def test_four_class_six_feature_shape(self):
         qm, codes = random_quantized_model(4, 6, 4, seed=0)
         trace, = simulate(qm, codes[:1])
-        assert len(_path(trace)) == trace.evaluations == 3
+        assert len(_path(trace, 6)) == len(trace.records) // 7 == 3
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_always_n_minus_one_evaluations(self, n):
         qm, codes = random_quantized_model(n, 4, 5, seed=n)
         for trace in simulate(qm, codes[:30]):
-            assert len(_path(trace)) == trace.evaluations == n - 1
+            assert len(_path(trace, 4)) == len(trace.records) // 5 == n - 1
 
     def test_matches_interval_oracle(self):
         for seed in range(5):
@@ -190,7 +191,7 @@ class TestInfer:
         qm, codes = random_quantized_model(6, 4, 5, seed=9)
         for trace in simulate(qm, codes[:40]):
             assert trace.overflows == 0
-            for rid, y in _path(trace):
+            for rid, y in _path(trace, 4):
                 class_a, class_b = row_pairs("ovo", 6)[rid]
                 if trace.out_class in (class_a, class_b):
                     assert (y == 1) == (trace.out_class == class_a)
@@ -222,7 +223,7 @@ class TestVote:
         trace, = simulate(qm, [[0]])
         assert vote == 0
         assert trace.out_class == 1
-        assert [rid for rid, _ in _path(trace)] == [pair_index(0, 2, 3), pair_index(1, 2, 3)]
+        assert [rid for rid, _ in _path(trace, 1)] == [pair_index(0, 2, 3), pair_index(1, 2, 3)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_agree_on_transitive_outcomes(self, n):

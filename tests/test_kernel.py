@@ -1,6 +1,7 @@
 """The batched DAG-walk kernel, the library's one DAG walk, against the
-test-side oracles of tests/helpers.py (the step-function simulator, the
-scalar walks in Python numbers and the max-wins vote), on random integer
+test-side oracles (the emitted Verilog, read back and stepped by
+tests/verilog.py, and, in tests/helpers.py, the scalar walks in Python
+numbers and the max-wins vote), on random integer
 models of every width the library accepts and on random float models, plus
 compare_storage's rejection of a DAG of another class count and the batched vector
 scaling; then the sample-blocked kernels at block edges, and their working
@@ -23,7 +24,6 @@ from helpers import (
     layouts,
     profiled_cases,
     random_quantized_model,
-    reference_simulate,
 )
 from seqsvm.archsim import simulate, simulate_batch
 from seqsvm.cost import compare_storage
@@ -47,6 +47,7 @@ from seqsvm.quant import (
     quantize_model,
 )
 from seqsvm.trainer import FloatSvmModel
+from verilog import stepped
 
 
 def _extremes_oracle(qm, codes):
@@ -64,12 +65,11 @@ def _extremes_oracle(qm, codes):
 @settings(max_examples=150, deadline=None)
 @given(profiled_cases())
 def test_wrapped_kernel_equals_simulate(case):
-    # the simulator as the step-function reference defines it
+    # the simulator as the emitted Verilog, read back and stepped, defines it
     qm, codes = case
     classes, states, overflows = walk_batch(qm, codes, qm.acc_width)
-    for i, row in enumerate(codes):
-        cls, trace = reference_simulate(qm, row)
-        assert (classes[i], states[i], overflows[i]) == (cls, trace.final_state, trace.overflows)
+    for i, trace in enumerate(stepped(qm, codes)):
+        assert (classes[i], states[i], overflows[i]) == (trace.out_class, trace.final_state, trace.overflows)
     for view in layouts(codes, np.int64):
         again = walk_batch(qm, view, qm.acc_width)
         assert all(np.array_equal(a, b) for a, b in zip(again, (classes, states, overflows)))
@@ -393,16 +393,14 @@ def test_integer_walks_at_block_edges(n_samples):
     qm.acc_width -= 3  # some walks wrap
     codes = np.random.default_rng(n_samples).integers(0, 16, (n_samples, 7))
     exact = [_interval_walk_oracle(qm, row) for row in codes]
-    wrapped = [reference_simulate(qm, row) for row in codes]
-    expected = (
-        [cls for cls, _ in wrapped], [t.final_state for _, t in wrapped], [t.overflows for _, t in wrapped]
-    )
+    wrapped = stepped(qm, codes)
+    expected = ([t.out_class for t in wrapped], [t.final_state for t in wrapped], [t.overflows for t in wrapped])
     assert n_samples < 2 or sum(expected[2]) > 0
     for view in layouts(codes, np.int64):
         assert ddag_predict_quant(qm, view).tolist() == exact
         assert [a.tolist() for a in walk_batch(qm, view, qm.acc_width)] == list(expected)
     # at one block and one row, the traces' recording crosses a block edge
-    assert list(simulate(qm, codes)) == [t for _, t in wrapped]
+    assert list(simulate(qm, codes)) == wrapped
 
 
 @pytest.mark.parametrize("n_samples", _block_edges(8))

@@ -1,7 +1,8 @@
 """The emitted Verilog behaves like the model: read back (tests/verilog.py),
 it is the model's design, word table and FSM, and stepped on the golden
-vectors by the testbench's protocol, it classifies as the batch walk does.
-A single edit of the text, of the kinds in ``MUTATIONS``, fails the check."""
+vectors by the testbench's protocol, it runs as ``archsim.simulate`` does,
+record for record. A single edit of the text, of the kinds in
+``MUTATIONS``, fails the check."""
 
 import re
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_quantized_model
-from seqsvm.archsim import rtl
-from seqsvm.ddag import transitions, walk_batch
+from seqsvm.archsim import rtl, simulate
+from seqsvm.ddag import transitions
 from seqsvm.fxp import FxpFormat
 from seqsvm.hdlgen import emit_golden_vectors, generate
 from verilog import read, run
@@ -20,8 +21,9 @@ from verilog import read, run
 def mismatches(qm, top: str, params: str, stim: str) -> list[str]:
     """How the design of ``top`` and ``params`` differs from ``qm``'s: its
     record, words and FSM as read, and, stepped on each vector of ``stim``
-    for its budget, its class and final state against the batch walk's, and
-    the clock on which done rose against the design's cycle count."""
+    for its budget, its trace against ``simulate``'s (every cycle's record,
+    the overflows, the class and the final state), and the clock on which
+    done rose against the design's cycle count."""
     try:
         design = read(top, params)
     except ValueError as exc:
@@ -36,11 +38,13 @@ def mismatches(qm, top: str, params: str, stim: str) -> list[str]:
         ) if not same
     ]
     rows = [[int(v) for v in line.split()] for line in stim.splitlines()[1:]]
-    classes, states, _ = walk_batch(qm, [row[:-1] for row in rows], want.acc_bits)
-    for i, (row, cls, state) in enumerate(zip(rows, classes.tolist(), states.tolist())):
-        got = run(design, row[:-1], row[-1])
-        if row[-1] != want.cycles or got != (cls, state, want.cycles):
-            problems.append(f"vector {i}: budget {row[-1]}, ran {got}, want {(cls, state, want.cycles)}")
+    for i, (row, trace) in enumerate(zip(rows, simulate(qm, [row[:-1] for row in rows]))):
+        got, rose = run(design, row[:-1], row[-1])
+        if row[-1] != want.cycles or rose != want.cycles:
+            problems.append(f"vector {i}: budget {row[-1]}, done rose on clock {rose}, want {want.cycles}")
+        if got != trace:
+            cycle = next((a.cycle for a, b in zip(got.records, trace.records) if a != b), None)
+            problems.append(f"vector {i}: the trace differs (first record at cycle {cycle})")
     return problems
 
 
@@ -59,9 +63,10 @@ def sized_models(draw):
 @settings(max_examples=100, deadline=None)
 @given(sized_models())
 def test_emitted_verilog_reads_back_and_runs_as_the_model(case):
+    # every profile row, cycle by cycle, including accumulators that wrap
     qm, codes = case
     bundle = generate(qm)
-    stim, _, _ = emit_golden_vectors(qm, codes, 6)
+    stim, _, _ = emit_golden_vectors(qm, codes, len(codes))
     assert mismatches(qm, bundle.top_module, bundle.params_module, stim) == []
 
 

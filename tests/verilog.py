@@ -10,14 +10,18 @@ protocol: a start clock with the input codes on ``x_bus``, then a cycle
 budget of clocks. The datapath it steps is the emitted template's (select a
 word by {state, counter}, load the shifted bias or add one product, wrap to
 the accumulator's declared width, branch on its sign at the counter's limit),
-with every width, literal and arm taken from the text.
+with every width, literal and arm taken from the text. It records each clock
+as ``archsim.simulate`` does, as an ``archsim.CycleRecord`` of the signals
+``state``, ``counter``, ``word``, ``acc_next`` and ``y``, so the stepped design
+is the tests' one cycle-by-cycle oracle of the simulator (``stepped``).
 """
 
 import re
 from dataclasses import dataclass
 
 from helpers import wrap
-from seqsvm.archsim import Rtl
+from seqsvm.archsim import CycleRecord, Rtl, SimTrace
+from seqsvm.hdlgen import generate
 
 _DECLARATION = re.compile(r"^\s*(?:input|output)?\s*(?:wire|reg)\s+(?:signed\s+)?\[(\d+):0\]\s+(\w+)", re.M)
 _ASSIGNMENT = re.compile(r"(\w+)\s*<=\s*([^;]+);")
@@ -150,13 +154,16 @@ def read(top: str, params: str) -> Design:
 
 
 def run(design: Design, codes, budget: int) -> tuple:
-    """(class_out, state, done's clock) after the start clock and ``budget``
-    clocks with ``codes`` on x_bus; done's clock is the clock after start on
-    which done rose, or None."""
+    """(trace, done's clock) after the start clock and ``budget`` clocks with
+    ``codes`` on x_bus. The trace holds one ``CycleRecord`` per clock on
+    which the design ran, its signals before the edge, and counts each clock
+    whose sum the accumulator's width wrapped as an overflow; its class and
+    final state are the registers after the last clock. Done's clock is the
+    clock after start on which done rose, or None."""
     r = design.rtl
     bus = sum(int(code) << (i * r.input_bits) for i, code in enumerate(codes))
     regs = dict(design.restart)
-    rose = None
+    records, overflows, rose = [], 0, None
     for clock in range(1, budget + 1):
         if not regs["running"] or regs["done"]:
             continue
@@ -165,14 +172,26 @@ def run(design: Design, codes, budget: int) -> tuple:
         word = design.words[state][counter] if inside else design.default
         x = (bus >> (max(counter - 1, 0) * r.input_bits)) & ((1 << r.input_bits) - 1)
         sum_ = word << r.bias_shift if counter == 0 else regs["acc"] + word * x
-        regs["acc"] = wrap(sum_, r.acc_bits)
+        acc_next = wrap(sum_, r.acc_bits)
+        y = int(acc_next >= 0)
+        records.append(CycleRecord(clock - 1, state, counter, word, acc_next, y))
+        overflows += acc_next != sum_
+        regs["acc"] = acc_next
         if counter != design.limit:
             regs["counter"] = (counter + 1) % (1 << r.counter_bits)
             continue
         regs["counter"] = 0
-        kind, target = design.arms.get(state, (design.fallback,) * 2)[0 if regs["acc"] >= 0 else 1]
+        kind, target = design.arms.get(state, (design.fallback,) * 2)[1 - y]
         if kind == "leaf":
             regs["done"], regs["class_out"], rose = 1, target, clock
         else:
             regs["state"] = target
-    return regs["class_out"], regs["state"], rose
+    return SimTrace(records, overflows, regs["state"], regs["class_out"]), rose
+
+
+def stepped(qm, codes) -> list:
+    """The traces of ``qm``'s emitted Verilog, read back and run on each row
+    of ``codes`` for its own cycle count: the cycle oracle of ``simulate``."""
+    bundle = generate(qm)
+    design = read(bundle.top_module, bundle.params_module)
+    return [run(design, row, design.rtl.cycles)[0] for row in codes]
