@@ -9,16 +9,16 @@ w_t = u_t / (lam*t), where u_t sums y*x over the steps whose sample violated
 the margin. Only u is kept: step t tests y*(u.x) < lam*(t-1) (step 1 always
 counts as a violation) and adds y*x to u when it holds.
 
-A lane is one binary fit: a (candidate, class pair) of the search or the
-final OvO model, or one class against the rest. ``fit_lanes`` advances all
-lanes together, one numpy step over a (lanes, m+1) array of u per sample
-position. It keeps one table of signed samples, y*[x, 1] for both signs of
-every row, so a lane's stream of samples holds row ids that already carry
-the lane's label sign, and a block of steps is one gather from the table.
-A stream is the lanes of one key, rows array and positive class, such as
-the candidates of a search for one pair. Each stream draws one permutation
-of its rows per epoch from its own ``default_rng(key)``; lanes past their
-rows or epochs are masked out.
+``fit_lanes`` fits a grid: every setting (lam, epochs) on every stream, a
+stream being one binary problem, such as a class pair or one class against
+the rest. Each (setting, stream) is a lane, and all lanes advance together,
+one numpy step over a (settings, streams, m+1) array of u per sample
+position. The solver keeps one table of signed samples, y*[x, 1] for both
+signs of every row, so a stream's ids already carry its label sign, and a
+block of steps is one gather from the table, shared by the settings. Each
+stream draws one permutation of its ids per epoch from its own
+``default_rng(key)``; settings past their epochs, and streams past their
+rows, are masked out.
 """
 
 from __future__ import annotations
@@ -182,131 +182,105 @@ class FloatSvmModel:
             yield start, scores, bounds
 
 
-@dataclass(frozen=True)
-class Lane:
-    """One binary fit: dataset rows ``rows``, where label ``positive`` is
-    trained as +1 and every other label as -1, and ``key`` seeds the lane's
-    permutation stream."""
-
-    rows: np.ndarray
-    positive: int
-    lam: float
-    epochs: int
-    key: tuple[int, ...]
-
-
-def _signed_ids(ds: Dataset, lane: Lane, i: int) -> np.ndarray:
-    """Lane ``i``'s rows as ids into fit_lanes' signed table: row r where
-    its label is the lane's positive class, n + r where it is not. Rejects
-    a lane whose rows or positive class do not fit ``ds``."""
-    rows = np.asarray(lane.rows)
+def _signed_ids(ds: Dataset, rows, positive, i: int) -> np.ndarray:
+    """Stream ``i``'s rows as ids into fit_lanes' signed table: row r where
+    its label is ``positive``, n + r where it is not. Rejects rows or a
+    positive class that do not fit ``ds``."""
+    rows = np.asarray(rows)
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
-        raise ValueError(f"lane {i}: rows must be a 1-D integer array, got {rows.dtype} of shape {rows.shape}")
+        raise ValueError(f"stream {i}: rows must be a 1-D integer array, got {rows.dtype} of shape {rows.shape}")
     if not len(rows):
-        raise ValueError(f"lane {i}: no rows")
+        raise ValueError(f"stream {i}: no rows")
     if rows.min() < 0 or rows.max() >= ds.n_samples:
-        raise ValueError(f"lane {i}: rows must lie in 0..{ds.n_samples - 1}, got {rows.min()}..{rows.max()}")
-    if not (isinstance(lane.positive, (int, np.integer)) and 0 <= lane.positive < ds.n_classes):
-        raise ValueError(f"lane {i}: positive {lane.positive!r} is not a class code 0..{ds.n_classes - 1}")
+        raise ValueError(f"stream {i}: rows must lie in 0..{ds.n_samples - 1}, got {rows.min()}..{rows.max()}")
+    if not (isinstance(positive, (int, np.integer)) and 0 <= positive < ds.n_classes):
+        raise ValueError(f"stream {i}: positive {positive!r} is not a class code 0..{ds.n_classes - 1}")
     # the product is int64, so no narrow dtype of rows can wrap
-    return (rows + ds.n_samples * (ds.labels[rows] != lane.positive)).astype(np.int32)
+    return (rows + ds.n_samples * (ds.labels[rows] != positive)).astype(np.int32)
 
 
-def fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
-    """Fit every lane's hinge-loss separator at once, in lockstep; row i of
-    the (lanes, m+1) result is lane i's [w_1..w_m, bias].
+def fit_lanes(ds: Dataset, streams: list, settings: list) -> np.ndarray:
+    """Fit the hinge-loss separator of every (setting, stream) in lockstep.
+    A stream is (rows, positive, key): dataset rows, of which label
+    ``positive`` trains as +1 and the others as -1, and the tuple of ints
+    that seeds its permutations. A setting is (lam, epochs). Entry [h, s] of
+    the (settings, streams, m+1) result is [w_1..w_m, bias] of setting h on
+    stream s, bit for bit as if it were fitted alone.
 
-    A lane whose rows all carry identical features is degenerate: it gets
-    zero weights and a bias whose sign picks the majority label. The others
-    run the solver of the module docstring. A lane's result does not depend
-    on the other lanes of the call, bit for bit. Raises ValueError, naming
-    the lane, for empty, non-integer or out-of-range rows and for a positive
-    label that is not a class code of ``ds``.
+    A degenerate stream, whose rows all carry identical features, gives
+    every setting zero weights and a bias whose sign picks the majority
+    label. Raises ValueError, naming the stream, for empty, non-integer or
+    out-of-range rows and for a positive that is not a class code of ``ds``.
     """
-    n_samples = ds.n_samples
+    n_samples, width = ds.n_samples, ds.n_features + 1
     # row r is y*[x_r, 1] with y = +1, row n + r the same with y = -1:
     # negation is exact, so a sample's signed row is one gather
-    signed = np.empty((2 * n_samples, ds.n_features + 1))
+    signed = np.ones((2 * n_samples, width))
     signed[:n_samples, :-1] = ds.features
-    signed[:n_samples, -1] = 1.0
     np.negative(signed[:n_samples], out=signed[n_samples:])
-    # a stream is the signed ids of one (key, rows array, positive): the
-    # candidates of a search share it for one pair. The rows array's identity
-    # marks it, as the lanes keep it alive here. Each stream is checked once.
-    stream_of, ids, constant = [], {}, {}  # per lane; per stream; per degenerate stream
-    for i, lane in enumerate(lanes):
-        stream = (lane.key, id(lane.rows), lane.positive)
-        stream_of.append(stream)
-        if stream not in ids:
-            ids[stream] = own = _signed_ids(ds, lane, i)
-            # a stream that varies in its first feature needs no full gather
-            first = ds.features[lane.rows, 0]
-            if np.all(first == first[0]) and np.all(ds.features[lane.rows] == ds.features[lane.rows[0]]):
-                constant[stream] = 1.0 if 2 * np.count_nonzero(own < n_samples) >= len(own) else -1.0
-    solved = [i for i, stream in enumerate(stream_of) if stream not in constant]
-    # longest-running lanes first, so the lanes alive in an epoch are a prefix
-    order = sorted(solved, key=lambda i: -lanes[i].epochs)
-    lam = np.array([lanes[i].lam for i in order])
-    epochs = np.array([lanes[i].epochs for i in order], dtype=np.int64)
-    n = np.array([len(ids[stream_of[i]]) for i in order], dtype=np.int64)
-    # each stream is one column of `index`, numbered in lane order, and has
-    # its own generator, seeded by its key
-    columns: dict = {}
-    column_of = np.array([columns.setdefault(stream_of[i], len(columns)) for i in order], dtype=np.intp)
-    sources = [(ids[stream], default_rng(list(stream[0]))) for stream in columns]
-    U = np.zeros((len(order), signed.shape[1]))
-    # column c: stream c's signed ids in this epoch's order, padded with id 0;
-    # int32 halves the largest buffer of a search
+    solved, sources, constant = [], [], {}  # solved stream numbers, their (ids, generator); degenerate biases
+    for s, (rows, positive, key) in enumerate(streams):
+        own = _signed_ids(ds, rows, positive, s)
+        # a stream that varies in its first feature needs no full gather
+        first = ds.features[rows, 0]
+        if np.all(first == first[0]) and np.all(ds.features[rows] == ds.features[rows[0]]):
+            constant[s] = 1.0 if 2 * np.count_nonzero(own < n_samples) >= len(own) else -1.0
+        else:
+            solved.append(s)
+            sources.append((own, default_rng(list(key))))
+    # longest-running settings first, so the settings alive in an epoch are a prefix
+    order = sorted(range(len(settings)), key=lambda h: -settings[h][1])
+    lam = np.array([settings[h][0] for h in order], dtype=np.float64)
+    epochs = np.array([settings[h][1] for h in order], dtype=np.int64)
+    n = np.array([len(own) for own, _ in sources], dtype=np.int64)
+    U = np.zeros((len(order), len(sources), width))
+    # column s: solved stream s's signed ids in this epoch's order, padded with id 0
     index = np.zeros((int(n.max(initial=0)), len(sources)), dtype=np.int32)
+    block = max(1, BLOCK_ELEMENTS // (max(1, len(sources)) * width))
     for epoch in range(int(epochs.max(initial=0))):
         alive = int(np.count_nonzero(epochs > epoch))
-        longest = int(n[:alive].max())
-        # columns are numbered in lane order, so the alive ones are a prefix
-        live = int(column_of[:alive].max()) + 1
-        for column, (own, rng) in enumerate(sources[:live]):
+        for column, (own, rng) in enumerate(sources):
             index[:len(own), column] = own[rng.permutation(len(own))]
-        lam_a, n_a = lam[:alive], n[:alive]
-        # views of the alive lanes' u for one (1 x m+1)(m+1 x 1) product per lane
-        u_row, u_col = U[:alive, None, :], U[:alive, :, None]
-        block = max(1, BLOCK_ELEMENTS // (alive * signed.shape[1]))
-        for start in range(0, longest, block):
-            rows = index[start:min(start + block, longest), column_of[:alive]]
-            # step s of this epoch is step t = epoch*n + s + 1 of its lane
-            step = np.arange(start, start + len(rows))[:, None]
-            thresh = lam_a * (epoch * n_a + step)
-            thresh[step >= n_a] = -np.inf  # past the lane's samples: no update
+        # views of the alive settings' u for one (1 x m+1)(m+1 x 1) product per lane
+        u_row, u_col = U[:alive, :, None, :], U[:alive, :, :, None]
+        for start in range(0, len(index), block):
+            ids = index[start:start + block]
+            # step s of this epoch is step t = epoch*n + s + 1 of its stream, and
+            # none past its ids; thresholds are (steps, settings, streams), contiguous in step order
+            step = np.arange(start, start + len(ids))[:, None]
+            thresh = np.where((step >= n)[:, None], -np.inf, (epoch * n + step)[:, None] * lam[:alive, None])
             if epoch == 0 and start == 0:
                 thresh[0] = np.inf  # t = 1 always updates
-            yx = signed.take(rows, axis=0)
-            for x, th in zip(yx[:, :, None, :], thresh[:, :, None, None]):
+            yx = signed.take(ids, axis=0)  # each stream's rows, broadcast over the settings
+            for x, th in zip(yx[:, None, :, None, :], thresh[..., None, None]):
                 violated = np.matmul(x, u_col) < th
                 np.add(u_row, x, out=u_row, where=violated)
-    fits = np.zeros((len(lanes), signed.shape[1]))
-    fits[order] = U / (lam * np.maximum(epochs * n, 1))[:, None]  # w_T = u_T / (lam T)
-    for i, stream in enumerate(stream_of):
-        if stream in constant:
-            fits[i, -1] = constant[stream]
+    fits = np.zeros((len(settings), len(streams), width))
+    # w_T = u_T / (lam T)
+    fits[np.ix_(order, solved)] = U / (lam[:, None] * np.maximum(epochs[:, None] * n, 1))[..., None]
+    fits[:, list(constant), -1] = list(constant.values())
     return fits
 
 
 def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel]:
-    """One OvO model per hyperparameter set, every (candidate, pair) a lane of
-    one fit_lanes call; rows in lexicographic pair order."""
+    """One OvO model per hyperparameter set, from one fit_lanes call over a
+    stream per class pair; rows in lexicographic pair order. The candidates
+    must share one seed, which keys every pair's stream."""
+    seeds = {h.seed for h in hypers}
+    if len(seeds) > 1:
+        raise ValueError(f"candidates must share one seed, got seeds {sorted(seeds)}")
+    seed = min(seeds, default=0)
     n = ds.n_classes
     # each class's rows, ascending, from one stable sort of the labels
     order = np.argsort(ds.labels, kind="stable").astype(np.int32)
     members = np.split(order, np.cumsum(np.bincount(ds.labels, minlength=n))[:-1])
-    pairs = []
+    streams = []
     for a, b in row_pairs("ovo", n):
         if not (len(members[a]) and len(members[b])):
             raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
-        # int32, like fit_lanes' own row ids: every pair's rows stay alive through the fit
-        pairs.append((a, b, np.sort(np.concatenate((members[a], members[b])))))
-    lanes = [Lane(rows, a, h.lam, h.epochs, (h.seed, a, b)) for h in hypers for a, b, rows in pairs]
-    coefs = np.roll(fit_lanes(ds, lanes), 1, axis=1)  # rows [bias, w_1..w_m]
-    return [
-        FloatSvmModel("ovo", n, ds.n_features, coefs[k * len(pairs):(k + 1) * len(pairs)]) for k in range(len(hypers))
-    ]
+        streams.append((np.sort(np.concatenate((members[a], members[b]))), a, (seed, a, b)))
+    coefs = np.roll(fit_lanes(ds, streams, [(h.lam, h.epochs) for h in hypers]), 1, axis=-1)  # rows [bias, w_1..w_m]
+    return [FloatSvmModel("ovo", n, ds.n_features, table) for table in coefs]
 
 
 def train_ovo(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
@@ -317,8 +291,9 @@ def train_ovo(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
 def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
     """One binary fit per class against the rest (comparison harness only)."""
     rows = np.arange(ds.n_samples, dtype=np.int32)
-    lanes = [Lane(rows, cls, hyper.lam, hyper.epochs, (hyper.seed, cls)) for cls in range(ds.n_classes)]
-    return FloatSvmModel("ova", ds.n_classes, ds.n_features, np.roll(fit_lanes(ds, lanes), 1, axis=1))
+    streams = [(rows, cls, (hyper.seed, cls)) for cls in range(ds.n_classes)]
+    coefs = np.roll(fit_lanes(ds, streams, [(hyper.lam, hyper.epochs)])[0], 1, axis=-1)
+    return FloatSvmModel("ova", ds.n_classes, ds.n_features, coefs)
 
 
 def accuracy(model, ds: Dataset) -> float:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -27,12 +28,12 @@ from seqsvm.trainer import (
     Hyper,
     EPOCH_RANGE,
     LAM_RANGE,
-    Lane,
     accuracy,
     fit_lanes,
     random_search,
     train_ova,
     train_ovo,
+    train_ovo_candidates,
 )
 
 
@@ -85,11 +86,25 @@ def test_missing_class_rejected():
         train_ovo(ds, Hyper())
 
 
+def test_candidates_must_share_one_seed():
+    # the seed keys every pair's stream, which all candidates share
+    ds = bundled_dataset("blobs3x21", seed=0)
+    with pytest.raises(ValueError, match=re.escape("candidates must share one seed, got seeds [1, 2]")):
+        train_ovo_candidates(ds, [Hyper(0.1, 3, seed=1), Hyper(0.2, 4, seed=2)])
+
+
 @pytest.mark.parametrize("lam", [0.0, -0.01, float("inf"), float("nan")])
 def test_lam_must_be_finite_and_positive(lam):
     # the solver divides by lam: lam = 0 used to give non-finite weights silently
     with pytest.raises(ValueError, match="lam must be finite and > 0"):
         train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(lam=lam))
+
+
+def test_an_integer_lam_trains_as_its_float():
+    # Hyper accepts an int lam, as a hand-edited float_model.json can hold
+    ds = bundled_dataset("blobs3x21", seed=0)
+    for train in (train_ovo, train_ova):
+        assert train(ds, Hyper(lam=1, epochs=2)).coefs.tobytes() == train(ds, Hyper(lam=1.0, epochs=2)).coefs.tobytes()
 
 
 def test_negative_epochs_rejected_zero_allowed():
@@ -540,45 +555,42 @@ class TestLaneSolver:
         seed=st.integers(0, 2**16),
         specs=st.lists(
             st.tuples(
-                st.integers(1, 90),                 # lane length
+                st.integers(1, 90),                 # stream length
                 st.integers(0, 3),                  # positive label
-                st.floats(1e-4, 10.0),              # lam
-                st.integers(0, 5),                  # epochs
                 st.integers(0, 50),                 # stream seed
             ),
             min_size=2,
-            max_size=7,
+            max_size=4,
         ),
+        grid=st.lists(st.tuples(st.floats(1e-4, 10.0), st.integers(0, 5)), min_size=1, max_size=3),  # (lam, epochs)
     )
-    def test_lane_alone_equals_lane_in_batch(self, seed, specs):
+    def test_lane_alone_equals_lane_in_batch(self, seed, specs, grid):
         ds = self._random_dataset(seed)
         rng = np.random.default_rng(seed + 1)
-        lanes = [
-            Lane(np.sort(rng.choice(ds.n_samples, size, replace=False)), pos, lam, epochs, (key, pos))
-            for size, pos, lam, epochs, key in specs
+        streams = [
+            (np.sort(rng.choice(ds.n_samples, size, replace=False)), pos, (key, pos)) for size, pos, key in specs
         ]
-        batch = fit_lanes(ds, lanes)
-        for lane, fit in zip(lanes, batch):
-            alone = fit_lanes(ds, [lane])[0]
-            assert np.array_equal(alone[:-1], fit[:-1])
-            assert alone[-1] == fit[-1]
+        batch = fit_lanes(ds, streams, grid)
+        assert batch.shape == (len(grid), len(streams), ds.n_features + 1)
+        for h, setting in enumerate(grid):
+            for s, stream in enumerate(streams):
+                alone = fit_lanes(ds, [stream], [setting])[0, 0]
+                assert np.array_equal(alone[:-1], batch[h, s, :-1])
+                assert alone[-1] == batch[h, s, -1]
 
     @pytest.mark.parametrize("epochs", [(3, 3), (2, 5), (5, 0), (1, 1)])
     def test_lanes_of_one_key_and_length_but_other_rows(self, epochs):
-        # one generator serves both lanes, and each keeps its own rows; the
-        # candidates beside them share their key and rows, hence one stream
+        # streams of one key and length draw the same permutations, and each
+        # keeps its own rows and positive; another key draws others
         ds = self._random_dataset(4)
         key, rows = (7, 0), np.arange(0, 60)
-        lanes = [
-            Lane(rows, 0, 0.05, epochs[0], key),
-            Lane(np.arange(30, 90), 1, 0.2, epochs[1], key),
-            Lane(rows, 2, 0.5, 4, key),
-            Lane(rows, 0, 0.05, epochs[0], (8, 0)),
-        ]
-        batch = fit_lanes(ds, lanes)
-        for lane, fit in zip(lanes, batch):
-            assert np.array_equal(fit_lanes(ds, [lane])[0], fit)
-        assert not np.array_equal(batch[0], batch[3])  # another key, another stream
+        streams = [(rows, 0, key), (np.arange(30, 90), 1, key), (rows, 2, key), (rows, 0, (8, 0))]
+        grid = [(0.05, epochs[0]), (0.2, epochs[1]), (0.5, 4)]
+        batch = fit_lanes(ds, streams, grid)
+        for h, setting in enumerate(grid):
+            for s, stream in enumerate(streams):
+                assert np.array_equal(fit_lanes(ds, [stream], [setting])[0, 0], batch[h, s])
+        assert not np.array_equal(batch[2, 0], batch[2, 3])  # another key, another stream
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ovo_lanes_match_shrink_and_step(self, seed):
@@ -614,15 +626,17 @@ class TestLaneSolver:
             _assert_close_to_reference(row, X[mask], y, hyper.lam, hyper.epochs, (4, a, b))
 
     def test_degenerate_ova_lanes_beside_normal_lanes(self):
-        # one lane of a batch sees identical rows, the others do not
+        # one stream of a batch sees identical rows, the others do not
         ds = self._random_dataset(3, rows=40)
         ds.features[:10] = ds.features[0]
-        flat = Lane(np.arange(10), int(ds.labels[0]), 0.1, 4, (3, 0))
-        normal = [Lane(np.arange(40), cls, 0.1, 4, (3, cls)) for cls in range(4)]
-        fits = fit_lanes(ds, [normal[0], flat, *normal[1:]])
-        majority = 2 * np.count_nonzero(ds.labels[:10] == flat.positive) >= 10
-        assert np.all(fits[1][:-1] == 0.0)
-        assert fits[1][-1] == (1.0 if majority else -1.0)
+        flat = (np.arange(10), int(ds.labels[0]), (3, 0))
+        normal = [(np.arange(40), cls, (3, cls)) for cls in range(4)]
+        grid = [(0.1, 4), (0.3, 0), (2.0, 2)]
+        batches = fit_lanes(ds, [normal[0], flat, *normal[1:]], grid)
+        majority = 2 * np.count_nonzero(ds.labels[:10] == flat[1]) >= 10
+        assert np.all(batches[:, 1, :-1] == 0.0)  # every setting, its epochs 0 too
+        assert np.all(batches[:, 1, -1] == (1.0 if majority else -1.0))
+        fits = batches[0]
         model = train_ova(ds, Hyper(lam=0.1, epochs=4, seed=3))
         for cls, (fit, row) in enumerate(zip([fits[0], *fits[2:]], model.coefs)):
             assert np.array_equal(fit[:-1], row[1:]) and fit[-1] == row[0]
@@ -636,38 +650,38 @@ class TestLaneSolver:
         assert np.all(model.coefs[:, 1:] == 0.0)
 
     @pytest.mark.parametrize("rows, positive, message", [
-        (np.array([], dtype=np.int64), 0, "lane 1: no rows"),
-        (np.array([0.0, 1.0]), 0, "lane 1: rows must be a 1-D integer array"),
-        (np.arange(4).reshape(2, 2), 0, "lane 1: rows must be a 1-D integer array"),
-        (np.array([-1, 2]), 0, "lane 1: rows must lie in 0..89, got -1..2"),
-        (np.array([0, 90]), 0, "lane 1: rows must lie in 0..89, got 0..90"),
-        (np.arange(5), 4, "lane 1: positive 4 is not a class code 0..3"),
-        (np.arange(5), -1, "lane 1: positive -1 is not a class code 0..3"),
-        (np.arange(5), 1.5, "lane 1: positive 1.5 is not a class code 0..3"),
+        (np.array([], dtype=np.int64), 0, "stream 1: no rows"),
+        (np.array([0.0, 1.0]), 0, "stream 1: rows must be a 1-D integer array"),
+        (np.arange(4).reshape(2, 2), 0, "stream 1: rows must be a 1-D integer array"),
+        (np.array([-1, 2]), 0, "stream 1: rows must lie in 0..89, got -1..2"),
+        (np.array([0, 90]), 0, "stream 1: rows must lie in 0..89, got 0..90"),
+        (np.arange(5), 4, "stream 1: positive 4 is not a class code 0..3"),
+        (np.arange(5), -1, "stream 1: positive -1 is not a class code 0..3"),
+        (np.arange(5), 1.5, "stream 1: positive 1.5 is not a class code 0..3"),
     ])
-    def test_rejects_a_bad_lane_by_its_number(self, rows, positive, message):
+    def test_rejects_a_bad_stream_by_its_number(self, rows, positive, message):
         ds = self._random_dataset(0)
-        lanes = [Lane(np.arange(10), 0, 0.1, 2, (0,)), Lane(rows, positive, 0.1, 2, (1,))]
+        streams = [(np.arange(10), 0, (0,)), (rows, positive, (1,))]
         with pytest.raises(ValueError, match=re.escape(message)):
-            fit_lanes(ds, lanes)
+            fit_lanes(ds, streams, [(0.1, 2)])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64])
     def test_rows_of_any_integer_dtype_fit_alike(self, dtype):
         # 300 samples: the ids n + r reach 549, past what uint8 holds
         ds = self._random_dataset(2, rows=300)
         rows = np.arange(100, 250)
-        want = fit_lanes(ds, [Lane(rows, 1, 0.1, 3, (2,))])
-        assert np.array_equal(fit_lanes(ds, [Lane(rows.astype(dtype), 1, 0.1, 3, (2,))]), want)
+        want = fit_lanes(ds, [(rows, 1, (2,))], [(0.1, 3)])
+        assert np.array_equal(fit_lanes(ds, [(rows.astype(dtype), 1, (2,))], [(0.1, 3)]), want)
 
     def test_lanes_of_one_key_and_length_draw_once_per_epoch(self, monkeypatch):
-        # the candidates of a search for one pair: one key and the same rows,
-        # other lams and epochs; plus a lane of other rows of the same count
+        # the candidates of a search on one pair's stream, plus a stream of
+        # other rows of the same count and key
         ds = self._random_dataset(4)
         rows = np.flatnonzero(ds.labels < 2)
         other = np.sort(np.random.default_rng(9).choice(ds.n_samples, len(rows), replace=False))
-        lanes = [Lane(rows, 0, lam, epochs, (4, 0, 1)) for lam, epochs in [(0.01, 3), (0.5, 5), (2.0, 2), (0.1, 0)]]
-        lanes.append(Lane(other, 1, 0.05, 4, (4, 0, 1)))
-        alone = [fit_lanes(ds, [lane])[0] for lane in lanes]
+        streams = [(rows, 0, (4, 0, 1)), (other, 1, (4, 0, 1))]
+        grid = [(0.01, 3), (0.5, 5), (2.0, 2), (0.1, 0), (0.05, 4)]
+        alone = [[fit_lanes(ds, [stream], [setting])[0, 0] for stream in streams] for setting in grid]
         draws = []  # (generator, length) per draw
 
         class CountingRng:
@@ -679,13 +693,25 @@ class TestLaneSolver:
                 return self.rng.permutation(n)
 
         monkeypatch.setattr(trainer_mod, "default_rng", CountingRng)
-        fits = fit_lanes(ds, lanes)
-        # one generator per stream, drawn once per epoch while a lane of it is
-        # alive: the candidates' 5 epochs, then the other rows' lane's 4
+        fits = fit_lanes(ds, streams, grid)
+        # one generator per stream, drawn once per epoch while any setting is
+        # alive: 5 epochs
         assert {n for _, n in draws} == {len(rows)}
-        assert sorted(Counter(generator for generator, _ in draws).values()) == [4, 5]
-        for one, fit in zip(alone, fits):
-            assert np.array_equal(one[:-1], fit[:-1]) and one[-1] == fit[-1]
+        assert sorted(Counter(generator for generator, _ in draws).values()) == [5, 5]
+        for ones, row in zip(alone, fits):
+            for one, fit in zip(ones, row):
+                assert np.array_equal(one[:-1], fit[:-1]) and one[-1] == fit[-1]
+
+
+class Lane(NamedTuple):
+    """One (setting, stream) of a fit_lanes grid, as the frozen kernel takes
+    it: lanes of one stream share its rows array."""
+
+    rows: np.ndarray
+    positive: int
+    lam: float
+    epochs: int
+    key: tuple[int, ...]
 
 
 def _frozen_fit_lanes(ds: Dataset, lanes: list[Lane]) -> np.ndarray:
@@ -772,9 +798,10 @@ def _oracle_dataset(seed):
 
 @st.composite
 def lane_batches(draw):
-    """A dataset seed and lanes over a few shared rows arrays: lanes of one
-    key and rows array with other positives, arrays of one length (one draw
-    per key) with other rows, degenerate arrays, 0 epochs, lengths 1..90."""
+    """A dataset seed, streams over a few shared rows arrays, and settings:
+    streams of one key and rows array with other positives, arrays of one
+    length (one draw per key) with other rows, degenerate arrays, 0 epochs,
+    lengths 1..90."""
     seed = draw(st.integers(0, 2**16))
     common = draw(st.integers(1, 90))
     specs = draw(st.lists(
@@ -786,25 +813,22 @@ def lane_batches(draw):
         else np.sort(np.random.default_rng([seed, variant]).choice(90, length, replace=False))
         for length, variant in specs
     ]
-    lanes = draw(st.lists(
-        st.builds(
-            Lane,
-            rows=st.sampled_from(row_sets),
-            positive=st.integers(0, 3),
-            lam=st.floats(1e-4, 10.0),
-            epochs=st.integers(0, 5),
-            key=st.sampled_from([(0,), (1,), (1, 2)]),
-        ),
-        min_size=1, max_size=8,
+    streams = draw(st.lists(
+        st.tuples(st.sampled_from(row_sets), st.integers(0, 3), st.sampled_from([(0,), (1,), (1, 2)])),
+        min_size=1, max_size=4,
     ))
-    return seed, lanes
+    grid = draw(st.lists(st.tuples(st.floats(1e-4, 10.0), st.integers(0, 5)), min_size=1, max_size=3))
+    return seed, streams, grid
 
 
 @settings(max_examples=60, deadline=None)
 @given(lane_batches())
 def test_fit_lanes_is_bit_identical_to_the_frozen_kernel(batch):
-    seed, lanes = batch
+    seed, streams, grid = batch
     ds = _oracle_dataset(seed)
-    fits, frozen = fit_lanes(ds, lanes), _frozen_fit_lanes(ds, lanes)
+    lanes = [Lane(rows, positive, lam, epochs, key) for lam, epochs in grid for rows, positive, key in streams]
+    fits = fit_lanes(ds, streams, grid)
+    assert fits.shape == (len(grid), len(streams), ds.n_features + 1)
+    frozen = _frozen_fit_lanes(ds, lanes).reshape(fits.shape)
     assert np.array_equal(fits, frozen)
     assert fits.tobytes() == frozen.tobytes()  # the signs of zeros too
