@@ -5,21 +5,21 @@
 
 import numpy as np
 
-from seqsvm.dataset import SplitSpec, split
+from seqsvm.dataset import split
 from seqsvm.ddag import ddag_predict_float, ddag_predict_quant
 from seqsvm.quant import quantize_inputs, quantize_model, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import accuracy, random_search, train_ovo
 
 ds = bundled_dataset("rings10x17", seed=3)
-train, test = split(ds, SplitSpec(0.8, seed=3))
+train, test = split(ds, 0.8, seed=3)
 print(f"dataset: {ds.n_classes} classes, {ds.n_features} features, "
       f"{train.n_samples}/{test.n_samples} train/test")
 
 hyper = random_search(train, budget=8, seed=3)
 print(f"random search picked lam={hyper.lam:.4g}, epochs={hyper.epochs}")
 
-model = train_ovo(train, hyper)
+model = train_ovo(train, hyper, seed=3)
 print(f"trained {len(model.coefs)} pairwise vectors "
       f"(= n(n-1)/2 for n={model.n_classes})")
 print(f"float max-wins voting accuracy: {accuracy(model, test):.4f}")

@@ -5,15 +5,15 @@
 # FSM state. Total latency is always (n-1)*(m+1) cycles.
 
 from seqsvm.archsim import rtl, simulate, trace_to_text
-from seqsvm.dataset import SplitSpec, split
+from seqsvm.dataset import split
 from seqsvm.ddag import ddag_predict_quant
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
 
 ds = bundled_dataset("blobs3x21", seed=7)
-train, test = split(ds, SplitSpec(0.8, seed=7))
-model = train_ovo(train, Hyper(lam=0.01, epochs=15, seed=7))
+train, test = split(ds, 0.8, seed=7)
+model = train_ovo(train, Hyper(lam=0.01, epochs=15), seed=7)
 qm, _ = search_param_bits(model, train, test)
 
 codes = [int(c) for c in quantize_inputs(test, qm.input_fmt)[0]]

@@ -8,15 +8,15 @@
 from pathlib import Path
 
 from seqsvm.archsim import rtl
-from seqsvm.dataset import SplitSpec, split
+from seqsvm.dataset import split
 from seqsvm.hdlgen import emit_golden_vectors, generate, write_bundle
 from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
 
 ds = bundled_dataset("noisy6x11", seed=2)
-train, test = split(ds, SplitSpec(0.8, seed=2))
-model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=2))
+train, test = split(ds, 0.8, seed=2)
+model = train_ovo(train, Hyper(lam=0.02, epochs=12), seed=2)
 qm, report = search_param_bits(model, train, test)
 
 print("the design's widths and counts:")

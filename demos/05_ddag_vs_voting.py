@@ -8,7 +8,7 @@
 import numpy as np
 
 from seqsvm.archsim import simulate
-from seqsvm.dataset import SplitSpec, split
+from seqsvm.dataset import split
 from seqsvm.ddag import ddag_predict_float, pair_count, state_bits_for
 from seqsvm.fxp import U4_4
 from seqsvm.quant import QuantizedModel
@@ -36,8 +36,8 @@ print(f"\nCondorcet cycle: vote ties 1-1-1 and breaks to class {vote}; "
 # trained models disagree too, and not always a little: at 26 classes the
 # float DDAG is 5.9 points of accuracy below voting. Both are reported.
 ds = bundled_dataset("rings10x17", seed=3)
-train, test = split(ds, SplitSpec(0.8, seed=3))
-model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=3))
+train, test = split(ds, 0.8, seed=3)
+model = train_ovo(train, Hyper(lam=0.02, epochs=12), seed=3)
 
 walk_pred = ddag_predict_float(model, test.features)
 vote_pred = model.predict(test.features)

@@ -4,7 +4,7 @@ emission, and printed-electronics cost estimation."""
 
 from .archsim import BatchResult, Rtl, SimTrace, rtl, simulate, simulate_batch
 from .cost import CostReport, TechConfig, compare_parallel, compare_storage, estimate
-from .dataset import Dataset, SplitSpec, load_csv, split
+from .dataset import Dataset, load_csv, split
 from .ddag import ddag_predict_float, ddag_predict_quant, walk_batch
 from .fxp import U4_4, FxpFormat, width_for_range
 from .hdlgen import HdlBundle, emit_golden_vectors, generate

@@ -21,7 +21,7 @@ import numpy as np
 from . import modelio
 from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
-from .dataset import Dataset, SplitSpec, load_csv, split
+from .dataset import Dataset, load_csv, split
 from .ddag import ddag_predict_float, ddag_predict_quant
 from .fxp import FxpFormat
 from .hdlgen import emit_golden_vectors, generate, write_bundle
@@ -51,13 +51,13 @@ def _stage(name: str):
 
 def _ingest(config: dict) -> tuple[Dataset, Dataset]:
     ds = load_csv(config["dataset"], config["label_column"])
-    return split(ds, SplitSpec(config["train_fraction"], config["seed"]))
+    return split(ds, config["train_fraction"], config["seed"])
 
 
 def _train_phase(config: dict, out: Path, train: Dataset) -> tuple[Hyper, FloatSvmModel]:
     """Search and train; writes float_model.json and returns the hyperparameters and the model."""
     hyper = random_search(train, budget=config["budget"], seed=config["seed"])
-    model = train_ovo(train, hyper)
+    model = train_ovo(train, hyper, config["seed"])
     out.mkdir(parents=True, exist_ok=True)
     modelio.save_model_doc(out / "float_model.json", modelio.model_doc(config, train, hyper, model))
     print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors "
@@ -232,7 +232,7 @@ def cmd_compare(args) -> int:
     with _stage("compare"):
         doc, (config, _, hyper, fmodel, qm) = _load_model(out)
         train, test = _ingest(config)
-        ova = train_ova(train, hyper)
+        ova = train_ova(train, hyper, config["seed"])
         # the DDAG accuracies, measured as the quantize stage measures them
         float_ddag = ddag_predict_float(fmodel, test.features)
         quant_ddag = ddag_predict_quant(qm, quantize_inputs(test, qm.input_fmt))

@@ -53,16 +53,6 @@ class Dataset:
         return len(self.label_names)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
-
-
 def _label_sort_key(labels):
     """Numeric order (value, then spelling) when every label parses as a
     number and none is NaN; string order otherwise."""
@@ -173,18 +163,20 @@ def _stratified_indices(labels: np.ndarray, fraction: float, seed: int):
     return np.sort(np.array(train, dtype=np.int64)), np.sort(np.array(test, dtype=np.int64))
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded disjoint partition; (min, max) per feature come from train only.
 
     Falls back to a stratified partition when the plain shuffle would leave a
     class without training samples. Test features are clamped to [0, 1] after
     applying the training normalization.
     """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
     n = ds.n_samples
     # rng.permutation(n) drawn into int32, which halves the one index per sample
     order = np.arange(n, dtype=np.int32)
-    np.random.default_rng(spec.seed).shuffle(order)
-    n_train = int(round(n * spec.train_fraction))
+    np.random.default_rng(seed).shuffle(order)
+    n_train = int(round(n * train_fraction))
     n_train = min(max(n_train, 1), n - 1)
     train_idx, test_idx = order[:n_train], order[n_train:]
     train_idx.sort()
@@ -193,18 +185,13 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     present = _class_count(ds.labels)
     y_train = ds.labels[train_idx]
     if _class_count(y_train) < present:
-        train_idx, test_idx = _stratified_indices(ds.labels, spec.train_fraction, spec.seed)
+        train_idx, test_idx = _stratified_indices(ds.labels, train_fraction, seed)
         if len(test_idx) == 0:
             raise ValueError(
                 "split leaves no test samples even after stratification; "
                 "increase the dataset size or lower train_fraction"
             )
         y_train = ds.labels[train_idx]
-    if _class_count(y_train) < present:
-        raise ValueError(
-            "split leaves a class without training samples; "
-            "stratification failed (class with zero samples?)"
-        )
 
     # the row gathers are new arrays, so they are normalized in place
     x_train = ds.features[train_idx]

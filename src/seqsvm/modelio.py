@@ -100,7 +100,7 @@ def model_doc(config: dict, dataset: Dataset, hyper: Hyper, fmodel: FloatSvmMode
         "dataset": {"label_names": dataset.label_names, "feature_names": dataset.feature_names,
                     "normalization": dataset.normalization,
                     "split": {"train_fraction": config["train_fraction"], "seed": config["seed"]}},
-        "hyper": {"lam": hyper.lam, "epochs": hyper.epochs, "seed": hyper.seed},
+        "hyper": {"lam": hyper.lam, "epochs": hyper.epochs, "seed": config["seed"]},
         "float_model": {
             "kind": fmodel.kind, "n_classes": fmodel.n_classes, "n_features": fmodel.n_features,
             "vectors": _table_to_list(fmodel.coefs, fmodel.kind, fmodel.n_classes),
@@ -236,7 +236,7 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     hyper = _field(doc, "hyper", "document")
     lam, epochs = _field(hyper, "lam", "hyper"), _field(hyper, "epochs", "hyper")
     try:
-        hyper = Hyper(lam, epochs, config["seed"])
+        hyper = Hyper(lam, epochs)
     except ValueError as exc:
         raise ValueError(f"hyper: {exc}") from None
     fmodel = float_model_from_dict(_field(doc, "float_model", "document"))

@@ -9,7 +9,7 @@ w_t = u_t / (lam*t), where u_t sums y*x over the steps whose sample violated
 the margin. Only u is kept: step t tests y*(u.x) < lam*(t-1) (step 1 always
 counts as a violation) and adds y*x to u when it holds.
 
-``fit_lanes`` fits a grid: every setting (lam, epochs) on every stream, a
+``fit_lanes`` fits a grid: every setting, a ``Hyper``, on every stream, a
 stream being one binary problem, such as a class pair or one class against
 the rest. Each (setting, stream) is a lane, and all lanes advance together,
 one numpy step over a (settings, streams, m+1) array of u per sample
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .dataset import Dataset, SplitSpec, split
+from .dataset import Dataset, split
 from .ddag import float_features, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS
 
@@ -38,15 +38,13 @@ from .fxp import BLOCK_ELEMENTS
 class Hyper:
     lam: float = 0.01
     epochs: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         # the solver divides by lam, so lam <= 0 gives non-finite weights
         if not (finite_number(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
-        for key, value in (("epochs", self.epochs), ("seed", self.seed)):
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{key} must be >= 0 and an int, got {value!r}")
+        if type(self.epochs) is not int or self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0 and an int, got {self.epochs!r}")
 
 
 #: random_search draws lam log-uniformly and epochs uniformly from these
@@ -203,15 +201,20 @@ def fit_lanes(ds: Dataset, streams: list, settings: list) -> np.ndarray:
     """Fit the hinge-loss separator of every (setting, stream) in lockstep.
     A stream is (rows, positive, key): dataset rows, of which label
     ``positive`` trains as +1 and the others as -1, and the tuple of ints
-    that seeds its permutations. A setting is (lam, epochs). Entry [h, s] of
+    that seeds its permutations. A setting is a ``Hyper``. Entry [h, s] of
     the (settings, streams, m+1) result is [w_1..w_m, bias] of setting h on
     stream s, bit for bit as if it were fitted alone.
 
     A degenerate stream, whose rows all carry identical features, gives
     every setting zero weights and a bias whose sign picks the majority
-    label. Raises ValueError, naming the stream, for empty, non-integer or
-    out-of-range rows and for a positive that is not a class code of ``ds``.
+    label. Raises TypeError, naming the setting, for a setting that is not a
+    Hyper, and ValueError, naming the stream, for empty, non-integer or
+    out-of-range rows, a positive that is not a class code of ``ds`` and a
+    key that is not a non-empty tuple of ints (no bool) >= 0.
     """
+    for h, setting in enumerate(settings):
+        if not isinstance(setting, Hyper):
+            raise TypeError(f"setting {h}: {setting!r} is not a Hyper")
     n_samples, width = ds.n_samples, ds.n_features + 1
     # row r is y*[x_r, 1] with y = +1, row n + r the same with y = -1:
     # negation is exact, so a sample's signed row is one gather
@@ -221,6 +224,8 @@ def fit_lanes(ds: Dataset, streams: list, settings: list) -> np.ndarray:
     solved, sources, constant = [], [], {}  # solved stream numbers, their (ids, generator); degenerate biases
     for s, (rows, positive, key) in enumerate(streams):
         own = _signed_ids(ds, rows, positive, s)
+        if not (type(key) is tuple and key and all(type(k) is int and k >= 0 for k in key)):
+            raise ValueError(f"stream {s}: key {key!r} is not a non-empty tuple of ints >= 0")
         # a stream that varies in its first feature needs no full gather
         first = ds.features[rows, 0]
         if np.all(first == first[0]) and np.all(ds.features[rows] == ds.features[rows[0]]):
@@ -229,9 +234,9 @@ def fit_lanes(ds: Dataset, streams: list, settings: list) -> np.ndarray:
             solved.append(s)
             sources.append((own, default_rng(list(key))))
     # longest-running settings first, so the settings alive in an epoch are a prefix
-    order = sorted(range(len(settings)), key=lambda h: -settings[h][1])
-    lam = np.array([settings[h][0] for h in order], dtype=np.float64)
-    epochs = np.array([settings[h][1] for h in order], dtype=np.int64)
+    order = sorted(range(len(settings)), key=lambda h: -settings[h].epochs)
+    lam = np.array([settings[h].lam for h in order], dtype=np.float64)
+    epochs = np.array([settings[h].epochs for h in order], dtype=np.int64)
     n = np.array([len(own) for own, _ in sources], dtype=np.int64)
     U = np.zeros((len(order), len(sources), width))
     # column s: solved stream s's signed ids in this epoch's order, padded with id 0
@@ -262,14 +267,10 @@ def fit_lanes(ds: Dataset, streams: list, settings: list) -> np.ndarray:
     return fits
 
 
-def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel]:
+def train_ovo_candidates(ds: Dataset, hypers: list[Hyper], seed: int) -> list[FloatSvmModel]:
     """One OvO model per hyperparameter set, from one fit_lanes call over a
-    stream per class pair; rows in lexicographic pair order. The candidates
-    must share one seed, which keys every pair's stream."""
-    seeds = {h.seed for h in hypers}
-    if len(seeds) > 1:
-        raise ValueError(f"candidates must share one seed, got seeds {sorted(seeds)}")
-    seed = min(seeds, default=0)
+    stream per class pair; rows in lexicographic pair order. ``seed`` keys
+    every pair's stream."""
     n = ds.n_classes
     # each class's rows, ascending, from one stable sort of the labels
     order = np.argsort(ds.labels, kind="stable").astype(np.int32)
@@ -279,20 +280,20 @@ def train_ovo_candidates(ds: Dataset, hypers: list[Hyper]) -> list[FloatSvmModel
         if not (len(members[a]) and len(members[b])):
             raise RuntimeError(f"pair ({a},{b}) failed: a class is missing from the training set")
         streams.append((np.sort(np.concatenate((members[a], members[b]))), a, (seed, a, b)))
-    coefs = np.roll(fit_lanes(ds, streams, [(h.lam, h.epochs) for h in hypers]), 1, axis=-1)  # rows [bias, w_1..w_m]
+    coefs = np.roll(fit_lanes(ds, streams, hypers), 1, axis=-1)  # rows [bias, w_1..w_m]
     return [FloatSvmModel("ovo", n, ds.n_features, table) for table in coefs]
 
 
-def train_ovo(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
+def train_ovo(ds: Dataset, hyper: Hyper, seed: int) -> FloatSvmModel:
     """One binary fit per unordered class pair, assembled in lexicographic order."""
-    return train_ovo_candidates(ds, [hyper])[0]
+    return train_ovo_candidates(ds, [hyper], seed)[0]
 
 
-def train_ova(ds: Dataset, hyper: Hyper) -> FloatSvmModel:
+def train_ova(ds: Dataset, hyper: Hyper, seed: int) -> FloatSvmModel:
     """One binary fit per class against the rest (comparison harness only)."""
     rows = np.arange(ds.n_samples, dtype=np.int32)
-    streams = [(rows, cls, (hyper.seed, cls)) for cls in range(ds.n_classes)]
-    coefs = np.roll(fit_lanes(ds, streams, [(hyper.lam, hyper.epochs)])[0], 1, axis=-1)
+    streams = [(rows, cls, (seed, cls)) for cls in range(ds.n_classes)]
+    coefs = np.roll(fit_lanes(ds, streams, [hyper])[0], 1, axis=-1)
     return FloatSvmModel("ova", ds.n_classes, ds.n_features, coefs)
 
 
@@ -311,16 +312,18 @@ def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> Hyper:
     or a fit."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if type(seed) is not int or seed < 0:  # a budget of 1 fits nothing that would check it
+        raise ValueError(f"seed must be >= 0 and an int, got {seed!r}")
     rng = default_rng([seed, 99])
     lams = 10.0 ** rng.uniform(np.log10(LAM_RANGE[0]), np.log10(LAM_RANGE[1]), budget)
     epoch_counts = rng.integers(EPOCH_RANGE[0], EPOCH_RANGE[1] + 1, budget)
-    hypers = [Hyper(lam=lam, epochs=int(epochs), seed=seed) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
+    hypers = [Hyper(lam=lam, epochs=int(epochs)) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
     if budget == 1:
         return hypers[0]
 
-    sub_train, holdout = split(train, SplitSpec(1.0 - HOLDOUT_FRACTION, seed))
+    sub_train, holdout = split(train, 1.0 - HOLDOUT_FRACTION, seed)
     scored = [
         ((-accuracy(model, holdout), hyper.lam, hyper.epochs), hyper)
-        for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers))
+        for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers, seed))
     ]
     return min(scored, key=lambda pair: pair[0])[1]  # the first of equal keys

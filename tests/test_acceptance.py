@@ -10,7 +10,7 @@ from helpers import TABLE_SHAPES, _interval_walk_oracle, random_quantized_model,
 from seqsvm.archsim import rtl, simulate
 from seqsvm.cli import main
 from seqsvm.cost import TechConfig, compare_parallel, compare_storage, estimate
-from seqsvm.dataset import SplitSpec, split, to_csv
+from seqsvm.dataset import split, to_csv
 from seqsvm.ddag import (
     ddag_predict_float,
     ddag_predict_quant,
@@ -72,8 +72,8 @@ def test_criterion_02_golden_model_equivalence():
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_criterion_03_quantization_contract(name):
     ds = bundled_dataset(name, seed=1)
-    train, test = split(ds, SplitSpec(0.8, 1))
-    model = train_ovo(train, Hyper(lam=0.02, epochs=12, seed=1))
+    train, test = split(ds, 0.8, 1)
+    model = train_ovo(train, Hyper(lam=0.02, epochs=12), seed=1)
     qm, report = search_param_bits(model, train, test)
     # recompute both accuracies independently of the report
     float_acc = float(np.mean(ddag_predict_float(model, test.features) == test.labels))

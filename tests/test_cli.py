@@ -13,7 +13,7 @@ import pytest
 from seqsvm.archsim import trace_to_text
 from seqsvm.cli import _ingest, _load_model, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
-from seqsvm.dataset import SplitSpec, load_csv, split, to_csv
+from seqsvm.dataset import load_csv, split, to_csv
 from seqsvm.modelio import (
     ddag_to_dict,
     dumps_canonical,
@@ -142,7 +142,7 @@ def test_quantize_stage_reproduces_search(synth_csv, full_run):
     doc = load_model_doc(full_run / "model.json")
     config = doc["config"]
     ds = load_csv(config["dataset"], config["label_column"])
-    train, test = split(ds, SplitSpec(config["train_fraction"], config["seed"]))
+    train, test = split(ds, config["train_fraction"], config["seed"])
     fmodel = float_model_from_dict(doc["float_model"])
     bits = config["input_bits"]
     qm, report = search_param_bits(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsvm.dataset import _ROWS, Dataset, SplitSpec, _label_sort_key, load_csv, split, to_csv
+from seqsvm.dataset import _ROWS, Dataset, _label_sort_key, load_csv, split, to_csv
 from seqsvm.synth import bundled_dataset, ring_sectors
 
 
@@ -267,14 +267,14 @@ def test_label_order_does_not_depend_on_row_order(tmp_path):
 def test_split_sizes():
     ds = bundled_dataset("blobs3x21", seed=0)
     assert ds.n_samples == 180
-    train, test = split(ds, SplitSpec(0.8, 0))
+    train, test = split(ds, 0.8, 0)
     assert (train.n_samples, test.n_samples) == (144, 36)
 
 
 def test_split_deterministic():
     ds = bundled_dataset("noisy6x11", seed=1)
-    a_train, a_test = split(ds, SplitSpec(0.8, 5))
-    b_train, b_test = split(ds, SplitSpec(0.8, 5))
+    a_train, a_test = split(ds, 0.8, 5)
+    b_train, b_test = split(ds, 0.8, 5)
     assert np.array_equal(a_train.features, b_train.features)
     assert np.array_equal(a_test.labels, b_test.labels)
 
@@ -285,9 +285,24 @@ def test_split_stratified_fallback_exhaustive():
     labels = np.repeat(np.arange(5), 2)
     ds = Dataset(X, labels, [str(c) for c in range(5)])
     for seed in range(100):
-        train, test = split(ds, SplitSpec(0.5, seed))
+        train, test = split(ds, 0.5, seed)
         assert set(train.labels.tolist()) == set(range(5)), f"seed {seed}"
         assert train.n_samples + test.n_samples == 10
+
+
+def test_split_rejects_a_fraction_outside_0_1():
+    ds = bundled_dataset("blobs3x21", seed=0)
+    for fraction in (0.0, 1.0, 1.5, -0.2, float("nan")):
+        with pytest.raises(ValueError, match="^train_fraction must lie strictly between 0 and 1$"):
+            split(ds, fraction, 0)
+
+
+def test_split_of_single_sample_classes_leaves_no_test_samples():
+    # stratification keeps every class's one sample for training, at any fraction
+    ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), ["a", "b"])
+    for fraction, seed in itertools.product((0.01, 0.5, 0.99), range(3)):
+        with pytest.raises(ValueError, match="^split leaves no test samples even after stratification"):
+            split(ds, fraction, seed)
 
 
 def test_split_normalization_from_train_only():
@@ -296,7 +311,7 @@ def test_split_normalization_from_train_only():
     X[0] = [10.0, -5.0, 3.0]  # extremes that may land in test
     labels = np.arange(50) % 2
     ds = Dataset(X, labels, ["a", "b"])
-    train, test = split(ds, SplitSpec(0.8, 2))
+    train, test = split(ds, 0.8, 2)
     for j, (lo, hi) in enumerate(train.normalization):
         assert lo in X[:, j] and hi in X[:, j]
         assert lo < hi
@@ -311,7 +326,7 @@ def test_split_normalization_from_train_only():
 def test_constant_feature_maps_to_zero():
     X = np.column_stack([np.full(10, 3.0), np.arange(10, dtype=float)])
     ds = Dataset(X, np.arange(10) % 2, ["a", "b"])
-    train, test = split(ds, SplitSpec(0.8, 0))
+    train, test = split(ds, 0.8, 0)
     assert np.all(train.features[:, 0] == 0.0)
     assert np.all(test.features[:, 0] == 0.0)
 

@@ -37,7 +37,7 @@ from seqsvm.ddag import (
     score_table,
     walk_batch,
 )
-from seqsvm.dataset import Dataset, SplitSpec, split
+from seqsvm.dataset import Dataset, split
 from seqsvm.fxp import BLOCK_ELEMENTS, FxpFormat
 from seqsvm.quant import (
     QuantizedModel,
@@ -356,7 +356,7 @@ def _sample_kernels(n_samples):
         "walk_batch_wrapping": lambda: walk_batch(qm, codes, qm.acc_width - 2),
         "ddag_predict_float": lambda: ddag_predict_float(fmodel, X),
         "quantize_inputs": lambda: quantize_inputs(X),
-        "split": lambda: split(ds, SplitSpec(0.5, 3)),
+        "split": lambda: split(ds, 0.5, 3),
         "predict": lambda: fmodel.predict(X),
         "partial_sum_extremes": lambda: partial_sum_extremes(qm, codes),
     }

@@ -215,7 +215,7 @@ class TestSearchParamBits:
         from seqsvm.trainer import Hyper, train_ova
 
         train, test = blobs3_split
-        ova = train_ova(train, Hyper(epochs=2))
+        ova = train_ova(train, Hyper(epochs=2), seed=0)
         with pytest.raises(ValueError, match="OvO"):
             search_param_bits(ova, train, test)
 

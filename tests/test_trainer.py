@@ -18,7 +18,7 @@ from numpy.random import default_rng
 import seqsvm.ddag as ddag_mod
 import seqsvm.trainer as trainer_mod
 from helpers import document, layouts
-from seqsvm.dataset import Dataset, SplitSpec, split
+from seqsvm.dataset import Dataset, split
 from seqsvm.ddag import ddag_predict_float, row_pairs, score_table
 from seqsvm.fxp import BLOCK_ELEMENTS
 from seqsvm.modelio import float_model_from_dict, read_model_doc
@@ -33,7 +33,6 @@ from seqsvm.trainer import (
     random_search,
     train_ova,
     train_ovo,
-    train_ovo_candidates,
 )
 
 
@@ -50,7 +49,7 @@ def _two_class_blobs(per_class=100, sigma=1.0, margin_sigmas=2.0, m=3, seed=0):
 def _pair_fit(ds, hyper):
     """The one separator of a two-class OvO model, class 0 (+1) vs class 1
     (-1), as its (weights, bias)."""
-    model = train_ovo(ds, hyper)
+    model = train_ovo(ds, hyper, seed=0)
     assert model.coefs.shape == (1, ds.n_features + 1)
     return model.coefs[0, 1:], model.coefs[0, 0]
 
@@ -58,7 +57,7 @@ def _pair_fit(ds, hyper):
 def test_separable_two_point_set():
     # x=0 belongs to class b (=1), x=1 to class a (=0)
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 0]), ["a", "b"])
-    weights, bias = _pair_fit(ds, Hyper(lam=0.1, epochs=80, seed=0))
+    weights, bias = _pair_fit(ds, Hyper(lam=0.1, epochs=80))
     assert np.any(weights != 0.0)  # not the degenerate constant
     assert float(np.dot([1.0], weights) + bias) >= 0.0   # class a side
     assert float(np.dot([0.0], weights) + bias) < 0.0    # class b side
@@ -76,41 +75,35 @@ def test_degenerate_identical_features():
 
 def test_blob_margin_accuracy():
     ds = _two_class_blobs()
-    model = train_ovo(ds, Hyper(lam=0.01, epochs=20, seed=1))
+    model = train_ovo(ds, Hyper(lam=0.01, epochs=20), seed=1)
     assert accuracy(model, ds) >= 0.95
 
 
 def test_missing_class_rejected():
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 0]), ["a", "b"])
     with pytest.raises(RuntimeError, match=r"pair \(0,1\) failed: .*missing"):
-        train_ovo(ds, Hyper())
-
-
-def test_candidates_must_share_one_seed():
-    # the seed keys every pair's stream, which all candidates share
-    ds = bundled_dataset("blobs3x21", seed=0)
-    with pytest.raises(ValueError, match=re.escape("candidates must share one seed, got seeds [1, 2]")):
-        train_ovo_candidates(ds, [Hyper(0.1, 3, seed=1), Hyper(0.2, 4, seed=2)])
+        train_ovo(ds, Hyper(), seed=0)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.01, float("inf"), float("nan")])
 def test_lam_must_be_finite_and_positive(lam):
     # the solver divides by lam: lam = 0 used to give non-finite weights silently
     with pytest.raises(ValueError, match="lam must be finite and > 0"):
-        train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(lam=lam))
+        train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(lam=lam), seed=0)
 
 
 def test_an_integer_lam_trains_as_its_float():
     # Hyper accepts an int lam, as a hand-edited float_model.json can hold
     ds = bundled_dataset("blobs3x21", seed=0)
     for train in (train_ovo, train_ova):
-        assert train(ds, Hyper(lam=1, epochs=2)).coefs.tobytes() == train(ds, Hyper(lam=1.0, epochs=2)).coefs.tobytes()
+        assert train(ds, Hyper(lam=1, epochs=2), 0).coefs.tobytes() == train(ds, Hyper(lam=1.0, epochs=2), 0).coefs.tobytes()
 
 
 def test_negative_epochs_rejected_zero_allowed():
-    with pytest.raises(ValueError, match="epochs must be >= 0"):
-        Hyper(epochs=-1)
-    model = train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(epochs=0))
+    for epochs in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="epochs must be >= 0 and an int"):
+            Hyper(epochs=epochs)
+    model = train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(epochs=0), seed=0)
     assert np.isfinite(model.coefs).all()
 
 
@@ -121,8 +114,8 @@ def test_negative_epochs_rejected_zero_allowed():
 ])
 def test_ovo_vector_counts(name, n, expected):
     ds = bundled_dataset(name, seed=0)
-    train, _ = split(ds, SplitSpec(0.8, 0))
-    model = train_ovo(train, Hyper(epochs=3))
+    train, _ = split(ds, 0.8, 0)
+    model = train_ovo(train, Hyper(epochs=3), seed=0)
     assert model.n_classes == n
     assert model.coefs.shape == (expected, train.n_features + 1)
 
@@ -130,8 +123,8 @@ def test_ovo_vector_counts(name, n, expected):
 @pytest.mark.parametrize("name,n", [("blobs3x21", 3), ("rings10x17", 10)])
 def test_ova_vector_counts(name, n):
     ds = bundled_dataset(name, seed=0)
-    train, _ = split(ds, SplitSpec(0.8, 0))
-    model = train_ova(train, Hyper(epochs=3))
+    train, _ = split(ds, 0.8, 0)
+    model = train_ova(train, Hyper(epochs=3), seed=0)
     assert model.kind == "ova"
     assert model.coefs.shape == (n, train.n_features + 1)
 
@@ -210,19 +203,19 @@ def test_every_parameter_must_be_finite(row, column, message):
 
 def test_ovo_vs_ova_gap_reported(capsys):
     ds = ring_sectors(6, 11, per_class=30, seed=4)
-    train, test = split(ds, SplitSpec(0.8, 4))
-    hyper = Hyper(lam=0.02, epochs=10, seed=4)
-    ovo_acc = accuracy(train_ovo(train, hyper), test)
-    ova_acc = accuracy(train_ova(train, hyper), test)
+    train, test = split(ds, 0.8, 4)
+    hyper = Hyper(lam=0.02, epochs=10)
+    ovo_acc = accuracy(train_ovo(train, hyper, seed=4), test)
+    ova_acc = accuracy(train_ova(train, hyper, seed=4), test)
     print(f"ovo={ovo_acc:.4f} ova={ova_acc:.4f} gap={ovo_acc - ova_acc:+.4f}")
     assert 0.0 <= ovo_acc <= 1.0 and 0.0 <= ova_acc <= 1.0
 
 
 def test_training_bit_reproducible():
     ds = bundled_dataset("noisy6x11", seed=2)
-    train, _ = split(ds, SplitSpec(0.8, 2))
-    m1 = train_ovo(train, Hyper(lam=0.05, epochs=6, seed=9))
-    m2 = train_ovo(train, Hyper(lam=0.05, epochs=6, seed=9))
+    train, _ = split(ds, 0.8, 2)
+    m1 = train_ovo(train, Hyper(lam=0.05, epochs=6), seed=9)
+    m2 = train_ovo(train, Hyper(lam=0.05, epochs=6), seed=9)
     assert m1.coefs.tobytes() == m2.coefs.tobytes()
 
 
@@ -467,6 +460,12 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             random_search(blobs3_split[0], budget=0, seed=0)
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_rejects_a_seed_that_is_not_an_int_of_at_least_0(self, blobs3_split, budget):
+        for seed in (True, -1, 1.0):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be >= 0 and an int, got {seed!r}")):
+                random_search(blobs3_split[0], budget=budget, seed=seed)
+
     def test_budget_one_returns_its_draw_without_a_holdout_or_a_fit(self, blobs3_split, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a budget of 1 has nothing to choose")
@@ -477,7 +476,7 @@ class TestRandomSearch:
         rng = np.random.default_rng([6, 99])  # the search's draws: lam first, then epochs
         lam = float(10.0 ** rng.uniform(math.log10(1e-4), math.log10(10.0), 1)[0])
         epochs = int(rng.integers(5, 51, 1)[0])
-        assert random_search(blobs3_split[0], budget=1, seed=6) == Hyper(lam, epochs, 6)
+        assert random_search(blobs3_split[0], budget=1, seed=6) == Hyper(lam, epochs)
 
     def test_picks_strictly_better_candidate(self, blobs3_split, monkeypatch):
         # score rises as lam falls; the smallest sampled lam must win
@@ -491,7 +490,7 @@ class TestRandomSearch:
             def predict(self, X):
                 return np.full(len(X), -1, dtype=np.int64)  # accuracy 0
 
-        def fake_train(ds, hypers):
+        def fake_train(ds, hypers, seed):
             seen.extend(hypers)
             return [_Fake(hyper.lam) for hyper in hypers]
 
@@ -507,7 +506,7 @@ class TestRandomSearch:
         train, _ = blobs3_split
         seen = []
 
-        def fake_train(ds, hypers):
+        def fake_train(ds, hypers, seed):
             seen.extend(hypers)
             return [object() for _ in hypers]
 
@@ -562,7 +561,7 @@ class TestLaneSolver:
             min_size=2,
             max_size=4,
         ),
-        grid=st.lists(st.tuples(st.floats(1e-4, 10.0), st.integers(0, 5)), min_size=1, max_size=3),  # (lam, epochs)
+        grid=st.lists(st.builds(Hyper, st.floats(1e-4, 10.0), st.integers(0, 5)), min_size=1, max_size=3),
     )
     def test_lane_alone_equals_lane_in_batch(self, seed, specs, grid):
         ds = self._random_dataset(seed)
@@ -585,7 +584,7 @@ class TestLaneSolver:
         ds = self._random_dataset(4)
         key, rows = (7, 0), np.arange(0, 60)
         streams = [(rows, 0, key), (np.arange(30, 90), 1, key), (rows, 2, key), (rows, 0, (8, 0))]
-        grid = [(0.05, epochs[0]), (0.2, epochs[1]), (0.5, 4)]
+        grid = [Hyper(0.05, epochs[0]), Hyper(0.2, epochs[1]), Hyper(0.5, 4)]
         batch = fit_lanes(ds, streams, grid)
         for h, setting in enumerate(grid):
             for s, stream in enumerate(streams):
@@ -595,8 +594,8 @@ class TestLaneSolver:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ovo_lanes_match_shrink_and_step(self, seed):
         ds = self._random_dataset(seed)
-        hyper = Hyper(lam=[0.003, 0.05, 1.5][seed], epochs=4 + seed, seed=seed)
-        model = train_ovo(ds, hyper)
+        hyper = Hyper(lam=[0.003, 0.05, 1.5][seed], epochs=4 + seed)
+        model = train_ovo(ds, hyper, seed)
         for (a, b), row in zip(row_pairs("ovo", model.n_classes), model.coefs):
             mask = (ds.labels == a) | (ds.labels == b)
             y = np.where(ds.labels[mask] == a, 1.0, -1.0)
@@ -605,8 +604,8 @@ class TestLaneSolver:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ova_lanes_match_shrink_and_step(self, seed):
         ds = self._random_dataset(seed)
-        hyper = Hyper(lam=0.02, epochs=3, seed=seed)
-        model = train_ova(ds, hyper)
+        hyper = Hyper(lam=0.02, epochs=3)
+        model = train_ova(ds, hyper, seed)
         for cls, row in enumerate(model.coefs):
             y = np.where(ds.labels == cls, 1.0, -1.0)
             _assert_close_to_reference(row, ds.features, y, hyper.lam, hyper.epochs, (seed, cls))
@@ -616,8 +615,8 @@ class TestLaneSolver:
         X = np.vstack([np.tile([0.3, 0.7], (7, 1)), np.random.default_rng(5).uniform(size=(6, 2))])
         labels = np.array([0, 0, 0, 0, 1, 1, 1] + [2] * 6)
         ds = Dataset(X, labels, ["a", "b", "c"])
-        hyper = Hyper(lam=0.05, epochs=6, seed=4)
-        model = train_ovo(ds, hyper)
+        hyper = Hyper(lam=0.05, epochs=6)
+        model = train_ovo(ds, hyper, seed=4)
         v01, v02, v12 = model.coefs
         assert np.all(v01[1:] == 0.0) and v01[0] == 1.0  # 4 of 7 rows are class 0
         for (a, b), row in zip([(0, 2), (1, 2)], (v02, v12)):
@@ -631,13 +630,13 @@ class TestLaneSolver:
         ds.features[:10] = ds.features[0]
         flat = (np.arange(10), int(ds.labels[0]), (3, 0))
         normal = [(np.arange(40), cls, (3, cls)) for cls in range(4)]
-        grid = [(0.1, 4), (0.3, 0), (2.0, 2)]
+        grid = [Hyper(0.1, 4), Hyper(0.3, 0), Hyper(2.0, 2)]
         batches = fit_lanes(ds, [normal[0], flat, *normal[1:]], grid)
         majority = 2 * np.count_nonzero(ds.labels[:10] == flat[1]) >= 10
         assert np.all(batches[:, 1, :-1] == 0.0)  # every setting, its epochs 0 too
         assert np.all(batches[:, 1, -1] == (1.0 if majority else -1.0))
         fits = batches[0]
-        model = train_ova(ds, Hyper(lam=0.1, epochs=4, seed=3))
+        model = train_ova(ds, Hyper(lam=0.1, epochs=4), seed=3)
         for cls, (fit, row) in enumerate(zip([fits[0], *fits[2:]], model.coefs)):
             assert np.array_equal(fit[:-1], row[1:]) and fit[-1] == row[0]
             y = np.where(ds.labels == cls, 1.0, -1.0)
@@ -645,7 +644,7 @@ class TestLaneSolver:
 
     def test_all_degenerate_ova(self):
         ds = Dataset(np.tile([0.5], (5, 1)), np.array([0, 1, 1, 2, 2]), ["a", "b", "c"])
-        model = train_ova(ds, Hyper(lam=0.1, epochs=3, seed=0))
+        model = train_ova(ds, Hyper(lam=0.1, epochs=3), seed=0)
         assert model.coefs[:, 0].tolist() == [-1.0, -1.0, -1.0]
         assert np.all(model.coefs[:, 1:] == 0.0)
 
@@ -663,15 +662,30 @@ class TestLaneSolver:
         ds = self._random_dataset(0)
         streams = [(np.arange(10), 0, (0,)), (rows, positive, (1,))]
         with pytest.raises(ValueError, match=re.escape(message)):
-            fit_lanes(ds, streams, [(0.1, 2)])
+            fit_lanes(ds, streams, [Hyper(0.1, 2)])
+
+    @pytest.mark.parametrize("setting", [(-0.1, 3), (0.0, 3), (0.1, -1), (0.1, 2.5), (0.1, True), (0.1, 3)])
+    def test_rejects_a_setting_that_is_not_a_hyper(self, setting):
+        # as tuples these fitted without a word: weights of the wrong sign,
+        # inf or NaN, all zeros, or fewer epochs than asked for
+        ds = self._random_dataset(0)
+        with pytest.raises(TypeError, match=re.escape(f"setting 1: {setting!r} is not a Hyper")):
+            fit_lanes(ds, [(np.arange(10), 0, (0,))], [Hyper(0.1, 2), setting])
+
+    @pytest.mark.parametrize("key", [(True,), (), (-1,), (1.5,), [1]])
+    def test_rejects_a_bad_key_by_its_stream_number(self, key):
+        ds = self._random_dataset(0)
+        streams = [(np.arange(10), 0, (0,)), (np.arange(10), 1, key)]
+        with pytest.raises(ValueError, match=re.escape(f"stream 1: key {key!r} is not a non-empty tuple of ints >= 0")):
+            fit_lanes(ds, streams, [Hyper(0.1, 2)])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64])
     def test_rows_of_any_integer_dtype_fit_alike(self, dtype):
         # 300 samples: the ids n + r reach 549, past what uint8 holds
         ds = self._random_dataset(2, rows=300)
         rows = np.arange(100, 250)
-        want = fit_lanes(ds, [(rows, 1, (2,))], [(0.1, 3)])
-        assert np.array_equal(fit_lanes(ds, [(rows.astype(dtype), 1, (2,))], [(0.1, 3)]), want)
+        want = fit_lanes(ds, [(rows, 1, (2,))], [Hyper(0.1, 3)])
+        assert np.array_equal(fit_lanes(ds, [(rows.astype(dtype), 1, (2,))], [Hyper(0.1, 3)]), want)
 
     def test_lanes_of_one_key_and_length_draw_once_per_epoch(self, monkeypatch):
         # the candidates of a search on one pair's stream, plus a stream of
@@ -680,7 +694,7 @@ class TestLaneSolver:
         rows = np.flatnonzero(ds.labels < 2)
         other = np.sort(np.random.default_rng(9).choice(ds.n_samples, len(rows), replace=False))
         streams = [(rows, 0, (4, 0, 1)), (other, 1, (4, 0, 1))]
-        grid = [(0.01, 3), (0.5, 5), (2.0, 2), (0.1, 0), (0.05, 4)]
+        grid = [Hyper(0.01, 3), Hyper(0.5, 5), Hyper(2.0, 2), Hyper(0.1, 0), Hyper(0.05, 4)]
         alone = [[fit_lanes(ds, [stream], [setting])[0, 0] for stream in streams] for setting in grid]
         draws = []  # (generator, length) per draw
 
@@ -817,7 +831,7 @@ def lane_batches(draw):
         st.tuples(st.sampled_from(row_sets), st.integers(0, 3), st.sampled_from([(0,), (1,), (1, 2)])),
         min_size=1, max_size=4,
     ))
-    grid = draw(st.lists(st.tuples(st.floats(1e-4, 10.0), st.integers(0, 5)), min_size=1, max_size=3))
+    grid = draw(st.lists(st.builds(Hyper, st.floats(1e-4, 10.0), st.integers(0, 5)), min_size=1, max_size=3))
     return seed, streams, grid
 
 
@@ -826,7 +840,7 @@ def lane_batches(draw):
 def test_fit_lanes_is_bit_identical_to_the_frozen_kernel(batch):
     seed, streams, grid = batch
     ds = _oracle_dataset(seed)
-    lanes = [Lane(rows, positive, lam, epochs, key) for lam, epochs in grid for rows, positive, key in streams]
+    lanes = [Lane(rows, positive, h.lam, h.epochs, key) for h in grid for rows, positive, key in streams]
     fits = fit_lanes(ds, streams, grid)
     assert fits.shape == (len(grid), len(streams), ds.n_features + 1)
     frozen = _frozen_fit_lanes(ds, lanes).reshape(fits.shape)
