@@ -29,6 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .ddag import _walk_table, kernel_words, pair_index, state_bits_for, walk_batch
+from .fxp import check_int
 from .quant import QuantizedModel
 
 
@@ -50,8 +51,7 @@ class Rtl:
 
 def rtl(qm: QuantizedModel) -> Rtl:
     """The design of ``qm``; an error if profile_accumulator has not sized its accumulator."""
-    if qm.acc_width < 1:
-        raise ValueError("model has no accumulator width; run profile_accumulator first")
+    check_int("acc_width (run profile_accumulator first)", qm.acc_width, 1)
     n, m = qm.n_classes, qm.n_features
     counter_bits = m.bit_length()
     state_bits = state_bits_for(n)
@@ -147,6 +147,8 @@ def simulate_batch(qm: QuantizedModel, codes_matrix, labels) -> BatchResult:
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty or malformed code matrix")
+    if labels.shape != (len(X),):
+        raise ValueError(f"need one label for each of the {len(X)} code rows, got labels of shape {labels.shape}")
     design = rtl(qm)
     preds, _, overflows = walk_batch(qm, X, design.acc_bits)
     return BatchResult(

@@ -23,7 +23,7 @@ from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
 from .dataset import Dataset, load_csv, split
 from .ddag import ddag_predict_float, ddag_predict_quant
-from .fxp import FxpFormat
+from .fxp import FxpFormat, in_range, range_text
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import QuantizedModel, quantize_inputs, search_param_bits
 from .trainer import FloatSvmModel, Hyper, accuracy, random_search, train_ova, train_ovo
@@ -300,13 +300,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _in_range(lo: int, hi: int | None = None, kind=int):
     """An argument type checked at parse time, before any stage writes, for
-    the range (lo, hi, kind) of ``modelio.in_range``."""
+    the range (lo, hi, kind) of ``fxp.in_range``."""
 
     def parse(text: str):
         value = kind(text)
-        if not modelio.in_range(value, lo, hi, kind):
+        if not in_range(value, lo, hi, kind):
             verb = "lie" if kind is float else "be"
-            raise argparse.ArgumentTypeError(f"must {verb} {modelio.range_text(lo, hi, kind)}, got {value}")
+            raise argparse.ArgumentTypeError(f"must {verb} {range_text(lo, hi, kind)}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse reports a ValueError as "invalid int value: ..."

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .archsim import Rtl, rtl
+from .fxp import finite_number
 from .quant import QuantizedModel
 
 FULL_ADDER_GE = 5.0
@@ -50,8 +51,8 @@ class TechConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be finite and > 0, got {value}")
+            if not (finite_number(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
 
 
 @dataclass

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fxp import check_int, in_range, range_text
+
 
 @dataclass
 class Dataset:
@@ -170,8 +172,9 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     class without training samples. Test features are clamped to [0, 1] after
     applying the training normalization.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    if not in_range(train_fraction, 0, 1, float):
+        raise ValueError(f"train_fraction must be a number {range_text(0, 1, float)}, got {train_fraction!r}")
+    check_int("seed", seed, 0)
     n = ds.n_samples
     # rng.permutation(n) drawn into int32, which halves the one index per sample
     order = np.arange(n, dtype=np.int32)

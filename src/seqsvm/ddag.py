@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .fxp import BLOCK_ELEMENTS
+from .fxp import BLOCK_ELEMENTS, check_int
 
 
 def pair_count(n_classes: int) -> int:
@@ -47,8 +47,7 @@ def row_pairs(kind: str, n_classes: int) -> list[tuple[int, int | None]]:
     """(class_a, class_b) of each table row of a ``kind`` model: the class
     pairs in lexicographic order for "ovo", (class, None) per class for "ova".
     Both models call it, so it rejects any class count but an int (no bool) >= 2."""
-    if type(n_classes) is not int or n_classes < 2:
-        raise ValueError(f"a model needs an integer class count of at least two, got {n_classes!r}")
+    check_int("n_classes", n_classes, 2)
     if kind == "ovo":
         return [(a, b) for a in range(n_classes) for b in range(a + 1, n_classes)]
     if kind == "ova":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .archsim import Rtl, rtl
 from .ddag import transitions, walk_batch
-from .fxp import fits
+from .fxp import check_int, fits
 from .quant import QuantizedModel
 
 
@@ -270,8 +270,7 @@ def emit_golden_vectors(qm: QuantizedModel, test_codes, count: int) -> tuple[str
     the exact cycle count (n-1)*(m+1). Returns the two texts and the
     expected class of each vector.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check_int("count", count, 0)
     r = rtl(qm)
     X = np.asarray(test_codes, dtype=np.int64)[:count]
     classes, states, _ = walk_batch(qm, X, r.acc_bits)

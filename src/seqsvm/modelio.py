@@ -14,11 +14,13 @@ stdlib's pure-Python encoder, which ``indent`` selects.
 version 1 (README.md, "File formats", shows the layout). ``read_model_doc``
 builds its parts back from the fields nothing else determines, checking
 each, then ``check_written`` rejects the document unless it is exactly what
-``model_doc`` writes for those parts. That one rule covers every derived
-field: ``format``, ``version``, ``seed``, ``config_hash``,
-``dataset.split``, ``hyper.seed``, each vector's pair, ``input_fmt``,
-``bias_shift``, the quantized ``vectors`` and ``scales`` (the quantizer's
-output for the float model) and the whole ``ddag``.
+``model_doc`` writes for those parts, in one walk over both. That one rule
+covers every derived field: ``format``, ``version``, ``seed``,
+``config_hash``, ``dataset.split``, ``hyper.seed``, each vector's pair,
+``input_fmt``, ``bias_shift``, the quantized ``vectors`` and ``scales`` (the
+quantizer's output for the float model) and the whole ``ddag``. The checks
+of the read fields are ``fxp``'s; this module keeps only ``CONFIG_RANGES``,
+the ranges of the config's numbers.
 """
 
 from __future__ import annotations
@@ -27,16 +29,15 @@ import hashlib
 import json
 import math
 import warnings
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .dataset import Dataset
 from .ddag import check_ovo, pair_index, row_pairs, state_bits_for, transitions
-from .fxp import MAX_INPUT_BITS, FxpFormat
+from .fxp import MAX_INPUT_BITS, FxpFormat, check_int, finite_number, first_bad, in_range, range_text
 from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_model
-from .trainer import FloatSvmModel, Hyper, check_feature_count, check_parameters, finite_number
+from .trainer import FloatSvmModel, Hyper
 
 FORMAT = "seqsvm/model"
 VERSION = 1
@@ -133,7 +134,7 @@ def float_model_from_dict(doc: dict) -> FloatSvmModel:
     before the first vector without one weight per feature, then that vector."""
     kind, n_classes, n_features = (_field(doc, key, "float_model") for key in ("kind", "n_classes", "n_features"))
     rows = len(row_pairs(kind, n_classes))
-    check_feature_count(n_features)
+    check_int("n_features", n_features, 1)
     vectors = _field(doc, "vectors", "float_model")
     if type(vectors) is not list:
         raise ValueError(f"float_model.vectors {vectors!r:.80} is not a list")
@@ -145,7 +146,9 @@ def float_model_from_dict(doc: dict) -> FloatSvmModel:
         if type(weights) is not list or len(weights) != n_features:
             break
         table.append([_field(v, "bias", f"float_model.vectors.{r}"), *weights])
-    check_parameters(table)  # before the table casts "0.5" or true to a float
+    bad = first_bad(table, finite_number)  # before the table casts "0.5" or true to a float
+    if bad:
+        raise ValueError(f"vector {bad[0]}: parameter {bad[1]!r} is not a finite number")
     if len(table) < rows:
         raise ValueError(f"vector {len(table)}: wrong weight count")
     return FloatSvmModel(kind, n_classes, n_features, table)
@@ -156,9 +159,8 @@ def quantized_from_dict(doc: dict, fmodel: FloatSvmModel, input_bits: int) -> Qu
     be OvO, quantized to the object's ``param_bits`` for inputs of
     ``input_bits`` (the config's), with its ``acc_width``. The words and
     scales are the quantizer's, so no other key is read."""
-    for key in ("param_bits", "acc_width"):  # quantize_model checks param_bits' range
-        if not in_range(_field(doc, key, "quantized"), 1):
-            raise ValueError(f"{key} {doc[key]!r} is not an integer of at least 1")
+    check_int("quantized.param_bits", _field(doc, "param_bits", "quantized"), MIN_PARAM_BITS, MAX_PARAM_BITS)
+    check_int("quantized.acc_width", _field(doc, "acc_width", "quantized"), 1)
     check_ovo(fmodel)
     with warnings.catch_warnings():  # the quantize stage has warned of an all-zero row
         warnings.simplefilter("ignore", UserWarning)
@@ -190,20 +192,6 @@ CONFIG_RANGES = {
     "input_bits": (1, MAX_INPUT_BITS, int),
     "max_param_bits": (MIN_PARAM_BITS, MAX_PARAM_BITS, int),
 }
-
-
-def in_range(value, lo, hi=None, kind=int) -> bool:
-    """Whether ``value`` lies in the range (lo, hi, kind); NaN, the infinities and bools never do."""
-    if kind is float:
-        return finite_number(value) and lo < value < hi
-    return type(value) is int and value >= lo and (hi is None or value <= hi)
-
-
-def range_text(lo, hi, kind) -> str:
-    """The range (lo, hi, kind) in words: "strictly between 0 and 1", ">= 0" or "in 1..16"."""
-    if kind is float:
-        return f"strictly between {lo} and {hi}"
-    return f">= {lo}" if hi is None else f"in {lo}..{hi}"
 
 
 #: The ``config`` keys in the order they are checked; only model.json has the
@@ -252,33 +240,12 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     return parts
 
 
-def _same_types(a: dict, b: dict) -> bool:
-    """For ``a == b``: whether both hold the same type everywhere, one level's types in one step."""
-    xs, ys = [a], [b]
-    while xs:
-        level_a, level_b = [], []
-        for x, y in zip(xs, ys):
-            if type(x) is dict:
-                level_a += x.values()
-                level_b += map(y.__getitem__, x)
-            else:
-                level_a += x
-                level_b += y
-        kinds = list(map(type, level_a))
-        if kinds != list(map(type, level_b)):
-            return False
-        nested = list(map({dict: True, list: True}.get, kinds))
-        xs, ys = list(compress(level_a, nested)), list(compress(level_b, nested))
-    return True
-
-
 def check_written(doc, written, path: str = "") -> None:
     """Reject ``doc`` unless it equals ``written``, what the writer writes for
     its parts, with the same type at every place, so that 1.0 or true never
-    passes for 1. Names the first difference in sorted key order: a missing
+    passes for 1. One recursive walk, the library's only type-strict
+    comparison, names the first difference in sorted key order: a missing
     or unknown key, a list's length, or a value and what is written there."""
-    if not path and type(doc) is dict and doc == written and _same_types(doc, written):
-        return
     if type(doc) is dict and type(written) is dict:
         for key in sorted(doc.keys() | written.keys()):
             if key not in doc or key not in written:

@@ -11,8 +11,9 @@ import numpy as np
 
 from .dataset import Dataset
 from .ddag import ddag_predict_float, ddag_predict_quant, kernel_words, row_pairs, score_table
-from .fxp import BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, max_int, min_int, width_for_range
-from .trainer import FloatSvmModel, finite_number, read_only_table
+from .fxp import (BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, check_int, finite_number, first_bad, fits, max_int,
+                  min_int, width_for_range)
+from .trainer import FloatSvmModel, read_only_table
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
 MAX_ACCURACY_DROP = 0.005
@@ -26,25 +27,6 @@ def QuantVector(class_a: int, class_b: int, weights, bias: int) -> list[int]:
     bench/shapes.py, until the benchmark next changes; new code writes the
     rows itself."""
     return [bias, *weights]
-
-
-def check_widths(param_bits: int) -> None:
-    """Reject a parameter width outside 2..16 bits, before any word is looked
-    at. ``FxpFormat`` bounds the input width itself."""
-    if not MIN_PARAM_BITS <= param_bits <= MAX_PARAM_BITS:
-        raise ValueError("param_bits out of range")
-
-
-def check_params(rows, param_bits: int) -> None:
-    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m], exact
-    integers even past int64) that does not fit a signed param_bits-bit
-    word, scanning row by row, each row's weights before its bias."""
-    table = np.roll(np.array(rows, dtype=object, ndmin=2), -1, axis=1)  # rows as [w_1..w_m, bias]
-    fits = (table >= min_int(param_bits)) & (table <= max_int(param_bits))
-    bad = np.argwhere(np.logical_not(fits))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"vector {i}: parameter {table[i, j]} exceeds {param_bits} bits")
 
 
 @dataclass(eq=False)
@@ -71,16 +53,17 @@ class QuantizedModel:
     acc_width: int = 0  # set by profile_accumulator
 
     def __post_init__(self):
-        check_widths(self.param_bits)
+        bits = self.param_bits
+        check_int("param_bits", bits, MIN_PARAM_BITS, MAX_PARAM_BITS)  # before any word is looked at
         rows = len(row_pairs("ovo", self.n_classes))
-        if isinstance(self.words, np.ndarray) and self.words.dtype == np.int64:
-            self.words = read_only_table(self.words, rows, self.n_features, np.int64)
-            if self.words.min() < min_int(self.param_bits) or self.words.max() > max_int(self.param_bits):
-                check_params(self.words.tolist(), self.param_bits)  # names the first offender
-        else:
-            exact = read_only_table(self.words, rows, self.n_features, object)  # Python ints, even past int64
-            check_params(exact, self.param_bits)
-            self.words = read_only_table(exact, rows, self.n_features, np.int64)
+        int64 = isinstance(self.words, np.ndarray) and self.words.dtype == np.int64
+        # anything but an int64 array as Python ints, exact even past int64
+        table = read_only_table(self.words, rows, self.n_features, np.int64 if int64 else object)
+        if not int64 or table.min() < min_int(bits) or table.max() > max_int(bits):
+            bad = first_bad(table.tolist(), lambda p: fits(p, bits))
+            if bad:
+                raise ValueError(f"vector {bad[0]}: parameter {bad[1]} exceeds {bits} bits")
+        self.words = table if int64 else read_only_table(table, rows, self.n_features, np.int64)
         if not (isinstance(self.scales, list) and len(self.scales) == rows):
             raise ValueError(f"scales must be a list of one number per vector ({rows}), got {self.scales!r:.40}")
         bad = next((r for r, s in enumerate(self.scales) if not (finite_number(s) and s > 0)), None)
@@ -166,7 +149,7 @@ def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat 
     """Quantize every OvO row independently (per-row scale preserves signs)."""
     if fmodel.kind != "ovo":
         raise ValueError("only OvO models map onto the sequential architecture")
-    check_widths(param_bits)
+    check_int("param_bits", param_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
     codes, scales = _scale_rows(fmodel.coefs, param_bits)
     return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, codes, scales.tolist())
 
@@ -210,8 +193,7 @@ def search_param_bits(
     """Try param_bits = MIN_PARAM_BITS..max_bits ascending; keep the first
     precision whose DDAG test accuracy sits within MAX_ACCURACY_DROP of the
     float DDAG test accuracy. Falls back to max_bits with the flag set."""
-    if not MIN_PARAM_BITS <= max_bits <= MAX_PARAM_BITS:
-        raise ValueError(f"max_bits must be in {MIN_PARAM_BITS}..{MAX_PARAM_BITS}, got {max_bits!r}")
+    check_int("max_bits", max_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
     float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
     test_codes = quantize_inputs(test, input_fmt)
     train_codes = quantize_inputs(train, input_fmt)

@@ -19,11 +19,15 @@ block of steps is one gather from the table, shared by the settings. Each
 stream draws one permutation of its ids per epoch from its own
 ``default_rng(key)``; settings past their epochs, and streams past their
 rows, are masked out.
+
+Arguments are checked by ``fxp``'s checks: ``check_int`` for the epochs,
+the budget, every seed and key element and the feature count, ``in_range``
+for a stream's positive class, and ``finite_number`` for lam and every
+parameter of a table.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,7 @@ from numpy.random import default_rng
 
 from .dataset import Dataset, split
 from .ddag import float_features, row_pairs, score_table
-from .fxp import BLOCK_ELEMENTS
+from .fxp import BLOCK_ELEMENTS, check_int, finite_number, first_bad, in_range
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,7 @@ class Hyper:
         # the solver divides by lam, so lam <= 0 gives non-finite weights
         if not (finite_number(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
-        if type(self.epochs) is not int or self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0 and an int, got {self.epochs!r}")
+        check_int("epochs", self.epochs, 0)
 
 
 #: random_search draws lam log-uniformly and epochs uniformly from these
@@ -54,38 +57,15 @@ EPOCH_RANGE = (5, 50)
 HOLDOUT_FRACTION = 0.25
 
 
-def check_feature_count(n_features) -> None:
-    """Reject a feature count that is not an int (no bool) of at least 1."""
-    if type(n_features) is not int or n_features < 1:
-        raise ValueError(f"a model needs an integer feature count of at least one, got {n_features!r}")
-
-
 def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
     """``values`` as a new read-only (n_rows, n_features + 1) array of
     ``dtype``: a model's table, one row [bias, w_1..w_m] per stored vector."""
-    check_feature_count(n_features)
+    check_int("n_features", n_features, 1)
     table = np.array(values, dtype=dtype)
     if table.shape != (n_rows, n_features + 1):
         raise ValueError(f"need a {n_rows} x {n_features + 1} table (one row per vector), got shape {table.shape}")
     table.flags.writeable = False
     return table
-
-
-def finite_number(value) -> bool:
-    """Whether ``value`` is an int, a float or a numpy integer or floating
-    scalar of at most 64 bits (no bool of either), finite in float64."""
-    if isinstance(value, (np.integer, np.floating)):
-        value = value.item()
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def check_parameters(rows) -> None:
-    """Reject the first parameter of ``rows`` (each [bias, w_1..w_m]) that is
-    not a finite number, row by row, each row's weights before its bias."""
-    for r, row in enumerate(rows):
-        bad = [p for p in [*row[1:], row[0]] if not finite_number(p)]
-        if bad:
-            raise ValueError(f"vector {r}: parameter {bad[0]!r} is not a finite number")
 
 
 @dataclass(eq=False)
@@ -103,7 +83,8 @@ class FloatSvmModel:
         rows = len(row_pairs(self.kind, self.n_classes))
         self.coefs = read_only_table(self.coefs, rows, self.n_features, np.float64)
         if not np.isfinite(self.coefs).all():
-            check_parameters(self.coefs.tolist())
+            r, p = first_bad(self.coefs.tolist(), finite_number)
+            raise ValueError(f"vector {r}: parameter {p!r} is not a finite number")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA, as
@@ -191,7 +172,7 @@ def _signed_ids(ds: Dataset, rows, positive, i: int) -> np.ndarray:
         raise ValueError(f"stream {i}: no rows")
     if rows.min() < 0 or rows.max() >= ds.n_samples:
         raise ValueError(f"stream {i}: rows must lie in 0..{ds.n_samples - 1}, got {rows.min()}..{rows.max()}")
-    if not (isinstance(positive, (int, np.integer)) and 0 <= positive < ds.n_classes):
+    if not in_range(positive, 0, ds.n_classes - 1):
         raise ValueError(f"stream {i}: positive {positive!r} is not a class code 0..{ds.n_classes - 1}")
     # the product is int64, so no narrow dtype of rows can wrap
     return (rows + ds.n_samples * (ds.labels[rows] != positive)).astype(np.int32)
@@ -224,8 +205,10 @@ def fit_lanes(ds: Dataset, streams: list, settings: list) -> np.ndarray:
     solved, sources, constant = [], [], {}  # solved stream numbers, their (ids, generator); degenerate biases
     for s, (rows, positive, key) in enumerate(streams):
         own = _signed_ids(ds, rows, positive, s)
-        if not (type(key) is tuple and key and all(type(k) is int and k >= 0 for k in key)):
-            raise ValueError(f"stream {s}: key {key!r} is not a non-empty tuple of ints >= 0")
+        if not (type(key) is tuple and key):
+            raise ValueError(f"stream {s}: key {key!r} is not a non-empty tuple")
+        for k in key:
+            check_int(f"stream {s}: key {key!r}'s element", k, 0)
         # a stream that varies in its first feature needs no full gather
         first = ds.features[rows, 0]
         if np.all(first == first[0]) and np.all(ds.features[rows] == ds.features[rows[0]]):
@@ -310,10 +293,8 @@ def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> Hyper:
     ties break toward smaller lam, then fewer epochs. Deterministic for a
     given seed. A budget of 1 returns its one draw without a holdout split
     or a fit."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if type(seed) is not int or seed < 0:  # a budget of 1 fits nothing that would check it
-        raise ValueError(f"seed must be >= 0 and an int, got {seed!r}")
+    check_int("budget", budget, 1)
+    check_int("seed", seed, 0)  # a budget of 1 fits nothing that would check it
     rng = default_rng([seed, 99])
     lams = 10.0 ** rng.uniform(np.log10(LAM_RANGE[0]), np.log10(LAM_RANGE[1]), budget)
     epoch_counts = rng.integers(EPOCH_RANGE[0], EPOCH_RANGE[1] + 1, budget)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,17 @@ class TestBatch:
         ref = np.array([_interval_walk_oracle(qm, row) for row in codes])
         assert np.array_equal(batch.predictions, ref)
         assert batch.accuracy == float(np.mean(ref == test.labels))
+
+    def test_needs_one_label_per_code_row(self, blobs3_quant, blobs3_split):
+        # labels[:1] broadcast to an accuracy without a word, labels[:3] failed in numpy
+        qm, _ = blobs3_quant
+        _, test = blobs3_split
+        codes = quantize_inputs(test, qm.input_fmt)
+        assert len(codes) == 36
+        for labels in (test.labels[:1], test.labels[:3], test.labels[:, None], np.append(test.labels, 0)):
+            message = f"need one label for each of the 36 code rows, got labels of shape {labels.shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                simulate_batch(qm, codes, labels)
 
     def test_mean_cycles_constant(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=3)

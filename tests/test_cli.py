@@ -610,19 +610,19 @@ _FLOAT_MODEL_EDITS = {
     "float_weight_null": (_set_float(2, 0, None), "vector 2: parameter None is not a finite number"),
     "float_row_too_small": (_tiny_float_row, "vector 0: largest |coefficient| 5e-324 is too small to scale to 2 bits"),
     "float_n_classes_one": (
-        _set_float_model("n_classes", 1), "a model needs an integer class count of at least two, got 1"
+        _set_float_model("n_classes", 1), "n_classes must be an integer >= 2, got 1"
     ),
     "float_n_classes_true": (
-        _set_float_model("n_classes", True), "a model needs an integer class count of at least two, got True"
+        _set_float_model("n_classes", True), "n_classes must be an integer >= 2, got True"
     ),
     "float_n_features_float": (
-        _set_float_model("n_features", 11.0), "a model needs an integer feature count of at least one, got 11.0"
+        _set_float_model("n_features", 11.0), "n_features must be an integer >= 1, got 11.0"
     ),
     "float_n_features_true": (
-        _set_float_model("n_features", True), "a model needs an integer feature count of at least one, got True"
+        _set_float_model("n_features", True), "n_features must be an integer >= 1, got True"
     ),
     "float_n_features_zero": (
-        _set_float_model("n_features", 0), "a model needs an integer feature count of at least one, got 0"
+        _set_float_model("n_features", 0), "n_features must be an integer >= 1, got 0"
     ),
     "float_weight_int": (_set_float(1, 2, 1), "float_model.vectors.1.weights.2 is 1, the model writes 1.0"),
     "float_unknown_key": (_set_float_model("note", "x"), "float_model has an unknown key 'note'"),
@@ -645,9 +645,9 @@ _FLOAT_MODEL_EDITS = {
         "dataset.split.train_fraction is 0.5, the model writes 0.8",
     ),
     "hyper_list": (_set_top("hyper", []), "hyper [] is not an object"),
-    "hyper_epochs_negative": (_set_hyper("epochs", -3), "hyper: epochs must be >= 0 and an int, got -3"),
-    "hyper_epochs_fraction": (_set_hyper("epochs", 2.5), "hyper: epochs must be >= 0 and an int, got 2.5"),
-    "hyper_epochs_true": (_set_hyper("epochs", True), "hyper: epochs must be >= 0 and an int, got True"),
+    "hyper_epochs_negative": (_set_hyper("epochs", -3), "hyper: epochs must be an integer >= 0, got -3"),
+    "hyper_epochs_fraction": (_set_hyper("epochs", 2.5), "hyper: epochs must be an integer >= 0, got 2.5"),
+    "hyper_epochs_true": (_set_hyper("epochs", True), "hyper: epochs must be an integer >= 0, got True"),
     "hyper_lam_zero": (_set_hyper("lam", 0), "hyper: lam must be finite and > 0, got 0"),
     "hyper_lam_string": (_set_hyper("lam", "0.1"), "hyper: lam must be finite and > 0, got '0.1'"),
     "hyper_seed_string": (_set_hyper("seed", "x"), "hyper.seed is 'x', the model writes 11"),
@@ -680,9 +680,9 @@ _MODEL_EDITS = {
     "quantized_missing": (_set_top("quantized"), "document has no key 'quantized'"),
     "scales_missing": (_set_path(("quantized", "scales")), "quantized has no key 'scales'"),
     "quantized_unknown_key": (_set_quantized(("note",), "x"), "quantized has an unknown key 'note'"),
-    "acc_width_true": (_set_quantized(("acc_width",), True), "acc_width True is not an integer of at least 1"),
-    "acc_width_fraction": (_set_quantized(("acc_width",), 7.5), "acc_width 7.5 is not an integer of at least 1"),
-    "acc_width_zero": (_set_quantized(("acc_width",), 0), "acc_width 0 is not an integer of at least 1"),
+    "acc_width_true": (_set_quantized(("acc_width",), True), "quantized.acc_width must be an integer >= 1, got True"),
+    "acc_width_fraction": (_set_quantized(("acc_width",), 7.5), "quantized.acc_width must be an integer >= 1, got 7.5"),
+    "acc_width_zero": (_set_quantized(("acc_width",), 0), "quantized.acc_width must be an integer >= 1, got 0"),
     "weight_fraction": (
         _set_quantized(("vectors", 0, "weights", 0), 1.7), "quantized.vectors.0.weights.0 is 1.7, the model writes -1"
     ),
@@ -692,9 +692,9 @@ _MODEL_EDITS = {
     "bias_fraction": (
         _set_quantized(("vectors", 1, "bias"), 2.5), "quantized.vectors.1.bias is 2.5, the model writes 0"
     ),
-    "param_bits_fraction": (_set_quantized(("param_bits",), 7.5), "param_bits 7.5 is not an integer of at least 1"),
-    "param_bits_float": (_set_quantized(("param_bits",), 8.0), "param_bits 8.0 is not an integer of at least 1"),
-    "param_bits_true": (_set_quantized(("param_bits",), True), "param_bits True is not an integer of at least 1"),
+    "param_bits_fraction": (_set_quantized(("param_bits",), 7.5), "quantized.param_bits must be an integer in 2..16, got 7.5"),
+    "param_bits_float": (_set_quantized(("param_bits",), 8.0), "quantized.param_bits must be an integer in 2..16, got 8.0"),
+    "param_bits_true": (_set_quantized(("param_bits",), True), "quantized.param_bits must be an integer in 2..16, got True"),
     "param_bits_above_ceiling": (
         _set_quantized(("param_bits",), 12), "quantized.param_bits 12 exceeds config max_param_bits 8"
     ),

@@ -172,7 +172,8 @@ class TestTechConfig:
 
     @pytest.mark.parametrize("name", [f.name for f in fields(TechConfig)])
     def test_non_finite_rejected(self, name):
-        for value in (math.nan, math.inf, -math.inf):
+        # True was taken as 1.0 and "20" raised a bare TypeError: neither is a number
+        for value in (math.nan, math.inf, -math.inf, True, "20"):
             with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                 TechConfig(**{name: value})
 

@@ -292,9 +292,19 @@ def test_split_stratified_fallback_exhaustive():
 
 def test_split_rejects_a_fraction_outside_0_1():
     ds = bundled_dataset("blobs3x21", seed=0)
-    for fraction in (0.0, 1.0, 1.5, -0.2, float("nan")):
-        with pytest.raises(ValueError, match="^train_fraction must lie strictly between 0 and 1$"):
+    # a string or a bool is no number: "0.8" raised a bare TypeError, True split as 1.0
+    for fraction in (0.0, 1.0, 1.5, -0.2, float("nan"), "0.8", True):
+        message = f"train_fraction must be a number strictly between 0 and 1, got {fraction!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             split(ds, fraction, 0)
+
+
+def test_split_rejects_a_seed_that_is_not_an_int_of_at_least_0():
+    # True split as seed 1, -1 and 1.5 raised numpy's own messages
+    ds = bundled_dataset("blobs3x21", seed=0)
+    for seed in (True, -1, 1.5, np.int64(1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be an integer >= 0, got {seed!r}')}$"):
+            split(ds, 0.8, seed)
 
 
 def test_split_of_single_sample_classes_leaves_no_test_samples():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,9 +154,10 @@ class TestBuild:
     @pytest.mark.parametrize("n", [0, 1, 2.0, True, "3"])
     def test_rejects_anything_but_an_integer_count_of_two_or_more(self, n):
         # every model's table has row_pairs(kind, n) rows, so both models reject it
-        with pytest.raises(ValueError, match="integer class count of at least two"):
+        message = f"^n_classes must be an integer >= 2, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
             QuantizedModel(n, 1, U4_4, 4, [[0, 1]], [1.0])
-        with pytest.raises(ValueError, match="integer class count of at least two"):
+        with pytest.raises(ValueError, match=message):
             FloatSvmModel("ova", n, 1, [[0.0, 1.0]] * 2)
 
 

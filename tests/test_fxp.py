@@ -55,13 +55,13 @@ class TestTruncate:
 
 class TestFormats:
     def test_bad_total_bits(self):
-        with pytest.raises(ValueError, match="^input format must have 1..16 bits, got 0$"):
+        with pytest.raises(ValueError, match="^total_bits must be an integer in 1..16, got 0$"):
             FxpFormat(0)
 
     @pytest.mark.parametrize("bits", [17, 32, 63, 70])
     def test_too_wide_rejected(self, bits):
         # the integer kernels are exact in int64 only up to MAX_INPUT_BITS
-        with pytest.raises(ValueError, match=f"^input format must have 1..16 bits, got {bits}$"):
+        with pytest.raises(ValueError, match=f"^total_bits must be an integer in 1..16, got {bits}$"):
             FxpFormat(bits)
         assert FxpFormat(MAX_INPUT_BITS).raw_max == 65535
 

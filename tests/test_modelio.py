@@ -172,8 +172,8 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
     # widths), the quantized widths, then whether its rows scale
     (_edit(*DERIVED, (("config", "input_bits"), 17)), "config input_bits 17 is not an integer in 1..16"),
     (_edit(*DERIVED, (("hyper", "lam"), 0)), "hyper: lam must be finite and > 0, got 0"),
-    (_edit(*DERIVED, (("float_model", "n_features"), 2.0)), "a model needs an integer feature count of at least one"),
-    (_edit(*DERIVED, (("quantized", "param_bits"), 17)), "param_bits out of range"),
+    (_edit(*DERIVED, (("float_model", "n_features"), 2.0)), "n_features must be an integer >= 1, got 2.0"),
+    (_edit(*DERIVED, (("quantized", "param_bits"), 17)), "quantized.param_bits must be an integer in 2..16, got 17"),
     (_edit(*DERIVED, (("quantized", "param_bits"), 17), (("float_model", "vectors", 0, "weights"), [0.0])),
      "vector 0: wrong weight count"),
     (_edit(*DERIVED, (("float_model", "vectors", 1, "weights"), [5e-324, 0.0]),
@@ -209,8 +209,10 @@ def _quantized_doc(pairs, weights, param_bits=4, total_bits=4):
 
 @pytest.mark.parametrize("doc, message", [
     # the widths are checked; the vectors, a wrong weight count and 99 in 4 bits, are never read
-    (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], param_bits=17), "param_bits out of range"),
-    (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], total_bits=17), "input format must have 1..16 bits"),
+    (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], param_bits=17),
+     "quantized.param_bits must be an integer in 2..16, got 17"),
+    (_quantized_doc(row_pairs("ovo", 3), [[0], [99, 0], [0, 0]], total_bits=17),
+     "total_bits must be an integer in 1..16, got 17"),
 ])
 def test_quantized_loader_check_order(doc, message):
     # read_model_doc passes config.input_bits, which model_doc writes as input_fmt.total_bits

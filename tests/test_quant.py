@@ -84,7 +84,7 @@ class TestScaleVector:
     @pytest.mark.parametrize("bits", [1, 17])
     def test_width_checked_before_scaling(self, bits, recwarn):
         # an all-zero row warns only if scaling is reached
-        with pytest.raises(ValueError, match="^param_bits out of range$"):
+        with pytest.raises(ValueError, match=f"^param_bits must be an integer in 2..16, got {bits}$"):
             quantize_model(FloatSvmModel("ovo", 2, 1, [[0.0, 0.0]]), bits)
         assert len(recwarn) == 0
 
@@ -208,7 +208,7 @@ class TestSearchParamBits:
     @pytest.mark.parametrize("max_bits", [1, 17, 99])
     def test_max_bits_outside_the_model_widths_rejected(self, blobs3_split, blobs3_model, max_bits):
         train, test = blobs3_split
-        with pytest.raises(ValueError, match=f"^max_bits must be in 2..16, got {max_bits}$"):
+        with pytest.raises(ValueError, match=f"^max_bits must be an integer in 2..16, got {max_bits}$"):
             search_param_bits(blobs3_model, train, test, max_bits=max_bits)
 
     def test_rejects_ova(self, blobs3_split):
@@ -373,12 +373,12 @@ class TestInputFormatBounds:
 
     @pytest.mark.parametrize("fmt", BAD)
     def test_quantize_inputs_rejects(self, fmt):
-        with pytest.raises(ValueError, match="1..16 bits"):
+        with pytest.raises(ValueError, match="^total_bits must be an integer in 1..16, got"):
             quantize_inputs(np.ones((2, 3)), fmt())
 
     @pytest.mark.parametrize("fmt", BAD)
     def test_model_rejects(self, fmt):
-        with pytest.raises(ValueError, match="1..16 bits"):
+        with pytest.raises(ValueError, match="^total_bits must be an integer in 1..16, got"):
             QuantizedModel(2, 1, fmt(), 4, [[0, 1]], [1.0])
 
     def test_sixteen_bits_accepted(self):

@@ -101,7 +101,7 @@ def test_an_integer_lam_trains_as_its_float():
 
 def test_negative_epochs_rejected_zero_allowed():
     for epochs in (-1, True, 2.5):
-        with pytest.raises(ValueError, match="epochs must be >= 0 and an int"):
+        with pytest.raises(ValueError, match=re.escape(f"epochs must be an integer >= 0, got {epochs!r}")):
             Hyper(epochs=epochs)
     model = train_ovo(bundled_dataset("blobs3x21", seed=0), Hyper(epochs=0), seed=0)
     assert np.isfinite(model.coefs).all()
@@ -463,7 +463,7 @@ class TestRandomSearch:
     @pytest.mark.parametrize("budget", [1, 2])
     def test_rejects_a_seed_that_is_not_an_int_of_at_least_0(self, blobs3_split, budget):
         for seed in (True, -1, 1.0):
-            with pytest.raises(ValueError, match=re.escape(f"seed must be >= 0 and an int, got {seed!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
                 random_search(blobs3_split[0], budget=budget, seed=seed)
 
     def test_budget_one_returns_its_draw_without_a_holdout_or_a_fit(self, blobs3_split, monkeypatch):
@@ -657,6 +657,8 @@ class TestLaneSolver:
         (np.arange(5), 4, "stream 1: positive 4 is not a class code 0..3"),
         (np.arange(5), -1, "stream 1: positive -1 is not a class code 0..3"),
         (np.arange(5), 1.5, "stream 1: positive 1.5 is not a class code 0..3"),
+        # True trained as class 1
+        (np.arange(5), True, "stream 1: positive True is not a class code 0..3"),
     ])
     def test_rejects_a_bad_stream_by_its_number(self, rows, positive, message):
         ds = self._random_dataset(0)
@@ -676,7 +678,11 @@ class TestLaneSolver:
     def test_rejects_a_bad_key_by_its_stream_number(self, key):
         ds = self._random_dataset(0)
         streams = [(np.arange(10), 0, (0,)), (np.arange(10), 1, key)]
-        with pytest.raises(ValueError, match=re.escape(f"stream 1: key {key!r} is not a non-empty tuple of ints >= 0")):
+        if isinstance(key, tuple) and key:
+            message = f"stream 1: key {key!r}'s element must be an integer >= 0, got {key[0]!r}"
+        else:
+            message = f"stream 1: key {key!r} is not a non-empty tuple"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fit_lanes(ds, streams, [Hyper(0.1, 2)])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64])
