@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .ddag import _walk_table, kernel_words, pair_index, state_bits_for, walk_batch
-from .fxp import check_int
+from .fxp import check_array, check_int
 from .quant import QuantizedModel
 
 
@@ -137,18 +137,16 @@ class BatchResult:
     predictions: np.ndarray
 
 
-def simulate_batch(qm: QuantizedModel, codes_matrix, labels) -> BatchResult:
-    """Simulate every sample at once; accuracy over the given labels.
+def simulate_batch(qm: QuantizedModel, codes, labels) -> BatchResult:
+    """Simulate every sample at once; accuracy over the given labels, a class code per row of ``codes``.
 
     The classes and overflows of simulate's traces; every walk takes
     (n-1)*(m+1) cycles.
     """
-    X = np.asarray(codes_matrix)
-    labels = np.asarray(labels)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("empty or malformed code matrix")
-    if labels.shape != (len(X),):
-        raise ValueError(f"need one label for each of the {len(X)} code rows, got labels of shape {labels.shape}")
+    X = qm.input_codes(codes)
+    if not len(X):
+        raise ValueError("codes must not be empty")
+    labels = check_array("labels", labels, int, (len(X),))
     design = rtl(qm)
     preds, _, overflows = walk_batch(qm, X, design.acc_bits)
     return BatchResult(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fxp import check_int, in_range, range_text
+from .fxp import check_array, check_int, in_range, range_text
 
 
 @dataclass
@@ -30,17 +30,12 @@ class Dataset:
     normalization: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[1] < 1:
+        self.features = check_array("features", self.features, float, ("samples", "features"))
+        if not self.n_features:
             raise ValueError("features must be a (samples, >=1 feature) matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels length must match the number of samples")
+        self.labels = check_array("labels", self.labels, int, (self.n_samples,))
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < len(self.label_names):
             raise ValueError(f"labels must be codes 0..{len(self.label_names) - 1} into label_names")
-        # min and max carry any NaN or infinity without a samples-sized mask
-        if self.features.size and not np.isfinite([self.features.min(), self.features.max()]).all():
-            raise ValueError("features contain non-finite values")
 
     @property
     def n_samples(self) -> int:

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .fxp import BLOCK_ELEMENTS, check_int
+from .fxp import BLOCK_ELEMENTS, check_array, check_int
 
 
 def pair_count(n_classes: int) -> int:
@@ -257,20 +257,14 @@ def walk_batch(qm, codes, acc_width: int | None = None):
     return results
 
 
-def ddag_predict_quant(qm, codes_matrix) -> np.ndarray:
+def ddag_predict_quant(qm, codes) -> np.ndarray:
     """Exact-arithmetic DDAG class of every sample."""
-    return walk_batch(qm, codes_matrix)[0]
+    return walk_batch(qm, codes)[0]
 
 
 def float_features(fmodel, features) -> np.ndarray:
-    """``features`` as the float64 samples x m matrix that ``fmodel`` scores.
-    Rejects any other shape, then any value that is not finite."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != fmodel.n_features:
-        raise ValueError(f"need a samples x {fmodel.n_features} feature matrix, got shape {X.shape}")
-    if X.size and not np.isfinite([X.min(), X.max()]).all():
-        raise ValueError("features must be finite")
-    return X
+    """``features`` as the float64 samples x m matrix that ``fmodel`` scores."""
+    return check_array("features", features, float, ("samples", fmodel.n_features))
 
 
 def ddag_predict_float(fmodel, features) -> np.ndarray:

@@ -2,8 +2,9 @@
 reference classifier, and the cycle-accurate simulator, the block size of
 their array loops, and the library's one implementation of each argument
 check: ``finite_number``, ``in_range`` and ``range_text``, ``check_int``,
-which every integer argument goes through, and ``first_bad``, the scan of a
-parameter table."""
+which every integer argument goes through, ``check_array``, which every
+sample matrix, model table and label or row vector goes through, and
+``first_bad``, the scan of a parameter table."""
 
 from __future__ import annotations
 
@@ -55,6 +56,38 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
     """Reject ``value`` unless it is an int (no bool) in lo.. or lo..hi, naming it ``name``."""
     if not in_range(value, lo, hi):
         raise ValueError(f"{name} must be an integer {range_text(lo, hi)}, got {value!r}")
+
+
+def check_array(name: str, values, kind: type, shape: tuple) -> np.ndarray:
+    """``values`` as an int64 (``kind`` int) or float64 (``kind`` float)
+    array of ``shape``, whose entries are lengths or words naming free ones;
+    an array of the due dtype is returned as it is. Raises a ValueError
+    naming ``name`` for another shape, and, with its index and value, for
+    the first element that is not an int (no bool) that fits int64, or not a
+    finite number (no bool, no string); an int past int64 is named exactly."""
+    text, casts, dtype = ("an integer that fits int64", "iu", np.int64) if kind is int else (
+        "a finite number", "iuf", np.float64)
+    try:
+        array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    except ValueError as exc:  # a nesting numpy cannot even hold as objects
+        raise ValueError(f"{name} is not an array: {exc}") from None
+    if array.ndim != len(shape) or any(type(n) is int and n != k for n, k in zip(shape, array.shape)):
+        dims = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({dims}), got {array.shape}")
+    if array.dtype.kind in casts and np.can_cast(array.dtype, dtype):
+        array = array.astype(dtype, copy=False)
+        # min and max carry any NaN or infinity without a samples-sized mask
+        if kind is int or not array.size or np.isfinite([array.min(), array.max()]).all():
+            return array
+        items = array.ravel().tolist()
+    else:
+        items = [v.item() if isinstance(v, np.generic) else v for v in array.flat]
+    ok = finite_number if kind is float else lambda v: in_range(v, min_int(64), max_int(64))
+    bad = next((i for i, v in enumerate(items) if not ok(v)), None)
+    if bad is None:
+        return np.array(items, dtype=dtype).reshape(array.shape)
+    index = ", ".join(map(str, np.unravel_index(bad, array.shape)))
+    raise ValueError(f"{name}[{index}] must be {text}, got {items[bad]!r}")
 
 
 def first_bad(rows, ok) -> tuple | None:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .archsim import Rtl, rtl
 from .ddag import transitions, walk_batch
 from .fxp import check_int, fits
@@ -262,7 +260,7 @@ STIM_HEADER = "# stimulus: x0..x{last} cycle_budget"
 EXPECT_HEADER = "# expectation: class final_fsm_state"
 
 
-def emit_golden_vectors(qm: QuantizedModel, test_codes, count: int) -> tuple[str, str, list[int]]:
+def emit_golden_vectors(qm: QuantizedModel, codes, count: int) -> tuple[str, str, list[int]]:
     """Simulate the first `count` inputs and freeze stimulus/expectation text.
 
     Every expectation, class and final FSM state, comes from the batch
@@ -272,7 +270,7 @@ def emit_golden_vectors(qm: QuantizedModel, test_codes, count: int) -> tuple[str
     """
     check_int("count", count, 0)
     r = rtl(qm)
-    X = np.asarray(test_codes, dtype=np.int64)[:count]
+    X = qm.input_codes(codes)[:count]
     classes, states, _ = walk_batch(qm, X, r.acc_bits)
     stim_lines = [STIM_HEADER.format(last=qm.n_features - 1)]
     expect_lines = [EXPECT_HEADER]

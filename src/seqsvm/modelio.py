@@ -146,7 +146,7 @@ def float_model_from_dict(doc: dict) -> FloatSvmModel:
         if type(weights) is not list or len(weights) != n_features:
             break
         table.append([_field(v, "bias", f"float_model.vectors.{r}"), *weights])
-    bad = first_bad(table, finite_number)  # before the table casts "0.5" or true to a float
+    bad = first_bad(table, finite_number)  # by the document's vector, before a later one's weight count
     if bad:
         raise ValueError(f"vector {bad[0]}: parameter {bad[1]!r} is not a finite number")
     if len(table) < rows:

@@ -11,8 +11,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .ddag import ddag_predict_float, ddag_predict_quant, kernel_words, row_pairs, score_table
-from .fxp import (BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, check_int, finite_number, first_bad, fits, max_int,
-                  min_int, width_for_range)
+from .fxp import (BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, check_array, check_int, finite_number, first_bad,
+                  fits, max_int, min_int, width_for_range)
 from .trainer import FloatSvmModel, read_only_table
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
@@ -36,12 +36,11 @@ class QuantizedModel:
 
     ``words`` row r is [bias, w_1..w_m] of the r-th class pair in
     lexicographic order (``ddag.row_pairs``): memory row r, bias at word 0.
-    It is int64 and read-only, range-checked once, here: an int64 array by
-    its extremes, anything else value by value, exactly even past int64,
-    and the first offender named either way. The bias code is
-    left-shifted by ``bias_shift`` (the input's bits, all fractional) before
-    accumulation so products and bias share one binary point; the shift is
-    free wiring in bespoke logic.
+    It is int64 and read-only, taken as ``fxp.check_array`` takes an int
+    array and range-checked once, here, by its extremes, the first offender
+    named. The bias code is left-shifted by ``bias_shift`` (the input's
+    bits, all fractional) before accumulation so products and bias share one
+    binary point; the shift is free wiring in bespoke logic.
     """
 
     n_classes: int
@@ -56,14 +55,10 @@ class QuantizedModel:
         bits = self.param_bits
         check_int("param_bits", bits, MIN_PARAM_BITS, MAX_PARAM_BITS)  # before any word is looked at
         rows = len(row_pairs("ovo", self.n_classes))
-        int64 = isinstance(self.words, np.ndarray) and self.words.dtype == np.int64
-        # anything but an int64 array as Python ints, exact even past int64
-        table = read_only_table(self.words, rows, self.n_features, np.int64 if int64 else object)
-        if not int64 or table.min() < min_int(bits) or table.max() > max_int(bits):
-            bad = first_bad(table.tolist(), lambda p: fits(p, bits))
-            if bad:
-                raise ValueError(f"vector {bad[0]}: parameter {bad[1]} exceeds {bits} bits")
-        self.words = table if int64 else read_only_table(table, rows, self.n_features, np.int64)
+        self.words = read_only_table(self.words, rows, self.n_features, int)
+        if self.words.min() < min_int(bits) or self.words.max() > max_int(bits):
+            r, p = first_bad(self.words.tolist(), lambda p: fits(p, bits))
+            raise ValueError(f"vector {r}: parameter {p} exceeds {bits} bits")
         if not (isinstance(self.scales, list) and len(self.scales) == rows):
             raise ValueError(f"scales must be a list of one number per vector ({rows}), got {self.scales!r:.40}")
         bad = next((r for r, s in enumerate(self.scales) if not (finite_number(s) and s > 0)), None)
@@ -79,16 +74,12 @@ class QuantizedModel:
         """``codes`` as an int64 samples x n_features matrix, rejecting any
         code outside the input format: the emitted Verilog keeps only the low
         input bits of each code, so such a code would run differently there."""
-        X = np.asarray(codes, dtype=np.int64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"need a samples x {self.n_features} code matrix, got shape {X.shape}")
+        X = check_array("codes", codes, int, ("samples", self.n_features))
         if X.size and (X.min() < 0 or X.max() >= 1 << MAX_INPUT_BITS):
             raise ValueError(f"input codes must be unsigned {MAX_INPUT_BITS}-bit integers")
         if X.size and X.max() > self.input_fmt.raw_max:
-            raise ValueError(
-                f"input code {int(X.max())} does not fit the model's "
-                f"{self.input_fmt.total_bits}-bit input format"
-            )
+            raise ValueError(f"input code {X.max()} does not fit the model's "
+                             f"{self.input_fmt.total_bits}-bit input format")
         return X
 
 
@@ -105,9 +96,9 @@ class QuantReport:
 
 
 def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
-    """Elementwise truncation of normalized features to unsigned codes."""
+    """Elementwise truncation of normalized, finite features (samples x m) to unsigned codes."""
     X = ds_or_features.features if isinstance(ds_or_features, Dataset) else ds_or_features
-    X = np.asarray(X, dtype=np.float64)
+    X = check_array("features", X, float, ("samples", "features"))
     if X.size and X.min() < 0.0:
         raise ValueError("features must be normalized to [0, 1] before quantization")
     codes = np.empty(X.shape, dtype=np.int64)
@@ -130,9 +121,8 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
     its largest |coefficient| being too small, is rejected before any cast.
     Returns the int64 codes and the float64 scales.
     """
-    C = np.asarray(coefs, dtype=np.float64)
     top = float((1 << (param_bits - 1)) - 1)
-    peak = np.abs(C).max(axis=1, initial=0.0)
+    peak = np.abs(coefs).max(axis=1, initial=0.0)
     zero = peak == 0.0
     for _ in range(np.count_nonzero(zero)):
         warnings.warn("all-zero support vector; quantizing to zeros with scale 1")
@@ -142,7 +132,7 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         raise ValueError(f"vector {bad[0]}: largest |coefficient| {float(peak[bad[0]])!r} is too small to "
                          f"scale to {param_bits} bits")
-    return np.clip(np.rint(C * scales[:, None]), -top, top).astype(np.int64), scales
+    return np.clip(np.rint(coefs * scales[:, None]), -top, top).astype(np.int64), scales
 
 
 def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4) -> QuantizedModel:

@@ -22,8 +22,8 @@ rows, are masked out.
 
 Arguments are checked by ``fxp``'s checks: ``check_int`` for the epochs,
 the budget, every seed and key element and the feature count, ``in_range``
-for a stream's positive class, and ``finite_number`` for lam and every
-parameter of a table.
+for a stream's positive class, ``finite_number`` for lam, and
+``check_array`` for a stream's rows and a model's table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from numpy.random import default_rng
 
 from .dataset import Dataset, split
 from .ddag import float_features, row_pairs, score_table
-from .fxp import BLOCK_ELEMENTS, check_int, finite_number, first_bad, in_range
+from .fxp import BLOCK_ELEMENTS, check_array, check_int, finite_number, in_range
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,12 @@ EPOCH_RANGE = (5, 50)
 HOLDOUT_FRACTION = 0.25
 
 
-def read_only_table(values, n_rows: int, n_features: int, dtype) -> np.ndarray:
-    """``values`` as a new read-only (n_rows, n_features + 1) array of
-    ``dtype``: a model's table, one row [bias, w_1..w_m] per stored vector."""
+def read_only_table(values, n_rows: int, n_features: int, kind: type) -> np.ndarray:
+    """``values`` as a new read-only (n_rows, n_features + 1) array, as
+    ``fxp.check_array`` takes it: a model's table, one row [bias, w_1..w_m]
+    per stored vector, float64 ``coefs`` or int64 ``words`` by ``kind``."""
     check_int("n_features", n_features, 1)
-    table = np.array(values, dtype=dtype)
-    if table.shape != (n_rows, n_features + 1):
-        raise ValueError(f"need a {n_rows} x {n_features + 1} table (one row per vector), got shape {table.shape}")
+    table = check_array("coefs" if kind is float else "words", values, kind, (n_rows, n_features + 1)).copy()
     table.flags.writeable = False
     return table
 
@@ -81,10 +80,7 @@ class FloatSvmModel:
 
     def __post_init__(self):
         rows = len(row_pairs(self.kind, self.n_classes))
-        self.coefs = read_only_table(self.coefs, rows, self.n_features, np.float64)
-        if not np.isfinite(self.coefs).all():
-            r, p = first_bad(self.coefs.tolist(), finite_number)
-            raise ValueError(f"vector {r}: parameter {p!r} is not a finite number")
+        self.coefs = read_only_table(self.coefs, rows, self.n_features, float)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Class per row: max-wins voting for OvO, argmax score for OvA, as
@@ -165,16 +161,13 @@ def _signed_ids(ds: Dataset, rows, positive, i: int) -> np.ndarray:
     """Stream ``i``'s rows as ids into fit_lanes' signed table: row r where
     its label is ``positive``, n + r where it is not. Rejects rows or a
     positive class that do not fit ``ds``."""
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or rows.dtype.kind not in "iu":
-        raise ValueError(f"stream {i}: rows must be a 1-D integer array, got {rows.dtype} of shape {rows.shape}")
+    rows = check_array(f"stream {i}: rows", rows, int, ("n",))
     if not len(rows):
         raise ValueError(f"stream {i}: no rows")
     if rows.min() < 0 or rows.max() >= ds.n_samples:
         raise ValueError(f"stream {i}: rows must lie in 0..{ds.n_samples - 1}, got {rows.min()}..{rows.max()}")
     if not in_range(positive, 0, ds.n_classes - 1):
         raise ValueError(f"stream {i}: positive {positive!r} is not a class code 0..{ds.n_classes - 1}")
-    # the product is int64, so no narrow dtype of rows can wrap
     return (rows + ds.n_samples * (ds.labels[rows] != positive)).astype(np.int32)
 
 
@@ -282,9 +275,7 @@ def train_ova(ds: Dataset, hyper: Hyper, seed: int) -> FloatSvmModel:
 
 def accuracy(model, ds: Dataset) -> float:
     """Fraction of samples that ``model.predict`` classifies correctly."""
-    pred = np.asarray(model.predict(ds.features))
-    if pred.shape != ds.labels.shape:
-        raise ValueError("prediction/label shape mismatch")
+    pred = check_array("predictions", model.predict(ds.features), int, (ds.n_samples,))
     return float(np.mean(pred == ds.labels))
 
 

@@ -98,7 +98,7 @@ class TestStorage:
         # (walk_batch shifts the bias column of its own copy)
         qm, codes = random_quantized_model(3, 4, 5, seed=2)
         before = qm.words.tobytes()
-        simulate_batch(qm, codes, np.zeros(len(codes)))
+        simulate_batch(qm, codes, np.zeros(len(codes), dtype=np.int64))
         list(simulate(qm, codes[:1]))
         ddag_predict_quant(qm, codes[:1])
         emit_golden_vectors(qm, codes, 5)
@@ -228,9 +228,9 @@ class TestSimulate:
 
     def test_wrong_code_count_rejected(self):
         qm, _ = random_quantized_model(2, 3, 4, seed=0)
-        with pytest.raises(ValueError, match="samples x 3 code matrix"):
+        with pytest.raises(ValueError, match=r"^codes must have shape \(samples, 3\), got "):
             simulate(qm, [[1, 2]])
-        with pytest.raises(ValueError, match="samples x 3 code matrix"):
+        with pytest.raises(ValueError, match=r"^codes must have shape \(samples, 3\), got "):
             simulate(qm, [1, 2, 3])
 
     def test_unprofiled_model_rejected(self):
@@ -288,13 +288,13 @@ class TestBatch:
         codes = quantize_inputs(test, qm.input_fmt)
         assert len(codes) == 36
         for labels in (test.labels[:1], test.labels[:3], test.labels[:, None], np.append(test.labels, 0)):
-            message = f"need one label for each of the 36 code rows, got labels of shape {labels.shape}"
+            message = f"labels must have shape (36,), got {labels.shape}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 simulate_batch(qm, codes, labels)
 
     def test_mean_cycles_constant(self):
         qm, codes = random_quantized_model(4, 5, 5, seed=3)
-        batch = simulate_batch(qm, codes[:20], np.zeros(20))
+        batch = simulate_batch(qm, codes[:20], np.zeros(20, dtype=np.int64))
         assert batch.mean_cycles == (4 - 1) * (5 + 1)
 
 

@@ -423,5 +423,5 @@ def test_labels_must_index_label_names(labels):
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"^features\[0, 0\] must be a finite number, got nan$"):
         Dataset(np.array([[np.nan, 1.0]]), np.array([0]), ["a"])

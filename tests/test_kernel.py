@@ -130,7 +130,7 @@ def test_float_walks_sum_bias_first():
 def test_float_kernel_rejects_malformed_features():
     fmodel = _float_twin(random_quantized_model(3, 2, 4, seed=0)[0])
     for bad in ([0.5, 0.5], [[[0.5, 0.5]]], [[0.5, 0.5, 0.5]], [[0.5]]):
-        with pytest.raises(ValueError, match="samples x 2 feature matrix"):
+        with pytest.raises(ValueError, match=r"^features must have shape \(samples, 2\), got "):
             ddag_predict_float(fmodel, bad)
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -279,7 +279,7 @@ def test_codes_outside_sixteen_bits_rejected():
     qm, codes = random_quantized_model(3, 2, 4, seed=0)
     with pytest.raises(ValueError, match="unsigned 16-bit"):
         ddag_predict_quant(qm, [[1 << 16, 0]])
-    with pytest.raises(ValueError, match="code matrix"):
+    with pytest.raises(ValueError, match=r"^codes must have shape \(samples, 2\), got \(200, 1\)$"):
         ddag_predict_quant(qm, codes[:, :1])
 
 
@@ -287,7 +287,7 @@ def _format_calls(qm, codes):
     """Every entry point that takes a QuantizedModel and input codes."""
     return {
         "simulate": lambda: simulate(qm, codes),
-        "simulate_batch": lambda: simulate_batch(qm, codes, np.zeros(len(codes))),
+        "simulate_batch": lambda: simulate_batch(qm, codes, np.zeros(len(codes), dtype=np.int64)),
         "ddag_predict_quant": lambda: ddag_predict_quant(qm, codes),
         "walk_batch": lambda: walk_batch(qm, codes, qm.acc_width),
         "emit_golden_vectors": lambda: emit_golden_vectors(qm, codes, len(codes)),

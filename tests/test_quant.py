@@ -47,6 +47,16 @@ class TestQuantizeInputs:
         with pytest.raises(ValueError):
             quantize_inputs(np.array([[-0.1]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_feature_that_is_not_finite(self, value):
+        # NaN passed the normalization test and became the code -2**63
+        features = np.full((2, 21), 0.5)
+        features[1, 3] = value
+        with pytest.raises(ValueError, match=rf"^features\[1, 3\] must be a finite number, got {value!r}$"):
+            quantize_inputs(features)
+        with pytest.raises(ValueError, match=rf"^features\[0, 0\] must be a finite number, got {value!r}$"):
+            quantize_inputs(np.array([[value] * 21]))
+
     def test_accepts_dataset(self):
         ds = Dataset(np.array([[0.5, 1.0]]), np.array([0]), ["a", "b"])
         assert quantize_inputs(ds).tolist() == [[8, 15]]
@@ -307,14 +317,17 @@ class TestQuantizedModelInvariants:
     @pytest.mark.parametrize(
         "params, message",
         FIRST_OFFENDERS + [
-            ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)), f"vector 2: parameter {2**70} exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 0), ([0, 2**63], 0)), f"vector 2: parameter {2**63} exceeds 4 bits"),
-            ((([1, 7], -8), ([7, -8], 0), ([0, 0], -2**63 - 1)), f"vector 2: parameter {-2**63 - 1} exceeds 4 bits"),
+            ((([1, 7], -8), ([7, -8], 0), ([2**70, 0], 0)),
+             rf"words\[2, 1\] must be an integer that fits int64, got {2**70}"),
+            ((([1, 7], -8), ([7, -8], 0), ([0, 2**63], 0)),
+             rf"words\[2, 2\] must be an integer that fits int64, got {2**63}"),
+            ((([1, 7], -8), ([7, -8], 0), ([0, 0], -2**63 - 1)),
+             rf"words\[2, 0\] must be an integer that fits int64, got {-2**63 - 1}"),
         ],
     )
     def test_first_offender_named(self, params, message):
         # vector order first, then the weights in order, then the bias; a
-        # list may hold words past int64
+        # list's word past int64 is named exactly, by its index
         words = [[bias, *weights] for weights, bias in params]
         with pytest.raises(ValueError, match=f"^{message}$"):
             QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)

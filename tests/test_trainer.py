@@ -179,13 +179,13 @@ def test_every_vector_needs_one_weight_per_feature(kind, weights):
     with pytest.raises(ValueError, match="vector 2: wrong weight count"):
         float_model_from_dict({"kind": kind, "n_classes": 3, "n_features": 2, "vectors": vectors})
     # in memory, the table needs one column per feature beside the bias
-    with pytest.raises(ValueError, match=r"need a 3 x 3 table \(one row per vector\), got shape \(3, 2\)"):
+    with pytest.raises(ValueError, match=r"^coefs must have shape \(3, 3\), got \(3, 2\)$"):
         FloatSvmModel(kind, 3, 2, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("row, column, message", [
-    (1, 2, "vector 1: parameter nan is not a finite number"),
-    (0, 0, "vector 0: parameter -inf is not a finite number"),
+    (1, 2, r"coefs\[1, 2\] must be a finite number, got nan"),
+    (0, 0, r"coefs\[0, 0\] must be a finite number, got -inf"),
 ])
 def test_every_parameter_must_be_finite(row, column, message):
     coefs = np.zeros((3, 3))
@@ -380,10 +380,10 @@ class TestPredict:
 
 
 @pytest.mark.parametrize("features, message", [
-    pytest.param(np.zeros((5, 2)), r"need a samples x 3 feature matrix, got shape \(5, 2\)", id="two-columns"),
-    pytest.param(np.zeros((5, 5)), r"need a samples x 3 feature matrix, got shape \(5, 5\)", id="five-columns"),
-    pytest.param(np.zeros(3), r"need a samples x 3 feature matrix, got shape \(3,\)", id="one-dimensional"),
-    pytest.param([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]], "features must be finite", id="nan"),
+    pytest.param(np.zeros((5, 2)), r"features must have shape \(samples, 3\), got \(5, 2\)", id="two-columns"),
+    pytest.param(np.zeros((5, 5)), r"features must have shape \(samples, 3\), got \(5, 5\)", id="five-columns"),
+    pytest.param(np.zeros(3), r"features must have shape \(samples, 3\), got \(3,\)", id="one-dimensional"),
+    pytest.param([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]], r"features\[1, 1\] must be a finite number, got nan", id="nan"),
 ])
 def test_predict_rejects_a_bad_feature_matrix(features, message):
     # predict and the float DDAG share one check of the features
@@ -650,8 +650,8 @@ class TestLaneSolver:
 
     @pytest.mark.parametrize("rows, positive, message", [
         (np.array([], dtype=np.int64), 0, "stream 1: no rows"),
-        (np.array([0.0, 1.0]), 0, "stream 1: rows must be a 1-D integer array"),
-        (np.arange(4).reshape(2, 2), 0, "stream 1: rows must be a 1-D integer array"),
+        (np.array([0.0, 1.0]), 0, "stream 1: rows[0] must be an integer that fits int64, got 0.0"),
+        (np.arange(4).reshape(2, 2), 0, "stream 1: rows must have shape (n,), got (2, 2)"),
         (np.array([-1, 2]), 0, "stream 1: rows must lie in 0..89, got -1..2"),
         (np.array([0, 90]), 0, "stream 1: rows must lie in 0..89, got 0..90"),
         (np.arange(5), 4, "stream 1: positive 4 is not a class code 0..3"),
