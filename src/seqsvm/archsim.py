@@ -9,9 +9,9 @@ state is the row it reads. The storage kind (bespoke MUX constants or a
 ``cost.estimate`` takes it.
 
 ``rtl(qm)`` is the design's register-transfer record: every width and count
-of the hardware, derived once. ``hdlgen`` prints it, ``cost`` prices it, and
-the simulators and the golden vectors take their accumulator width and cycle
-count from it.
+of the hardware and its FSM, ``arms``, each derived once. ``hdlgen`` prints
+it, ``cost`` prices it, ``modelio`` writes its FSM as the ``ddag`` object,
+and the simulators and golden vectors take ``acc_bits`` and ``cycles`` from it.
 
 Every function takes the model alone: the DAG is that of ``qm.n_classes``.
 Both simulations run ``ddag._walk_table``, the library's one DAG walk, with
@@ -23,19 +23,20 @@ a record per clock of the ``_top.v`` signals that ``CycleRecord`` names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ddag import _walk_table, kernel_words, pair_index, state_bits_for, walk_batch
+from .ddag import _walk_table, kernel_words, pair_index, state_bits_for, transitions, walk_batch
 from .fxp import check_array, check_int
 from .quant import QuantizedModel
 
 
 @dataclass(frozen=True)
 class Rtl:
-    """The widths and counts of one model's design, as ``rtl`` derives them."""
+    """The widths, counts and control of one model's design, as ``rtl`` derives them."""
 
     input_bits: int     # one unsigned input code
     word_bits: int      # one stored word
@@ -47,6 +48,13 @@ class Rtl:
     initial_state: int  # the row of pair (0, n-1)
     cycles: int         # of one classification: n-1 evaluations of m+1 words
     register_bits: int  # accumulator, counter and state
+    arms: tuple = field(repr=False)  # per state: (on y=1, on y=0), each ("node", state) or ("leaf", class)
+
+
+@functools.cache
+def _arms(n: int) -> tuple:
+    """``Rtl.arms`` of the n-class DAG: the arms of ``transitions(n)``."""
+    return tuple((on_a, on_b) for *_, on_a, on_b in transitions(n))
 
 
 def rtl(qm: QuantizedModel) -> Rtl:
@@ -66,6 +74,7 @@ def rtl(qm: QuantizedModel) -> Rtl:
         initial_state=pair_index(0, n - 1, n),
         cycles=(n - 1) * (m + 1),
         register_bits=qm.acc_width + counter_bits + state_bits,
+        arms=_arms(n),
     )
 
 

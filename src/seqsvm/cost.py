@@ -6,7 +6,7 @@ approximations, then converted to area by a calibrated cm^2-per-GE
 coefficient. Power in this technology is mostly static, so it is modeled as
 proportional to area. Absolute areas are only as good as the calibration;
 the contract is relative comparisons (mux vs rom, sequential vs parallel).
-Every width and count priced is the design's own, ``archsim.rtl(qm)``.
+Every width, count and FSM state priced is the design's own, ``archsim.rtl(qm)``.
 
 Gate-equivalent formulas:
   array multiplier (a x b bits)   a*b AND terms + 5*(a-1)*b full-adder GE
@@ -15,7 +15,7 @@ Gate-equivalent formulas:
   rom storage                     rows * words * ceil(word_bits/2) * rom_cell_cost
                                   + ADC_COUNT * adc_cost
   control FSM                     states * (2*state_bits + row_bits) * mux_per_input_cost
-                                  + states (decode); row_bits = state_bits (row = state)
+                                  + states (decode); states = len(rtl.arms), row_bits = state_bits (row = state)
   registers                       register_bits * dff_nand_equiv (acc + counter + state)
 
 Both STORAGE_KINDS serve the same words, one per cycle; a ROM word wider than
@@ -96,8 +96,8 @@ def _engine_ge(qm: QuantizedModel, r: Rtl, tech: TechConfig) -> float:
     return ge
 
 
-def _fsm_ge(qm: QuantizedModel, r: Rtl, tech: TechConfig) -> float:
-    states = len(qm.words)  # one per stored row; each drives its own id as the row
+def _fsm_ge(r: Rtl, tech: TechConfig) -> float:
+    states = len(r.arms)  # one per emitted case arm; each drives its own id as the row
     return states * (2 * r.state_bits + r.state_bits) * tech.mux_per_input_cost + states
 
 
@@ -118,7 +118,7 @@ def estimate(qm: QuantizedModel, storage: str = "mux", tech: TechConfig = TechCo
     ge = {
         "storage": _storage_ge(qm, r, storage, tech),
         "engine": _engine_ge(qm, r, tech),
-        "fsm": _fsm_ge(qm, r, tech),
+        "fsm": _fsm_ge(r, tech),
         "registers": r.register_bits * tech.dff_nand_equiv,
     }
     slots = math.ceil(r.word_bits / (2 * ADC_COUNT)) if storage == "rom" else 1

@@ -62,19 +62,17 @@ def _label_sort_key(labels):
     return lambda lab: (values[lab], lab)
 
 
-def _is_number(cell: str) -> bool:
-    """Whether numpy's C reader parses ``cell``: what float() accepts, less
-    '_' separators and non-ASCII digits."""
+def _is_finite_number(cell: str) -> bool:
+    """Whether numpy's C reader parses ``cell`` to a finite float: float()'s grammar less '_' and non-ASCII digits."""
     try:
-        float(cell)
+        return math.isfinite(float(cell)) and "_" not in cell and cell.strip().isascii()
     except ValueError:
         return False
-    return "_" not in cell and cell.strip().isascii()
 
 
 def _raise_first_bad_row(path, header: list[str], label_idx: int) -> None:
-    """Re-read a file the C reader rejected with the csv module, and raise
-    for its first ragged row or non-numeric feature cell."""
+    """Re-read with the csv module a file the C reader rejected, or read a NaN
+    or an infinity from, and raise for its first ragged row or bad feature cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -84,19 +82,18 @@ def _raise_first_bad_row(path, header: list[str], label_idx: int) -> None:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             for i, cell in enumerate(row):
-                if i != label_idx and not _is_number(cell):
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric feature value {cell!r} in column {header[i]!r}"
-                    )
+                if i != label_idx and not _is_finite_number(cell):
+                    raise ValueError(f"{path}:{lineno}: feature value {cell!r} in column {header[i]!r} "
+                                     "is not a finite number")
 
 
 def load_csv(path, label_column: str) -> Dataset:
     """Load a headered CSV, re-indexing the label column densely to 0..n-1.
 
     The header is read with the csv module, the data rows in one pass of
-    numpy's C reader. Rejects ragged rows, non-numeric feature cells, and
-    single-class files. Normalization constants are NOT computed here;
-    split() derives them from its training side.
+    numpy's C reader. Rejects ragged rows, feature cells that are not finite
+    numbers, and single-class files. Normalization constants are NOT
+    computed here; split() derives them from its training side.
     """
     first_seen: dict[str, int] = {}
 
@@ -121,6 +118,8 @@ def load_csv(path, label_column: str) -> Dataset:
                 )
             if len(table) and table.shape[1] != len(header):
                 raise ValueError(f"rows have {table.shape[1]} fields, the header {len(header)}")
+            if len(table) and not np.isfinite([table.min(), table.max()]).all():
+                raise ValueError("a feature value is not finite")
         except ValueError as exc:
             _raise_first_bad_row(path, header, label_idx)
             raise ValueError(f"{path}: {exc}") from exc

@@ -6,8 +6,8 @@ The DAG is the classical one over the natural class order (Platt et al., NIPS
 FSM's one description is ``transitions(n)``: state ``pair_index(a, b)``
 compares classes a and b and reads that storage row, from
 ``pair_index(0, n-1, n)``, in ``state_bits_for(n)`` bits. Engine output y=1
-means the pair's lower class (trained as +1) won. ``hdlgen`` prints that
-FSM, and every walk steps it as one table of arcs, ``_successors(n)``.
+means the pair's lower class (trained as +1) won. ``archsim.rtl`` records
+it as ``Rtl.arms``; every walk steps it as one table of arcs, ``_successors(n)``.
 
 A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
 ``row_pairs``, the bias as word 0. ``_walk_table`` is the library's one DAG
@@ -93,7 +93,7 @@ def _successors(n: int) -> np.ndarray:
 
 
 def check_ovo(fmodel) -> None:
-    """Reject a float model that is not one-vs-one; a QuantizedModel always is."""
+    """The library's one OvO check: reject a float model that is not one-vs-one (a QuantizedModel is)."""
     if fmodel.kind != "ovo":
         raise ValueError(f"a DAG walks OvO models only, not a {fmodel.kind!r} model")
 

@@ -4,9 +4,9 @@ expectation files for external HDL simulation.
 The dialect is a conservative synthesizable subset: one clock, synchronous
 active-high reset, no latches. Inputs arrive as a flat bus of m*input_bits
 with the engine indexing by its column counter. The text prints the model's
-word table, the FSM of ``ddag.transitions`` and the widths and counts of
-``archsim.rtl``, which derives each once. Generation is pure text assembly,
-so identical models produce byte-identical output.
+word table and ``archsim.rtl``'s widths, counts and FSM (``Rtl.arms``, one
+case arm per state). Generation is pure text assembly, so identical models
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .archsim import Rtl, rtl
-from .ddag import transitions, walk_batch
+from .ddag import row_pairs, walk_batch
 from .fxp import check_int, fits
 from .quant import QuantizedModel
 
@@ -81,22 +81,18 @@ def _gen_params(qm: QuantizedModel, r: Rtl, name: str) -> str:
 
 
 def _fsm_case(n_classes: int, r: Rtl, indent: str) -> str:
-    arms = []
-    for state, lo, hi, on_a, on_b in transitions(n_classes):
-        branches = []
-        for cond, (kind, target) in (("if (y)", on_a), ("else  ", on_b)):
-            if kind == "leaf":
-                action = f"begin done <= 1'b1; class_out <= {_ud(target, r.class_bits)}; end"
-            else:
-                action = f"state <= {_ud(target, r.state_bits)};"
-            branches.append(f"{indent}        {cond} {action}")
-        arms.append(
-            f"{indent}{_ud(state, r.state_bits)}: begin  // pair ({lo},{hi})\n"
-            + "\n".join(branches)
-            + f"\n{indent}end"
-        )
-    arms.append(f"{indent}default: begin done <= 1'b1; class_out <= {_ud(0, r.class_bits)}; end")
-    return "\n".join(arms)
+    """The case arms of ``r.arms``, each commented with its row's class pair, then the default arm."""
+    def action(kind: str, target: int) -> str:
+        if kind == "node":
+            return f"state <= {_ud(target, r.state_bits)};"
+        return f"begin done <= 1'b1; class_out <= {_ud(target, r.class_bits)}; end"
+
+    arms = [
+        f"{indent}{_ud(state, r.state_bits)}: begin  // pair ({lo},{hi})\n"
+        f"{indent}        if (y) {action(*on_a)}\n{indent}        else   {action(*on_b)}\n{indent}end"
+        for state, ((lo, hi), (on_a, on_b)) in enumerate(zip(row_pairs("ovo", n_classes), r.arms))
+    ]
+    return "\n".join([*arms, f"{indent}default: {action('leaf', 0)}"])
 
 
 def _restart(r: Rtl, running: str) -> str:
@@ -284,13 +280,8 @@ def write_bundle(bundle: HdlBundle, outdir) -> list[Path]:
     """Write the three .v files; returns the paths written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for suffix, text in (
-        ("top", bundle.top_module),
-        ("params", bundle.params_module),
-        ("tb", bundle.testbench),
-    ):
-        path = outdir / f"{bundle.name}_{suffix}.v"
+    texts = {"top": bundle.top_module, "params": bundle.params_module, "tb": bundle.testbench}
+    paths = [outdir / f"{bundle.name}_{suffix}.v" for suffix in texts]
+    for path, text in zip(paths, texts.values()):
         path.write_text(text)
-        paths.append(path)
     return paths

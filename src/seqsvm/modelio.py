@@ -18,9 +18,9 @@ each, then ``check_written`` rejects the document unless it is exactly what
 covers every derived field: ``format``, ``version``, ``seed``,
 ``config_hash``, ``dataset.split``, ``hyper.seed``, each vector's pair,
 ``input_fmt``, ``bias_shift``, the quantized ``vectors`` and ``scales`` (the
-quantizer's output for the float model) and the whole ``ddag``. The checks
-of the read fields are ``fxp``'s; this module keeps only ``CONFIG_RANGES``,
-the ranges of the config's numbers.
+quantizer's output for the float model) and the whole ``ddag``, the FSM of
+``archsim.rtl``. The checks of the read fields are ``fxp``'s; this module
+keeps only ``CONFIG_RANGES``, the ranges of the config's numbers.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
+from .archsim import rtl
 from .dataset import Dataset
-from .ddag import check_ovo, pair_index, row_pairs, state_bits_for, transitions
+from .ddag import row_pairs
 from .fxp import MAX_INPUT_BITS, FxpFormat, check_int, finite_number, first_bad, in_range, range_text
 from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_model
 from .trainer import FloatSvmModel, Hyper
@@ -112,9 +113,9 @@ def model_doc(config: dict, dataset: Dataset, hyper: Hyper, fmodel: FloatSvmMode
         doc["quantized"] = {
             "input_fmt": {"total_bits": bits, "frac_bits": bits, "signed": False},
             "param_bits": qm.param_bits, "acc_width": qm.acc_width, "bias_shift": qm.bias_shift,
-            "scales": list(qm.scales), "vectors": _table_to_list(qm.words, "ovo", qm.n_classes),
+            "scales": qm.scales.tolist(), "vectors": _table_to_list(qm.words, "ovo", qm.n_classes),
         }
-        doc["ddag"] = ddag_to_dict(qm.n_classes)
+        doc["ddag"] = ddag_to_dict(qm)
     return doc
 
 
@@ -161,7 +162,6 @@ def quantized_from_dict(doc: dict, fmodel: FloatSvmModel, input_bits: int) -> Qu
     scales are the quantizer's, so no other key is read."""
     check_int("quantized.param_bits", _field(doc, "param_bits", "quantized"), MIN_PARAM_BITS, MAX_PARAM_BITS)
     check_int("quantized.acc_width", _field(doc, "acc_width", "quantized"), 1)
-    check_ovo(fmodel)
     with warnings.catch_warnings():  # the quantize stage has warned of an all-zero row
         warnings.simplefilter("ignore", UserWarning)
         qm = quantize_model(fmodel, doc["param_bits"], FxpFormat(input_bits))
@@ -169,15 +169,17 @@ def quantized_from_dict(doc: dict, fmodel: FloatSvmModel, input_bits: int) -> Qu
     return qm
 
 
-def ddag_to_dict(n_classes: int) -> dict:
+def ddag_to_dict(qm: QuantizedModel) -> dict:
+    """The ``ddag`` object of ``qm``: ``rtl(qm)``'s FSM, each state with its row's class pair."""
+    r = rtl(qm)
     return {
-        "n_classes": n_classes,
-        "initial_state": pair_index(0, n_classes - 1, n_classes),
-        "state_bits": state_bits_for(n_classes),
+        "n_classes": qm.n_classes,
+        "initial_state": r.initial_state,
+        "state_bits": r.state_bits,
         "ordering": "natural",
         "nodes": [
             {"id": state, "class_a": lo, "class_b": hi, "row": state, "on_a": list(on_a), "on_b": list(on_b)}
-            for state, lo, hi, on_a, on_b in transitions(n_classes)
+            for state, ((lo, hi), (on_a, on_b)) in enumerate(zip(row_pairs("ovo", qm.n_classes), r.arms))
         ],
     }
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import ddag_predict_float, ddag_predict_quant, kernel_words, row_pairs, score_table
-from .fxp import (BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, check_array, check_int, finite_number, first_bad,
-                  fits, max_int, min_int, width_for_range)
+from .ddag import check_ovo, ddag_predict_float, ddag_predict_quant, kernel_words, row_pairs, score_table
+from .fxp import (BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, check_array, check_int, first_bad, fits, max_int,
+                  min_int, width_for_range)
 from .trainer import FloatSvmModel, read_only_table
 
 #: Accepted accuracy drop, in accuracy fraction (0.5 percentage points).
@@ -38,7 +38,7 @@ class QuantizedModel:
     lexicographic order (``ddag.row_pairs``): memory row r, bias at word 0.
     It is int64 and read-only, taken as ``fxp.check_array`` takes an int
     array and range-checked once, here, by its extremes, the first offender
-    named. The bias code is left-shifted by ``bias_shift`` (the input's
+    named; ``scales`` is a read-only float64 copy too. The bias code is left-shifted by ``bias_shift`` (the input's
     bits, all fractional) before accumulation so products and bias share one
     binary point; the shift is free wiring in bespoke logic.
     """
@@ -48,7 +48,7 @@ class QuantizedModel:
     input_fmt: FxpFormat
     param_bits: int
     words: np.ndarray
-    scales: list[float]  # one finite number > 0 per row
+    scales: np.ndarray  # float64, one finite number > 0 per row
     acc_width: int = 0  # set by profile_accumulator
 
     def __post_init__(self):
@@ -59,12 +59,11 @@ class QuantizedModel:
         if self.words.min() < min_int(bits) or self.words.max() > max_int(bits):
             r, p = first_bad(self.words.tolist(), lambda p: fits(p, bits))
             raise ValueError(f"vector {r}: parameter {p} exceeds {bits} bits")
-        if not (isinstance(self.scales, list) and len(self.scales) == rows):
-            raise ValueError(f"scales must be a list of one number per vector ({rows}), got {self.scales!r:.40}")
-        bad = next((r for r, s in enumerate(self.scales) if not (finite_number(s) and s > 0)), None)
-        if bad is not None:
-            raise ValueError(f"vector {bad}: scale {self.scales[bad]!r} is not a finite number > 0")
-        self.scales = [float(s) for s in self.scales]
+        self.scales = check_array("scales", self.scales, float, (rows,)).copy()
+        self.scales.flags.writeable = False
+        if self.scales.min() <= 0:
+            bad = int(np.argmax(self.scales <= 0))
+            raise ValueError(f"scales[{bad}] must be > 0, got {self.scales[bad].item()!r}")
 
     @property
     def bias_shift(self) -> int:
@@ -137,11 +136,10 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4) -> QuantizedModel:
     """Quantize every OvO row independently (per-row scale preserves signs)."""
-    if fmodel.kind != "ovo":
-        raise ValueError("only OvO models map onto the sequential architecture")
+    check_ovo(fmodel)
     check_int("param_bits", param_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
     codes, scales = _scale_rows(fmodel.coefs, param_bits)
-    return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, codes, scales.tolist())
+    return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, codes, scales)
 
 
 def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:

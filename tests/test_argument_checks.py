@@ -117,6 +117,8 @@ ARRAY_ENTRIES = {
                       lambda v, f: FloatSvmModel("ovo", 3, 21, v)),
     "QuantizedModel": ("words", int, lambda f: _quant(f).words,
                        lambda v, f: QuantizedModel(3, 21, U4_4, _quant(f).param_bits, v, _quant(f).scales)),
+    "QuantizedModel-scales": ("scales", float, lambda f: _quant(f).scales,
+                              lambda v, f: QuantizedModel(3, 21, U4_4, _quant(f).param_bits, _quant(f).words, v)),
     "walk_batch": ("codes", int, _codes, lambda v, f: walk_batch(_quant(f), v)),
     "ddag_predict_quant": ("codes", int, _codes, lambda v, f: ddag_predict_quant(_quant(f), v)),
     "simulate_batch-codes": ("codes", int, _codes,

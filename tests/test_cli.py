@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import bias_only_model
 from seqsvm.archsim import trace_to_text
 from seqsvm.cli import _ingest, _load_model, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
@@ -435,7 +436,7 @@ def _edit_node(state, key, value):
 
 
 def _four_class_ddag(doc):
-    doc["ddag"] = ddag_to_dict(4)
+    doc["ddag"] = ddag_to_dict(bias_only_model(4, [0] * 6))
 
 
 def _set_quantized(path, value):

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -81,7 +82,7 @@ def test_load_ragged_row_rejected(tmp_path):
 
 def test_load_non_numeric_feature_rejected(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["f0", "label"], [["x", "a"], [0.2, "b"]])
-    with pytest.raises(ValueError, match="non-numeric"):
+    with pytest.raises(ValueError, match="is not a finite number"):
         load_csv(path, "label")
 
 
@@ -127,9 +128,11 @@ def _per_cell_load_csv(path, label_column):
                 try:
                     feats.append(float(cell))
                 except ValueError:
+                    feats.append(math.nan)
+                if not math.isfinite(feats[-1]):
                     raise ValueError(
-                        f"{path}:{lineno}: non-numeric feature value {cell!r} in column {header[i]!r}"
-                    ) from None
+                        f"{path}:{lineno}: feature value {cell!r} in column {header[i]!r} is not a finite number"
+                    )
             rows.append(feats)
 
     if not rows:
@@ -213,12 +216,16 @@ def test_load_csv_equals_per_cell_loop(tmp_path_factory, text):
         ("0.1,0.2,a\n\n0.3,b\n0.5,0.6,a\n", "t.csv:4: expected 3 fields, got 2"),
         ("0.1,0.2,a,9\n0.3,0.4,b,9\n", "t.csv:2: expected 3 fields, got 4"),
         ("0.1,a\n0.3,b\n", "t.csv:2: expected 3 fields, got 2"),
-        ("0.1,0.2,a\n0.3,x,b\n", "t.csv:3: non-numeric feature value 'x' in column 'f1'"),
-        ('0.1,0.2,a\r\n"0.3, 1",0.4,b\r\n', "t.csv:3: non-numeric feature value '0.3, 1' in column 'f0'"),
+        ("0.1,0.2,a\n0.3,x,b\n", "t.csv:3: feature value 'x' in column 'f1' is not a finite number"),
+        ('0.1,0.2,a\r\n"0.3, 1",0.4,b\r\n', "t.csv:3: feature value '0.3, 1' in column 'f0' is not a finite number"),
+        ("0.1,0.2,a\n0.3,nan,b\n", "t.csv:3: feature value 'nan' in column 'f1' is not a finite number"),
+        ("0.1,0.2,a\n\ninf,0.4,b\n", "t.csv:4: feature value 'inf' in column 'f0' is not a finite number"),
+        ("0.1,0.2,a\n0.3,0.4,b\n0.5, -inf ,a\n", "t.csv:4: feature value ' -inf ' in column 'f1' is not a finite number"),
         ("", "t.csv: no data rows"),
         ("\n\r\n", "t.csv: no data rows"),
     ],
-    ids=["extra", "missing", "all-extra", "all-missing", "non-numeric", "quoted-crlf", "no-rows", "blank-rows"],
+    ids=["extra", "missing", "all-extra", "all-missing", "non-numeric", "quoted-crlf", "nan", "inf", "-inf", "no-rows",
+         "blank-rows"],
 )
 @pytest.mark.filterwarnings("error")
 def test_bad_rows_are_named_by_line(tmp_path, body, message):
@@ -234,7 +241,8 @@ def test_cells_float_reads_but_the_c_reader_does_not_are_non_numeric(tmp_path, c
     assert float(cell) > 0
     path = tmp_path / "t.csv"
     path.write_text(f"f0,label\n0.5,a\n{cell},b\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"t.csv:3: non-numeric feature value {cell!r} in column 'f0'")):
+    message = f"t.csv:3: feature value {cell!r} in column 'f0' is not a finite number"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_csv(path, "label")
 
 

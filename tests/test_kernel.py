@@ -155,7 +155,7 @@ def test_quantize_model_equals_per_vector_scaling(seed):
             warnings.simplefilter("always")
             rows = [_scale_rows([row], bits) for row in fmodel.coefs]
         assert qm.words.tolist() == [codes[0].tolist() for codes, _ in rows]
-        assert qm.scales == [float(scales[0]) for _, scales in rows]
+        assert qm.scales.tolist() == [float(scales[0]) for _, scales in rows]
         assert len(batch_warnings) == len(row_warnings) == sum(not row.any() for row in fmodel.coefs)
 
 

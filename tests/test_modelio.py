@@ -226,7 +226,7 @@ def test_quantized_loader_reads_only_the_widths():
     widths = {"param_bits": 4, "acc_width": 9}
     qm, want = quantized_from_dict(widths, _FMODEL, 3), quantize_model(_FMODEL, 4, FxpFormat(3))
     assert (qm.input_fmt, qm.param_bits, qm.acc_width) == (FxpFormat(3), 4, 9)
-    assert qm.words.tobytes() == want.words.tobytes() and qm.scales == want.scales
+    assert qm.words.tobytes() == want.words.tobytes() and qm.scales.tobytes() == want.scales.tobytes()
     with pytest.raises(ValueError, match="^a DAG walks OvO models only, not a 'ova' model$"):
         quantized_from_dict(widths, FloatSvmModel("ova", 3, 2, _FMODEL.coefs), 3)
 

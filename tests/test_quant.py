@@ -230,6 +230,13 @@ class TestSearchParamBits:
             search_param_bits(ova, train, test)
 
 
+    def test_quantize_model_rejects_ova(self, blobs3_model):
+        # check_ovo, the library's one OvO check, before the width is looked at
+        ova = FloatSvmModel("ova", 3, blobs3_model.n_features, blobs3_model.coefs)
+        with pytest.raises(ValueError, match="^a DAG walks OvO models only, not a 'ova' model$"):
+            quantize_model(ova, 99)
+
+
 class TestProfileAccumulator:
     def _single_vector_model(self, weights, bias):
         qm = QuantizedModel(2, len(weights), U4_4, 8, [[bias, *weights]], [1.0])
@@ -354,29 +361,35 @@ class TestQuantizedModelInvariants:
             QuantizedModel(3, 2, U4_4, 4, words, [1.0] * 3)
 
     @pytest.mark.parametrize("scales, message", [
-        ((1.0, 1.0, 1.0), r"scales must be a list of one number per vector \(3\), got \(1.0, 1.0, 1.0\)"),
-        ([1.0, 1.0], r"scales must be a list of one number per vector \(3\), got \[1.0, 1.0\]"),
-        ([1.0, 0.0, 1.0], "vector 1: scale 0.0 is not a finite number > 0"),
-        ([1.0, 1.0, float("inf")], "vector 2: scale inf is not a finite number > 0"),
-        ([10**400, 1.0, 1.0], "vector 0: scale 1000+ is not a finite number > 0"),
-        ([1.0, False, 1.0], "vector 1: scale False is not a finite number > 0"),
-        ([1.0, None, 1.0], "vector 1: scale None is not a finite number > 0"),
-        ([1.0, np.bool_(True), 1.0], r"vector 1: scale np\.True_ is not a finite number > 0"),
-        ([1.0, 1.0, np.float64("nan")], r"vector 2: scale np\.float64\(nan\) is not a finite number > 0"),
-        ([np.int64(-2), 1.0, 1.0], r"vector 0: scale np\.int64\(-2\) is not a finite number > 0"),
-        (["0.5", 1.0, 1.0], "vector 0: scale '0.5' is not a finite number > 0"),
+        (np.array([1.0, -0.5, 1.0]), r"scales\[1\] must be > 0, got -0\.5"),
+        ([1.0, 1.0], r"scales must have shape \(3,\), got \(2,\)"),
+        ([1.0, 0.0, 1.0], r"scales\[1\] must be > 0, got 0\.0"),
+        ([1.0, 1.0, float("inf")], r"scales\[2\] must be a finite number, got inf"),
+        ([10**400, 1.0, 1.0], r"scales\[0\] must be a finite number, got 1000+"),
+        ([1.0, False, 1.0], r"scales\[1\] must be a finite number, got False"),
+        ([1.0, None, 1.0], r"scales\[1\] must be a finite number, got None"),
+        ([1.0, np.bool_(True), 1.0], r"scales\[1\] must be a finite number, got True"),
+        ([1.0, 1.0, np.float64("nan")], r"scales\[2\] must be a finite number, got nan"),
+        ([np.int64(-2), 1.0, 1.0], r"scales\[0\] must be > 0, got -2\.0"),
+        (["0.5", 1.0, 1.0], r"scales\[0\] must be a finite number, got '0\.5'"),
     ])
     def test_one_finite_positive_scale_per_row(self, scales, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, scales)
-        # ints are numbers too, and the model keeps its own float copy
+        # ints are numbers too, and the model keeps its own float64 copy of a list
         given = [1, 0.5, 2]
         qm = QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, given)
         given[0] = -1
-        assert qm.scales == [1.0, 0.5, 2.0] and all(type(s) is float for s in qm.scales)
-        # so are numpy integer and floating scalars
-        qm = QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, [np.float64(0.17), np.int64(2), np.float32(0.5)])
-        assert qm.scales == [0.17, 2.0, 0.5] and all(type(s) is float for s in qm.scales)
+        assert qm.scales.dtype == np.float64 and qm.scales.tolist() == [1.0, 0.5, 2.0]
+        # so are numpy integer and floating scalars, in a list, a tuple or an
+        # array, of which the model keeps a read-only copy too
+        for given in ([np.float64(0.17), np.int64(2), np.float32(0.5)], (0.17, 2, 0.5), np.array([0.17, 2.0, 0.5])):
+            qm = QuantizedModel(3, 1, U4_4, 4, [[0, 1]] * 3, given)
+            if not isinstance(given, tuple):
+                given[0] = -1
+            assert qm.scales.dtype == np.float64 and qm.scales.tolist() == [0.17, 2.0, 0.5]
+            with pytest.raises(ValueError, match="read-only"):
+                qm.scales[0] = 1.0
 
 
 class TestInputFormatBounds:

@@ -1,8 +1,8 @@
 """The emitted Verilog behaves like the model: read back (tests/verilog.py),
-it is the model's design, word table and FSM, and stepped on the golden
-vectors by the testbench's protocol, it runs as ``archsim.simulate`` does,
-record for record. A single edit of the text, of the kinds in
-``MUTATIONS``, fails the check."""
+it is the model's design record, FSM included, and word table, and stepped
+on the golden vectors by the testbench's protocol, it runs as
+``archsim.simulate`` does, record for record. A single edit of the text, of
+the kinds in ``MUTATIONS``, fails the check."""
 
 import re
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from helpers import random_quantized_model
 from seqsvm.archsim import rtl, simulate
-from seqsvm.ddag import transitions
 from seqsvm.fxp import FxpFormat
 from seqsvm.hdlgen import emit_golden_vectors, generate
 from verilog import read, run
@@ -20,10 +19,10 @@ from verilog import read, run
 
 def mismatches(qm, top: str, params: str, stim: str) -> list[str]:
     """How the design of ``top`` and ``params`` differs from ``qm``'s: its
-    record, words and FSM as read, and, stepped on each vector of ``stim``
-    for its budget, its trace against ``simulate``'s (every cycle's record,
-    the overflows, the class and the final state), and the clock on which
-    done rose against the design's cycle count."""
+    record (FSM included) and words as read, and, stepped on each vector of
+    ``stim`` for its budget, its trace against ``simulate``'s (every cycle's
+    record, the overflows, the class and the final state), and the clock on
+    which done rose against the design's cycle count."""
     try:
         design = read(top, params)
     except ValueError as exc:
@@ -34,7 +33,6 @@ def mismatches(qm, top: str, params: str, stim: str) -> list[str]:
             ("record", design.rtl == want),
             ("M", design.n_features == qm.n_features),
             ("word table", design.words == qm.words.tolist()),
-            ("FSM", design.arms == {state: (on_a, on_b) for state, _, _, on_a, on_b in transitions(qm.n_classes)}),
         ) if not same
     ]
     rows = [[int(v) for v in line.split()] for line in stim.splitlines()[1:]]
@@ -101,7 +99,16 @@ MUTATIONS = {
         _sub(r"(counter != \d+'d)(\d+)", lambda m: f"{m[1]}{int(m[2]) - 1}", top), params),
     "leaf_class_changed": lambda top, params: (
         _sub(r"(class_out <= \d+'d)(\d+)(; end)", lambda m: f"{m[1]}{int(m[2]) ^ 1}{m[3]}", top), params),
+    # the first node arm whose target is not state 0, which has only leaf
+    # arms, goes to state 0 instead: no cycle, so the text still reads
+    "node_target_changed": lambda top, params: (_sub(r"(state <= \d+'d)[1-9]\d*;", r"\g<1>0;", top), params),
+    # the last state's arm: the others are still states 0..k-2
+    "last_arm_deleted": lambda top, params: (
+        _sub(r"\n[^\n]*: begin  // pair [^\n]*\n[^\n]*\n[^\n]*\n *end(?=\n *default: )", "", top), params),
 }
+
+#: The edits of the FSM that only the record's ``arms`` tell from the model.
+CONTROL_MUTATIONS = ("node_target_changed", "last_arm_deleted")
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +129,25 @@ def test_unedited_text_passes(emitted):
 def test_every_single_edit_fails(emitted, name):
     qm, top, params, stim = emitted
     assert mismatches(qm, *MUTATIONS[name](top, params), stim) != []
+
+
+@pytest.mark.parametrize("name", CONTROL_MUTATIONS)
+def test_control_edits_fail_through_the_record(emitted, name):
+    # the text still reads, to a design that differs from the model's only in its record
+    qm, top, params, stim = emitted
+    edited = MUTATIONS[name](top, params)
+    design = read(*edited)
+    assert design.rtl != rtl(qm) and design.rtl.arms != rtl(qm).arms
+    assert "record differs" in mismatches(qm, *edited, stim)
+    assert design.words == qm.words.tolist() and design.n_features == qm.n_features
+
+
+def test_arms_must_be_states_zero_to_k_minus_one(emitted):
+    # a case arm other than the last deleted leaves a gap in the states
+    qm, top, params, stim = emitted
+    gap = _sub(r"\n[^\n]*: begin  // pair \(0,1\)\n[^\n]*\n[^\n]*\n *end", "", top)
+    with pytest.raises(ValueError, match=r"^the FSM has arms for states \[1, 2, .*\], not for 0\.\.8 once each$"):
+        read(gap, params)
 
 
 def test_comments_are_never_read(emitted):

@@ -1,13 +1,13 @@
 """The emitted Verilog, read back and run without a Verilog simulator.
 
 ``read`` parses a design's ``_top.v`` and ``_params.v`` texts into a
-``Design``: an ``archsim.Rtl``, the storage's word table, the FSM's case arms
-and the register loads of the start arm. It strips every comment first, so
-it reads only what synthesis reads: the declarations, ``localparam M``, the
-``bias_init`` shift, the counter's limit, the reset and start arms, the case
-arms and the storage case. ``run`` steps a parsed design by the testbench's
-protocol: a start clock with the input codes on ``x_bus``, then a cycle
-budget of clocks. The datapath it steps is the emitted template's (select a
+``Design``: an ``archsim.Rtl``, whose ``arms`` are the FSM's case arms, the
+storage's word table and the register loads of the start arm. It strips
+every comment first, so it reads only what synthesis reads: the
+declarations, ``localparam M``, the ``bias_init`` shift, the counter's
+limit, the reset and start arms, the case arms and the storage case.
+``run`` steps a parsed design by the testbench's protocol: a start clock
+with the input codes on ``x_bus``, then a cycle budget of clocks. The datapath it steps is the emitted template's (select a
 word by {state, counter}, load the shifted bias or add one product, wrap to
 the accumulator's declared width, branch on its sign at the counter's limit),
 with every width, literal and arm taken from the text. It records each clock
@@ -36,7 +36,6 @@ class Design:
     limit: int       # the counter value at which an evaluation ends
     words: list      # words[row][col], from the storage case
     default: int     # the storage's default word
-    arms: dict       # state: (on y=1, on y=0), each ("node", state) or ("leaf", class)
     fallback: tuple  # the FSM's default arm
     restart: dict    # register: value, as the start arm loads them
 
@@ -104,14 +103,14 @@ def _read_params(params: str) -> tuple:
     return widths, [[table[row, col] for col in range(cols)] for row in range(rows)], default
 
 
-def _evaluations(arms: dict, state: int) -> int:
-    """Evaluations from ``state`` to the furthest leaf."""
+def _evaluations(arms: tuple, state: int) -> int:
+    """Evaluations from ``state`` to the furthest leaf; a state without a case arm is a last one."""
     depth, frontier = 0, {state}
     while frontier:
         depth += 1
         if depth > len(arms):
             raise ValueError("the FSM has a cycle")
-        frontier = {target for s in frontier for kind, target in arms.get(s, ()) if kind == "node"}
+        frontier = {target for s in frontier if s < len(arms) for kind, target in arms[s] if kind == "node"}
     return depth
 
 
@@ -131,9 +130,12 @@ def read(top: str, params: str) -> Design:
         raise ValueError(f"the bias is shifted in by {zeros}, not by zeros")
     limit = literal(_search(r"if \(counter != (\S+)\) begin", top), widths["counter"])
     body = _between(top, "case (state)", "endcase")
-    arms = {}
-    for state, on_a, on_b in _ARM.findall(body):
-        arms[literal(state, widths["state"])] = (_action(on_a, widths), _action(on_b, widths))
+    parsed = sorted((literal(state, widths["state"]), (_action(on_a, widths), _action(on_b, widths)))
+                    for state, on_a, on_b in _ARM.findall(body))
+    states = [state for state, _ in parsed]
+    if states != list(range(len(parsed))):
+        raise ValueError(f"the FSM has arms for states {states}, not for 0..{len(parsed) - 1} once each")
+    arms = tuple(successors for _, successors in parsed)
     fallback = _action(_search(r"^default: (.*)$", _ARM.sub("", body).strip()), widths)
     rtl = Rtl(
         input_bits=widths["x_cur"],
@@ -146,11 +148,12 @@ def read(top: str, params: str) -> Design:
         initial_state=reset["state"],
         cycles=_evaluations(arms, restart["state"]) * (limit + 1),
         register_bits=widths["acc"] + widths["counter"] + widths["state"],
+        arms=arms,
     )
     n_features = int(_search(r"localparam integer M = (\d+);", top))
     if widths["x_bus"] != n_features * widths["x_cur"]:
         raise ValueError(f"x_bus is {widths['x_bus']} bits, not M = {n_features} codes of {widths['x_cur']}")
-    return Design(rtl, n_features, limit, words, default, arms, fallback, restart)
+    return Design(rtl, n_features, limit, words, default, fallback, restart)
 
 
 def run(design: Design, codes, budget: int) -> tuple:
@@ -181,7 +184,7 @@ def run(design: Design, codes, budget: int) -> tuple:
             regs["counter"] = (counter + 1) % (1 << r.counter_bits)
             continue
         regs["counter"] = 0
-        kind, target = design.arms.get(state, (design.fallback,) * 2)[1 - y]
+        kind, target = (r.arms[state] if state < len(r.arms) else (design.fallback,) * 2)[1 - y]
         if kind == "leaf":
             regs["done"], regs["class_out"], rose = 1, target, clock
         else:
