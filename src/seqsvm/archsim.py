@@ -9,7 +9,8 @@ state is the row it reads. The storage kind (bespoke MUX constants or a
 ``cost.estimate`` takes it.
 
 ``rtl(qm)`` is the design's register-transfer record: every width and count
-of the hardware and its FSM, ``arms``, each derived once. ``hdlgen`` prints
+of the hardware, each derived once, and its FSM, ``arms``, which is
+``ddag.fsm_arms(n)``, the library's one description of it. ``hdlgen`` prints
 it, ``cost`` prices it, ``modelio`` writes its FSM as the ``ddag`` object,
 and the simulators and golden vectors take ``acc_bits`` and ``cycles`` from it.
 
@@ -23,13 +24,12 @@ a record per clock of the ``_top.v`` signals that ``CycleRecord`` names.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ddag import _walk_table, kernel_words, pair_index, state_bits_for, transitions, walk_batch
+from .ddag import _walk_table, fsm_arms, kernel_words, pair_index, state_bits_for, walk_batch
 from .fxp import check_array, check_int
 from .quant import QuantizedModel
 
@@ -51,12 +51,6 @@ class Rtl:
     arms: tuple = field(repr=False)  # per state: (on y=1, on y=0), each ("node", state) or ("leaf", class)
 
 
-@functools.cache
-def _arms(n: int) -> tuple:
-    """``Rtl.arms`` of the n-class DAG: the arms of ``transitions(n)``."""
-    return tuple((on_a, on_b) for *_, on_a, on_b in transitions(n))
-
-
 def rtl(qm: QuantizedModel) -> Rtl:
     """The design of ``qm``; an error if profile_accumulator has not sized its accumulator."""
     check_int("acc_width (run profile_accumulator first)", qm.acc_width, 1)
@@ -74,7 +68,7 @@ def rtl(qm: QuantizedModel) -> Rtl:
         initial_state=pair_index(0, n - 1, n),
         cycles=(n - 1) * (m + 1),
         register_bits=qm.acc_width + counter_bits + state_bits,
-        arms=_arms(n),
+        arms=fsm_arms(n),
     )
 
 

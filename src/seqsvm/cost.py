@@ -182,23 +182,12 @@ def load_tech(path) -> TechConfig:
 def format_report_table(named_reports) -> str:
     """Aligned text table over (label, CostReport) pairs."""
     header = ("Design", "GE", "Area (cm2)", "Power (mW)", "Freq. (Hz)", "Cycles", "Latency (s)")
-    rows = [header]
-    for label, rep in named_reports:
-        rows.append(
-            (
-                label,
-                f"{rep.total_ge:.0f}",
-                f"{rep.area_cm2:.2f}",
-                f"{rep.power_mw:.2f}",
-                f"{rep.f_clk:.0f}",
-                f"{rep.latency_cycles}",
-                f"{rep.latency_seconds:.3f}",
-            )
-        )
+    rows = [header] + [
+        (label, f"{rep.total_ge:.0f}", f"{rep.area_cm2:.2f}", f"{rep.power_mw:.2f}", f"{rep.f_clk:.0f}",
+         f"{rep.latency_cycles}", f"{rep.latency_seconds:.3f}")
+        for label, rep in named_reports
+    ]
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"

@@ -18,9 +18,10 @@ from .fxp import check_array, check_int, in_range, range_text
 class Dataset:
     """Feature matrix plus dense integer labels.
 
-    ``labels`` index into ``label_names``; ``normalization`` holds the
-    per-feature (min, max) pairs once a split has fixed them, at which point
-    all feature values lie in [0, 1].
+    ``labels`` index into ``label_names``, a list of distinct strings;
+    ``feature_names`` is None or a list of one string per feature;
+    ``normalization`` is None or, once a split has fixed them, the
+    per-feature (min, max) pairs, at which point all feature values lie in [0, 1].
     """
 
     features: np.ndarray
@@ -33,6 +34,17 @@ class Dataset:
         self.features = check_array("features", self.features, float, ("samples", "features"))
         if not self.n_features:
             raise ValueError("features must be a (samples, >=1 feature) matrix")
+        names, m = self.label_names, self.n_features
+        if type(names) is not list or not {*map(type, names)} <= {str} or len(set(names)) < len(names):
+            raise ValueError(f"label_names must be a list of distinct strings, got {names!r:.80}")
+        names = self.feature_names
+        if names is not None and (type(names) is not list or not {*map(type, names)} <= {str} or len(names) != m):
+            raise ValueError(f"feature_names must be None or a list of {m} strings, got {names!r:.80}")
+        if self.normalization is not None:
+            lo, hi = check_array("normalization", self.normalization, float, (m, 2)).T
+            if (lo > hi).any():
+                j = np.argmax(lo > hi)
+                raise ValueError(f"normalization[{j}] must be (min, max) with min <= max, got ({lo[j]}, {hi[j]})")
         self.labels = check_array("labels", self.labels, int, (self.n_samples,))
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < len(self.label_names):
             raise ValueError(f"labels must be codes 0..{len(self.label_names) - 1} into label_names")

@@ -3,7 +3,7 @@ pairwise evaluations, plus inference over it.
 
 The DAG is the classical one over the natural class order (Platt et al., NIPS
 1999), fixed by the class count n, which every walk reads from its model. Its
-FSM's one description is ``transitions(n)``: state ``pair_index(a, b)``
+FSM's one description is ``fsm_arms(n)``: state ``pair_index(a, b)``
 compares classes a and b and reads that storage row, from
 ``pair_index(0, n-1, n)``, in ``state_bits_for(n)`` bits. Engine output y=1
 means the pair's lower class (trained as +1) won. ``archsim.rtl`` records
@@ -66,28 +66,26 @@ def build_ddag(n_classes: int) -> int:
     return n_classes
 
 
-def transitions(n: int):
-    """The FSM of the n-class DAG, one (state, lo, hi, on_a, on_b) per state
-    in state order.
-
-    State ``pair_index(lo, hi)`` compares classes lo and hi. ``on_a`` (y=1)
-    and ``on_b`` (y=0) are its successors: ("node", state), or ("leaf",
-    class) once the pair is adjacent.
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 == 2 must not hit 2's entry
+def fsm_arms(n: int) -> tuple:
+    """The FSM of the n-class DAG: per state, in state order (that of
+    ``row_pairs("ovo", n)``, which checks n), its successors (on_a, on_b) on
+    y=1 and y=0. State ``pair_index(lo, hi)`` compares classes lo and hi.
+    Each successor is ("node", state), or ("leaf", class) once the pair is adjacent.
     """
-    for lo in range(n):
-        for hi in range(lo + 1, n):
-            last = hi == lo + 1
-            on_a = ("leaf", lo) if last else ("node", pair_index(lo, hi - 1, n))
-            on_b = ("leaf", hi) if last else ("node", pair_index(lo + 1, hi, n))
-            yield pair_index(lo, hi, n), lo, hi, on_a, on_b
+    return tuple(
+        (("leaf", lo), ("leaf", hi)) if hi == lo + 1
+        else (("node", pair_index(lo, hi - 1, n)), ("node", pair_index(lo + 1, hi, n)))
+        for lo, hi in row_pairs("ovo", n)
+    )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _successors(n: int) -> np.ndarray:
-    """``transitions(n)`` as one read-only int64 table of its arcs: entry
+    """``fsm_arms(n)`` as one read-only int64 table of its arcs: entry
     2*state + y is that state's successor on verdict y, the next state or,
     on the last of the n-1 steps, which always reaches a leaf, the class."""
-    table = np.array([arc for *_, (_, on_a), (_, on_b) in transitions(n) for arc in (on_b, on_a)], dtype=np.int64)
+    table = np.array([arc for (_, on_a), (_, on_b) in fsm_arms(n) for arc in (on_b, on_a)], dtype=np.int64)
     table.flags.writeable = False
     return table
 

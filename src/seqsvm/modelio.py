@@ -207,8 +207,9 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     ``config`` (the keys of ``_CONFIG_KEYS`` the document takes, in range),
     ``hyper``'s lam and epochs, the float model, the quantized widths
     (``param_bits`` at most the config's ``max_param_bits``) and the
-    dataset's names and normalization (a Dataset of no samples); then
-    ``check_written``, which compares the quantizer's words and scales too."""
+    dataset's names and normalization (a Dataset of no samples, with one
+    label name per class); then ``check_written``, which compares the
+    quantizer's words and scales too."""
     config = _field(doc, "config", "document")
     keys = _CONFIG_KEYS if quantized else _CONFIG_KEYS[:-2]
     for key in keys:
@@ -237,6 +238,8 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     names = [_field(_field(doc, "dataset", "document"), key, "dataset")
              for key in ("label_names", "feature_names", "normalization")]
     dataset = Dataset(np.empty((0, fmodel.n_features)), [], *names)
+    if dataset.n_classes != fmodel.n_classes:
+        raise ValueError(f"dataset.label_names has {dataset.n_classes} names, the model {fmodel.n_classes} classes")
     parts = (config, dataset, hyper, fmodel, qm)
     check_written(doc, model_doc(*parts))
     return parts

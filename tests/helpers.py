@@ -61,7 +61,7 @@ class RefGraph:
 
 def reference_graph(n):
     """The natural DDAG over classes 0..n-1 as an explicit node graph, built
-    pair by pair: the reference for the derived ``ddag.transitions``."""
+    pair by pair: the reference for the derived ``ddag.fsm_arms``."""
     nodes = {}
     for lo in range(n):
         for hi in range(lo + 1, n):

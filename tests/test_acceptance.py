@@ -14,10 +14,11 @@ from seqsvm.dataset import split, to_csv
 from seqsvm.ddag import (
     ddag_predict_float,
     ddag_predict_quant,
+    fsm_arms,
     pair_count,
     pair_index,
+    row_pairs,
     state_bits_for,
-    transitions,
 )
 from seqsvm.fxp import fits
 from seqsvm.hdlgen import generate
@@ -113,9 +114,10 @@ def test_criterion_05_ddag_structure():
         graph = reference_graph(n)
         assert len(graph.nodes) == pair_count(n)
         assert state_bits_for(n) == max(1, math.ceil(math.log2(pair_count(n))))
-        assert list(transitions(n)) == [
-            (s, v.class_a, v.class_b, v.on_a_wins, v.on_b_wins) for s, v in sorted(graph.nodes.items())
-        ]
+        assert sorted(graph.nodes) == list(range(pair_count(n)))
+        nodes = [v for _, v in sorted(graph.nodes.items())]
+        assert row_pairs("ovo", n) == [(v.class_a, v.class_b) for v in nodes]
+        assert list(fsm_arms(n)) == [(v.on_a_wins, v.on_b_wins) for v in nodes]
         stack = [(pair_index(0, n - 1, n), 1)]
         while stack:
             sid, depth = stack.pop()

@@ -17,7 +17,7 @@ from helpers import (
 )
 from seqsvm.archsim import rtl, simulate, simulate_batch, trace_to_text
 from seqsvm.cost import STORAGE_KINDS, TechConfig, estimate
-from seqsvm.ddag import ddag_predict_quant, pair_count, pair_index, state_bits_for
+from seqsvm.ddag import ddag_predict_quant, fsm_arms, pair_count, pair_index, state_bits_for
 from seqsvm.fxp import BLOCK_ELEMENTS, U4_4, FxpFormat
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.quant import QuantizedModel, quantize_inputs
@@ -316,6 +316,7 @@ class TestCensusAndTrace:
         assert r.class_bits == class_bits  # a class id 0..n-1
         assert r.initial_state == pair_index(0, n - 1, n)
         assert r.cycles == (n - 1) * (m + 1)
+        assert r.arms is fsm_arms(n)  # the record's FSM is the library's one description
 
     def test_record_of_an_unsized_model_rejected(self):
         qm = QuantizedModel(2, 1, U4_4, 4, [[0, 1]], [1.0])

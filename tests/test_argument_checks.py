@@ -113,6 +113,8 @@ ARRAY_ENTRIES = {
                          lambda v, f: Dataset(v, np.zeros(5, dtype=np.int64), ["a", "b", "c"])),
     "Dataset-labels": ("labels", int, lambda f: f["blobs3_split"][0].labels[:5],
                        lambda v, f: Dataset(np.zeros((5, 2)), v, ["a", "b", "c"])),
+    "Dataset-normalization": ("normalization", float, lambda f: f["blobs3_split"][0].normalization,
+                              lambda v, f: Dataset(np.zeros((5, 21)), np.zeros(5, dtype=np.int64), ["a"], None, v)),
     "FloatSvmModel": ("coefs", float, lambda f: f["blobs3_model"].coefs,
                       lambda v, f: FloatSvmModel("ovo", 3, 21, v)),
     "QuantizedModel": ("words", int, lambda f: _quant(f).words,

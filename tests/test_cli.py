@@ -654,6 +654,32 @@ _FLOAT_MODEL_EDITS = {
     "hyper_seed_string": (_set_hyper("seed", "x"), "hyper.seed is 'x', the model writes 11"),
     "hyper_seed_other": (_set_hyper("seed", 12), "hyper.seed is 12, the model writes 11"),
     "seed_repeated": (_repeat_key("seed", 3), "an object repeats the key 'seed'"),
+    # the dataset's names and normalization must fit the model: 3 classes, 11 features
+    "dataset_one_label": (
+        _set_path(("dataset", "label_names"), ["only-one"]), "dataset.label_names has 1 names, the model 3 classes"
+    ),
+    "dataset_labels_repeated": (
+        _set_path(("dataset", "label_names"), ["0", "0", "1"]),
+        "label_names must be a list of distinct strings, got ['0', '0', '1']",
+    ),
+    "dataset_labels_numbers": (
+        _set_path(("dataset", "label_names"), [0, 1, 2]),
+        "label_names must be a list of distinct strings, got [0, 1, 2]",
+    ),
+    "dataset_feature_names_numbers": (
+        _set_path(("dataset", "feature_names"), [1, 2]),
+        "feature_names must be None or a list of 11 strings, got [1, 2]",
+    ),
+    "dataset_normalization_string": (
+        _set_path(("dataset", "normalization"), [["x", None]]), "normalization must have shape (11, 2), got (1, 2)"
+    ),
+    "dataset_normalization_null_max": (
+        _set_path(("dataset", "normalization", 0, 1), None), "normalization[0, 1] must be a finite number, got None"
+    ),
+    "dataset_normalization_reversed": (
+        _set_path(("dataset", "normalization", 0), [1.0, 0.0]),
+        "normalization[0] must be (min, max) with min <= max, got (1.0, 0.0)",
+    ),
     **_CONFIG_EDITS,
 }
 
@@ -802,8 +828,8 @@ def _names(path) -> set:
     return names
 
 
-# no stage reads these, so any value passes as long as the key is there
-_UNREAD = {("dataset", "label_names"), ("dataset", "feature_names"), ("dataset", "normalization")}
+# a dataset may have no feature names and no normalization
+_NULLABLE = {("dataset", "feature_names"), ("dataset", "normalization")}
 
 
 def test_every_field_of_model_json_is_checked_by_name(full_run, tmp_path):
@@ -812,10 +838,10 @@ def test_every_field_of_model_json_is_checked_by_name(full_run, tmp_path):
     doc = json.loads((full_run / "model.json").read_text())
     out = tmp_path / "out"
     out.mkdir()
-    paths = [path for path in _paths(doc) if path[:2] not in _UNREAD]
+    paths = list(_paths(doc))
     assert len(paths) > 150
     for path in paths:
-        for value in (_DELETE, None, []):
+        for value in (_DELETE, *([] if path in _NULLABLE else [None]), []):
             edited = copy.deepcopy(doc)
             _set_path(path, value)(edited)
             (out / "model.json").write_text(json.dumps(edited))

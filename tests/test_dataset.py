@@ -430,6 +430,25 @@ def test_labels_must_index_label_names(labels):
         Dataset(np.zeros((2, 1)), labels, ["a", "b"])
 
 
+@pytest.mark.parametrize("label_names, feature_names, normalization, message", [
+    (("a", "b"), None, None, "label_names must be a list of distinct strings, got ('a', 'b')"),
+    (["a", "a"], None, None, "label_names must be a list of distinct strings, got ['a', 'a']"),
+    (["a", 1], None, None, "label_names must be a list of distinct strings, got ['a', 1]"),
+    (["a", "b"], ["x"], None, "feature_names must be None or a list of 2 strings, got ['x']"),
+    (["a", "b"], ["x", None], None, "feature_names must be None or a list of 2 strings, got ['x', None]"),
+    (["a", "b"], "xy", None, "feature_names must be None or a list of 2 strings, got 'xy'"),
+    (["a", "b"], None, [(0.0, 1.0)], "normalization must have shape (2, 2), got (1, 2)"),
+    (["a", "b"], None, [(0.0, 1.0), (2.0, -1.0)],
+     "normalization[1] must be (min, max) with min <= max, got (2.0, -1.0)"),
+])
+def test_names_and_normalization_must_fit_the_features(label_names, feature_names, normalization, message):
+    # the model loader builds its dataset from these, so a hand-edited
+    # document that does not fit the features or the classes is refused
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(np.zeros((2, 2)), [0, 1], label_names, feature_names, normalization)
+    Dataset(np.zeros((2, 2)), [0, 1], ["a", "b"], ["x", "x"], [(0.5, 0.5), (0.0, 1.0)])  # repeats and a constant pass
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError, match=r"^features\[0, 0\] must be a finite number, got nan$"):
         Dataset(np.array([[np.nan, 1.0]]), np.array([0]), ["a"])

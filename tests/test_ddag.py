@@ -11,11 +11,11 @@ from seqsvm.ddag import (
     _successors,
     ddag_predict_float,
     ddag_predict_quant,
+    fsm_arms,
     pair_count,
     pair_index,
     row_pairs,
     state_bits_for,
-    transitions,
 )
 from seqsvm.fxp import U4_4
 from seqsvm.modelio import ddag_to_dict
@@ -126,12 +126,14 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", range(2, 27))
     def test_successor_table_is_the_fsm(self, n):
-        # entry 2*state + y is the target of transitions(n)'s arc on verdict y
+        # entry 2*state + y is the target of fsm_arms(n)'s arc on verdict y,
+        # which is the reference graph's
         table = _successors(n)
         assert table.dtype == np.int64 and len(table) == 2 * pair_count(n)
         assert table.tolist() == [
-            target for state, _, _, on_a, on_b in transitions(n) for (_, target) in (on_b, on_a)
+            target for on_a, on_b in fsm_arms(n) for (_, target) in (on_b, on_a)
         ]
+        assert list(fsm_arms(n)) == [(v.on_a_wins, v.on_b_wins) for _, v in sorted(reference_graph(n).nodes.items())]
         assert _successors(n) is table  # built once per class count
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
@@ -159,6 +161,11 @@ class TestBuild:
             QuantizedModel(n, 1, U4_4, 4, [[0, 1]], [1.0])
         with pytest.raises(ValueError, match=message):
             FloatSvmModel("ova", n, 1, [[0.0, 1.0]] * 2)
+        # the FSM takes its check from row_pairs, even after 2's arms are cached
+        fsm_arms(2), _successors(2)
+        for fsm in (fsm_arms, _successors):
+            with pytest.raises(ValueError, match=message):
+                fsm(n)
 
 
 class TestInfer:

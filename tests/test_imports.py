@@ -44,7 +44,7 @@ def test_an_unused_import_is_found():
 
 
 #: ddag's description of the FSM, which only ddag and archsim.rtl may read.
-FSM_NAMES = ("transitions", "pair_index", "state_bits_for")
+FSM_NAMES = ("fsm_arms", "pair_index", "state_bits_for")
 
 
 def fsm_names(source: str) -> list[str]:
@@ -69,5 +69,7 @@ def test_only_ddag_and_archsim_name_the_fsm(path):
 
 
 def test_a_name_of_the_fsm_is_found():
-    source = "from .ddag import pair_index as p, row_pairs\nimport seqsvm.ddag.transitions\nddag.state_bits_for(4)\n"
-    assert fsm_names(source) == ["line 1: pair_index", "line 2: transitions", "line 3: state_bits_for"]
+    source = ("from .ddag import pair_index as p, row_pairs\nimport seqsvm.ddag.fsm_arms\nddag.state_bits_for(4)\n"
+              "fsm_arms(n)\n")
+    assert fsm_names(source) == [
+        "line 1: pair_index", "line 2: fsm_arms", "line 3: state_bits_for", "line 4: fsm_arms"]

@@ -180,8 +180,8 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
            (("float_model", "vectors", 1, "bias"), 0.0)),
      "vector 1: largest |coefficient| 5e-324 is too small to scale to 4 bits"),
     # then the comparison with what model_doc writes, in sorted key order;
-    # the dataset's names are written back as read, so any value passes
-    (_edit(*DERIVED, (("dataset", "label_names"), 5), (("dataset", "feature_names"), None)),
+    # the dataset's names are written back as read, so other names that fit pass
+    (_edit(*DERIVED, (("dataset", "label_names"), ["x", "y", "z"]), (("dataset", "feature_names"), None)),
      "ddag.state_bits is 40, the model writes 2"),
     (_edit(*DERIVED[1:]), "quantized.bias_shift is 3, the model writes 4"),
     (_edit(*SWAPPED, DERIVED[1]), "quantized.vectors.2.class_a is 2, the model writes 1"),
@@ -190,6 +190,17 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
     (_edit(DERIVED[1], (("quantized", "vectors", 0, "bias"), 3)), "quantized.vectors.0.bias is 3, the model writes 2"),
     (_edit(DERIVED[1], (("quantized", "scales", 1), 2.5)),
      "quantized.scales.1 is 2.5, the model writes 2.3333333333333335"),
+    # the dataset's names and normalization, after the quantized widths and
+    # before the comparison: each must fit the model
+    (_edit(*DERIVED, (("quantized", "param_bits"), 17), (("dataset", "label_names"), 5)),
+     "quantized.param_bits must be an integer in 2..16, got 17"),
+    (_edit(*DERIVED, (("dataset", "label_names"), 5)), "label_names must be a list of distinct strings, got 5"),
+    (_edit(*DERIVED, (("dataset", "label_names"), ["x", "y"])),
+     "dataset.label_names has 2 names, the model 3 classes"),
+    (_edit(*DERIVED, (("dataset", "feature_names"), ["a"])),
+     "feature_names must be None or a list of 2 strings, got ['a']"),
+    (_edit(*DERIVED, (("dataset", "normalization"), [[0.0, 1.0], [1.0, 0.5]])),
+     "normalization[1] must be (min, max) with min <= max, got (1.0, 0.5)"),
 ])
 def test_loader_check_order(doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
