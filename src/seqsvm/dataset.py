@@ -14,7 +14,7 @@ import numpy as np
 from .fxp import check_array, check_int, in_range, range_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus dense integer labels.
 
@@ -22,6 +22,7 @@ class Dataset:
     ``feature_names`` is None or a list of one string per feature;
     ``normalization`` is None or, once a split has fixed them, the
     per-feature (min, max) pairs, at which point all feature values lie in [0, 1].
+    Frozen, so no field is assigned past the checks of its construction.
     """
 
     features: np.ndarray
@@ -31,7 +32,8 @@ class Dataset:
     normalization: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        self.features = check_array("features", self.features, float, ("samples", "features"))
+        # the checked arrays replace the given ones, past the freeze
+        object.__setattr__(self, "features", check_array("features", self.features, float, ("samples", "features")))
         if not self.n_features:
             raise ValueError("features must be a (samples, >=1 feature) matrix")
         names, m = self.label_names, self.n_features
@@ -45,7 +47,7 @@ class Dataset:
             if (lo > hi).any():
                 j = np.argmax(lo > hi)
                 raise ValueError(f"normalization[{j}] must be (min, max) with min <= max, got ({lo[j]}, {hi[j]})")
-        self.labels = check_array("labels", self.labels, int, (self.n_samples,))
+        object.__setattr__(self, "labels", check_array("labels", self.labels, int, (self.n_samples,)))
         if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < len(self.label_names):
             raise ValueError(f"labels must be codes 0..{len(self.label_names) - 1} into label_names")
 

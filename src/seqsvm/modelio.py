@@ -17,10 +17,11 @@ each, then ``check_written`` rejects the document unless it is exactly what
 ``model_doc`` writes for those parts, in one walk over both. That one rule
 covers every derived field: ``format``, ``version``, ``seed``,
 ``config_hash``, ``dataset.split``, ``hyper.seed``, each vector's pair,
-``input_fmt``, ``bias_shift``, the quantized ``vectors`` and ``scales`` (the
-quantizer's output for the float model) and the whole ``ddag``, the FSM of
-``archsim.rtl``. The checks of the read fields are ``fxp``'s; this module
-keeps only ``CONFIG_RANGES``, the ranges of the config's numbers.
+``input_fmt``, ``bias_shift``, the quantized ``vectors`` (the words that
+``quant.table_words`` derives from the float model and the read ``scales``)
+and the whole ``ddag``, the FSM of ``archsim.rtl``. The checks of the read
+fields are ``fxp``'s and ``quant.check_scales``; this module keeps only
+``CONFIG_RANGES``, the ranges of the config's numbers.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .archsim import rtl
 from .dataset import Dataset
-from .ddag import row_pairs
+from .ddag import check_ovo, row_pairs
 from .fxp import MAX_INPUT_BITS, FxpFormat, check_int, finite_number, first_bad, in_range, range_text
-from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, quantize_model
+from .quant import MAX_PARAM_BITS, MIN_PARAM_BITS, QuantizedModel, check_scales, quantize_model
 from .trainer import FloatSvmModel, Hyper
 
 FORMAT = "seqsvm/model"
@@ -157,14 +157,14 @@ def float_model_from_dict(doc: dict) -> FloatSvmModel:
 
 def quantized_from_dict(doc: dict, fmodel: FloatSvmModel, input_bits: int) -> QuantizedModel:
     """The quantized model of a ``quantized`` object: ``fmodel``, which must
-    be OvO, quantized to the object's ``param_bits`` for inputs of
-    ``input_bits`` (the config's), with its ``acc_width``. The words and
-    scales are the quantizer's, so no other key is read."""
+    be OvO, quantized to the object's ``param_bits`` at its ``scales`` for
+    inputs of ``input_bits`` (the config's), with its ``acc_width``. The
+    words are derived from the scales, so no other key is read."""
     check_int("quantized.param_bits", _field(doc, "param_bits", "quantized"), MIN_PARAM_BITS, MAX_PARAM_BITS)
     check_int("quantized.acc_width", _field(doc, "acc_width", "quantized"), 1)
-    with warnings.catch_warnings():  # the quantize stage has warned of an all-zero row
-        warnings.simplefilter("ignore", UserWarning)
-        qm = quantize_model(fmodel, doc["param_bits"], FxpFormat(input_bits))
+    check_ovo(fmodel)
+    scales = check_scales("quantized.scales", _field(doc, "scales", "quantized"), len(fmodel.coefs))
+    qm = quantize_model(fmodel, doc["param_bits"], FxpFormat(input_bits), scales)
     qm.acc_width = doc["acc_width"]
     return qm
 
@@ -206,10 +206,10 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     of ``doc``, model.json if ``quantized``. Reads and checks, in order,
     ``config`` (the keys of ``_CONFIG_KEYS`` the document takes, in range),
     ``hyper``'s lam and epochs, the float model, the quantized widths
-    (``param_bits`` at most the config's ``max_param_bits``) and the
-    dataset's names and normalization (a Dataset of no samples, with one
-    label name per class); then ``check_written``, which compares the
-    quantizer's words and scales too."""
+    (``param_bits`` at most the config's ``max_param_bits``) and scales,
+    and the dataset's names and normalization (a Dataset of no samples, with
+    one label name per class); then ``check_written``, which compares the
+    words derived from the scales too."""
     config = _field(doc, "config", "document")
     keys = _CONFIG_KEYS if quantized else _CONFIG_KEYS[:-2]
     for key in keys:

@@ -1,6 +1,16 @@
-"""Post-training quantization: 4-bit input truncation, per-row min-max
-scaling of the float table to the smallest precision that keeps accuracy,
-and accumulator-width profiling."""
+"""Post-training quantization: 4-bit input truncation, per-row scaling of
+the float table to the narrowest precision that keeps accuracy, and
+accumulator-width profiling.
+
+``table_words`` is the one rounding of a float table: row r times its
+scale, rounded half to even and clipped to the width's symmetric range. It
+takes the min-max scales (``quantize_model``), the calibrated ones
+(``calibrate_model``: per row, the multiple of the min-max scale in
+``MULTIPLES`` whose integer row agrees in sign with the float row on the
+most training samples of its pair) and a model document's (``modelio``).
+``search_param_bits`` finds the narrowest adequate min-max width, then walks
+down from it while the calibrated tables stay adequate.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +29,10 @@ from .trainer import FloatSvmModel, read_only_table
 MAX_ACCURACY_DROP = 0.005
 #: Parameter widths the model, the HDL and the --max-param-bits flag accept.
 MIN_PARAM_BITS, MAX_PARAM_BITS = 2, 16
+#: Multiples of a row's min-max scale that the calibration tries: 1 to 4 in
+#: quarter steps. Above 1, the row's largest coefficients clip (Banner et
+#: al., NeurIPS 2019) and its small ones gain resolution.
+MULTIPLES = tuple(1 + k / 4 for k in range(13))
 
 
 def QuantVector(class_a: int, class_b: int, weights, bias: int) -> list[int]:
@@ -59,11 +73,8 @@ class QuantizedModel:
         if self.words.min() < min_int(bits) or self.words.max() > max_int(bits):
             r, p = first_bad(self.words.tolist(), lambda p: fits(p, bits))
             raise ValueError(f"vector {r}: parameter {p} exceeds {bits} bits")
-        self.scales = check_array("scales", self.scales, float, (rows,)).copy()
+        self.scales = check_scales("scales", self.scales, rows).copy()
         self.scales.flags.writeable = False
-        if self.scales.min() <= 0:
-            bad = int(np.argmax(self.scales <= 0))
-            raise ValueError(f"scales[{bad}] must be > 0, got {self.scales[bad].item()!r}")
 
     @property
     def bias_shift(self) -> int:
@@ -82,6 +93,16 @@ class QuantizedModel:
         return X
 
 
+def check_scales(name: str, scales, rows: int) -> np.ndarray:
+    """``scales`` as ``fxp.check_array`` takes them, one finite number per
+    row, each also > 0, else a ValueError naming ``name`` and the first bad scale."""
+    scales = check_array(name, scales, float, (rows,))
+    if rows and scales.min() <= 0:
+        bad = int(np.argmax(scales <= 0))
+        raise ValueError(f"{name}[{bad}] must be > 0, got {scales[bad].item()!r}")
+    return scales
+
+
 @dataclass
 class QuantReport:
     param_bits: int
@@ -92,6 +113,7 @@ class QuantReport:
     partial_min: int
     partial_max: int
     max_precision_flag: bool
+    sign_flips: int
 
 
 def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
@@ -110,17 +132,26 @@ def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
     return codes
 
 
-def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min-max linear scaling of every row of ``coefs`` (one support vector's
-    coefficients each) to signed param_bits codes, all rows at once.
+def table_words(coefs: np.ndarray, scales: np.ndarray, param_bits: int) -> np.ndarray:
+    """The int64 words of float table ``coefs`` at ``scales``, one per row
+    (or a stack of such scale vectors, for a stack of tables): each row
+    times its scale, rounded half to even, clipped to +-(2**(param_bits-1) - 1)."""
+    top = float(max_int(param_bits))
+    with np.errstate(over="ignore"):  # an infinite product clips like any other
+        scaled = np.multiply(coefs, scales[..., None])
+    return np.clip(np.rint(scaled, out=scaled), -top, top, out=scaled).astype(np.int64)
 
-    A row's scale maps its largest-magnitude coefficient onto
-    2**(param_bits-1) - 1; rounding is half-to-even. An all-zero row keeps
-    scale 1 and is flagged with one warning. A row whose scale overflows,
-    its largest |coefficient| being too small, is rejected before any cast.
-    Returns the int64 codes and the float64 scales.
+
+def _minmax_scales(coefs, param_bits: int) -> np.ndarray:
+    """The min-max scale of every row of ``coefs`` (one support vector's
+    coefficients each) at param_bits, all rows at once: the one that maps
+    the row's largest |coefficient| onto 2**(param_bits-1) - 1.
+
+    An all-zero row keeps scale 1 and is flagged with one warning. A row
+    whose scale overflows, its largest |coefficient| being too small, is
+    rejected before any cast.
     """
-    top = float((1 << (param_bits - 1)) - 1)
+    top = float(max_int(param_bits))
     peak = np.abs(coefs).max(axis=1, initial=0.0)
     zero = peak == 0.0
     for _ in range(np.count_nonzero(zero)):
@@ -131,15 +162,93 @@ def _scale_rows(coefs, param_bits: int) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         raise ValueError(f"vector {bad[0]}: largest |coefficient| {float(peak[bad[0]])!r} is too small to "
                          f"scale to {param_bits} bits")
-    return np.clip(np.rint(coefs * scales[:, None]), -top, top).astype(np.int64), scales
+    return scales
 
 
-def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4) -> QuantizedModel:
-    """Quantize every OvO row independently (per-row scale preserves signs)."""
+def quantize_model(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat = U4_4,
+                   scales=None) -> QuantizedModel:
+    """Quantize every OvO row independently (a per-row scale > 0 keeps
+    signs), at ``scales``, one per row, or at the min-max scales."""
     check_ovo(fmodel)
     check_int("param_bits", param_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
-    codes, scales = _scale_rows(fmodel.coefs, param_bits)
-    return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, codes, scales)
+    if scales is None:
+        scales = _minmax_scales(fmodel.coefs, param_bits)
+    else:
+        scales = check_scales("scales", scales, len(fmodel.coefs))
+    words = table_words(fmodel.coefs, scales, param_bits)
+    return QuantizedModel(fmodel.n_classes, fmodel.n_features, input_fmt, param_bits, words, scales)
+
+
+def _training_signs(fmodel: FloatSvmModel, train: Dataset, input_fmt: FxpFormat) -> tuple:
+    """What the calibration compares with: the training input codes, and per
+    class c (c's samples, the table rows of c's pairs, and whether each of
+    those float rows scores each of those samples >= 0, the DAG's verdict y
+    for the pair's lower class, summed in ``score_table``'s fixed order)."""
+    codes = quantize_inputs(train, input_fmt)
+    pairs, m = np.array(row_pairs("ovo", fmodel.n_classes)), fmodel.n_features
+    per_class = []
+    for c in range(fmodel.n_classes):
+        samples = np.flatnonzero(train.labels == c)
+        rows = np.flatnonzero((pairs == c).any(axis=1))
+        signs = np.empty((len(rows), len(samples)), dtype=bool)
+        for start, col, acc in score_table(fmodel.coefs[rows], train.features[samples]):
+            if col == m:
+                np.greater_equal(acc, 0.0, out=signs[:, start:start + acc.shape[1]])
+        per_class.append((samples, rows, signs))
+    return codes, per_class
+
+
+def _agreement(words: np.ndarray, bias_shift: int, training_signs: tuple) -> np.ndarray:
+    """counts[k, r]: on how many training samples of row r's class pair
+    integer row r of table k (``words`` is a stack of word tables) scores
+    with the sign of float row r, both taking y = (score >= 0).
+
+    The integer scores are exact: every |score| stays below (m+1)*2**31
+    (see fxp.MAX_INPUT_BITS), so below 2**53, where float64 sums integers
+    exactly in any order, BLAS's included. A class's samples are scored a
+    block of BLOCK_ELEMENTS // (tables * (n-1)) at a time.
+    """
+    codes, per_class = training_signs
+    k, rows, width = words.shape
+    exact = np.float64 if width << 31 < 1 << 53 else np.int64
+    table = words.astype(exact)
+    table[:, :, 0] *= 1 << bias_shift
+    counts = np.zeros((k, rows), dtype=np.int64)
+    for samples, pair_rows, signs in per_class:
+        tables = table[:, pair_rows].reshape(-1, width)  # (k * (n-1), m+1), table-major
+        block = max(1, BLOCK_ELEMENTS // len(tables))
+        for start in range(0, len(samples), block):
+            x = codes[samples[start:start + block]].astype(exact)
+            scores = x @ tables[:, 1:].T
+            scores += tables[:, 0]
+            y = (scores >= 0).reshape(len(x), k, len(pair_rows))
+            counts[:, pair_rows] += (y == signs[:, start:start + block].T[:, None, :]).sum(axis=0)
+    return counts
+
+
+def _calibrated(fmodel: FloatSvmModel, param_bits: int, input_fmt: FxpFormat, training_signs: tuple):
+    """``calibrate_model``'s table, given ``_training_signs``."""
+    minmax = _minmax_scales(fmodel.coefs, param_bits)
+    with np.errstate(over="ignore"):
+        candidates = np.multiply.outer(MULTIPLES, minmax)  # (multiples, rows)
+    overflows = ~np.isfinite(candidates)
+    candidates = np.where(overflows, minmax, candidates)  # a finite stand-in, never chosen
+    counts = _agreement(table_words(fmodel.coefs, candidates, param_bits), input_fmt.total_bits, training_signs)
+    counts[overflows] = -1
+    best = np.argmax(counts, axis=0)  # the first, smallest multiple of the most agreeing ones
+    return quantize_model(fmodel, param_bits, input_fmt, candidates[best, np.arange(len(best))])
+
+
+def calibrate_model(fmodel: FloatSvmModel, param_bits: int, train: Dataset, input_fmt: FxpFormat = U4_4):
+    """``fmodel`` quantized to ``param_bits`` at calibrated scales: row r's
+    scale is the multiple in MULTIPLES of its min-max scale whose integer
+    row agrees in sign with float row r on the most samples of ``train``
+    labelled with either class of its pair, the smallest such multiple on a
+    tie, so the min-max scale stays unless it is strictly beaten. A multiple
+    that overflows is skipped; an all-zero row keeps scale 1 and its warning."""
+    check_ovo(fmodel)
+    check_int("param_bits", param_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
+    return _calibrated(fmodel, param_bits, input_fmt, _training_signs(fmodel, train, input_fmt))
 
 
 def partial_sum_extremes(qm: QuantizedModel, train_codes: np.ndarray) -> tuple[int, int]:
@@ -178,24 +287,45 @@ def search_param_bits(
     input_fmt: FxpFormat = U4_4,
     max_bits: int = 8,
 ) -> tuple[QuantizedModel, QuantReport]:
-    """Try param_bits = MIN_PARAM_BITS..max_bits ascending; keep the first
-    precision whose DDAG test accuracy sits within MAX_ACCURACY_DROP of the
-    float DDAG test accuracy. Falls back to max_bits with the flag set."""
+    """The narrowest table whose DDAG test accuracy sits within
+    MAX_ACCURACY_DROP of the float DDAG test accuracy.
+
+    Tries the min-max tables at param_bits = MIN_PARAM_BITS..max_bits
+    ascending and keeps the first adequate one, of width w0; then walks down
+    from w0-1, keeping each calibrated table (``calibrate_model``, on
+    ``train``) while it stays adequate. So no table is wider than the
+    min-max search's, and at w0 it is the min-max one. Falls back to the
+    min-max table at max_bits with the flag set when no table qualifies."""
     check_int("max_bits", max_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
     float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
     test_codes = quantize_inputs(test, input_fmt)
-    train_codes = quantize_inputs(train, input_fmt)
+    training_signs = _training_signs(fmodel, train, input_fmt)
+
+    def accuracy(qm: QuantizedModel) -> float:
+        return float(np.mean(ddag_predict_quant(qm, test_codes) == test.labels))
+
+    def adequate(acc: float) -> bool:
+        return float_acc - acc <= MAX_ACCURACY_DROP + 1e-12
 
     flagged = False
     for bits in range(MIN_PARAM_BITS, max_bits + 1):
         chosen = quantize_model(fmodel, bits, input_fmt)
-        chosen_acc = float(np.mean(ddag_predict_quant(chosen, test_codes) == test.labels))
-        if float_acc - chosen_acc <= MAX_ACCURACY_DROP + 1e-12:
+        chosen_acc = accuracy(chosen)
+        if adequate(chosen_acc):
             break
     else:
         flagged = True  # the last try, at max_bits, stays chosen
+    for bits in [] if flagged else range(chosen.param_bits - 1, MIN_PARAM_BITS - 1, -1):
+        calibrated = _calibrated(fmodel, bits, input_fmt, training_signs)
+        calibrated_acc = accuracy(calibrated)
+        if not adequate(calibrated_acc):
+            break
+        chosen, chosen_acc = calibrated, calibrated_acc
 
-    _, lo, hi = profile_accumulator(chosen, train_codes)
+    _, lo, hi = profile_accumulator(chosen, training_signs[0])
+    # the (row, training sample of its pair) pairs whose integer sign is not the float one
+    pairs = sum(signs.size for _, _, signs in training_signs[1])
+    agreeing = int(_agreement(chosen.words[None], chosen.bias_shift, training_signs).sum())
     report = QuantReport(
         param_bits=chosen.param_bits,
         float_accuracy=float_acc,
@@ -205,5 +335,6 @@ def search_param_bits(
         partial_min=lo,
         partial_max=hi,
         max_precision_flag=flagged,
+        sign_flips=pairs - agreeing,
     )
     return chosen, report

@@ -27,15 +27,16 @@ TABLE_SHAPES = {
 }
 
 
-def document(fmodel, param_bits=None, input_bits=4, acc_width=8) -> dict:
+def document(fmodel, param_bits=None, input_bits=4, acc_width=8, scales=None) -> dict:
     """float_model.json of ``fmodel``, or, given ``param_bits``, model.json
-    with ``fmodel`` quantized to them for inputs of ``input_bits``, under a
-    fixed config, dataset and seed, as its JSON text reads back."""
+    with ``fmodel`` quantized to them at ``scales`` (None: the min-max ones)
+    for inputs of ``input_bits``, under a fixed config, dataset and seed, as
+    its JSON text reads back."""
     config = {"dataset": "data.csv", "label_column": "label", "seed": 0, "train_fraction": 0.8, "budget": 1}
     qm = None
     if param_bits is not None:
         config.update(input_bits=input_bits, max_param_bits=16)
-        qm = quantize_model(fmodel, param_bits, FxpFormat(input_bits))
+        qm = quantize_model(fmodel, param_bits, FxpFormat(input_bits), scales)
         qm.acc_width = acc_width
     m = fmodel.n_features
     names = Dataset(np.empty((0, m)), [], [f"c{c}" for c in range(fmodel.n_classes)], [f"f{j}" for j in range(m)],

@@ -27,7 +27,8 @@ from seqsvm.ddag import ddag_predict_float, ddag_predict_quant, row_pairs, walk_
 from seqsvm.fxp import U4_4, FxpFormat, check_array
 from seqsvm.hdlgen import emit_golden_vectors
 from seqsvm.modelio import quantized_from_dict
-from seqsvm.quant import QuantizedModel, partial_sum_extremes, quantize_inputs, quantize_model, search_param_bits
+from seqsvm.quant import (QuantizedModel, calibrate_model, partial_sum_extremes, quantize_inputs, quantize_model,
+                          search_param_bits)
 from seqsvm.trainer import FloatSvmModel, Hyper, fit_lanes, random_search
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "seqsvm"
@@ -39,6 +40,7 @@ ENTRIES = {
     "FxpFormat": ("total_bits", 1, 16, lambda v, f: FxpFormat(v)),
     "QuantizedModel": ("param_bits", 2, 16, lambda v, f: QuantizedModel(2, 1, U4_4, v, [[0, 1]], [1.0])),
     "quantize_model": ("param_bits", 2, 16, lambda v, f: quantize_model(f["blobs3_model"], v)),
+    "calibrate_model": ("param_bits", 2, 16, lambda v, f: calibrate_model(f["blobs3_model"], v, f["blobs3_split"][0])),
     "search_param_bits": ("max_bits", 2, 16, lambda v, f: search_param_bits(f["blobs3_model"], *f["blobs3_split"],
                                                                            max_bits=v)),
     "Hyper": ("epochs", 0, None, lambda v, f: Hyper(epochs=v)),
@@ -121,6 +123,12 @@ ARRAY_ENTRIES = {
                        lambda v, f: QuantizedModel(3, 21, U4_4, _quant(f).param_bits, v, _quant(f).scales)),
     "QuantizedModel-scales": ("scales", float, lambda f: _quant(f).scales,
                               lambda v, f: QuantizedModel(3, 21, U4_4, _quant(f).param_bits, _quant(f).words, v)),
+    "quantize_model-scales": ("scales", float, lambda f: _quant(f).scales,
+                              lambda v, f: quantize_model(f["blobs3_model"], _quant(f).param_bits, U4_4, v)),
+    "quantized_from_dict-scales": ("quantized.scales", float, lambda f: _quant(f).scales,
+                                   lambda v, f: quantized_from_dict(
+                                       {"param_bits": _quant(f).param_bits, "acc_width": 9, "scales": v},
+                                       f["blobs3_model"], 4)),
     "walk_batch": ("codes", int, _codes, lambda v, f: walk_batch(_quant(f), v)),
     "ddag_predict_quant": ("codes", int, _codes, lambda v, f: ddag_predict_quant(_quant(f), v)),
     "simulate_batch-codes": ("codes", int, _codes,

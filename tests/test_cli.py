@@ -687,8 +687,10 @@ _ROW_SWAP = (_swap_first_two_rows, "ddag.nodes.0.row is 1, the model writes 0")
 # the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
 # bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves. Its
 # words are 2 bits wide (-2..1), the biases 1, 0 and -1, and vector 0's first
-# weight -1; these are the scales its float model quantizes with
-_SCALES = "0.3458189758734454", "0.7395383987991718", "0.36422293776864983"
+# weight -1. Its scales are min-max ones (2 bits is the narrowest width, so no
+# calibrated table is tried); at 1.5 instead of 0.7395..., row 1's weights
+# read [-1, -1, 1, -1, -1, 0, 1, -1, 1, 1, 1, -1] where they read
+# [-1, -1, 1, 0, 0, 0, 0, 1, 1, 1, -1]
 _MODEL_EDITS = {
     "state_bits": (_set_ddag_key("state_bits", 40), "ddag.state_bits is 40, the model writes 2"),
     "ordering": (_set_ddag_key("ordering", "whatever"), "ddag.ordering is 'whatever', the model writes 'natural'"),
@@ -725,33 +727,32 @@ _MODEL_EDITS = {
     "param_bits_above_ceiling": (
         _set_quantized(("param_bits",), 12), "quantized.param_bits 12 exceeds config max_param_bits 8"
     ),
-    "scales_string": (_set_quantized(("scales",), "abc"), f"quantized.scales is 'abc', the model writes [{_SCALES[0]}"),
-    "scales_empty": (_set_quantized(("scales",), []), "quantized.scales has 0 entries, the model writes 3"),
-    "scales_number": (_set_quantized(("scales",), 5), f"quantized.scales is 5, the model writes [{_SCALES[0]}"),
-    "scale_zero": (_set_quantized(("scales", 1), 0), f"quantized.scales.1 is 0, the model writes {_SCALES[1]}"),
-    "scale_negative": (
-        _set_quantized(("scales", 2), -1.5), f"quantized.scales.2 is -1.5, the model writes {_SCALES[2]}"
-    ),
-    "scale_true": (_set_quantized(("scales", 0), True), f"quantized.scales.0 is True, the model writes {_SCALES[0]}"),
-    "scale_nan": (
-        _set_quantized(("scales", 2), float("nan")), f"quantized.scales.2 is nan, the model writes {_SCALES[2]}"
-    ),
-    "scale_string": (
-        _set_quantized(("scales", 0), "1.0"), f"quantized.scales.0 is '1.0', the model writes {_SCALES[0]}"
-    ),
-    # in range, and each accepted before the words and scales were the quantizer's
+    # the scales are read, one finite number > 0 per row, and the words derived from them
+    "scales_string": (_set_quantized(("scales",), "abc"), "quantized.scales must have shape (3,), got ()"),
+    "scales_empty": (_set_quantized(("scales",), []), "quantized.scales must have shape (3,), got (0,)"),
+    "scales_number": (_set_quantized(("scales",), 5), "quantized.scales must have shape (3,), got ()"),
+    "scale_zero": (_set_quantized(("scales", 1), 0), "quantized.scales[1] must be > 0, got 0.0"),
+    "scale_negative": (_set_quantized(("scales", 2), -1.5), "quantized.scales[2] must be > 0, got -1.5"),
+    "scale_true": (_set_quantized(("scales", 0), True), "quantized.scales[0] must be a finite number, got True"),
+    "scale_nan": (_set_quantized(("scales", 2), float("nan")), "quantized.scales[2] must be a finite number, got nan"),
+    "scale_string": (_set_quantized(("scales", 0), "1.0"), "quantized.scales[0] must be a finite number, got '1.0'"),
+    # in range, and each accepted before the words were derived
     "biases_negated": (_negate_biases, "quantized.vectors.0.bias is -1, the model writes 1"),
     "weight_plus_one": (
         _set_quantized(("vectors", 0, "weights", 0), 0), "quantized.vectors.0.weights.0 is 0, the model writes -1"
     ),
+    # another scale without its words: refused at the first word it derives otherwise
     "scale_changed": (
-        _set_quantized(("scales", 1), 0.75), f"quantized.scales.1 is 0.75, the model writes {_SCALES[1]}"
+        _set_quantized(("scales", 1), 1.5), "quantized.vectors.1.weights.3 is 0, the model writes -1"
     ),
     "acc_width_repeated": (_repeat_key("acc_width", 3), "an object repeats the key 'acc_width'"),
     **_QUANT_CONFIG_EDITS,
     **_FLOAT_MODEL_EDITS,
     # model.json's loader takes only OvO float models, before it compares the pairs
     "float_ova_kind_on_pairs": (_set_float_kind("ova"), "a DAG walks OvO models only, not a 'ova' model"),
+    # and derives the words from the read scales, so a row that no min-max
+    # scale reaches is refused at the first word that differs
+    "float_row_too_small": (_tiny_float_row, "quantized.vectors.0.bias is 1, the model writes 0"),
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 import os
@@ -447,6 +448,23 @@ def test_names_and_normalization_must_fit_the_features(label_names, feature_name
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Dataset(np.zeros((2, 2)), [0, 1], label_names, feature_names, normalization)
     Dataset(np.zeros((2, 2)), [0, 1], ["a", "b"], ["x", "x"], [(0.5, 0.5), (0.0, 1.0)])  # repeats and a constant pass
+
+
+@pytest.mark.parametrize("field, value", [
+    ("normalization", [(0.0, 1.0)]),
+    ("normalization", None),
+    ("label_names", 5),
+    ("feature_names", ["x"]),
+    ("features", np.zeros((1, 2))),
+    ("labels", [7, 7]),
+])
+def test_no_field_is_assigned_past_the_checks(field, value):
+    # each field is checked once, at construction, so none may change after it
+    ds = Dataset(np.zeros((2, 2)), [0, 1], ["a", "b"], ["x", "y"], [(0.0, 1.0)] * 2)
+    before = getattr(ds, field)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+        setattr(ds, field, value)
+    assert getattr(ds, field) is before
 
 
 def test_nonfinite_rejected():

@@ -41,10 +41,11 @@ from seqsvm.dataset import Dataset, split
 from seqsvm.fxp import BLOCK_ELEMENTS, FxpFormat
 from seqsvm.quant import (
     QuantizedModel,
-    _scale_rows,
+    _minmax_scales,
     partial_sum_extremes,
     quantize_inputs,
     quantize_model,
+    table_words,
 )
 from seqsvm.trainer import FloatSvmModel
 from verilog import stepped
@@ -153,8 +154,8 @@ def test_quantize_model_equals_per_vector_scaling(seed):
             qm = quantize_model(fmodel, bits)
         with warnings.catch_warnings(record=True) as row_warnings:
             warnings.simplefilter("always")
-            rows = [_scale_rows([row], bits) for row in fmodel.coefs]
-        assert qm.words.tolist() == [codes[0].tolist() for codes, _ in rows]
+            rows = [(row[None], _minmax_scales(row[None], bits)) for row in fmodel.coefs]
+        assert qm.words.tolist() == [table_words(row, scales, bits)[0].tolist() for row, scales in rows]
         assert qm.scales.tolist() == [float(scales[0]) for _, scales in rows]
         assert len(batch_warnings) == len(row_warnings) == sum(not row.any() for row in fmodel.coefs)
 

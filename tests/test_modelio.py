@@ -17,8 +17,10 @@ from helpers import document
 from seqsvm.ddag import row_pairs
 from seqsvm.fxp import FxpFormat, max_int, min_int
 from seqsvm.modelio import check_written, dumps_canonical, model_doc, quantized_from_dict, read_model_doc
-from seqsvm.quant import quantize_model
-from seqsvm.trainer import FloatSvmModel
+from seqsvm.dataset import split
+from seqsvm.quant import calibrate_model, quantize_model, table_words
+from seqsvm.synth import bundled_dataset
+from seqsvm.trainer import FloatSvmModel, Hyper, train_ovo
 
 #: Finite doubles: signed zeros, subnormals, the smallest and largest
 #: normals, and magnitudes from 1e-300 to 1e300.
@@ -169,16 +171,15 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
 @pytest.mark.parametrize("doc, message", [
     # the fields nothing else determines first, each with its own check:
     # config, hyper, the float model (its table before the quantized
-    # widths), the quantized widths, then whether its rows scale
+    # widths), the quantized widths, then the scales
     (_edit(*DERIVED, (("config", "input_bits"), 17)), "config input_bits 17 is not an integer in 1..16"),
     (_edit(*DERIVED, (("hyper", "lam"), 0)), "hyper: lam must be finite and > 0, got 0"),
     (_edit(*DERIVED, (("float_model", "n_features"), 2.0)), "n_features must be an integer >= 1, got 2.0"),
     (_edit(*DERIVED, (("quantized", "param_bits"), 17)), "quantized.param_bits must be an integer in 2..16, got 17"),
     (_edit(*DERIVED, (("quantized", "param_bits"), 17), (("float_model", "vectors", 0, "weights"), [0.0])),
      "vector 0: wrong weight count"),
-    (_edit(*DERIVED, (("float_model", "vectors", 1, "weights"), [5e-324, 0.0]),
-           (("float_model", "vectors", 1, "bias"), 0.0)),
-     "vector 1: largest |coefficient| 5e-324 is too small to scale to 4 bits"),
+    (_edit(*DERIVED, (("quantized", "scales", 1), 0), (("dataset", "label_names"), 5)),
+     "quantized.scales[1] must be > 0, got 0.0"),
     # then the comparison with what model_doc writes, in sorted key order;
     # the dataset's names are written back as read, so other names that fit pass
     (_edit(*DERIVED, (("dataset", "label_names"), ["x", "y", "z"]), (("dataset", "feature_names"), None)),
@@ -186,10 +187,10 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
     (_edit(*DERIVED[1:]), "quantized.bias_shift is 3, the model writes 4"),
     (_edit(*SWAPPED, DERIVED[1]), "quantized.vectors.2.class_a is 2, the model writes 1"),
     (_edit(DERIVED[1]), "seed is 5, the model writes 0"),
-    # the words and scales are the quantizer's, so each is derived too
+    # the words are derived from the scales: at 4.0 instead of 7/3 row 1 is
+    # [4, 1, 7], not [2, 1, 7]
     (_edit(DERIVED[1], (("quantized", "vectors", 0, "bias"), 3)), "quantized.vectors.0.bias is 3, the model writes 2"),
-    (_edit(DERIVED[1], (("quantized", "scales", 1), 2.5)),
-     "quantized.scales.1 is 2.5, the model writes 2.3333333333333335"),
+    (_edit(DERIVED[1], (("quantized", "scales", 1), 4.0)), "quantized.vectors.1.bias is 2, the model writes 4"),
     # the dataset's names and normalization, after the quantized widths and
     # before the comparison: each must fit the model
     (_edit(*DERIVED, (("quantized", "param_bits"), 17), (("dataset", "label_names"), 5)),
@@ -231,15 +232,68 @@ def test_quantized_loader_check_order(doc, message):
         quantized_from_dict(doc, _FMODEL, doc["input_fmt"]["total_bits"])
 
 
-def test_quantized_loader_reads_only_the_widths():
-    # the words and scales are the quantizer's output for the float model,
-    # which must be the OvO model the DAG walks
-    widths = {"param_bits": 4, "acc_width": 9}
-    qm, want = quantized_from_dict(widths, _FMODEL, 3), quantize_model(_FMODEL, 4, FxpFormat(3))
+def test_quantized_loader_reads_the_widths_and_the_scales():
+    # the words are the quantizer's output for the float model, which must be
+    # the OvO model the DAG walks, at the read scales; the vectors are never read
+    fields = {"param_bits": 4, "acc_width": 9, "scales": [3.5, 4, 1.75]}
+    qm = quantized_from_dict(fields, _FMODEL, 3)
     assert (qm.input_fmt, qm.param_bits, qm.acc_width) == (FxpFormat(3), 4, 9)
-    assert qm.words.tobytes() == want.words.tobytes() and qm.scales.tobytes() == want.scales.tobytes()
+    assert qm.scales.tolist() == [3.5, 4.0, 1.75]
+    assert qm.words.tolist() == [[2, 4, -7], [4, 1, 7], [-3, 4, 1]]
+    assert qm.words.tobytes() == quantize_model(_FMODEL, 4, FxpFormat(3), fields["scales"]).words.tobytes()
     with pytest.raises(ValueError, match="^a DAG walks OvO models only, not a 'ova' model$"):
-        quantized_from_dict(widths, FloatSvmModel("ova", 3, 2, _FMODEL.coefs), 3)
+        quantized_from_dict(fields, FloatSvmModel("ova", 3, 2, _FMODEL.coefs), 3)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("scales", 1), 0, "quantized.scales[1] must be > 0, got 0.0"),
+    (("scales", 1), -1.5, "quantized.scales[1] must be > 0, got -1.5"),
+    (("scales", 1), float("nan"), "quantized.scales[1] must be a finite number, got nan"),
+    (("scales", 1), True, "quantized.scales[1] must be a finite number, got True"),
+    (("scales", 1), "1.0", "quantized.scales[1] must be a finite number, got '1.0'"),
+    (("scales",), [], "quantized.scales must have shape (3,), got (0,)"),
+])
+def test_a_bad_scale_is_refused_by_name(path, value, message):
+    # each before any word is derived from it, or compared
+    doc = _edit((("quantized", *path), value), (("quantized", "vectors", 0, "bias"), 99))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_model_doc(doc, quantized=True)
+
+
+@pytest.mark.filterwarnings("ignore:all-zero support vector")
+@settings(max_examples=200, deadline=None)
+@given(case=quantizable_models(), data=st.data())
+def test_a_changed_scale_is_refused_at_its_first_derived_word(case, data):
+    # a scale is read, so another one passes with its own words, and without
+    # them is refused at the first word of its row that it derives otherwise
+    model, bits = case
+    doc = document(model, bits)
+    r = data.draw(st.integers(0, len(model.coefs) - 1))
+    scales = doc["quantized"]["scales"]
+    scales[r] = data.draw(st.floats(1e-300, 1e300).filter(lambda scale: scale != scales[r]))
+    vector = doc["quantized"]["vectors"][r]
+    stored = [vector["bias"], *vector["weights"]]
+    derived = table_words(model.coefs[r:r + 1], np.array(scales[r:r + 1]), bits)[0].tolist()
+    if derived == stored:
+        assert dumps_canonical(model_doc(*read_model_doc(doc, quantized=True))) == dumps_canonical(doc)
+        return
+    j = next(j for j, (got, want) in enumerate(zip(stored, derived)) if got != want)
+    path = "bias" if j == 0 else f"weights.{j - 1}"
+    message = f"quantized.vectors.{r}.{path} is {stored[j]}, the model writes {derived[j]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_model_doc(doc, quantized=True)
+
+
+def test_a_calibrated_document_round_trips():
+    # noisy7x11 at 3 bits rescales rows, which a document keeps exactly
+    train, _ = split(bundled_dataset("noisy7x11", seed=1), 0.8, 1)
+    model = train_ovo(train, Hyper(lam=0.02, epochs=12), seed=1)
+    qm = calibrate_model(model, 3, train)
+    assert (qm.scales != quantize_model(model, 3).scales).any(), "fixture defect: nothing rescaled"
+    doc = document(model, 3, scales=qm.scales)
+    back = read_model_doc(doc, quantized=True)[4]
+    assert back.words.tobytes() == qm.words.tobytes() and back.scales.tobytes() == qm.scales.tobytes()
+    assert dumps_canonical(model_doc(*read_model_doc(doc, quantized=True))) == dumps_canonical(doc)
 
 
 @pytest.mark.parametrize("kind", ["ovo", "ova"])

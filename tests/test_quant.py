@@ -2,21 +2,27 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_quantized_model
-from seqsvm.dataset import Dataset
-from seqsvm.ddag import ddag_predict_float, ddag_predict_quant
+from seqsvm.dataset import Dataset, split
+from seqsvm.ddag import ddag_predict_float, ddag_predict_quant, row_pairs
 from seqsvm.fxp import U4_4, FxpFormat, fits
 from seqsvm.quant import (
     MAX_ACCURACY_DROP,
+    MULTIPLES,
     QuantizedModel,
+    calibrate_model,
     partial_sum_extremes,
     profile_accumulator,
     quantize_inputs,
     quantize_model,
     search_param_bits,
+    table_words,
 )
-from seqsvm.trainer import FloatSvmModel
+from seqsvm.synth import BUNDLED, bundled_dataset
+from seqsvm.trainer import FloatSvmModel, Hyper, train_ovo
 
 
 def _prefixes_oracle(qm, codes):
@@ -146,9 +152,40 @@ def _dataset_on_grid(fmodel, n_samples, min_margin, seed):
     X = np.array(rows)
     labels = ddag_predict_float(fmodel, X)
     names = [str(c) for c in range(fmodel.n_classes)]
-    ds = Dataset(X, labels, names)
-    ds.normalization = [(0.0, 1.0)] * fmodel.n_features
-    return ds
+    return Dataset(X, labels, names, None, [(0.0, 1.0)] * fmodel.n_features)
+
+
+def _test_accuracy(qm, test):
+    return float(np.mean(ddag_predict_quant(qm, quantize_inputs(test, qm.input_fmt)) == test.labels))
+
+
+def _adequate(fmodel, test, qm):
+    float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
+    return float_acc - _test_accuracy(qm, test) <= MAX_ACCURACY_DROP + 1e-12
+
+
+def _minmax_search(fmodel, test, max_bits):
+    """The first adequate min-max width, brute force, or None."""
+    return next((b for b in range(2, max_bits + 1) if _adequate(fmodel, test, quantize_model(fmodel, b))), None)
+
+
+def _assert_search_oracle(fmodel, train, test, max_bits, qm, report):
+    """``search_param_bits``' result, ``qm`` and ``report``, is the narrowest
+    table of the rule, brute force: the min-max table at the first adequate
+    width w0, or the calibrated table at the lowest width b below w0 with
+    every calibrated table from b to w0-1 adequate; the min-max table at
+    max_bits, flagged, when no min-max width is adequate."""
+    w0 = _minmax_search(fmodel, test, max_bits)
+    want = quantize_model(fmodel, max_bits if w0 is None else w0)
+    for bits in [] if w0 is None else range(w0 - 1, 1, -1):
+        calibrated = calibrate_model(fmodel, bits, train)
+        if not _adequate(fmodel, test, calibrated):
+            break
+        want = calibrated
+    assert (qm.param_bits, qm.words.tolist(), qm.scales.tolist()) == (
+        want.param_bits, want.words.tolist(), want.scales.tolist())
+    assert report.max_precision_flag == (w0 is None)
+    assert report.quantized_accuracy == _test_accuracy(want, test)
 
 
 class TestSearchParamBits:
@@ -178,21 +215,10 @@ class TestSearchParamBits:
         # while coarse codes still mislabel plenty
         train = _dataset_on_grid(fmodel, 150, 0.25, seed=4)
         test = _dataset_on_grid(fmodel, 150, 0.25, seed=5)
-
-        # independent oracle: accuracy at every precision, brute force
-        float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
-        codes = quantize_inputs(test)
-        per_bits = {}
-        for bits in range(2, 9):
-            cand = quantize_model(fmodel, bits)
-            per_bits[bits] = float(np.mean(ddag_predict_quant(cand, codes) == test.labels))
-        adequate = [b for b in range(2, 9) if float_acc - per_bits[b] <= MAX_ACCURACY_DROP + 1e-12]
-
         qm, report = search_param_bits(fmodel, train, test)
-        assert adequate, "fixture defect: no adequate precision"
-        assert report.param_bits == adequate[0]
+        assert _minmax_search(fmodel, test, 8), "fixture defect: no adequate precision"
         assert report.param_bits > 2, "fixture defect: too easy to quantize"
-        assert report.quantized_accuracy == per_bits[report.param_bits]
+        _assert_search_oracle(fmodel, train, test, 8, qm, report)
 
     def test_flag_when_nothing_qualifies(self, blobs3_split, blobs3_model):
         train, test = blobs3_split
@@ -235,6 +261,114 @@ class TestSearchParamBits:
         ova = FloatSvmModel("ova", 3, blobs3_model.n_features, blobs3_model.coefs)
         with pytest.raises(ValueError, match="^a DAG walks OvO models only, not a 'ova' model$"):
             quantize_model(ova, 99)
+
+
+def _noisy(name="noisy6x11", seed=1):
+    """A bundled noisy dataset's split and its OvO model: noise leaves rows
+    whose signs a larger multiple of the min-max scale keeps better."""
+    train, test = split(bundled_dataset(name, seed=seed), 0.8, seed)
+    return train, test, train_ovo(train, Hyper(lam=0.02, epochs=12), seed=seed)
+
+
+def _float_signs(row, features):
+    """Float row ``row``'s verdicts (score >= 0) on ``features``, summed bias
+    first, then one product per feature, as the DAG walk sums them."""
+    signs = []
+    for x in features:
+        score = row[0]
+        for w, v in zip(row[1:], x):
+            score += w * v
+        signs.append(score >= 0)
+    return signs
+
+
+def _agreements(row, scales, bits, features, codes, shift=4):
+    """For each scale, on how many samples the integer row at that scale
+    has the float row's sign: pure Python, words rounded half to even."""
+    top = (1 << (bits - 1)) - 1
+    floats = _float_signs(row, features)
+    counts = []
+    for scale in scales:
+        words = [max(-top, min(top, round(c * scale))) for c in row]
+        ints = [(words[0] << shift) + sum(w * x for w, x in zip(words[1:], code)) >= 0 for code in codes]
+        counts.append(sum(i == f for i, f in zip(ints, floats)))
+    return counts
+
+
+class TestCalibration:
+    def test_each_row_takes_the_first_multiple_of_the_most_agreement(self):
+        train, _, fmodel = _noisy()
+        bits, top = 3, 3
+        qm = calibrate_model(fmodel, bits, train)
+        features, codes, labels = train.features.tolist(), quantize_inputs(train).tolist(), train.labels.tolist()
+        above_one = ties = 0
+        for r, ((a, b), row) in enumerate(zip(row_pairs("ovo", fmodel.n_classes), fmodel.coefs.tolist())):
+            minmax = top / max(map(abs, row))
+            pair = [s for s, label in enumerate(labels) if label in (a, b)]
+            counts = _agreements(row, [k * minmax for k in MULTIPLES], bits, [features[s] for s in pair],
+                                 [codes[s] for s in pair])
+            best = counts.index(max(counts))
+            assert qm.scales[r] == MULTIPLES[best] * minmax, r
+            above_one += best > 0
+            ties += counts.count(max(counts)) > 1
+        assert above_one and ties, "fixture defect: no row rescaled, or no tie to break"
+        assert qm.words.tolist() == table_words(fmodel.coefs, qm.scales, bits).tolist()
+
+    def test_a_multiple_that_overflows_is_skipped(self):
+        # at 2 bits the bias -0.45 rounds to 0 at the min-max scale and to -1
+        # from 1.25 times it on, which agrees with the float row on more of
+        # these samples, 18 of 26 against 8
+        X = np.array([[k / 16] for k in range(16)] + [[0.0]] * 10)
+        train = Dataset(X, np.arange(26) % 2, ["a", "b"])
+        normal = FloatSvmModel("ovo", 2, 1, [[-0.45, 1.0]])
+        assert calibrate_model(normal, 2, train).scales.tolist() == [1.25]
+        # the same row scaled down: its min-max scale, about 1.5e308, is
+        # finite, and every larger multiple overflows
+        tiny = FloatSvmModel("ovo", 2, 1, [[-0.45 / 1.5e308, 1 / 1.5e308]])
+        minmax = quantize_model(tiny, 2).scales
+        assert np.finfo(float).max / 1.25 < minmax[0] < np.inf
+        assert calibrate_model(tiny, 2, train).scales.tolist() == minmax.tolist()
+
+    def test_an_all_zero_row_keeps_scale_one_and_its_warning(self):
+        train, _, fmodel = _noisy()
+        coefs = fmodel.coefs.copy()
+        coefs[2] = 0.0
+        zeroed = FloatSvmModel("ovo", fmodel.n_classes, fmodel.n_features, coefs)
+        with pytest.warns(UserWarning, match="all-zero"):
+            qm = calibrate_model(zeroed, 3, train)
+        assert qm.scales[2] == 1.0 and not qm.words[2].any()
+
+    def test_below_the_minmax_width_the_calibrated_tables(self):
+        # noisy7x11 at seed 5: min-max needs 5 bits, the calibrated tables
+        # hold at 4 and 3
+        train, test, fmodel = _noisy("noisy7x11", 5)
+        qm, report = search_param_bits(fmodel, train, test)
+        assert report.param_bits < _minmax_search(fmodel, test, 8) - 1, "fixture defect: no calibrated descent"
+        _assert_search_oracle(fmodel, train, test, 8, qm, report)
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(BUNDLED)), seed=st.integers(0, 30), max_bits=st.integers(2, 8))
+    def test_never_wider_than_the_minmax_search_and_minmax_at_its_width(self, name, seed, max_bits):
+        train, test, fmodel = _noisy(name, seed)
+        qm, report = search_param_bits(fmodel, train, test, max_bits=max_bits)
+        w0 = _minmax_search(fmodel, test, max_bits) or max_bits
+        assert qm.param_bits <= w0
+        if qm.param_bits == w0:
+            minmax = quantize_model(fmodel, w0)
+            assert qm.words.tolist() == minmax.words.tolist() and qm.scales.tolist() == minmax.scales.tolist()
+        _assert_search_oracle(fmodel, train, test, max_bits, qm, report)
+
+    def test_sign_flips_count_the_shipped_table(self):
+        # a calibrated table ships here (see the descent test above)
+        train, test, fmodel = _noisy("noisy7x11", 5)
+        qm, report = search_param_bits(fmodel, train, test)
+        features, codes, labels = train.features.tolist(), quantize_inputs(train).tolist(), train.labels.tolist()
+        flips = 0
+        for (a, b), row, scale in zip(row_pairs("ovo", fmodel.n_classes), fmodel.coefs.tolist(), qm.scales.tolist()):
+            pair = [s for s, label in enumerate(labels) if label in (a, b)]
+            flips += len(pair) - _agreements(row, [scale], qm.param_bits, [features[s] for s in pair],
+                                             [codes[s] for s in pair])[0]
+        assert report.sign_flips == flips > 0
 
 
 class TestProfileAccumulator:
