@@ -21,7 +21,7 @@ import numpy as np
 from . import modelio
 from .archsim import simulate, simulate_batch, trace_to_text
 from .cost import STORAGE_KINDS, TechConfig, compare_parallel, compare_storage, estimate, format_report_table, load_tech
-from .dataset import Dataset, load_csv, split
+from .dataset import Dataset, keep_columns, load_csv, split
 from .ddag import ddag_predict_float, ddag_predict_quant
 from .fxp import FxpFormat, in_range, range_text
 from .hdlgen import emit_golden_vectors, generate, write_bundle
@@ -49,20 +49,25 @@ def _stage(name: str):
 # ---------------------------------------------------------------------------
 
 
-def _ingest(config: dict) -> tuple[Dataset, Dataset]:
-    ds = load_csv(config["dataset"], config["label_column"])
+def _ingest(config: dict, feature_names=None) -> tuple[Dataset, Dataset]:
+    """The config's CSV, split: every feature column or, as a stage after
+    train reads it, those of ``feature_names``, a document's inputs in x_bus order."""
+    ds = load_csv(config["dataset"], config["label_column"], feature_names)
     return split(ds, config["train_fraction"], config["seed"])
 
 
-def _train_phase(config: dict, out: Path, train: Dataset) -> tuple[Hyper, FloatSvmModel]:
-    """Search and train; writes float_model.json and returns the hyperparameters and the model."""
-    hyper = random_search(train, budget=config["budget"], seed=config["seed"])
+def _train_phase(config: dict, out: Path, train: Dataset, test: Dataset):
+    """Search and train on the columns the search keeps; writes
+    float_model.json and returns both sides at those columns, the
+    hyperparameters and the model."""
+    hyper, columns = random_search(train, budget=config["budget"], seed=config["seed"])
+    train, test = keep_columns(train, columns), keep_columns(test, columns)
     model = train_ovo(train, hyper, config["seed"])
     out.mkdir(parents=True, exist_ok=True)
     modelio.save_model_doc(out / "float_model.json", modelio.model_doc(config, train, hyper, model))
-    print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors "
+    print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors on {model.n_features} inputs "
           f"(lam={hyper.lam:.5g}, epochs={hyper.epochs})")
-    return hyper, model
+    return train, test, hyper, model
 
 
 def _quantize_phase(config: dict, names: Dataset, hyper: Hyper, fmodel: FloatSvmModel, out: Path, train: Dataset,
@@ -183,9 +188,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     config = _pipeline_config(args)
     with _stage("ingest"):
-        train, _ = _ingest(config)
+        train, test = _ingest(config)
     with _stage("train"):
-        _train_phase(config, out, train)
+        _train_phase(config, out, train, test)
     return 0
 
 
@@ -195,15 +200,15 @@ def cmd_quantize(args) -> int:
         doc = modelio.load_model_doc(out / "float_model.json")
         config, names, hyper, fmodel, _ = modelio.read_model_doc(doc, quantized=False)
         config = _with_quant_keys(config, args)
-        _quantize_phase(config, names, hyper, fmodel, out, *_ingest(config))
+        _quantize_phase(config, names, hyper, fmodel, out, *_ingest(config, names.feature_names))
     return 0
 
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
-        doc, (config, *_, qm) = _load_model(out)
-        test = _ingest(config)[1]
+        doc, (config, names, *_, qm) = _load_model(out)
+        test = _ingest(config, names.feature_names)[1]
         codes = quantize_inputs(test, qm.input_fmt)
         _simulate_phase(doc, qm, codes, test.labels, out, args.trace)
     return 0
@@ -212,8 +217,8 @@ def cmd_simulate(args) -> int:
 def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
-        doc, (config, *_, qm) = _load_model(out)
-        test = _ingest(config)[1]
+        doc, (config, names, *_, qm) = _load_model(out)
+        test = _ingest(config, names.feature_names)[1]
         codes = quantize_inputs(test.features[:args.vectors], qm.input_fmt)
         _hdl_phase(qm, codes, out, args.vectors)
     return 0
@@ -230,8 +235,8 @@ def cmd_cost(args) -> int:
 def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
-        doc, (config, _, hyper, fmodel, qm) = _load_model(out)
-        train, test = _ingest(config)
+        doc, (config, names, hyper, fmodel, qm) = _load_model(out)
+        train, test = _ingest(config, names.feature_names)
         ova = train_ova(train, hyper, config["seed"])
         # the DDAG accuracies, measured as the quantize stage measures them
         float_ddag = ddag_predict_float(fmodel, test.features)
@@ -270,7 +275,7 @@ def cmd_run(args) -> int:
     with _stage("ingest"):
         train, test = _ingest(config)
     with _stage("train"):
-        hyper, fmodel = _train_phase(config, out, train)
+        train, test, hyper, fmodel = _train_phase(config, out, train, test)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
         doc, qm, quant_report = _quantize_phase(config, train, hyper, fmodel, out, train, test)

@@ -101,13 +101,16 @@ def _raise_first_bad_row(path, header: list[str], label_idx: int) -> None:
                                      "is not a finite number")
 
 
-def load_csv(path, label_column: str) -> Dataset:
+def load_csv(path, label_column: str, feature_names=None) -> Dataset:
     """Load a headered CSV, re-indexing the label column densely to 0..n-1.
 
-    The header is read with the csv module, the data rows in one pass of
-    numpy's C reader. Rejects ragged rows, feature cells that are not finite
-    numbers, and single-class files. Normalization constants are NOT
-    computed here; split() derives them from its training side.
+    The features are every other column in file order or, with
+    ``feature_names``, those columns in that order. The header is read with
+    the csv module, the data rows in one pass of numpy's C reader. Rejects
+    a header that repeats a name, a name of ``feature_names`` that is no
+    feature column or that it repeats, ragged rows, feature cells that are
+    not finite numbers, and single-class files. Normalization constants are
+    NOT computed here; split() derives them from its training side.
     """
     first_seen: dict[str, int] = {}
 
@@ -119,9 +122,21 @@ def load_csv(path, label_column: str) -> Dataset:
         if header is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
+        position = {}
+        for i, name in enumerate(header):
+            if position.setdefault(name, i) != i:
+                raise ValueError(f"{path}: column name {name!r} appears more than once")
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
+        label_idx = position.pop(label_column)
+        names = {name: j for j, name in enumerate(position)}  # each feature column's index
+        kept = []
+        for name in feature_names or ():
+            if name not in names:
+                raise ValueError(f"{path}: no feature column named {name!r}")
+            if names[name] in kept:
+                raise ValueError(f"feature_names repeats {name!r}")
+            kept.append(names[name])
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -150,8 +165,23 @@ def load_csv(path, label_column: str) -> Dataset:
     # so the features are the table's first columns without a second copy
     for j in range(label_idx, table.shape[1] - 1):
         table[:, j] = table[:, j + 1]
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    return Dataset(table[:, :-1], labels, label_names, feature_names)
+    ds = Dataset(table[:, :-1], labels, label_names, list(names))
+    return ds if feature_names is None else keep_columns(ds, kept)
+
+
+def keep_columns(ds: Dataset, columns) -> Dataset:
+    """``ds`` with only its feature columns ``columns`` (indices), in that
+    order, with their names and normalization; ``ds`` itself when that is
+    every column in order."""
+    columns = check_array("columns", columns, int, ("columns",)).tolist()
+    if columns == list(range(ds.n_features)):
+        return ds
+    bad = next((j for j in columns if not in_range(j, 0, ds.n_features - 1)), None)
+    if bad is not None:
+        raise ValueError(f"column {bad} is not a feature index 0..{ds.n_features - 1}")
+    names, norm = ds.feature_names, ds.normalization
+    return Dataset(ds.features[:, columns], ds.labels, ds.label_names, names and [names[j] for j in columns],
+                   norm and [norm[j] for j in columns])
 
 
 def _class_count(labels: np.ndarray) -> int:

@@ -4,7 +4,8 @@ their array loops, and the library's one implementation of each argument
 check: ``finite_number``, ``in_range`` and ``range_text``, ``check_int``,
 which every integer argument goes through, ``check_array``, which every
 sample matrix, model table and label or row vector goes through, and
-``first_bad``, the scan of a parameter table."""
+``first_bad``, the scan of a parameter table; and ``MAX_ACCURACY_DROP``,
+the one accuracy allowance of the width search and the input selection."""
 
 from __future__ import annotations
 
@@ -26,6 +27,17 @@ MAX_INPUT_BITS = 16
 #: scoring, the steps of the SGD lanes), so a block's temporaries take a few
 #: hundred kB whatever the problem's size.
 BLOCK_ELEMENTS = 1 << 15
+
+#: Accepted accuracy drop, in accuracy fraction (0.5 percentage points):
+#: ``quant.search_param_bits`` keeps the narrowest table, and
+#: ``trainer.select_inputs`` the fewest inputs, whose accuracy is
+#: ``within_drop`` of its reference.
+MAX_ACCURACY_DROP = 0.005
+
+
+def within_drop(reference: float, accuracy: float) -> bool:
+    """Whether ``accuracy`` falls at most MAX_ACCURACY_DROP short of ``reference``."""
+    return reference - accuracy <= MAX_ACCURACY_DROP + 1e-12
 
 
 def finite_number(value) -> bool:

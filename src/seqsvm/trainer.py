@@ -1,6 +1,7 @@
 """Linear SVM training: one-vs-one and one-vs-all reductions over a
 deterministic hinge-loss subgradient solver, plus randomized hyperparameter
-search.
+search and, on the search's holdout, the choice of the inputs
+(``select_inputs``).
 
 The solver is Pegasos (Shalev-Shwartz et al., ICML 2007) without the
 projection step, on x augmented with a constant 1 so the bias shares the
@@ -34,8 +35,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .dataset import Dataset, split
-from .ddag import float_features, row_pairs, score_table
-from .fxp import BLOCK_ELEMENTS, check_array, check_int, finite_number, in_range
+from .ddag import check_ovo, ddag_predict_float, float_features, row_pairs, score_table
+from .fxp import BLOCK_ELEMENTS, check_array, check_int, finite_number, in_range, within_drop
 
 
 @dataclass(frozen=True)
@@ -279,11 +280,43 @@ def accuracy(model, ds: Dataset) -> float:
     return float(np.mean(pred == ds.labels))
 
 
-def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> Hyper:
+def select_inputs(fmodel: FloatSvmModel, train: Dataset, holdout: Dataset) -> list[int]:
+    """The feature columns, ascending, that ``fmodel`` keeps: the fewest on
+    a halving path whose float-DDAG accuracy on ``holdout`` is within
+    MAX_ACCURACY_DROP of the best on the path.
+
+    The path ranks the columns by sum_r w_rj**2 over the model's rows, in a
+    stable sort, so a tie goes to the lower column, and keeps the top m,
+    m//2, ..., 1 of them, as recursive feature elimination (Guyon et al.,
+    Machine Learning 2002) would with no refit. A subset is scored by the
+    same model on the holdout with each dropped column held at its ``train``
+    mean, so no model is edited or fitted again. The walks sum in
+    ``score_table``'s order, and the ranking and the means are axis-0
+    reductions, so the choice does not depend on the BLAS kernel.
+    """
+    check_ovo(fmodel)
+    m = fmodel.n_features
+    X = float_features(fmodel, holdout.features).copy()
+    means = float_features(fmodel, train.features).mean(axis=0)
+    ranking = np.argsort(-np.square(fmodel.coefs[:, 1:]).sum(axis=0), kind="stable")
+    path = []  # (holdout accuracy, kept columns), widest first
+    k = m
+    while k:
+        dropped = np.ones(m, dtype=bool)
+        dropped[ranking[:k]] = False
+        X[:, dropped] = means[dropped]
+        path.append((float(np.mean(ddag_predict_float(fmodel, X) == holdout.labels)), np.flatnonzero(~dropped)))
+        k //= 2
+    best = max(acc for acc, _ in path)
+    return next(kept for acc, kept in reversed(path) if within_drop(best, acc)).tolist()
+
+
+def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> tuple[Hyper, list[int]]:
     """Draw ``budget`` (lam, epochs) pairs and keep the best holdout accuracy;
-    ties break toward smaller lam, then fewer epochs. Deterministic for a
-    given seed. A budget of 1 returns its one draw without a holdout split
-    or a fit."""
+    ties break toward smaller lam, then fewer epochs. Returns that draw and
+    the feature columns that ``select_inputs`` keeps for its candidate model
+    on the same holdout. Deterministic for a given seed. A budget of 1
+    returns its one draw and every column, without a holdout split or a fit."""
     check_int("budget", budget, 1)
     check_int("seed", seed, 0)  # a budget of 1 fits nothing that would check it
     rng = default_rng([seed, 99])
@@ -291,11 +324,10 @@ def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> Hyper:
     epoch_counts = rng.integers(EPOCH_RANGE[0], EPOCH_RANGE[1] + 1, budget)
     hypers = [Hyper(lam=lam, epochs=int(epochs)) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
     if budget == 1:
-        return hypers[0]
+        return hypers[0], list(range(train.n_features))
 
     sub_train, holdout = split(train, 1.0 - HOLDOUT_FRACTION, seed)
-    scored = [
-        ((-accuracy(model, holdout), hyper.lam, hyper.epochs), hyper)
-        for hyper, model in zip(hypers, train_ovo_candidates(sub_train, hypers, seed))
-    ]
-    return min(scored, key=lambda pair: pair[0])[1]  # the first of equal keys
+    models = train_ovo_candidates(sub_train, hypers, seed)
+    scores = [(-accuracy(model, holdout), hyper.lam, hyper.epochs) for hyper, model in zip(hypers, models)]
+    best = min(range(budget), key=scores.__getitem__)  # the first of equal keys
+    return hypers[best], select_inputs(models[best], sub_train, holdout)

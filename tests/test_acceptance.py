@@ -20,9 +20,9 @@ from seqsvm.ddag import (
     row_pairs,
     state_bits_for,
 )
-from seqsvm.fxp import fits
+from seqsvm.fxp import MAX_ACCURACY_DROP, fits
 from seqsvm.hdlgen import generate
-from seqsvm.quant import MAX_ACCURACY_DROP, quantize_inputs, search_param_bits
+from seqsvm.quant import quantize_inputs, search_param_bits
 from seqsvm.synth import BUNDLED, bundled_dataset
 from seqsvm.trainer import Hyper, train_ovo
 from verilog import read

@@ -14,7 +14,7 @@ from helpers import bias_only_model
 from seqsvm.archsim import trace_to_text
 from seqsvm.cli import _ingest, _load_model, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
-from seqsvm.dataset import load_csv, split, to_csv
+from seqsvm.dataset import Dataset, load_csv, split, to_csv
 from seqsvm.modelio import (
     ddag_to_dict,
     dumps_canonical,
@@ -24,7 +24,7 @@ from seqsvm.modelio import (
     read_model_doc,
 )
 from seqsvm.quant import quantize_inputs, search_param_bits
-from seqsvm.synth import separable_blobs
+from seqsvm.synth import ring_sectors, separable_blobs
 from seqsvm.fxp import FxpFormat
 from verilog import stepped
 
@@ -95,6 +95,8 @@ def test_rerun_is_byte_identical(synth_csv, full_run, tmp_path):
 
 
 def test_stage_isolation_matches_one_shot(synth_csv, full_run, tmp_path):
+    # the search keeps a subset of the columns, which each later stage reads by name
+    assert len(load_model_doc(full_run / "float_model.json")["dataset"]["feature_names"]) < 11
     out = tmp_path / "staged"
     base = ["--dataset", str(synth_csv), "--label-col", "label", "--seed", "11"]
     assert main(["train", *base, "--out", str(out)]) == 0
@@ -106,12 +108,85 @@ def test_stage_isolation_matches_one_shot(synth_csv, full_run, tmp_path):
         if rel == "summary.txt":  # produced by `run` only
             continue
         assert (out / rel).read_bytes() == (full_run / rel).read_bytes(), rel
+    one_shot = tmp_path / "one_shot"
+    shutil.copytree(full_run, one_shot)
+    for side in (out, one_shot):
+        assert main(["compare", "--out", str(side)]) == 0
+    assert (out / "compare_report.json").read_bytes() == (one_shot / "compare_report.json").read_bytes()
+
+
+def _bench_train_csv(path, seed=3):
+    """The CSV of the benchmark's `train` workload at ``seed``, as
+    bench/run_bench.py's make_csv writes it: ring_sectors(10, 16, 300) of
+    data seed 1, its columns permuted by ``seed`` and named after their source."""
+    base = ring_sectors(10, 16, per_class=300, seed=1)
+    perm = np.random.default_rng([seed, 16]).permutation(16)
+    to_csv(Dataset(base.features[:, perm], base.labels, base.label_names, [f"x{j}" for j in perm]), path)
+    return [f"x{j}" for j in perm]
+
+
+def test_run_keeps_the_informative_columns_of_the_train_workload(tmp_path):
+    # ring_sectors' x0, x1 and x2 carry the classes and the other 13 columns
+    # are noise; the search keeps 4 columns, in the CSV's order, and each
+    # classification takes (n-1)(m'+1) cycles for the m' it keeps
+    header = _bench_train_csv(tmp_path / "train.csv")
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(tmp_path / "train.csv"), "--label-col", "label", "--seed", "11",
+                 "--budget", "4", "--out", str(out)]) == 0
+    doc = load_model_doc(out / "model.json")
+    kept = doc["dataset"]["feature_names"]
+    assert sorted(kept) == ["x0", "x1", "x10", "x2"]
+    assert kept == [name for name in header if name in kept]
+    assert doc["float_model"]["n_features"] == len(doc["dataset"]["normalization"]) == 4
+    assert json.loads((out / "sim_report.json").read_text())["mean_cycles"] == 9 * 5
+    stim = [line.split() for line in (out / "hdl" / "vectors.stim").read_text().splitlines() if line[:1] != "#"]
+    assert stim and all(len(fields) == 4 + 1 and fields[-1] == "45" for fields in stim)  # 4 codes, then the budget
+
+
+def test_a_budget_of_one_keeps_every_column(synth_csv, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", *_run_args(synth_csv, out, ["--budget", "1"])[1:]]) == 0
+    names = load_model_doc(out / "float_model.json")["dataset"]["feature_names"]
+    assert names == load_csv(synth_csv, "label").feature_names == [f"f{j}" for j in range(11)]
+
+
+def test_a_one_column_csv_keeps_its_column(tmp_path):
+    csv = tmp_path / "one.csv"
+    to_csv(separable_blobs(3, 1, per_class=30, seed=4), csv)
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(csv), "--label-col", "label", "--seed", "2", "--out", str(out)]) == 0
+    assert load_model_doc(out / "model.json")["dataset"]["feature_names"] == ["f0"]
+
+
+@pytest.mark.parametrize("stage", ["quantize", "simulate", "gen-hdl", "compare"])
+@pytest.mark.parametrize("change", ["renamed", "dropped"])
+def test_a_stage_refuses_a_csv_that_lost_a_kept_column(synth_csv, tmp_path, capsys, stage, change):
+    # a CSV that changed since train is refused by the kept column's name,
+    # before the stage writes anything
+    csv = tmp_path / "data.csv"
+    shutil.copy(synth_csv, csv)
+    out = tmp_path / "out"
+    assert main(_run_args(csv, out)) == 0
+    name = load_model_doc(out / "model.json")["dataset"]["feature_names"][-1]
+    ds = load_csv(csv, "label")
+    j = ds.feature_names.index(name)
+    if change == "renamed":
+        ds = Dataset(ds.features, ds.labels, ds.label_names, [f"{n}_v2" if n == name else n for n in ds.feature_names])
+    else:
+        rest = [k for k in range(ds.n_features) if k != j]
+        ds = Dataset(ds.features[:, rest], ds.labels, ds.label_names, [ds.feature_names[k] for k in rest])
+    to_csv(ds, csv)
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)]) == 2
+    assert f"stage {stage} failed: {csv}: no feature column named {name!r}" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
 
 
 def test_run_traces_are_the_reference_simulator_s(full_run):
     # the stepped Verilog's records, as text, for the first three test rows
-    _, (config, *_, qm) = _load_model(full_run)
-    codes = quantize_inputs(_ingest(config)[1], qm.input_fmt)
+    _, (config, names, *_, qm) = _load_model(full_run)
+    codes = quantize_inputs(_ingest(config, names.feature_names)[1], qm.input_fmt)
     for i, trace in enumerate(stepped(qm, codes[:3])):
         assert (full_run / "traces" / f"trace_{i:03d}.txt").read_text() == trace_to_text(trace)
 
@@ -142,7 +217,7 @@ def test_simulate_leaves_only_its_own_traces(full_run, tmp_path):
 def test_quantize_stage_reproduces_search(synth_csv, full_run):
     doc = load_model_doc(full_run / "model.json")
     config = doc["config"]
-    ds = load_csv(config["dataset"], config["label_column"])
+    ds = load_csv(config["dataset"], config["label_column"], doc["dataset"]["feature_names"])
     train, test = split(ds, config["train_fraction"], config["seed"])
     fmodel = float_model_from_dict(doc["float_model"])
     bits = config["input_bits"]
@@ -196,11 +271,15 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_run_walks_the_float_ddag_once(synth_csv, tmp_path, monkeypatch):
-    # the summary reuses the float DDAG accuracy of the precision search
+    # the summary reuses the float DDAG accuracy of the precision search; the
+    # other walks are the input selection's, of the search's holdout
     calls = _count_calls(monkeypatch, "ddag_predict_float")
     out = tmp_path / "out"
     assert main(_run_args(synth_csv, out)) == 0
-    assert len(calls) == 1
+    _, (config, names, *_) = _load_model(out)
+    test = _ingest(config, names.feature_names)[1]
+    assert [np.array_equal(features, test.features) for _, features in calls].count(True) == 1
+    assert len(calls) > 1
     report = json.loads((out / "quant_report.json").read_text())
     assert f"ddag {report['float_accuracy']:.4f}" in (out / "summary.txt").read_text()
 
@@ -607,7 +686,7 @@ _FLOAT_MODEL_EDITS = {
     "float_bias_string": (_set_float(0, None, "0.5"), "vector 0: parameter '0.5' is not a finite number"),
     "float_weight_true": (_set_float(1, 3, True), "vector 1: parameter True is not a finite number"),
     "float_bias_nan": (_set_float(2, None, float("nan")), "vector 2: parameter nan is not a finite number"),
-    "float_weight_infinity": (_set_float(0, 10, float("inf")), "vector 0: parameter inf is not a finite number"),
+    "float_weight_infinity": (_set_float(0, 4, float("inf")), "vector 0: parameter inf is not a finite number"),
     "float_weight_null": (_set_float(2, 0, None), "vector 2: parameter None is not a finite number"),
     "float_row_too_small": (_tiny_float_row, "vector 0: largest |coefficient| 5e-324 is too small to scale to 2 bits"),
     "float_n_classes_one": (
@@ -617,7 +696,7 @@ _FLOAT_MODEL_EDITS = {
         _set_float_model("n_classes", True), "n_classes must be an integer >= 2, got True"
     ),
     "float_n_features_float": (
-        _set_float_model("n_features", 11.0), "n_features must be an integer >= 1, got 11.0"
+        _set_float_model("n_features", 5.0), "n_features must be an integer >= 1, got 5.0"
     ),
     "float_n_features_true": (
         _set_float_model("n_features", True), "n_features must be an integer >= 1, got True"
@@ -654,7 +733,7 @@ _FLOAT_MODEL_EDITS = {
     "hyper_seed_string": (_set_hyper("seed", "x"), "hyper.seed is 'x', the model writes 11"),
     "hyper_seed_other": (_set_hyper("seed", 12), "hyper.seed is 12, the model writes 11"),
     "seed_repeated": (_repeat_key("seed", 3), "an object repeats the key 'seed'"),
-    # the dataset's names and normalization must fit the model: 3 classes, 11 features
+    # the dataset's names and normalization must fit the model: 3 classes, 5 inputs
     "dataset_one_label": (
         _set_path(("dataset", "label_names"), ["only-one"]), "dataset.label_names has 1 names, the model 3 classes"
     ),
@@ -668,10 +747,10 @@ _FLOAT_MODEL_EDITS = {
     ),
     "dataset_feature_names_numbers": (
         _set_path(("dataset", "feature_names"), [1, 2]),
-        "feature_names must be None or a list of 11 strings, got [1, 2]",
+        "feature_names must be None or a list of 5 strings, got [1, 2]",
     ),
     "dataset_normalization_string": (
-        _set_path(("dataset", "normalization"), [["x", None]]), "normalization must have shape (11, 2), got (1, 2)"
+        _set_path(("dataset", "normalization"), [["x", None]]), "normalization must have shape (5, 2), got (1, 2)"
     ),
     "dataset_normalization_null_max": (
         _set_path(("dataset", "normalization", 0, 1), None), "normalization[0, 1] must be a finite number, got None"
@@ -685,12 +764,12 @@ _FLOAT_MODEL_EDITS = {
 
 _ROW_SWAP = (_swap_first_two_rows, "ddag.nodes.0.row is 1, the model writes 0")
 # the full run has 3 classes: 3 vectors, pairs (0,1), (0,2), (1,2), and 2 state
-# bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves. Its
-# words are 2 bits wide (-2..1), the biases 1, 0 and -1, and vector 0's first
-# weight -1. Its scales are min-max ones (2 bits is the narrowest width, so no
-# calibrated table is tried); at 1.5 instead of 0.7395..., row 1's weights
-# read [-1, -1, 1, -1, -1, 0, 1, -1, 1, 1, 1, -1] where they read
-# [-1, -1, 1, 0, 0, 0, 0, 1, 1, 1, -1]
+# bits; the root is state 1, pair (0,2), and states 0 and 2 lead to leaves. The
+# search keeps 5 of the CSV's 11 columns, f2, f4, f8, f9 and f10. Its words
+# are 2 bits wide (-2..1), the biases 0, 0 and -1, and vector 0's weights
+# [1, -1, 0, 1, -1]. Its scales are min-max ones (2 bits is the narrowest
+# width, so no calibrated table is tried); at 1.5 instead of 0.2554..., row
+# 1's bias reads -1 where it reads 0
 _MODEL_EDITS = {
     "state_bits": (_set_ddag_key("state_bits", 40), "ddag.state_bits is 40, the model writes 2"),
     "ordering": (_set_ddag_key("ordering", "whatever"), "ddag.ordering is 'whatever', the model writes 'natural'"),
@@ -713,10 +792,10 @@ _MODEL_EDITS = {
     "acc_width_fraction": (_set_quantized(("acc_width",), 7.5), "quantized.acc_width must be an integer >= 1, got 7.5"),
     "acc_width_zero": (_set_quantized(("acc_width",), 0), "quantized.acc_width must be an integer >= 1, got 0"),
     "weight_fraction": (
-        _set_quantized(("vectors", 0, "weights", 0), 1.7), "quantized.vectors.0.weights.0 is 1.7, the model writes -1"
+        _set_quantized(("vectors", 0, "weights", 0), 1.7), "quantized.vectors.0.weights.0 is 1.7, the model writes 1"
     ),
     "weight_true": (
-        _set_quantized(("vectors", 0, "weights", 0), True), "quantized.vectors.0.weights.0 is True, the model writes -1"
+        _set_quantized(("vectors", 0, "weights", 0), True), "quantized.vectors.0.weights.0 is True, the model writes 1"
     ),
     "bias_fraction": (
         _set_quantized(("vectors", 1, "bias"), 2.5), "quantized.vectors.1.bias is 2.5, the model writes 0"
@@ -737,13 +816,13 @@ _MODEL_EDITS = {
     "scale_nan": (_set_quantized(("scales", 2), float("nan")), "quantized.scales[2] must be a finite number, got nan"),
     "scale_string": (_set_quantized(("scales", 0), "1.0"), "quantized.scales[0] must be a finite number, got '1.0'"),
     # in range, and each accepted before the words were derived
-    "biases_negated": (_negate_biases, "quantized.vectors.0.bias is -1, the model writes 1"),
+    "biases_negated": (_negate_biases, "quantized.vectors.2.bias is 1, the model writes -1"),
     "weight_plus_one": (
-        _set_quantized(("vectors", 0, "weights", 0), 0), "quantized.vectors.0.weights.0 is 0, the model writes -1"
+        _set_quantized(("vectors", 0, "weights", 1), 0), "quantized.vectors.0.weights.1 is 0, the model writes -1"
     ),
     # another scale without its words: refused at the first word it derives otherwise
     "scale_changed": (
-        _set_quantized(("scales", 1), 1.5), "quantized.vectors.1.weights.3 is 0, the model writes -1"
+        _set_quantized(("scales", 1), 1.5), "quantized.vectors.1.bias is 0, the model writes -1"
     ),
     "acc_width_repeated": (_repeat_key("acc_width", 3), "an object repeats the key 'acc_width'"),
     **_QUANT_CONFIG_EDITS,
@@ -752,7 +831,7 @@ _MODEL_EDITS = {
     "float_ova_kind_on_pairs": (_set_float_kind("ova"), "a DAG walks OvO models only, not a 'ova' model"),
     # and derives the words from the read scales, so a row that no min-max
     # scale reaches is refused at the first word that differs
-    "float_row_too_small": (_tiny_float_row, "quantized.vectors.0.bias is 1, the model writes 0"),
+    "float_row_too_small": (_tiny_float_row, "quantized.vectors.0.weights.0 is 1, the model writes 0"),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsvm.dataset import _ROWS, Dataset, _label_sort_key, load_csv, split, to_csv
+from seqsvm.dataset import _ROWS, Dataset, _label_sort_key, keep_columns, load_csv, split, to_csv
 from seqsvm.synth import bundled_dataset, ring_sectors
 
 
@@ -91,6 +91,70 @@ def test_load_missing_label_column(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["f0", "f1"], [[0.1, 0.2]])
     with pytest.raises(ValueError, match="no column named"):
         load_csv(path, "label")
+
+
+@pytest.mark.parametrize("header, name", [
+    (["f0", "label", "label"], "label"),  # a second label column used to be read as a feature
+    (["x1", "x2", "x1", "label"], "x1"),
+    (["x1", " x1 ", "label"], "x1"),  # names compare after stripping spaces, as the label's does
+])
+def test_load_refuses_a_header_that_repeats_a_name(tmp_path, header, name):
+    rows = [[value] * (len(header) - 1) + [label] for value, label in ((0.1, "a"), (0.2, "b"))]
+    path = _write_csv(tmp_path / "t.csv", header, rows)
+    with pytest.raises(ValueError, match=f"t.csv: {re.escape(f'column name {name!r} appears more than once')}$"):
+        load_csv(path, "label")
+
+
+def _three_columns(tmp_path):
+    rows = [[0.1, 0.2, "a", 0.3], [0.4, 0.5, "b", 0.6], [0.7, 0.8, "a", 0.9]]
+    return _write_csv(tmp_path / "t.csv", ["x0", "x1", "label", "x2"], rows)
+
+
+@pytest.mark.parametrize("names", [["x0", "x2"], ["x1"], ["x2", "x0"], ["x0", "x1", "x2"], ["x2", "x1", "x0"]])
+def test_load_selects_the_named_feature_columns_in_their_order(tmp_path, names):
+    # the columns a document names, in its order, whatever order the file has
+    path = _three_columns(tmp_path)
+    full = load_csv(path, "label")
+    ds = load_csv(path, "label", names)
+    columns = [full.feature_names.index(name) for name in names]
+    assert ds.feature_names == names
+    assert ds.features.tobytes() == np.ascontiguousarray(full.features[:, columns]).tobytes()
+    assert ds.labels.tolist() == full.labels.tolist() and ds.label_names == full.label_names
+    assert keep_columns(full, columns).features.tobytes() == ds.features.tobytes()
+
+
+@pytest.mark.parametrize("names, message", [
+    (["x0", "x3"], "t.csv: no feature column named 'x3'"),
+    (["label"], "t.csv: no feature column named 'label'"),
+    (["x1", "x1"], "feature_names repeats 'x1'"),
+])
+def test_load_refuses_a_feature_name_it_cannot_select(tmp_path, names, message):
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        load_csv(_three_columns(tmp_path), "label", names)
+
+
+def test_keep_columns_keeps_their_names_and_normalization():
+    ds = Dataset(np.arange(12.0).reshape(4, 3) / 11, [0, 1, 0, 1], ["a", "b"], ["u", "v", "w"],
+                 [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+    kept = keep_columns(ds, [0, 2])
+    assert kept.features.tolist() == ds.features[:, [0, 2]].tolist()
+    assert (kept.feature_names, kept.normalization) == (["u", "w"], [(0.0, 1.0), (2.0, 3.0)])
+    assert (kept.labels.tolist(), kept.label_names) == ([0, 1, 0, 1], ["a", "b"])
+    assert keep_columns(ds, [0, 1, 2]) is ds
+    unnamed = keep_columns(Dataset(ds.features, ds.labels, ["a", "b"]), [1])
+    assert (unnamed.feature_names, unnamed.normalization) == (None, None)
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([0, 3], "column 3 is not a feature index 0..2"),
+    ([-1], "column -1 is not a feature index 0..2"),
+    ([], "features must be a (samples, >=1 feature) matrix"),
+    ([0.5], "columns[0] must be an integer that fits int64, got 0.5"),
+])
+def test_keep_columns_rejects_what_is_no_feature_index(columns, message):
+    ds = Dataset(np.zeros((2, 3)), [0, 1], ["a", "b"])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        keep_columns(ds, columns)
 
 
 def test_numeric_labels_sort_numerically(tmp_path):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from helpers import random_quantized_model
 from seqsvm.dataset import Dataset, split
 from seqsvm.ddag import ddag_predict_float, ddag_predict_quant, row_pairs
-from seqsvm.fxp import U4_4, FxpFormat, fits
+from seqsvm.fxp import BLOCK_ELEMENTS, MAX_ACCURACY_DROP, U4_4, FxpFormat, fits, within_drop
 from seqsvm.quant import (
-    MAX_ACCURACY_DROP,
     MULTIPLES,
     QuantizedModel,
     calibrate_model,
@@ -21,7 +20,7 @@ from seqsvm.quant import (
     search_param_bits,
     table_words,
 )
-from seqsvm.synth import BUNDLED, bundled_dataset
+from seqsvm.synth import BUNDLED, bundled_dataset, noisy_blobs, ring_sectors
 from seqsvm.trainer import FloatSvmModel, Hyper, train_ovo
 
 
@@ -241,6 +240,13 @@ class TestSearchParamBits:
         assert (report.partial_min, report.partial_max) == partial_sum_extremes(qm, codes)
         assert report.acc_width == qm.acc_width == profile_accumulator(qm, codes)[0]
 
+    def test_rejects_a_test_split_without_samples(self, blobs3_split, blobs3_model):
+        # its accuracy would be 0/0: NaN, with numpy's warning, before
+        train, test = blobs3_split
+        empty = Dataset(test.features[:0], test.labels[:0], test.label_names)
+        with pytest.raises(ValueError, match="^the precision search needs test samples$"):
+            search_param_bits(blobs3_model, train, empty)
+
     @pytest.mark.parametrize("max_bits", [1, 17, 99])
     def test_max_bits_outside_the_model_widths_rejected(self, blobs3_split, blobs3_model, max_bits):
         train, test = blobs3_split
@@ -268,6 +274,34 @@ def _noisy(name="noisy6x11", seed=1):
     whose signs a larger multiple of the min-max scale keeps better."""
     train, test = split(bundled_dataset(name, seed=seed), 0.8, seed)
     return train, test, train_ovo(train, Hyper(lam=0.02, epochs=12), seed=seed)
+
+
+def _two_blocks_of_test_rows(generator, n, seed):
+    """A split of ``generator``'s 16-feature data with 4,000 test rows, a
+    little over two walk blocks, and its OvO model: so a walk can stop
+    before the last block."""
+    train, test = split(generator(n, 16, 8000 // n, seed), 0.5, seed)
+    assert test.n_samples > 2 * (BLOCK_ELEMENTS // 17)
+    return train, test, train_ovo(train, Hyper(lam=0.02, epochs=5), seed=seed)
+
+
+class _Walks(list):
+    """(table, limit, count) of every ``misclassified`` call of one search, and its result."""
+
+
+def _searched_walks(fmodel, train, test, max_bits):
+    import seqsvm.quant as quant
+
+    walks, walk = _Walks(), quant.misclassified
+
+    def counted(qm, codes, labels, limit=None):
+        walks.append((qm, limit, walk(qm, codes, labels, limit)))
+        return walks[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quant, "misclassified", counted)
+        walks.qm, walks.report = search_param_bits(fmodel, train, test, max_bits=max_bits)
+    return walks
 
 
 def _float_signs(row, features):
@@ -345,6 +379,40 @@ class TestCalibration:
         qm, report = search_param_bits(fmodel, train, test)
         assert report.param_bits < _minmax_search(fmodel, test, 8) - 1, "fixture defect: no calibrated descent"
         _assert_search_oracle(fmodel, train, test, 8, qm, report)
+
+    @settings(max_examples=15, deadline=None)
+    @given(generator=st.sampled_from([noisy_blobs, ring_sectors]), n=st.integers(3, 8), seed=st.integers(0, 30),
+           max_bits=st.integers(2, 8))
+    def test_an_early_stop_changes_no_decision_and_no_accuracy(self, generator, n, seed, max_bits):
+        # every table the search walks is accepted exactly when its full
+        # walk's accuracy, the mean of its hits, is within the drop, and the
+        # accuracy it reports is that mean
+        train, test, fmodel = _two_blocks_of_test_rows(generator, n, seed)
+        walks = _searched_walks(fmodel, train, test, max_bits)
+        float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
+        n = test.n_samples
+        for table, limit, wrong in walks:
+            acc = _test_accuracy(table, test)
+            if limit is None:  # max_bits' walk, which the flagged fallback reports
+                assert (table.param_bits, (n - wrong) / n) == (max_bits, acc)
+            else:
+                assert (wrong <= limit) == within_drop(float_acc, acc)
+                assert wrong > limit or (n - wrong) / n == acc
+        assert walks.report.quantized_accuracy == _test_accuracy(walks.qm, test)
+
+    def test_a_failing_width_stops_its_walk_and_the_flagged_one_does_not(self):
+        # on ring_sectors(4, 16) at seed 3 the 2-bit min-max table fails: its
+        # walk stops before the last block of the test split, unless 2 bits
+        # is max_bits, whose table the flagged fallback reports
+        train, test, fmodel = _two_blocks_of_test_rows(ring_sectors, 4, 3)
+        two_bits = quantize_model(fmodel, 2)
+        full = int(np.count_nonzero(ddag_predict_quant(two_bits, quantize_inputs(test)) != test.labels))
+        for max_bits in (8, 2):
+            walks = _searched_walks(fmodel, train, test, max_bits)
+            table, limit, wrong = walks[0]
+            assert table.param_bits == 2 and (limit is None) == (max_bits == 2)
+            assert limit is None and wrong == full or limit < wrong < full
+        assert walks.report.max_precision_flag and walks.report.quantized_accuracy == _test_accuracy(two_bits, test)
 
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(sorted(BUNDLED)), seed=st.integers(0, 30), max_bits=st.integers(2, 8))

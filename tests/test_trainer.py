@@ -31,6 +31,7 @@ from seqsvm.trainer import (
     accuracy,
     fit_lanes,
     random_search,
+    select_inputs,
     train_ova,
     train_ovo,
 )
@@ -472,11 +473,13 @@ class TestRandomSearch:
 
         monkeypatch.setattr(trainer_mod, "split", refuse)
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", refuse)
+        monkeypatch.setattr(trainer_mod, "select_inputs", refuse)
         assert (LAM_RANGE, EPOCH_RANGE) == ((1e-4, 10.0), (5, 50))
         rng = np.random.default_rng([6, 99])  # the search's draws: lam first, then epochs
         lam = float(10.0 ** rng.uniform(math.log10(1e-4), math.log10(10.0), 1)[0])
         epochs = int(rng.integers(5, 51, 1)[0])
-        assert random_search(blobs3_split[0], budget=1, seed=6) == Hyper(lam, epochs)
+        train = blobs3_split[0]
+        assert random_search(train, budget=1, seed=6) == (Hyper(lam, epochs), list(range(train.n_features)))
 
     def test_picks_strictly_better_candidate(self, blobs3_split, monkeypatch):
         # score rises as lam falls; the smallest sampled lam must win
@@ -499,7 +502,8 @@ class TestRandomSearch:
 
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", fake_train)
         monkeypatch.setattr(trainer_mod, "accuracy", fake_accuracy)
-        best = random_search(train, budget=10, seed=8)
+        monkeypatch.setattr(trainer_mod, "select_inputs", lambda model, sub_train, holdout: [0])
+        best, _ = random_search(train, budget=10, seed=8)
         assert best.lam == min(h.lam for h in seen)
 
     def test_tie_breaks_smaller_lam_then_epochs(self, blobs3_split, monkeypatch):
@@ -512,8 +516,57 @@ class TestRandomSearch:
 
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", fake_train)
         monkeypatch.setattr(trainer_mod, "accuracy", lambda model, ds: 0.5)
-        best = random_search(train, budget=10, seed=8)
+        monkeypatch.setattr(trainer_mod, "select_inputs", lambda model, sub_train, holdout: [0])
+        best, _ = random_search(train, budget=10, seed=8)
         assert best.lam == min(h.lam for h in seen)
+
+
+class TestSelectInputs:
+    @pytest.mark.parametrize("weights, kept", [
+        ([1.0, -1.0, 0.5], [0]), ([0.5, -1.0, 1.0], [1]), ([0.5, 0.25, -2.0], [2]),
+    ])
+    def test_a_tie_in_the_ranking_goes_to_the_lower_column(self, weights, kept):
+        # every feature sits at its training mean, so every subset scores
+        # alike and the path's last, one column, is kept: the one with the
+        # largest sum of squared weights, the lower one of a tie
+        model = FloatSvmModel("ovo", 2, 3, [[0.1, *weights]])
+        ds = Dataset(np.full((4, 3), 0.5), [0, 1, 0, 1], ["a", "b"])
+        assert select_inputs(model, ds, ds) == kept
+
+    @pytest.mark.parametrize("label_c, kept", [(0, [0, 1]), (1, [0])])
+    def test_keeps_the_fewest_columns_within_the_drop_of_the_best(self, label_c, kept):
+        # score -1.5 + 2 x0 + x1, class 0 where it is >= 0, and x1 held at its
+        # training mean 0 once dropped: samples A, B, C go to 0, 1, 0 with
+        # both columns and to 0, 1, 1 with x0 alone
+        model = FloatSvmModel("ovo", 2, 2, [[-1.5, 2.0, 1.0]])
+        train = Dataset(np.zeros((2, 2)), [0, 1], ["a", "b"])
+        holdout = Dataset([[1.0, 0.0], [0.0, 1.0], [0.5, 1.0]], [0, 1, label_c], ["a", "b"])
+        assert select_inputs(model, train, holdout) == kept
+
+    def test_one_column_keeps_it(self):
+        model = FloatSvmModel("ovo", 3, 1, [[0.1, 1.0], [0.2, -1.0], [0.0, 0.5]])
+        ds = Dataset([[0.0], [0.5], [1.0]], [0, 1, 2], ["a", "b", "c"])
+        assert select_inputs(model, ds, ds) == [0]
+
+    def test_ranks_and_scores_the_winning_candidate_as_fitted(self, monkeypatch):
+        # the candidate's lanes are independent, so its model is the fit of
+        # its draw alone on the sub-train side, and it is not fitted again
+        train, _ = split(ring_sectors(4, 6, per_class=30, seed=2), 0.8, 2)
+        seen = []
+        monkeypatch.setattr(trainer_mod, "select_inputs", lambda *args: seen.append(args) or [1, 3])
+        hyper, columns = random_search(train, budget=3, seed=5)
+        (model, sub_train, holdout), = seen
+        want_sub, want_holdout = split(train, 1.0 - trainer_mod.HOLDOUT_FRACTION, 5)
+        assert columns == [1, 3]
+        assert sub_train.features.tobytes() == want_sub.features.tobytes()
+        assert holdout.features.tobytes() == want_holdout.features.tobytes()
+        assert model.coefs.tobytes() == train_ovo(want_sub, hyper, 5).coefs.tobytes()
+
+    def test_rejects_a_model_that_does_not_fit_the_samples(self):
+        model = FloatSvmModel("ovo", 2, 2, [[0.0, 1.0, 1.0]])
+        ds = Dataset(np.zeros((2, 3)), [0, 1], ["a", "b"])
+        with pytest.raises(ValueError, match=re.escape("features must have shape (samples, 2), got (2, 3)")):
+            select_inputs(model, ds, ds)
 
 
 def _shrink_and_step(X, y, lam, epochs, rng):
