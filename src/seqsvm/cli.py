@@ -49,11 +49,19 @@ def _stage(name: str):
 # ---------------------------------------------------------------------------
 
 
-def _ingest(config: dict, feature_names=None) -> tuple[Dataset, Dataset]:
+def _ingest(config: dict, record: Dataset | None = None) -> tuple[Dataset, Dataset]:
     """The config's CSV, split: every feature column or, as a stage after
-    train reads it, those of ``feature_names``, a document's inputs in x_bus order."""
-    ds = load_csv(config["dataset"], config["label_column"], feature_names)
-    return split(ds, config["train_fraction"], config["seed"])
+    train reads it, those of ``record``, a document's dataset, in x_bus
+    order, refusing a CSV whose classes or training ranges are not the record's."""
+    path = config["dataset"]
+    ds = load_csv(path, config["label_column"], None if record is None else record.feature_names)
+    train, test = split(ds, config["train_fraction"], config["seed"])
+    if record is not None and train.label_names != record.label_names:
+        raise ValueError(f"{path}: its classes {train.label_names!r:.80} are not dataset.label_names")
+    norm = None if record is None else record.normalization
+    if norm is not None and list(map(list, train.normalization)) != list(map(list, norm)):
+        raise ValueError(f"{path}: its training side's feature ranges are not dataset.normalization")
+    return train, test
 
 
 def _train_phase(config: dict, out: Path, train: Dataset, test: Dataset):
@@ -200,7 +208,7 @@ def cmd_quantize(args) -> int:
         doc = modelio.load_model_doc(out / "float_model.json")
         config, names, hyper, fmodel, _ = modelio.read_model_doc(doc, quantized=False)
         config = _with_quant_keys(config, args)
-        _quantize_phase(config, names, hyper, fmodel, out, *_ingest(config, names.feature_names))
+        _quantize_phase(config, names, hyper, fmodel, out, *_ingest(config, names))
     return 0
 
 
@@ -208,7 +216,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _stage("simulate"):
         doc, (config, names, *_, qm) = _load_model(out)
-        test = _ingest(config, names.feature_names)[1]
+        test = _ingest(config, names)[1]
         codes = quantize_inputs(test, qm.input_fmt)
         _simulate_phase(doc, qm, codes, test.labels, out, args.trace)
     return 0
@@ -218,7 +226,7 @@ def cmd_gen_hdl(args) -> int:
     out = Path(args.out)
     with _stage("gen-hdl"):
         doc, (config, names, *_, qm) = _load_model(out)
-        test = _ingest(config, names.feature_names)[1]
+        test = _ingest(config, names)[1]
         codes = quantize_inputs(test.features[:args.vectors], qm.input_fmt)
         _hdl_phase(qm, codes, out, args.vectors)
     return 0
@@ -236,7 +244,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     with _stage("compare"):
         doc, (config, names, hyper, fmodel, qm) = _load_model(out)
-        train, test = _ingest(config, names.feature_names)
+        train, test = _ingest(config, names)
         ova = train_ova(train, hyper, config["seed"])
         # the DDAG accuracies, measured as the quantize stage measures them
         float_ddag = ddag_predict_float(fmodel, test.features)

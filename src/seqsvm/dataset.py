@@ -107,10 +107,10 @@ def load_csv(path, label_column: str, feature_names=None) -> Dataset:
     The features are every other column in file order or, with
     ``feature_names``, those columns in that order. The header is read with
     the csv module, the data rows in one pass of numpy's C reader. Rejects
-    a header that repeats a name, a name of ``feature_names`` that is no
-    feature column or that it repeats, ragged rows, feature cells that are
-    not finite numbers, and single-class files. Normalization constants are
-    NOT computed here; split() derives them from its training side.
+    a header that repeats a name or names only the label, a name of
+    ``feature_names`` that is no feature column or that it repeats, ragged
+    rows, feature cells that are not finite numbers, and single-class files.
+    Normalization constants are NOT computed here; split() derives them from its training side.
     """
     first_seen: dict[str, int] = {}
 
@@ -129,6 +129,8 @@ def load_csv(path, label_column: str, feature_names=None) -> Dataset:
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r}")
         label_idx = position.pop(label_column)
+        if not position:
+            raise ValueError(f"{path}: no feature column besides {label_column!r}")
         names = {name: j for j, name in enumerate(position)}  # each feature column's index
         kept = []
         for name in feature_names or ():

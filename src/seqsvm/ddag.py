@@ -14,14 +14,13 @@ A model is its table: row r = [bias, w_1..w_m] of the r-th pair of
 walk. ``walk_batch`` runs it on integer words, exactly or with the hardware's
 wrapping accumulator, for the reference predictions, the batch simulator and
 the golden vectors, in the narrowest integer type that ``kernel_words``
-proves exact; ``misclassified`` counts its exact walk's errors for the
-width search, one block at a time, so that it can stop early;
-``archsim.simulate`` runs it recording every step, for traces;
-``ddag_predict_float`` runs it on the float model. ``score_table`` sums
-every row on every sample in the walk's order, for quant's accumulator
-profiling, the float OvA scores and the OvO max-wins votes wherever a BLAS
-score cannot certify them; it sits beside ``_walk_table`` so the two loops
-keep one summation order.
+proves exact, and ``ddag_predict_quant``, its exact walk, also scores each
+table the width search tries; ``archsim.simulate`` runs it recording every
+step, for traces; ``ddag_predict_float`` runs it on the float model.
+``score_table`` sums every row on every sample in the walk's order, for
+quant's accumulator profiling, the float OvA scores and the OvO max-wins
+votes wherever a BLAS score cannot certify them; it sits beside
+``_walk_table`` so the two loops keep one summation order.
 """
 
 from __future__ import annotations
@@ -260,21 +259,6 @@ def walk_batch(qm, codes, acc_width: int | None = None):
 def ddag_predict_quant(qm, codes) -> np.ndarray:
     """Exact-arithmetic DDAG class of every sample."""
     return walk_batch(qm, codes)[0]
-
-
-def misclassified(qm, codes, labels, limit: int | None = None) -> int:
-    """How many samples the exact-arithmetic DDAG does not give their
-    ``labels``, as ddag_predict_quant classifies them. With ``limit``, the
-    walk stops after the first block that takes the count past it, and the
-    count so far, above ``limit``, is returned."""
-    X = qm.input_codes(codes)
-    labels = check_array("labels", labels, int, (len(X),))
-    wrong = 0
-    for start, classes, *_ in _walk_table(qm.n_classes, kernel_words(qm), X):
-        wrong += int(np.count_nonzero(classes != labels[start:start + len(classes)]))
-        if limit is not None and wrong > limit:
-            break
-    return wrong
 
 
 def float_features(fmodel, features) -> np.ndarray:

@@ -14,14 +14,13 @@ down from it while the calibrated tables stay adequate.
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .ddag import check_ovo, ddag_predict_float, kernel_words, misclassified, row_pairs, score_table
+from .ddag import check_ovo, ddag_predict_float, ddag_predict_quant, kernel_words, row_pairs, score_table
 from .fxp import (BLOCK_ELEMENTS, MAX_INPUT_BITS, U4_4, FxpFormat, check_array, check_int, first_bad, fits, max_int,
                   min_int, width_for_range, within_drop)
 from .trainer import FloatSvmModel, read_only_table
@@ -295,35 +294,31 @@ def search_param_bits(
     ``train``) while it stays adequate. So no table is wider than the
     min-max search's, and at w0 it is the min-max one. Falls back to the
     min-max table at max_bits with the flag set when no table qualifies.
-    A table's test walk stops once its misclassifications rule it out, so
-    only the chosen table's accuracy is counted in full."""
+    Each table's accuracy is one ``ddag_predict_quant`` walk of the whole test split."""
     check_int("max_bits", max_bits, MIN_PARAM_BITS, MAX_PARAM_BITS)
-    n = test.n_samples
-    if not n:
+    if not test.n_samples:
         raise ValueError("the precision search needs test samples")
     float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
     test_codes = quantize_inputs(test, input_fmt)
     training_signs = _training_signs(fmodel, train, input_fmt)
-    # the most test samples an adequate table misclassifies; a table's walk
-    # stops once it has misclassified more, except at max_bits, whose
-    # accuracy the flagged fallback reports
-    allowance = bisect.bisect_left(range(n + 1), True, key=lambda k: not within_drop(float_acc, (n - k) / n)) - 1
+
+    def accuracy(qm: QuantizedModel) -> float:
+        return float(np.mean(ddag_predict_quant(qm, test_codes) == test.labels))
 
     flagged = False
     for bits in range(MIN_PARAM_BITS, max_bits + 1):
         chosen = quantize_model(fmodel, bits, input_fmt)
-        chosen_wrong = misclassified(chosen, test_codes, test.labels, None if bits == max_bits else allowance)
-        if chosen_wrong <= allowance:
+        chosen_acc = accuracy(chosen)
+        if within_drop(float_acc, chosen_acc):
             break
     else:
         flagged = True  # the last try, at max_bits, stays chosen
     for bits in [] if flagged else range(chosen.param_bits - 1, MIN_PARAM_BITS - 1, -1):
         calibrated = _calibrated(fmodel, bits, input_fmt, training_signs)
-        wrong = misclassified(calibrated, test_codes, test.labels, allowance)
-        if wrong > allowance:
+        calibrated_acc = accuracy(calibrated)
+        if not within_drop(float_acc, calibrated_acc):
             break
-        chosen, chosen_wrong = calibrated, wrong
-    chosen_acc = (n - chosen_wrong) / n  # the mean of the walk's hits, as float64 divides it
+        chosen, chosen_acc = calibrated, calibrated_acc
 
     _, lo, hi = profile_accumulator(chosen, training_signs[0])
     # the (row, training sample of its pair) pairs whose integer sign is not the float one

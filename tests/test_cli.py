@@ -159,10 +159,10 @@ def test_a_one_column_csv_keeps_its_column(tmp_path):
 
 
 @pytest.mark.parametrize("stage", ["quantize", "simulate", "gen-hdl", "compare"])
-@pytest.mark.parametrize("change", ["renamed", "dropped"])
+@pytest.mark.parametrize("change", ["renamed", "dropped", "renamed_class", "shifted"])
 def test_a_stage_refuses_a_csv_that_lost_a_kept_column(synth_csv, tmp_path, capsys, stage, change):
-    # a CSV that changed since train is refused by the kept column's name,
-    # before the stage writes anything
+    # a CSV that changed since train is refused, by the kept column's name or
+    # by the document's field it no longer matches, before the stage writes anything
     csv = tmp_path / "data.csv"
     shutil.copy(synth_csv, csv)
     out = tmp_path / "out"
@@ -170,23 +170,30 @@ def test_a_stage_refuses_a_csv_that_lost_a_kept_column(synth_csv, tmp_path, caps
     name = load_model_doc(out / "model.json")["dataset"]["feature_names"][-1]
     ds = load_csv(csv, "label")
     j = ds.feature_names.index(name)
+    message = f"{csv}: no feature column named {name!r}"
     if change == "renamed":
         ds = Dataset(ds.features, ds.labels, ds.label_names, [f"{n}_v2" if n == name else n for n in ds.feature_names])
-    else:
+    elif change == "dropped":
         rest = [k for k in range(ds.n_features) if k != j]
         ds = Dataset(ds.features[:, rest], ds.labels, ds.label_names, [ds.feature_names[k] for k in rest])
+    elif change == "renamed_class":
+        ds = Dataset(ds.features, ds.labels, ["x", *ds.label_names[1:]], ds.feature_names)
+        message = f"{csv}: its classes {sorted(ds.label_names)!r} are not dataset.label_names"
+    else:  # min-max normalization hides the shift from the features, not from the ranges
+        ds = Dataset(ds.features + 0.25, ds.labels, ds.label_names, ds.feature_names)
+        message = f"{csv}: its training side's feature ranges are not dataset.normalization"
     to_csv(ds, csv)
     before = _tree_bytes(out)
     capsys.readouterr()
     assert main([stage, "--out", str(out)]) == 2
-    assert f"stage {stage} failed: {csv}: no feature column named {name!r}" in capsys.readouterr().err
+    assert f"stage {stage} failed: {message}" in capsys.readouterr().err
     assert _tree_bytes(out) == before
 
 
 def test_run_traces_are_the_reference_simulator_s(full_run):
     # the stepped Verilog's records, as text, for the first three test rows
     _, (config, names, *_, qm) = _load_model(full_run)
-    codes = quantize_inputs(_ingest(config, names.feature_names)[1], qm.input_fmt)
+    codes = quantize_inputs(_ingest(config, names)[1], qm.input_fmt)
     for i, trace in enumerate(stepped(qm, codes[:3])):
         assert (full_run / "traces" / f"trace_{i:03d}.txt").read_text() == trace_to_text(trace)
 
@@ -277,7 +284,7 @@ def test_run_walks_the_float_ddag_once(synth_csv, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(_run_args(synth_csv, out)) == 0
     _, (config, names, *_) = _load_model(out)
-    test = _ingest(config, names.feature_names)[1]
+    test = _ingest(config, names)[1]
     assert [np.array_equal(features, test.features) for _, features in calls].count(True) == 1
     assert len(calls) > 1
     report = json.loads((out / "quant_report.json").read_text())

@@ -105,6 +105,12 @@ def test_load_refuses_a_header_that_repeats_a_name(tmp_path, header, name):
         load_csv(path, "label")
 
 
+def test_load_refuses_a_header_of_only_the_label_column(tmp_path):
+    path = _write_csv(tmp_path / "t.csv", ["label"], [["a"], ["b"]])
+    with pytest.raises(ValueError, match=re.escape("t.csv: no feature column besides 'label'") + "$"):
+        load_csv(path, "label")
+
+
 def _three_columns(tmp_path):
     rows = [[0.1, 0.2, "a", 0.3], [0.4, 0.5, "b", 0.6], [0.7, 0.8, "a", 0.9]]
     return _write_csv(tmp_path / "t.csv", ["x0", "x1", "label", "x2"], rows)

@@ -4,8 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import _interval_walk_oracle, _walk, bias_only_model, integer_twin, random_quantized_model, reference_graph
 from seqsvm.archsim import simulate
@@ -14,13 +12,12 @@ from seqsvm.ddag import (
     ddag_predict_float,
     ddag_predict_quant,
     fsm_arms,
-    misclassified,
     pair_count,
     pair_index,
     row_pairs,
     state_bits_for,
 )
-from seqsvm.fxp import BLOCK_ELEMENTS, U4_4
+from seqsvm.fxp import U4_4
 from seqsvm.modelio import ddag_to_dict
 from seqsvm.quant import QuantizedModel
 from seqsvm.trainer import FloatSvmModel
@@ -259,36 +256,3 @@ class TestVote:
         rate = agree / len(codes)
         print(f"ddag/vote agreement: {rate:.3f}")
         assert 0.0 <= rate <= 1.0
-
-
-class TestMisclassified:
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 6), m=st.integers(1, 5), bits=st.integers(2, 8), seed=st.integers(0, 10**6),
-           rows=st.integers(1, 3 * BLOCK_ELEMENTS // 2), limit=st.none() | st.integers(0, 400))
-    def test_counts_the_walks_errors_until_past_its_limit(self, n, m, bits, seed, rows, limit):
-        # the width search's error count: exact up to the limit, and past it
-        # a count of the blocks walked so far, still past the limit
-        qm, _ = random_quantized_model(n, m, bits, seed, n_profile=1)
-        rng = np.random.default_rng(seed)
-        codes = rng.integers(0, qm.input_fmt.raw_max + 1, (rows // m + 1, m))
-        labels = rng.integers(0, n, len(codes))
-        full = int(np.count_nonzero(ddag_predict_quant(qm, codes) != labels))
-        got = misclassified(qm, codes, labels, limit)
-        if limit is None or full <= limit:
-            assert got == full
-        else:
-            assert limit < got <= full
-
-    def test_stops_at_the_first_block_past_its_limit(self):
-        qm = bias_only_model(2, [1])  # every sample goes to class 0
-        block = BLOCK_ELEMENTS // (qm.n_features + 1)
-        codes = np.zeros((3 * block, qm.n_features), dtype=np.int64)
-        labels = np.ones(len(codes), dtype=np.int64)
-        assert misclassified(qm, codes, labels) == 3 * block
-        assert misclassified(qm, codes, labels, 0) == block
-        assert misclassified(qm, codes, labels, block) == 2 * block
-
-    def test_rejects_labels_that_do_not_fit_the_codes(self):
-        qm = bias_only_model(2, [1])
-        with pytest.raises(ValueError, match=re.escape("labels must have shape (3,), got (2,)")):
-            misclassified(qm, np.zeros((3, qm.n_features), dtype=np.int64), [0, 1])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_quantized_model
 from seqsvm.dataset import Dataset, split
 from seqsvm.ddag import ddag_predict_float, ddag_predict_quant, row_pairs
-from seqsvm.fxp import BLOCK_ELEMENTS, MAX_ACCURACY_DROP, U4_4, FxpFormat, fits, within_drop
+from seqsvm.fxp import MAX_ACCURACY_DROP, U4_4, FxpFormat, fits
 from seqsvm.quant import (
     MULTIPLES,
     QuantizedModel,
@@ -20,7 +20,7 @@ from seqsvm.quant import (
     search_param_bits,
     table_words,
 )
-from seqsvm.synth import BUNDLED, bundled_dataset, noisy_blobs, ring_sectors
+from seqsvm.synth import BUNDLED, bundled_dataset
 from seqsvm.trainer import FloatSvmModel, Hyper, train_ovo
 
 
@@ -276,34 +276,6 @@ def _noisy(name="noisy6x11", seed=1):
     return train, test, train_ovo(train, Hyper(lam=0.02, epochs=12), seed=seed)
 
 
-def _two_blocks_of_test_rows(generator, n, seed):
-    """A split of ``generator``'s 16-feature data with 4,000 test rows, a
-    little over two walk blocks, and its OvO model: so a walk can stop
-    before the last block."""
-    train, test = split(generator(n, 16, 8000 // n, seed), 0.5, seed)
-    assert test.n_samples > 2 * (BLOCK_ELEMENTS // 17)
-    return train, test, train_ovo(train, Hyper(lam=0.02, epochs=5), seed=seed)
-
-
-class _Walks(list):
-    """(table, limit, count) of every ``misclassified`` call of one search, and its result."""
-
-
-def _searched_walks(fmodel, train, test, max_bits):
-    import seqsvm.quant as quant
-
-    walks, walk = _Walks(), quant.misclassified
-
-    def counted(qm, codes, labels, limit=None):
-        walks.append((qm, limit, walk(qm, codes, labels, limit)))
-        return walks[-1][2]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quant, "misclassified", counted)
-        walks.qm, walks.report = search_param_bits(fmodel, train, test, max_bits=max_bits)
-    return walks
-
-
 def _float_signs(row, features):
     """Float row ``row``'s verdicts (score >= 0) on ``features``, summed bias
     first, then one product per feature, as the DAG walk sums them."""
@@ -380,39 +352,27 @@ class TestCalibration:
         assert report.param_bits < _minmax_search(fmodel, test, 8) - 1, "fixture defect: no calibrated descent"
         _assert_search_oracle(fmodel, train, test, 8, qm, report)
 
-    @settings(max_examples=15, deadline=None)
-    @given(generator=st.sampled_from([noisy_blobs, ring_sectors]), n=st.integers(3, 8), seed=st.integers(0, 30),
-           max_bits=st.integers(2, 8))
-    def test_an_early_stop_changes_no_decision_and_no_accuracy(self, generator, n, seed, max_bits):
-        # every table the search walks is accepted exactly when its full
-        # walk's accuracy, the mean of its hits, is within the drop, and the
-        # accuracy it reports is that mean
-        train, test, fmodel = _two_blocks_of_test_rows(generator, n, seed)
-        walks = _searched_walks(fmodel, train, test, max_bits)
-        float_acc = float(np.mean(ddag_predict_float(fmodel, test.features) == test.labels))
-        n = test.n_samples
-        for table, limit, wrong in walks:
-            acc = _test_accuracy(table, test)
-            if limit is None:  # max_bits' walk, which the flagged fallback reports
-                assert (table.param_bits, (n - wrong) / n) == (max_bits, acc)
-            else:
-                assert (wrong <= limit) == within_drop(float_acc, acc)
-                assert wrong > limit or (n - wrong) / n == acc
-        assert walks.report.quantized_accuracy == _test_accuracy(walks.qm, test)
+    def test_each_table_tried_is_one_walk_of_the_whole_test_split(self, monkeypatch):
+        # noisy7x11 at seed 5 tries min-max and calibrated tables (see the
+        # descent test above): each is scored by one ddag_predict_quant call
+        import seqsvm.quant as quant
 
-    def test_a_failing_width_stops_its_walk_and_the_flagged_one_does_not(self):
-        # on ring_sectors(4, 16) at seed 3 the 2-bit min-max table fails: its
-        # walk stops before the last block of the test split, unless 2 bits
-        # is max_bits, whose table the flagged fallback reports
-        train, test, fmodel = _two_blocks_of_test_rows(ring_sectors, 4, 3)
-        two_bits = quantize_model(fmodel, 2)
-        full = int(np.count_nonzero(ddag_predict_quant(two_bits, quantize_inputs(test)) != test.labels))
-        for max_bits in (8, 2):
-            walks = _searched_walks(fmodel, train, test, max_bits)
-            table, limit, wrong = walks[0]
-            assert table.param_bits == 2 and (limit is None) == (max_bits == 2)
-            assert limit is None and wrong == full or limit < wrong < full
-        assert walks.report.max_precision_flag and walks.report.quantized_accuracy == _test_accuracy(two_bits, test)
+        train, test, fmodel = _noisy("noisy7x11", 5)
+        walks = []
+
+        def counted(qm, codes):
+            walks.append((qm.param_bits, qm.words.tolist(), len(codes)))
+            return ddag_predict_quant(qm, codes)
+
+        monkeypatch.setattr(quant, "ddag_predict_quant", counted)
+        search_param_bits(fmodel, train, test)
+        w0 = _minmax_search(fmodel, test, 8)
+        tried = [quantize_model(fmodel, bits) for bits in range(2, w0 + 1)]
+        for bits in range(w0 - 1, 1, -1):
+            tried.append(calibrate_model(fmodel, bits, train))
+            if not _adequate(fmodel, test, tried[-1]):
+                break
+        assert walks == [(qm.param_bits, qm.words.tolist(), test.n_samples) for qm in tried]
 
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(sorted(BUNDLED)), seed=st.integers(0, 30), max_bits=st.integers(2, 8))
