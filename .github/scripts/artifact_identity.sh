@@ -9,11 +9,13 @@
 # simulate --trace 3, gen-hdl --vectors 5, cost --storage rom and compare,
 # which read back the documents the stages before them wrote; then, with
 # model.json's acc_width lowered by 3 bits, simulate --trace 5, whose traces
-# wrap the accumulator. Last, in a copy of those artifacts outside the
-# digested directory, it negates every quantized bias of model.json and runs
-# simulate: the "refusal" row reads "refused" if that exits 2 and "accepted"
-# otherwise. Prints a Markdown table of each workload's combined artifact
-# digest, of the stages' ("stages") and the refusal, on both sides; then,
+# wrap the accumulator. Last, it probes two hand-edited copies of those
+# artifacts, each outside the digested directory: the "refusal" row negates
+# every quantized bias of model.json and runs simulate, and the
+# "null_normalization" row sets float_model.json's dataset.normalization to
+# null and runs quantize. A row reads "refused" if its stage exits 2 and
+# "accepted" otherwise. Prints a Markdown table of each workload's combined
+# artifact digest, of the stages' ("stages") and of each probe, on both sides; then,
 # per workload and for the stages, the names of the files whose sha256
 # differs between the sides (or exists on one side only; a directory with
 # more than 3 such files is named once, with their count), from each side's
@@ -47,18 +49,22 @@ doc = json.load(open(sys.argv[1]))
 doc["quantized"]["acc_width"] -= 3
 open(sys.argv[1], "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")' "$out/model.json" &&
             python3 -m seqsvm simulate --trace 5 --out "$out" > "$out.log" 2>&1 || { echo "stages failed:narrow@$1"; exit 0; }
-        # every quantized bias negated: in range, but not the quantizer's words
-        probe=.bench_run/refusal
-        rm -rf "$probe"
-        cp -r "$out" "$probe"
-        python3 -c 'import json, sys
+        probe() {  # probe ROW FILE STAGE EDIT: in a copy of the artifacts, EDIT (Python on `doc`) FILE, run STAGE
+            rm -rf ".bench_run/$1"
+            cp -r "$out" ".bench_run/$1"
+            python3 -c "import json, sys
 doc = json.load(open(sys.argv[1]))
-for vector in doc["quantized"]["vectors"]:
-    vector["bias"] = -vector["bias"]
-open(sys.argv[1], "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")' "$probe/model.json"
-        status=0
-        python3 -m seqsvm simulate --out "$probe" > "$probe.log" 2>&1 || status=$?
-        echo refusal "$([ "$status" = 2 ] && echo refused || echo accepted)"
+$4
+open(sys.argv[1], 'w').write(json.dumps(doc, indent=2, sort_keys=True) + '\\n')" ".bench_run/$1/$2"
+            status=0
+            python3 -m seqsvm "$3" --out ".bench_run/$1" > ".bench_run/$1.log" 2>&1 || status=$?
+            echo "$1" "$([ "$status" = 2 ] && echo refused || echo accepted)"
+        }
+        # every quantized bias negated: in range, but not the quantizer's words
+        probe refusal model.json simulate 'for vector in doc["quantized"]["vectors"]:
+    vector["bias"] = -vector["bias"]'
+        # no training ranges, so nothing to check the CSV's against
+        probe null_normalization float_model.json quantize 'doc["dataset"]["normalization"] = None'
         cd "$out"
         echo stages "$(find . -type f | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d ' ' -f 1)"
     )

@@ -9,16 +9,19 @@ from seqsvm.dataset import keep_columns, split
 from seqsvm.ddag import ddag_predict_float, ddag_predict_quant
 from seqsvm.quant import quantize_inputs, quantize_model, search_param_bits
 from seqsvm.synth import bundled_dataset
-from seqsvm.trainer import accuracy, random_search, train_ovo
+from seqsvm.trainer import HOLDOUT_FRACTION, accuracy, random_search, train_ovo
 
 ds = bundled_dataset("rings10x17", seed=3)
 train, test = split(ds, 0.8, seed=3)
 print(f"dataset: {ds.n_classes} classes, {ds.n_features} features, "
       f"{train.n_samples}/{test.n_samples} train/test")
 
-# the search also picks the inputs: the fewest columns, by a halving path on
-# the weights' squares, whose holdout DAG accuracy is within 0.5 pp of the best
-hyper, columns = random_search(train, budget=8, seed=3)
+# the search scores its draws on a holdout carved from the training side, as
+# the train stage carves it, and on it also picks the inputs: the fewest
+# columns, by a halving path on the weights' squares, whose holdout DAG
+# accuracy is within 0.5 pp of the best
+fit, holdout = split(train, 1.0 - HOLDOUT_FRACTION, seed=3)
+hyper, columns = random_search(fit, holdout, budget=8, seed=3)
 print(f"random search picked lam={hyper.lam:.4g}, epochs={hyper.epochs}, "
       f"and {len(columns)} of {ds.n_features} inputs: {columns}")
 train, test = keep_columns(train, columns), keep_columns(test, columns)

@@ -26,7 +26,7 @@ from .ddag import ddag_predict_float, ddag_predict_quant
 from .fxp import FxpFormat, in_range, range_text
 from .hdlgen import emit_golden_vectors, generate, write_bundle
 from .quant import QuantizedModel, quantize_inputs, search_param_bits
-from .trainer import FloatSvmModel, Hyper, accuracy, random_search, train_ova, train_ovo
+from .trainer import HOLDOUT_FRACTION, FloatSvmModel, Hyper, accuracy, random_search, train_ova, train_ovo
 
 
 class StageError(RuntimeError):
@@ -58,8 +58,7 @@ def _ingest(config: dict, record: Dataset | None = None) -> tuple[Dataset, Datas
     train, test = split(ds, config["train_fraction"], config["seed"])
     if record is not None and train.label_names != record.label_names:
         raise ValueError(f"{path}: its classes {train.label_names!r:.80} are not dataset.label_names")
-    norm = None if record is None else record.normalization
-    if norm is not None and list(map(list, train.normalization)) != list(map(list, norm)):
+    if record is not None and list(map(list, train.normalization)) != list(map(list, record.normalization)):
         raise ValueError(f"{path}: its training side's feature ranges are not dataset.normalization")
     return train, test
 
@@ -67,10 +66,14 @@ def _ingest(config: dict, record: Dataset | None = None) -> tuple[Dataset, Datas
 def _train_phase(config: dict, out: Path, train: Dataset, test: Dataset):
     """Search and train on the columns the search keeps; writes
     float_model.json and returns both sides at those columns, the
-    hyperparameters and the model."""
-    hyper, columns = random_search(train, budget=config["budget"], seed=config["seed"])
+    hyperparameters and the model. The run's one holdout is carved here,
+    HOLDOUT_FRACTION of ``train``, on which the search scores its draws and
+    chooses the inputs; a budget of 1, which reads no row, carves none."""
+    budget, seed = config["budget"], config["seed"]
+    fit, holdout = split(train, 1.0 - HOLDOUT_FRACTION, seed) if budget > 1 else (train, train)
+    hyper, columns = random_search(fit, holdout, budget=budget, seed=seed)
     train, test = keep_columns(train, columns), keep_columns(test, columns)
-    model = train_ovo(train, hyper, config["seed"])
+    model = train_ovo(train, hyper, seed)
     out.mkdir(parents=True, exist_ok=True)
     modelio.save_model_doc(out / "float_model.json", modelio.model_doc(config, train, hyper, model))
     print(f"trained OvO model: {model.n_classes} classes, {len(model.coefs)} vectors on {model.n_features} inputs "
@@ -78,16 +81,20 @@ def _train_phase(config: dict, out: Path, train: Dataset, test: Dataset):
     return train, test, hyper, model
 
 
-def _quantize_phase(config: dict, names: Dataset, hyper: Hyper, fmodel: FloatSvmModel, out: Path, train: Dataset,
-                    test: Dataset):
-    """Precision search of ``fmodel``; writes model.json (with the dataset names and normalization of ``names``)
+def _save_report(path: Path, doc: dict, fields: dict) -> dict:
+    """Write and return the report of ``fields`` under the config hash and seed of ``doc``."""
+    report = {"config_hash": doc["config_hash"], "seed": doc["seed"], **fields}
+    modelio.save_model_doc(path, report)
+    return report
+
+
+def _quantize_phase(config: dict, hyper: Hyper, fmodel: FloatSvmModel, out: Path, train: Dataset, test: Dataset):
+    """Precision search of ``fmodel``; writes model.json (with the dataset names and normalization of ``train``)
     and returns the document, the quantized model and the QuantReport."""
     qm, report = search_param_bits(fmodel, train, test, FxpFormat(config["input_bits"]), config["max_param_bits"])
-    doc = modelio.model_doc(config, names, hyper, fmodel, qm)
+    doc = modelio.model_doc(config, train, hyper, fmodel, qm)
     modelio.save_model_doc(out / "model.json", doc)
-    modelio.save_model_doc(
-        out / "quant_report.json", {"config_hash": doc["config_hash"], "seed": doc["seed"], **asdict(report)}
-    )
+    _save_report(out / "quant_report.json", doc, asdict(report))
     print(f"quantized to {report.param_bits}-bit parameters "
           f"(float {report.float_accuracy:.4f} -> quant {report.quantized_accuracy:.4f}, "
           f"acc_width={report.acc_width}"
@@ -104,15 +111,10 @@ def _load_model(out: Path):
 def _simulate_phase(doc: dict, qm: QuantizedModel, codes, labels, out: Path, trace_n: int) -> dict:
     """Simulate the test split, given as its input codes and labels."""
     batch = simulate_batch(qm, codes, labels)
-    sim_report = {
-        "config_hash": doc["config_hash"],
-        "seed": doc["seed"],
-        "accuracy": batch.accuracy,
-        "overflows": batch.overflows,
-        "mean_cycles": batch.mean_cycles,
+    sim_report = _save_report(out / "sim_report.json", doc, {
+        "accuracy": batch.accuracy, "overflows": batch.overflows, "mean_cycles": batch.mean_cycles,
         "n_test": int(len(labels)),
-    }
-    modelio.save_model_doc(out / "sim_report.json", sim_report)
+    })
     _write_traces(qm, codes[:trace_n], out / "traces")
     print(f"simulated {sim_report['n_test']} samples: accuracy {batch.accuracy:.4f}, "
           f"{batch.overflows} overflows, {batch.mean_cycles:.0f} cycles each")
@@ -146,8 +148,7 @@ def _hdl_phase(qm: QuantizedModel, codes, out: Path, n_vectors: int) -> None:
 def _cost_phase(doc: dict, qm: QuantizedModel, out: Path, storage_kind: str, tech: TechConfig) -> dict:
     both = compare_storage(qm, tech=tech)
     parallel = compare_parallel(qm, tech)
-    report = {**asdict(both[storage_kind]), "config_hash": doc["config_hash"], "seed": doc["seed"]}
-    modelio.save_model_doc(out / "cost_report.json", report)
+    report = _save_report(out / "cost_report.json", doc, asdict(both[storage_kind]))
     print(format_report_table([("seq-mux", both["mux"]), ("seq-rom", both["rom"]), ("parallel", parallel)]), end="")
     return report
 
@@ -208,7 +209,7 @@ def cmd_quantize(args) -> int:
         doc = modelio.load_model_doc(out / "float_model.json")
         config, names, hyper, fmodel, _ = modelio.read_model_doc(doc, quantized=False)
         config = _with_quant_keys(config, args)
-        _quantize_phase(config, names, hyper, fmodel, out, *_ingest(config, names))
+        _quantize_phase(config, hyper, fmodel, out, *_ingest(config, names))
     return 0
 
 
@@ -264,16 +265,10 @@ def cmd_compare(args) -> int:
         par = compare_parallel(qm, tech)
         print(format_report_table([(f"seq-{args.storage}", seq), ("parallel", par)]), end="")
         print(f"parallel/sequential area ratio: {par.area_cm2 / seq.area_cm2:.2f}x")
-        modelio.save_model_doc(
-            out / "compare_report.json",
-            {
-                "config_hash": doc["config_hash"],
-                "seed": doc["seed"],
-                "accuracy": {name.strip(): acc for name, acc in acc_rows},
-                "sequential": asdict(seq),
-                "parallel": asdict(par),
-            },
-        )
+        _save_report(out / "compare_report.json", doc, {
+            "accuracy": {name.strip(): acc for name, acc in acc_rows}, "sequential": asdict(seq),
+            "parallel": asdict(par),
+        })
     return 0
 
 
@@ -286,7 +281,7 @@ def cmd_run(args) -> int:
         train, test, hyper, fmodel = _train_phase(config, out, train, test)
     with _stage("quantize"):
         config = _with_quant_keys(config, args)
-        doc, qm, quant_report = _quantize_phase(config, train, hyper, fmodel, out, train, test)
+        doc, qm, quant_report = _quantize_phase(config, hyper, fmodel, out, train, test)
     with _stage("simulate"):
         # the test split's input codes, shared with gen-hdl
         codes = quantize_inputs(test, qm.input_fmt)

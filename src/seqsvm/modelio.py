@@ -95,7 +95,10 @@ def _table_to_list(table, kind: str, n_classes: int) -> list:
 
 def model_doc(config: dict, dataset: Dataset, hyper: Hyper, fmodel: FloatSvmModel, qm: QuantizedModel | None = None):
     """The document of these parts: float_model.json, or model.json with
-    ``qm``. Of ``dataset`` only the names and the normalization are written."""
+    ``qm``. Of ``dataset`` only the names and the normalization, never None, are written."""
+    for key in ("feature_names", "normalization"):
+        if getattr(dataset, key) is None:
+            raise ValueError(f"dataset.{key} is null: a document records those of a training split")
     doc = {
         "format": FORMAT, "version": VERSION, "seed": config["seed"], "config": config,
         "config_hash": config_hash(config),
@@ -208,8 +211,8 @@ def read_model_doc(doc: dict, quantized: bool) -> tuple:
     ``hyper``'s lam and epochs, the float model, the quantized widths
     (``param_bits`` at most the config's ``max_param_bits``) and scales,
     and the dataset's names and normalization (a Dataset of no samples, with
-    one label name per class); then ``check_written``, which compares the
-    words derived from the scales too."""
+    one label name per class, and no null that ``model_doc`` refuses); then
+    ``check_written``, which compares the words derived from the scales too."""
     config = _field(doc, "config", "document")
     keys = _CONFIG_KEYS if quantized else _CONFIG_KEYS[:-2]
     for key in keys:

@@ -115,18 +115,18 @@ class QuantReport:
 
 
 def quantize_inputs(ds_or_features, fmt: FxpFormat = U4_4) -> np.ndarray:
-    """Elementwise truncation of normalized, finite features (samples x m) to unsigned codes."""
+    """Elementwise truncation of normalized, finite features (samples x m) to
+    unsigned codes, clamped in float so that any feature above 1 gives ``raw_max``."""
     X = ds_or_features.features if isinstance(ds_or_features, Dataset) else ds_or_features
     X = check_array("features", X, float, ("samples", "features"))
     if X.size and X.min() < 0.0:
         raise ValueError("features must be normalized to [0, 1] before quantization")
     codes = np.empty(X.shape, dtype=np.int64)
     block = max(1, BLOCK_ELEMENTS // max(1, X[:1].size))  # samples per block
+    top = fmt.raw_max / fmt.scale  # exact, and truncates to raw_max like every feature from it up
     for start in range(0, len(X), block):
-        scaled = X[start:start + block] * fmt.scale
-        part = codes[start:start + block]
-        part[...] = np.floor(scaled, out=scaled)
-        np.minimum(part, fmt.raw_max, out=part)
+        scaled = np.minimum(X[start:start + block], top)
+        codes[start:start + block] = np.floor(np.multiply(scaled, fmt.scale, out=scaled), out=scaled)
     return codes
 
 

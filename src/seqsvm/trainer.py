@@ -1,7 +1,8 @@
 """Linear SVM training: one-vs-one and one-vs-all reductions over a
 deterministic hinge-loss subgradient solver, plus randomized hyperparameter
-search and, on the search's holdout, the choice of the inputs
-(``select_inputs``).
+search and the choice of the inputs (``select_inputs``), both on a holdout
+that the caller carves (the train stage, ``cli._train_phase``, carves
+HOLDOUT_FRACTION of its training side).
 
 The solver is Pegasos (Shalev-Shwartz et al., ICML 2007) without the
 projection step, on x augmented with a constant 1 so the bias shares the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .dataset import Dataset, split
+from .dataset import Dataset
 from .ddag import check_ovo, ddag_predict_float, float_features, row_pairs, score_table
 from .fxp import BLOCK_ELEMENTS, check_array, check_int, finite_number, in_range, within_drop
 
@@ -52,7 +53,7 @@ class Hyper:
 
 
 #: random_search draws lam log-uniformly and epochs uniformly from these
-#: ranges (ends included) and scores each draw on this share of its rows.
+#: ranges (ends included); the train stage holds out this share of its rows.
 LAM_RANGE = (1e-4, 10.0)
 EPOCH_RANGE = (5, 50)
 HOLDOUT_FRACTION = 0.25
@@ -311,12 +312,13 @@ def select_inputs(fmodel: FloatSvmModel, train: Dataset, holdout: Dataset) -> li
     return next(kept for acc, kept in reversed(path) if within_drop(best, acc)).tolist()
 
 
-def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> tuple[Hyper, list[int]]:
-    """Draw ``budget`` (lam, epochs) pairs and keep the best holdout accuracy;
-    ties break toward smaller lam, then fewer epochs. Returns that draw and
-    the feature columns that ``select_inputs`` keeps for its candidate model
-    on the same holdout. Deterministic for a given seed. A budget of 1
-    returns its one draw and every column, without a holdout split or a fit."""
+def random_search(fit: Dataset, holdout: Dataset, budget: int = 8, seed: int = 0) -> tuple[Hyper, list[int]]:
+    """Draw ``budget`` (lam, epochs) pairs, fit each on ``fit`` and keep the
+    best accuracy on ``holdout``; ties break toward smaller lam, then fewer
+    epochs. Returns that draw and the feature columns that ``select_inputs``
+    keeps for its candidate model on the same pair. Deterministic for a
+    given seed. A budget of 1 returns its one draw and every column, before
+    it reads a row."""
     check_int("budget", budget, 1)
     check_int("seed", seed, 0)  # a budget of 1 fits nothing that would check it
     rng = default_rng([seed, 99])
@@ -324,10 +326,9 @@ def random_search(train: Dataset, budget: int = 8, seed: int = 0) -> tuple[Hyper
     epoch_counts = rng.integers(EPOCH_RANGE[0], EPOCH_RANGE[1] + 1, budget)
     hypers = [Hyper(lam=lam, epochs=int(epochs)) for lam, epochs in zip(lams.tolist(), epoch_counts.tolist())]
     if budget == 1:
-        return hypers[0], list(range(train.n_features))
+        return hypers[0], list(range(fit.n_features))
 
-    sub_train, holdout = split(train, 1.0 - HOLDOUT_FRACTION, seed)
-    models = train_ovo_candidates(sub_train, hypers, seed)
+    models = train_ovo_candidates(fit, hypers, seed)
     scores = [(-accuracy(model, holdout), hyper.lam, hyper.epochs) for hyper, model in zip(hypers, models)]
     best = min(range(budget), key=scores.__getitem__)  # the first of equal keys
-    return hypers[best], select_inputs(models[best], sub_train, holdout)
+    return hypers[best], select_inputs(models[best], fit, holdout)

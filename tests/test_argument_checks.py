@@ -44,8 +44,8 @@ ENTRIES = {
     "search_param_bits": ("max_bits", 2, 16, lambda v, f: search_param_bits(f["blobs3_model"], *f["blobs3_split"],
                                                                            max_bits=v)),
     "Hyper": ("epochs", 0, None, lambda v, f: Hyper(epochs=v)),
-    "random_search-budget": ("budget", 1, None, lambda v, f: random_search(f["blobs3_split"][0], v, 0)),
-    "random_search-seed": ("seed", 0, None, lambda v, f: random_search(f["blobs3_split"][0], 1, v)),
+    "random_search-budget": ("budget", 1, None, lambda v, f: random_search(*f["blobs3_split"], v, 0)),
+    "random_search-seed": ("seed", 0, None, lambda v, f: random_search(*f["blobs3_split"], 1, v)),
     "FloatSvmModel": ("n_features", 1, None, lambda v, f: FloatSvmModel("ovo", 2, v, [[0.0, 1.0]])),
     "row_pairs": ("n_classes", 2, None, lambda v, f: row_pairs("ovo", v)),
     "fit_lanes": ("key", 0, None, lambda v, f: fit_lanes(f["blobs3_split"][0], [(np.arange(4), 0, (v,))], [Hyper()])),

@@ -12,7 +12,9 @@ import pytest
 
 from helpers import bias_only_model
 from seqsvm.archsim import trace_to_text
-from seqsvm.cli import _ingest, _load_model, build_parser, main
+import seqsvm.cli as cli_mod
+import seqsvm.trainer as trainer_mod
+from seqsvm.cli import _ingest, _load_model, _train_phase, build_parser, main
 from seqsvm.cost import STORAGE_KINDS
 from seqsvm.dataset import Dataset, load_csv, split, to_csv
 from seqsvm.modelio import (
@@ -148,6 +150,39 @@ def test_a_budget_of_one_keeps_every_column(synth_csv, tmp_path):
     assert main(["train", *_run_args(synth_csv, out, ["--budget", "1"])[1:]]) == 0
     names = load_model_doc(out / "float_model.json")["dataset"]["feature_names"]
     assert names == load_csv(synth_csv, "label").feature_names == [f"f{j}" for j in range(11)]
+
+
+def test_a_budget_of_one_runs_on_one_training_row_per_class(tmp_path):
+    # a budget of 1 carves no holdout, which one row per class could not spare
+    csv = tmp_path / "six.csv"
+    to_csv(separable_blobs(3, 2, per_class=2, seed=4), csv)
+    out = tmp_path / "out"
+    args = ["--seed", "2", "--split", "0.5", "--budget", "1", "--out", str(out)]
+    assert main(["run", "--dataset", str(csv), "--label-col", "label", *args]) == 0
+    assert len(load_model_doc(out / "model.json")["dataset"]["feature_names"]) == 2
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_the_train_stage_carves_the_one_holdout(synth_csv, tmp_path, monkeypatch, budget):
+    # the search and the choice of inputs get one pair, carved by the train
+    # stage alone: HOLDOUT_FRACTION of the training side at a budget above 1,
+    # and at a budget of 1, which reads no row, the training side as both
+    config = {"dataset": str(synth_csv), "label_column": "label", "seed": 11, "train_fraction": 0.8, "budget": budget}
+    train, test = _ingest(config)
+    searched, selected = [], []
+    search, select = cli_mod.random_search, trainer_mod.select_inputs
+    monkeypatch.setattr(cli_mod, "random_search", lambda *args, **kw: searched.append(args) or search(*args, **kw))
+    monkeypatch.setattr(trainer_mod, "select_inputs", lambda *args: selected.append(args[1:]) or select(*args))
+    _train_phase(config, tmp_path, train, test)
+    (fit, holdout), = searched
+    if budget == 1:
+        assert fit is train and holdout is train and not selected
+        return
+    want = split(train, 1.0 - trainer_mod.HOLDOUT_FRACTION, 11)
+    assert [half.features.tobytes() for half in (fit, holdout)] == [half.features.tobytes() for half in want]
+    assert [half.labels.tobytes() for half in (fit, holdout)] == [half.labels.tobytes() for half in want]
+    (got_fit, got_holdout), = selected
+    assert got_fit is fit and got_holdout is holdout
 
 
 def test_a_one_column_csv_keeps_its_column(tmp_path):
@@ -766,6 +801,10 @@ _FLOAT_MODEL_EDITS = {
         _set_path(("dataset", "normalization", 0), [1.0, 0.0]),
         "normalization[0] must be (min, max) with min <= max, got (1.0, 0.0)",
     ),
+    # neither is ever written as null, so no later stage reads every column
+    # or skips the check of the CSV's training ranges
+    "dataset_feature_names_null": (_set_path(("dataset", "feature_names"), None), "dataset.feature_names is null"),
+    "dataset_normalization_null": (_set_path(("dataset", "normalization"), None), "dataset.normalization is null"),
     **_CONFIG_EDITS,
 }
 
@@ -915,10 +954,6 @@ def _names(path) -> set:
     return names
 
 
-# a dataset may have no feature names and no normalization
-_NULLABLE = {("dataset", "feature_names"), ("dataset", "normalization")}
-
-
 def test_every_field_of_model_json_is_checked_by_name(full_run, tmp_path):
     # delete each key or entry, or set it to null or [], and the loader names
     # it in a ValueError, never a bare KeyError or TypeError text
@@ -928,7 +963,7 @@ def test_every_field_of_model_json_is_checked_by_name(full_run, tmp_path):
     paths = list(_paths(doc))
     assert len(paths) > 150
     for path in paths:
-        for value in (_DELETE, *([] if path in _NULLABLE else [None]), []):
+        for value in (_DELETE, None, []):
             edited = copy.deepcopy(doc)
             _set_path(path, value)(edited)
             (out / "model.json").write_text(json.dumps(edited))

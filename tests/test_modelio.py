@@ -17,7 +17,7 @@ from helpers import document
 from seqsvm.ddag import row_pairs
 from seqsvm.fxp import FxpFormat, max_int, min_int
 from seqsvm.modelio import check_written, dumps_canonical, model_doc, quantized_from_dict, read_model_doc
-from seqsvm.dataset import split
+from seqsvm.dataset import Dataset, split
 from seqsvm.quant import calibrate_model, quantize_model, table_words
 from seqsvm.synth import bundled_dataset
 from seqsvm.trainer import FloatSvmModel, Hyper, train_ovo
@@ -182,7 +182,7 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
      "quantized.scales[1] must be > 0, got 0.0"),
     # then the comparison with what model_doc writes, in sorted key order;
     # the dataset's names are written back as read, so other names that fit pass
-    (_edit(*DERIVED, (("dataset", "label_names"), ["x", "y", "z"]), (("dataset", "feature_names"), None)),
+    (_edit(*DERIVED, (("dataset", "label_names"), ["x", "y", "z"]), (("dataset", "feature_names"), ["u", "v"])),
      "ddag.state_bits is 40, the model writes 2"),
     (_edit(*DERIVED[1:]), "quantized.bias_shift is 3, the model writes 4"),
     (_edit(*SWAPPED, DERIVED[1]), "quantized.vectors.2.class_a is 2, the model writes 1"),
@@ -202,10 +202,27 @@ DERIVED = (("ddag", "state_bits"), 40), (("seed", ), 5), *SWAPPED, (("quantized"
      "feature_names must be None or a list of 2 strings, got ['a']"),
     (_edit(*DERIVED, (("dataset", "normalization"), [[0.0, 1.0], [1.0, 0.5]])),
      "normalization[1] must be (min, max) with min <= max, got (1.0, 0.5)"),
+    # a null name list or normalization, which model_doc never writes, after
+    # the quantized widths and before the comparison
+    (_edit(*DERIVED, (("quantized", "param_bits"), 17), (("dataset", "normalization"), None)),
+     "quantized.param_bits must be an integer in 2..16, got 17"),
+    (_edit(*DERIVED, (("dataset", "feature_names"), None)), "dataset.feature_names is null"),
+    (_edit(*DERIVED, (("dataset", "normalization"), None)), "dataset.normalization is null"),
 ])
 def test_loader_check_order(doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         read_model_doc(doc, quantized=True)
+
+
+@pytest.mark.parametrize("key", ["feature_names", "normalization"])
+def test_the_writer_refuses_a_dataset_without_names_or_ranges(key):
+    # a document records a training split's, as split() makes them, so
+    # model_doc writes no null that its loader would refuse
+    fields = {"feature_names": ["u", "v"], "normalization": [(0.0, 1.0)] * 2, key: None}
+    dataset = Dataset(np.empty((0, 2)), [], ["a", "b", "c"], **fields)
+    config = {"dataset": "data.csv", "label_column": "label", "seed": 0, "train_fraction": 0.8, "budget": 1}
+    with pytest.raises(ValueError, match=f"^dataset.{key} is null"):
+        model_doc(config, dataset, Hyper(), _FMODEL)
 
 
 def _quantized_doc(pairs, weights, param_bits=4, total_bits=4):

@@ -66,6 +66,14 @@ class TestQuantizeInputs:
         ds = Dataset(np.array([[0.5, 1.0]]), np.array([0]), ["a", "b"])
         assert quantize_inputs(ds).tolist() == [[8, 15]]
 
+    @pytest.mark.parametrize("bits", [1, 4, 16])
+    def test_any_finite_feature_above_one_gives_raw_max(self, bits):
+        # clamped in float before the cast: 1e300 became the code -2**63, with
+        # a RuntimeWarning for the cast, and a product past float64 would overflow
+        fmt = FxpFormat(bits)
+        features = np.array([[1.0, 1.0 + 2.0 ** -52, 2.0, 1e300, np.finfo(np.float64).max]])
+        assert quantize_inputs(features, fmt).tolist() == [[fmt.raw_max] * 5]
+
 
 def _scale_one(weights, bias, param_bits):
     """One support vector's (weights, bias, scale) as quantize_model scales it."""

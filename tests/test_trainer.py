@@ -445,33 +445,32 @@ def test_votes_do_not_follow_the_blas_kernel(coretype, tmp_path):
 
 
 class TestRandomSearch:
+    # each test fits on the fixture's training side and scores on its test side
+
     def test_budget_one_is_deterministic(self, blobs3_split):
-        train, _ = blobs3_split
-        a = random_search(train, budget=1, seed=3)
-        b = random_search(train, budget=1, seed=3)
+        a = random_search(*blobs3_split, budget=1, seed=3)
+        b = random_search(*blobs3_split, budget=1, seed=3)
         assert a == b
 
     def test_reproducible_over_budget(self, blobs3_split):
-        train, _ = blobs3_split
-        a = random_search(train, budget=20, seed=5)
-        b = random_search(train, budget=20, seed=5)
+        a = random_search(*blobs3_split, budget=20, seed=5)
+        b = random_search(*blobs3_split, budget=20, seed=5)
         assert a == b
 
     def test_rejects_zero_budget(self, blobs3_split):
         with pytest.raises(ValueError):
-            random_search(blobs3_split[0], budget=0, seed=0)
+            random_search(*blobs3_split, budget=0, seed=0)
 
     @pytest.mark.parametrize("budget", [1, 2])
     def test_rejects_a_seed_that_is_not_an_int_of_at_least_0(self, blobs3_split, budget):
         for seed in (True, -1, 1.0):
             with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
-                random_search(blobs3_split[0], budget=budget, seed=seed)
+                random_search(*blobs3_split, budget=budget, seed=seed)
 
     def test_budget_one_returns_its_draw_without_a_holdout_or_a_fit(self, blobs3_split, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a budget of 1 has nothing to choose")
 
-        monkeypatch.setattr(trainer_mod, "split", refuse)
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", refuse)
         monkeypatch.setattr(trainer_mod, "select_inputs", refuse)
         assert (LAM_RANGE, EPOCH_RANGE) == ((1e-4, 10.0), (5, 50))
@@ -479,11 +478,11 @@ class TestRandomSearch:
         lam = float(10.0 ** rng.uniform(math.log10(1e-4), math.log10(10.0), 1)[0])
         epochs = int(rng.integers(5, 51, 1)[0])
         train = blobs3_split[0]
-        assert random_search(train, budget=1, seed=6) == (Hyper(lam, epochs), list(range(train.n_features)))
+        # no row is read: a holdout that is no Dataset at all passes
+        assert random_search(train, object(), budget=1, seed=6) == (Hyper(lam, epochs), list(range(train.n_features)))
 
     def test_picks_strictly_better_candidate(self, blobs3_split, monkeypatch):
         # score rises as lam falls; the smallest sampled lam must win
-        train, _ = blobs3_split
         seen = []
 
         class _Fake:
@@ -502,12 +501,11 @@ class TestRandomSearch:
 
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", fake_train)
         monkeypatch.setattr(trainer_mod, "accuracy", fake_accuracy)
-        monkeypatch.setattr(trainer_mod, "select_inputs", lambda model, sub_train, holdout: [0])
-        best, _ = random_search(train, budget=10, seed=8)
+        monkeypatch.setattr(trainer_mod, "select_inputs", lambda model, fit, holdout: [0])
+        best, _ = random_search(*blobs3_split, budget=10, seed=8)
         assert best.lam == min(h.lam for h in seen)
 
     def test_tie_breaks_smaller_lam_then_epochs(self, blobs3_split, monkeypatch):
-        train, _ = blobs3_split
         seen = []
 
         def fake_train(ds, hypers, seed):
@@ -516,8 +514,8 @@ class TestRandomSearch:
 
         monkeypatch.setattr(trainer_mod, "train_ovo_candidates", fake_train)
         monkeypatch.setattr(trainer_mod, "accuracy", lambda model, ds: 0.5)
-        monkeypatch.setattr(trainer_mod, "select_inputs", lambda model, sub_train, holdout: [0])
-        best, _ = random_search(train, budget=10, seed=8)
+        monkeypatch.setattr(trainer_mod, "select_inputs", lambda model, fit, holdout: [0])
+        best, _ = random_search(*blobs3_split, budget=10, seed=8)
         assert best.lam == min(h.lam for h in seen)
 
 
@@ -550,17 +548,17 @@ class TestSelectInputs:
 
     def test_ranks_and_scores_the_winning_candidate_as_fitted(self, monkeypatch):
         # the candidate's lanes are independent, so its model is the fit of
-        # its draw alone on the sub-train side, and it is not fitted again
-        train, _ = split(ring_sectors(4, 6, per_class=30, seed=2), 0.8, 2)
+        # its draw alone on the search's fit side, and it is not fitted
+        # again; the choice gets the search's own pair (the train stage
+        # carves it: test_cli's test_the_train_stage_carves_the_one_holdout)
+        fit, holdout = split(ring_sectors(4, 6, per_class=30, seed=2), 0.8, 2)
         seen = []
         monkeypatch.setattr(trainer_mod, "select_inputs", lambda *args: seen.append(args) or [1, 3])
-        hyper, columns = random_search(train, budget=3, seed=5)
-        (model, sub_train, holdout), = seen
-        want_sub, want_holdout = split(train, 1.0 - trainer_mod.HOLDOUT_FRACTION, 5)
+        hyper, columns = random_search(fit, holdout, budget=3, seed=5)
+        (model, got_fit, got_holdout), = seen
         assert columns == [1, 3]
-        assert sub_train.features.tobytes() == want_sub.features.tobytes()
-        assert holdout.features.tobytes() == want_holdout.features.tobytes()
-        assert model.coefs.tobytes() == train_ovo(want_sub, hyper, 5).coefs.tobytes()
+        assert got_fit is fit and got_holdout is holdout
+        assert model.coefs.tobytes() == train_ovo(fit, hyper, 5).coefs.tobytes()
 
     def test_rejects_a_model_that_does_not_fit_the_samples(self):
         model = FloatSvmModel("ovo", 2, 2, [[0.0, 1.0, 1.0]])
